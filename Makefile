@@ -41,8 +41,11 @@ BATCH_ALLOC_BASELINE ?= 64
 
 ci: vet vet-obs vet-wire vet-repl vet-policy vet-batch build race bench-smoke chaos fuzz-smoke
 
+# go vet, and formatting as a gate: any file gofmt would rewrite fails it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "vet: gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Zero-cost-when-disabled gate: go vet plus an allocation check proving the
 # invoke path with observability off still allocates no more than the seed
@@ -166,22 +169,27 @@ BENCH_JSON ?= BENCH_10.json
 bench-json:
 	$(GO) run ./cmd/dcdo-bench -json $(BENCH_JSON)
 
-# Bounded run of the native fuzz targets: the wire decoder and the store
-# image loader must never panic on adversarial bytes. FUZZTIME is per target.
+# Bounded run of the native fuzz targets: the wire decoder, the store image
+# loader and the state-delta applier must never panic on adversarial bytes,
+# and a delta that is refused must leave the state untouched. FUZZTIME is per
+# target.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz 'FuzzFrameRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzLoadStore -fuzztime $(FUZZTIME) ./internal/manager/
+	$(GO) test -run xxx -fuzz FuzzApplyDelta -fuzztime $(FUZZTIME) ./internal/objstate/
 
 # Crash/partition drills under the race detector: the E8 chaos experiment
 # (manager killed mid-pass with a partitioned instance), the E11 rollout
 # drill (SLO auto-rollback plus supervisor killed mid-wave and resumed),
 # the E13 replication drill (primary replica and primary manager killed
 # mid-load), the manager's concurrency, recovery, and standby-takeover
-# contracts, replica group fencing/failover, and the supervisor's
-# pause/abort-vs-widening race.
+# contracts, replica group fencing/failover and the delta-shipping
+# fault matrix (dropped shipment, lost ack, backup behind base, promote /
+# failover / expand / shrink / fence mid-stream, restore under writes — each
+# ending byte-converged), and the supervisor's pause/abort-vs-widening race.
 chaos:
 	$(GO) test -race -run 'TestRunE8|TestRunE11|TestRunE13|TestRunE14' ./internal/harness/
 	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestReconcile|TestPolicyRecover|TestSetPolicy' ./internal/manager/

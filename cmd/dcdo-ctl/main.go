@@ -398,8 +398,8 @@ func run(args []string) error {
 			if ver, err := version.Decode(st.VersionSegs); err == nil {
 				verStr = ver.String()
 			}
-			fmt.Printf("  %-26s %-8s epoch %-4d seq %-6d version %s\n",
-				ep, st.Role, st.Epoch, st.Seq, verStr)
+			fmt.Printf("  %-26s %-8s epoch %-4d seq %-6d ackSeq %-6d version %s\n",
+				ep, st.Role, st.Epoch, st.Seq, st.AckSeq, verStr)
 		}
 		return nil
 

@@ -61,8 +61,9 @@ func (d *DCDO) RestoreState(buf []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: restore: state: %w", err)
 	}
-	restored, err := objstate.Decode(stateBytes)
-	if err != nil {
+	// Validate before touching anything: a capture that cannot be restored
+	// must not leave the new descriptor over the old state.
+	if _, err := objstate.Decode(stateBytes); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 
@@ -72,8 +73,11 @@ func (d *DCDO) RestoreState(buf []byte) error {
 	if _, err := d.ApplyDescriptor(context.Background(), desc, ver); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-	d.mu.Lock()
-	d.state = restored
-	d.mu.Unlock()
+	// In place: State() hands the container out unlocked, to running
+	// functions and to the replica wrapper, whose shipped generations must
+	// stay comparable across the restore.
+	if err := d.state.ReplaceFrom(stateBytes); err != nil {
+		return fmt.Errorf("core: restore: %w", err)
+	}
 	return nil
 }

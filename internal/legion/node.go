@@ -228,7 +228,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	disp.Host(rpc.HealthLOID, rpc.NewHealthService(cfg.Name, clock, disp.Len))
 	var rhost *replica.HostService
 	if cfg.ReplicaFactory != nil {
-		rhost = &replica.HostService{Factory: cfg.ReplicaFactory, Dialer: dialer, Host: disp.Host}
+		rhost = &replica.HostService{Factory: cfg.ReplicaFactory, Dialer: dialer, Host: func(loid naming.LOID, obj rpc.Object) {
+			wireObs(cfg.Obs, obj)
+			disp.Host(loid, obj)
+		}}
 		disp.Host(rpc.ReplicaHostLOID, rhost)
 	}
 	return &Node{
@@ -278,6 +281,14 @@ func (n *Node) HostImpl() registry.ImplType { return n.hostImpl }
 // Clock returns the node's clock.
 func (n *Node) Clock() vclock.Clock { return n.clock }
 
+// wireObs hands the node's observability handle, if it has one, to a hosted
+// object that accepts one.
+func wireObs(o *obs.Obs, obj rpc.Object) {
+	if c, ok := obj.(obs.Configurable); ok && o != nil {
+		c.SetObs(o)
+	}
+}
+
 // HostObject activates obj at loid on this node and registers the binding,
 // bumping the incarnation.
 func (n *Node) HostObject(loid naming.LOID, obj rpc.Object) (naming.Address, error) {
@@ -287,11 +298,7 @@ func (n *Node) HostObject(loid naming.LOID, obj rpc.Object) (naming.Address, err
 		return naming.Address{}, ErrNodeClosed
 	}
 	n.mu.Unlock()
-	if n.obs != nil {
-		if c, ok := obj.(obs.Configurable); ok {
-			c.SetObs(n.obs)
-		}
-	}
+	wireObs(n.obs, obj)
 	n.disp.Host(loid, obj)
 	addr := n.agent.Register(loid, naming.Address{Endpoint: n.server.Endpoint()})
 	if n.policy != nil {
@@ -308,11 +315,7 @@ func (n *Node) HostObject(loid naming.LOID, obj rpc.Object) (naming.Address, err
 // the node by endpoint, not by binding lookup. The object picks up the
 // node's observability handle when it is Configurable.
 func (n *Node) HostInfraService(loid naming.LOID, obj rpc.Object) {
-	if n.obs != nil {
-		if c, ok := obj.(obs.Configurable); ok {
-			c.SetObs(n.obs)
-		}
-	}
+	wireObs(n.obs, obj)
 	n.disp.Host(loid, obj)
 }
 

@@ -1,14 +1,22 @@
 // Package replica puts N instances behind one LOID as a primary/backup
-// group. The primary executes dynamic functions and synchronously ships the
-// resulting object state (objstate encoding) to every backup; backups refuse
-// dynamic traffic with rpc.ErrNotPrimary but serve the dcdo.* control plane,
-// so version probes and descriptor evolution reach every member directly.
+// group. The primary executes dynamic functions and synchronously ships what
+// the call changed in the object state (an objstate delta) to every backup;
+// backups refuse dynamic traffic with rpc.ErrNotPrimary but serve the dcdo.*
+// control plane, so version probes and descriptor evolution reach every
+// member directly.
 //
-// Group membership and leadership are versioned by an epoch. Every shipped
-// snapshot carries the shipper's epoch; a member holding a higher epoch
-// rejects it with rpc.ErrFenced, which makes a deposed primary demote itself
-// the moment it tries to act for the group — the classic fencing token, on
-// the object plane rather than the lock plane.
+// Group membership and leadership are versioned by an epoch. Every shipment
+// carries the shipper's epoch; a member holding a higher epoch rejects it
+// with rpc.ErrFenced, which makes a deposed primary demote itself the moment
+// it tries to act for the group — the classic fencing token, on the object
+// plane rather than the lock plane.
+//
+// Within an epoch shipments are numbered. Each names the earlier shipment it
+// builds on (base) and carries the keys changed since; a backup applies it
+// only when it holds that base or something later, and otherwise says what
+// it holds so the primary can send it the whole state. Base 0 means "replace
+// everything": a full snapshot is the degenerate delta, with the same codec
+// and the same apply path.
 package replica
 
 import (
@@ -17,11 +25,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"godcdo/internal/core"
 	"godcdo/internal/naming"
 	"godcdo/internal/objstate"
+	"godcdo/internal/obs"
 	"godcdo/internal/rpc"
 	"godcdo/internal/transport"
 	"godcdo/internal/wire"
@@ -51,8 +61,9 @@ func (r Role) String() string {
 const (
 	// ReplPrefix marks replication-plane methods.
 	ReplPrefix = "repl."
-	// MethodApply ships a state snapshot: epoch, sequence, objstate bytes.
-	MethodApply = ReplPrefix + "apply"
+	// MethodShip ships state: epoch, sequence, base sequence, objstate
+	// delta. The response is the sequence the receiver holds afterwards.
+	MethodShip = ReplPrefix + "ship"
 	// MethodPromote makes the receiver primary at a new epoch with a new
 	// backup list.
 	MethodPromote = ReplPrefix + "promote"
@@ -60,7 +71,7 @@ const (
 	MethodDemote = ReplPrefix + "demote"
 	// MethodStatus reports role, epoch, applied sequence, and version.
 	MethodStatus = ReplPrefix + "status"
-	// MethodSyncTo (primary-only) ships a full state snapshot to one named
+	// MethodSyncTo (primary-only) ships a full state image to one named
 	// endpoint: how a freshly hosted backup is seeded when a group expands.
 	MethodSyncTo = ReplPrefix + "syncto"
 )
@@ -87,18 +98,32 @@ type Replica struct {
 	mu      sync.Mutex
 	role    Role
 	epoch   uint64
-	seq     uint64   // primary: last shipped; backup: last applied
+	seq     uint64   // within epoch — primary: last shipped; backup: last applied
 	backups []string // primary only: endpoints state ships to
-	shipGen uint64   // state generation as of the last shipment
+	config  uint64   // bumped by reconfigure, so an in-flight shipment cannot commit into a newer configuration
 
-	// shipMu serialises snapshot encoding and shipment so sequence numbers
-	// observed by backups are in snapshot order.
+	// Primary: the delta base. shipGen is the state generation the last
+	// fully acknowledged shipment covered; ackSeq is that shipment's
+	// sequence number, 0 when the next shipment must be full.
+	shipGen uint64
+	ackSeq  uint64
+
+	// Backup: shipments applied, each exactly one state-generation bump;
+	// the repl.read guard subtracts them from the generations it saw pass.
+	applied uint64
+
+	// shipMu serialises encoding and shipment so sequence numbers observed
+	// by backups are in state order.
 	shipMu sync.Mutex
+
+	shipsDelta, shipsFull, shipFallbacks, shipBytes atomic.Uint64
+	events                                          atomic.Pointer[obs.EventLog]
 }
 
 var (
 	_ rpc.Object             = (*Replica)(nil)
 	_ rpc.ContextAwareObject = (*Replica)(nil)
+	_ obs.Configurable       = (*Replica)(nil)
 )
 
 // New returns a replica for loid wrapping inner. Role, epoch, and the
@@ -124,7 +149,37 @@ type Status struct {
 	// VersionSegs is the wrapped object's version (version.ID segments),
 	// captured via the control plane.
 	VersionSegs []uint64
+	// AckSeq is, on a primary, the shipment every backup acknowledged and
+	// the next delta builds on; 0 means the next shipment is a full image.
+	AckSeq uint64
 }
+
+// Stats counts a primary's shipments, one per backup reached.
+type Stats struct {
+	// ShipsDelta counts shipments that carried only the changed keys.
+	ShipsDelta uint64 `json:"ships_delta"`
+	// ShipsFull counts shipments that carried the whole state (base 0).
+	ShipsFull uint64 `json:"ships_full"`
+	// ShipFallbacks counts deltas a backup refused because it did not hold
+	// their base, each answered with a full shipment in the same call.
+	ShipFallbacks uint64 `json:"ship_fallbacks"`
+	// ShipBytes is the payload bytes of all of the above.
+	ShipBytes uint64 `json:"ship_bytes"`
+}
+
+// Stats returns a snapshot of the shipment counters.
+func (r *Replica) Stats() Stats {
+	return Stats{
+		ShipsDelta:    r.shipsDelta.Load(),
+		ShipsFull:     r.shipsFull.Load(),
+		ShipFallbacks: r.shipFallbacks.Load(),
+		ShipBytes:     r.shipBytes.Load(),
+	}
+}
+
+// SetObs implements obs.Configurable: shipment fallbacks are mirrored into
+// o's event log. A nil o turns that off.
+func (r *Replica) SetObs(o *obs.Obs) { r.events.Store(o.GetEvents()) }
 
 // Role returns the replica's current role.
 func (r *Replica) CurrentRole() Role {
@@ -158,12 +213,17 @@ func (r *Replica) InvokeMethodCtx(ctx context.Context, method string, args []byt
 		return r.inner.InvokeMethodCtx(ctx, method, args)
 	}
 	r.mu.Lock()
-	if r.role != RolePrimary {
-		epoch := r.epoch
-		r.mu.Unlock()
+	role, epoch := r.role, r.epoch
+	r.mu.Unlock()
+	if role != RolePrimary {
 		return nil, fmt.Errorf("%w: %s (epoch %d)", rpc.ErrNotPrimary, r.loid, epoch)
 	}
-	r.mu.Unlock()
+	return r.invokePrimary(ctx, method, args)
+}
+
+// invokePrimary executes a dynamic method and commits what it changed to
+// the group before answering.
+func (r *Replica) invokePrimary(ctx context.Context, method string, args []byte) ([]byte, error) {
 	out, err := r.inner.InvokeMethodCtx(ctx, method, args)
 	if err != nil {
 		return out, err
@@ -186,41 +246,74 @@ func (r *Replica) InvokeMethodCtx(ctx context.Context, method string, args []byt
 	return out, nil
 }
 
-// shipIfChanged ships a state snapshot to every backup if the state
-// generation moved since the last shipment. Shipments are serialised so
-// backups can deduplicate by sequence number alone.
+// shipIfChanged ships to every backup what changed since the last shipment
+// they all acknowledged, if the state generation moved since. Shipments are
+// serialised so backups can order them by sequence number alone. A failed
+// shipment leaves the base where it was: the next one spans both, and a
+// backup that did apply this one accepts that too, because it accepts any
+// base at or before what it holds.
 func (r *Replica) shipIfChanged(ctx context.Context) error {
 	r.shipMu.Lock()
 	defer r.shipMu.Unlock()
 
-	gen := r.inner.State().Generation()
+	st := r.inner.State()
 	r.mu.Lock()
-	if gen == r.shipGen || r.role != RolePrimary || len(r.backups) == 0 {
-		if r.role == RolePrimary {
-			r.shipGen = gen
-		}
+	if st.Generation() == r.shipGen {
+		r.mu.Unlock()
+		return nil
+	}
+	if r.role != RolePrimary {
+		// Demoted between executing and committing, with changes no backup
+		// was sent: they stay local, and the caller must hear that, not
+		// success — the next primary's full image will overwrite them.
+		epoch := r.epoch
+		r.mu.Unlock()
+		return fmt.Errorf("%w: %s demoted at epoch %d before the call committed", rpc.ErrFenced, r.loid, epoch)
+	}
+	if len(r.backups) == 0 {
+		r.shipGen = st.Generation()
 		r.mu.Unlock()
 		return nil
 	}
 	r.seq++
-	seq := r.seq
-	epoch := r.epoch
-	backups := append([]string(nil), r.backups...)
+	epoch, seq, config := r.epoch, r.seq, r.config
+	backups := r.backups // replaced, never mutated, by reconfigure
+	base, baseGen := r.ackSeq, r.shipGen
 	r.mu.Unlock()
 
-	snapshot := r.inner.State().Encode()
-	e := wire.NewEncoder(len(snapshot) + 16)
-	e.PutUvarint(epoch)
-	e.PutUvarint(seq)
-	e.PutBytes(snapshot)
-	payload := e.Bytes()
+	var delta []byte
+	var gen uint64
+	if base != 0 {
+		var ok bool
+		if delta, gen, ok = st.EncodeSince(baseGen); !ok {
+			base = 0
+		}
+	}
+	if base == 0 {
+		delta, gen = st.EncodeFull()
+	}
+	payload := encodeShipment(epoch, seq, base, delta)
 
+	var full []byte // built at most once, for backups that refuse the delta
 	var firstErr error
 	for _, endpoint := range backups {
-		_, err := rpc.DirectCall(ctx, r.dialer, endpoint, r.loid, MethodApply, payload, r.shipTimeout())
+		held, err := r.shipTo(ctx, endpoint, payload, base)
+		if err == nil && held < seq && base != 0 {
+			r.shipFallbacks.Add(1)
+			r.events.Load().Append(obs.Event{Kind: "ship-fallback", Object: r.loid.String(),
+				Detail: fmt.Sprintf("backup=%s base=%d held=%d", endpoint, base, held)})
+			if full == nil {
+				image, _ := st.EncodeFull() // may be newer than gen; the next delta still starts at gen
+				full = encodeShipment(epoch, seq, 0, image)
+			}
+			held, err = r.shipTo(ctx, endpoint, full, 0)
+		}
 		if errors.Is(err, rpc.ErrFenced) {
 			r.demoteSelf()
 			return err
+		}
+		if err == nil && held < seq {
+			err = fmt.Errorf("refused shipment %d, holds %d", seq, held)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("backup %s: %w", endpoint, err)
@@ -230,16 +323,18 @@ func (r *Replica) shipIfChanged(ctx context.Context) error {
 		return firstErr
 	}
 	r.mu.Lock()
-	r.shipGen = gen
+	if r.config == config {
+		r.shipGen, r.ackSeq = gen, seq
+	}
 	r.mu.Unlock()
 	return nil
 }
 
-// syncTo ships one full-state snapshot to endpoint at the primary's current
-// epoch and a fresh sequence number. It shares shipMu with shipIfChanged so
-// the seeded snapshot is ordered against regular shipments; a following
-// dynamic call re-ships to everyone at a later sequence, so over-shipping is
-// the worst case, divergence never.
+// syncTo ships one full image to endpoint at the primary's current epoch
+// and a fresh sequence number. It shares shipMu with shipIfChanged so the
+// seeded image is ordered against regular shipments; a following dynamic
+// call re-ships to everyone at a later sequence, so over-shipping is the
+// worst case, divergence never.
 func (r *Replica) syncTo(ctx context.Context, endpoint string) error {
 	r.shipMu.Lock()
 	defer r.shipMu.Unlock()
@@ -255,12 +350,8 @@ func (r *Replica) syncTo(ctx context.Context, endpoint string) error {
 	epoch := r.epoch
 	r.mu.Unlock()
 
-	snapshot := r.inner.State().Encode()
-	e := wire.NewEncoder(len(snapshot) + 16)
-	e.PutUvarint(epoch)
-	e.PutUvarint(seq)
-	e.PutBytes(snapshot)
-	_, err := rpc.DirectCall(ctx, r.dialer, endpoint, r.loid, MethodApply, e.Bytes(), r.shipTimeout())
+	image, _ := r.inner.State().EncodeFull()
+	_, err := r.shipTo(ctx, endpoint, encodeShipment(epoch, seq, 0, image), 0)
 	if errors.Is(err, rpc.ErrFenced) {
 		r.demoteSelf()
 		return err
@@ -271,11 +362,54 @@ func (r *Replica) syncTo(ctx context.Context, endpoint string) error {
 	return nil
 }
 
+// encodeShipment builds a MethodShip payload.
+func encodeShipment(epoch, seq, base uint64, delta []byte) []byte {
+	e := wire.NewEncoder(len(delta) + 32)
+	e.PutUvarint(epoch)
+	e.PutUvarint(seq)
+	e.PutUvarint(base)
+	e.PutBytes(delta)
+	return e.Bytes()
+}
+
+// shipTo sends one shipment to one backup, counts it, and returns the
+// sequence the backup holds afterwards.
+func (r *Replica) shipTo(ctx context.Context, endpoint string, payload []byte, base uint64) (held uint64, err error) {
+	if base == 0 {
+		r.shipsFull.Add(1)
+	} else {
+		r.shipsDelta.Add(1)
+	}
+	r.shipBytes.Add(uint64(len(payload)))
+	out, err := rpc.DirectCall(ctx, r.dialer, endpoint, r.loid, MethodShip, payload, r.shipTimeout())
+	if err != nil {
+		return 0, err
+	}
+	if held, err = wire.NewDecoder(out).Uvarint(); err != nil {
+		return 0, fmt.Errorf("ship response: %w", err)
+	}
+	return held, nil
+}
+
+// reconfigure installs an epoch, role and backup list. The caller holds
+// r.mu. Sequence numbers count shipments within one epoch, so a later epoch
+// restarts them; and whatever changed, the backups the delta base was
+// acknowledged by are no longer known to be the ones shipped to next, so
+// the next shipment is a full image.
+func (r *Replica) reconfigure(epoch uint64, role Role, backups []string) {
+	if epoch > r.epoch {
+		r.epoch = epoch
+		r.seq = 0
+	}
+	r.role, r.backups = role, backups
+	r.ackSeq = 0
+	r.config++
+}
+
 // demoteSelf demotes a fenced ex-primary in place.
 func (r *Replica) demoteSelf() {
 	r.mu.Lock()
-	r.role = RoleBackup
-	r.backups = nil
+	r.reconfigure(r.epoch, RoleBackup, nil)
 	r.mu.Unlock()
 }
 
@@ -302,12 +436,37 @@ func (r *Replica) invokeRepl(ctx context.Context, method string, args []byte) ([
 		if strings.HasPrefix(inner, ReplPrefix) || strings.HasPrefix(inner, core.ControlPrefix) {
 			return nil, fmt.Errorf("%w: %q may not ride %s", rpc.ErrBadRequest, inner, rpc.MethodReplRead)
 		}
-		before := r.inner.State().Generation()
+		r.mu.Lock()
+		if r.role == RolePrimary {
+			// Concurrent writes move a primary's generation, so the guard
+			// below cannot tell them from the read's own. The guard exists
+			// to stop a backup diverging, and a primary cannot diverge
+			// from its group: execute the read as the dynamic call it is —
+			// whatever it changes ships. The asymmetry is deliberate: a
+			// wrapped mutation is refused on a backup and committed here.
+			// Clients wrap reads for backups only, so this is a binding
+			// gone stale across a promotion.
+			r.mu.Unlock()
+			return r.invokePrimary(ctx, inner, innerArgs)
+		}
+		st := r.inner.State()
+		gen, applied := st.Generation(), r.applied
+		r.mu.Unlock()
 		out, err := r.inner.InvokeMethodCtx(ctx, inner, innerArgs)
 		if err != nil {
 			return nil, err
 		}
-		if r.inner.State().Generation() != before {
+		// Shipments landing mid-read move the generation too, one each, and
+		// they apply under r.mu: any movement beyond theirs is the read's.
+		r.mu.Lock()
+		mutated := st.Generation()-gen != r.applied-applied
+		if mutated && r.role == RoleBackup {
+			// This state is no shipment's result any more, so it is no
+			// delta's base: holding nothing makes the next one a full image.
+			r.seq = 0
+		}
+		r.mu.Unlock()
+		if mutated {
 			return nil, fmt.Errorf("replica %s: %q mutated state via %s; backup-ok reads must be read-only",
 				r.loid, inner, rpc.MethodReplRead)
 		}
@@ -319,7 +478,7 @@ func (r *Replica) invokeRepl(ctx context.Context, method string, args []byte) ([
 			return nil, fmt.Errorf("%w: endpoint: %v", rpc.ErrBadRequest, err)
 		}
 		return nil, r.syncTo(ctx, endpoint)
-	case MethodApply:
+	case MethodShip:
 		epoch, err := dec.Uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("%w: epoch: %v", rpc.ErrBadRequest, err)
@@ -328,34 +487,40 @@ func (r *Replica) invokeRepl(ctx context.Context, method string, args []byte) ([
 		if err != nil {
 			return nil, fmt.Errorf("%w: seq: %v", rpc.ErrBadRequest, err)
 		}
-		snapshot, err := dec.Bytes()
+		base, err := dec.Uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("%w: snapshot: %v", rpc.ErrBadRequest, err)
+			return nil, fmt.Errorf("%w: base: %v", rpc.ErrBadRequest, err)
 		}
+		delta, err := dec.Bytes()
+		if err != nil {
+			return nil, fmt.Errorf("%w: delta: %v", rpc.ErrBadRequest, err)
+		}
+		// Held across the apply so the sequence number and the state move
+		// together, and so the repl.read guard sees each applied shipment
+		// with its generation bump.
 		r.mu.Lock()
+		defer r.mu.Unlock()
 		if epoch < r.epoch {
-			own := r.epoch
-			r.mu.Unlock()
-			return nil, fmt.Errorf("%w: shipment epoch %d < group epoch %d", rpc.ErrFenced, epoch, own)
+			return nil, fmt.Errorf("%w: shipment epoch %d < group epoch %d", rpc.ErrFenced, epoch, r.epoch)
 		}
 		if epoch > r.epoch {
 			// A new leadership era we missed: adopt it. If we thought we
 			// were primary, two primaries existed and the higher epoch wins.
-			r.epoch = epoch
-			r.role = RoleBackup
-			r.backups = nil
-			r.seq = 0
+			r.reconfigure(epoch, RoleBackup, nil)
 		}
-		if seq <= r.seq {
-			r.mu.Unlock()
-			return nil, nil // duplicate or reordered older snapshot
+		// base <= r.seq: we hold what the delta builds on (always, for base
+		// 0). r.seq < seq: not a duplicate or a reordered older shipment.
+		// Anything else changes nothing, and the answer says what we hold.
+		if base <= r.seq && r.seq < seq {
+			if err := r.inner.State().ApplyDelta(delta); err != nil {
+				return nil, fmt.Errorf("replica %s: apply shipment %d: %w", r.loid, seq, err)
+			}
+			r.seq = seq
+			r.applied++
 		}
-		r.seq = seq
-		r.mu.Unlock()
-		if err := r.inner.State().ReplaceFrom(snapshot); err != nil {
-			return nil, fmt.Errorf("replica %s: apply shipment: %w", r.loid, err)
-		}
-		return nil, nil
+		e := wire.NewEncoder(8)
+		e.PutUvarint(r.seq)
+		return e.Bytes(), nil
 
 	case MethodPromote:
 		epoch, err := dec.Uvarint()
@@ -379,9 +544,7 @@ func (r *Replica) invokeRepl(ctx context.Context, method string, args []byte) ([
 		if epoch <= r.epoch && !(epoch == r.epoch && r.role == RolePrimary) {
 			return nil, fmt.Errorf("%w: promote epoch %d not newer than %d", rpc.ErrFenced, epoch, r.epoch)
 		}
-		r.epoch = epoch
-		r.role = RolePrimary
-		r.backups = backups
+		r.reconfigure(epoch, RolePrimary, backups)
 		return nil, nil
 
 	case MethodDemote:
@@ -394,9 +557,7 @@ func (r *Replica) invokeRepl(ctx context.Context, method string, args []byte) ([
 		if epoch < r.epoch {
 			return nil, fmt.Errorf("%w: demote epoch %d < group epoch %d", rpc.ErrFenced, epoch, r.epoch)
 		}
-		r.epoch = epoch
-		r.role = RoleBackup
-		r.backups = nil
+		r.reconfigure(epoch, RoleBackup, nil)
 		return nil, nil
 
 	case MethodStatus:
@@ -405,13 +566,14 @@ func (r *Replica) invokeRepl(ctx context.Context, method string, args []byte) ([
 			return nil, err
 		}
 		r.mu.Lock()
-		st := Status{Role: r.role, Epoch: r.epoch, Seq: r.seq, VersionSegs: segs}
+		st := Status{Role: r.role, Epoch: r.epoch, Seq: r.seq, VersionSegs: segs, AckSeq: r.ackSeq}
 		r.mu.Unlock()
 		e := wire.NewEncoder(32)
 		e.PutString(st.Role.String())
 		e.PutUvarint(st.Epoch)
 		e.PutUvarint(st.Seq)
 		e.PutUintSlice(st.VersionSegs)
+		e.PutUvarint(st.AckSeq) // fields are append-only: older readers stop before it
 		return e.Bytes(), nil
 
 	default:
@@ -475,6 +637,11 @@ func DecodeStatus(buf []byte) (Status, error) {
 	st := Status{Epoch: epoch, Seq: seq, VersionSegs: segs}
 	if role == RolePrimary.String() {
 		st.Role = RolePrimary
+	}
+	if dec.Remaining() > 0 { // absent from members that predate it
+		if st.AckSeq, err = dec.Uvarint(); err != nil {
+			return Status{}, fmt.Errorf("status: ack seq: %w", err)
+		}
 	}
 	return st, nil
 }

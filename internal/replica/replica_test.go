@@ -22,6 +22,9 @@ import (
 type fakeInner struct {
 	st   *objstate.State
 	segs []uint64
+	// duringSet, when set, runs inside "set" after the state changed;
+	// duringGet inside "get".
+	duringSet, duringGet func()
 }
 
 func newFakeInner(segs ...uint64) *fakeInner {
@@ -41,10 +44,16 @@ func (f *fakeInner) InvokeMethodCtx(_ context.Context, method string, args []byt
 		k, _ := dec.String()
 		v, _ := dec.Bytes()
 		f.st.Set(k, v)
+		if f.duringSet != nil {
+			f.duringSet()
+		}
 		return nil, nil
 	case "get":
 		k, _ := wire.NewDecoder(args).String()
 		v, _ := f.st.Get(k)
+		if f.duringGet != nil {
+			f.duringGet()
+		}
 		e := wire.NewEncoder(len(v) + 4)
 		e.PutBytes(v)
 		return e.Bytes(), nil
@@ -72,10 +81,13 @@ func getValue(t *testing.T, inner *fakeInner, k string) string {
 }
 
 // replicaEnv hosts a 3-member group (p, b1, b2) for one LOID on an inproc
-// network, each member on its own endpoint.
+// network, each member on its own endpoint. Members ship to each other
+// through faults (a clean network until a test installs a rule); the test's
+// own calls bypass it.
 type replicaEnv struct {
 	loid    naming.LOID
 	net     *transport.InprocNetwork
+	faults  *transport.Faults
 	agent   *naming.Agent
 	inners  map[string]*fakeInner
 	members map[string]*Replica
@@ -87,6 +99,7 @@ func newReplicaEnv(t *testing.T) *replicaEnv {
 	env := &replicaEnv{
 		loid:    naming.LOID{Domain: 3, Class: 1, Instance: 1},
 		net:     transport.NewInprocNetwork(),
+		faults:  transport.NewFaults(1),
 		agent:   naming.NewAgent(vclock.Real{}),
 		inners:  map[string]*fakeInner{},
 		members: map[string]*Replica{},
@@ -101,7 +114,7 @@ func newReplicaEnv(t *testing.T) *replicaEnv {
 			role = RolePrimary
 			backups = []string{"inproc:b1", "inproc:b2"}
 		}
-		rep := New(env.loid, inner, env.net.Dialer(), role, 1, backups)
+		rep := New(env.loid, inner, transport.NewFaultDialer(env.net.Dialer(), env.faults), role, 1, backups)
 		rep.ShipTimeout = 200 * time.Millisecond
 		disp := rpc.NewDispatcher()
 		disp.Host(env.loid, rep)
@@ -189,23 +202,44 @@ func TestStaleShipmentAndDuplicateDropped(t *testing.T) {
 	}
 
 	// Replay the same sequence with different bytes: deduplicated, state
-	// untouched.
-	snap := env.inners["p"].st.Encode()
-	e := wire.NewEncoder(len(snap) + 16)
-	e.PutUvarint(1) // epoch
-	e.PutUvarint(1) // seq already applied
-	e.PutBytes(snap)
-	if _, err := env.call("inproc:b1", MethodApply, e.Bytes()); err != nil {
+	// untouched, and the answer is the sequence already held.
+	other := objstate.New()
+	other.Set("k", []byte("replayed"))
+	image, _ := other.EncodeFull()
+	replay := encodeShipment(1, 1, 0, image)
+	out, err := env.call("inproc:b1", MethodShip, replay)
+	if err != nil {
 		t.Fatalf("duplicate shipment: %v", err)
+	}
+	if held, _ := wire.NewDecoder(out).Uvarint(); held != 1 {
+		t.Fatalf("duplicate shipment answered held=%d, want 1", held)
+	}
+	if got := getValue(t, env.inners["b1"], "k"); got != "v1" {
+		t.Fatalf("duplicate shipment overwrote state: %q", got)
+	}
+
+	// A corrupt delta is refused without advancing the sequence, so the
+	// shipment can be repeated.
+	if _, err := env.call("inproc:b1", MethodShip, encodeShipment(1, 2, 0, []byte{0xff})); err == nil {
+		t.Fatal("corrupt shipment accepted")
+	}
+	if st := env.status(t, "b1"); st.Seq != 1 {
+		t.Fatalf("corrupt shipment advanced seq to %d", st.Seq)
 	}
 
 	// A shipment from a dead era is fenced.
 	env.members["b1"].mu.Lock()
 	env.members["b1"].epoch = 5
 	env.members["b1"].mu.Unlock()
-	_, err := env.call("inproc:b1", MethodApply, e.Bytes())
+	_, err = env.call("inproc:b1", MethodShip, replay)
 	if !errors.Is(err, rpc.ErrFenced) {
 		t.Fatalf("stale-epoch shipment err = %v, want ErrFenced", err)
+	}
+
+	// The retired full-snapshot method is gone, not aliased: a binary that
+	// still sends it is told so instead of having its image misread.
+	if _, err := env.call("inproc:b1", ReplPrefix+"apply", replay); !errors.Is(err, rpc.ErrNoSuchFunction) {
+		t.Fatalf("repl.apply err = %v, want ErrNoSuchFunction", err)
 	}
 }
 
@@ -509,8 +543,18 @@ func TestReplReadServedOnAnyRole(t *testing.T) {
 		t.Fatal("repl.read let a mutation through on a backup")
 	}
 
+	// On the primary the same wrapped mutation is a dynamic call: it is not
+	// refused, it commits to the group like any write, so nothing diverges.
+	if _, err := env.call("inproc:p", rpc.MethodReplRead, rpc.EncodeReadArgs("set", setArgs("k", "v2"))); err != nil {
+		t.Fatalf("repl.read carrying a write on the primary: %v", err)
+	}
+	env.converged(t, "p", "b1", "b2")
+	if v := getValue(t, env.inners["b1"], "k"); v != "v2" {
+		t.Fatalf("b1 holds k = %q after the primary committed v2", v)
+	}
+
 	// Replication-plane and control methods may not ride the wrapper.
-	for _, inner := range []string{MethodApply, "dcdo.version"} {
+	for _, inner := range []string{MethodShip, "dcdo.version"} {
 		if _, err := env.call("inproc:b1", rpc.MethodReplRead, rpc.EncodeReadArgs(inner, nil)); !errors.Is(err, rpc.ErrBadRequest) {
 			t.Fatalf("repl.read(%s) err = %v, want ErrBadRequest", inner, err)
 		}

@@ -505,7 +505,7 @@ func (d *Dispatcher) handleBatch(ctx context.Context, req *wire.Envelope) *wire.
 
 	// Build the response run incrementally in pooled buffers. The size of
 	// the request run is a decent first guess for the response run.
-	run := wire.AppendBatchHeader(wire.GetBuf(len(req.Payload)+64)[:0], len(subs))
+	run := wire.AppendBatchHeader(wire.GetBuf(len(req.Payload) + 64)[:0], len(subs))
 	scratch := wire.GetBuf(512)[:0]
 	for i := range subs {
 		sub := &subs[i]

@@ -13,12 +13,12 @@ import (
 // plus the fleet it is acting on, so one fetch shows both the decision and
 // its effect.
 type rolloutView struct {
-	Status      Status          `json:"status"`
-	Fleet       []fleetRow      `json:"fleet"`
-	Quarantined []naming.LOID   `json:"quarantined,omitempty"`
-	Events      []obs.Event     `json:"events,omitempty"`
-	HubDropped  uint64          `json:"hub_dropped,omitempty"`
-	HubSubs     int             `json:"hub_subscribers,omitempty"`
+	Status      Status        `json:"status"`
+	Fleet       []fleetRow    `json:"fleet"`
+	Quarantined []naming.LOID `json:"quarantined,omitempty"`
+	Events      []obs.Event   `json:"events,omitempty"`
+	HubDropped  uint64        `json:"hub_dropped,omitempty"`
+	HubSubs     int           `json:"hub_subscribers,omitempty"`
 }
 
 // fleetRow is one managed instance in the dashboard.
