@@ -142,8 +142,12 @@ test:
 # loopback-TCP sweeps (they run in plain `make test` and in E2/E7 below).
 # -shuffle=on randomises test order so inter-test state dependencies fail
 # loudly instead of hiding behind source order.
+# The second line repeats the two no-intermediate-table contracts (callers
+# hammering an object through 200 alternating applies; a DFM through 400
+# transactional swaps), whose value is the schedules the detector sees.
 race:
 	$(GO) test -race -short -shuffle=on ./...
+	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction' ./internal/core/ ./internal/dfm/
 
 # One iteration of every benchmark plus the E9 overload experiment, a short
 # end-to-end rollout (E11 drives canary waves, an SLO rollback, and a
@@ -186,12 +190,13 @@ fuzz-smoke:
 # drill (SLO auto-rollback plus supervisor killed mid-wave and resumed),
 # the E13 replication drill (primary replica and primary manager killed
 # mid-load), the manager's concurrency, recovery, and standby-takeover
-# contracts, replica group fencing/failover and the delta-shipping
+# contracts (the single-instance pass's crash images, durability points and
+# torn journal batches among them), replica group fencing/failover and the delta-shipping
 # fault matrix (dropped shipment, lost ack, backup behind base, promote /
 # failover / expand / shrink / fence mid-stream, restore under writes — each
 # ending byte-converged), and the supervisor's pause/abort-vs-widening race.
 chaos:
 	$(GO) test -race -run 'TestRunE8|TestRunE11|TestRunE13|TestRunE14' ./internal/harness/
-	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestReconcile|TestPolicyRecover|TestSetPolicy' ./internal/manager/
+	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestReconcile|TestPolicyRecover|TestSetPolicy|TestSinglePass|TestConcurrentSinglePasses|TestJournalBatch' ./internal/manager/
 	$(GO) test -race ./internal/replica/
 	$(GO) test -race -run 'TestRollout|TestSupervisor' ./internal/supervisor/

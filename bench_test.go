@@ -347,6 +347,82 @@ func BenchmarkE5_DCDOEvolution(b *testing.B) {
 	})
 }
 
+// evolvePair builds an object of objFuncs functions (ten per component) at a
+// base version, and a next version that differs from it in diff table
+// entries, in the benchmark's proportions: half are leaves of existing
+// components that next disables, half are functions arriving in new
+// two-function components.
+func evolvePair(tb testing.TB, prefix string, objFuncs, diff int) (obj *core.DCDO, base, next *dfm.Descriptor) {
+	tb.Helper()
+	reg := registry.New()
+	alloc := naming.NewAllocator(1, 9)
+	comps := objFuncs / 10
+	built, err := workload.Build(reg, alloc, workload.Spec{Prefix: prefix, Functions: objFuncs, Components: comps})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fetchers := []component.Fetcher{built.Fetcher()}
+	base, next = built.Descriptor, built.Descriptor.Clone()
+	for k := 0; k < (diff+1)/2; k++ {
+		c := k % comps
+		next.Entry(dfm.EntryKey{
+			Function: workload.LeafName(prefix, c, k/comps), Component: fmt.Sprintf("%s_c%d", prefix, c),
+		}).Enabled = false
+	}
+	if arriving := diff / 2; arriving > 0 {
+		extra, err := workload.Build(reg, alloc, workload.Spec{
+			Prefix: prefix + "x", Functions: arriving, Components: (arriving + 1) / 2,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fetchers = append(fetchers, extra.Fetcher())
+		for id, ref := range extra.Descriptor.Components {
+			next.Components[id] = ref
+		}
+		next.Entries = append(next.Entries, extra.Descriptor.Entries...)
+	}
+	obj = core.New(core.Config{
+		LOID:     naming.LOID{Domain: 1, Class: 1, Instance: 1},
+		Registry: reg,
+		Fetcher: component.FetcherFunc(func(ico naming.LOID) (c *component.Component, err error) {
+			for _, f := range fetchers {
+				if c, err = f.Fetch(context.Background(), ico); err == nil {
+					return c, nil
+				}
+			}
+			return nil, err
+		}),
+	})
+	if _, err := obj.ApplyDescriptor(context.Background(), base, version.ID{1}); err != nil {
+		tb.Fatal(err)
+	}
+	return obj, base, next
+}
+
+// BenchmarkApplyDescriptor is the paper's E5 shape criterion on the mechanism
+// itself: one op is one ApplyDescriptor between two versions diff entries
+// apart, on an object of obj functions. The cost should follow diff and grow
+// at most linearly, with a small constant, in obj (EXPERIMENTS.md E5).
+func BenchmarkApplyDescriptor(b *testing.B) {
+	for _, diff := range []int{1, 10, 50} {
+		for _, objFuncs := range []int{100, 500, 1000} {
+			b.Run(fmt.Sprintf("diff=%d/obj=%d", diff, objFuncs), func(b *testing.B) {
+				obj, base, next := evolvePair(b, "ba", objFuncs, diff)
+				targets := []*dfm.Descriptor{next, base}
+				versions := []version.ID{{1, 1}, {1}}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := obj.ApplyDescriptor(context.Background(), targets[i%2], versions[i%2]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // --- E6: DCDO vs baseline evolution ---------------------------------------------------
 
 func BenchmarkE6_EvolutionComparison(b *testing.B) {

@@ -285,104 +285,134 @@ func (d *DCDO) Incorporate(ctx context.Context, ico naming.LOID, enable bool) er
 	return d.IncorporateComponent(comp, ico, enable)
 }
 
-// IncorporateComponent incorporates an already fetched component.
+// IncorporateComponent incorporates an already fetched component: every
+// check that needs no lock runs first, then the component's entries enter the
+// table in one DFM transaction — one published snapshot however many
+// functions it declares.
 func (d *DCDO) IncorporateComponent(comp *component.Component, ico naming.LOID, enable bool) error {
+	a, err := d.prepareArrival(comp, ico)
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	err = d.table.Update(func(tx *dfm.Tx) error { return d.stageArrival(tx, a, enable) })
+	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	d.emitIncorporated(a)
+	return nil
+}
+
+// arrival is a component validated, loaded and resolved against the host —
+// everything incorporation needs that can be done before the table is locked.
+type arrival struct {
+	inc     *incorporated
+	entries []dfm.EntryDesc // initially disabled
+	impls   []registry.Func // parallel to entries
+}
+
+// prepareArrival validates comp, loads its module and resolves every declared
+// function, so staging it afterwards cannot fail on the component's content.
+func (d *DCDO) prepareArrival(comp *component.Component, ico naming.LOID) (*arrival, error) {
 	if err := comp.Desc.Validate(); err != nil {
-		return fmt.Errorf("incorporate %q: %w", comp.Desc.ID, err)
+		return nil, fmt.Errorf("incorporate %q: %w", comp.Desc.ID, err)
 	}
 	if !comp.Desc.Impl.Matches(d.cfg.HostImpl) {
-		return fmt.Errorf("%w: component %q is %s, host is %s",
+		return nil, fmt.Errorf("%w: component %q is %s, host is %s",
 			ErrIncompatibleImpl, comp.Desc.ID, comp.Desc.Impl, d.cfg.HostImpl)
 	}
 	module, err := d.cfg.Registry.Load(comp.Desc.CodeRef, d.cfg.HostImpl)
 	if err != nil {
-		return fmt.Errorf("incorporate %q: %w", comp.Desc.ID, err)
+		return nil, fmt.Errorf("incorporate %q: %w", comp.Desc.ID, err)
 	}
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, exists := d.components[comp.Desc.ID]; exists {
-		return fmt.Errorf("%w: %q", ErrAlreadyIncorporated, comp.Desc.ID)
+	a := &arrival{
+		inc: &incorporated{
+			ref: dfm.ComponentRef{
+				ICO:      ico,
+				CodeRef:  comp.Desc.CodeRef,
+				Impl:     comp.Desc.Impl,
+				CodeSize: comp.Desc.CodeSize,
+				Revision: comp.Desc.Revision,
+			},
+			desc:   comp.Desc,
+			module: module,
+		},
+		entries: make([]dfm.EntryDesc, len(comp.Desc.Functions)),
+		impls:   make([]registry.Func, len(comp.Desc.Functions)),
 	}
-
-	// §3.2: incorporating a component whose descriptor marks a function
-	// permanent fails if another permanent implementation already exists.
-	for _, decl := range comp.Desc.Functions {
-		if !decl.Permanent {
-			continue
+	for i, decl := range comp.Desc.Functions {
+		if a.impls[i], err = module.Func(decl.Name); err != nil {
+			return nil, fmt.Errorf("incorporate %q: %w", comp.Desc.ID, err)
 		}
-		for _, e := range d.table.Entries() {
-			if e.Function == decl.Name && e.Permanent {
-				return fmt.Errorf("%w: function %q already permanent in %q",
-					ErrPermanentConflict, decl.Name, e.Component)
-			}
-		}
-	}
-
-	var added []dfm.EntryKey
-	rollback := func() {
-		for _, k := range added {
-			_ = d.table.Disable(k, true)
-			_ = d.table.Remove(k)
-		}
-	}
-	for _, decl := range comp.Desc.Functions {
-		if _, err := module.Func(decl.Name); err != nil {
-			rollback()
-			return fmt.Errorf("incorporate %q: %w", comp.Desc.ID, err)
-		}
-		impl, _ := module.Func(decl.Name)
-		entry := dfm.EntryDesc{
+		a.entries[i] = dfm.EntryDesc{
 			Function:  decl.Name,
 			Component: comp.Desc.ID,
 			Exported:  decl.Exported,
 			Mandatory: decl.Mandatory || decl.Permanent,
 			Permanent: decl.Permanent,
 		}
+	}
+	return a, nil
+}
+
+// stageArrival adds a prepared component to the table inside tx and records
+// it in d.components; the caller holds d.mu. A refused incorporation leaves
+// no entry and no dependency behind.
+func (d *DCDO) stageArrival(tx *dfm.Tx, a *arrival, enable bool) error {
+	id := a.inc.desc.ID
+	if _, exists := d.components[id]; exists {
+		return fmt.Errorf("%w: %q", ErrAlreadyIncorporated, id)
+	}
+	// §3.2: incorporating a component whose descriptor marks a function
+	// permanent fails if another permanent implementation already exists.
+	for _, e := range a.entries {
+		if !e.Permanent {
+			continue
+		}
+		if other, ok := tx.PermanentImpl(e.Function); ok {
+			return fmt.Errorf("%w: function %q already permanent in %q",
+				ErrPermanentConflict, e.Function, other)
+		}
+	}
+	for i, e := range a.entries {
+		// Enable only when no other implementation is already enabled.
 		if enable {
-			// Enable only when no other implementation is already enabled.
-			entry.Enabled = true
-			for _, e := range d.table.Entries() {
-				if e.Function == decl.Name && e.Enabled {
-					entry.Enabled = false
-					break
-				}
-			}
+			_, taken := tx.EnabledImpl(e.Function)
+			e.Enabled = !taken
 		}
-		if err := d.table.Add(entry, impl); err != nil {
-			rollback()
-			return fmt.Errorf("incorporate %q: %w", comp.Desc.ID, err)
+		if err := tx.Add(e, a.impls[i]); err != nil {
+			return fmt.Errorf("incorporate %q: %w", id, err)
 		}
-		added = append(added, entry.Key())
 	}
 	if d.cfg.AutoStructuralDeps {
-		for _, decl := range comp.Desc.Functions {
+		for _, decl := range a.inc.desc.Functions {
 			for _, callee := range decl.Calls {
 				dep := dfm.Dependency{
-					Kind: dfm.DepA, FromFunc: decl.Name,
-					FromComp: comp.Desc.ID, ToFunc: callee,
+					Kind: dfm.DepA, FromFunc: decl.Name, FromComp: id, ToFunc: callee,
 				}
-				if err := d.table.AddDep(dep); err != nil {
-					rollback()
-					return fmt.Errorf("incorporate %q: auto dependency %s: %w", comp.Desc.ID, dep, err)
+				if err := tx.AddDep(dep); err != nil {
+					// Whether a dependency is violated is only decidable
+					// against the table holding the new entries, so this one
+					// refusal comes after edits: take them back out before
+					// the transaction publishes.
+					for _, e := range a.entries {
+						_ = tx.Disable(e.Key(), true)
+					}
+					_ = tx.RemoveComponent(id)
+					tx.DropDepsMentioning(id)
+					return fmt.Errorf("incorporate %q: auto dependency %s: %w", id, dep, err)
 				}
 			}
 		}
 	}
-	d.components[comp.Desc.ID] = &incorporated{
-		ref: dfm.ComponentRef{
-			ICO:      ico,
-			CodeRef:  comp.Desc.CodeRef,
-			Impl:     comp.Desc.Impl,
-			CodeSize: comp.Desc.CodeSize,
-			Revision: comp.Desc.Revision,
-		},
-		desc:   comp.Desc,
-		module: module,
-	}
-	d.emit(EventIncorporated, comp.Desc.ID, "", nil,
-		fmt.Sprintf("%d functions, %d bytes", len(comp.Desc.Functions), comp.Desc.CodeSize))
+	d.components[id] = a.inc
 	return nil
+}
+
+func (d *DCDO) emitIncorporated(a *arrival) {
+	d.emit(EventIncorporated, a.inc.desc.ID, "", nil,
+		fmt.Sprintf("%d functions, %d bytes", len(a.entries), a.inc.desc.CodeSize))
 }
 
 // RemoveComponent disables nothing by itself: the component's functions
@@ -396,7 +426,7 @@ func (d *DCDO) RemoveComponent(id string) error {
 	if !exists {
 		return fmt.Errorf("%w: %q", ErrUnknownComponent, id)
 	}
-	if err := d.waitComponentIdle(id); err != nil {
+	if err := d.waitComponentIdle(id, func() int64 { return d.table.ComponentActive(id) }); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -414,23 +444,23 @@ func (d *DCDO) RemoveComponent(id string) error {
 }
 
 // waitComponentIdle applies the removal policy to a component's active
-// thread count.
-func (d *DCDO) waitComponentIdle(id string) error {
+// thread count, which active reports.
+func (d *DCDO) waitComponentIdle(id string, active func() int64) error {
 	const pollInterval = time.Millisecond
 	switch d.cfg.RemovalPolicy {
 	case RemoveError:
-		if n := d.table.ComponentActive(id); n > 0 {
+		if n := active(); n > 0 {
 			return fmt.Errorf("%w: %q has %d active threads", ErrComponentBusy, id, n)
 		}
 		return nil
 	case RemoveDelay:
-		for d.table.ComponentActive(id) > 0 {
+		for active() > 0 {
 			d.cfg.Clock.Sleep(pollInterval)
 		}
 		return nil
 	case RemoveTimeout:
 		deadline := d.cfg.Clock.Now().Add(d.cfg.RemovalTimeout)
-		for d.table.ComponentActive(id) > 0 && d.cfg.Clock.Now().Before(deadline) {
+		for active() > 0 && d.cfg.Clock.Now().Before(deadline) {
 			d.cfg.Clock.Sleep(pollInterval)
 		}
 		return nil // proceed regardless after the timeout
@@ -536,8 +566,12 @@ func (d *DCDO) ComponentIDs() []string {
 // Snapshot returns the object's current configuration as a DFM descriptor —
 // the status counterpart of ApplyDescriptor.
 func (d *DCDO) Snapshot() *dfm.Descriptor {
+	return d.snapshotOf(d.table.Entries())
+}
+
+func (d *DCDO) snapshotOf(entries []dfm.EntryDesc) *dfm.Descriptor {
 	desc := dfm.NewDescriptor()
-	desc.Entries = d.table.Entries()
+	desc.Entries = entries
 	desc.Deps = d.table.Deps()
 	d.mu.Lock()
 	for id, inc := range d.components {

@@ -27,13 +27,19 @@ type ApplyReport struct {
 // here; thread-activity policies still apply to component removal.
 //
 // The object keeps servicing calls throughout: evolution never deactivates
-// the process. Calls racing a mid-flight evolution may observe a function
-// as transiently disabled, which §3.2 requires callers to tolerate.
+// the process. The whole reconfiguration is one DFM transaction, published
+// once, so callers resolve against the configuration before the apply or the
+// one after it and never a table in between: a function enabled in both is
+// never observed disabled or unknown while the apply runs, and Interface()
+// is always exactly the old set or the new one.
 //
-// ctx is checked at each phase boundary: a cancelled evolution stops between
-// phases, never mid-phase, so the object is always left in a consistent —
-// if intermediate — configuration. Component fetches (phase 3) also run
-// under ctx, so a deadline that expires mid-transfer aborts the download.
+// Everything slow or fallible on outside input happens first, with no lock
+// held: the plan, the thread-activity wait for every departing component,
+// and the fetch, load and function resolution of every arriving one. ctx
+// bounds those steps (a deadline that expires mid-transfer aborts the
+// download) and a failure there leaves the object untouched. A failure
+// inside the transaction leaves what it had staged — a consistent, if
+// intermediate, configuration — published once, with the version unchanged.
 func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newVersion version.ID) (ApplyReport, error) {
 	d.evolveMu.Lock()
 	defer d.evolveMu.Unlock()
@@ -42,65 +48,40 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 	if err := ctx.Err(); err != nil {
 		return report, fmt.Errorf("apply: %w", err)
 	}
-	current := d.Snapshot()
+	current := d.snapshotOf(d.table.EntriesUnordered()) // Diff does not read the order
 	plan := dfm.Diff(current, target)
 
-	targetByComp := make(map[string][]dfm.EntryDesc)
-	for _, e := range target.Entries {
-		targetByComp[e.Component] = append(targetByComp[e.Component], e)
-	}
-
-	// Phase 1: retune entries being disabled, releasing function names
-	// that later phases re-bind to other implementations.
-	for _, e := range plan.Retune {
-		if e.Enabled {
-			continue
+	// byComp groups desc's entries for the named components only, so its cost
+	// is one pass over the entries however many components move.
+	byComp := func(desc *dfm.Descriptor, ids []string) map[string][]dfm.EntryDesc {
+		m := make(map[string][]dfm.EntryDesc, len(ids))
+		for _, id := range ids {
+			m[id] = nil
 		}
-		if err := d.table.SetFlags(e.Key(), e.Exported, e.Mandatory, e.Permanent); err != nil {
-			return report, fmt.Errorf("apply: retune %s: %w", e.Key(), err)
-		}
-		if err := d.table.Disable(e.Key(), true); err != nil {
-			return report, fmt.Errorf("apply: disable %s: %w", e.Key(), err)
-		}
-		report.EntriesRetuned++
-	}
-
-	// Phase 2: remove departing and replaced components.
-	if err := ctx.Err(); err != nil {
-		return report, fmt.Errorf("apply: %w", err)
-	}
-	remove := append(append([]string{}, plan.RemoveComponents...), plan.ReplaceComponents...)
-	for _, id := range remove {
-		if err := d.waitComponentIdle(id); err != nil {
-			return report, fmt.Errorf("apply: %w", err)
-		}
-		d.mu.Lock()
-		for _, e := range d.table.Entries() {
-			if e.Component == id && e.Enabled {
-				if err := d.table.Disable(e.Key(), true); err != nil {
-					d.mu.Unlock()
-					return report, fmt.Errorf("apply: disable %s: %w", e.Key(), err)
-				}
+		for _, e := range desc.Entries {
+			if _, wanted := m[e.Component]; wanted {
+				m[e.Component] = append(m[e.Component], e)
 			}
 		}
-		if err := d.table.RemoveComponent(id); err != nil {
-			d.mu.Unlock()
-			return report, fmt.Errorf("apply: remove %q: %w", id, err)
-		}
-		delete(d.components, id)
-		d.mu.Unlock()
-		report.ComponentsRemoved++
+		return m
 	}
-	report.ComponentsReplaced = len(plan.ReplaceComponents)
-	report.ComponentsRemoved -= report.ComponentsReplaced
-
-	// Phase 3: incorporate arriving and replaced components, entries
-	// initially disabled so cross-component swaps never double-enable.
-	if err := ctx.Err(); err != nil {
-		return report, fmt.Errorf("apply: %w", err)
+	remove := append(append([]string{}, plan.RemoveComponents...), plan.ReplaceComponents...)
+	departing := byComp(current, remove)
+	for _, id := range remove {
+		active := func() (n int64) {
+			for _, e := range departing[id] {
+				n += d.table.ActiveThreads(e.Key())
+			}
+			return n
+		}
+		if err := d.waitComponentIdle(id, active); err != nil {
+			return report, fmt.Errorf("apply: %w", err)
+		}
 	}
 	add := append(append([]string{}, plan.AddComponents...), plan.ReplaceComponents...)
-	for _, id := range add {
+	arriving := byComp(target, add)
+	arrivals := make([]*arrival, len(add))
+	for i, id := range add {
 		ref, ok := target.Components[id]
 		if !ok {
 			return report, fmt.Errorf("apply: target missing component ref %q", id)
@@ -110,48 +91,98 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 			return report, fmt.Errorf("apply: fetch %q: %w", id, err)
 		}
 		report.BytesFetched += int64(len(comp.Code))
-		if err := d.IncorporateComponent(comp, ref.ICO, false); err != nil {
+		if arrivals[i], err = d.prepareArrival(comp, ref.ICO); err != nil {
 			return report, fmt.Errorf("apply: %w", err)
 		}
-		// Stamp target flags on the new entries.
-		for _, te := range targetByComp[id] {
-			if err := d.table.SetFlags(te.Key(), te.Exported, te.Mandatory, te.Permanent); err != nil {
-				return report, fmt.Errorf("apply: flag %s: %w", te.Key(), err)
-			}
-		}
 	}
-	report.ComponentsAdded = len(plan.AddComponents)
-
-	// Phase 4: enable everything the target enables — retunes and new
-	// entries alike.
 	if err := ctx.Err(); err != nil {
 		return report, fmt.Errorf("apply: %w", err)
 	}
-	for _, e := range plan.Retune {
-		if !e.Enabled {
-			continue
-		}
-		if err := d.table.SetFlags(e.Key(), e.Exported, e.Mandatory, e.Permanent); err != nil {
-			return report, fmt.Errorf("apply: retune %s: %w", e.Key(), err)
-		}
-		if err := d.table.Enable(e.Key()); err != nil {
-			return report, fmt.Errorf("apply: enable %s: %w", e.Key(), err)
-		}
-		report.EntriesRetuned++
-	}
-	for _, id := range add {
-		for _, te := range targetByComp[id] {
-			if !te.Enabled {
+
+	staged := 0 // arrivals incorporated, for the events emitted afterwards
+	d.mu.Lock()
+	err := d.table.Update(func(tx *dfm.Tx) error {
+		// Phase 1: retune entries being disabled, releasing function names
+		// that later phases re-bind to other implementations.
+		for _, e := range plan.Retune {
+			if e.Enabled {
 				continue
 			}
-			if err := d.table.Enable(te.Key()); err != nil {
-				return report, fmt.Errorf("apply: enable %s: %w", te.Key(), err)
+			if err := tx.SetFlags(e.Key(), e.Exported, e.Mandatory, e.Permanent); err != nil {
+				return fmt.Errorf("apply: retune %s: %w", e.Key(), err)
+			}
+			if err := tx.Disable(e.Key(), true); err != nil {
+				return fmt.Errorf("apply: disable %s: %w", e.Key(), err)
+			}
+			report.EntriesRetuned++
+		}
+
+		// Phase 2: remove departing and replaced components.
+		for _, id := range remove {
+			for _, e := range departing[id] {
+				if err := tx.Disable(e.Key(), true); err != nil {
+					return fmt.Errorf("apply: disable %s: %w", e.Key(), err)
+				}
+				if err := tx.Remove(e.Key()); err != nil {
+					return fmt.Errorf("apply: remove %q: %w", id, err)
+				}
+			}
+			delete(d.components, id)
+		}
+
+		// Phase 3: incorporate arriving and replaced components, entries
+		// initially disabled so cross-component swaps never double-enable,
+		// then stamp the target's flags on them.
+		for i, id := range add {
+			if err := d.stageArrival(tx, arrivals[i], false); err != nil {
+				return fmt.Errorf("apply: %w", err)
+			}
+			staged++
+			for _, te := range arriving[id] {
+				if err := tx.SetFlags(te.Key(), te.Exported, te.Mandatory, te.Permanent); err != nil {
+					return fmt.Errorf("apply: flag %s: %w", te.Key(), err)
+				}
 			}
 		}
-	}
 
-	d.table.SetDeps(plan.Deps)
-	d.SetVersion(newVersion)
+		// Phase 4: enable everything the target enables — retunes and new
+		// entries alike.
+		for _, e := range plan.Retune {
+			if !e.Enabled {
+				continue
+			}
+			if err := tx.SetFlags(e.Key(), e.Exported, e.Mandatory, e.Permanent); err != nil {
+				return fmt.Errorf("apply: retune %s: %w", e.Key(), err)
+			}
+			if err := tx.Enable(e.Key()); err != nil {
+				return fmt.Errorf("apply: enable %s: %w", e.Key(), err)
+			}
+			report.EntriesRetuned++
+		}
+		for _, id := range add {
+			for _, te := range arriving[id] {
+				if !te.Enabled {
+					continue
+				}
+				if err := tx.Enable(te.Key()); err != nil {
+					return fmt.Errorf("apply: enable %s: %w", te.Key(), err)
+				}
+			}
+		}
+		tx.SetDeps(plan.Deps)
+		d.ver = newVersion.Clone()
+		return nil
+	})
+	d.mu.Unlock()
+	for _, a := range arrivals[:staged] {
+		d.emitIncorporated(a)
+	}
+	if err != nil {
+		return report, err
+	}
+	report.ComponentsAdded = len(plan.AddComponents)
+	report.ComponentsReplaced = len(plan.ReplaceComponents)
+	report.ComponentsRemoved = len(plan.RemoveComponents)
 	d.emit(EventEvolved, "", "", newVersion, fmt.Sprintf(
 		"+%d components, -%d, ~%d replaced, %d entries retuned, %d bytes fetched",
 		report.ComponentsAdded, report.ComponentsRemoved, report.ComponentsReplaced,

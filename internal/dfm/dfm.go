@@ -3,7 +3,8 @@ package dfm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,9 +50,9 @@ type liveEntry struct {
 }
 
 // fastEntry is one immutable row of the fast-path index: the implementation,
-// its exported flag frozen at rebuild time, the live entry whose counters
+// its exported flag frozen at publish time, the live entry whose counters
 // the call updates, and (when latency metering is enabled) the function's
-// latency histogram, also frozen at rebuild time.
+// latency histogram, also frozen at publish time.
 type fastEntry struct {
 	impl     registry.Func
 	exported bool
@@ -59,7 +60,7 @@ type fastEntry struct {
 	hist     *metrics.Histogram
 }
 
-// lookupTable is the immutable fast-path index rebuilt on every mutation.
+// lookupTable is the immutable fast-path index published once per transaction.
 // byFunc maps each known function to its enabled implementation, or nil
 // when every implementation is disabled — preserving the paper's
 // distinction between a missing function and a disabled one.
@@ -70,14 +71,20 @@ type lookupTable struct {
 // DFM is the live Dynamic Function Mapper maintained within every DCDO. All
 // calls to dynamic functions go through it; configuration operations mutate
 // it. Reads are lock-free against an immutable snapshot; mutations are
-// serialised by a mutex and publish a fresh snapshot.
+// serialised by a mutex and run as transactions (Update) that publish one
+// fresh snapshot each.
 type DFM struct {
 	mu      sync.Mutex
 	entries map[EntryKey]*liveEntry
+	// enabled indexes each function's enabled implementation, so "is another
+	// implementation enabled?" costs one map read instead of a table scan.
+	enabled map[string]*liveEntry
 	deps    []Dependency
 	lookup  atomic.Pointer[lookupTable]
+	// publishes counts lookup snapshots published since New.
+	publishes atomic.Uint64
 	// histFor, when set via EnableLatency, supplies a per-function latency
-	// histogram attached to each fast-path row at rebuild time. Nil (the
+	// histogram attached to each fast-path row at publish time. Nil (the
 	// default) keeps BeginCall's release closure identical to the unmetered
 	// path.
 	histFor func(function string) *metrics.Histogram
@@ -85,13 +92,44 @@ type DFM struct {
 
 // New returns an empty DFM.
 func New() *DFM {
-	d := &DFM{entries: make(map[EntryKey]*liveEntry)}
+	d := &DFM{entries: make(map[EntryKey]*liveEntry), enabled: make(map[string]*liveEntry)}
 	d.lookup.Store(&lookupTable{byFunc: make(map[string]*fastEntry)})
 	return d
 }
 
-// rebuildLocked publishes a fresh lookup snapshot. Callers hold d.mu.
-func (d *DFM) rebuildLocked() {
+// Tx is one reconfiguration in progress: its mutators edit the table under
+// the DFM's lock without publishing, so callers keep resolving against the
+// previous snapshot until Update returns. A Tx is valid only inside the
+// function Update handed it to.
+type Tx struct {
+	d     *DFM
+	dirty bool
+}
+
+// Update runs fn as one transaction: one hold of the mutation lock, and — if
+// fn changed the table — exactly one published snapshot when it returns, so
+// callers observe the configuration before fn or the one after it, never a
+// table in between. Update does not undo: when fn returns an error, whatever
+// it had already staged is published (each mutator validates before it edits,
+// so the table is consistent after every step) and the error is returned.
+// fn must not call the DFM's own methods — they take the same lock.
+func (d *DFM) Update(fn func(tx *Tx) error) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	tx := Tx{d: d}
+	err := fn(&tx)
+	if tx.dirty {
+		d.publishLocked()
+	}
+	return err
+}
+
+// Publishes reports how many lookup snapshots the DFM has published — one
+// per transaction that changed the table.
+func (d *DFM) Publishes() uint64 { return d.publishes.Load() }
+
+// publishLocked publishes a fresh lookup snapshot. Only Update calls it.
+func (d *DFM) publishLocked() {
 	byFunc := make(map[string]*fastEntry, len(d.entries))
 	for _, e := range d.entries {
 		if e.desc.Enabled {
@@ -105,70 +143,35 @@ func (d *DFM) rebuildLocked() {
 		}
 	}
 	d.lookup.Store(&lookupTable{byFunc: byFunc})
+	d.publishes.Add(1)
 }
 
 // EnableLatency turns on per-function latency metering: histFor is invoked
-// at rebuild time for each enabled function and the returned histogram
+// at publish time for each enabled function and the returned histogram
 // observes the duration of every call begun through BeginCall or
 // BeginExportedCall. Passing nil turns metering back off. The change takes
-// effect immediately (the lookup snapshot is rebuilt).
+// effect immediately (the lookup snapshot is republished).
 func (d *DFM) EnableLatency(histFor func(function string) *metrics.Histogram) {
-	d.mu.Lock()
-	d.histFor = histFor
-	d.rebuildLocked()
-	d.mu.Unlock()
+	_ = d.Update(func(tx *Tx) error {
+		d.histFor = histFor
+		tx.dirty = true
+		return nil
+	})
 }
+
+// The per-operation mutators below are one-operation transactions.
 
 // Add inserts a new entry bound to impl. The entry starts in the state
 // carried by desc; enabling a function that already has an enabled
 // implementation fails.
 func (d *DFM) Add(desc EntryDesc, impl registry.Func) error {
-	if desc.Function == "" || desc.Component == "" {
-		return fmt.Errorf("%w: empty function or component", ErrUnknownEntry)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	key := desc.Key()
-	if _, exists := d.entries[key]; exists {
-		return fmt.Errorf("%w: %s", ErrDuplicateEntry, key)
-	}
-	if desc.Enabled {
-		if cur := d.enabledImplLocked(desc.Function); cur != nil {
-			return fmt.Errorf("%w: %q already enabled in %q", ErrAlreadyEnabled, desc.Function, cur.desc.Component)
-		}
-	}
-	d.entries[key] = &liveEntry{desc: desc, impl: impl}
-	d.rebuildLocked()
-	return nil
-}
-
-func (d *DFM) enabledImplLocked(function string) *liveEntry {
-	for _, e := range d.entries {
-		if e.desc.Function == function && e.desc.Enabled {
-			return e
-		}
-	}
-	return nil
+	return d.Update(func(tx *Tx) error { return tx.Add(desc, impl) })
 }
 
 // Enable makes the keyed implementation the one that services calls to its
 // function.
 func (d *DFM) Enable(key EntryKey) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.entries[key]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownEntry, key)
-	}
-	if e.desc.Enabled {
-		return nil
-	}
-	if cur := d.enabledImplLocked(key.Function); cur != nil {
-		return fmt.Errorf("%w: %q already enabled in %q", ErrAlreadyEnabled, key.Function, cur.desc.Component)
-	}
-	e.desc.Enabled = true
-	d.rebuildLocked()
-	return nil
+	return d.Update(func(tx *Tx) error { return tx.Enable(key) })
 }
 
 // Disable stops the keyed implementation from servicing calls. Unless force
@@ -177,8 +180,108 @@ func (d *DFM) Enable(key EntryKey) error {
 // function proceed (§3.2: "there is no reason why a thread cannot proceed
 // inside a deactivated function").
 func (d *DFM) Disable(key EntryKey, force bool) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	return d.Update(func(tx *Tx) error { return tx.Disable(key, force) })
+}
+
+// Remove deletes a disabled entry from the table.
+func (d *DFM) Remove(key EntryKey) error {
+	return d.Update(func(tx *Tx) error { return tx.Remove(key) })
+}
+
+// RemoveComponent deletes every entry belonging to the component. Entries
+// must all be disabled first.
+func (d *DFM) RemoveComponent(component string) error {
+	return d.Update(func(tx *Tx) error { return tx.RemoveComponent(component) })
+}
+
+// SetFlags updates an entry's exported/mandatory/permanent flags (enabled
+// state is changed only through Enable/Disable).
+func (d *DFM) SetFlags(key EntryKey, exported, mandatory, permanent bool) error {
+	return d.Update(func(tx *Tx) error { return tx.SetFlags(key, exported, mandatory, permanent) })
+}
+
+// SetDeps replaces the dependency set wholesale (used when applying a
+// validated descriptor).
+func (d *DFM) SetDeps(deps []Dependency) {
+	_ = d.Update(func(tx *Tx) error { tx.SetDeps(deps); return nil })
+}
+
+// AddDep validates and installs one dependency. Installation fails if the
+// dependency is immediately violated by the current enabled set.
+func (d *DFM) AddDep(dep Dependency) error {
+	return d.Update(func(tx *Tx) error { return tx.AddDep(dep) })
+}
+
+// DropDepsMentioning removes every dependency that names the component in
+// either role. Dependencies "evolve along with the implementation" (§3.2):
+// when a component leaves the object, constraints tied to it are retracted.
+func (d *DFM) DropDepsMentioning(component string) {
+	_ = d.Update(func(tx *Tx) error { tx.DropDepsMentioning(component); return nil })
+}
+
+// Add stages DFM.Add.
+func (tx *Tx) Add(desc EntryDesc, impl registry.Func) error {
+	if desc.Function == "" || desc.Component == "" {
+		return fmt.Errorf("%w: empty function or component", ErrUnknownEntry)
+	}
+	d, key := tx.d, desc.Key()
+	if _, exists := d.entries[key]; exists {
+		return fmt.Errorf("%w: %s", ErrDuplicateEntry, key)
+	}
+	e := &liveEntry{desc: desc, impl: impl}
+	if desc.Enabled {
+		if cur := d.enabled[desc.Function]; cur != nil {
+			return fmt.Errorf("%w: %q already enabled in %q", ErrAlreadyEnabled, desc.Function, cur.desc.Component)
+		}
+		d.enabled[desc.Function] = e
+	}
+	d.entries[key] = e
+	tx.dirty = true
+	return nil
+}
+
+// EnabledImpl returns the component whose implementation of function is
+// enabled, as staged so far.
+func (tx *Tx) EnabledImpl(function string) (component string, ok bool) {
+	if cur := tx.d.enabled[function]; cur != nil {
+		return cur.desc.Component, true
+	}
+	return "", false
+}
+
+// PermanentImpl returns the component holding a permanent implementation of
+// function, as staged so far.
+func (tx *Tx) PermanentImpl(function string) (component string, ok bool) {
+	for _, e := range tx.d.entries {
+		if e.desc.Function == function && e.desc.Permanent {
+			return e.desc.Component, true
+		}
+	}
+	return "", false
+}
+
+// Enable stages DFM.Enable.
+func (tx *Tx) Enable(key EntryKey) error {
+	d := tx.d
+	e, ok := d.entries[key]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownEntry, key)
+	}
+	if e.desc.Enabled {
+		return nil
+	}
+	if cur := d.enabled[key.Function]; cur != nil {
+		return fmt.Errorf("%w: %q already enabled in %q", ErrAlreadyEnabled, key.Function, cur.desc.Component)
+	}
+	e.desc.Enabled = true
+	d.enabled[key.Function] = e
+	tx.dirty = true
+	return nil
+}
+
+// Disable stages DFM.Disable.
+func (tx *Tx) Disable(key EntryKey, force bool) error {
+	d := tx.d
 	e, ok := d.entries[key]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownEntry, key)
@@ -195,7 +298,8 @@ func (d *DFM) Disable(key EntryKey, force bool) error {
 		}
 	}
 	e.desc.Enabled = false
-	d.rebuildLocked()
+	delete(d.enabled, key.Function)
+	tx.dirty = true
 	return nil
 }
 
@@ -228,27 +332,23 @@ func (d *DFM) wouldViolateLocked(key EntryKey) (Dependency, bool) {
 	return Dependency{}, false
 }
 
-// Remove deletes a disabled entry from the table.
-func (d *DFM) Remove(key EntryKey) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.entries[key]
+// Remove stages DFM.Remove.
+func (tx *Tx) Remove(key EntryKey) error {
+	e, ok := tx.d.entries[key]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownEntry, key)
 	}
 	if e.desc.Enabled {
 		return fmt.Errorf("%w: %s", ErrEntryEnabled, key)
 	}
-	delete(d.entries, key)
-	d.rebuildLocked()
+	delete(tx.d.entries, key)
+	tx.dirty = true
 	return nil
 }
 
-// RemoveComponent deletes every entry belonging to the component. Entries
-// must all be disabled first.
-func (d *DFM) RemoveComponent(component string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// RemoveComponent stages DFM.RemoveComponent.
+func (tx *Tx) RemoveComponent(component string) error {
+	d := tx.d
 	for key, e := range d.entries {
 		if key.Component == component && e.desc.Enabled {
 			return fmt.Errorf("%w: %s", ErrEntryEnabled, key)
@@ -257,46 +357,37 @@ func (d *DFM) RemoveComponent(component string) error {
 	for key := range d.entries {
 		if key.Component == component {
 			delete(d.entries, key)
+			tx.dirty = true
 		}
 	}
-	d.rebuildLocked()
 	return nil
 }
 
-// SetFlags updates an entry's exported/mandatory/permanent flags (enabled
-// state is changed only through Enable/Disable).
-func (d *DFM) SetFlags(key EntryKey, exported, mandatory, permanent bool) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.entries[key]
+// SetFlags stages DFM.SetFlags.
+func (tx *Tx) SetFlags(key EntryKey, exported, mandatory, permanent bool) error {
+	e, ok := tx.d.entries[key]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownEntry, key)
 	}
 	e.desc.Exported = exported
 	e.desc.Mandatory = mandatory
 	e.desc.Permanent = permanent
-	d.rebuildLocked()
+	tx.dirty = true
 	return nil
 }
 
-// SetDeps replaces the dependency set wholesale (used when applying a
-// validated descriptor).
-func (d *DFM) SetDeps(deps []Dependency) {
-	copied := make([]Dependency, len(deps))
-	copy(copied, deps)
-	d.mu.Lock()
-	d.deps = copied
-	d.mu.Unlock()
+// SetDeps stages DFM.SetDeps. Dependencies are not part of the lookup
+// snapshot, so the dependency mutators never cause a publish.
+func (tx *Tx) SetDeps(deps []Dependency) {
+	tx.d.deps = append([]Dependency(nil), deps...)
 }
 
-// AddDep validates and installs one dependency. Installation fails if the
-// dependency is immediately violated by the current enabled set.
-func (d *DFM) AddDep(dep Dependency) error {
+// AddDep stages DFM.AddDep.
+func (tx *Tx) AddDep(dep Dependency) error {
 	if err := dep.Validate(); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d := tx.d
 	triggered, satisfied := false, false
 	for k, e := range d.entries {
 		if !e.desc.Enabled {
@@ -314,6 +405,19 @@ func (d *DFM) AddDep(dep Dependency) error {
 	}
 	d.deps = append(d.deps, dep)
 	return nil
+}
+
+// DropDepsMentioning stages DFM.DropDepsMentioning.
+func (tx *Tx) DropDepsMentioning(component string) {
+	d := tx.d
+	kept := d.deps[:0]
+	for _, dep := range d.deps {
+		if dep.FromComp == component || dep.ToComp == component {
+			continue
+		}
+		kept = append(kept, dep)
+	}
+	d.deps = kept
 }
 
 // Deps returns a copy of the installed dependencies.
@@ -387,22 +491,6 @@ func (d *DFM) resolve(function string) (*fastEntry, error) {
 	return fe, nil
 }
 
-// DropDepsMentioning removes every dependency that names the component in
-// either role. Dependencies "evolve along with the implementation" (§3.2):
-// when a component leaves the object, constraints tied to it are retracted.
-func (d *DFM) DropDepsMentioning(component string) {
-	d.mu.Lock()
-	kept := d.deps[:0]
-	for _, dep := range d.deps {
-		if dep.FromComp == component || dep.ToComp == component {
-			continue
-		}
-		kept = append(kept, dep)
-	}
-	d.deps = kept
-	d.mu.Unlock()
-}
-
 // Peek resolves function to its enabled implementation without touching the
 // active-thread or call counters. It exists for status probes and for the
 // ablation benchmark isolating the counters' cost; the invocation path must
@@ -450,18 +538,25 @@ func (d *DFM) Entry(key EntryKey) (EntryDesc, bool) {
 
 // Entries returns the table's entries sorted by key.
 func (d *DFM) Entries() []EntryDesc {
+	out := d.EntriesUnordered()
+	slices.SortFunc(out, func(a, b EntryDesc) int {
+		if c := strings.Compare(a.Function, b.Function); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Component, b.Component)
+	})
+	return out
+}
+
+// EntriesUnordered returns the table's entries in no particular order, for
+// callers (planning an evolution) that would pay for a sort they do not need.
+func (d *DFM) EntriesUnordered() []EntryDesc {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	out := make([]EntryDesc, 0, len(d.entries))
 	for _, e := range d.entries {
 		out = append(out, e.desc)
 	}
-	d.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Function != out[j].Function {
-			return out[i].Function < out[j].Function
-		}
-		return out[i].Component < out[j].Component
-	})
 	return out
 }
 

@@ -69,20 +69,30 @@ func Diff(current, target *Descriptor) Plan {
 		if !ok {
 			continue
 		}
-		if curRef.Revision != tgtRef.Revision || curRef.CodeRef != tgtRef.CodeRef ||
-			!sameEntryKeys(curEntries[id], tgtEntries[id]) {
-			plan.ReplaceComponents = append(plan.ReplaceComponents, id)
-			continue
-		}
-		// Kept component: retune every entry whose state differs.
-		curByKey := make(map[EntryKey]EntryDesc, len(curEntries[id]))
-		for _, e := range curEntries[id] {
-			curByKey[e.Key()] = e
-		}
-		for _, te := range tgtEntries[id] {
-			if curByKey[te.Key()] != te {
-				plan.Retune = append(plan.Retune, te)
+		// Kept component: same revision, code and entry keys. Retune every
+		// entry whose state differs.
+		cur, tgt := curEntries[id], tgtEntries[id]
+		kept := curRef.Revision == tgtRef.Revision && curRef.CodeRef == tgtRef.CodeRef && len(cur) == len(tgt)
+		mark := len(plan.Retune)
+		if kept {
+			curByKey := make(map[EntryKey]EntryDesc, len(cur))
+			for _, e := range cur {
+				curByKey[e.Key()] = e
 			}
+			for _, te := range tgt {
+				ce, ok := curByKey[te.Key()]
+				if !ok {
+					kept = false
+					break
+				}
+				if ce != te {
+					plan.Retune = append(plan.Retune, te)
+				}
+			}
+		}
+		if !kept {
+			plan.Retune = plan.Retune[:mark]
+			plan.ReplaceComponents = append(plan.ReplaceComponents, id)
 		}
 	}
 
@@ -99,20 +109,4 @@ func Diff(current, target *Descriptor) Plan {
 	plan.Deps = make([]Dependency, len(target.Deps))
 	copy(plan.Deps, target.Deps)
 	return plan
-}
-
-func sameEntryKeys(a, b []EntryDesc) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	keys := make(map[EntryKey]bool, len(a))
-	for _, e := range a {
-		keys[e.Key()] = true
-	}
-	for _, e := range b {
-		if !keys[e.Key()] {
-			return false
-		}
-	}
-	return true
 }

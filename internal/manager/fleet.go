@@ -123,7 +123,7 @@ func (m *Manager) evolveFleet(ctx context.Context, v version.ID, maxApplies int,
 			report.Evolved = append(report.Evolved, loid)
 			continue
 		}
-		switch evErr := m.evolveOne(ctx, pass, loid, v); {
+		switch evErr := m.evolveOne(ctx, pass, loid, v, false); {
 		case evErr == nil:
 			report.Evolved = append(report.Evolved, loid)
 		case isConnectivityError(evErr):

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"godcdo/internal/naming"
 	"godcdo/internal/vault"
@@ -252,7 +253,11 @@ func decodeJournalRecord(payload []byte) (JournalRecord, error) {
 
 // frameRecord wraps a payload in the journal frame.
 func frameRecord(payload []byte) []byte {
-	buf := make([]byte, 0, len(payload)+10)
+	return appendFrame(make([]byte, 0, len(payload)+10), payload)
+}
+
+// appendFrame appends payload's frame to buf.
+func appendFrame(buf, payload []byte) []byte {
 	buf = append(buf, journalMagic)
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
@@ -268,6 +273,8 @@ type Journal struct {
 	f        *os.File
 	nextPass uint64
 	sink     func(JournalRecord) error
+
+	records, syncs, bytes atomic.Uint64 // see Stats
 }
 
 // OpenJournal opens (or creates) the journal at path, scanning any existing
@@ -328,38 +335,70 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Append durably appends one record: the frame is written and fsynced before
-// Append returns, so callers may rely on the record surviving a crash that
-// happens any time afterwards. Nil-safe.
+// Append durably appends one record: a batch of one. Nil-safe.
 func (j *Journal) Append(r JournalRecord) error {
+	return j.AppendBatch(r)
+}
+
+// AppendBatch durably appends recs, in order, with one write and one fsync:
+// when it returns, every record survives a crash that happens any time
+// afterwards. A crash mid-batch leaves a prefix of whole records followed by
+// at most one torn frame, which the reader drops — so a batch may only group
+// records that recovery would accept one at a time. Nil-safe.
+func (j *Journal) AppendBatch(recs ...JournalRecord) error {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLocked(r)
+	return j.appendLocked(recs)
 }
 
-func (j *Journal) appendLocked(r JournalRecord) error {
+// appendLocked is the journal's one write path.
+func (j *Journal) appendLocked(recs []JournalRecord) error {
 	if j.f == nil {
 		return fmt.Errorf("manager: journal %q is closed", j.path)
 	}
-	if _, err := j.f.Write(frameRecord(r.encode())); err != nil {
+	var buf []byte
+	for _, r := range recs {
+		buf = appendFrame(buf, r.encode())
+	}
+	if _, err := j.f.Write(buf); err != nil {
 		return fmt.Errorf("manager: journal append: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("manager: journal append: %w", err)
 	}
-	// Replication hook: the record is locally durable, now stream it to the
-	// standby. Shipping failures propagate — in particular a fencing
+	j.records.Add(uint64(len(recs)))
+	j.syncs.Add(1)
+	j.bytes.Add(uint64(len(buf)))
+	// Replication hook: the records are locally durable, now stream them to
+	// the standby. Shipping failures propagate — in particular a fencing
 	// rejection from a standby that has taken over, which is how a deposed
 	// primary manager finds out it must stop mid-pass.
 	if j.sink != nil {
-		if err := j.sink(r); err != nil {
-			return fmt.Errorf("manager: journal shipping: %w", err)
+		for _, r := range recs {
+			if err := j.sink(r); err != nil {
+				return fmt.Errorf("manager: journal shipping: %w", err)
+			}
 		}
 	}
 	return nil
+}
+
+// JournalStats counts what the journal has written since it was opened.
+type JournalStats struct {
+	Records uint64 // records appended
+	Syncs   uint64 // fsyncs issued by appends (one per batch)
+	Bytes   uint64 // framed bytes appended
+}
+
+// Stats returns the journal's append counters. Nil-safe.
+func (j *Journal) Stats() JournalStats {
+	if j == nil {
+		return JournalStats{}
+	}
+	return JournalStats{Records: j.records.Load(), Syncs: j.syncs.Load(), Bytes: j.bytes.Load()}
 }
 
 // SetSink installs a function called with every record after it is durably
@@ -379,7 +418,7 @@ func (j *Journal) SetSink(sink func(JournalRecord) error) {
 // the target version and the instances the pass plans to evolve. Nil-safe
 // (returns pass 0).
 func (j *Journal) BeginPass(target version.ID, planned []naming.LOID) (uint64, error) {
-	return j.beginPass(OpBegin, target, planned, "")
+	return j.beginPass(target, planned, "")
 }
 
 // BeginRollbackPass is BeginPass for a rollback: the begin record's Reason
@@ -387,13 +426,16 @@ func (j *Journal) BeginPass(target version.ID, planned []naming.LOID) (uint64, e
 // target descriptor directly instead of re-running the style check (which a
 // forward-only style would veto — exactly as live rollback does).
 func (j *Journal) BeginRollbackPass(target version.ID, planned []naming.LOID) (uint64, error) {
-	return j.beginPass(OpBegin, target, planned, passReasonRollback)
+	return j.beginPass(target, planned, passReasonRollback)
 }
 
 // passReasonRollback on an OpBegin record marks a style-exempt rollback pass.
 const passReasonRollback = "rollback"
 
-func (j *Journal) beginPass(op JournalOp, target version.ID, planned []naming.LOID, reason string) (uint64, error) {
+// beginPass allocates a pass identifier and appends the pass's begin record
+// and, in the same batch, the records in follow, each stamped with the new
+// identifier.
+func (j *Journal) beginPass(target version.ID, planned []naming.LOID, reason string, follow ...JournalRecord) (uint64, error) {
 	if j == nil {
 		return 0, nil
 	}
@@ -401,8 +443,11 @@ func (j *Journal) beginPass(op JournalOp, target version.ID, planned []naming.LO
 	defer j.mu.Unlock()
 	pass := j.nextPass
 	j.nextPass++
-	err := j.appendLocked(JournalRecord{Op: op, Pass: pass, Target: target.Clone(), Planned: planned, Reason: reason})
-	if err != nil {
+	batch := append([]JournalRecord{{Op: OpBegin, Pass: pass, Target: target.Clone(), Planned: planned, Reason: reason}}, follow...)
+	for i := range batch {
+		batch[i].Pass = pass
+	}
+	if err := j.appendLocked(batch); err != nil {
 		return 0, err
 	}
 	return pass, nil
@@ -439,13 +484,13 @@ func (j *Journal) RolloutStart(target, baseline version.ID, policy string) (uint
 	defer j.mu.Unlock()
 	id := j.nextPass
 	j.nextPass++
-	err := j.appendLocked(JournalRecord{
+	err := j.appendLocked([]JournalRecord{{
 		Op:     OpRolloutStart,
 		Pass:   id,
 		Target: target.Clone(),
 		From:   baseline.Clone(),
 		Reason: policy,
-	})
+	}})
 	if err != nil {
 		return 0, err
 	}
@@ -520,7 +565,7 @@ func (j *Journal) Compact(keep []JournalRecord) error {
 	defer j.mu.Unlock()
 	var buf []byte
 	for _, r := range keep {
-		buf = append(buf, frameRecord(r.encode())...)
+		buf = appendFrame(buf, r.encode())
 	}
 	if j.f != nil {
 		if err := j.f.Close(); err != nil {

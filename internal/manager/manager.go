@@ -257,18 +257,7 @@ func (m *Manager) Drop(loid naming.LOID) {
 // update policy relies on. With a journal installed the evolution runs as a
 // durable single-instance pass, recoverable if the manager crashes mid-way.
 func (m *Manager) EvolveInstance(ctx context.Context, loid naming.LOID, v version.ID) error {
-	j := m.Journal()
-	pass, err := j.BeginPass(v, []naming.LOID{loid})
-	if err != nil {
-		return err
-	}
-	evErr := m.evolveOne(ctx, pass, loid, v)
-	// The pass completed — successfully or with a known failure. Only a
-	// crash leaves it open for Recover to finish.
-	if err := j.Done(pass); err != nil && evErr == nil {
-		evErr = err
-	}
-	return evErr
+	return m.singlePass(ctx, loid, v, "")
 }
 
 // RollbackInstance forces one managed DCDO back to version v without
@@ -280,74 +269,87 @@ func (m *Manager) EvolveInstance(ctx context.Context, loid naming.LOID, v versio
 // crash mid-retreat resumes as a rollback too — and still requires v to be
 // instantiable in the store.
 func (m *Manager) RollbackInstance(ctx context.Context, loid naming.LOID, v version.ID) error {
-	j := m.Journal()
-	pass, err := j.BeginRollbackPass(v, []naming.LOID{loid})
-	if err != nil {
-		return err
-	}
-	rbErr := m.rollbackOne(ctx, pass, loid, v)
-	if err := j.Done(pass); err != nil && rbErr == nil {
-		rbErr = err
-	}
-	return rbErr
+	return m.singlePass(ctx, loid, v, passReasonRollback)
 }
 
-// rollbackOne is evolveOne minus the style check: descriptor fetched,
-// intent journalled, descriptor applied, table row pinned.
-func (m *Manager) rollbackOne(ctx context.Context, pass uint64, loid naming.LOID, v version.ID) error {
-	m.mu.Lock()
-	inst, ok := m.instances[loid]
-	rec := m.records[loid]
-	var from version.ID
-	if rec != nil {
-		from = rec.Version.Clone()
-	}
-	j := m.journal
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownInstance, loid)
-	}
-
-	var sp *obs.Span
-	if tr := m.tracer(); tr != nil {
-		sp = tr.StartSpan(obs.StageMgrEvolve, obs.SpanContext{})
-		sp.Annotate("object", loid.String())
-		sp.Annotate("from", from.String())
-		sp.Annotate("to", v.String())
-		sp.Annotate("rollback", "true")
-	}
-	err := func() error {
-		desc, err := m.store.InstantiableDescriptor(v)
-		if err != nil {
-			return err
+// singlePass runs one instance's move as a journal pass of its own. The
+// pass's four records reach the disk in two batches, one fsync each: begin
+// and intent before the instance is touched, applied and done before the
+// call returns. A move refused before the instance is touched leaves begin
+// and done (one batch); one that fails after intent leaves the pass closed
+// by a lone done. Only a crash leaves it open for Recover to finish.
+func (m *Manager) singlePass(ctx context.Context, loid naming.LOID, v version.ID, reason string) error {
+	j := m.Journal()
+	planned := []naming.LOID{loid}
+	st, err := m.planStep(loid, v, reason == passReasonRollback)
+	if st == nil {
+		_, jerr := j.beginPass(v, planned, reason, JournalRecord{Op: OpDone})
+		if err == nil {
+			err = jerr
 		}
-		if err := j.Intent(pass, loid, from, v); err != nil {
-			return err
-		}
-		if _, err := applyInstance(ctx, sp, inst, desc, v); err != nil {
-			return fmt.Errorf("rollback %s to %s: %w", loid, v, err)
-		}
-		m.mu.Lock()
-		if cur, ok := m.records[loid]; ok && cur == rec {
-			cur.Version = v.Clone()
-		}
-		m.mu.Unlock()
-		return j.Applied(pass, loid, v)
-	}()
-	if sp != nil {
-		sp.Fail(err)
-		sp.Finish()
+		return err
 	}
+	pass, err := j.beginPass(v, planned, reason, st.intent(0))
 	if err == nil {
-		m.event("rolled-back", loid, v, "from="+from.String())
+		done := JournalRecord{Op: OpDone, Pass: pass}
+		if err = m.applyStep(ctx, j, pass, st); err == nil {
+			err = j.AppendBatch(st.applied(pass), done)
+		} else {
+			_ = j.Append(done) // the apply's failure is the error to report
+		}
 	}
+	m.finishStep(st, err)
 	return err
 }
 
-// evolveOne evolves one instance under an already-open journal pass: intent
-// is durably recorded before the instance is touched, success after it is
-// verified applied.
-func (m *Manager) evolveOne(ctx context.Context, pass uint64, loid naming.LOID, v version.ID) error {
+// evolveOne moves one instance under a journal pass the caller has already
+// opened (a fleet pass, or one Recover resumes): intent is durably recorded
+// before the instance is touched, applied after it is verified there.
+func (m *Manager) evolveOne(ctx context.Context, pass uint64, loid naming.LOID, v version.ID, rollback bool) error {
+	st, err := m.planStep(loid, v, rollback)
+	if st == nil {
+		return err
+	}
+	j := m.Journal()
+	if err = j.Append(st.intent(pass)); err == nil {
+		if err = m.applyStep(ctx, j, pass, st); err == nil {
+			err = j.Append(st.applied(pass))
+		}
+	}
+	m.finishStep(st, err)
+	return err
+}
+
+// step is one instance's move to a pass target: decided by planStep, not yet
+// journalled or applied. rec is the table row captured under the lock
+// alongside inst; the post-apply version update is applied only if that same
+// row is still installed, so an evolution that raced with Drop (and possibly
+// a re-Adopt) cannot resurrect a stale version onto a new record.
+type step struct {
+	loid     naming.LOID
+	inst     Instance
+	rec      *Record
+	from, to version.ID
+	desc     *dfm.Descriptor
+	rollback bool
+	sp       *obs.Span
+}
+
+func (st *step) intent(pass uint64) JournalRecord {
+	return JournalRecord{Op: OpIntent, Pass: pass, LOID: st.loid, From: st.from.Clone(), To: st.to.Clone()}
+}
+
+func (st *step) applied(pass uint64) JournalRecord {
+	return JournalRecord{Op: OpApplied, Pass: pass, LOID: st.loid, To: st.to.Clone()}
+}
+
+// planStep decides everything about one instance's move that can be decided
+// without touching the instance or the journal: that it is managed, that it
+// is not already at v, that the style admits the transition (a rollback is
+// exempt from both of those), and which descriptor v names. A nil step means
+// there is nothing to apply — the move was refused (err says why) or the
+// instance is already at the target (err is nil).
+func (m *Manager) planStep(loid naming.LOID, v version.ID, rollback bool) (*step, error) {
 	m.mu.Lock()
 	inst, ok := m.instances[loid]
 	rec := m.records[loid]
@@ -356,78 +358,89 @@ func (m *Manager) evolveOne(ctx context.Context, pass uint64, loid naming.LOID, 
 		from = rec.Version.Clone()
 	}
 	current := m.current.Clone()
-	j := m.journal
 	m.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownInstance, loid)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownInstance, loid)
 	}
-
-	var sp *obs.Span
+	st := &step{loid: loid, inst: inst, rec: rec, from: from, to: v, rollback: rollback}
 	if tr := m.tracer(); tr != nil {
-		sp = tr.StartSpan(obs.StageMgrEvolve, obs.SpanContext{})
-		sp.Annotate("object", loid.String())
-		sp.Annotate("from", from.String())
-		sp.Annotate("to", v.String())
+		st.sp = tr.StartSpan(obs.StageMgrEvolve, obs.SpanContext{})
+		st.sp.Annotate("object", loid.String())
+		st.sp.Annotate("from", from.String())
+		st.sp.Annotate("to", v.String())
+		if rollback {
+			st.sp.Annotate("rollback", "true")
+		}
 	}
-	err := m.evolveInstance(ctx, sp, j, pass, inst, rec, loid, from, current, v)
-	if sp != nil {
-		sp.Fail(err)
-		sp.Finish()
+	err := func() error {
+		if !rollback {
+			// An instance already at the target has nothing to evolve:
+			// succeed without consulting the style (whose rules govern
+			// *transitions* — the increasing style, for one, deliberately
+			// rejects the degenerate self-edge) and without re-applying
+			// the descriptor.
+			if !from.IsZero() && from.Equal(v) {
+				return nil
+			}
+			input := evolution.TransitionInput{
+				From:           from,
+				To:             v,
+				Current:        current,
+				ToInstantiable: m.store.IsInstantiable(v),
+			}
+			if m.style == evolution.MultiHybrid && !from.IsZero() {
+				input.DerivationErr = m.checkHybridDerivation(from, v)
+			}
+			if err := m.style.CheckTransition(input); err != nil {
+				return err
+			}
+		}
+		var err error
+		st.desc, err = m.store.InstantiableDescriptor(v)
+		return err
+	}()
+	if st.desc == nil {
+		m.finishStep(st, err)
+		return nil, err
 	}
-	if err == nil {
-		m.event("evolved", loid, v, "from="+from.String())
-	}
-	return err
+	return st, nil
 }
 
-// evolveInstance is the span-carrying body of evolveOne. rec is the table
-// row captured under the lock alongside inst; the post-apply version update
-// is applied only if that same row is still installed, so an evolution that
-// raced with Drop (and possibly a re-Adopt) cannot resurrect a stale
-// version onto a new record.
-func (m *Manager) evolveInstance(ctx context.Context, sp *obs.Span, j *Journal, pass uint64, inst Instance, rec *Record, loid naming.LOID, from, current version.ID, v version.ID) error {
-	// An instance already at the target has nothing to evolve: succeed
-	// without consulting the style (whose rules govern *transitions* — the
-	// increasing style, for one, deliberately rejects the degenerate
-	// self-edge) and without re-applying the descriptor.
-	if !from.IsZero() && from.Equal(v) {
-		return nil
+// applyStep applies the step's descriptor — through the replica group when
+// the LOID has one — and pins the table row to the target.
+func (m *Manager) applyStep(ctx context.Context, j *Journal, pass uint64, st *step) error {
+	verb := "evolve"
+	if st.rollback {
+		verb = "rollback"
 	}
-	input := evolution.TransitionInput{
-		From:           from,
-		To:             v,
-		Current:        current,
-		ToInstantiable: m.store.IsInstantiable(v),
-	}
-	if m.style == evolution.MultiHybrid && !from.IsZero() {
-		input.DerivationErr = m.checkHybridDerivation(from, v)
-	}
-	if err := m.style.CheckTransition(input); err != nil {
-		return err
-	}
-
-	desc, err := m.store.InstantiableDescriptor(v)
-	if err != nil {
-		return err
-	}
-	// Durable intent before the instance is touched: after a crash, Recover
-	// knows this instance may be anywhere between from and v.
-	if err := j.Intent(pass, loid, from, v); err != nil {
-		return err
-	}
-	if g := m.ReplicaGroup(loid); g != nil {
-		if err := m.evolveReplicated(ctx, j, pass, g, loid, desc, v); err != nil {
-			return fmt.Errorf("evolve %s to %s: %w", loid, v, err)
+	if g := m.ReplicaGroup(st.loid); g != nil && !st.rollback {
+		if err := m.evolveReplicated(ctx, j, pass, g, st.loid, st.desc, st.to); err != nil {
+			return fmt.Errorf("%s %s to %s: %w", verb, st.loid, st.to, err)
 		}
-	} else if _, err := applyInstance(ctx, sp, inst, desc, v); err != nil {
-		return fmt.Errorf("evolve %s to %s: %w", loid, v, err)
+	} else if _, err := applyInstance(ctx, st.sp, st.inst, st.desc, st.to); err != nil {
+		return fmt.Errorf("%s %s to %s: %w", verb, st.loid, st.to, err)
 	}
 	m.mu.Lock()
-	if cur, ok := m.records[loid]; ok && cur == rec {
-		cur.Version = v.Clone()
+	if cur, ok := m.records[st.loid]; ok && cur == st.rec {
+		cur.Version = st.to.Clone()
 	}
 	m.mu.Unlock()
-	return j.Applied(pass, loid, v)
+	return nil
+}
+
+// finishStep closes the step's span and, on success, reports the move.
+func (m *Manager) finishStep(st *step, err error) {
+	if st.sp != nil {
+		st.sp.Fail(err)
+		st.sp.Finish()
+	}
+	if err == nil {
+		kind := "evolved"
+		if st.rollback {
+			kind = "rolled-back"
+		}
+		m.event(kind, st.loid, st.to, "from="+st.from.String())
+	}
 }
 
 // evolveReplicated evolves a replica group to v with the LOID continuously

@@ -212,7 +212,7 @@ func (m *Manager) recover(ctx context.Context, sp *obs.Span, j *Journal, recs []
 		}
 		report.Passes++
 		if m.store.IsInstantiable(p.target) {
-			m.resumePass(ctx, sp, j, p, &report, &errs)
+			m.resumePass(ctx, j, p, &report, &errs)
 		} else {
 			m.rollbackPass(ctx, sp, j, p, &report, &errs)
 		}
@@ -253,7 +253,7 @@ func (m *Manager) recover(ctx context.Context, sp *obs.Span, j *Journal, recs []
 
 // resumePass drives an interrupted pass forward: every planned instance
 // still managed is probed and, if not already on the target, evolved to it.
-func (m *Manager) resumePass(ctx context.Context, sp *obs.Span, j *Journal, p *passState, report *RecoveryReport, errs *[]error) {
+func (m *Manager) resumePass(ctx context.Context, j *Journal, p *passState, report *RecoveryReport, errs *[]error) {
 	for _, loid := range p.planned {
 		inst := m.instanceOf(loid)
 		if inst == nil {
@@ -275,7 +275,11 @@ func (m *Manager) resumePass(ctx context.Context, sp *obs.Span, j *Journal, p *p
 			report.Verified = append(report.Verified, loid)
 			continue
 		}
-		switch err := m.resumeOne(ctx, sp, j, p, loid); {
+		// A normal pass re-runs the style check; a rollback pass (begin
+		// reason passReasonRollback) applies the target descriptor directly
+		// — the forward-only style vetoed the transition when the rollback
+		// was decided live, so it must not be consulted again on resume.
+		switch err := m.evolveOne(ctx, p.pass, loid, p.target, p.reason == passReasonRollback); {
 		case err == nil:
 			m.UnquarantineInstance(loid)
 			report.Resumed = append(report.Resumed, loid)
@@ -285,41 +289,6 @@ func (m *Manager) resumePass(ctx context.Context, sp *obs.Span, j *Journal, p *p
 			*errs = append(*errs, fmt.Errorf("resume %s: %w", loid, err))
 		}
 	}
-}
-
-// resumeOne pushes one instance to an interrupted pass's target. A normal
-// pass goes through evolveOne, which re-runs the style check; a rollback
-// pass (begin reason passReasonRollback) applies the target descriptor
-// directly — the forward-only style vetoed the transition when the rollback
-// was decided live, so it must not be consulted again on resume.
-func (m *Manager) resumeOne(ctx context.Context, sp *obs.Span, j *Journal, p *passState, loid naming.LOID) error {
-	if p.reason != passReasonRollback {
-		return m.evolveOne(ctx, p.pass, loid, p.target)
-	}
-	inst := m.instanceOf(loid)
-	if inst == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownInstance, loid)
-	}
-	desc, err := m.store.InstantiableDescriptor(p.target)
-	if err != nil {
-		return err
-	}
-	rec, err := m.RecordOf(loid)
-	if err != nil {
-		return err
-	}
-	if err := j.Intent(p.pass, loid, rec.Version, p.target); err != nil {
-		return err
-	}
-	if _, err := applyInstance(ctx, sp, inst, desc, p.target); err != nil {
-		return err
-	}
-	m.syncRecord(loid, p.target)
-	if err := j.Applied(p.pass, loid, p.target); err != nil {
-		return err
-	}
-	m.event("rolled-back", loid, p.target, "resumed rollback pass")
-	return nil
 }
 
 // rollbackPass undoes an interrupted pass whose target the loaded store no
