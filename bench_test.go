@@ -33,12 +33,12 @@ import (
 )
 
 // buildDCDO assembles a workload-generated DCDO for benchmarking.
-func buildDCDO(b *testing.B, reg *registry.Registry, spec workload.Spec, instance uint64) (*core.DCDO, *workload.Built) {
-	b.Helper()
+func buildDCDO(tb testing.TB, reg *registry.Registry, spec workload.Spec, instance uint64) (*core.DCDO, *workload.Built) {
+	tb.Helper()
 	alloc := naming.NewAllocator(1, 9)
 	built, err := workload.Build(reg, alloc, spec)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	obj := core.New(core.Config{
 		LOID:     naming.LOID{Domain: 1, Class: 1, Instance: instance},
@@ -46,7 +46,7 @@ func buildDCDO(b *testing.B, reg *registry.Registry, spec workload.Spec, instanc
 		Fetcher:  built.Fetcher(),
 	})
 	if _, err := obj.ApplyDescriptor(context.Background(), built.Descriptor, version.ID{1}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return obj, built
 }
@@ -529,119 +529,93 @@ func BenchmarkE7_FaultedInvoke(b *testing.B) {
 
 // --- E10: transport fast path ---------------------------------------------------------
 
-// benchTCPEcho builds a TCP node hosting an echo object plus a client over a
-// dialer in the requested transport mode, mirroring the E10 harness setup.
-func benchTCPEcho(b *testing.B, legacy bool, stripes int) (*rpc.Client, naming.LOID, func()) {
-	b.Helper()
+// tcpEchoClient builds a TCP node hosting an echo object plus a client over
+// a dialer with the given stripe count, mirroring the E10 harness setup.
+// Both are closed when tb finishes.
+func tcpEchoClient(tb testing.TB, stripes int, cfg legion.NodeConfig) (*rpc.Client, naming.LOID) {
+	tb.Helper()
 	agent := naming.NewAgent(vclock.Real{})
-	node, err := legion.NewNode(legion.NodeConfig{
-		Name: "bench-e10", Agent: agent, TCPAddr: "127.0.0.1:0",
-		DisableTransportFastPath: legacy,
-	})
+	cfg.Agent, cfg.TCPAddr = agent, "127.0.0.1:0"
+	node, err := legion.NewNode(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { _ = node.Close() })
 	loid := naming.LOID{Domain: 10, Class: 10, Instance: 1}
 	if _, err := node.HostObject(loid, rpc.ObjectFunc(func(_ string, args []byte) ([]byte, error) {
 		return args, nil
 	})); err != nil {
-		_ = node.Close()
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dialer := transport.NewTCPDialer()
-	dialer.DisableFastPath = legacy
 	dialer.Stripes = stripes
+	tb.Cleanup(func() { _ = dialer.Close() })
 	client := rpc.NewClient(naming.NewCache(agent, vclock.Real{}, 0), dialer)
 	client.Retry.CallTimeout = 10 * time.Second
-	return client, loid, func() {
-		_ = dialer.Close()
-		_ = node.Close()
-	}
+	return client, loid
 }
 
 // BenchmarkE10_TransportFastPath is the testing.B face of experiment E10:
-// invoke over TCP loopback in both transport generations, sequential (run
-// with -benchmem for the alloc story) and pipelined (RunParallel; the
-// coalescing/striping story).
+// invoke over TCP loopback, sequential (run with -benchmem for the alloc
+// story) and pipelined (RunParallel; the coalescing/striping story).
 func BenchmarkE10_TransportFastPath(b *testing.B) {
 	payload := make([]byte, 64)
-	for _, mode := range []struct {
-		name    string
-		legacy  bool
-		stripes int
-	}{
-		{"legacy", true, 0},
-		{"fast", false, 4},
-	} {
-		b.Run(mode.name+"/sequential", func(b *testing.B) {
-			client, loid, done := benchTCPEcho(b, mode.legacy, mode.stripes)
-			defer done()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	b.Run("fast/sequential", func(b *testing.B) {
+		client, loid := tcpEchoClient(b, 4, legion.NodeConfig{Name: "bench-e10"})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := client.Invoke(context.Background(), loid, "echo", payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fast/pipelined-64", func(b *testing.B) {
+		client, loid := tcpEchoClient(b, 4, legion.NodeConfig{Name: "bench-e10"})
+		b.SetParallelism(64)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
 				if _, err := client.Invoke(context.Background(), loid, "echo", payload); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(mode.name+"/pipelined-64", func(b *testing.B) {
-			client, loid, done := benchTCPEcho(b, mode.legacy, mode.stripes)
-			defer done()
-			b.SetParallelism(64)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := client.Invoke(context.Background(), loid, "echo", payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+	})
 }
 
 // --- E15: batched scatter-gather invoke -----------------------------------------------
 
-// BenchmarkInvokeBatch is the testing.B face of experiment E15: N echo
-// sub-calls per batch frame over TCP loopback with zero-copy borrowed args
-// on the server. The Makefile's vet-batch gate parses the /16 sub-benchmark
-// with -benchmem: allocs/op there is allocs per 16-call batch, so the
-// per-sub-call budget is the gate baseline divided by 16.
-func BenchmarkInvokeBatch(b *testing.B) {
+// batchInvoke returns one size-call echo batch over TCP loopback with
+// zero-copy borrowed args on the server, reusing one Batch across calls.
+func batchInvoke(tb testing.TB, size int) func() error {
+	client, loid := tcpEchoClient(tb, 4, legion.NodeConfig{Name: "bench-e15", BorrowedArgs: true})
 	payload := make([]byte, 64)
-	agent := naming.NewAgent(vclock.Real{})
-	node, err := legion.NewNode(legion.NodeConfig{
-		Name: "bench-e15", Agent: agent, TCPAddr: "127.0.0.1:0",
-		BorrowedArgs: true,
-	})
-	if err != nil {
-		b.Fatal(err)
+	batch := client.NewBatch()
+	return func() error {
+		batch.Reset()
+		for j := 0; j < size; j++ {
+			batch.Add(loid, "echo", payload)
+		}
+		for k, r := range batch.Invoke(context.Background()) {
+			if r.Err != nil {
+				return fmt.Errorf("sub %d: %w", k, r.Err)
+			}
+		}
+		return nil
 	}
-	defer node.Close()
-	loid := naming.LOID{Domain: 15, Class: 10, Instance: 1}
-	if _, err := node.HostObject(loid, rpc.ObjectFunc(func(_ string, args []byte) ([]byte, error) {
-		return args, nil
-	})); err != nil {
-		b.Fatal(err)
-	}
-	dialer := transport.NewTCPDialer()
-	dialer.Stripes = 4
-	defer dialer.Close()
-	client := rpc.NewClient(naming.NewCache(agent, vclock.Real{}, 0), dialer)
-	client.Retry.CallTimeout = 10 * time.Second
+}
 
+// BenchmarkInvokeBatch is the testing.B face of experiment E15: N echo
+// sub-calls per batch frame. allocs/op is allocs per batch; TestAllocBudgets
+// holds the 16-call batch to its budget.
+func BenchmarkInvokeBatch(b *testing.B) {
 	for _, size := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("%d", size), func(b *testing.B) {
-			batch := client.NewBatch()
+			call := batchInvoke(b, size)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				batch.Reset()
-				for j := 0; j < size; j++ {
-					batch.Add(loid, "echo", payload)
-				}
-				for k, r := range batch.Invoke(context.Background()) {
-					if r.Err != nil {
-						b.Fatalf("sub %d: %v", k, r.Err)
-					}
+				if err := call(); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -6,12 +6,10 @@
 //
 //	dcdo-bench                         # run all experiments
 //	dcdo-bench -e E4                   # run one experiment
-//	dcdo-bench -e E10 -json BENCH.json # also export machine-readable metrics
 //	dcdo-bench -e E15 -batch 32        # batched invoke at a non-default batch size
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,7 +29,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("dcdo-bench", flag.ContinueOnError)
 	experiment := fs.String("e", "all", "experiment to run (E1..E15 or all)")
-	jsonPath := fs.String("json", "", "write machine-readable results (ids, checks, metrics) to this file")
 	batch := fs.Int("batch", 0, "batch size for E15's scatter-gather measurement (0 = experiment default)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,49 +85,9 @@ func run(args []string) error {
 			failed++
 		}
 	}
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, reports); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
 	if failed > 0 {
 		return fmt.Errorf("%d experiment(s) failed their shape criteria", failed)
 	}
 	fmt.Printf("all %d experiment(s) passed their shape criteria\n", len(reports))
 	return nil
-}
-
-// jsonReport is the exported shape of one experiment, the unit of the
-// BENCH_*.json perf trajectory.
-type jsonReport struct {
-	ID      string             `json:"id"`
-	Title   string             `json:"title"`
-	Passed  bool               `json:"passed"`
-	Checks  []jsonCheck        `json:"checks"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-type jsonCheck struct {
-	Name   string `json:"name"`
-	Pass   bool   `json:"pass"`
-	Detail string `json:"detail"`
-}
-
-// writeJSON exports the reports' checks and headline metrics.
-func writeJSON(path string, reports []*harness.Report) error {
-	out := make([]jsonReport, 0, len(reports))
-	for _, rep := range reports {
-		jr := jsonReport{ID: rep.ID, Title: rep.Title, Passed: rep.Passed(), Metrics: rep.Metrics}
-		for _, c := range rep.Checks {
-			jr.Checks = append(jr.Checks, jsonCheck{Name: c.Name, Pass: c.Pass, Detail: c.Detail})
-		}
-		out = append(out, jr)
-	}
-	data, err := json.MarshalIndent(map[string]any{"reports": out}, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return os.WriteFile(path, data, 0o644)
 }

@@ -63,7 +63,6 @@ func run(args []string) error {
 	queueDepth := fs.Int("queue-depth", 0, "admission queue depth beyond max-inflight; excess requests are shed with OVERLOADED (with -max-inflight)")
 	transportStripes := fs.Int("transport-stripes", 0, "TCP connections per endpoint in the dialer, spread round-robin (0 = 1)")
 	transportWorkers := fs.Int("transport-workers", 0, "max concurrent TCP handler goroutines before read loops apply backpressure (0 = unlimited)")
-	transportLegacy := fs.Bool("transport-legacy", false, "disable the transport fast path (frame pooling and write coalescing)")
 	borrowedArgs := fs.Bool("borrowed-args", false, "batch sub-call handlers borrow argument payloads zero-copy from the inbound frame (handlers must not retain args past return)")
 	adaptiveStripes := fs.Bool("adaptive-stripes", false, "let the TCP dialer open extra connection stripes up to -transport-stripes when in-flight load per connection is high")
 	traceSample := fs.Float64("trace-sample", 1, "fraction of traces to keep (head sampling; 1 = keep all, 0.01 = 1%). Dropped traces still reach the flight recorder on error or slowness")
@@ -119,7 +118,6 @@ func run(args []string) error {
 		QueueDepth:               *queueDepth,
 		TransportStripes:         *transportStripes,
 		TransportWorkers:         *transportWorkers,
-		DisableTransportFastPath: *transportLegacy,
 		BorrowedArgs:             *borrowedArgs,
 		AdaptiveTransportStripes: *adaptiveStripes,
 	}, obs.Options{

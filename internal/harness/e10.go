@@ -14,39 +14,27 @@ import (
 	"godcdo/internal/rpc"
 	"godcdo/internal/transport"
 	"godcdo/internal/vclock"
-	"godcdo/internal/wire"
 )
 
 const (
-	// e10Callers is the pipelined-throughput concurrency level.
+	// e10Callers is the pipelined-load concurrency level.
 	e10Callers = 64
-	// e10CallsPerCaller bounds the measured throughput run. Long enough
-	// that a trial is steady-state, short enough that three trials of two
-	// modes stay well under a second each.
+	// e10CallsPerCaller bounds the measured pipelined run.
 	e10CallsPerCaller = 250
 	// e10WarmupPerCaller primes connections, pools, and the binding cache.
 	e10WarmupPerCaller = 20
 	// e10AllocCalls is the sequential-call count behind the allocs/op
 	// measurement.
 	e10AllocCalls = 2000
-	// e10Stripes is the fast path's per-endpoint connection count.
+	// e10Stripes is the dialer's per-endpoint connection count.
 	e10Stripes = 2
 	// e10Payload is the echo payload size: small enough that framing and
-	// syscall overhead — the thing the fast path attacks — dominates.
+	// syscall overhead dominates.
 	e10Payload = 64
-	// e10Trials runs each throughput measurement more than once and keeps
-	// the best paired trial, absorbing scheduler noise on shared CI
-	// hardware.
-	e10Trials = 4
-	// e10ThroughputFloor is the pass threshold for the fast/legacy
-	// throughput ratio. The fast path's recorded win is ~2.3x; the floor
-	// leaves headroom so ambient load on shared hardware (which squeezes
-	// the measured ratio toward 2.0) cannot flake the gate.
-	e10ThroughputFloor = 1.8
 )
 
-// e10Env is one measurement environment: a TCP node hosting an echo object
-// and a client whose dialer is configured for the mode under test.
+// e10Env is the measurement environment: a TCP node hosting an echo object
+// and a client whose dialer opens e10Stripes connection stripes.
 type e10Env struct {
 	node   *legion.Node
 	dialer *transport.TCPDialer
@@ -59,17 +47,9 @@ func (e *e10Env) close() {
 	_ = e.node.Close()
 }
 
-// e10Setup builds an environment. legacy selects the pre-fast-path
-// transport on both sides (the honest pre-PR baseline); otherwise the fast
-// path runs with e10Stripes connection stripes.
-func e10Setup(name string, legacy bool) (*e10Env, error) {
+func e10Setup() (*e10Env, error) {
 	agent := naming.NewAgent(vclock.Real{})
-	node, err := legion.NewNode(legion.NodeConfig{
-		Name:                     name,
-		Agent:                    agent,
-		TCPAddr:                  "127.0.0.1:0",
-		DisableTransportFastPath: legacy,
-	})
+	node, err := legion.NewNode(legion.NodeConfig{Name: "e10", Agent: agent, TCPAddr: "127.0.0.1:0"})
 	if err != nil {
 		return nil, err
 	}
@@ -81,10 +61,7 @@ func e10Setup(name string, legacy bool) (*e10Env, error) {
 		return nil, err
 	}
 	dialer := transport.NewTCPDialer()
-	dialer.DisableFastPath = legacy
-	if !legacy {
-		dialer.Stripes = e10Stripes
-	}
+	dialer.Stripes = e10Stripes
 	client := rpc.NewClient(naming.NewCache(agent, vclock.Real{}, 0), dialer)
 	client.Retry.CallTimeout = 5 * time.Second
 	return &e10Env{node: node, dialer: dialer, client: client, loid: loid}, nil
@@ -122,50 +99,11 @@ func e10Drive(env *e10Env, calls int) error {
 	}
 }
 
-// e10ThroughputPair measures both environments' pipelined throughput with
-// interleaved trials — legacy, fast, legacy, fast, … — and keeps the *pair*
-// with the best fast/legacy ratio. Interleaving matters on shared hardware:
-// E10 runs after ten other experiments in a full sweep, and ambient noise
-// (a background GC cycle, another process's burst) that lands on one
-// back-to-back block would skew the ratio; adjacent trials share the same
-// weather. Scoring pairs (rather than taking each mode's independent best)
-// keeps the comparison inside one weather window — one unusually quiet
-// legacy trial cannot be ratioed against a fast trial that ran under load.
-func e10ThroughputPair(legacyEnv, fastEnv *e10Env) (legacyOps, fastOps float64, err error) {
-	measure := func(env *e10Env) (float64, error) {
-		runtime.GC() // collect predecessors' garbage outside the timed region
-		start := time.Now()
-		if err := e10Drive(env, e10CallsPerCaller); err != nil {
-			return 0, err
-		}
-		return float64(e10Callers*e10CallsPerCaller) / time.Since(start).Seconds(), nil
-	}
-	for _, env := range []*e10Env{legacyEnv, fastEnv} {
-		if err := e10Drive(env, e10WarmupPerCaller); err != nil {
-			return 0, 0, err
-		}
-	}
-	for trial := 0; trial < e10Trials; trial++ {
-		lops, err := measure(legacyEnv)
-		if err != nil {
-			return 0, 0, fmt.Errorf("legacy throughput: %w", err)
-		}
-		fops, err := measure(fastEnv)
-		if err != nil {
-			return 0, 0, fmt.Errorf("fast throughput: %w", err)
-		}
-		if legacyOps == 0 || fops/lops > fastOps/legacyOps {
-			legacyOps, fastOps = lops, fops
-		}
-	}
-	return legacyOps, fastOps, nil
-}
-
-// e10AllocsPerOp measures whole-process allocations per sequential invoke —
-// runtime mallocs across client, transport goroutines, and server, since all
-// live in this process. That is deliberately broader than
-// testing.AllocsPerRun, which only sees the calling goroutine and would miss
-// the read loops and coalescing writers.
+// e10AllocsPerOp measures whole-process allocations per sequential invoke:
+// the runtime.MemStats.Mallocs delta across client, transport goroutines,
+// and server, since all live in this process. testing.AllocsPerRun reads the
+// same process-wide counter; this harness variant exists because it runs
+// outside a test binary.
 func e10AllocsPerOp(env *e10Env) (float64, error) {
 	payload := bytes.Repeat([]byte{0x5A}, e10Payload)
 	call := func() error {
@@ -195,118 +133,57 @@ func e10AllocsPerOp(env *e10Env) (float64, error) {
 	return float64(after.Mallocs-before.Mallocs) / float64(e10AllocCalls), nil
 }
 
-// e10Interop round-trips a few raw envelopes between mismatched transport
-// generations, pinning that the fast path changed nothing on the wire.
-func e10Interop(d *transport.TCPDialer, target *e10Env) error {
-	for i := 0; i < 8; i++ {
-		payload := bytes.Repeat([]byte{byte(i)}, 32+i)
-		resp, err := d.Call(context.Background(), target.node.Endpoint(), &wire.Envelope{
-			Kind: wire.KindRequest, Target: target.loid.String(), Method: "echo", Payload: payload,
-		}, 5*time.Second)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(resp.Payload, payload) {
-			return fmt.Errorf("payload changed across generations: %d bytes vs %d", len(resp.Payload), len(payload))
-		}
-	}
-	return nil
-}
-
-// RunE10 measures the transport fast path: pooled frames, write coalescing,
-// and connection striping versus the pre-PR transport, over real TCP
-// loopback. The paper's performance study is about mechanism overhead, so
-// the reproduction's substrate must not dominate it: the fast path must win
-// decisively on pipelined throughput (64 concurrent callers) and on
-// allocations per single-call invoke, while remaining byte-identical on the
-// wire (mixed-generation interop).
+// RunE10 exercises the TCP transport over real loopback: pooled frames,
+// write coalescing, and connection striping. The paper's performance study
+// is about mechanism overhead, so the substrate must not dominate it; E10
+// checks that pipelined load (64 concurrent callers) actually coalesces
+// frames into shared flushes and spreads over the configured stripes, and
+// reports the throughput and per-invoke allocations it measured.
 func RunE10() (*Report, error) {
-	// Both environments live side by side so their trials can interleave;
-	// an idle environment's goroutines are all parked on socket reads and
-	// cost the other nothing.
-	legacyEnv, err := e10Setup("e10-legacy", true)
+	env, err := e10Setup()
 	if err != nil {
 		return nil, err
 	}
-	defer legacyEnv.close()
-	fastEnv, err := e10Setup("e10-fast", false)
-	if err != nil {
-		return nil, err
-	}
-	defer fastEnv.close()
+	defer env.close()
 
-	legacyOps, fastOps, err := e10ThroughputPair(legacyEnv, fastEnv)
+	if err := e10Drive(env, e10WarmupPerCaller); err != nil {
+		return nil, fmt.Errorf("warmup: %w", err)
+	}
+	runtime.GC() // collect setup garbage outside the timed region
+	start := time.Now()
+	if err := e10Drive(env, e10CallsPerCaller); err != nil {
+		return nil, fmt.Errorf("pipelined load: %w", err)
+	}
+	ops := float64(e10Callers*e10CallsPerCaller) / time.Since(start).Seconds()
+	allocs, err := e10AllocsPerOp(env)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("allocs: %w", err)
 	}
-	legacyAllocs, err := e10AllocsPerOp(legacyEnv)
-	if err != nil {
-		return nil, fmt.Errorf("legacy allocs: %w", err)
-	}
-	fastAllocs, err := e10AllocsPerOp(fastEnv)
-	if err != nil {
-		return nil, fmt.Errorf("fast allocs: %w", err)
-	}
-	fastStats := fastEnv.dialer.Stats()
-
-	// Mixed generations on one wire: fast dialer against the legacy server
-	// and legacy dialer against the fast server.
-	interopErr := e10Interop(fastEnv.dialer, legacyEnv)
-	if interopErr == nil {
-		interopErr = e10Interop(legacyEnv.dialer, fastEnv)
-	}
-
-	ratio := fastOps / legacyOps
-	allocCut := 100 * (1 - fastAllocs/legacyAllocs)
+	st := env.dialer.Stats()
 
 	table := metrics.NewTable(
-		"E10 — transport fast path vs pre-PR baseline (TCP loopback, real time)",
-		"metric", "baseline", "fast path")
-	table.AddRow(fmt.Sprintf("pipelined throughput, %d callers (ops/s)", e10Callers),
-		fmt.Sprintf("%.0f", legacyOps), fmt.Sprintf("%.0f", fastOps))
-	table.AddRow("single-call invoke (allocs/op, whole process)",
-		fmt.Sprintf("%.1f", legacyAllocs), fmt.Sprintf("%.1f", fastAllocs))
-	table.AddRow("endpoint connections", "1", fmt.Sprintf("%d stripes", e10Stripes))
-	table.AddRow("write batching (frames/flush ×100)", "100",
-		fmt.Sprintf("%d", batchX100(fastStats.BatchedFrames, fastStats.BatchFlushes)))
-
-	checks := []Check{
-		// The recorded win is ~2.3x (BENCH_5.json); the pass threshold sits
-		// at 1.8x so the gate tests "decisively faster" without flaking when
-		// shared hardware shaves the ratio toward 2.0 under ambient load.
-		check(fmt.Sprintf("pipelined throughput >= %.1fx baseline at %d callers", e10ThroughputFloor, e10Callers),
-			ratio >= e10ThroughputFloor, "%.0f vs %.0f ops/s (%.2fx)", fastOps, legacyOps, ratio),
-		check("single-call allocs/op cut by >= 30%",
-			allocCut >= 30, "%.1f -> %.1f allocs/op (-%.0f%%)", legacyAllocs, fastAllocs, allocCut),
-		check("requests actually coalesce (avg batch > 1 frame/flush)",
-			fastStats.BatchFlushes > 0 && fastStats.BatchedFrames > fastStats.BatchFlushes,
-			"%d frames over %d flushes", fastStats.BatchedFrames, fastStats.BatchFlushes),
-		check(fmt.Sprintf("dialer opened %d stripes to the endpoint", e10Stripes),
-			fastStats.OpenConns == e10Stripes, "OpenConns = %d", fastStats.OpenConns),
-		check("wire format unchanged across transport generations",
-			interopErr == nil, "mixed-generation echo: %v", errOrOK(interopErr)),
-	}
+		"E10 — TCP transport: pooled frames, write coalescing, striping (loopback, real time)",
+		"metric", "value")
+	table.AddRow(fmt.Sprintf("pipelined throughput, %d callers (ops/s)", e10Callers), fmt.Sprintf("%.0f", ops))
+	table.AddRow("single-call invoke (allocs/op, whole process)", fmt.Sprintf("%.1f", allocs))
+	table.AddRow("endpoint connections", fmt.Sprintf("%d stripes", st.OpenConns))
+	table.AddRow("write batching (frames/flush ×100)", fmt.Sprintf("%d", batchX100(st.BatchedFrames, st.BatchFlushes)))
 
 	return &Report{
 		ID:    "E10",
-		Title: "transport fast path: pooled frames, write coalescing, connection striping",
+		Title: "TCP transport: pooled frames, write coalescing, connection striping",
 		Table: table,
 		Notes: []string{
-			fmt.Sprintf("throughput: best interleaved pair of %d trials of %d closed-loop callers x %d calls, %d-byte echo over TCP loopback",
-				e10Trials, e10Callers, e10CallsPerCaller, e10Payload),
-			fmt.Sprintf("allocs/op: whole-process runtime.Mallocs delta over %d sequential invokes (covers both wire directions)", e10AllocCalls),
-			"baseline = DisableFastPath on dialer and server: the exact pre-PR transport (sync write+flush per envelope, unpooled frames, 1 conn/endpoint)",
+			fmt.Sprintf("throughput: one run of %d closed-loop callers x %d calls, %d-byte echo over TCP loopback (informational; the benchmark/ rpc_pipelined workload is the admissible number)",
+				e10Callers, e10CallsPerCaller, e10Payload),
+			fmt.Sprintf("allocs/op: whole-process runtime.MemStats.Mallocs delta over %d sequential invokes (covers both wire directions)", e10AllocCalls),
 		},
-		Checks: checks,
-		Metrics: map[string]float64{
-			"fast_ops_per_sec":       fastOps,
-			"baseline_ops_per_sec":   legacyOps,
-			"throughput_ratio":       ratio,
-			"fast_allocs_per_op":     fastAllocs,
-			"baseline_allocs_per_op": legacyAllocs,
-			"alloc_reduction_pct":    allocCut,
-			"callers":                e10Callers,
-			"stripes":                e10Stripes,
+		Checks: []Check{
+			check("requests actually coalesce (avg batch > 1 frame/flush)",
+				st.BatchFlushes > 0 && st.BatchedFrames > st.BatchFlushes,
+				"%d frames over %d flushes", st.BatchedFrames, st.BatchFlushes),
+			check(fmt.Sprintf("dialer opened %d stripes to the endpoint", e10Stripes),
+				st.OpenConns == e10Stripes, "OpenConns = %d", st.OpenConns),
 		},
 	}, nil
 }
@@ -317,11 +194,4 @@ func batchX100(frames, flushes uint64) uint64 {
 		return 0
 	}
 	return frames * 100 / flushes
-}
-
-func errOrOK(err error) string {
-	if err == nil {
-		return "ok"
-	}
-	return err.Error()
 }

@@ -420,14 +420,5 @@ func RunE11() (*Report, error) {
 			"restart rebuilds the manager from the persisted store image; Resume reconstructs the rollout from journal records",
 		},
 		Checks: checks,
-		Metrics: map[string]float64{
-			"fleet":               e11Fleet,
-			"rollback_ms":         float64(actICost.Milliseconds()),
-			"resume_ms":           float64(resumeCost.Milliseconds()),
-			"resumed_waves":       float64(actIII.Wave),
-			"client_invokes":      float64(totalCalls),
-			"client_failures":     float64(totalFailures),
-			"slow_call_p99_floor": float64(e11SlowLatency.Milliseconds()),
-		},
 	}, nil
 }

@@ -578,22 +578,5 @@ func RunE13() (*Report, error) {
 			"writer correctness: counter total must equal seed + acked bumps, plus at most one per ambiguous outcome",
 		},
 		Checks: checks,
-		Metrics: map[string]float64{
-			"idempotent_ok":       float64(idemOK.Load()),
-			"idempotent_failures": float64(idemFail.Load()),
-			"writer_ok":           float64(bumpOK.Load()),
-			"writer_ambiguous":    float64(bumpAmbiguous.Load()),
-			"writer_other":        float64(bumpOther.Load()),
-			"failover_ms":         float64(failoverCost.Milliseconds()),
-			"takeover_epoch":      float64(takeover.epoch),
-			"group_generation":    float64(finalSet.Generation),
-			"replica_degree":      3,
-			"counter_total":       float64(total),
-			"counter_floor":       float64(minTotal),
-			"counter_ceiling":     float64(maxTotal),
-			"converged_replicas":  float64(convergedMembers),
-			"converged_plain":     float64(convergedPlain),
-			"manager_passes":      float64(takeover.report.Passes),
-		},
 	}, nil
 }

@@ -623,21 +623,5 @@ func RunE14() (*Report, error) {
 			"writer correctness: group counter must equal seed + acked bumps, plus at most one per ambiguous or failed outcome (a shipment failure surfaces as an error after the local apply)",
 		},
 		Checks: checks,
-		Metrics: map[string]float64{
-			"idempotent_ok":       float64(idemOK.Load()),
-			"idempotent_failures": float64(idemFail.Load()),
-			"writer_ok":           float64(bumpOK.Load()),
-			"writer_ambiguous":    float64(bumpAmbiguous.Load()),
-			"writer_other":        float64(bumpOther.Load()),
-			"heal_ms":             float64(healCost.Milliseconds()),
-			"retune_ms":           float64(retuneCost.Milliseconds()),
-			"off_primary_frac":    offPrimary,
-			"solo_read_ok":        float64(soloReadOK.Load()),
-			"solo_read_failures":  float64(soloReadFail.Load()),
-			"policies_restored":   float64(takeover.report.Policies),
-			"takeover_epoch":      float64(takeover.epoch),
-			"successor_converged": float64(sweepRep.Converged),
-			"final_degree":        float64(len(finalSolo.Endpoints())),
-		},
 	}, nil
 }

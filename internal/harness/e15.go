@@ -31,7 +31,7 @@ const (
 	// e15Payload matches E10's echo payload size.
 	e15Payload = 64
 	// e15Trials runs interleaved single/batch trial pairs and keeps the
-	// best-ratio pair (the E10 methodology; see e10ThroughputPair).
+	// best-ratio pair (the E12 methodology; see e12ThroughputPair).
 	e15Trials = 4
 	// e15ThroughputFloor is the pass threshold for batch/single throughput
 	// at e15Callers: the batch API's reason to exist is a ≥2x win over the
@@ -185,7 +185,7 @@ func e15DriveBatch(env *e15Env, subCalls int) error {
 
 // e15ThroughputPair interleaves single and batch trials — single, batch,
 // single, batch, … — and keeps the pair with the best batch/single ratio,
-// for the same weather-window reasons as e10ThroughputPair.
+// for the same weather-window reasons as e12ThroughputPair.
 func e15ThroughputPair(env *e15Env) (singleOps, batchOps float64, err error) {
 	measure := func(drive func(*e15Env, int) error) (float64, error) {
 		runtime.GC()
@@ -430,19 +430,5 @@ func RunE15() (*Report, error) {
 			"fault drill: seeded lossy dialer (25% responses dropped, 15% requests dropped, budget 40) over batches mixing non-idempotent adds with idempotent gets; counter object is ground truth for at-most-once",
 		},
 		Checks: checks,
-		Metrics: map[string]float64{
-			"batch_ops_per_sec":        batchOps,
-			"single_ops_per_sec":       singleOps,
-			"throughput_ratio":         ratio,
-			"batch_allocs_per_subcall": batchAllocs,
-			"single_allocs_per_op":     singleAllocs,
-			"alloc_reduction_pct":      allocCut,
-			"batch_size":               float64(e15BatchSize),
-			"callers":                  e15Callers,
-			"drill_acked":              float64(drill.acked),
-			"drill_ambiguous":          float64(drill.ambiguous),
-			"drill_counter":            float64(drill.final),
-			"growth_dials":             float64(dialerStats.GrowthDials),
-		},
 	}, nil
 }

@@ -44,9 +44,6 @@ type Report struct {
 	Notes []string
 	// Checks are the shape criteria.
 	Checks []Check
-	// Metrics carries the experiment's headline numbers in machine-readable
-	// form for the BENCH_*.json perf trajectory (dcdo-bench -json).
-	Metrics map[string]float64
 }
 
 // Passed reports whether every check passed.

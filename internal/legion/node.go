@@ -71,10 +71,6 @@ type NodeConfig struct {
 	// this caps goroutine fan-out and applies read-loop backpressure).
 	// Zero means unlimited.
 	TransportWorkers int
-	// DisableTransportFastPath reverts the node's TCP transport to the
-	// pre-fast-path behaviour (no frame pooling, no write coalescing) in
-	// both directions. Baseline for experiments and an escape hatch.
-	DisableTransportFastPath bool
 	// BorrowedArgs lets batch sub-call handlers borrow their argument
 	// payloads zero-copy from the inbound frame instead of receiving a
 	// defensive copy. Requires every hosted handler to not retain args
@@ -146,7 +142,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	tcpDialer := transport.NewTCPDialer()
 	tcpDialer.Stripes = cfg.TransportStripes
 	tcpDialer.AdaptiveStripes = cfg.AdaptiveTransportStripes
-	tcpDialer.DisableFastPath = cfg.DisableTransportFastPath
 	var (
 		server transport.Server
 		dialer transport.Dialer
@@ -167,8 +162,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			addr = "127.0.0.1:0"
 		}
 		server, err = transport.ListenTCPOptions(addr, disp, transport.TCPServerOptions{
-			MaxWorkers:      cfg.TransportWorkers,
-			DisableFastPath: cfg.DisableTransportFastPath,
+			MaxWorkers: cfg.TransportWorkers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("legion: node %q: %w", cfg.Name, err)

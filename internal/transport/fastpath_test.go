@@ -195,12 +195,56 @@ func TestTCPCoalescingCountsBatches(t *testing.T) {
 	if ds.BatchFlushes == 0 || ds.BatchFlushes > ds.BatchedFrames {
 		t.Fatalf("dialer BatchFlushes = %d out of range (frames %d)", ds.BatchFlushes, ds.BatchedFrames)
 	}
+	// The server's combiner counts a batch after its flush returns, so a
+	// response can reach the caller before it is counted. Close waits for
+	// every handler and writer, after which the counters are final.
+	_ = srv.Close()
 	ss := srv.Stats()
 	if ss.BatchedFrames != calls {
 		t.Fatalf("server BatchedFrames = %d, want %d", ss.BatchedFrames, calls)
 	}
 	if ss.BatchFlushes == 0 || ss.BatchFlushes > ss.BatchedFrames {
 		t.Fatalf("server BatchFlushes = %d out of range (frames %d)", ss.BatchFlushes, ss.BatchedFrames)
+	}
+}
+
+// TestTCPFirstCallsSeeFullyBuiltConn races many first calls against the dial
+// that creates each stripe: a caller that picks up a freshly published
+// connection must find its writer already in place, so every frame goes
+// through the coalescer. Under -race this also catches any field of the
+// connection assigned after it became visible to other callers.
+func TestTCPFirstCallsSeeFullyBuiltConn(t *testing.T) {
+	for _, stripes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
+			srv, err := ListenTCP("127.0.0.1:0", echoHandler())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			d := NewTCPDialer()
+			d.Stripes = stripes
+			defer d.Close()
+
+			const calls = 64
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < calls; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if _, err := d.Call(context.Background(), srv.Endpoint(),
+						&wire.Envelope{Kind: wire.KindRequest, Payload: []byte("f")}, 5*time.Second); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if got := d.Stats().BatchedFrames; got != calls {
+				t.Fatalf("dialer BatchedFrames = %d, want %d (a call bypassed the coalescer)", got, calls)
+			}
+		})
 	}
 }
 
@@ -243,44 +287,6 @@ func TestTCPServerWorkerPoolBounds(t *testing.T) {
 	wg.Wait()
 	if p := peak.Load(); p > 2 {
 		t.Fatalf("handler concurrency peaked at %d, want <= 2 (MaxWorkers)", p)
-	}
-}
-
-// TestTCPLegacyModeRoundTrip pins the DisableFastPath escape hatch: calls
-// work end to end and neither side's coalescer runs.
-func TestTCPLegacyModeRoundTrip(t *testing.T) {
-	srv, err := ListenTCPOptions("127.0.0.1:0", echoHandler(), TCPServerOptions{DisableFastPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	d := NewTCPDialer()
-	d.DisableFastPath = true
-	defer d.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			payload := []byte(fmt.Sprintf("legacy-%d", i))
-			resp, err := d.Call(context.Background(), srv.Endpoint(),
-				&wire.Envelope{Kind: wire.KindRequest, Payload: payload}, 5*time.Second)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if !bytes.Equal(resp.Payload, payload) {
-				t.Errorf("payload mismatch: %q", resp.Payload)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if ds := d.Stats(); ds.BatchFlushes != 0 || ds.BatchedFrames != 0 {
-		t.Fatalf("legacy dialer used the coalescer: %+v", ds)
-	}
-	if ss := srv.Stats(); ss.BatchFlushes != 0 || ss.BatchedFrames != 0 {
-		t.Fatalf("legacy server used the coalescer: %+v", ss)
 	}
 }
 

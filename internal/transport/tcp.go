@@ -29,8 +29,8 @@ type ServerStats struct {
 	BatchedFrames uint64
 }
 
-// TCPServerOptions tunes the server's fast path. The zero value is the
-// default configuration (coalescing on, unlimited workers).
+// TCPServerOptions tunes the server. The zero value is the default
+// configuration (unlimited workers, default write queue).
 type TCPServerOptions struct {
 	// MaxWorkers bounds concurrent handler goroutines across the whole
 	// server. When the bound is reached the read loops stop pulling frames,
@@ -43,10 +43,6 @@ type TCPServerOptions struct {
 	// WriteQueue bounds each connection's outbound response queue, in
 	// frames. Zero means defaultWriteQueue.
 	WriteQueue int
-	// DisableFastPath reverts to the pre-fast-path transport: unpooled
-	// frame reads and a synchronous write+flush per response. It exists as
-	// the honest baseline for the E10 experiment and as an escape hatch.
-	DisableFastPath bool
 }
 
 // TCPServer serves envelopes over TCP. Each connection is read by one
@@ -176,14 +172,9 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		s.active.Add(-1)
 	}()
-	if s.opts.DisableFastPath {
-		s.serveConnLegacy(conn)
-		return
-	}
 
-	bw := bufio.NewWriter(conn)
 	br := bufio.NewReader(conn)
-	wr := newFrameWriter(bw, s.opts.WriteQueue, &s.flushes, &s.frames, nil, nil)
+	wr := newFrameWriter(bufio.NewWriter(conn), s.opts.WriteQueue, &s.flushes, &s.frames, nil, nil)
 	var handlers sync.WaitGroup
 	// Shutdown order matters for both accounting and delivery: every handler
 	// must have finished (so DroppedFrames and its response enqueue are
@@ -224,7 +215,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 }
 
-// handleOneAsync is the goroutine body behind each fast-path request: it
+// handleOneAsync is the goroutine body behind each request: it
 // dispatches, releases the MaxWorkers slot acquired by the read loop, and
 // signals the connection's handler WaitGroup.
 func (s *TCPServer) handleOneAsync(req *wire.Envelope, frame []byte, wr *frameWriter, handlers *sync.WaitGroup) {
@@ -262,50 +253,6 @@ func (s *TCPServer) handleOne(req *wire.Envelope, frame []byte, wr *frameWriter)
 	wire.PutEnvelope(resp)
 	if err := wr.Enqueue(outFrame{buf: buf}); err != nil {
 		wire.PutBuf(buf) // writer refused ownership; the conn is going down
-	}
-}
-
-// serveConnLegacy is the pre-fast-path read loop: unpooled frames, one
-// goroutine per request, one write+flush per response under a mutex.
-func (s *TCPServer) serveConnLegacy(conn net.Conn) {
-	var writeMu sync.Mutex
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
-
-	for {
-		frame, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		req, err := wire.DecodeEnvelope(frame)
-		if err != nil {
-			s.decodeErrors.Add(1)
-			return
-		}
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			resp := s.handler.Handle(s.ctx, req)
-			if resp == Dropped {
-				s.dropped.Add(1)
-				return
-			}
-			if resp == nil {
-				resp = &wire.Envelope{
-					Kind: wire.KindError, ID: req.ID,
-					Code: wire.CodeInternal, ErrorMsg: "nil response from handler",
-				}
-			}
-			resp.ID = req.ID
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			if err := wire.WriteFrame(bw, resp.Encode()); err != nil {
-				return
-			}
-			_ = bw.Flush()
-		}()
 	}
 }
 
@@ -368,11 +315,6 @@ type TCPDialer struct {
 	// WriteQueue bounds each connection's outbound frame queue. Zero means
 	// defaultWriteQueue.
 	WriteQueue int
-	// DisableFastPath reverts to the pre-fast-path behaviour: synchronous
-	// write+flush per request under the connection lock and unpooled frame
-	// reads. It exists as the honest baseline for the E10 experiment and as
-	// an escape hatch. Set before the first Call.
-	DisableFastPath bool
 
 	mu     sync.Mutex
 	conns  map[string]*tcpEndpoint
@@ -472,15 +414,14 @@ type callOutcome struct {
 	err  error
 }
 
-// respChPool recycles the per-call outcome channels of the fast path. A
-// channel is returned only when it is provably quiescent: either the waiter
-// consumed the one outcome a resolver committed to it, or the waiter removed
-// the pending entry itself, in which case no resolver ever held a claim and
-// nothing was or will be sent. The legacy path keeps allocating fresh
-// channels — it is the pre-PR baseline and must not borrow fast-path wins.
+// respChPool recycles the per-call outcome channels. A channel is returned
+// only when it is provably quiescent: either the waiter consumed the one
+// outcome a resolver committed to it, or the waiter removed the pending
+// entry itself, in which case no resolver ever held a claim and nothing was
+// or will be sent.
 var respChPool = sync.Pool{New: func() any { return make(chan callOutcome, 1) }}
 
-// timerPool recycles the per-call timeout timers of the fast path. putTimer
+// timerPool recycles the per-call timeout timers. putTimer
 // restores the invariant that a pooled timer is stopped with an empty
 // channel, so Reset on reuse is safe.
 var timerPool sync.Pool
@@ -505,12 +446,14 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
+// tcpClientConn is one stripe's connection. conn and wr are set before the
+// connection is published into a stripe slot and never change afterwards,
+// so callers read them without a lock.
 type tcpClientConn struct {
 	conn net.Conn
-	bw   *bufio.Writer
-	wr   *frameWriter // coalescing writer; nil when DisableFastPath
+	wr   *frameWriter // coalescing writer, owner of the socket's write side
 
-	mu             sync.Mutex // guards bw (legacy mode), pending, orphans, counters
+	mu             sync.Mutex // guards pending, orphans, counters
 	pending        map[uint64]chan callOutcome
 	orphans        map[uint64]struct{} // timed-out IDs awaiting late responses
 	consecTimeouts int
@@ -572,93 +515,51 @@ func (d *TCPDialer) Call(ctx context.Context, endpoint string, req *wire.Envelop
 
 	id := d.nextID.Add(1)
 	req.ID = id
-	fast := cc.wr != nil
-	var respCh chan callOutcome
-	if fast {
-		respCh = respChPool.Get().(chan callOutcome)
-	} else {
-		respCh = make(chan callOutcome, 1)
-	}
+	respCh := respChPool.Get().(chan callOutcome)
 
-	if fast {
-		// Fast path: register, then hand the encoded frame to the coalescing
-		// writer. The writer owns the buffer on success; if the frame is
-		// later discarded unwritten, the writer resolves this call as
-		// safe-to-retry through onNeverWritten.
+	// Register, then hand the encoded frame to the coalescing writer. The
+	// writer owns the buffer on success; if the frame is later discarded
+	// unwritten, the writer resolves this call as safe-to-retry through
+	// onNeverWritten.
+	cc.mu.Lock()
+	if cc.dead != nil {
+		err := cc.dead
+		cc.mu.Unlock()
+		d.dropConn(endpoint, cc)
+		respChPool.Put(respCh) // never registered: no resolver can hold it
+		// The connection was already dead before this request was written.
+		return nil, safeErr(err)
+	}
+	cc.pending[id] = respCh
+	cc.syncPending()
+	cc.mu.Unlock()
+	buf := req.EncodePooled()
+	if err := cc.wr.Enqueue(outFrame{buf: buf, id: id}); err != nil {
+		wire.PutBuf(buf)
 		cc.mu.Lock()
-		if cc.dead != nil {
-			err := cc.dead
-			cc.mu.Unlock()
-			d.dropConn(endpoint, cc)
-			respChPool.Put(respCh) // never registered: no resolver can hold it
-			// The connection was already dead before this request was written.
-			return nil, safeErr(err)
-		}
-		cc.pending[id] = respCh
+		_, wasPending := cc.pending[id]
+		delete(cc.pending, id)
 		cc.syncPending()
 		cc.mu.Unlock()
-		buf := req.EncodePooled()
-		if err := cc.wr.Enqueue(outFrame{buf: buf, id: id}); err != nil {
-			wire.PutBuf(buf)
-			cc.mu.Lock()
-			_, wasPending := cc.pending[id]
-			delete(cc.pending, id)
-			cc.syncPending()
-			cc.mu.Unlock()
-			if wasPending {
-				// The frame never entered the queue: provably unwritten, and
-				// we reclaimed the pending entry, so nothing was or will be
-				// sent on respCh.
-				respChPool.Put(respCh)
-				return nil, safeErr(fmt.Errorf("%w during write: %v", ErrReset, err))
-			}
-			// A death path resolved the call first; its verdict is committed
-			// to respCh, so take that instead of inventing our own.
-			out := <-respCh
+		if wasPending {
+			// The frame never entered the queue: provably unwritten, and we
+			// reclaimed the pending entry, so nothing was or will be sent on
+			// respCh.
 			respChPool.Put(respCh)
-			return d.finish(cc, out)
+			return nil, safeErr(fmt.Errorf("%w during write: %v", ErrReset, err))
 		}
-	} else {
-		// Legacy path: synchronous write+flush per request under the lock.
-		cc.mu.Lock()
-		if cc.dead != nil {
-			err := cc.dead
-			cc.mu.Unlock()
-			d.dropConn(endpoint, cc)
-			return nil, safeErr(err)
-		}
-		cc.pending[id] = respCh
-		cc.syncPending()
-		writeErr := wire.WriteFrame(cc.bw, req.Encode())
-		if writeErr == nil {
-			writeErr = cc.bw.Flush()
-		}
-		if writeErr != nil {
-			delete(cc.pending, id)
-			cc.syncPending()
-			cc.mu.Unlock()
-			d.dropConn(endpoint, cc)
-			// A write error means the length-prefixed frame never fully reached
-			// the kernel, so the server cannot have dispatched it: safe.
-			return nil, safeErr(fmt.Errorf("%w during write: %v", ErrReset, writeErr))
-		}
-		cc.mu.Unlock()
+		// A death path resolved the call first; its verdict is committed to
+		// respCh, so take that instead of inventing our own.
+		out := <-respCh
+		respChPool.Put(respCh)
+		return d.finish(cc, out)
 	}
 
-	var timer *time.Timer
-	if fast {
-		timer = getTimer(wait)
-	} else {
-		timer = time.NewTimer(wait)
-	}
+	timer := getTimer(wait)
 	select {
 	case out := <-respCh:
-		if fast {
-			putTimer(timer)
-			respChPool.Put(respCh)
-		} else {
-			timer.Stop()
-		}
+		putTimer(timer)
+		respChPool.Put(respCh)
 		return d.finish(cc, out)
 	case <-ctx.Done():
 		// The caller gave up (cancellation or its deadline, whichever ctx
@@ -684,14 +585,10 @@ func (d *TCPDialer) Call(ctx context.Context, endpoint string, req *wire.Envelop
 				d.orphaned.Add(1)
 			}
 		}
-		if fast {
-			// Either we reclaimed the pending entry (no send ever) or we
-			// consumed the committed outcome above: quiescent either way.
-			putTimer(timer)
-			respChPool.Put(respCh)
-		} else {
-			timer.Stop()
-		}
+		// Either we reclaimed the pending entry (no send ever) or we
+		// consumed the committed outcome above: quiescent either way.
+		putTimer(timer)
+		respChPool.Put(respCh)
 		return nil, &CallError{Class: RetryNever, Err: ctx.Err()}
 	case <-timer.C:
 		cc.mu.Lock()
@@ -713,10 +610,8 @@ func (d *TCPDialer) Call(ctx context.Context, endpoint string, req *wire.Envelop
 			// old non-blocking poll here silently dropped responses still in
 			// flight between the delete and the send.
 			out := <-respCh
-			if fast {
-				putTimer(timer)
-				respChPool.Put(respCh)
-			}
+			putTimer(timer)
+			respChPool.Put(respCh)
 			return d.finish(cc, out)
 		}
 		d.timeouts.Add(1)
@@ -724,11 +619,9 @@ func (d *TCPDialer) Call(ctx context.Context, endpoint string, req *wire.Envelop
 			d.evictions.Add(1)
 			d.dropConn(endpoint, cc)
 		}
-		if fast {
-			// The tick was consumed and the pending entry reclaimed.
-			putTimer(timer)
-			respChPool.Put(respCh)
-		}
+		// The tick was consumed and the pending entry reclaimed.
+		putTimer(timer)
+		respChPool.Put(respCh)
 		return nil, ambiguousErr(fmt.Errorf("%w: %s after %v", ErrTimeout, endpoint, wait))
 	}
 }
@@ -761,9 +654,7 @@ func (d *TCPDialer) Close() error {
 	d.mu.Unlock()
 	for _, cc := range conns {
 		_ = cc.conn.Close()
-		if cc.wr != nil {
-			cc.wr.Stop()
-		}
+		cc.wr.Stop()
 	}
 	return nil
 }
@@ -869,12 +760,32 @@ func (d *TCPDialer) getConn(endpoint, addr string) (*tcpClientConn, error) {
 	if grow {
 		d.growth.Add(1)
 	}
+	// Build the connection whole — writer included — before it can be
+	// published: callers that find it in a stripe slot read cc.wr without a
+	// lock, so it must never be observable half-built.
 	cc := &tcpClientConn{
 		conn:    conn,
-		bw:      bufio.NewWriter(conn),
 		pending: make(map[uint64]chan callOutcome),
 		orphans: make(map[uint64]struct{}),
 	}
+	cc.wr = newFrameWriter(bufio.NewWriter(conn), d.WriteQueue, &d.flushes, &d.frames,
+		func(err error) {
+			// First write error: mark the conn dead and drop it. Closing the
+			// socket makes the read loop fail every call that may already be
+			// on the wire as ambiguous; frames still queued behind the error
+			// are failed safe via onNeverWritten.
+			cc.mu.Lock()
+			if cc.dead == nil {
+				cc.dead = fmt.Errorf("%w during write: %v", ErrReset, err)
+			}
+			cc.deadFlag.Store(true)
+			cc.mu.Unlock()
+			d.dropConn(endpoint, cc)
+		},
+		func(id uint64, err error) {
+			// This frame provably never reached the wire: safe to retry.
+			cc.resolve(id, callOutcome{err: safeErr(fmt.Errorf("%w during write: %v", ErrReset, err))})
+		})
 
 	d.mu.Lock()
 	if d.closed {
@@ -893,35 +804,17 @@ func (d *TCPDialer) getConn(endpoint, addr string) (*tcpClientConn, error) {
 		idx %= len(cur.stripes)
 	}
 	if existing := cur.stripes[idx]; existing != nil {
-		// Lost the race for this stripe; use the winner's connection.
+		// Lost the race for this stripe; use the winner's connection. Ours
+		// never carried a frame, so closing the socket is all it needs.
 		d.mu.Unlock()
 		_ = conn.Close()
 		return existing, nil
 	}
+	// The read loop starts before the slot is released to other callers; if
+	// it dies at once, its dropConn waits for d.mu and then finds cc here.
+	go d.readLoop(endpoint, cc)
 	cur.stripes[idx] = cc
 	d.mu.Unlock()
-
-	if !d.DisableFastPath {
-		cc.wr = newFrameWriter(cc.bw, d.WriteQueue, &d.flushes, &d.frames,
-			func(err error) {
-				// First write error: mark the conn dead and drop it. Closing
-				// the socket makes the read loop fail every call that may
-				// already be on the wire as ambiguous; frames still queued
-				// behind the error are failed safe via onNeverWritten.
-				cc.mu.Lock()
-				if cc.dead == nil {
-					cc.dead = fmt.Errorf("%w during write: %v", ErrReset, err)
-				}
-				cc.deadFlag.Store(true)
-				cc.mu.Unlock()
-				d.dropConn(endpoint, cc)
-			},
-			func(id uint64, err error) {
-				// This frame provably never reached the wire: safe to retry.
-				cc.resolve(id, callOutcome{err: safeErr(fmt.Errorf("%w during write: %v", ErrReset, err))})
-			})
-	}
-	go d.readLoop(endpoint, cc)
 	return cc, nil
 }
 
@@ -929,13 +822,7 @@ func (d *TCPDialer) readLoop(endpoint string, cc *tcpClientConn) {
 	br := bufio.NewReader(cc.conn)
 	var loopErr error
 	for {
-		var frame []byte
-		var err error
-		if cc.wr != nil {
-			frame, err = wire.ReadFramePooled(br)
-		} else {
-			frame, err = wire.ReadFrame(br)
-		}
+		frame, err := wire.ReadFramePooled(br)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				loopErr = fmt.Errorf("%w: connection closed by peer", ErrUnreachable)
@@ -946,9 +833,7 @@ func (d *TCPDialer) readLoop(endpoint string, cc *tcpClientConn) {
 		}
 		resp, err := wire.DecodeEnvelope(frame)
 		if err != nil {
-			if cc.wr != nil {
-				wire.PutBuf(frame)
-			}
+			wire.PutBuf(frame)
 			loopErr = fmt.Errorf("%w: %v", ErrUnreachable, err)
 			break
 		}
@@ -964,17 +849,15 @@ func (d *TCPDialer) readLoop(endpoint string, cc *tcpClientConn) {
 		}
 		cc.mu.Unlock()
 		if ok {
-			if cc.wr != nil {
-				// The payload aliases the pooled frame, which is reused the
-				// moment it is released: detach it before handing the
-				// envelope to the caller.
-				if len(resp.Payload) > 0 {
-					p := make([]byte, len(resp.Payload))
-					copy(p, resp.Payload)
-					resp.Payload = p
-				}
-				wire.PutBuf(frame)
+			// The payload aliases the pooled frame, which is reused the
+			// moment it is released: detach it before handing the envelope
+			// to the caller.
+			if len(resp.Payload) > 0 {
+				p := make([]byte, len(resp.Payload))
+				copy(p, resp.Payload)
+				resp.Payload = p
 			}
+			wire.PutBuf(frame)
 			ch <- callOutcome{resp: resp}
 		} else {
 			if orphan {
@@ -982,9 +865,7 @@ func (d *TCPDialer) readLoop(endpoint string, cc *tcpClientConn) {
 				// request anyway. Account for it instead of dropping silently.
 				d.orphaned.Add(1)
 			}
-			if cc.wr != nil {
-				wire.PutBuf(frame)
-			}
+			wire.PutBuf(frame)
 		}
 	}
 	cc.mu.Lock()
@@ -1025,9 +906,7 @@ func (d *TCPDialer) dropConn(endpoint string, cc *tcpClientConn) {
 	}
 	d.mu.Unlock()
 	_ = cc.conn.Close()
-	if cc.wr != nil {
-		// Asynchronous: dropConn may run on the writer's own goroutine (via
-		// onDead), where a synchronous Stop would deadlock.
-		go cc.wr.Stop()
-	}
+	// Asynchronous: dropConn may run on the writer's own goroutine (via
+	// onDead), where a synchronous Stop would deadlock.
+	go cc.wr.Stop()
 }

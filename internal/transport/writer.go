@@ -44,7 +44,7 @@ type outFrame struct {
 // combiner or a successor.
 //
 // The shape matters on small machines. A lone caller combines a batch of
-// one, which is byte-for-byte the legacy synchronous write+flush — no
+// one, which is byte-for-byte a plain synchronous write+flush — no
 // goroutine handoff, no added latency. Under pipelining, whichever caller
 // holds the lock writes everyone's frames and the flush syscall is amortised
 // over the whole batch; the peers' read loops then receive many frames per

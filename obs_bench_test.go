@@ -1,47 +1,19 @@
 package godcdo_test
 
 import (
-	"context"
-
 	"testing"
-
-	"godcdo/internal/legion"
-	"godcdo/internal/naming"
-	"godcdo/internal/obs"
-	"godcdo/internal/registry"
-	"godcdo/internal/transport"
-	"godcdo/internal/vclock"
-	"godcdo/internal/workload"
 )
 
 // BenchmarkInvokeTracingOff measures the allocation cost of one in-process
-// invoke through legion.Node with no observability installed. `make vet-obs`
-// asserts allocs/op stays at the seed baseline: the obs layer must be
-// zero-cost when disabled.
+// invoke through legion.Node with no observability installed.
+// TestAllocBudgets holds allocs/op at the seed baseline: the obs layer must
+// be zero-cost when disabled.
 func BenchmarkInvokeTracingOff(b *testing.B) {
-	agent := naming.NewAgent(vclock.Real{})
-	net := transport.NewInprocNetwork()
-	server, err := legion.NewNode(legion.NodeConfig{Name: "obs-off-server", Agent: agent, Inproc: net})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer server.Close()
-	client, err := legion.NewNode(legion.NodeConfig{Name: "obs-off-client", Agent: agent, Inproc: net})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	reg := registry.New()
-	obj, _ := buildDCDO(b, reg, workload.Spec{Prefix: "obsoff", Functions: 20, Components: 2}, 1)
-	if _, err := server.HostObject(obj.LOID(), obj); err != nil {
-		b.Fatal(err)
-	}
-	target := workload.LeafName("obsoff", 0, 0)
+	call := inprocInvoke(b, "obsoff", nil, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Client().Invoke(context.Background(), obj.LOID(), target, nil); err != nil {
+		if err := call(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,40 +21,16 @@ func BenchmarkInvokeTracingOff(b *testing.B) {
 
 // BenchmarkInvokeUnsampled measures the allocation cost of an invoke whose
 // trace the head sampler drops: tracing is on, a flight recorder is armed,
-// but the call is healthy and fast, so nothing is retained. `make vet-obs`
-// asserts allocs/op stays within UNSAMPLED_ALLOC_BASELINE — near the
-// tracing-off cost — because at a 1% sample rate this is 99% of all calls.
+// but the call is healthy and fast, so nothing is retained.
+// TestAllocBudgets holds allocs/op near the tracing-off cost, because at a
+// 1% sample rate this is 99% of all calls.
 func BenchmarkInvokeUnsampled(b *testing.B) {
-	agent := naming.NewAgent(vclock.Real{})
-	net := transport.NewInprocNetwork()
-	// A sample rate low enough that no trace in any plausible b.N is kept:
-	// every iteration takes the unsampled path.
-	o := obs.NewWithOptions(obs.Options{
-		SampleRate:      1e-9,
-		FlightCapacity:  obs.DefaultFlightCapacity,
-		FlightThreshold: obs.DefaultFlightThreshold,
-	})
-	server, err := legion.NewNode(legion.NodeConfig{Name: "obs-unsampled-server", Agent: agent, Inproc: net, Obs: o})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer server.Close()
-	client, err := legion.NewNode(legion.NodeConfig{Name: "obs-unsampled-client", Agent: agent, Inproc: net, Obs: o})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	reg := registry.New()
-	obj, _ := buildDCDO(b, reg, workload.Spec{Prefix: "obsuns", Functions: 20, Components: 2}, 1)
-	if _, err := server.HostObject(obj.LOID(), obj); err != nil {
-		b.Fatal(err)
-	}
-	target := workload.LeafName("obsuns", 0, 0)
+	o := unsampledObs()
+	call := inprocInvoke(b, "obsuns", o, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Client().Invoke(context.Background(), obj.LOID(), target, nil); err != nil {
+		if err := call(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,49 +1,20 @@
 package godcdo_test
 
 import (
-	"context"
 	"testing"
-
-	"godcdo/internal/legion"
-	"godcdo/internal/naming"
-	"godcdo/internal/policy"
-	"godcdo/internal/registry"
-	"godcdo/internal/transport"
-	"godcdo/internal/vclock"
-	"godcdo/internal/workload"
 )
 
 // BenchmarkInvokeDefaultPolicy measures the idempotent invoke path for a
 // degree-1 object with an explicit default DistributionPolicy attached to
 // its binding. The policy plane's cost on the common path must be one nil
-// check plus one BackupReadsAllowed call — no allocation: `make vet-policy`
-// asserts allocs/op stays at the unreplicated seed baseline.
+// check plus one BackupReadsAllowed call — no allocation: TestAllocBudgets
+// holds allocs/op at the unreplicated seed baseline.
 func BenchmarkInvokeDefaultPolicy(b *testing.B) {
-	agent := naming.NewAgent(vclock.Real{})
-	net := transport.NewInprocNetwork()
-	server, err := legion.NewNode(legion.NodeConfig{Name: "policy-server", Agent: agent, Inproc: net})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer server.Close()
-	client, err := legion.NewNode(legion.NodeConfig{Name: "policy-client", Agent: agent, Inproc: net})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	reg := registry.New()
-	obj, _ := buildDCDO(b, reg, workload.Spec{Prefix: "polbench", Functions: 20, Components: 2}, 1)
-	if _, err := server.HostObject(obj.LOID(), obj); err != nil {
-		b.Fatal(err)
-	}
-	agent.RegisterPolicy(obj.LOID(), policy.Default())
-
-	target := workload.LeafName("polbench", 0, 0)
+	call := inprocInvoke(b, "polbench", nil, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Client().InvokeIdempotent(context.Background(), obj.LOID(), target, nil); err != nil {
+		if err := call(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,33 +19,15 @@ import (
 )
 
 // BenchmarkInvokeUnreplicated measures the allocation cost of one in-process
-// invoke of a degree-1 (unreplicated) DCDO. `make vet-repl` asserts
-// allocs/op stays at the seed baseline: a degree-1 deployment never
-// constructs a Replica, so replication must cost nothing when it is off.
+// invoke of a degree-1 (unreplicated) DCDO. TestAllocBudgets holds allocs/op
+// at the seed baseline: a degree-1 deployment never constructs a Replica, so
+// replication must cost nothing when it is off.
 func BenchmarkInvokeUnreplicated(b *testing.B) {
-	agent := naming.NewAgent(vclock.Real{})
-	net := transport.NewInprocNetwork()
-	server, err := legion.NewNode(legion.NodeConfig{Name: "repl-off-server", Agent: agent, Inproc: net})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer server.Close()
-	client, err := legion.NewNode(legion.NodeConfig{Name: "repl-off-client", Agent: agent, Inproc: net})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	reg := registry.New()
-	obj, _ := buildDCDO(b, reg, workload.Spec{Prefix: "reploff", Functions: 20, Components: 2}, 1)
-	if _, err := server.HostObject(obj.LOID(), obj); err != nil {
-		b.Fatal(err)
-	}
-	target := workload.LeafName("reploff", 0, 0)
+	call := inprocInvoke(b, "reploff", nil, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Client().Invoke(context.Background(), obj.LOID(), target, nil); err != nil {
+		if err := call(); err != nil {
 			b.Fatal(err)
 		}
 	}
