@@ -27,12 +27,13 @@ test:
 # loudly instead of hiding behind source order.
 # The second line repeats the two no-intermediate-table contracts (callers
 # hammering an object through 200 alternating applies; a DFM through 400
-# transactional swaps) and the transport's first-call race (64 callers racing
-# the dials that publish each stripe), whose value is the schedules the
-# detector sees.
+# transactional swaps), the transport's first-call race (64 callers racing
+# the dials that publish each stripe) and its pooled-request recycling (every
+# way a call ends, shutdown included, with poison checks on), whose value is
+# the schedules the detector sees.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn' ./internal/core/ ./internal/dfm/ ./internal/transport/
+	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce' ./internal/core/ ./internal/dfm/ ./internal/transport/
 
 # One iteration of every benchmark plus the E9 overload experiment, a short
 # end-to-end rollout (E11 drives canary waves, an SLO rollback, and a

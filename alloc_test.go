@@ -1,6 +1,8 @@
 package godcdo_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"testing"
 
@@ -74,11 +76,19 @@ func unsampledObs() *obs.Obs {
 //   - tracing off: the obs layer is zero-cost when disabled;
 //   - unsampled: at 1% sampling 99% of calls take this path, so it stays
 //     near the tracing-off cost;
-//   - encode / decode / TCP invoke: the pooled-frame transport's wins;
+//   - encode / decode / framing / TCP invoke: the pooled-frame transport's
+//     wins. A frame round trip over bufio allocates nothing; a pooled
+//     request decode allocates only its Target and Method strings;
+//   - TCP invoke (6): the client's request envelope, its response envelope
+//     and detached payload, the server's Target and Method strings, and the
+//     handler goroutine. A DCDO over TCP (7) adds the DFM's per-call
+//     release closure;
 //   - unreplicated: a degree-1 object never constructs a Replica;
 //   - default policy: the policy plane costs a nil check and a comparison;
-//   - 16-call batch: at most 4 allocs per sub-call, against 16 for a single
-//     call.
+//   - 16-call batch: 3 allocs per sub-call, against 6 for a single call.
+//
+// The wire and TCP budgets are their measured counts, so any new allocation
+// on the transport path fails the test.
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -96,17 +106,40 @@ func TestAllocBudgets(t *testing.T) {
 		{"wire-encode", 1, 2000, func(t *testing.T) func() error {
 			return func() error { env.Encode(); return nil }
 		}},
-		{"wire-decode", 3, 2000, func(t *testing.T) func() error {
+		{"wire-decode", 2, 2000, func(t *testing.T) func() error {
 			return func() error { _, err := wire.DecodeEnvelope(encoded); return err }
 		}},
-		{"tcp-invoke", 16, 1000, func(t *testing.T) func() error {
+		{"wire-decode-pooled", 2, 2000, func(t *testing.T) func() error {
+			return func() error {
+				ev, err := wire.DecodeEnvelopePooled(encoded)
+				wire.PutEnvelope(ev)
+				return err
+			}
+		}},
+		{"frame-roundtrip", 0, 2000, func(t *testing.T) func() error {
+			var net bytes.Buffer
+			bw, br := bufio.NewWriter(&net), bufio.NewReader(&net)
+			return func() error {
+				if err := wire.WriteFrameBuffered(bw, encoded); err != nil {
+					return err
+				}
+				if err := bw.Flush(); err != nil {
+					return err
+				}
+				frame, err := wire.ReadFramePooled(br)
+				wire.PutBuf(frame)
+				return err
+			}
+		}},
+		{"tcp-invoke", 6, 1000, func(t *testing.T) func() error {
 			client, loid := tcpEchoClient(t, 4, legion.NodeConfig{Name: "alloc-tcp"})
 			payload := make([]byte, 64)
 			return func() error { _, err := client.Invoke(context.Background(), loid, "echo", payload); return err }
 		}},
+		{"dcdo-tcp", 7, 1000, func(t *testing.T) func() error { return tcpDCDOEcho(t) }},
 		{"unreplicated", 5, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "reploff", nil, false) }},
 		{"default-policy", 5, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "polbench", nil, true) }},
-		{"batch-16", 64, 300, func(t *testing.T) func() error { return batchInvoke(t, 16) }},
+		{"batch-16", 48, 300, func(t *testing.T) func() error { return batchInvoke(t, 16) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			call := tc.setup(t)

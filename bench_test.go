@@ -533,6 +533,54 @@ func BenchmarkE7_FaultedInvoke(b *testing.B) {
 // a dialer with the given stripe count, mirroring the E10 harness setup.
 // Both are closed when tb finishes.
 func tcpEchoClient(tb testing.TB, stripes int, cfg legion.NodeConfig) (*rpc.Client, naming.LOID) {
+	loid := naming.LOID{Domain: 10, Class: 10, Instance: 1}
+	return tcpClient(tb, stripes, cfg, loid, rpc.ObjectFunc(func(_ string, args []byte) ([]byte, error) {
+		return args, nil
+	})), loid
+}
+
+// tcpDCDOEcho hosts a DCDO whose one exported function, "echo", returns its
+// args, on a TCP node, and returns a 64-byte echo invoke of it: the
+// benchmark's rpc_seq call, DFM included.
+func tcpDCDOEcho(tb testing.TB) func() error {
+	tb.Helper()
+	reg := registry.New()
+	if _, err := reg.Register("echo_c:1", registry.NativeImplType, map[string]registry.Func{
+		"echo": func(_ registry.Caller, args []byte) ([]byte, error) { return args, nil },
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	comp, err := component.NewSynthetic(component.Descriptor{
+		ID: "echo_c", Revision: 1, CodeRef: "echo_c:1", Impl: registry.NativeImplType, CodeSize: 64,
+		Functions: []component.FunctionDecl{{Name: "echo", Exported: true}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	desc := dfm.NewDescriptor()
+	desc.Components["echo_c"] = dfm.ComponentRef{
+		ICO: naming.LOID{Domain: 1, Class: 9, Instance: 1}, CodeRef: "echo_c:1",
+		Impl: registry.NativeImplType, CodeSize: 64, Revision: 1,
+	}
+	desc.Entries = append(desc.Entries, dfm.EntryDesc{Function: "echo", Component: "echo_c", Exported: true, Enabled: true})
+	loid := naming.LOID{Domain: 1, Class: 1, Instance: 1}
+	obj := core.New(core.Config{LOID: loid, Registry: reg,
+		Fetcher: component.FetcherFunc(func(naming.LOID) (*component.Component, error) { return comp, nil })})
+	if _, err := obj.ApplyDescriptor(context.Background(), desc, version.ID{1}); err != nil {
+		tb.Fatal(err)
+	}
+	client := tcpClient(tb, 1, legion.NodeConfig{Name: "dcdo-tcp"}, loid, obj)
+	payload := make([]byte, 64)
+	return func() error {
+		_, err := client.Invoke(context.Background(), loid, "echo", payload)
+		return err
+	}
+}
+
+// tcpClient hosts obj at loid on a fresh TCP node built from cfg and returns
+// a client reaching it through a dialer with the given stripe count. The
+// node and dialer are closed when tb finishes.
+func tcpClient(tb testing.TB, stripes int, cfg legion.NodeConfig, loid naming.LOID, obj rpc.Object) *rpc.Client {
 	tb.Helper()
 	agent := naming.NewAgent(vclock.Real{})
 	cfg.Agent, cfg.TCPAddr = agent, "127.0.0.1:0"
@@ -541,10 +589,7 @@ func tcpEchoClient(tb testing.TB, stripes int, cfg legion.NodeConfig) (*rpc.Clie
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { _ = node.Close() })
-	loid := naming.LOID{Domain: 10, Class: 10, Instance: 1}
-	if _, err := node.HostObject(loid, rpc.ObjectFunc(func(_ string, args []byte) ([]byte, error) {
-		return args, nil
-	})); err != nil {
+	if _, err := node.HostObject(loid, obj); err != nil {
 		tb.Fatal(err)
 	}
 	dialer := transport.NewTCPDialer()
@@ -552,7 +597,7 @@ func tcpEchoClient(tb testing.TB, stripes int, cfg legion.NodeConfig) (*rpc.Clie
 	tb.Cleanup(func() { _ = dialer.Close() })
 	client := rpc.NewClient(naming.NewCache(agent, vclock.Real{}, 0), dialer)
 	client.Retry.CallTimeout = 10 * time.Second
-	return client, loid
+	return client
 }
 
 // BenchmarkE10_TransportFastPath is the testing.B face of experiment E10:

@@ -47,9 +47,12 @@ func (e *e10Env) close() {
 	_ = e.node.Close()
 }
 
-func e10Setup() (*e10Env, error) {
+// e10Setup builds the environment on a node configured by cfg (E15 reuses it
+// with BorrowedArgs on).
+func e10Setup(cfg legion.NodeConfig) (*e10Env, error) {
 	agent := naming.NewAgent(vclock.Real{})
-	node, err := legion.NewNode(legion.NodeConfig{Name: "e10", Agent: agent, TCPAddr: "127.0.0.1:0"})
+	cfg.Agent, cfg.TCPAddr = agent, "127.0.0.1:0"
+	node, err := legion.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +143,7 @@ func e10AllocsPerOp(env *e10Env) (float64, error) {
 // frames into shared flushes and spreads over the configured stripes, and
 // reports the throughput and per-invoke allocations it measured.
 func RunE10() (*Report, error) {
-	env, err := e10Setup()
+	env, err := e10Setup(legion.NodeConfig{Name: "e10"})
 	if err != nil {
 		return nil, err
 	}

@@ -122,7 +122,7 @@ func TestRunE11(t *testing.T) {
 
 func TestRunE12(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing-sensitive observability-tax comparison")
+		t.Skip("16k loopback calls plus slow-call incidents")
 	}
 	rep, err := RunE12()
 	if err != nil {
@@ -190,7 +190,7 @@ func TestRunE14(t *testing.T) {
 
 func TestRunE15(t *testing.T) {
 	if testing.Short() {
-		t.Skip("throughput comparison needs real time")
+		t.Skip("thousands of loopback calls for the alloc rows")
 	}
 	rep, err := RunE15()
 	if err != nil {

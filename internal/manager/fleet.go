@@ -40,7 +40,8 @@ type FleetReport struct {
 // EvolveFleet evolves every managed, non-quarantined instance to v as one
 // journalled pass. Unreachable instances are quarantined and skipped; other
 // per-instance failures are collected and returned joined (each wrapped
-// with its LOID), without stopping the pass. A ctx that ends mid-pass halts
+// with its LOID), without stopping the pass. Instances dropped while the
+// pass runs are left out of the report. A ctx that ends mid-pass halts
 // the pass between instances — never mid-instance — leaving the journal
 // open for Recover to resume, exactly as a crash would.
 func (m *Manager) EvolveFleet(ctx context.Context, v version.ID) (FleetReport, error) {
@@ -126,6 +127,9 @@ func (m *Manager) evolveFleet(ctx context.Context, v version.ID, maxApplies int,
 		switch evErr := m.evolveOne(ctx, pass, loid, v, false); {
 		case evErr == nil:
 			report.Evolved = append(report.Evolved, loid)
+		case errors.Is(evErr, ErrUnknownInstance):
+			// Dropped after the pass was planned: it has left the fleet,
+			// so there is nothing to converge (Recover skips it likewise).
 		case isConnectivityError(evErr):
 			reason := fmt.Sprintf("unreachable during pass %d: %v", pass, evErr)
 			m.quarantine(loid, reason)

@@ -217,6 +217,25 @@ func TestDispatcherRejectsBadLOID(t *testing.T) {
 	}
 }
 
+// TestDispatcherResponseOmitsTargetAndMethod pins that a single-call
+// response, like a batch sub-response, carries neither Target nor Method: the
+// caller matches it by ID, and echoing the names cost two string decodes per
+// call on the client.
+func TestDispatcherResponseOmitsTargetAndMethod(t *testing.T) {
+	d := NewDispatcher()
+	loid := naming.LOID{Domain: 1, Class: 1, Instance: 4}
+	d.Host(loid, echoObject())
+	resp := d.Handle(context.Background(), &wire.Envelope{
+		Kind: wire.KindRequest, ID: 11, Target: loid.String(), Method: "greet", Payload: []byte("x"),
+	})
+	if resp.Kind != wire.KindResponse || resp.ID != 11 || string(resp.Payload) != "greet:x" {
+		t.Fatalf("resp = %+v", resp)
+	}
+	if resp.Target != "" || resp.Method != "" {
+		t.Fatalf("response echoes Target %q and Method %q, want both empty", resp.Target, resp.Method)
+	}
+}
+
 func TestDispatcherHostEvictHosted(t *testing.T) {
 	d := NewDispatcher()
 	loid := naming.LOID{Instance: 9}

@@ -463,8 +463,11 @@ func (d *Dispatcher) dispatchOne(ctx context.Context, req *wire.Envelope) *wire.
 		}
 		return errEnvelope(req.ID, CodeOf(err), err.Error())
 	}
+	// A response is matched to its call by ID (a batch sub-response by
+	// position), so it carries no Target or Method: echoing them would cost
+	// the client two string decodes per call that nothing reads.
 	resp := wire.GetEnvelope()
-	resp.Kind, resp.ID, resp.Target, resp.Method, resp.Payload = wire.KindResponse, req.ID, req.Target, req.Method, result
+	resp.Kind, resp.ID, resp.Payload = wire.KindResponse, req.ID, result
 	return resp
 }
 
@@ -530,10 +533,6 @@ func (d *Dispatcher) handleBatch(ctx context.Context, req *wire.Envelope) *wire.
 			}
 			sr = d.dispatchOne(ctx, sub)
 		}
-		// Sub-responses are identified by position (and sub ID); the outer
-		// envelope carries correlation, so Target/Method bytes are dead
-		// weight on the wire.
-		sr.Target, sr.Method = "", ""
 		run, scratch = wire.AppendBatchEntry(run, sr, scratch)
 		wire.PutEnvelope(sr)
 	}

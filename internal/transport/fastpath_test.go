@@ -248,6 +248,168 @@ func TestTCPFirstCallsSeeFullyBuiltConn(t *testing.T) {
 	}
 }
 
+// recyclingHandler answers by method: "self" returns the request itself
+// turned into a response, "echo" a pooled response aliasing the request
+// payload, "drop" the Dropped sentinel, and "block" its own request once the
+// server shuts down. It records every request envelope it saw, to be read
+// back only once the server has closed — to check that each was released.
+type recyclingHandler struct {
+	mu      sync.Mutex
+	seen    []*wire.Envelope
+	ids     map[uint64]bool
+	dupIDs  int
+	entered chan struct{}
+}
+
+func (h *recyclingHandler) Handle(ctx context.Context, req *wire.Envelope) *wire.Envelope {
+	h.mu.Lock()
+	h.seen = append(h.seen, req)
+	if h.ids[req.ID] {
+		h.dupIDs++
+	}
+	h.ids[req.ID] = true
+	h.mu.Unlock()
+	switch req.Method {
+	case "self":
+		req.Kind = wire.KindResponse
+		return req
+	case "drop":
+		return Dropped
+	case "block":
+		select {
+		case h.entered <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+		req.Kind = wire.KindResponse
+		return req
+	default:
+		resp := wire.GetEnvelope()
+		resp.Kind, resp.Payload = wire.KindResponse, req.Payload
+		return resp
+	}
+}
+
+// released reports how many recorded request envelopes read as released,
+// out of how many were recorded. Call only after the server has closed, so
+// every handler and release happened before.
+func (h *recyclingHandler) released() (released, total int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, ev := range h.seen {
+		if ev.Kind == wire.Kind(wire.PoisonByte) {
+			released++
+		}
+	}
+	return released, len(h.seen)
+}
+
+// TestTCPServerRecyclesEachRequestOnce drives the server's pooled request
+// envelopes through every way a call can end — a handler returning its own
+// request, a pooled response aliasing it, a dropped response, and a shutdown
+// with calls parked in a handler and at the worker bound — with poison
+// checks on. Poison mode quarantines each released envelope and panics on a
+// second release, so every call must see its own ID and payload, and every
+// request envelope must read as released exactly once when the server is
+// done. Run under -race by `make race`.
+func TestTCPServerRecyclesEachRequestOnce(t *testing.T) {
+	wire.SetPoisonChecks(true)
+	defer wire.SetPoisonChecks(false)
+
+	t.Run("calls", func(t *testing.T) {
+		h := &recyclingHandler{ids: make(map[uint64]bool)}
+		srv, err := ListenTCP("127.0.0.1:0", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewTCPDialer()
+		d.Stripes = 2
+		d.TimeoutEvictAfter = 1 << 30 // dropped calls time out; keep the conns
+		defer d.Close()
+
+		const callers, calls = 8, 40
+		methods := []string{"self", "echo", "self", "echo", "drop"}
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < calls; i++ {
+					method := methods[(g+i)%len(methods)]
+					payload := []byte(fmt.Sprintf("caller %d call %d", g, i))
+					req := &wire.Envelope{Kind: wire.KindRequest, Method: method, Payload: payload}
+					timeout := 5 * time.Second
+					if method == "drop" {
+						timeout = 20 * time.Millisecond
+					}
+					resp, err := d.Call(context.Background(), srv.Endpoint(), req, timeout)
+					if method == "drop" {
+						if !errors.Is(err, ErrTimeout) {
+							t.Errorf("dropped call: err = %v, want ErrTimeout", err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if resp.ID != req.ID || !bytes.Equal(resp.Payload, payload) {
+						t.Errorf("%s call got ID %d payload %q, want ID %d payload %q",
+							method, resp.ID, resp.Payload, req.ID, payload)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		_ = srv.Close()
+		released, total := h.released()
+		if total != callers*calls || released != total {
+			t.Fatalf("%d of %d request envelopes released, want all %d", released, total, callers*calls)
+		}
+		if h.dupIDs != 0 {
+			t.Fatalf("%d requests reached the handler with an ID already seen", h.dupIDs)
+		}
+	})
+
+	t.Run("shutdown", func(t *testing.T) {
+		h := &recyclingHandler{ids: make(map[uint64]bool), entered: make(chan struct{}, 1)}
+		// One worker: the first call parks in the handler, the second parks
+		// the read loop at the worker bound with its envelope decoded.
+		srv, err := ListenTCPOptions("127.0.0.1:0", h, TCPServerOptions{MaxWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewTCPDialer()
+		defer d.Close()
+		const calls = 4
+		var wg sync.WaitGroup
+		for i := 0; i < calls; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				payload := []byte(fmt.Sprintf("blocked %d", i))
+				resp, err := d.Call(context.Background(), srv.Endpoint(),
+					&wire.Envelope{Kind: wire.KindRequest, Method: "block", Payload: payload}, 5*time.Second)
+				// A response racing the close may still arrive; it must be
+				// this call's own.
+				if err == nil && !bytes.Equal(resp.Payload, payload) {
+					t.Errorf("call %d got payload %q", i, resp.Payload)
+				}
+			}(i)
+		}
+		<-h.entered
+		time.Sleep(20 * time.Millisecond) // let the read loop reach the worker bound
+		_ = srv.Close()
+		wg.Wait()
+		// The handler sees the first call and, if the freed worker slot wins
+		// the read loop's race against shutdown, the next; the envelope the
+		// read loop drops at the bound is released without a handler.
+		if released, total := h.released(); released != total || total == 0 {
+			t.Fatalf("%d of %d handled request envelopes released, want all", released, total)
+		}
+	})
+}
+
 // TestTCPServerWorkerPoolBounds verifies MaxWorkers caps handler concurrency
 // while every pipelined call still completes.
 func TestTCPServerWorkerPoolBounds(t *testing.T) {

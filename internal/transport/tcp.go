@@ -188,7 +188,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return // EOF or broken connection
 		}
-		req, err := wire.DecodeEnvelope(frame)
+		req, err := wire.DecodeEnvelopePooled(frame)
 		if err != nil {
 			// Stream desynchronised; the connection must drop (nothing after
 			// a bad frame can be trusted), but count it so operators can see
@@ -203,14 +203,16 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			select {
 			case s.workers <- struct{}{}:
 			case <-s.ctx.Done():
+				wire.PutEnvelope(req)
 				wire.PutBuf(frame)
 				return
 			}
 		}
 		handlers.Add(1)
-		// Direct method spawn, not a closure: the arguments travel in the
-		// goroutine frame, so the per-request closure allocation disappears
-		// from the hot path.
+		// A go statement whose call has arguments still allocates: the
+		// runtime boxes the call and its arguments in a heap closure, one
+		// allocation per request. Dispatching inline on this goroutine when
+		// the pool is idle is what would remove it (ROADMAP item 3).
 		go s.handleOneAsync(req, frame, wr, &handlers)
 	}
 }
@@ -227,14 +229,15 @@ func (s *TCPServer) handleOneAsync(req *wire.Envelope, frame []byte, wr *frameWr
 }
 
 // handleOne dispatches one decoded request and enqueues its response on the
-// connection's coalescing writer. frame is the pooled buffer req was decoded
-// from; req.Payload aliases it, so it is released only after the response —
-// which for echo-style handlers may itself alias the request payload — has
-// been encoded into its own buffer.
+// connection's coalescing writer. req is a pooled envelope and frame the
+// pooled buffer it was decoded from; req.Payload aliases frame, so both are
+// released only after the response — which for echo-style handlers may
+// itself alias the request, or be it — has been encoded into its own buffer.
 func (s *TCPServer) handleOne(req *wire.Envelope, frame []byte, wr *frameWriter) {
 	resp := s.handler.Handle(s.ctx, req)
 	if resp == Dropped {
 		s.dropped.Add(1)
+		wire.PutEnvelope(req)
 		wire.PutBuf(frame)
 		return // injected response loss: leave the caller to time out
 	}
@@ -246,11 +249,15 @@ func (s *TCPServer) handleOne(req *wire.Envelope, frame []byte, wr *frameWriter)
 	}
 	resp.ID = req.ID
 	buf := resp.EncodePooled()
+	// The response is fully encoded into buf; recycle the envelopes (and any
+	// frame-pool payload travelling with the response). A no-op for
+	// handlers that return envelopes from other sources; a handler that
+	// returns its own request releases it once.
+	if resp != req {
+		wire.PutEnvelope(resp)
+	}
+	wire.PutEnvelope(req)
 	wire.PutBuf(frame)
-	// The response is fully encoded into buf; recycle the envelope (and any
-	// frame-pool payload travelling with it). A no-op for handlers that
-	// return envelopes from other sources.
-	wire.PutEnvelope(resp)
 	if err := wr.Enqueue(outFrame{buf: buf}); err != nil {
 		wire.PutBuf(buf) // writer refused ownership; the conn is going down
 	}

@@ -124,11 +124,14 @@ var Dropped = &wire.Envelope{Kind: wire.KindError, ErrorMsg: "transport: respons
 // Any deadline the *caller* set travels separately as req.Deadline; the
 // dispatcher, not the transport, decides how to honour it.
 //
-// Ownership: req.Payload may alias a pooled frame buffer that the transport
-// reclaims after Handle returns and the response has been encoded. Handlers
-// may read it freely during the call — and may even return a response whose
-// Payload aliases it, since encoding copies — but must copy any bytes they
-// retain past returning (background goroutines, caches, journals).
+// Ownership: the request envelope is valid only during Handle. The TCP
+// server decodes req into a pooled envelope and req.Payload aliases a pooled
+// frame buffer; it reclaims both after Handle returns and the response has
+// been encoded. Handlers may read req freely during the call — and may even
+// return req itself, or a response whose Payload aliases it, since encoding
+// copies — but must not retain req past returning, and must copy any bytes
+// of its Payload they keep (background goroutines, caches, journals).
+// Strings read from req (Target, Method) are immutable and safe to keep.
 type Handler interface {
 	Handle(ctx context.Context, req *wire.Envelope) *wire.Envelope
 }

@@ -169,7 +169,7 @@ func (w *frameWriter) combine() {
 				w.neverWritten(f)
 				continue
 			}
-			err := wire.WriteFrame(w.bw, f.buf)
+			err := wire.WriteFrameBuffered(w.bw, f.buf)
 			wire.PutBuf(f.buf)
 			if err != nil {
 				w.died(err)

@@ -159,6 +159,58 @@ func TestEnvelopePoolReleasesMarkedPayload(t *testing.T) {
 	}
 }
 
+// TestDecodeEnvelopePooled pins the server's request decode: the same fields
+// as DecodeEnvelope, an envelope PutEnvelope recycles, and no envelope left
+// over from a frame that fails to decode.
+func TestDecodeEnvelopePooled(t *testing.T) {
+	in := &Envelope{Kind: KindRequest, ID: 7, Target: "loid:1.2.3", Method: "get",
+		Payload: []byte("args"), TraceID: 9, Deadline: 1 << 40}
+	buf := in.Encode()
+	want, err := DecodeEnvelope(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeEnvelopePooled(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Kind != want.Kind || got.ID != want.ID || got.Target != want.Target ||
+		got.Method != want.Method || !bytes.Equal(got.Payload, want.Payload) ||
+		got.TraceID != want.TraceID || got.Deadline != want.Deadline {
+		t.Fatalf("pooled decode = %+v, want %+v", got, want)
+	}
+	PutEnvelope(got)
+	if got.Kind != 0 || got.ID != 0 || got.Target != "" || got.Payload != nil {
+		t.Fatalf("pooled request not recycled: %+v", got)
+	}
+	if ev, err := DecodeEnvelopePooled(buf[:3]); err == nil || ev != nil {
+		t.Fatalf("truncated frame: ev = %v, err = %v", ev, err)
+	}
+}
+
+// TestPoisonedEnvelopeDoubleReleasePanics pins the envelope half of poison
+// mode: a released envelope reads as poison instead of as a live call, and a
+// second release — the bug that would hand one envelope to two calls —
+// panics instead of silently re-pooling it.
+func TestPoisonedEnvelopeDoubleReleasePanics(t *testing.T) {
+	SetPoisonChecks(true)
+	defer SetPoisonChecks(false)
+	ev, err := DecodeEnvelopePooled((&Envelope{Kind: KindRequest, ID: 3, Method: "m"}).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	PutEnvelope(ev)
+	if ev.Kind != Kind(PoisonByte) || ev.ID == 3 || ev.Method != releasedMsg {
+		t.Fatalf("released envelope not poisoned: %+v", ev)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second release did not panic")
+		}
+	}()
+	PutEnvelope(ev)
+}
+
 func TestDecodeBatchRunArbitraryBytesNeverPanics(t *testing.T) {
 	inputs := [][]byte{
 		nil,

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -24,7 +25,7 @@ func TestBorrowedPayloadLateReleasePoisons(t *testing.T) {
 	if err := WriteFrame(&net, ev.Encode()); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	frame, err := ReadFramePooled(&net)
+	frame, err := ReadFramePooled(bufio.NewReader(&net))
 	if err != nil {
 		t.Fatalf("ReadFramePooled: %v", err)
 	}

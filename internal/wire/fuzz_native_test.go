@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -52,7 +53,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			t.Fatalf("WriteFrame: %v", err)
 		}
-		got, err := ReadFramePooled(&buf)
+		got, err := ReadFramePooled(bufio.NewReader(&buf))
 		if err != nil {
 			t.Fatalf("ReadFramePooled: %v", err)
 		}
@@ -67,7 +68,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err := WriteFrame(&buf, probe); err != nil {
 			t.Fatal(err)
 		}
-		again, err := ReadFramePooled(&buf)
+		again, err := ReadFramePooled(bufio.NewReader(&buf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err := WriteFrame(&buf, outer.Encode()); err != nil {
 			t.Fatalf("WriteFrame(batch): %v", err)
 		}
-		frame, err := ReadFramePooled(&buf)
+		frame, err := ReadFramePooled(bufio.NewReader(&buf))
 		if err != nil {
 			t.Fatalf("ReadFramePooled(batch): %v", err)
 		}

@@ -297,7 +297,8 @@ func DecodeEnvelope(buf []byte) (*Envelope, error) {
 }
 
 // decodeFrom parses an envelope from buf into ev, overwriting every field
-// (stale state from a reused envelope never survives). The Payload field
+// (stale state from a reused envelope never survives) except the pool mark,
+// which belongs to ev's storage rather than its contents. The Payload field
 // aliases buf.
 func (ev *Envelope) decodeFrom(buf []byte) error {
 	d := NewDecoder(buf)
@@ -337,6 +338,7 @@ func (ev *Envelope) decodeFrom(buf []byte) error {
 		Code:     code,
 		ErrorMsg: errMsg,
 		Payload:  payload,
+		pooled:   ev.pooled,
 	}
 	// Optional trailing metadata: absent in pre-metadata frames (nothing
 	// remains), best-effort otherwise.

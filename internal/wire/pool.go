@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"encoding/binary"
+	"bufio"
 	"fmt"
 	"io"
 	"sync"
@@ -162,20 +162,26 @@ func PutBuf(b []byte) {
 // The returned buffer is owned by the caller, who releases it with PutBuf
 // once every byte derived from it (notably a decoded envelope's Payload) has
 // been consumed or copied. The error paths never leak a pooled buffer.
-func ReadFramePooled(r io.Reader) ([]byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+//
+// The header is parsed in place in br's buffer (Peek, then Discard), so
+// framing allocates nothing. Errors match ReadFrame's: io.EOF for a stream
+// that ends at a frame boundary, io.ErrUnexpectedEOF for one that ends
+// inside the header, ErrBadMagic and ErrFrameTooLarge for a bad header.
+func ReadFramePooled(br *bufio.Reader) ([]byte, error) {
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	if hdr[0] != MagicByte {
-		return nil, ErrBadMagic
+	n, err := parseFrameHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	payload := GetBuf(int(n))
-	if _, err := io.ReadFull(r, payload); err != nil {
+	_, _ = br.Discard(frameHeaderLen) // cannot fail: Peek buffered the bytes
+	payload := GetBuf(n)
+	if _, err := io.ReadFull(br, payload); err != nil {
 		PutBuf(payload)
 		return nil, fmt.Errorf("read frame payload: %w", err)
 	}

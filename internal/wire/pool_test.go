@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
 	"sync"
 	"testing"
+	"testing/iotest"
 )
 
 func TestGetBufClasses(t *testing.T) {
@@ -45,36 +47,79 @@ func TestPutBufDropsUnderSized(t *testing.T) {
 	PutBuf(make([]byte, 10)) // capacity below every class: silently dropped
 }
 
+// TestReadFramePooledRoundTrip writes a run of frames — empty, small, and
+// larger than the bufio buffer — through WriteFrameBuffered and reads them
+// back with ReadFramePooled, over a reader that yields one byte per Read so
+// every header straddles buffer refills. The stream then ends at a frame
+// boundary, which must read as a clean io.EOF.
 func TestReadFramePooledRoundTrip(t *testing.T) {
-	payload := []byte("pooled frame payload")
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
+	payloads := [][]byte{nil, []byte("pooled frame payload"), bytes.Repeat([]byte{MagicByte}, 5000), {1}}
+	var net bytes.Buffer
+	bw := bufio.NewWriterSize(&net, 64)
+	for _, p := range payloads {
+		if err := WriteFrameBuffered(bw, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFramePooled(&buf)
-	if err != nil {
-		t.Fatal(err)
+	// Byte-identical to the unbuffered encoder.
+	var want bytes.Buffer
+	for _, p := range payloads {
+		if err := WriteFrame(&want, p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("got %q want %q", got, payload)
+	if !bytes.Equal(net.Bytes(), want.Bytes()) {
+		t.Fatal("WriteFrameBuffered and WriteFrame disagree on the bytes")
 	}
-	PutBuf(got)
+	br := bufio.NewReaderSize(iotest.OneByteReader(&net), 16)
+	for i, p := range payloads {
+		got, err := ReadFramePooled(br)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, p) {
+			t.Fatalf("frame %d: got %d bytes, want %d", i, len(got), len(p))
+		}
+		PutBuf(got)
+	}
+	if _, err := ReadFramePooled(br); err != io.EOF {
+		t.Fatalf("end of stream at a frame boundary: err = %v, want io.EOF", err)
+	}
 }
 
+// TestReadFramePooledErrors pins ReadFramePooled's error behaviour to
+// ReadFrame's on every header edge: the two share one parser but read the
+// header differently (in place in the bufio buffer vs io.ReadFull).
 func TestReadFramePooledErrors(t *testing.T) {
-	if _, err := ReadFramePooled(bytes.NewReader([]byte{0x00, 0, 0, 0, 1, 'x'})); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("bad magic: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("hello")); err != nil {
+	var hello bytes.Buffer
+	if err := WriteFrame(&hello, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadFramePooled(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated frame accepted")
-	}
-	if _, err := ReadFramePooled(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
-		t.Fatal("empty stream must yield EOF")
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   error
+		exact  bool // the error is the sentinel itself, not a wrapping
+	}{
+		{"empty stream", nil, io.EOF, true},
+		{"partial header", []byte{MagicByte, 0, 0}, io.ErrUnexpectedEOF, true},
+		{"one header byte", []byte{MagicByte}, io.ErrUnexpectedEOF, true},
+		{"bad magic", []byte{0x00, 0, 0, 0, 1, 'x'}, ErrBadMagic, true},
+		{"oversize frame", []byte{MagicByte, 0xFF, 0xFF, 0xFF, 0xFF}, ErrFrameTooLarge, true},
+		{"truncated payload", hello.Bytes()[:hello.Len()-2], io.ErrUnexpectedEOF, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, cold := ReadFrame(bytes.NewReader(tc.stream))
+			_, pooled := ReadFramePooled(bufio.NewReader(bytes.NewReader(tc.stream)))
+			for _, got := range []error{cold, pooled} {
+				if !errors.Is(got, tc.want) || (tc.exact && got != tc.want) {
+					t.Fatalf("ReadFrame = %v, ReadFramePooled = %v, want %v", cold, pooled, tc.want)
+				}
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -239,16 +240,43 @@ func (d *Decoder) UintSlice() ([]uint64, error) {
 	return out, nil
 }
 
+// frameHeaderLen is the frame header: a magic byte and a 4-byte big-endian
+// payload length.
+const frameHeaderLen = 5
+
+// appendFrameHeader appends the header of an n-byte frame to buf. It is the
+// one header encoder behind WriteFrame and WriteFrameBuffered.
+func appendFrameHeader(buf []byte, n int) ([]byte, error) {
+	if n > MaxFrameSize {
+		return buf, ErrFrameTooLarge
+	}
+	buf = append(buf, MagicByte)
+	return binary.BigEndian.AppendUint32(buf, uint32(n)), nil
+}
+
+// parseFrameHeader validates a frameHeaderLen-byte header and returns the
+// payload length. It is the one header parser behind ReadFrame and
+// ReadFramePooled.
+func parseFrameHeader(hdr []byte) (int, error) {
+	if hdr[0] != MagicByte {
+		return 0, ErrBadMagic
+	}
+	n := binary.BigEndian.Uint32(hdr[1:])
+	if n > MaxFrameSize {
+		return 0, ErrFrameTooLarge
+	}
+	return int(n), nil
+}
+
 // WriteFrame writes a magic byte, a 4-byte big-endian length, and the
 // payload to w.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
+	var hdr [frameHeaderLen]byte
+	b, err := appendFrameHeader(hdr[:0], len(payload))
+	if err != nil {
+		return err
 	}
-	var hdr [5]byte
-	hdr[0] = MagicByte
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("write frame header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -257,18 +285,37 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return nil
 }
 
+// WriteFrameBuffered is WriteFrame for a buffered writer, the transport's
+// write path: the header is encoded straight into bw's free buffer space
+// (bufio.Writer.AvailableBuffer), so framing allocates nothing.
+func WriteFrameBuffered(bw *bufio.Writer, payload []byte) error {
+	if bw.Available() < frameHeaderLen {
+		if err := bw.Flush(); err != nil {
+			return fmt.Errorf("write frame header: %w", err)
+		}
+	}
+	hdr, err := appendFrameHeader(bw.AvailableBuffer(), len(payload))
+	if err != nil {
+		return err
+	}
+	if _, err := bw.Write(hdr); err != nil {
+		return fmt.Errorf("write frame header: %w", err)
+	}
+	if _, err := bw.Write(payload); err != nil {
+		return fmt.Errorf("write frame payload: %w", err)
+	}
+	return nil
+}
+
 // ReadFrame reads one frame written by WriteFrame.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [5]byte
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	if hdr[0] != MagicByte {
-		return nil, ErrBadMagic
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+	n, err := parseFrameHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -150,6 +151,13 @@ func TestFrameTooLargeRejectedOnWrite(t *testing.T) {
 	big := make([]byte, MaxFrameSize+1)
 	if err := WriteFrame(&buf, big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	}
+	bw := bufio.NewWriter(&buf)
+	if err := WriteFrameBuffered(bw, big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("buffered: err = %v, want ErrFrameTooLarge", err)
+	}
+	if bw.Buffered() != 0 || buf.Len() != 0 {
+		t.Fatalf("a refused frame left %d buffered + %d written bytes", bw.Buffered(), buf.Len())
 	}
 }
 
