@@ -28,12 +28,13 @@ test:
 # The second line repeats the two no-intermediate-table contracts (callers
 # hammering an object through 200 alternating applies; a DFM through 400
 # transactional swaps), the transport's first-call race (64 callers racing
-# the dials that publish each stripe) and its pooled-request recycling (every
-# way a call ends, shutdown included, with poison checks on), whose value is
-# the schedules the detector sees.
+# the dials that publish each stripe), its pooled-request recycling (every
+# way a call ends, shutdown included, with poison checks on) and batch
+# sub-calls borrowing their args from the frame (8 callers, poison checks on),
+# whose value is the schedules the detector sees.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce' ./internal/core/ ./internal/dfm/ ./internal/transport/
+	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestBatchSubCallsBorrowArgsOverTCP' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/legion/
 
 # One iteration of every benchmark plus the E9 overload experiment, a short
 # end-to-end rollout (E11 drives canary waves, an SLO rollback, and a

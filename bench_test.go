@@ -630,10 +630,10 @@ func BenchmarkE10_TransportFastPath(b *testing.B) {
 
 // --- E15: batched scatter-gather invoke -----------------------------------------------
 
-// batchInvoke returns one size-call echo batch over TCP loopback with
-// zero-copy borrowed args on the server, reusing one Batch across calls.
+// batchInvoke returns one size-call echo batch over TCP loopback against a
+// default-configured node, reusing one Batch across calls.
 func batchInvoke(tb testing.TB, size int) func() error {
-	client, loid := tcpEchoClient(tb, 4, legion.NodeConfig{Name: "bench-e15", BorrowedArgs: true})
+	client, loid := tcpEchoClient(tb, 4, legion.NodeConfig{Name: "bench-e15"})
 	payload := make([]byte, 64)
 	batch := client.NewBatch()
 	return func() error {

@@ -63,8 +63,6 @@ func run(args []string) error {
 	queueDepth := fs.Int("queue-depth", 0, "admission queue depth beyond max-inflight; excess requests are shed with OVERLOADED (with -max-inflight)")
 	transportStripes := fs.Int("transport-stripes", 0, "TCP connections per endpoint in the dialer, spread round-robin (0 = 1)")
 	transportWorkers := fs.Int("transport-workers", 0, "max concurrent TCP handler goroutines before read loops apply backpressure (0 = unlimited)")
-	borrowedArgs := fs.Bool("borrowed-args", false, "batch sub-call handlers borrow argument payloads zero-copy from the inbound frame (handlers must not retain args past return)")
-	adaptiveStripes := fs.Bool("adaptive-stripes", false, "let the TCP dialer open extra connection stripes up to -transport-stripes when in-flight load per connection is high")
 	traceSample := fs.Float64("trace-sample", 1, "fraction of traces to keep (head sampling; 1 = keep all, 0.01 = 1%). Dropped traces still reach the flight recorder on error or slowness")
 	obsSpans := fs.Int("obs-spans", 0, "span ring capacity (0 = default)")
 	obsEvents := fs.Int("obs-events", 0, "event ring capacity (0 = default)")
@@ -114,12 +112,10 @@ func run(args []string) error {
 	}
 
 	node, localAgent, err := startNode(*name, *addr, *agentEndpoint, legion.NodeConfig{
-		MaxInflight:              *maxInflight,
-		QueueDepth:               *queueDepth,
-		TransportStripes:         *transportStripes,
-		TransportWorkers:         *transportWorkers,
-		BorrowedArgs:             *borrowedArgs,
-		AdaptiveTransportStripes: *adaptiveStripes,
+		MaxInflight:      *maxInflight,
+		QueueDepth:       *queueDepth,
+		TransportStripes: *transportStripes,
+		TransportWorkers: *transportWorkers,
 	}, obs.Options{
 		SampleRate:      *traceSample,
 		SpanRing:        *obsSpans,

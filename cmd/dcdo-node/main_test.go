@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
-
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -133,6 +136,44 @@ func mustVersion(t *testing.T, s string) []uint32 {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+// TestFlagInventory pins the node's flag set. Adding a knob fails it, so
+// each new flag is a visible decision, and shrinking the list toward a node
+// config document has a number to move.
+func TestFlagInventory(t *testing.T) {
+	want := []string{
+		"addr", "agent", "demo", "flight-threshold", "flight-traces",
+		"journal-dir", "max-inflight", "mirror-to", "name", "obs-events",
+		"obs-http", "obs-spans", "policy", "pprof", "queue-depth",
+		"standby-for", "supervise", "trace-sample", "transport-stripes",
+		"transport-workers",
+	}
+	// -h makes the flag set print its defaults, one "  -name" line per flag
+	// in sorted order, to stderr.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	runErr := run([]string{"-h"})
+	os.Stderr = stderr
+	w.Close()
+	usage, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", runErr)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(string(usage), -1) {
+		got = append(got, m[1])
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("%d flags %v, want %d %v", len(got), got, len(want), want)
 	}
 }
 

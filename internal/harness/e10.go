@@ -47,12 +47,11 @@ func (e *e10Env) close() {
 	_ = e.node.Close()
 }
 
-// e10Setup builds the environment on a node configured by cfg (E15 reuses it
-// with BorrowedArgs on).
-func e10Setup(cfg legion.NodeConfig) (*e10Env, error) {
+// e10Setup builds the environment on a default-configured node called name
+// (E15 reuses it).
+func e10Setup(name string) (*e10Env, error) {
 	agent := naming.NewAgent(vclock.Real{})
-	cfg.Agent, cfg.TCPAddr = agent, "127.0.0.1:0"
-	node, err := legion.NewNode(cfg)
+	node, err := legion.NewNode(legion.NodeConfig{Name: name, Agent: agent, TCPAddr: "127.0.0.1:0"})
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +142,7 @@ func e10AllocsPerOp(env *e10Env) (float64, error) {
 // frames into shared flushes and spreads over the configured stripes, and
 // reports the throughput and per-invoke allocations it measured.
 func RunE10() (*Report, error) {
-	env, err := e10Setup(legion.NodeConfig{Name: "e10"})
+	env, err := e10Setup("e10")
 	if err != nil {
 		return nil, err
 	}

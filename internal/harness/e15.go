@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"godcdo/internal/legion"
 	"godcdo/internal/metrics"
 	"godcdo/internal/naming"
 	"godcdo/internal/rpc"
@@ -193,7 +192,7 @@ func e15FaultDrill(seed int64) (*e15DrillResult, error) {
 // holds both to budget, and the benchmark's rpc_batch workload is the
 // admissible throughput number).
 func RunE15() (*Report, error) {
-	env, err := e10Setup(legion.NodeConfig{Name: "e15", BorrowedArgs: true})
+	env, err := e10Setup("e15")
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +241,7 @@ func RunE15() (*Report, error) {
 		Title: "batched scatter-gather invoke: one frame per 16 sub-calls, zero-copy borrowed args",
 		Table: table,
 		Notes: []string{
-			fmt.Sprintf("allocs: whole-process runtime.Mallocs delta over %d sequential %d-call batches of %d-byte echoes over TCP loopback (both wire directions), server on BorrowedArgs (zero-copy); informational — TestAllocBudgets holds the budgets and the benchmark's rpc_batch workload prices the path",
+			fmt.Sprintf("allocs: whole-process runtime.Mallocs delta over %d sequential %d-call batches of %d-byte echoes over TCP loopback (both wire directions), default server (sub-calls borrow their args from the frame); informational — TestAllocBudgets holds the budgets and the benchmark's rpc_batch workload prices the path",
 				e15AllocBatches, e15BatchSize, e15Payload),
 			"fault drill: seeded lossy dialer (25% responses dropped, 15% requests dropped, budget 40) over batches mixing non-idempotent adds with idempotent gets; counter object is ground truth for at-most-once",
 		},

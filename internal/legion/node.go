@@ -71,16 +71,6 @@ type NodeConfig struct {
 	// this caps goroutine fan-out and applies read-loop backpressure).
 	// Zero means unlimited.
 	TransportWorkers int
-	// BorrowedArgs lets batch sub-call handlers borrow their argument
-	// payloads zero-copy from the inbound frame instead of receiving a
-	// defensive copy. Requires every hosted handler to not retain args
-	// past its return (the frame-pool ownership contract).
-	BorrowedArgs bool
-	// AdaptiveTransportStripes lets the TCP dialer open extra connection
-	// stripes (up to TransportStripes) when observed in-flight load per
-	// live connection crosses the growth threshold, instead of only
-	// ramping lazily round-robin.
-	AdaptiveTransportStripes bool
 	// ReplicaFactory, when non-nil, makes the node a placement candidate for
 	// the distribution-policy reconciler: a replica-host service is hosted
 	// at rpc.ReplicaHostLOID that constructs inner objects via the factory
@@ -138,10 +128,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.MaxInflight > 0 {
 		disp.SetAdmission(cfg.MaxInflight, cfg.QueueDepth)
 	}
-	disp.BorrowedArgs = cfg.BorrowedArgs
 	tcpDialer := transport.NewTCPDialer()
 	tcpDialer.Stripes = cfg.TransportStripes
-	tcpDialer.AdaptiveStripes = cfg.AdaptiveTransportStripes
 	var (
 		server transport.Server
 		dialer transport.Dialer

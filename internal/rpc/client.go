@@ -144,27 +144,21 @@ type Client struct {
 	histBind   *metrics.Histogram
 	histInvoke *metrics.Histogram
 
-	counters   *metrics.CounterSet
-	cCalls     *metrics.Counter
-	cRebinds   *metrics.Counter
-	cErrors    *metrics.Counter
-	cRetries   *metrics.Counter
-	cSafe      *metrics.Counter
-	cAmbig     *metrics.Counter
-	cAborts    *metrics.Counter
-	cBackoff   *metrics.Counter
-	cShed      *metrics.Counter
-	cIdem      *metrics.Counter
-	cBkReads   *metrics.Counter
-	cBatches   *metrics.Counter
-	cBatched   *metrics.Counter
-	cBatchFB   *metrics.Counter
-	cHedges    *metrics.Counter
-	cHedgeWins *metrics.Counter
-
-	// hedge, when non-nil, arms tail-latency request hedging for idempotent
-	// single calls (see EnableHedging). Set before issuing calls.
-	hedge *hedger
+	counters *metrics.CounterSet
+	cCalls   *metrics.Counter
+	cRebinds *metrics.Counter
+	cErrors  *metrics.Counter
+	cRetries *metrics.Counter
+	cSafe    *metrics.Counter
+	cAmbig   *metrics.Counter
+	cAborts  *metrics.Counter
+	cBackoff *metrics.Counter
+	cShed    *metrics.Counter
+	cIdem    *metrics.Counter
+	cBkReads *metrics.Counter
+	cBatches *metrics.Counter
+	cBatched *metrics.Counter
+	cBatchFB *metrics.Counter
 
 	// noBatch records endpoints whose server rejected KindBatchRequest with
 	// CodeBadRequest — a pre-batch build. InvokeBatch skips the batch framing
@@ -203,27 +197,25 @@ func (c *Client) targetString(loid naming.LOID) string {
 func NewClient(cache *naming.Cache, dialer transport.Dialer) *Client {
 	cs := metrics.NewCounterSet()
 	return &Client{
-		cache:      cache,
-		dialer:     dialer,
-		Retry:      DefaultRetryPolicy(),
-		counters:   cs,
-		cCalls:     cs.Counter(statCalls),
-		cRebinds:   cs.Counter(statRebinds),
-		cErrors:    cs.Counter(statErrors),
-		cRetries:   cs.Counter(statRetries),
-		cSafe:      cs.Counter(statSafeFailures),
-		cAmbig:     cs.Counter(statAmbiguousFailures),
-		cAborts:    cs.Counter(statAmbiguousAborts),
-		cBackoff:   cs.Counter(statBackoffs),
-		cShed:      cs.Counter(statOverloadedSheds),
-		cIdem:      cs.Counter(statIdempotentCalls),
-		cBkReads:   cs.Counter(statBackupReads),
-		cBatches:   cs.Counter(statBatches),
-		cBatched:   cs.Counter(statCallsBatched),
-		cBatchFB:   cs.Counter(statBatchFallbacks),
-		cHedges:    cs.Counter(statHedges),
-		cHedgeWins: cs.Counter(statHedgeWins),
-		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
+		cache:    cache,
+		dialer:   dialer,
+		Retry:    DefaultRetryPolicy(),
+		counters: cs,
+		cCalls:   cs.Counter(statCalls),
+		cRebinds: cs.Counter(statRebinds),
+		cErrors:  cs.Counter(statErrors),
+		cRetries: cs.Counter(statRetries),
+		cSafe:    cs.Counter(statSafeFailures),
+		cAmbig:   cs.Counter(statAmbiguousFailures),
+		cAborts:  cs.Counter(statAmbiguousAborts),
+		cBackoff: cs.Counter(statBackoffs),
+		cShed:    cs.Counter(statOverloadedSheds),
+		cIdem:    cs.Counter(statIdempotentCalls),
+		cBkReads: cs.Counter(statBackupReads),
+		cBatches: cs.Counter(statBatches),
+		cBatched: cs.Counter(statCallsBatched),
+		cBatchFB: cs.Counter(statBatchFallbacks),
+		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 }
 
@@ -457,7 +449,7 @@ loop:
 			req.SpanID = tail.SpanID
 			req.TraceFlags = wire.TraceFlagUnsampled
 		}
-		resp, err := c.attemptCall(ctx, endpoint, req, timeout, idempotent)
+		resp, err := c.dialer.Call(ctx, endpoint, req, timeout)
 		if attSpan != nil {
 			attSpan.Fail(err)
 			attSpan.Finish()

@@ -20,7 +20,10 @@ import (
 type Object interface {
 	// InvokeMethod executes the named exported function. Implementations
 	// return ErrNoSuchFunction / ErrFunctionDisabled (or wrapped variants)
-	// for the paper's failure classes.
+	// for the paper's failure classes. args is borrowed: over TCP it
+	// aliases the inbound frame, for single calls and batch sub-calls
+	// alike, and is valid only until InvokeMethod returns. The result may
+	// alias args; bytes kept past return must be copied.
 	InvokeMethod(method string, args []byte) ([]byte, error)
 }
 
@@ -142,17 +145,6 @@ type Dispatcher struct {
 	// MaxRemoteDeadline clamps how far ahead a request's propagated deadline
 	// may reach (DefaultMaxRemoteDeadline when zero). Set before serving.
 	MaxRemoteDeadline time.Duration
-
-	// BorrowedArgs lets batch sub-calls borrow their argument payloads
-	// straight from the inbound frame (zero copy) instead of receiving a
-	// per-sub defensive copy. The frame-pool ownership contract applies:
-	// the payload is valid only for the duration of the sub-call's
-	// dispatch, exactly like the single-call path has always lent its
-	// frame. Leave false (the default) when hosted objects may retain args
-	// past return; enable it for the batch fast path once handlers are
-	// known borrow-clean (wire.SetPoisonChecks turns violations into
-	// deterministic poison reads in tests). Set before serving.
-	BorrowedArgs bool
 
 	mu      sync.RWMutex
 	objects map[naming.LOID]*hosted
@@ -525,12 +517,6 @@ func (d *Dispatcher) handleBatch(ctx context.Context, req *wire.Envelope) *wire.
 			// The outer envelope owns the batch's trace context; propagate
 			// it so per-sub dispatch records join the caller's trace.
 			sub.TraceID, sub.SpanID, sub.TraceFlags = req.TraceID, req.SpanID, req.TraceFlags
-			if !d.BorrowedArgs && len(sub.Payload) > 0 {
-				// Defensive copy: a handler written against a copying
-				// transport may retain its args past return; don't let the
-				// zero-copy batch path silently break it.
-				sub.Payload = append([]byte(nil), sub.Payload...)
-			}
 			sr = d.dispatchOne(ctx, sub)
 		}
 		run, scratch = wire.AppendBatchEntry(run, sr, scratch)

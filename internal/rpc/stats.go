@@ -22,8 +22,6 @@ package rpc
 //     through InvokeBatch, not Invoke. The exception is fallbacks — a batch
 //     sub-call demoted to the single-call path (BatchFallbacks counts these)
 //     re-enters through invoke and is then ALSO counted in Calls.
-//   - HedgeWins ⊆ Hedges ⊆ IdempotentCalls' attempts (only idempotent single
-//     calls hedge).
 type ClientStats struct {
 	// Calls counts Invoke/InvokeIdempotent entries.
 	Calls uint64
@@ -63,12 +61,9 @@ type ClientStats struct {
 	// invoke path — legacy servers, per-sub retryable failures, or whole-
 	// frame transport failures. Demoted sub-calls also count in Calls.
 	BatchFallbacks uint64
-	// Hedges counts hedge requests launched for idempotent single calls
-	// whose primary attempt outlived the hedge delay.
+	// Hedges always reads 0: the client does not hedge. The field stays
+	// only because the benchmark's rpc.client.hedges row reads it.
 	Hedges uint64
-	// HedgeWins counts hedged calls where the hedge, not the primary,
-	// produced the winning response.
-	HedgeWins uint64
 }
 
 // Counter names used in the client's metrics.CounterSet.
@@ -88,7 +83,6 @@ const (
 	statCallsBatched      = "calls_batched"
 	statBatchFallbacks    = "batch_fallbacks"
 	statHedges            = "hedges"
-	statHedgeWins         = "hedge_wins"
 )
 
 // clientStatFields binds each counter name to its ClientStats field. Order
@@ -112,7 +106,6 @@ var clientStatFields = []struct {
 	{statCallsBatched, func(s *ClientStats) *uint64 { return &s.CallsBatched }},
 	{statBatchFallbacks, func(s *ClientStats) *uint64 { return &s.BatchFallbacks }},
 	{statHedges, func(s *ClientStats) *uint64 { return &s.Hedges }},
-	{statHedgeWins, func(s *ClientStats) *uint64 { return &s.HedgeWins }},
 }
 
 // Stats returns a snapshot of the client counters.

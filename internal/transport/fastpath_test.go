@@ -649,68 +649,3 @@ func TestTCPStripePickSkipsDeadConn(t *testing.T) {
 		t.Fatalf("call after dead-stripe skip: %v", err)
 	}
 }
-
-// TestTCPAdaptiveStripesGrowWithLoad verifies AdaptiveStripes behaviour:
-// sequential traffic keeps a single connection, and sustained in-flight load
-// above the threshold grows the stripe set toward the Stripes ceiling.
-func TestTCPAdaptiveStripesGrowWithLoad(t *testing.T) {
-	release := make(chan struct{})
-	handler := HandlerFunc(func(ctx context.Context, req *wire.Envelope) *wire.Envelope {
-		if req.Method == "block" {
-			select {
-			case <-release:
-			case <-ctx.Done():
-			}
-		}
-		return &wire.Envelope{Kind: wire.KindResponse, Payload: req.Payload}
-	})
-	srv, err := ListenTCP("127.0.0.1:0", handler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	d := NewTCPDialer()
-	d.AdaptiveStripes = true
-	d.Stripes = 4
-	d.StripeLoadThreshold = 2
-	defer d.Close()
-
-	// Light sequential traffic: one socket is enough, none of the ceiling
-	// is dialed.
-	for i := 0; i < 8; i++ {
-		if _, err := d.Call(context.Background(), srv.Endpoint(),
-			&wire.Envelope{Kind: wire.KindRequest, Payload: []byte("seq")}, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := d.Stats().Dials; got != 1 {
-		t.Fatalf("sequential traffic dialed %d conns, want 1", got)
-	}
-
-	// Saturate: 32 concurrent calls parked in the handler push in-flight
-	// load far past the threshold, so later arrivals grow the stripe set.
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := d.Call(context.Background(), srv.Endpoint(),
-				&wire.Envelope{Kind: wire.KindRequest, Method: "block", Payload: []byte("x")}, 30*time.Second); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && d.Stats().GrowthDials == 0 {
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	st := d.Stats()
-	if st.GrowthDials == 0 {
-		t.Fatalf("no growth dials under saturation: %+v", st)
-	}
-	if st.Dials > 4 {
-		t.Fatalf("grew past the Stripes ceiling: %+v", st)
-	}
-}

@@ -30,7 +30,7 @@ type ServerStats struct {
 }
 
 // TCPServerOptions tunes the server. The zero value is the default
-// configuration (unlimited workers, default write queue).
+// configuration (unlimited workers).
 type TCPServerOptions struct {
 	// MaxWorkers bounds concurrent handler goroutines across the whole
 	// server. When the bound is reached the read loops stop pulling frames,
@@ -40,9 +40,6 @@ type TCPServerOptions struct {
 	// while MaxWorkers caps raw goroutine fan-out below it. Zero means
 	// unlimited (one goroutine per in-flight request).
 	MaxWorkers int
-	// WriteQueue bounds each connection's outbound response queue, in
-	// frames. Zero means defaultWriteQueue.
-	WriteQueue int
 }
 
 // TCPServer serves envelopes over TCP. Each connection is read by one
@@ -53,7 +50,6 @@ type TCPServerOptions struct {
 type TCPServer struct {
 	handler  Handler
 	listener net.Listener
-	opts     TCPServerOptions
 
 	// workers is the MaxWorkers semaphore (nil = unlimited). Acquired by the
 	// read loop before spawning a handler goroutine.
@@ -92,7 +88,7 @@ func ListenTCPOptions(addr string, handler Handler, opts TCPServerOptions) (*TCP
 		return nil, fmt.Errorf("listen %q: %w", addr, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &TCPServer{handler: handler, listener: ln, opts: opts, ctx: ctx, cancel: cancel, conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{handler: handler, listener: ln, ctx: ctx, cancel: cancel, conns: make(map[net.Conn]struct{})}
 	if opts.MaxWorkers > 0 {
 		s.workers = make(chan struct{}, opts.MaxWorkers)
 	}
@@ -174,7 +170,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}()
 
 	br := bufio.NewReader(conn)
-	wr := newFrameWriter(bufio.NewWriter(conn), s.opts.WriteQueue, &s.flushes, &s.frames, nil, nil)
+	wr := newFrameWriter(bufio.NewWriter(conn), writeQueueDepth, &s.flushes, &s.frames, nil, nil)
 	var handlers sync.WaitGroup
 	// Shutdown order matters for both accounting and delivery: every handler
 	// must have finished (so DroppedFrames and its response enqueue are
@@ -286,9 +282,6 @@ type DialerStats struct {
 	BatchFlushes      uint64
 	BatchedFrames     uint64
 	OpenConns         int
-	// GrowthDials counts stripes dialed by load (AdaptiveStripes), as
-	// opposed to dialed out of necessity.
-	GrowthDials uint64
 }
 
 // TCPDialer issues calls over pooled TCP connections with responses
@@ -310,18 +303,6 @@ type TCPDialer struct {
 	// Set before the first Call; an endpoint's stripe count is fixed when
 	// its first connection is dialed.
 	Stripes int
-	// AdaptiveStripes changes Stripes from a round-robin ramp into a
-	// load-driven ceiling: one connection is dialed up front and additional
-	// stripes are opened only while the mean in-flight calls per live
-	// stripe meet StripeLoadThreshold. Lightly loaded endpoints keep one
-	// socket; saturated ones grow to Stripes. Set before the first Call.
-	AdaptiveStripes bool
-	// StripeLoadThreshold is the mean in-flight calls per live stripe that
-	// triggers adaptive growth. Zero means defaultStripeLoadThreshold.
-	StripeLoadThreshold int
-	// WriteQueue bounds each connection's outbound frame queue. Zero means
-	// defaultWriteQueue.
-	WriteQueue int
 
 	mu     sync.Mutex
 	conns  map[string]*tcpEndpoint
@@ -337,7 +318,6 @@ type TCPDialer struct {
 	orphaned  atomic.Uint64
 	flushes   atomic.Uint64
 	frames    atomic.Uint64
-	growth    atomic.Uint64
 }
 
 var _ Dialer = (*TCPDialer)(nil)
@@ -357,7 +337,6 @@ func (d *TCPDialer) Stats() DialerStats {
 		BatchFlushes:      d.flushes.Load(),
 		BatchedFrames:     d.frames.Load(),
 		OpenConns:         d.openConns(),
-		GrowthDials:       d.growth.Load(),
 	}
 }
 
@@ -390,26 +369,12 @@ func (d *TCPDialer) stripeCount() int {
 	return 1
 }
 
-// defaultStripeLoadThreshold is the mean in-flight calls per live stripe
-// above which AdaptiveStripes opens another connection. Eight in-flight
-// calls is roughly where one coalesced TCP stream's per-flush ceiling starts
-// to show in E10-style pipelined load.
-const defaultStripeLoadThreshold = 8
-
-func (d *TCPDialer) stripeLoadThreshold() int {
-	if d.StripeLoadThreshold > 0 {
-		return d.StripeLoadThreshold
-	}
-	return defaultStripeLoadThreshold
-}
-
 // tcpEndpoint is one endpoint's stripe set. Slots are dialed lazily and
 // nilled on drop; the endpoint entry itself is removed from the pool once
 // every slot is empty, so an unreachable endpoint does not pin map entries.
 type tcpEndpoint struct {
 	stripes []*tcpClientConn // guarded by TCPDialer.mu
 	rr      atomic.Uint64    // round-robin cursor
-	dialing atomic.Bool      // adaptive-growth dial in progress (anti-stampede)
 }
 
 // callOutcome is the resolution of one in-flight call: a response, or a
@@ -470,15 +435,6 @@ type tcpClientConn struct {
 	// connections without taking cc.mu; set (never cleared) wherever dead
 	// is assigned.
 	deadFlag atomic.Bool
-	// nPending mirrors len(pending) (via syncPending, under cc.mu) so the
-	// adaptive stripe picker can read in-flight load lock-free.
-	nPending atomic.Int64
-}
-
-// syncPending refreshes the lock-free in-flight mirror; call under cc.mu
-// after every pending-map mutation.
-func (cc *tcpClientConn) syncPending() {
-	cc.nPending.Store(int64(len(cc.pending)))
 }
 
 // resolve delivers out to the call waiting on id, if it is still pending.
@@ -488,7 +444,6 @@ func (cc *tcpClientConn) resolve(id uint64, out callOutcome) bool {
 	ch, ok := cc.pending[id]
 	if ok {
 		delete(cc.pending, id)
-		cc.syncPending()
 	}
 	cc.mu.Unlock()
 	if ok {
@@ -538,7 +493,6 @@ func (d *TCPDialer) Call(ctx context.Context, endpoint string, req *wire.Envelop
 		return nil, safeErr(err)
 	}
 	cc.pending[id] = respCh
-	cc.syncPending()
 	cc.mu.Unlock()
 	buf := req.EncodePooled()
 	if err := cc.wr.Enqueue(outFrame{buf: buf, id: id}); err != nil {
@@ -546,7 +500,6 @@ func (d *TCPDialer) Call(ctx context.Context, endpoint string, req *wire.Envelop
 		cc.mu.Lock()
 		_, wasPending := cc.pending[id]
 		delete(cc.pending, id)
-		cc.syncPending()
 		cc.mu.Unlock()
 		if wasPending {
 			// The frame never entered the queue: provably unwritten, and we
@@ -578,7 +531,6 @@ func (d *TCPDialer) Call(ctx context.Context, endpoint string, req *wire.Envelop
 		_, wasPending := cc.pending[id]
 		if wasPending {
 			delete(cc.pending, id)
-			cc.syncPending()
 			if len(cc.orphans) < maxOrphanWatch {
 				cc.orphans[id] = struct{}{}
 			}
@@ -602,7 +554,6 @@ func (d *TCPDialer) Call(ctx context.Context, endpoint string, req *wire.Envelop
 		_, wasPending := cc.pending[id]
 		if wasPending {
 			delete(cc.pending, id)
-			cc.syncPending()
 			if len(cc.orphans) < maxOrphanWatch {
 				cc.orphans[id] = struct{}{}
 			}
@@ -666,17 +617,11 @@ func (d *TCPDialer) Close() error {
 	return nil
 }
 
-// getConn picks (or dials) the stripe connection for one call.
-//
-// Static mode keeps the original lazy round-robin ramp — the rr slot dials
-// when empty — with one fix: a stripe whose connection is already marked
-// dead (writer error or read-loop death racing its removal) is skipped when
-// a live alternative exists, instead of being handed out to fail the call.
-//
-// Adaptive mode (AdaptiveStripes) treats Stripes as a ceiling: the first
-// call dials one connection, later calls rotate over live stripes, and a new
-// stripe is dialed only while mean in-flight load per live stripe reaches
-// StripeLoadThreshold (one grower at a time per endpoint).
+// getConn picks (or dials) the stripe connection for one call: a lazy
+// round-robin ramp — the rr slot dials when empty — except that a stripe
+// whose connection is already marked dead (writer error or read-loop death
+// racing its removal) is skipped when a live alternative exists, instead of
+// being handed out to fail the call.
 func (d *TCPDialer) getConn(endpoint, addr string) (*tcpClientConn, error) {
 	d.mu.Lock()
 	if d.closed {
@@ -692,10 +637,9 @@ func (d *TCPDialer) getConn(endpoint, addr string) (*tcpClientConn, error) {
 	start := int(ep.rr.Add(1) % uint64(n))
 
 	// One scan from the rr cursor: first live stripe wins; remember the
-	// first empty slot and any dead conn, and sum in-flight load.
-	var live, deadCC *tcpClientConn
-	emptyIdx, liveCount := -1, 0
-	var pendingSum int64
+	// first empty slot.
+	var live *tcpClientConn
+	emptyIdx := -1
 	for i := 0; i < n; i++ {
 		cc := ep.stripes[(start+i)%n]
 		switch {
@@ -703,55 +647,25 @@ func (d *TCPDialer) getConn(endpoint, addr string) (*tcpClientConn, error) {
 			if emptyIdx < 0 {
 				emptyIdx = (start + i) % n
 			}
-		case cc.deadFlag.Load():
-			if deadCC == nil {
-				deadCC = cc
-			}
-		default:
-			if live == nil {
-				live = cc
-			}
-			liveCount++
-			pendingSum += cc.nPending.Load()
+		case live == nil && !cc.deadFlag.Load():
+			live = cc
 		}
 	}
 
-	idx, grow := -1, false
-	if d.AdaptiveStripes {
-		switch {
-		case live == nil && emptyIdx >= 0:
-			idx = emptyIdx // nothing usable: dial out of necessity
-		case live != nil && emptyIdx >= 0 &&
-			pendingSum >= int64(liveCount)*int64(d.stripeLoadThreshold()):
-			idx, grow = emptyIdx, true
-		}
-	} else if cc := ep.stripes[start]; cc == nil {
+	var idx int
+	switch cur := ep.stripes[start]; {
+	case cur == nil:
 		idx = start // lazy ramp: the rr slot dials when empty
-	} else if cc.deadFlag.Load() && live == nil && emptyIdx >= 0 {
+	case live != nil:
+		d.mu.Unlock()
+		return live, nil
+	case emptyIdx >= 0:
 		idx = emptyIdx // rr hit a dead conn, nothing live: dial a fresh slot
-	}
-
-	if idx < 0 {
-		pick := live
-		if pick == nil {
-			// Only dead conns remain and no slot is free to redial: hand one
-			// back; Call fails it fast with a safe, retryable error.
-			pick = deadCC
-		}
-		if pick != nil {
-			d.mu.Unlock()
-			return pick, nil
-		}
-		idx = start // unreachable (some slot is always nil or occupied)
-	}
-	if grow {
-		if !ep.dialing.CompareAndSwap(false, true) {
-			// Another caller is already growing this endpoint; don't stampede
-			// dials, just use a live stripe.
-			d.mu.Unlock()
-			return live, nil
-		}
-		defer ep.dialing.Store(false)
+	default:
+		// Only dead conns remain and no slot is free to redial: hand one
+		// back; Call fails it fast with a safe, retryable error.
+		d.mu.Unlock()
+		return cur, nil
 	}
 	d.mu.Unlock()
 
@@ -764,9 +678,6 @@ func (d *TCPDialer) getConn(endpoint, addr string) (*tcpClientConn, error) {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnreachable, addr, err)
 	}
 	d.dials.Add(1)
-	if grow {
-		d.growth.Add(1)
-	}
 	// Build the connection whole — writer included — before it can be
 	// published: callers that find it in a stripe slot read cc.wr without a
 	// lock, so it must never be observable half-built.
@@ -775,7 +686,7 @@ func (d *TCPDialer) getConn(endpoint, addr string) (*tcpClientConn, error) {
 		pending: make(map[uint64]chan callOutcome),
 		orphans: make(map[uint64]struct{}),
 	}
-	cc.wr = newFrameWriter(bufio.NewWriter(conn), d.WriteQueue, &d.flushes, &d.frames,
+	cc.wr = newFrameWriter(bufio.NewWriter(conn), writeQueueDepth, &d.flushes, &d.frames,
 		func(err error) {
 			// First write error: mark the conn dead and drop it. Closing the
 			// socket makes the read loop fail every call that may already be
@@ -847,7 +758,6 @@ func (d *TCPDialer) readLoop(endpoint string, cc *tcpClientConn) {
 		cc.mu.Lock()
 		ch, ok := cc.pending[resp.ID]
 		delete(cc.pending, resp.ID)
-		cc.syncPending()
 		var orphan bool
 		if !ok {
 			if _, orphan = cc.orphans[resp.ID]; orphan {
@@ -883,7 +793,6 @@ func (d *TCPDialer) readLoop(endpoint string, cc *tcpClientConn) {
 	pend := cc.pending
 	cc.pending = make(map[uint64]chan callOutcome)
 	cc.orphans = make(map[uint64]struct{})
-	cc.syncPending()
 	cc.mu.Unlock()
 	for _, ch := range pend {
 		// These frames were written (or queued) but never answered: the

@@ -14,10 +14,10 @@ import (
 // or has died on a write error.
 var errWriterClosed = errors.New("transport: connection writer closed")
 
-// defaultWriteQueue bounds a connection's outbound frame queue when the
-// owner does not choose a depth. Deep enough that a pipelining burst rarely
-// blocks, shallow enough that a stalled peer cannot buffer unbounded memory.
-const defaultWriteQueue = 128
+// writeQueueDepth bounds every connection's outbound frame queue. Deep
+// enough that a pipelining burst rarely blocks, shallow enough that a stalled
+// peer cannot buffer unbounded memory.
+const writeQueueDepth = 128
 
 // combineYieldBudget caps how many times one combine yields the processor
 // hoping to grow its batch. Each yield that nets new frames earns another
@@ -81,13 +81,9 @@ type frameWriter struct {
 	frames  *atomic.Uint64
 }
 
-// newFrameWriter builds a writer over bw with the given queue depth
-// (defaultWriteQueue when <= 0).
+// newFrameWriter builds a writer over bw with the given queue depth.
 func newFrameWriter(bw *bufio.Writer, queue int, flushes, frames *atomic.Uint64,
 	onDead func(error), onNeverWritten func(uint64, error)) *frameWriter {
-	if queue <= 0 {
-		queue = defaultWriteQueue
-	}
 	return &frameWriter{
 		bw:             bw,
 		ch:             make(chan outFrame, queue),

@@ -7,8 +7,8 @@ import (
 )
 
 // TestBorrowedPayloadLateReleasePoisons exercises the frame-pool ownership
-// contract from the borrower's side, the way a buggy BorrowedArgs handler
-// would break it: decode a payload that aliases a pooled frame, release the
+// contract from the borrower's side, the way a handler that keeps its args
+// past return would break it: decode a payload that aliases a pooled frame, release the
 // frame, then read the alias late. With poison checks on, the late reader
 // must observe the deterministic PoisonByte fill and the pool must count the
 // quarantine — a recognisable diagnostic instead of silent corruption from
