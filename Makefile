@@ -29,12 +29,13 @@ test:
 # hammering an object through 200 alternating applies; a DFM through 400
 # transactional swaps), the transport's first-call race (64 callers racing
 # the dials that publish each stripe), its pooled-request recycling (every
-# way a call ends, shutdown included, with poison checks on) and batch
-# sub-calls borrowing their args from the frame (8 callers, poison checks on),
-# whose value is the schedules the detector sees.
+# way a call ends, shutdown included, with poison checks on), batch
+# sub-calls borrowing their args from the frame (8 callers, poison checks on)
+# and the client failure table's route parity (every row met by a single call
+# and by a batch sub-call), whose value is the schedules the detector sees.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestBatchSubCallsBorrowArgsOverTCP' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/legion/
+	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/legion/ ./internal/rpc/
 
 # One iteration of every benchmark plus the E9 overload experiment, a short
 # end-to-end rollout (E11 drives canary waves, an SLO rollback, and a
@@ -69,14 +70,16 @@ fuzz-smoke:
 # (manager killed mid-pass with a partitioned instance), the E11 rollout
 # drill (SLO auto-rollback plus supervisor killed mid-wave and resumed),
 # the E13 replication drill (primary replica and primary manager killed
-# mid-load), the manager's concurrency, recovery, and standby-takeover
+# mid-load), the E14 distribution-policy drill, the E15 batch drill (seeded
+# faults under batched load: the at-most-once proof for batch sub-calls,
+# which settle through the client failure table), the manager's concurrency, recovery, and standby-takeover
 # contracts (the single-instance pass's crash images, durability points and
 # torn journal batches among them), replica group fencing/failover and the delta-shipping
 # fault matrix (dropped shipment, lost ack, backup behind base, promote /
 # failover / expand / shrink / fence mid-stream, restore under writes — each
 # ending byte-converged), and the supervisor's pause/abort-vs-widening race.
 chaos:
-	$(GO) test -race -run 'TestRunE8|TestRunE11|TestRunE13|TestRunE14' ./internal/harness/
+	$(GO) test -race -run 'TestRunE8|TestRunE11|TestRunE13|TestRunE14|TestRunE15' ./internal/harness/
 	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestReconcile|TestPolicyRecover|TestSetPolicy|TestSinglePass|TestConcurrentSinglePasses|TestJournalBatch' ./internal/manager/
 	$(GO) test -race ./internal/replica/
 	$(GO) test -race -run 'TestRollout|TestSupervisor' ./internal/supervisor/

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"godcdo/internal/naming"
-	"godcdo/internal/transport"
 	"godcdo/internal/wire"
 )
 
@@ -14,15 +14,12 @@ import (
 // endpoints in as few frames as possible: sub-calls are grouped by resolved
 // endpoint, each group travels as one KindBatchRequest frame (riding the
 // transport's write coalescing), and groups to different endpoints fly
-// concurrently. The single-call failure semantics are preserved per sub-call
-// by construction: any sub-call that cannot be completed inside its batch
-// frame — legacy server, shed frame, retryable remote code, transport
-// failure — is *demoted* to the ordinary invoke retry machine, which is the
-// exact state machine Invoke/InvokeIdempotent run. Non-idempotent sub-calls
-// therefore keep at-most-once semantics: they demote only when the batch
-// provably never dispatched (safe failures, legacy rejection, admission
-// shed, not-primary/stale-binding codes) and surface ErrAmbiguousResult
-// otherwise, exactly as a single Invoke would.
+// concurrently. The single-call failure semantics hold per sub-call by
+// construction: the frame is each sub-call's first attempt, its failure
+// settles through the same failure table as a single call's (failure.go),
+// and a sub-call the table retries continues the single-call loop from
+// there, with the budgets the frame already spent. Non-idempotent sub-calls
+// therefore keep at-most-once semantics exactly as a single Invoke does.
 
 // BatchCall names one sub-call of a batch: the target object, the exported
 // function, its argument payload, and whether the caller asserts the
@@ -113,6 +110,8 @@ func (c *Client) invokeBatch(ctx context.Context, calls []BatchCall, results []B
 	// that sub-call (exactly as a single invoke's resolve failure is); the
 	// rest proceed. endpoints[i] == "" marks a settled slot.
 	endpoints := make([]string, len(calls))
+	idx := make([]int, 0, len(calls))
+	first, mixed := "", false
 	for i := range calls {
 		binding, err := c.cache.Resolve(calls[i].LOID)
 		if err != nil {
@@ -120,34 +119,17 @@ func (c *Client) invokeBatch(ctx context.Context, calls []BatchCall, results []B
 			results[i].Err = fmt.Errorf("resolve %s: %w", calls[i].LOID, err)
 			continue
 		}
-		endpoints[i] = binding.Address.Endpoint
+		ep := binding.Address.Endpoint
+		if first == "" {
+			first = ep
+		}
+		endpoints[i], mixed = ep, mixed || ep != first
+		idx = append(idx, i)
 	}
 
 	// Common case: every live sub-call targets one endpoint — dispatch
 	// inline with no group map and no goroutines.
-	first := ""
-	mixed := false
-	for _, ep := range endpoints {
-		if ep == "" {
-			continue
-		}
-		if first == "" {
-			first = ep
-		} else if ep != first {
-			mixed = true
-			break
-		}
-	}
-	if first == "" {
-		return // every sub-call failed to resolve
-	}
 	if !mixed {
-		idx := make([]int, 0, len(calls))
-		for i, ep := range endpoints {
-			if ep != "" {
-				idx = append(idx, i)
-			}
-		}
 		c.invokeGroup(ctx, first, calls, idx, results)
 		return
 	}
@@ -180,21 +162,47 @@ func (c *Client) invokeGroup(ctx context.Context, endpoint string, calls []Batch
 	c.invokeChunk(ctx, endpoint, calls, idx, results)
 }
 
-// invokeChunk performs one batch frame exchange with endpoint and settles
-// every sub-call in idx: either from the frame's per-sub response, or by
-// demoting the sub-call to the single-call retry machine, or with a terminal
-// error — whichever the single-call semantics dictate.
+// invokeChunk sends the sub-calls in idx to endpoint as one batch frame and
+// settles each from its own outcome: a sub-response, the sub's error
+// envelope, or the frame's failure. A failed sub-call goes through
+// Client.failed like any attempt; on a retry or rebind verdict it continues
+// the single-call loop with the frame counted as its first attempt. A chunk
+// of one, or a call whose Budget is already spent, skips the frame and
+// enters that loop directly.
 func (c *Client) invokeChunk(ctx context.Context, endpoint string, calls []BatchCall, idx []int, results []BatchResult) {
-	if len(idx) == 0 {
-		return
+	p := c.Retry.normalized()
+	start := time.Now()
+	timeout, ok := p.timeout(start)
+	framed := len(idx) > 1 && ok
+	var subs []wire.Envelope
+	var frameErr error
+	if framed {
+		subs, frameErr = c.sendBatch(ctx, endpoint, calls, idx, timeout)
 	}
-	if len(idx) == 1 || c.endpointNoBatch(endpoint) {
-		// A one-call batch gains nothing from the envelope; a legacy
-		// endpoint cannot parse it. Either way the single-call path is the
-		// whole story.
-		c.demoteAll(ctx, calls, idx, results)
-		return
+	for k, i := range idx {
+		call := &calls[i]
+		st := callState{start: start}
+		if framed {
+			err := frameErr
+			if err == nil {
+				if err = answerErr(&subs[k], wire.KindResponse); err == nil {
+					results[i].Payload = subs[k].Payload
+					continue
+				}
+			}
+			if results[i].Err = c.failed(&st, &p, nil, call.LOID, call.Method, call.Idempotent, endpoint, err); results[i].Err != nil {
+				continue
+			}
+		}
+		c.cBatchFB.Inc()
+		results[i].Payload, results[i].Err = c.invoke(ctx, call.LOID, call.Method, call.Args, call.Idempotent, st)
 	}
+}
+
+// sendBatch performs one batch frame exchange and returns one sub-response
+// per sub-call in idx, or the whole frame's failure: a transport error, the
+// outer error envelope, or a malformed or mis-sized run.
+func (c *Client) sendBatch(ctx context.Context, endpoint string, calls []BatchCall, idx []int, timeout time.Duration) ([]wire.Envelope, error) {
 	c.cBatches.Inc()
 
 	// Build the batch run in a pooled buffer. Sub-envelope IDs are the
@@ -219,184 +227,24 @@ func (c *Client) invokeChunk(ctx context.Context, endpoint string, calls []Batch
 	}
 	req := &wire.Envelope{Kind: wire.KindBatchRequest, Payload: run}
 
-	p := c.Retry.normalized()
-	resp, err := c.dialer.Call(ctx, endpoint, req, p.CallTimeout)
+	resp, err := c.dialer.Call(ctx, endpoint, req, timeout)
 	// The dialer has fully serialised the request by the time Call returns
 	// (success or failure), so the run buffers can recycle now.
 	wire.PutBuf(scratch)
 	wire.PutBuf(runBuf)
-
+	if err == nil {
+		err = answerErr(resp, wire.KindBatchResponse)
+	}
 	if err != nil {
-		c.settleTransportFailure(ctx, endpoint, err, calls, idx, results)
-		return
+		return nil, err
 	}
-
-	switch resp.Kind {
-	case wire.KindBatchResponse:
-		c.settleBatchResponse(ctx, endpoint, resp, calls, idx, results)
-	case wire.KindError:
-		c.settleOuterError(ctx, endpoint, resp, calls, idx, results)
-	default:
-		for _, i := range idx {
-			c.cErrors.Inc()
-			results[i].Err = fmt.Errorf("%w: unexpected envelope kind %s", ErrBadRequest, resp.Kind)
-		}
-	}
-}
-
-// settleBatchResponse pairs each sub-response with its sub-call and applies
-// the single-call code semantics per sub.
-func (c *Client) settleBatchResponse(ctx context.Context, endpoint string, resp *wire.Envelope, calls []BatchCall, idx []int, results []BatchResult) {
 	subs, err := wire.DecodeBatchRun(resp.Payload, nil)
-	if err != nil || len(subs) != len(idx) {
-		// The server answered with a malformed or mis-sized run. Nothing is
-		// known about individual sub-calls, so this degrades to an ambiguous
-		// whole-frame failure.
-		if err == nil {
-			err = fmt.Errorf("%w: batch response carried %d results for %d calls",
-				ErrBadRequest, len(subs), len(idx))
-		}
-		c.settleAmbiguous(ctx, err, calls, idx, results)
-		return
+	if err == nil && len(subs) != len(idx) {
+		err = fmt.Errorf("%w: batch response carried %d results for %d calls",
+			ErrBadRequest, len(subs), len(idx))
 	}
-	for k, i := range idx {
-		sr := &subs[k]
-		switch sr.Kind {
-		case wire.KindResponse:
-			results[i].Payload = sr.Payload
-		case wire.KindError:
-			c.settleSubError(ctx, endpoint, sr, calls[i], &results[i])
-		default:
-			c.cErrors.Inc()
-			results[i].Err = fmt.Errorf("%w: unexpected sub-envelope kind %s", ErrBadRequest, sr.Kind)
-		}
+	if err != nil {
+		return nil, malformed(err)
 	}
-}
-
-// settleSubError applies the invoke retry machine's per-code policy to one
-// failed sub-call. Codes the machine would retry or rebind on demote to a
-// fresh single-call invoke — which re-resolves, backs off, and classifies
-// exactly as PR-1 semantics require; terminal codes return the RemoteError.
-func (c *Client) settleSubError(ctx context.Context, endpoint string, sr *wire.Envelope, call BatchCall, out *BatchResult) {
-	remote := &RemoteError{Code: sr.Code, Message: sr.ErrorMsg}
-	switch sr.Code {
-	case wire.CodeOverloaded:
-		// Shed at dispatch: never executed, safe to re-run for any method.
-		c.cShed.Inc()
-		c.demote(ctx, call, out)
-	case wire.CodeUnavailable:
-		// May have executed without committing: ambiguous, so only
-		// idempotent sub-calls re-run.
-		c.cAmbig.Inc()
-		if !call.Idempotent {
-			c.cAborts.Inc()
-			c.cErrors.Inc()
-			out.Err = fmt.Errorf("invoke %s.%s: %w: %w", call.LOID, call.Method, ErrAmbiguousResult, remote)
-			return
-		}
-		c.demote(ctx, call, out)
-	case wire.CodeNotPrimary:
-		// Group leadership moved; the sub-call did not execute. Drop the
-		// whole binding and re-run through the machine.
-		c.cache.Invalidate(call.LOID)
-		c.cRebinds.Inc()
-		c.demote(ctx, call, out)
-	case wire.CodeNoSuchObject, wire.CodeStaleBinding:
-		// Classic stale binding: did not execute, rebind and re-run.
-		if c.cache.InvalidateEndpoint(call.LOID, endpoint) {
-			c.cRebinds.Inc()
-		}
-		c.demote(ctx, call, out)
-	default:
-		// Expired, no-such-function, disabled, bad-request, internal:
-		// terminal, exactly as the single-call machine treats them.
-		c.cErrors.Inc()
-		out.Err = remote
-	}
-}
-
-// settleOuterError handles a whole-frame error envelope: the server rejected
-// or shed the batch before dispatching any sub-call.
-func (c *Client) settleOuterError(ctx context.Context, endpoint string, resp *wire.Envelope, calls []BatchCall, idx []int, results []BatchResult) {
-	remote := &RemoteError{Code: resp.Code, Message: resp.ErrorMsg}
-	switch resp.Code {
-	case wire.CodeBadRequest:
-		// A pre-batch server rejects the unknown envelope kind before
-		// dispatch (the legacy-tolerance contract in wire/batch.go), so
-		// every sub-call — including non-idempotent ones — safely re-issues
-		// individually. Remember the endpoint to skip the wasted frame next
-		// time.
-		c.noBatch.Store(endpoint, struct{}{})
-		c.demoteAll(ctx, calls, idx, results)
-	case wire.CodeOverloaded:
-		// Admission shed: nothing dispatched, safe for all.
-		c.cShed.Inc()
-		c.demoteAll(ctx, calls, idx, results)
-	default:
-		// Expired or internal for the whole frame: terminal per sub.
-		for _, i := range idx {
-			c.cErrors.Inc()
-			results[i].Err = remote
-		}
-	}
-}
-
-// settleTransportFailure classifies a whole-frame transport error with the
-// same three-way rule single calls use.
-func (c *Client) settleTransportFailure(ctx context.Context, endpoint string, err error, calls []BatchCall, idx []int, results []BatchResult) {
-	switch transport.Classify(err) {
-	case transport.RetrySafe:
-		// Provably never dispatched: the binding is suspect, and every
-		// sub-call (any idempotency) re-runs through the machine.
-		c.cSafe.Inc()
-		for _, i := range idx {
-			if c.cache.InvalidateEndpoint(calls[i].LOID, endpoint) {
-				c.cRebinds.Inc()
-			}
-		}
-		c.demoteAll(ctx, calls, idx, results)
-	case transport.RetryAmbiguous:
-		c.settleAmbiguous(ctx, err, calls, idx, results)
-	default: // RetryNever
-		for _, i := range idx {
-			c.cErrors.Inc()
-			results[i].Err = fmt.Errorf("invoke %s.%s: %w", calls[i].LOID, calls[i].Method, err)
-		}
-	}
-}
-
-// settleAmbiguous resolves a frame that may have executed: idempotent
-// sub-calls re-run through the machine, non-idempotent ones abort with
-// ErrAmbiguousResult — the batch equivalent of Invoke's at-most-once rule.
-func (c *Client) settleAmbiguous(ctx context.Context, err error, calls []BatchCall, idx []int, results []BatchResult) {
-	c.cAmbig.Inc()
-	for _, i := range idx {
-		if calls[i].Idempotent {
-			c.demote(ctx, calls[i], &results[i])
-			continue
-		}
-		c.cAborts.Inc()
-		c.cErrors.Inc()
-		results[i].Err = fmt.Errorf("invoke %s.%s: %w: %w", calls[i].LOID, calls[i].Method, ErrAmbiguousResult, err)
-	}
-}
-
-// demote runs one sub-call through the ordinary single-call machine.
-func (c *Client) demote(ctx context.Context, call BatchCall, out *BatchResult) {
-	c.cBatchFB.Inc()
-	out.Payload, out.Err = c.invoke(ctx, call.LOID, call.Method, call.Args, call.Idempotent)
-}
-
-// demoteAll demotes every sub-call in idx.
-func (c *Client) demoteAll(ctx context.Context, calls []BatchCall, idx []int, results []BatchResult) {
-	for _, i := range idx {
-		c.demote(ctx, calls[i], &results[i])
-	}
-}
-
-// endpointNoBatch reports whether endpoint is known to predate the batch
-// envelope.
-func (c *Client) endpointNoBatch(endpoint string) bool {
-	_, ok := c.noBatch.Load(endpoint)
-	return ok
+	return subs, nil
 }

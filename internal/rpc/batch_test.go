@@ -135,57 +135,6 @@ func TestInvokeBatchChunksAtWireLimit(t *testing.T) {
 	}
 }
 
-func TestInvokeBatchLegacyServerFallsBack(t *testing.T) {
-	// A pre-batch server rejects KindBatchRequest with CodeBadRequest before
-	// dispatching anything. Every sub-call — including non-idempotent ones —
-	// must transparently re-issue individually, and the endpoint must be
-	// remembered so later batches skip the wasted frame.
-	env := newTestEnv(t, "n1")
-	disp := NewDispatcher()
-	legacy := transport.HandlerFunc(func(ctx context.Context, req *wire.Envelope) *wire.Envelope {
-		if req.Kind != wire.KindRequest {
-			return &wire.Envelope{Kind: wire.KindError, ID: req.ID, Code: wire.CodeBadRequest,
-				ErrorMsg: fmt.Sprintf("unexpected envelope kind %s", req.Kind)}
-		}
-		return disp.Handle(ctx, req)
-	})
-	srv, err := env.net.Listen("old", legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loid := naming.LOID{Instance: 9}
-	disp.Host(loid, echoObject())
-	env.agent.Register(loid, naming.Address{Endpoint: srv.Endpoint()})
-
-	calls := []BatchCall{
-		{LOID: loid, Method: "a", Args: []byte("1")}, // non-idempotent on purpose
-		{LOID: loid, Method: "b", Args: []byte("2"), Idempotent: true},
-		{LOID: loid, Method: "c", Args: []byte("3")},
-	}
-	results := env.client.InvokeBatch(context.Background(), calls)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("sub %d: %v", i, r.Err)
-		}
-	}
-	st := env.client.Stats()
-	if st.BatchFallbacks != 3 || st.Calls != 3 {
-		t.Fatalf("stats = %+v, want 3 fallbacks re-entering Calls", st)
-	}
-
-	// Second batch: the endpoint is marked legacy, so no batch frame at all.
-	batchesBefore := st.Batches
-	results = env.client.InvokeBatch(context.Background(), calls)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("second batch sub %d: %v", i, r.Err)
-		}
-	}
-	if st := env.client.Stats(); st.Batches != batchesBefore {
-		t.Fatalf("Batches grew %d -> %d against a known-legacy endpoint", batchesBefore, st.Batches)
-	}
-}
-
 func TestInvokeBatchPerSubErrorClassification(t *testing.T) {
 	// One batch mixing a success, a terminal application error, and a
 	// shed-like retryable: each sub-call settles independently.

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -110,6 +109,17 @@ func (p RetryPolicy) backoff(n int, rnd float64) time.Duration {
 	return time.Duration(nominal + rnd*p.Jitter*nominal)
 }
 
+// timeout returns the per-attempt timeout for a call that began at start:
+// CallTimeout, shrunk to what is left of Budget, and false once the budget
+// is spent.
+func (p RetryPolicy) timeout(start time.Time) (time.Duration, bool) {
+	if p.Budget <= 0 {
+		return p.CallTimeout, true
+	}
+	remaining := p.Budget - time.Since(start)
+	return min(p.CallTimeout, remaining), remaining > 0
+}
+
 // Client invokes methods on objects named by LOID. It resolves addresses
 // through a binding cache; when a call fails because the cached address no
 // longer hosts the object (migration, re-instantiation, crash) it
@@ -121,7 +131,8 @@ func (p RetryPolicy) backoff(n int, rnd float64) time.Duration {
 // method; ambiguous failures (the request may have executed but the response
 // was lost) are retried only by InvokeIdempotent — plain Invoke returns
 // ErrAmbiguousResult so a non-idempotent function is never run twice; and
-// non-retryable failures fail immediately.
+// non-retryable failures fail immediately. classify (failure.go) is the one
+// table of these rules and the wire codes beside them.
 type Client struct {
 	cache  *naming.Cache
 	dialer transport.Dialer
@@ -159,11 +170,6 @@ type Client struct {
 	cBatches *metrics.Counter
 	cBatched *metrics.Counter
 	cBatchFB *metrics.Counter
-
-	// noBatch records endpoints whose server rejected KindBatchRequest with
-	// CodeBadRequest — a pre-batch build. InvokeBatch skips the batch framing
-	// for them and goes straight to per-call invokes (the legacy fallback).
-	noBatch sync.Map // endpoint string -> struct{}
 
 	// readRR spreads policy-routed idempotent reads across a replica group
 	// (position i of the rotation is the primary when i == 0, otherwise
@@ -251,28 +257,30 @@ func (c *Client) ObserveStages(reg *metrics.Registry) {
 // aborts retries and backoff sleeps, and the per-attempt timeout shrinks to
 // fit ctx's remaining budget.
 func (c *Client) Invoke(ctx context.Context, loid naming.LOID, method string, args []byte) ([]byte, error) {
-	return c.invoke(ctx, loid, method, args, false)
+	return c.invoke(ctx, loid, method, args, false, callState{start: time.Now()})
 }
 
 // InvokeIdempotent is Invoke for functions the caller asserts are idempotent:
 // ambiguous failures are retried under the policy (with backoff) because a
 // duplicate execution is harmless.
 func (c *Client) InvokeIdempotent(ctx context.Context, loid naming.LOID, method string, args []byte) ([]byte, error) {
-	return c.invoke(ctx, loid, method, args, true)
+	return c.invoke(ctx, loid, method, args, true, callState{start: time.Now()})
 }
 
-func (c *Client) invoke(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent bool) ([]byte, error) {
+// invoke runs one call from st: a fresh call's, or a batch sub-call's after
+// its frame (the sub-call's first attempt) failed.
+func (c *Client) invoke(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent bool, st callState) ([]byte, error) {
 	if c.Tracer == nil {
 		// Fast path: untraced calls must not pay a single allocation for the
 		// obs layer (BenchmarkInvokeTracingOff gates this).
-		return c.invokeInner(ctx, loid, method, args, idempotent, nil, obs.SpanContext{})
+		return c.invokeInner(ctx, loid, method, args, idempotent, nil, obs.SpanContext{}, st)
 	}
 	// Head sampling: the keep/drop decision is made once, here at the trace
 	// root, and propagated on the wire so every node treats the distributed
 	// trace the same way. A tracer without a sampler keeps everything.
 	tctx := c.Tracer.MintContext()
 	if !c.Tracer.Keep(tctx.TraceID) {
-		return c.invokeUnsampled(ctx, loid, method, args, idempotent, tctx)
+		return c.invokeUnsampled(ctx, loid, method, args, idempotent, tctx, st)
 	}
 	// Root the client.invoke span on the minted trace ID (a parent context
 	// with no span ID parents nothing but pins the trace), so the sampled
@@ -280,7 +288,7 @@ func (c *Client) invoke(ctx context.Context, loid naming.LOID, method string, ar
 	root := c.Tracer.StartSpan(obs.StageClientInvoke, obs.SpanContext{TraceID: tctx.TraceID})
 	root.Annotate("loid", loid.String())
 	root.Annotate("method", method)
-	result, err := c.invokeInner(ctx, loid, method, args, idempotent, root, obs.SpanContext{})
+	result, err := c.invokeInner(ctx, loid, method, args, idempotent, root, obs.SpanContext{}, st)
 	root.Fail(err)
 	root.Finish()
 	return result, err
@@ -293,18 +301,17 @@ func (c *Client) invoke(ctx context.Context, loid naming.LOID, method string, ar
 // call completes slow or failed does it materialise a client.invoke record
 // into the flight recorder, so the 1-in-10k outlier stays explainable while
 // the other 9999 calls pay ~zero.
-func (c *Client) invokeUnsampled(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent bool, tctx obs.SpanContext) ([]byte, error) {
-	start := time.Now()
-	result, err := c.invokeInner(ctx, loid, method, args, idempotent, nil, tctx)
+func (c *Client) invokeUnsampled(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent bool, tctx obs.SpanContext, st callState) ([]byte, error) {
+	result, err := c.invokeInner(ctx, loid, method, args, idempotent, nil, tctx, st)
 	if fl := c.Tracer.Flight(); fl != nil {
-		dur := time.Since(start)
+		dur := time.Since(st.start)
 		if fl.ShouldRetain(dur, err != nil) {
 			reason := obs.RetainSlow
 			rec := obs.SpanRecord{
 				TraceID:  tctx.TraceID,
 				SpanID:   tctx.SpanID,
 				Stage:    obs.StageClientInvoke,
-				Start:    start,
+				Start:    st.start,
 				Duration: dur,
 				Annots:   map[string]string{"loid": loid.String(), "method": method, "sampled": "false"},
 			}
@@ -318,28 +325,21 @@ func (c *Client) invokeUnsampled(ctx context.Context, loid naming.LOID, method s
 	return result, err
 }
 
-// invokeInner runs the retry/rebind loop. root is the call's client.invoke
+// invokeInner runs the retry/rebind loop; each failed attempt settles
+// through Client.failed (failure.go). root is the call's client.invoke
 // span, or nil when tracing is off; every span- or histogram-touching
 // statement is guarded so the nil/nil configuration executes exactly the
 // seed instruction sequence. tail, when valid (and root nil), is an
 // unsampled trace context: it is stamped into each attempt's envelope with
 // the unsampled flag so the server joins the drop decision, without any
 // span machinery on this side.
-func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent bool, root *obs.Span, tail obs.SpanContext) ([]byte, error) {
+func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent bool, root *obs.Span, tail obs.SpanContext, st callState) ([]byte, error) {
 	p := c.Retry.normalized()
 	c.cCalls.Inc()
 	if idempotent {
 		c.cIdem.Inc()
 	}
-	start := time.Now()
 
-	var lastErr error
-	attemptFailures := 0 // transport-level failures consumed (bounded by MaxAttempts)
-	rebinds := 0         // stale-binding re-resolves consumed (bounded by MaxRebinds)
-	backoffs := 0        // position in the backoff schedule
-	lastFailedEndpoint := ""
-
-loop:
 	for {
 		if err := ctx.Err(); err != nil {
 			c.cErrors.Inc()
@@ -371,13 +371,12 @@ loop:
 		// reads off the primary, spread idempotent calls round-robin across
 		// the whole group, wrapping the request in MethodReplRead so the
 		// backup's replica wrapper invokes it locally on any role. Only the
-		// first attempt routes away — after any failure or rebind the call
-		// falls back to the primary path, whose failure handling (NotPrimary,
-		// stale binding, transport classes) is already exact. The default
-		// (nil or primary-only) policy pays one pointer compare here.
+		// first attempt routes away — after any failure the call falls back
+		// to the primary path. The default (nil or primary-only) policy pays
+		// one pointer compare here.
 		callMethod, callArgs := method, args
 		viaBackup := false
-		if idempotent && attemptFailures == 0 && rebinds == 0 && binding.Policy != nil &&
+		if idempotent && st.lastFailed == "" && binding.Policy != nil &&
 			len(binding.Set.Backups) > 0 && binding.Policy.BackupReadsAllowed() {
 			if idx := c.readRR.Add(1) % uint64(1+len(binding.Set.Backups)); idx > 0 {
 				endpoint = binding.Set.Backups[idx-1]
@@ -393,11 +392,11 @@ loop:
 		// the failed attempts, as the paper models it), whereas hammering
 		// the same endpoint without delay would spin through the retry
 		// budget inside a migration window.
-		if lastFailedEndpoint != "" && endpoint == lastFailedEndpoint {
+		if st.lastFailed != "" && endpoint == st.lastFailed {
 			c.rngMu.Lock()
 			rnd := c.rng.Float64()
 			c.rngMu.Unlock()
-			if delay := p.backoff(backoffs, rnd); delay > 0 {
+			if delay := p.backoff(st.backoffs, rnd); delay > 0 {
 				c.cBackoff.Inc()
 				var boSpan *obs.Span
 				if root != nil {
@@ -410,19 +409,14 @@ loop:
 				}
 				boSpan.Finish()
 			}
-			backoffs++
+			st.backoffs++
 		}
 
-		timeout := p.CallTimeout
-		if p.Budget > 0 {
-			remaining := p.Budget - time.Since(start)
-			if remaining <= 0 {
-				lastErr = joinErr(ErrBudgetExhausted, lastErr)
-				break loop
-			}
-			if remaining < timeout {
-				timeout = remaining
-			}
+		timeout, ok := p.timeout(st.start)
+		if !ok {
+			st.lastErr = joinErr(ErrBudgetExhausted, st.lastErr)
+			c.cErrors.Inc()
+			return nil, st.exhausted(loid, method)
 		}
 
 		req := &wire.Envelope{
@@ -454,135 +448,25 @@ loop:
 			attSpan.Fail(err)
 			attSpan.Finish()
 		}
-		if err != nil {
-			lastErr = err
-			switch transport.Classify(err) {
-			case transport.RetryNever:
-				c.cErrors.Inc()
-				return nil, fmt.Errorf("invoke %s.%s: %w", loid, method, err)
-			case transport.RetryAmbiguous:
-				c.cAmbig.Inc()
-				if !idempotent {
-					c.cAborts.Inc()
-					c.cErrors.Inc()
-					return nil, fmt.Errorf("invoke %s.%s: %w: %w", loid, method, ErrAmbiguousResult, err)
-				}
-			case transport.RetrySafe:
-				c.cSafe.Inc()
-			}
-			attemptFailures++
-			if attemptFailures >= p.MaxAttempts {
-				break loop
-			}
-			// The endpoint is gone or wedged: the cached binding is suspect.
-			if c.cache.InvalidateEndpoint(loid, endpoint) {
-				c.cRebinds.Inc()
-				markRebind(root, endpoint, "transport failure")
-			}
-			lastFailedEndpoint = endpoint
-			c.cRetries.Inc()
-			continue
+		if err == nil {
+			err = answerErr(resp, wire.KindResponse)
 		}
-
-		switch resp.Kind {
-		case wire.KindResponse:
+		if err == nil {
 			if viaBackup {
 				c.cBkReads.Inc()
 			}
 			if c.Latency != nil {
-				c.Latency.Observe(time.Since(start))
+				c.Latency.Observe(time.Since(st.start))
 			}
 			if c.histInvoke != nil {
-				c.histInvoke.Observe(time.Since(start))
+				c.histInvoke.Observe(time.Since(st.start))
 			}
 			return resp.Payload, nil
-		case wire.KindError:
-			remote := &RemoteError{Code: resp.Code, Message: resp.ErrorMsg}
-			if resp.Code == wire.CodeOverloaded {
-				// The server shed the request at admission: it never
-				// dispatched, so retrying is safe even for non-idempotent
-				// methods — but only after backing off, and without touching
-				// the binding (the endpoint is alive, just busy).
-				lastErr = remote
-				c.cShed.Inc()
-				attemptFailures++
-				if attemptFailures >= p.MaxAttempts {
-					break loop
-				}
-				lastFailedEndpoint = endpoint // force backoff before the retry
-				c.cRetries.Inc()
-				continue
-			}
-			if resp.Code == wire.CodeUnavailable {
-				// The object is alive but temporarily cannot serve — an
-				// evolution blocking window, or a replica primary that cannot
-				// commit state to its group. The function may have executed
-				// locally without committing, so a non-idempotent call must
-				// surface ambiguity; an idempotent one retries after backoff
-				// against the same binding (the endpoint is healthy, the
-				// condition is what has to pass).
-				lastErr = remote
-				c.cAmbig.Inc()
-				if !idempotent {
-					c.cAborts.Inc()
-					c.cErrors.Inc()
-					return nil, fmt.Errorf("invoke %s.%s: %w: %w", loid, method, ErrAmbiguousResult, remote)
-				}
-				attemptFailures++
-				if attemptFailures >= p.MaxAttempts {
-					break loop
-				}
-				lastFailedEndpoint = endpoint // force backoff before the retry
-				c.cRetries.Inc()
-				continue
-			}
-			if resp.Code == wire.CodeNotPrimary {
-				// The endpoint is a backup replica: group leadership moved
-				// since we cached the set. The function did not execute, so
-				// drop the whole cached binding (the agent holds the new
-				// set, trimming one member would not find the primary) and
-				// re-resolve.
-				lastErr = remote
-				c.cache.Invalidate(loid)
-				c.cRebinds.Inc()
-				markRebind(root, endpoint, "not primary")
-				rebinds++
-				if rebinds > p.MaxRebinds {
-					break loop
-				}
-				lastFailedEndpoint = endpoint
-				continue
-			}
-			if resp.Code == wire.CodeNoSuchObject || resp.Code == wire.CodeStaleBinding {
-				// The endpoint is alive but no longer hosts the object:
-				// classic stale binding after migration. The function did
-				// not execute, so rebinding and retrying is always safe.
-				lastErr = remote
-				if c.cache.InvalidateEndpoint(loid, endpoint) {
-					c.cRebinds.Inc()
-					markRebind(root, endpoint, "stale binding")
-				}
-				rebinds++
-				if rebinds > p.MaxRebinds {
-					break loop
-				}
-				lastFailedEndpoint = endpoint
-				continue
-			}
-			c.cErrors.Inc()
-			return nil, remote
-		default:
-			c.cErrors.Inc()
-			return nil, fmt.Errorf("%w: unexpected envelope kind %s", ErrBadRequest, resp.Kind)
+		}
+		if err := c.failed(&st, &p, root, loid, method, idempotent, endpoint, err); err != nil {
+			return nil, err
 		}
 	}
-
-	c.cErrors.Inc()
-	if lastErr == nil {
-		lastErr = errors.New("rpc: exhausted retry attempts")
-	}
-	return nil, fmt.Errorf("invoke %s.%s after %d attempts and %d rebinds: %w",
-		loid, method, attemptFailures+rebinds+1, rebinds, lastErr)
 }
 
 // markRebind records a zero-length client.rebind marker span under root

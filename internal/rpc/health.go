@@ -110,9 +110,9 @@ type HealthClient struct {
 	Timeout time.Duration
 }
 
-// Ping probes the node once under ctx. The returned error is
-// transport-classified (see transport.Classify), so callers can distinguish
-// an unreachable node from a node that answered strangely.
+// Ping probes the node once under ctx. A transport failure is returned as
+// the transport reported it, with its retry class, so callers can
+// distinguish an unreachable node from a node that answered strangely.
 func (c *HealthClient) Ping(ctx context.Context) (HealthInfo, error) {
 	timeout := c.Timeout
 	if timeout == 0 {

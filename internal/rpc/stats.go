@@ -20,8 +20,11 @@ package rpc
 //   - BackupReads ⊆ IdempotentCalls (only idempotent calls route to backups).
 //   - CallsBatched is disjoint from Calls: a sub-call counted there entered
 //     through InvokeBatch, not Invoke. The exception is fallbacks — a batch
-//     sub-call demoted to the single-call path (BatchFallbacks counts these)
-//     re-enters through invoke and is then ALSO counted in Calls.
+//     sub-call that continues the single-call loop (BatchFallbacks counts
+//     these) re-enters through invoke and is then ALSO counted in Calls.
+//   - A batch frame is the first attempt of each of its sub-calls, so a
+//     whole-frame failure counts once per sub-call in SafeFailures,
+//     AmbiguousFailures or OverloadedSheds, and in Retries when retried.
 type ClientStats struct {
 	// Calls counts Invoke/InvokeIdempotent entries.
 	Calls uint64
@@ -57,9 +60,10 @@ type ClientStats struct {
 	// CallsBatched counts sub-calls carried inside batch frames (E15
 	// divides throughput by this, not Batches).
 	CallsBatched uint64
-	// BatchFallbacks counts batch sub-calls demoted to the single-call
-	// invoke path — legacy servers, per-sub retryable failures, or whole-
-	// frame transport failures. Demoted sub-calls also count in Calls.
+	// BatchFallbacks counts batch sub-calls that continue the single-call
+	// loop: those whose frame failure or own error envelope the failure
+	// table retries or rebinds, and the lone sub-call of a chunk of one.
+	// They also count in Calls.
 	BatchFallbacks uint64
 	// Hedges always reads 0: the client does not hedge. The field stays
 	// only because the benchmark's rpc.client.hedges row reads it.

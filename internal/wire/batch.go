@@ -18,10 +18,11 @@ import (
 // detected by "bytes remain"), so concatenating envelopes without prefixes
 // would be ambiguous.
 //
-// Legacy tolerance mirrors the metaDeadline rollout: a pre-batch server
-// rejects the unknown envelope kind with CodeBadRequest *before* dispatching
-// anything, so a new client can safely re-issue every sub-call individually
-// — including non-idempotent ones — when it sees that rejection.
+// A server rejects an envelope kind it does not know with CodeBadRequest
+// *before* dispatching anything. Every server in the tree handles batch
+// kinds, so the client does not fall back on that rejection: an outer
+// CodeBadRequest (in practice a malformed run) is terminal for every
+// sub-call, as a single call's CodeBadRequest is.
 
 // MaxBatchCalls bounds the sub-envelope count in one batch run. Clients
 // chunk larger batches; decoders reject larger counts before allocating.

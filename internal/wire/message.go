@@ -18,10 +18,10 @@ const (
 	// KindBatchRequest carries a run of independent sub-requests in Payload
 	// (see batch.go). The outer envelope owns correlation (ID) and metadata
 	// (deadline, trace context); sub-envelopes are ordinary KindRequest
-	// envelopes, length-prefixed so a decoder can walk the run. A
-	// pre-batch peer rejects the unknown kind with CodeBadRequest before
-	// dispatching anything, which is what lets new clients fall back
-	// per-call against old servers (legacy tolerance, like metaDeadline).
+	// envelopes, length-prefixed so a decoder can walk the run. A peer
+	// that does not know a kind rejects it with CodeBadRequest before
+	// dispatching anything; the client treats that as terminal, not as a
+	// cue to fall back per call.
 	KindBatchRequest
 	// KindBatchResponse carries the per-sub-call results for a
 	// KindBatchRequest, one sub-envelope (KindResponse or KindError) per
