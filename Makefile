@@ -55,9 +55,9 @@ experiments:
 	$(GO) run ./cmd/dcdo-bench
 
 # Bounded run of the native fuzz targets: the wire decoder, the store image
-# loader and the state-delta applier must never panic on adversarial bytes,
-# and a delta that is refused must leave the state untouched. FUZZTIME is per
-# target.
+# loader, the state-delta applier and every declared method's argument and
+# result decoders must never panic on adversarial bytes, and a delta that is
+# refused must leave the state untouched. FUZZTIME is per target.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzFrameRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzLoadStore -fuzztime $(FUZZTIME) ./internal/manager/
 	$(GO) test -run xxx -fuzz FuzzApplyDelta -fuzztime $(FUZZTIME) ./internal/objstate/
+	$(GO) test -run xxx -fuzz FuzzDeclaredDecoders -fuzztime $(FUZZTIME) ./internal/manager/
 
 # Crash/partition drills under the race detector: the E8 chaos experiment
 # (manager killed mid-pass with a partitioned instance), the E11 rollout
@@ -77,9 +78,13 @@ fuzz-smoke:
 # torn journal batches among them), replica group fencing/failover and the delta-shipping
 # fault matrix (dropped shipment, lost ack, backup behind base, promote /
 # failover / expand / shrink / fence mid-stream, restore under writes — each
-# ending byte-converged), and the supervisor's pause/abort-vs-widening race.
+# ending byte-converged), the supervisor's pause/abort-vs-widening race, and
+# the declared-method drills: a component fetch through 25% lost responses
+# on 20 seeds, and the three method tables' contract (reads retry through a
+# lost response, writes end ambiguous having run once).
 chaos:
 	$(GO) test -race -run 'TestRunE8|TestRunE11|TestRunE13|TestRunE14|TestRunE15' ./internal/harness/
-	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestReconcile|TestPolicyRecover|TestSetPolicy|TestSinglePass|TestConcurrentSinglePasses|TestJournalBatch' ./internal/manager/
+	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestReconcile|TestPolicyRecover|TestSetPolicy|TestSinglePass|TestConcurrentSinglePasses|TestJournalBatch|TestDeclaredMethodContracts' ./internal/manager/
 	$(GO) test -race ./internal/replica/
 	$(GO) test -race -run 'TestRollout|TestSupervisor' ./internal/supervisor/
+	$(GO) test -race -run TestLossyFetchCompletes ./internal/component/

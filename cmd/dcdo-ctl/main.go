@@ -117,11 +117,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		out, err := client.Invoke(ctx, loid, core.MethodInterface, nil)
-		if err != nil {
-			return err
-		}
-		names, err := wire.NewDecoder(out).StringSlice()
+		names, err := core.MethodInterface.Call(ctx, client, loid, rpc.None{})
 		if err != nil {
 			return err
 		}
@@ -135,15 +131,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		out, err := client.Invoke(ctx, loid, core.MethodVersion, nil)
-		if err != nil {
-			return err
-		}
-		segs, err := wire.NewDecoder(out).UintSlice()
-		if err != nil {
-			return err
-		}
-		ver, err := version.Decode(segs)
+		ver, err := core.MethodVersion.Call(ctx, client, loid, rpc.None{})
 		if err != nil {
 			return err
 		}
@@ -155,11 +143,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		out, err := client.Invoke(ctx, loid, core.MethodSnapshot, nil)
-		if err != nil {
-			return err
-		}
-		desc, err := dfm.DecodeDescriptor(out)
+		desc, err := core.MethodSnapshot.Call(ctx, client, loid, rpc.None{})
 		if err != nil {
 			return err
 		}
@@ -193,7 +177,7 @@ func run(args []string) error {
 		if cmd == "disable" {
 			method = core.MethodDisable
 		}
-		if _, err := client.Invoke(ctx, loid, method, core.EncodeEntryKeyArgs(key)); err != nil {
+		if _, err := method.Call(ctx, client, loid, key); err != nil {
 			return err
 		}
 		fmt.Printf("%sd %s on %s\n", cmd, key, loid)
@@ -215,8 +199,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if _, err := client.Invoke(ctx, mgrLOID, manager.MethodEvolveInstance,
-			manager.EncodeEvolveInstanceArgs(target, ver)); err != nil {
+		if _, err := manager.MethodEvolveInstance.Call(ctx, client, mgrLOID, manager.EvolveArgs{LOID: target, Version: ver}); err != nil {
 			return err
 		}
 		fmt.Printf("evolved %s to version %s\n", target, ver)
@@ -227,33 +210,12 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		out, err := client.Invoke(ctx, mgrLOID, manager.MethodRecords, nil)
+		records, err := manager.MethodRecords.Call(ctx, client, mgrLOID, rpc.None{})
 		if err != nil {
 			return err
 		}
-		dec := wire.NewDecoder(out)
-		n, err := dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < n; i++ {
-			loidStr, err := dec.String()
-			if err != nil {
-				return err
-			}
-			segs, err := dec.UintSlice()
-			if err != nil {
-				return err
-			}
-			ver, err := version.Decode(segs)
-			if err != nil {
-				return err
-			}
-			implStr, err := dec.String()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-20s version %-8s impl %s\n", loidStr, ver, implStr)
+		for _, r := range records {
+			fmt.Printf("%-20s version %-8s impl %s\n", r.LOID, r.Version, r.Impl)
 		}
 		return nil
 
@@ -289,7 +251,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if _, err := client.Invoke(ctx, mgrLOID, manager.MethodSetCurrent, manager.EncodeVersionArgs(ver)); err != nil {
+		if _, err := manager.MethodSetCurrent.Call(ctx, client, mgrLOID, ver); err != nil {
 			return err
 		}
 		fmt.Printf("current version set to %s\n", ver)
@@ -312,11 +274,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		out, err := client.Invoke(ctx, mgrLOID, manager.MethodHealth, nil)
-		if err != nil {
-			return err
-		}
-		healths, err := manager.DecodeInstanceHealths(out)
+		healths, err := manager.MethodHealth.Call(ctx, client, mgrLOID, rpc.None{})
 		if err != nil {
 			return err
 		}
@@ -337,11 +295,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		out, err := client.Invoke(ctx, mgrLOID, manager.MethodRecover, nil)
-		if err != nil {
-			return err
-		}
-		rep, err := manager.DecodeRecoveryReport(out)
+		rep, err := manager.MethodRecover.Call(ctx, client, mgrLOID, rpc.None{})
 		if err != nil {
 			return err
 		}
@@ -417,24 +371,17 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fetch := func() (string, bool, error) {
-			out, err := client.Invoke(ctx, mgrLOID, manager.MethodPolicyGet, manager.EncodePolicyGetArgs(loid))
-			if err != nil {
-				return "", false, err
-			}
-			return manager.DecodePolicyGetReply(out)
-		}
 		switch action {
 		case "get":
-			doc, ok, err := fetch()
+			have, err := manager.MethodPolicyGet.Call(ctx, client, mgrLOID, loid)
 			if err != nil {
 				return err
 			}
-			if !ok {
-				fmt.Printf("no policy designated for %s (implicit default: %s)\n", loid, policy.Default().String())
+			if !have.Designated {
+				fmt.Printf("no policy designated for %s (implicit default: %s)\n", loid, have.Policy.String())
 				return nil
 			}
-			fmt.Println(doc)
+			fmt.Println(have.Policy.String())
 			return nil
 		case "set":
 			if len(rest) < 3 {
@@ -446,8 +393,7 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			if _, err := client.Invoke(ctx, mgrLOID, manager.MethodPolicySet,
-				manager.EncodePolicySetArgs(loid, pol.String())); err != nil {
+			if _, err := manager.MethodPolicySet.Call(ctx, client, mgrLOID, manager.PolicyArgs{LOID: loid, Policy: pol}); err != nil {
 				return err
 			}
 			fmt.Printf("policy for %s: %s\n", loid, pol.String())
@@ -460,17 +406,11 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			doc, ok, err := fetch()
+			have, err := manager.MethodPolicyGet.Call(ctx, client, mgrLOID, loid)
 			if err != nil {
 				return err
 			}
-			have := policy.Default()
-			if ok {
-				if have, err = policy.Parse(doc); err != nil {
-					return fmt.Errorf("designated policy for %s is corrupt: %w", loid, err)
-				}
-			}
-			lines := have.Diff(want)
+			lines := have.Policy.Diff(want)
 			if len(lines) == 0 {
 				fmt.Println("(no differences)")
 				return nil

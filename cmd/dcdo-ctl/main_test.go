@@ -230,7 +230,7 @@ func (i *ctlInner) State() *objstate.State { return i.st }
 
 func (i *ctlInner) InvokeMethodCtx(_ context.Context, method string, args []byte) ([]byte, error) {
 	switch method {
-	case core.MethodVersion:
+	case core.MethodVersion.Name:
 		e := wire.NewEncoder(8)
 		e.PutUintSlice([]uint64{1})
 		return e.Bytes(), nil

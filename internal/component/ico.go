@@ -11,13 +11,35 @@ import (
 	"godcdo/internal/wire"
 )
 
-// ICO method names (the implementation component object's exported
-// interface, §2.3).
-const (
-	MethodGetDescriptor = "ico.getDescriptor"
-	MethodGetCodeSize   = "ico.getCodeSize"
-	MethodReadCode      = "ico.readCode"
+// ReadArgs are MethodReadCode's arguments: the byte range to read.
+type ReadArgs struct {
+	Offset, Length uint64
+}
+
+// The ICO's exported interface (the implementation component object's
+// reads, §2.3). All three only read, so all three are idempotent.
+var (
+	MethodGetDescriptor = rpc.Method[rpc.None, *Descriptor]{Name: "ico.getDescriptor", Idempotent: true,
+		Args: rpc.NoneCodec, Result: rpc.Codec[*Descriptor]{Encode: (*Descriptor).Encode, Decode: DecodeDescriptor}}
+	MethodGetCodeSize = rpc.Method[rpc.None, uint64]{Name: "ico.getCodeSize", Idempotent: true,
+		Args: rpc.NoneCodec, Result: rpc.NewCodec((*wire.Encoder).PutUvarint, (*wire.Decoder).Uvarint)}
+	// MethodReadCode returns the chunk unframed.
+	MethodReadCode = rpc.Method[ReadArgs, []byte]{Name: "ico.readCode", Idempotent: true,
+		Args: rpc.NewCodec(putReadArgs, getReadArgs), Result: rpc.RawCodec}
 )
+
+func putReadArgs(e *wire.Encoder, a ReadArgs) {
+	e.PutUvarint(a.Offset)
+	e.PutUvarint(a.Length)
+}
+
+func getReadArgs(d *wire.Decoder) (a ReadArgs, err error) {
+	if a.Offset, err = d.Uvarint(); err != nil {
+		return a, err
+	}
+	a.Length, err = d.Uvarint()
+	return a, err
+}
 
 // ReadChunkSize is the maximum number of code bytes returned by one
 // MethodReadCode call, mirroring Legion's chunked object-to-object bulk
@@ -29,8 +51,10 @@ var ErrBadRange = errors.New("component: read out of range")
 
 // ICO is an Implementation Component Object: an active distributed object
 // that maintains a component's data so components live in the system's
-// global namespace. It implements rpc.Object.
+// global namespace. Its embedded method table implements rpc.Object.
 type ICO struct {
+	rpc.Table
+
 	mu   sync.RWMutex
 	comp *Component
 }
@@ -39,7 +63,24 @@ var _ rpc.Object = (*ICO)(nil)
 
 // NewICO returns an ICO serving comp.
 func NewICO(comp *Component) *ICO {
-	return &ICO{comp: comp}
+	o := &ICO{comp: comp}
+	o.Table = rpc.Serve(
+		MethodGetDescriptor.Handle(func(context.Context, rpc.None) (*Descriptor, error) {
+			return &o.Component().Desc, nil
+		}),
+		MethodGetCodeSize.Handle(func(context.Context, rpc.None) (uint64, error) {
+			return uint64(len(o.Component().Code)), nil
+		}),
+		MethodReadCode.Handle(func(_ context.Context, a ReadArgs) ([]byte, error) {
+			code := o.Component().Code
+			if a.Offset > uint64(len(code)) {
+				return nil, fmt.Errorf("%w: offset %d beyond %d", ErrBadRange, a.Offset, len(code))
+			}
+			end := a.Offset + min(a.Length, ReadChunkSize)
+			return code[a.Offset:min(end, uint64(len(code)))], nil
+		}),
+	)
+	return o
 }
 
 // Component returns the served component (for in-process access).
@@ -55,45 +96,6 @@ func (o *ICO) Update(comp *Component) {
 	o.mu.Lock()
 	o.comp = comp
 	o.mu.Unlock()
-}
-
-// InvokeMethod implements rpc.Object.
-func (o *ICO) InvokeMethod(method string, args []byte) ([]byte, error) {
-	o.mu.RLock()
-	comp := o.comp
-	o.mu.RUnlock()
-
-	switch method {
-	case MethodGetDescriptor:
-		return comp.Desc.Encode(), nil
-	case MethodGetCodeSize:
-		e := wire.NewEncoder(8)
-		e.PutUvarint(uint64(len(comp.Code)))
-		return e.Bytes(), nil
-	case MethodReadCode:
-		d := wire.NewDecoder(args)
-		offset, err := d.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: offset: %v", rpc.ErrBadRequest, err)
-		}
-		length, err := d.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: length: %v", rpc.ErrBadRequest, err)
-		}
-		if length > ReadChunkSize {
-			length = ReadChunkSize
-		}
-		if offset > uint64(len(comp.Code)) {
-			return nil, fmt.Errorf("%w: offset %d beyond %d", ErrBadRange, offset, len(comp.Code))
-		}
-		end := offset + length
-		if end > uint64(len(comp.Code)) {
-			end = uint64(len(comp.Code))
-		}
-		return comp.Code[offset:end], nil
-	default:
-		return nil, fmt.Errorf("%q: %w", method, rpc.ErrNoSuchFunction)
-	}
 }
 
 // Fetcher obtains components by the LOID of their ICO. The DCDO
@@ -114,22 +116,13 @@ var _ Fetcher = (*RemoteFetcher)(nil)
 
 // Fetch implements Fetcher.
 func (f *RemoteFetcher) Fetch(ctx context.Context, ico naming.LOID) (*Component, error) {
-	descBytes, err := f.Client.Invoke(ctx, ico, MethodGetDescriptor, nil)
+	desc, err := MethodGetDescriptor.Call(ctx, f.Client, ico, rpc.None{})
 	if err != nil {
 		return nil, fmt.Errorf("fetch descriptor from %s: %w", ico, err)
 	}
-	desc, err := DecodeDescriptor(descBytes)
-	if err != nil {
-		return nil, fmt.Errorf("fetch from %s: %w", ico, err)
-	}
-
-	sizeBytes, err := f.Client.Invoke(ctx, ico, MethodGetCodeSize, nil)
+	size, err := MethodGetCodeSize.Call(ctx, f.Client, ico, rpc.None{})
 	if err != nil {
 		return nil, fmt.Errorf("fetch code size from %s: %w", ico, err)
-	}
-	size, err := wire.NewDecoder(sizeBytes).Uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("fetch from %s: decode size: %w", ico, err)
 	}
 
 	code := make([]byte, 0, size)
@@ -139,10 +132,7 @@ func (f *RemoteFetcher) Fetch(ctx context.Context, ico naming.LOID) (*Component,
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("read code from %s at %d: %w", ico, offset, err)
 		}
-		e := wire.NewEncoder(16)
-		e.PutUvarint(offset)
-		e.PutUvarint(ReadChunkSize)
-		chunk, err := f.Client.Invoke(ctx, ico, MethodReadCode, e.Bytes())
+		chunk, err := MethodReadCode.Call(ctx, f.Client, ico, ReadArgs{Offset: offset, Length: ReadChunkSize})
 		if err != nil {
 			return nil, fmt.Errorf("read code from %s at %d: %w", ico, offset, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"godcdo/internal/naming"
 	"godcdo/internal/registry"
@@ -32,7 +33,7 @@ func TestICODescriptorAndSize(t *testing.T) {
 	comp := syntheticComponent(t, "c1", 300)
 	ico := NewICO(comp)
 
-	descBytes, err := ico.InvokeMethod(MethodGetDescriptor, nil)
+	descBytes, err := ico.InvokeMethod(MethodGetDescriptor.Name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestICODescriptorAndSize(t *testing.T) {
 		t.Fatalf("descriptor = %+v", desc)
 	}
 
-	sizeBytes, err := ico.InvokeMethod(MethodGetCodeSize, nil)
+	sizeBytes, err := ico.InvokeMethod(MethodGetCodeSize.Name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestICOReadCodeChunked(t *testing.T) {
 		e := wire.NewEncoder(16)
 		e.PutUvarint(offset)
 		e.PutUvarint(length)
-		return ico.InvokeMethod(MethodReadCode, e.Bytes())
+		return ico.InvokeMethod(MethodReadCode.Name, e.Bytes())
 	}
 
 	chunk1, err := read(0, ReadChunkSize)
@@ -106,7 +107,7 @@ func TestICOUnknownMethod(t *testing.T) {
 
 func TestICOBadReadArgs(t *testing.T) {
 	ico := NewICO(syntheticComponent(t, "c4", 10))
-	if _, err := ico.InvokeMethod(MethodReadCode, nil); !errors.Is(err, rpc.ErrBadRequest) {
+	if _, err := ico.InvokeMethod(MethodReadCode.Name, nil); !errors.Is(err, rpc.ErrBadRequest) {
 		t.Fatalf("err = %v, want ErrBadRequest", err)
 	}
 }
@@ -116,7 +117,7 @@ func TestICOUpdatePublishesNewRevision(t *testing.T) {
 	newComp := syntheticComponent(t, "c5", 20)
 	newComp.Desc.Revision = 2
 	ico.Update(newComp)
-	descBytes, err := ico.InvokeMethod(MethodGetDescriptor, nil)
+	descBytes, err := ico.InvokeMethod(MethodGetDescriptor.Name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,5 +239,44 @@ func TestCachingFetcherPropagatesErrors(t *testing.T) {
 	}
 	if cf.Store.Len() != 0 {
 		t.Fatal("error result was cached")
+	}
+}
+
+// TestLossyFetchCompletes fetches an 8-chunk component while a quarter of
+// all responses are lost. Every ICO read is declared idempotent, so each lost
+// response is retried instead of failing the fetch as ambiguous.
+func TestLossyFetchCompletes(t *testing.T) {
+	comp := syntheticComponent(t, "lossy", 8*ReadChunkSize)
+	for seed := int64(1); seed <= 20; seed++ {
+		clk := vclock.Real{}
+		agent := naming.NewAgent(clk)
+		net := transport.NewInprocNetwork()
+		disp := rpc.NewDispatcher()
+		srv, err := net.Listen("ico-host", disp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loid := naming.LOID{Domain: 1, Class: 7, Instance: 1}
+		disp.Host(loid, NewICO(comp))
+		agent.Register(loid, naming.Address{Endpoint: srv.Endpoint()})
+
+		faults := transport.NewFaults(seed)
+		faults.SetDefault(transport.FaultConfig{DropResponse: 0.25})
+		client := rpc.NewClient(naming.NewCache(agent, clk, 0), transport.NewFaultDialer(net.Dialer(), faults))
+		client.Retry = rpc.RetryPolicy{
+			CallTimeout: 5 * time.Millisecond,
+			MaxAttempts: 8,
+			BaseBackoff: time.Millisecond,
+			MaxBackoff:  4 * time.Millisecond,
+			Multiplier:  2,
+		}
+		got, err := (&RemoteFetcher{Client: client}).Fetch(context.Background(), loid)
+		srv.Close()
+		switch {
+		case err != nil:
+			t.Errorf("seed %d: %v (%d responses dropped)", seed, err, faults.Stats().DroppedResponses)
+		case !bytes.Equal(got.Code, comp.Code):
+			t.Errorf("seed %d: fetched code differs from the source", seed)
+		}
 	}
 }

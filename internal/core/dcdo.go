@@ -73,20 +73,8 @@ var (
 )
 
 // ControlPrefix prefixes the remotely callable configuration and status
-// methods.
+// methods (the control table, evolve.go).
 const ControlPrefix = "dcdo."
-
-// Remotely callable control methods.
-const (
-	MethodInterface       = ControlPrefix + "interface"
-	MethodVersion         = ControlPrefix + "version"
-	MethodSnapshot        = ControlPrefix + "snapshot"
-	MethodApplyDescriptor = ControlPrefix + "applyDescriptor"
-	MethodEnable          = ControlPrefix + "enable"
-	MethodDisable         = ControlPrefix + "disable"
-	MethodIncorporate     = ControlPrefix + "incorporate"
-	MethodRemoveComponent = ControlPrefix + "removeComponent"
-)
 
 // Config assembles a DCDO's dependencies.
 type Config struct {
@@ -130,6 +118,8 @@ type DCDO struct {
 	cfg Config
 
 	table *dfm.DFM
+	// control serves the ControlPrefix methods.
+	control rpc.Table
 
 	// evolveMu serialises whole-descriptor evolutions; invocation of user
 	// functions never takes it.
@@ -172,6 +162,7 @@ func New(cfg Config) *DCDO {
 		components: make(map[string]*incorporated),
 		state:      objstate.New(),
 	}
+	d.control = d.controlTable()
 	if cfg.Obs != nil {
 		d.SetObs(cfg.Obs)
 	}
@@ -191,7 +182,7 @@ func (d *DCDO) DFM() *dfm.DFM { return d.table }
 // ("dcdo."-prefixed) and invocations of exported dynamic functions.
 func (d *DCDO) InvokeMethod(method string, args []byte) ([]byte, error) {
 	if strings.HasPrefix(method, ControlPrefix) {
-		return d.invokeControl(context.Background(), method, args)
+		return d.control.InvokeMethod(method, args)
 	}
 	if st := d.obsState.Load(); st != nil {
 		return d.invokeMetered(st, method, args)
@@ -216,7 +207,7 @@ func (d *DCDO) InvokeMethodCtx(ctx context.Context, method string, args []byte) 
 		return nil, err
 	}
 	if strings.HasPrefix(method, ControlPrefix) {
-		return d.invokeControl(ctx, method, args)
+		return d.control.InvokeMethodCtx(ctx, method, args)
 	}
 	st := d.obsState.Load()
 	var resolveStart time.Time

@@ -192,151 +192,159 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 
 // --- Remote control plane --------------------------------------------------
 
-// invokeControl dispatches "dcdo."-prefixed methods, the remotely callable
-// configuration and status interface. ctx bounds the long-running operations
-// (applyDescriptor, incorporate); status queries answer regardless.
-func (d *DCDO) invokeControl(ctx context.Context, method string, args []byte) ([]byte, error) {
-	switch method {
-	case MethodInterface:
-		e := wire.NewEncoder(64)
-		e.PutStringSlice(d.Interface())
-		return e.Bytes(), nil
-
-	case MethodVersion:
-		e := wire.NewEncoder(16)
-		e.PutUintSlice(d.Version().Encode())
-		return e.Bytes(), nil
-
-	case MethodSnapshot:
-		return d.Snapshot().Encode(), nil
-
-	case MethodApplyDescriptor:
-		dec := wire.NewDecoder(args)
-		descBytes, err := dec.Bytes()
-		if err != nil {
-			return nil, fmt.Errorf("%w: descriptor: %v", rpc.ErrBadRequest, err)
-		}
-		target, err := dfm.DecodeDescriptor(descBytes)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", rpc.ErrBadRequest, err)
-		}
-		segs, err := dec.UintSlice()
-		if err != nil {
-			return nil, fmt.Errorf("%w: version: %v", rpc.ErrBadRequest, err)
-		}
-		ver, err := version.Decode(segs)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", rpc.ErrBadRequest, err)
-		}
-		report, err := d.ApplyDescriptor(ctx, target, ver)
-		if err != nil {
-			return nil, err
-		}
-		e := wire.NewEncoder(32)
-		e.PutUvarint(uint64(report.ComponentsAdded))
-		e.PutUvarint(uint64(report.ComponentsRemoved))
-		e.PutUvarint(uint64(report.ComponentsReplaced))
-		e.PutUvarint(uint64(report.EntriesRetuned))
-		e.PutVarint(report.BytesFetched)
-		return e.Bytes(), nil
-
-	case MethodEnable, MethodDisable:
-		dec := wire.NewDecoder(args)
-		fn, err := dec.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: function: %v", rpc.ErrBadRequest, err)
-		}
-		comp, err := dec.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: component: %v", rpc.ErrBadRequest, err)
-		}
-		key := dfm.EntryKey{Function: fn, Component: comp}
-		if method == MethodEnable {
-			return nil, d.EnableFunction(key)
-		}
-		return nil, d.DisableFunction(key)
-
-	case MethodIncorporate:
-		dec := wire.NewDecoder(args)
-		loidStr, err := dec.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: ico: %v", rpc.ErrBadRequest, err)
-		}
-		ico, err := naming.ParseLOID(loidStr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", rpc.ErrBadRequest, err)
-		}
-		enable, err := dec.Bool()
-		if err != nil {
-			return nil, fmt.Errorf("%w: enable flag: %v", rpc.ErrBadRequest, err)
-		}
-		return nil, d.Incorporate(ctx, ico, enable)
-
-	case MethodRemoveComponent:
-		dec := wire.NewDecoder(args)
-		id, err := dec.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: component id: %v", rpc.ErrBadRequest, err)
-		}
-		return nil, d.RemoveComponent(id)
-
-	default:
-		return nil, fmt.Errorf("%w: %q", rpc.ErrNoSuchFunction, method)
-	}
+// ApplyArgs are MethodApplyDescriptor's arguments.
+type ApplyArgs struct {
+	Target  *dfm.Descriptor
+	Version version.ID
 }
 
-// DecodeApplyReport parses the payload returned by MethodApplyDescriptor.
-func DecodeApplyReport(buf []byte) (ApplyReport, error) {
-	dec := wire.NewDecoder(buf)
-	var r ApplyReport
-	vals := make([]uint64, 4)
-	for i := range vals {
-		v, err := dec.Uvarint()
-		if err != nil {
-			return r, fmt.Errorf("core: corrupt apply report: %w", err)
-		}
-		vals[i] = v
-	}
-	bytesFetched, err := dec.Varint()
+// IncorporateArgs are MethodIncorporate's arguments.
+type IncorporateArgs struct {
+	ICO    naming.LOID
+	Enable bool
+}
+
+// The control table: the DCDO's remotely callable configuration and status
+// functions. Only the three status reads are idempotent.
+var (
+	MethodInterface = rpc.Method[rpc.None, []string]{Name: ControlPrefix + "interface", Idempotent: true,
+		Args: rpc.NoneCodec, Result: rpc.NewCodec((*wire.Encoder).PutStringSlice, (*wire.Decoder).StringSlice)}
+	MethodVersion = rpc.Method[rpc.None, version.ID]{Name: ControlPrefix + "version", Idempotent: true,
+		Args: rpc.NoneCodec, Result: VersionCodec}
+	MethodSnapshot = rpc.Method[rpc.None, *dfm.Descriptor]{Name: ControlPrefix + "snapshot", Idempotent: true,
+		Args: rpc.NoneCodec, Result: DescriptorCodec}
+	MethodApplyDescriptor = rpc.Method[ApplyArgs, ApplyReport]{Name: ControlPrefix + "applyDescriptor",
+		Args: rpc.NewCodec(putApplyArgs, getApplyArgs), Result: rpc.NewCodec(putApplyReport, getApplyReport)}
+	MethodEnable = rpc.Method[dfm.EntryKey, rpc.None]{Name: ControlPrefix + "enable",
+		Args: rpc.NewCodec(PutEntryKey, GetEntryKey), Result: rpc.NoneCodec}
+	MethodDisable = rpc.Method[dfm.EntryKey, rpc.None]{Name: ControlPrefix + "disable",
+		Args: rpc.NewCodec(PutEntryKey, GetEntryKey), Result: rpc.NoneCodec}
+	MethodIncorporate = rpc.Method[IncorporateArgs, rpc.None]{Name: ControlPrefix + "incorporate",
+		Args: rpc.NewCodec(putIncorporateArgs, getIncorporateArgs), Result: rpc.NoneCodec}
+	MethodRemoveComponent = rpc.Method[string, rpc.None]{Name: ControlPrefix + "removeComponent",
+		Args: rpc.NewCodec((*wire.Encoder).PutString, (*wire.Decoder).String), Result: rpc.NoneCodec}
+)
+
+// controlTable serves the control methods. ctx bounds the long-running
+// operations (applyDescriptor, incorporate); status queries answer
+// regardless.
+func (d *DCDO) controlTable() rpc.Table {
+	return rpc.Serve(
+		MethodInterface.Handle(func(context.Context, rpc.None) ([]string, error) { return d.Interface(), nil }),
+		MethodVersion.Handle(func(context.Context, rpc.None) (version.ID, error) { return d.Version(), nil }),
+		MethodSnapshot.Handle(func(context.Context, rpc.None) (*dfm.Descriptor, error) { return d.Snapshot(), nil }),
+		MethodApplyDescriptor.Handle(func(ctx context.Context, a ApplyArgs) (ApplyReport, error) {
+			return d.ApplyDescriptor(ctx, a.Target, a.Version)
+		}),
+		MethodEnable.Handle(func(_ context.Context, key dfm.EntryKey) (rpc.None, error) {
+			return rpc.None{}, d.EnableFunction(key)
+		}),
+		MethodDisable.Handle(func(_ context.Context, key dfm.EntryKey) (rpc.None, error) {
+			return rpc.None{}, d.DisableFunction(key)
+		}),
+		MethodIncorporate.Handle(func(ctx context.Context, a IncorporateArgs) (rpc.None, error) {
+			return rpc.None{}, d.Incorporate(ctx, a.ICO, a.Enable)
+		}),
+		MethodRemoveComponent.Handle(func(_ context.Context, id string) (rpc.None, error) {
+			return rpc.None{}, d.RemoveComponent(id)
+		}),
+	)
+}
+
+// Control returns the object's control table.
+func (d *DCDO) Control() rpc.Table { return d.control }
+
+// VersionCodec carries a version as its segment list.
+var VersionCodec = rpc.NewCodec(PutVersion, GetVersion)
+
+// DescriptorCodec carries a configuration descriptor unframed.
+var DescriptorCodec = rpc.Codec[*dfm.Descriptor]{Encode: (*dfm.Descriptor).Encode, Decode: dfm.DecodeDescriptor}
+
+// PutVersion writes v as its segment list.
+func PutVersion(e *wire.Encoder, v version.ID) { e.PutUintSlice(v.Encode()) }
+
+// GetVersion reads a PutVersion version.
+func GetVersion(d *wire.Decoder) (version.ID, error) {
+	segs, err := d.UintSlice()
 	if err != nil {
-		return r, fmt.Errorf("core: corrupt apply report: %w", err)
+		return nil, err
 	}
-	r.ComponentsAdded = int(vals[0])
-	r.ComponentsRemoved = int(vals[1])
-	r.ComponentsReplaced = int(vals[2])
-	r.EntriesRetuned = int(vals[3])
-	r.BytesFetched = bytesFetched
-	return r, nil
+	return version.Decode(segs)
 }
 
-// EncodeApplyArgs builds the argument payload for MethodApplyDescriptor.
-func EncodeApplyArgs(target *dfm.Descriptor, ver version.ID) []byte {
-	e := wire.NewEncoder(256)
-	e.PutBytes(target.Encode())
-	e.PutUintSlice(ver.Encode())
-	return e.Bytes()
-}
-
-// EncodeEntryKeyArgs builds the argument payload for MethodEnable/Disable.
-func EncodeEntryKeyArgs(key dfm.EntryKey) []byte {
-	e := wire.NewEncoder(32)
+// PutEntryKey writes a DFM entry key.
+func PutEntryKey(e *wire.Encoder, key dfm.EntryKey) {
 	e.PutString(key.Function)
 	e.PutString(key.Component)
-	return e.Bytes()
 }
 
-// EncodeIncorporateArgs builds the argument payload for MethodIncorporate.
-func EncodeIncorporateArgs(ico naming.LOID, enable bool) []byte {
-	e := wire.NewEncoder(32)
-	e.PutString(ico.String())
-	e.PutBool(enable)
-	return e.Bytes()
+// GetEntryKey reads a PutEntryKey key.
+func GetEntryKey(d *wire.Decoder) (key dfm.EntryKey, err error) {
+	if key.Function, err = d.String(); err != nil {
+		return key, err
+	}
+	key.Component, err = d.String()
+	return key, err
 }
 
-// EncodeRemoveComponentArgs builds the argument payload for
-// MethodRemoveComponent.
-func EncodeRemoveComponentArgs(id string) []byte {
-	e := wire.NewEncoder(16)
-	e.PutString(id)
-	return e.Bytes()
+func putApplyArgs(e *wire.Encoder, a ApplyArgs) {
+	e.PutBytes(a.Target.Encode())
+	PutVersion(e, a.Version)
+}
+
+func getApplyArgs(d *wire.Decoder) (a ApplyArgs, err error) {
+	desc, err := d.Bytes()
+	if err != nil {
+		return a, err
+	}
+	if a.Target, err = dfm.DecodeDescriptor(desc); err != nil {
+		return a, err
+	}
+	a.Version, err = GetVersion(d)
+	return a, err
+}
+
+func putApplyReport(e *wire.Encoder, r ApplyReport) {
+	e.PutUvarint(uint64(r.ComponentsAdded))
+	e.PutUvarint(uint64(r.ComponentsRemoved))
+	e.PutUvarint(uint64(r.ComponentsReplaced))
+	e.PutUvarint(uint64(r.EntriesRetuned))
+	e.PutVarint(r.BytesFetched)
+}
+
+func getApplyReport(d *wire.Decoder) (r ApplyReport, err error) {
+	for _, field := range []*int{&r.ComponentsAdded, &r.ComponentsRemoved, &r.ComponentsReplaced, &r.EntriesRetuned} {
+		v, err := d.Uvarint()
+		if err != nil {
+			return r, err
+		}
+		*field = int(v)
+	}
+	r.BytesFetched, err = d.Varint()
+	return r, err
+}
+
+func putIncorporateArgs(e *wire.Encoder, a IncorporateArgs) {
+	PutLOID(e, a.ICO)
+	e.PutBool(a.Enable)
+}
+
+func getIncorporateArgs(d *wire.Decoder) (a IncorporateArgs, err error) {
+	if a.ICO, err = GetLOID(d); err != nil {
+		return a, err
+	}
+	a.Enable, err = d.Bool()
+	return a, err
+}
+
+// PutLOID writes a LOID as its canonical string.
+func PutLOID(e *wire.Encoder, loid naming.LOID) { e.PutString(loid.String()) }
+
+// GetLOID reads a PutLOID LOID.
+func GetLOID(d *wire.Decoder) (naming.LOID, error) {
+	s, err := d.String()
+	if err != nil {
+		return naming.LOID{}, err
+	}
+	return naming.ParseLOID(s)
 }

@@ -264,30 +264,28 @@ func TestApplyDescriptorConvergesAfterTransientFetchFailures(t *testing.T) {
 
 // --- Remote control plane ---------------------------------------------------
 
+// control calls a control method through d.InvokeMethod, the way the
+// dispatcher does: encoded args in, encoded result out.
+func control[A, R any](d *DCDO, m rpc.Method[A, R], a A) (R, error) {
+	out, err := d.InvokeMethod(m.Name, m.Args.Encode(a))
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return m.Result.Decode(out)
+}
+
 func TestControlInterfaceAndVersion(t *testing.T) {
 	f := newFixture(t)
 	d := f.newDCDO(t, Config{})
 	f.incorporate(t, d, "mathlib", true)
 	d.SetVersion(version.ID{2, 1})
 
-	out, err := d.InvokeMethod(MethodInterface, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, err := wire.NewDecoder(out).StringSlice()
+	names, err := control(d, MethodInterface, rpc.None{})
 	if err != nil || !reflect.DeepEqual(names, []string{"sort"}) {
 		t.Fatalf("interface = %v, %v", names, err)
 	}
-
-	out, err = d.InvokeMethod(MethodVersion, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, err := wire.NewDecoder(out).UintSlice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ver, err := version.Decode(segs)
+	ver, err := control(d, MethodVersion, rpc.None{})
 	if err != nil || !ver.Equal(version.ID{2, 1}) {
 		t.Fatalf("version = %v, %v", ver, err)
 	}
@@ -298,11 +296,7 @@ func TestControlSnapshotRoundTrip(t *testing.T) {
 	d := f.newDCDO(t, Config{})
 	f.incorporate(t, d, "mathlib", true)
 
-	out, err := d.InvokeMethod(MethodSnapshot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := dfm.DecodeDescriptor(out)
+	snap, err := control(d, MethodSnapshot, rpc.None{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +310,13 @@ func TestControlEnableDisable(t *testing.T) {
 	d := f.newDCDO(t, Config{})
 	f.incorporate(t, d, "mathlib", true)
 
-	if _, err := d.InvokeMethod(MethodDisable, EncodeEntryKeyArgs(key("sort", "mathlib"))); err != nil {
+	if _, err := control(d, MethodDisable, key("sort", "mathlib")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.InvokeMethod("sort", nil); !errors.Is(err, rpc.ErrFunctionDisabled) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := d.InvokeMethod(MethodEnable, EncodeEntryKeyArgs(key("sort", "mathlib"))); err != nil {
+	if _, err := control(d, MethodEnable, key("sort", "mathlib")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.InvokeMethod("sort", encodeInts([]int64{1})); err != nil {
@@ -334,16 +328,16 @@ func TestControlIncorporateAndRemove(t *testing.T) {
 	f := newFixture(t)
 	d := f.newDCDO(t, Config{})
 
-	if _, err := d.InvokeMethod(MethodIncorporate, EncodeIncorporateArgs(f.icos["utillib"], true)); err != nil {
+	if _, err := control(d, MethodIncorporate, IncorporateArgs{ICO: f.icos["utillib"], Enable: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.InvokeMethod("hash", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.InvokeMethod(MethodDisable, EncodeEntryKeyArgs(key("hash", "utillib"))); err != nil {
+	if _, err := control(d, MethodDisable, key("hash", "utillib")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.InvokeMethod(MethodRemoveComponent, EncodeRemoveComponentArgs("utillib")); err != nil {
+	if _, err := control(d, MethodRemoveComponent, "utillib"); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.ComponentIDs()) != 0 {
@@ -361,11 +355,7 @@ func TestControlApplyDescriptorRemotely(t *testing.T) {
 		desc.Entry(key("compare", "mathlib")).Enabled = false
 		desc.Entry(key("compare", "revlib")).Enabled = true
 	})
-	out, err := d.InvokeMethod(MethodApplyDescriptor, EncodeApplyArgs(target, version.ID{1, 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := DecodeApplyReport(out)
+	report, err := control(d, MethodApplyDescriptor, ApplyArgs{Target: target, Version: version.ID{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,8 +371,8 @@ func TestControlBadArgs(t *testing.T) {
 	f := newFixture(t)
 	d := f.newDCDO(t, Config{})
 	for _, method := range []string{
-		MethodApplyDescriptor, MethodEnable, MethodDisable,
-		MethodIncorporate, MethodRemoveComponent,
+		MethodApplyDescriptor.Name, MethodEnable.Name, MethodDisable.Name,
+		MethodIncorporate.Name, MethodRemoveComponent.Name,
 	} {
 		if _, err := d.InvokeMethod(method, nil); !errors.Is(err, rpc.ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", method, err)
@@ -401,14 +391,17 @@ func TestApplyReportCodecRoundTrip(t *testing.T) {
 	e.PutUvarint(uint64(in.ComponentsReplaced))
 	e.PutUvarint(uint64(in.EntriesRetuned))
 	e.PutVarint(in.BytesFetched)
-	out, err := DecodeApplyReport(e.Bytes())
+	if got := MethodApplyDescriptor.Result.Encode(in); !reflect.DeepEqual(got, e.Bytes()) {
+		t.Fatalf("encoding = %x, want %x", got, e.Bytes())
+	}
+	out, err := MethodApplyDescriptor.Result.Decode(e.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
 		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}
-	if _, err := DecodeApplyReport([]byte{1}); err == nil {
+	if _, err := MethodApplyDescriptor.Result.Decode([]byte{1}); err == nil {
 		t.Fatal("truncated report accepted")
 	}
 }
@@ -429,11 +422,7 @@ func TestApplyDescriptorOverRPC(t *testing.T) {
 		desc.Entry(key("compare", "mathlib")).Enabled = false
 		desc.Entry(key("compare", "revlib")).Enabled = true
 	})
-	out, err := env.client.Invoke(context.Background(), d.LOID(), MethodApplyDescriptor, EncodeApplyArgs(target, version.ID{1, 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := DecodeApplyReport(out)
+	report, err := MethodApplyDescriptor.Call(context.Background(), env.client, d.LOID(), ApplyArgs{Target: target, Version: version.ID{1, 2}})
 	if err != nil || report.EntriesRetuned != 2 {
 		t.Fatalf("report = %+v, %v", report, err)
 	}

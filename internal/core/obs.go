@@ -94,7 +94,7 @@ func (d *DCDO) InvokeMethodTraced(ctx context.Context, parent obs.SpanContext, m
 	if strings.HasPrefix(method, ControlPrefix) {
 		sp := st.tracer.StartSpan(obs.StageDCDOControl, parent)
 		sp.Annotate("method", method)
-		result, err := d.invokeControl(ctx, method, args)
+		result, err := d.control.InvokeMethodCtx(ctx, method, args)
 		sp.Fail(err)
 		sp.Finish()
 		return result, err

@@ -6,7 +6,6 @@ import (
 
 	"godcdo/internal/dfm"
 	"godcdo/internal/objstate"
-	"godcdo/internal/version"
 	"godcdo/internal/wire"
 )
 
@@ -29,7 +28,7 @@ func (d *DCDO) State() *objstate.State { return d.state }
 func (d *DCDO) CaptureState() ([]byte, error) {
 	snap := d.Snapshot()
 	e := wire.NewEncoder(256)
-	e.PutUintSlice(d.Version().Encode())
+	PutVersion(e, d.Version())
 	e.PutBytes(snap.Encode())
 	e.PutBytes(d.state.Encode())
 	return e.Bytes(), nil
@@ -41,13 +40,9 @@ func (d *DCDO) CaptureState() ([]byte, error) {
 // implementation type — and then reinstates the persistent state.
 func (d *DCDO) RestoreState(buf []byte) error {
 	dec := wire.NewDecoder(buf)
-	segs, err := dec.UintSlice()
+	ver, err := GetVersion(dec)
 	if err != nil {
 		return fmt.Errorf("core: restore: version: %w", err)
-	}
-	ver, err := version.Decode(segs)
-	if err != nil {
-		return fmt.Errorf("core: restore: %w", err)
 	}
 	descBytes, err := dec.Bytes()
 	if err != nil {

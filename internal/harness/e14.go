@@ -419,23 +419,14 @@ func RunE14() (*Report, error) {
 	retunePol.Degree = 3
 	retunePol.ReadPreference = policy.ReadBackupOK
 	retunePol.Consistency = policy.ConsistencyEventual
-	if _, err := client.Invoke(ctx, mgrLOID, manager.MethodPolicySet,
-		manager.EncodePolicySetArgs(soloLOID, retunePol.String())); err != nil {
+	if _, err := manager.MethodPolicySet.Call(ctx, client, mgrLOID, manager.PolicyArgs{LOID: soloLOID, Policy: retunePol}); err != nil {
 		return nil, fmt.Errorf("e14: policy set over RPC: %w", err)
 	}
-	getOut, err := client.InvokeIdempotent(ctx, mgrLOID, manager.MethodPolicyGet,
-		manager.EncodePolicyGetArgs(soloLOID))
+	got, err := manager.MethodPolicyGet.Call(ctx, client, mgrLOID, soloLOID)
 	if err != nil {
 		return nil, fmt.Errorf("e14: policy get over RPC: %w", err)
 	}
-	gotDoc, gotOK, err := manager.DecodePolicyGetReply(getOut)
-	if err != nil {
-		return nil, err
-	}
-	roundTripped, err := policy.Parse(gotDoc)
-	if err != nil {
-		return nil, fmt.Errorf("e14: returned policy doc: %w", err)
-	}
+	gotOK, roundTripped, gotDoc := got.Designated, got.Policy, got.Policy.String()
 
 	retuneStart := time.Now()
 	var soloSet naming.ReplicaSet

@@ -191,15 +191,8 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 	// An administrator (the client node) derives and activates version 1.1
 	// entirely through the remote manager interface.
 	admin := clientNode.Client()
-	deriveOut, err := admin.Invoke(context.Background(), mgrLOID, manager.MethodDerive, manager.EncodeVersionArgs(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, err := wire.NewDecoder(deriveOut).UintSlice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, err := version.Decode(segs)
+	ctx := context.Background()
+	child, err := manager.MethodDerive.Call(ctx, admin, mgrLOID, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,19 +203,18 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 		{dfm.EntryKey{Function: "greet", Component: "greet-en"}, false},
 		{dfm.EntryKey{Function: "greet", Component: "greet-fr"}, true},
 	} {
-		if _, err := admin.Invoke(context.Background(), mgrLOID, manager.MethodVSetEnabled,
-			manager.EncodeSetEnabledArgs(child, step.key, step.enabled)); err != nil {
+		if _, err := manager.MethodVSetEnabled.Call(ctx, admin, mgrLOID,
+			manager.SetEnabledArgs{Version: child, Key: step.key, Enabled: step.enabled}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := admin.Invoke(context.Background(), mgrLOID, manager.MethodMarkInstantiable, manager.EncodeVersionArgs(child)); err != nil {
+	if _, err := manager.MethodMarkInstantiable.Call(ctx, admin, mgrLOID, child); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := admin.Invoke(context.Background(), mgrLOID, manager.MethodSetCurrent, manager.EncodeVersionArgs(child)); err != nil {
+	if _, err := manager.MethodSetCurrent.Call(ctx, admin, mgrLOID, child); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := admin.Invoke(context.Background(), mgrLOID, manager.MethodEvolveInstance,
-		manager.EncodeEvolveInstanceArgs(objLOID, child)); err != nil {
+	if _, err := manager.MethodEvolveInstance.Call(ctx, admin, mgrLOID, manager.EvolveArgs{LOID: objLOID, Version: child}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -526,11 +518,7 @@ func TestDisappearingExportedFunctionAcrossTheWire(t *testing.T) {
 	defer client.Close()
 
 	// Client obtains the interface: greet is there.
-	out, err := client.Client().Invoke(context.Background(), obj.LOID(), core.MethodInterface, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, err := wire.NewDecoder(out).StringSlice()
+	names, err := core.MethodInterface.Call(context.Background(), client.Client(), obj.LOID(), rpc.None{})
 	if err != nil || len(names) != 1 || names[0] != "greet" {
 		t.Fatalf("interface = %v, %v", names, err)
 	}

@@ -16,6 +16,7 @@ import (
 	"godcdo/internal/policy"
 	"godcdo/internal/registry"
 	"godcdo/internal/replica"
+	"godcdo/internal/rpc"
 	"godcdo/internal/version"
 )
 
@@ -60,6 +61,8 @@ type Manager struct {
 	store  *Store
 	style  evolution.Style
 	policy evolution.UpdatePolicy
+	// methods serves the exported interface (remote.go) for Object.
+	methods rpc.Table
 
 	mu          sync.Mutex
 	instances   map[naming.LOID]Instance
@@ -80,7 +83,7 @@ var _ evolution.ManagerView = (*Manager)(nil)
 
 // New returns a manager over its own empty store.
 func New(style evolution.Style, policy evolution.UpdatePolicy) *Manager {
-	return &Manager{
+	m := &Manager{
 		store:       NewStore(),
 		style:       style,
 		policy:      policy,
@@ -88,6 +91,8 @@ func New(style evolution.Style, policy evolution.UpdatePolicy) *Manager {
 		records:     make(map[naming.LOID]*Record),
 		quarantined: make(map[naming.LOID]string),
 	}
+	m.methods = m.methodTable()
+	return m
 }
 
 // SetJournal installs the evolution journal. Subsequent current-version
@@ -454,7 +459,8 @@ func (m *Manager) finishStep(st *step, err error) {
 // repeating completed work or flipping leadership twice.
 func (m *Manager) evolveReplicated(ctx context.Context, j *Journal, pass uint64, g *replica.Group, loid naming.LOID, desc *dfm.Descriptor, v version.ID) error {
 	set := g.Set()
-	applyArgs := core.EncodeApplyArgs(desc, v)
+	apply := core.MethodApplyDescriptor
+	applyArgs := apply.Args.Encode(core.ApplyArgs{Target: desc, Version: v})
 
 	memberAt := func(endpoint string) (bool, error) {
 		st, err := g.Status(ctx, endpoint)
@@ -477,7 +483,7 @@ func (m *Manager) evolveReplicated(ctx context.Context, j *Journal, pass uint64,
 		if done {
 			continue
 		}
-		if _, err := g.Call(ctx, ep, core.MethodApplyDescriptor, applyArgs); err != nil {
+		if _, err := g.Call(ctx, ep, apply.Name, applyArgs); err != nil {
 			return fmt.Errorf("replica %s: %w", ep, err)
 		}
 	}
@@ -504,7 +510,7 @@ func (m *Manager) evolveReplicated(ctx context.Context, j *Journal, pass uint64,
 		}
 		m.event("replica-promoted", loid, v, "primary="+newPrimary)
 	}
-	if _, err := g.Call(ctx, set.Primary, core.MethodApplyDescriptor, applyArgs); err != nil {
+	if _, err := g.Call(ctx, set.Primary, apply.Name, applyArgs); err != nil {
 		return fmt.Errorf("replica %s: %w", set.Primary, err)
 	}
 	return nil

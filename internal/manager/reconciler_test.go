@@ -29,7 +29,7 @@ func (f *recInner) State() *objstate.State { return f.st }
 
 func (f *recInner) InvokeMethodCtx(_ context.Context, method string, args []byte) ([]byte, error) {
 	switch method {
-	case core.MethodVersion:
+	case core.MethodVersion.Name:
 		e := wire.NewEncoder(16)
 		e.PutUintSlice([]uint64{1})
 		return e.Bytes(), nil

@@ -15,27 +15,102 @@ import (
 	"godcdo/internal/wire"
 )
 
-// Remotely callable manager methods. A DCDO Manager is itself an active
-// distributed object; these constants are its exported interface.
-const (
-	MethodCurrentVersion   = "mgr.currentVersion"
-	MethodSetCurrent       = "mgr.setCurrent"
-	MethodDescriptor       = "mgr.descriptor"
-	MethodInstantiableDesc = "mgr.instantiableDescriptor"
-	MethodDerive           = "mgr.derive"
-	MethodMarkInstantiable = "mgr.markInstantiable"
-	MethodEvolveInstance   = "mgr.evolveInstance"
-	MethodRecords          = "mgr.records"
-	MethodCreateRoot       = "mgr.createRoot"
-	MethodVAddComponent    = "mgr.vAddComponent"
-	MethodVRemoveComponent = "mgr.vRemoveComponent"
-	MethodVSetEnabled      = "mgr.vSetEnabled"
-	MethodVSetFlags        = "mgr.vSetFlags"
-	MethodVAddDep          = "mgr.vAddDep"
-	MethodRecover          = "mgr.recover"
-	MethodHealth           = "mgr.health"
-	MethodPolicyGet        = "mgr.policyGet"
-	MethodPolicySet        = "mgr.policySet"
+// EvolveArgs are MethodEvolveInstance's arguments.
+type EvolveArgs struct {
+	LOID    naming.LOID
+	Version version.ID
+}
+
+// ComponentArgs name one component of a configurable version.
+type ComponentArgs struct {
+	Version version.ID
+	ID      string
+}
+
+// AddComponentArgs are MethodVAddComponent's arguments. The decoder sets
+// each entry's Component to ID.
+type AddComponentArgs struct {
+	Version version.ID
+	ID      string
+	Ref     dfm.ComponentRef
+	Entries []dfm.EntryDesc
+}
+
+// SetEnabledArgs are MethodVSetEnabled's arguments.
+type SetEnabledArgs struct {
+	Version version.ID
+	Key     dfm.EntryKey
+	Enabled bool
+}
+
+// SetFlagsArgs are MethodVSetFlags's arguments.
+type SetFlagsArgs struct {
+	Version                        version.ID
+	Key                            dfm.EntryKey
+	Exported, Mandatory, Permanent bool
+}
+
+// AddDepArgs are MethodVAddDep's arguments. The decoder validates Dep.
+type AddDepArgs struct {
+	Version version.ID
+	Dep     dfm.Dependency
+}
+
+// PolicyArgs are MethodPolicySet's arguments. The document travels as its
+// JSON form and is parsed and validated on decode.
+type PolicyArgs struct {
+	LOID   naming.LOID
+	Policy policy.DistributionPolicy
+}
+
+// Designation is MethodPolicyGet's result: the LOID's designated policy, or
+// the implicit default when Designated is false.
+type Designation struct {
+	Policy     policy.DistributionPolicy
+	Designated bool
+}
+
+// The manager's exported interface: a DCDO Manager is itself an active
+// distributed object. Only the pure reads are idempotent; every mutation,
+// recover included, is at-most-once.
+var (
+	MethodCurrentVersion = rpc.Method[rpc.None, version.ID]{Name: "mgr.currentVersion", Idempotent: true,
+		Args: rpc.NoneCodec, Result: core.VersionCodec}
+	MethodSetCurrent = rpc.Method[version.ID, rpc.None]{Name: "mgr.setCurrent",
+		Args: core.VersionCodec, Result: rpc.NoneCodec}
+	MethodDescriptor = rpc.Method[version.ID, *dfm.Descriptor]{Name: "mgr.descriptor", Idempotent: true,
+		Args: core.VersionCodec, Result: core.DescriptorCodec}
+	MethodInstantiableDesc = rpc.Method[version.ID, *dfm.Descriptor]{Name: "mgr.instantiableDescriptor", Idempotent: true,
+		Args: core.VersionCodec, Result: core.DescriptorCodec}
+	MethodDerive = rpc.Method[version.ID, version.ID]{Name: "mgr.derive",
+		Args: core.VersionCodec, Result: core.VersionCodec}
+	MethodMarkInstantiable = rpc.Method[version.ID, rpc.None]{Name: "mgr.markInstantiable",
+		Args: core.VersionCodec, Result: rpc.NoneCodec}
+	MethodEvolveInstance = rpc.Method[EvolveArgs, rpc.None]{Name: "mgr.evolveInstance",
+		Args: rpc.NewCodec(putEvolveArgs, getEvolveArgs), Result: rpc.NoneCodec}
+	MethodRecords = rpc.Method[rpc.None, []Record]{Name: "mgr.records", Idempotent: true,
+		Args: rpc.NoneCodec, Result: runCodec(putRecord, getRecord)}
+	// MethodCreateRoot's descriptor may be nil: the root starts empty.
+	MethodCreateRoot = rpc.Method[*dfm.Descriptor, version.ID]{Name: "mgr.createRoot",
+		Args: rpc.NewCodec(putRootDescriptor, getRootDescriptor), Result: core.VersionCodec}
+	MethodVAddComponent = rpc.Method[AddComponentArgs, rpc.None]{Name: "mgr.vAddComponent",
+		Args: rpc.NewCodec(putAddComponentArgs, getAddComponentArgs), Result: rpc.NoneCodec}
+	MethodVRemoveComponent = rpc.Method[ComponentArgs, rpc.None]{Name: "mgr.vRemoveComponent",
+		Args: rpc.NewCodec(putComponentArgs, getComponentArgs), Result: rpc.NoneCodec}
+	MethodVSetEnabled = rpc.Method[SetEnabledArgs, rpc.None]{Name: "mgr.vSetEnabled",
+		Args: rpc.NewCodec(putSetEnabledArgs, getSetEnabledArgs), Result: rpc.NoneCodec}
+	MethodVSetFlags = rpc.Method[SetFlagsArgs, rpc.None]{Name: "mgr.vSetFlags",
+		Args: rpc.NewCodec(putSetFlagsArgs, getSetFlagsArgs), Result: rpc.NoneCodec}
+	MethodVAddDep = rpc.Method[AddDepArgs, rpc.None]{Name: "mgr.vAddDep",
+		Args: rpc.NewCodec(putAddDepArgs, getAddDepArgs), Result: rpc.NoneCodec}
+	MethodRecover = rpc.Method[rpc.None, RecoveryReport]{Name: "mgr.recover",
+		Args: rpc.NoneCodec, Result: rpc.NewCodec(putRecoveryReport, getRecoveryReport)}
+	MethodHealth = rpc.Method[rpc.None, []InstanceHealth]{Name: "mgr.health", Idempotent: true,
+		Args: rpc.NoneCodec, Result: runCodec(putInstanceHealth, getInstanceHealth)}
+	MethodPolicyGet = rpc.Method[naming.LOID, Designation]{Name: "mgr.policyGet", Idempotent: true,
+		Args: rpc.NewCodec(core.PutLOID, core.GetLOID), Result: rpc.NewCodec(putDesignation, getDesignation)}
+	MethodPolicySet = rpc.Method[PolicyArgs, rpc.None]{Name: "mgr.policySet",
+		Args: rpc.NewCodec(putPolicyArgs, getPolicyArgs), Result: rpc.NoneCodec}
 )
 
 // InstanceHealth is one row of the mgr.health reply: the DCDO table entry
@@ -73,7 +148,7 @@ var (
 
 // InvokeMethod implements rpc.Object for context-free callers.
 func (o *Object) InvokeMethod(method string, args []byte) ([]byte, error) {
-	return o.InvokeMethodCtx(context.Background(), method, args)
+	return o.Mgr.methods.InvokeMethod(method, args)
 }
 
 // InvokeMethodCtx implements rpc.ContextAwareObject: the long-running
@@ -81,564 +156,387 @@ func (o *Object) InvokeMethod(method string, args []byte) ([]byte, error) {
 // recovery) run under the caller's context, so a remote client's deadline
 // bounds the instance RPCs the manager issues on its behalf.
 func (o *Object) InvokeMethodCtx(ctx context.Context, method string, args []byte) ([]byte, error) {
-	m := o.Mgr
-	dec := wire.NewDecoder(args)
-	badReq := func(what string, err error) ([]byte, error) {
-		return nil, fmt.Errorf("%w: %s: %v", rpc.ErrBadRequest, what, err)
+	return o.Mgr.methods.InvokeMethodCtx(ctx, method, args)
+}
+
+// methodTable serves the manager's exported interface.
+func (m *Manager) methodTable() rpc.Table {
+	none := rpc.None{}
+	// configure edits a configurable version's descriptor in place.
+	configure := func(v version.ID, fn func(*dfm.Descriptor) error) (rpc.None, error) {
+		return none, m.Store().Configure(v, fn)
 	}
-	decodeVersion := func() (version.ID, error) {
-		segs, err := dec.UintSlice()
-		if err != nil {
-			return nil, err
+	entry := func(d *dfm.Descriptor, v version.ID, key dfm.EntryKey) (*dfm.EntryDesc, error) {
+		if e := d.Entry(key); e != nil {
+			return e, nil
 		}
-		return version.Decode(segs)
+		return nil, fmt.Errorf("%w: no entry %s@%s in %s", ErrUnknownVersion, key.Function, key.Component, v)
 	}
-	encodeVersion := func(v version.ID) []byte {
-		e := wire.NewEncoder(16)
-		e.PutUintSlice(v.Encode())
-		return e.Bytes()
-	}
-
-	switch method {
-	case MethodCurrentVersion:
-		v, err := m.CurrentVersion()
-		if err != nil {
-			return nil, err
-		}
-		return encodeVersion(v), nil
-
-	case MethodSetCurrent:
-		v, err := decodeVersion()
-		if err != nil {
-			return badReq("version", err)
-		}
-		return nil, m.SetCurrentVersion(ctx, v)
-
-	case MethodDescriptor, MethodInstantiableDesc:
-		v, err := decodeVersion()
-		if err != nil {
-			return badReq("version", err)
-		}
-		var desc *dfm.Descriptor
-		if method == MethodDescriptor {
-			desc, err = m.Store().Descriptor(v)
-		} else {
-			desc, err = m.Store().InstantiableDescriptor(v)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return desc.Encode(), nil
-
-	case MethodDerive:
-		from, err := decodeVersion()
-		if err != nil {
-			return badReq("version", err)
-		}
-		child, err := m.Store().Derive(from)
-		if err != nil {
-			return nil, err
-		}
-		return encodeVersion(child), nil
-
-	case MethodMarkInstantiable:
-		v, err := decodeVersion()
-		if err != nil {
-			return badReq("version", err)
-		}
-		return nil, m.Store().MarkInstantiable(v)
-
-	case MethodEvolveInstance:
-		loidStr, err := dec.String()
-		if err != nil {
-			return badReq("loid", err)
-		}
-		loid, err := naming.ParseLOID(loidStr)
-		if err != nil {
-			return badReq("loid", err)
-		}
-		v, err := decodeVersion()
-		if err != nil {
-			return badReq("version", err)
-		}
-		return nil, m.EvolveInstance(ctx, loid, v)
-
-	case MethodRecords:
-		records := m.Records()
-		e := wire.NewEncoder(32 * len(records))
-		e.PutUvarint(uint64(len(records)))
-		for _, r := range records {
-			e.PutString(r.LOID.String())
-			e.PutUintSlice(r.Version.Encode())
-			e.PutString(r.Impl.String())
-		}
-		return e.Bytes(), nil
-
-	case MethodCreateRoot:
-		descBytes, err := dec.Bytes()
-		if err != nil {
-			return badReq("descriptor", err)
-		}
-		var desc *dfm.Descriptor
-		if len(descBytes) > 0 {
-			if desc, err = dfm.DecodeDescriptor(descBytes); err != nil {
-				return badReq("descriptor", err)
-			}
-		}
-		root, err := m.Store().CreateRoot(desc)
-		if err != nil {
-			return nil, err
-		}
-		return encodeVersion(root), nil
-
-	case MethodVAddComponent:
-		v, err := decodeVersion()
-		if err != nil {
-			return badReq("version", err)
-		}
-		id, ref, entries, err := decodeAddComponent(dec)
-		if err != nil {
-			return badReq("component", err)
-		}
-		return nil, m.Store().Configure(v, func(d *dfm.Descriptor) error {
-			d.Components[id] = ref
-			d.Entries = append(d.Entries, entries...)
-			return nil
-		})
-
-	case MethodVRemoveComponent:
-		v, err := decodeVersion()
-		if err != nil {
-			return badReq("version", err)
-		}
-		id, err := dec.String()
-		if err != nil {
-			return badReq("component id", err)
-		}
-		return nil, m.Store().Configure(v, func(d *dfm.Descriptor) error {
-			delete(d.Components, id)
-			kept := d.Entries[:0]
-			for _, e := range d.Entries {
-				if e.Component != id {
-					kept = append(kept, e)
+	return rpc.Serve(
+		MethodCurrentVersion.Handle(func(context.Context, rpc.None) (version.ID, error) {
+			return m.CurrentVersion()
+		}),
+		MethodSetCurrent.Handle(func(ctx context.Context, v version.ID) (rpc.None, error) {
+			return none, m.SetCurrentVersion(ctx, v)
+		}),
+		MethodDescriptor.Handle(func(_ context.Context, v version.ID) (*dfm.Descriptor, error) {
+			return m.Store().Descriptor(v)
+		}),
+		MethodInstantiableDesc.Handle(func(_ context.Context, v version.ID) (*dfm.Descriptor, error) {
+			return m.Store().InstantiableDescriptor(v)
+		}),
+		MethodDerive.Handle(func(_ context.Context, from version.ID) (version.ID, error) {
+			return m.Store().Derive(from)
+		}),
+		MethodMarkInstantiable.Handle(func(_ context.Context, v version.ID) (rpc.None, error) {
+			return none, m.Store().MarkInstantiable(v)
+		}),
+		MethodEvolveInstance.Handle(func(ctx context.Context, a EvolveArgs) (rpc.None, error) {
+			return none, m.EvolveInstance(ctx, a.LOID, a.Version)
+		}),
+		MethodRecords.Handle(func(context.Context, rpc.None) ([]Record, error) {
+			return m.Records(), nil
+		}),
+		MethodCreateRoot.Handle(func(_ context.Context, desc *dfm.Descriptor) (version.ID, error) {
+			return m.Store().CreateRoot(desc)
+		}),
+		MethodVAddComponent.Handle(func(_ context.Context, a AddComponentArgs) (rpc.None, error) {
+			return configure(a.Version, func(d *dfm.Descriptor) error {
+				d.Components[a.ID] = a.Ref
+				d.Entries = append(d.Entries, a.Entries...)
+				return nil
+			})
+		}),
+		MethodVRemoveComponent.Handle(func(_ context.Context, a ComponentArgs) (rpc.None, error) {
+			return configure(a.Version, func(d *dfm.Descriptor) error {
+				delete(d.Components, a.ID)
+				kept := d.Entries[:0]
+				for _, e := range d.Entries {
+					if e.Component != a.ID {
+						kept = append(kept, e)
+					}
 				}
-			}
-			d.Entries = kept
-			return nil
-		})
-
-	case MethodVSetEnabled:
-		v, err := decodeVersion()
-		if err != nil {
-			return badReq("version", err)
-		}
-		fn, err := dec.String()
-		if err != nil {
-			return badReq("function", err)
-		}
-		comp, err := dec.String()
-		if err != nil {
-			return badReq("component", err)
-		}
-		enabled, err := dec.Bool()
-		if err != nil {
-			return badReq("enabled flag", err)
-		}
-		return nil, m.Store().Configure(v, func(d *dfm.Descriptor) error {
-			e := d.Entry(dfm.EntryKey{Function: fn, Component: comp})
-			if e == nil {
-				return fmt.Errorf("%w: no entry %s@%s in %s", ErrUnknownVersion, fn, comp, v)
-			}
-			e.Enabled = enabled
-			return nil
-		})
-
-	case MethodVSetFlags:
-		v, err := decodeVersion()
-		if err != nil {
-			return badReq("version", err)
-		}
-		fn, err := dec.String()
-		if err != nil {
-			return badReq("function", err)
-		}
-		comp, err := dec.String()
-		if err != nil {
-			return badReq("component", err)
-		}
-		var flags [3]bool
-		for i := range flags {
-			if flags[i], err = dec.Bool(); err != nil {
-				return badReq("flags", err)
-			}
-		}
-		return nil, m.Store().Configure(v, func(d *dfm.Descriptor) error {
-			e := d.Entry(dfm.EntryKey{Function: fn, Component: comp})
-			if e == nil {
-				return fmt.Errorf("%w: no entry %s@%s in %s", ErrUnknownVersion, fn, comp, v)
-			}
-			e.Exported, e.Mandatory, e.Permanent = flags[0], flags[1], flags[2]
-			return nil
-		})
-
-	case MethodVAddDep:
-		v, err := decodeVersion()
-		if err != nil {
-			return badReq("version", err)
-		}
-		kind, err := dec.Uvarint()
-		if err != nil {
-			return badReq("dependency", err)
-		}
-		var dep dfm.Dependency
-		dep.Kind = dfm.DepKind(kind)
-		if dep.FromFunc, err = dec.String(); err != nil {
-			return badReq("dependency", err)
-		}
-		if dep.FromComp, err = dec.String(); err != nil {
-			return badReq("dependency", err)
-		}
-		if dep.ToFunc, err = dec.String(); err != nil {
-			return badReq("dependency", err)
-		}
-		if dep.ToComp, err = dec.String(); err != nil {
-			return badReq("dependency", err)
-		}
-		if err := dep.Validate(); err != nil {
-			return badReq("dependency", err)
-		}
-		return nil, m.Store().Configure(v, func(d *dfm.Descriptor) error {
-			d.Deps = append(d.Deps, dep)
-			return nil
-		})
-
-	case MethodPolicyGet:
-		loidStr, err := dec.String()
-		if err != nil {
-			return badReq("loid", err)
-		}
-		loid, err := naming.ParseLOID(loidStr)
-		if err != nil {
-			return badReq("loid", err)
-		}
-		pol, ok := m.PolicyOf(loid)
-		e := wire.NewEncoder(64)
-		e.PutBool(ok)
-		if ok {
-			e.PutString(pol.String())
-		} else {
-			e.PutString("")
-		}
-		return e.Bytes(), nil
-
-	case MethodPolicySet:
-		loidStr, err := dec.String()
-		if err != nil {
-			return badReq("loid", err)
-		}
-		loid, err := naming.ParseLOID(loidStr)
-		if err != nil {
-			return badReq("loid", err)
-		}
-		doc, err := dec.String()
-		if err != nil {
-			return badReq("policy", err)
-		}
-		pol, err := policy.Parse(doc)
-		if err != nil {
-			return badReq("policy", err)
-		}
-		return nil, m.SetPolicy(loid, pol)
-
-	case MethodRecover:
-		report, err := m.Recover(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeRecoveryReport(report), nil
-
-	case MethodHealth:
-		healths := m.InstanceHealths()
-		e := wire.NewEncoder(32 * len(healths))
-		e.PutUvarint(uint64(len(healths)))
-		for _, h := range healths {
-			e.PutString(h.LOID.String())
-			e.PutUintSlice(h.Version.Encode())
-			e.PutBool(h.Quarantined)
-			e.PutString(h.Reason)
-		}
-		return e.Bytes(), nil
-
-	default:
-		return nil, fmt.Errorf("%w: %q", rpc.ErrNoSuchFunction, method)
-	}
+				d.Entries = kept
+				return nil
+			})
+		}),
+		MethodVSetEnabled.Handle(func(_ context.Context, a SetEnabledArgs) (rpc.None, error) {
+			return configure(a.Version, func(d *dfm.Descriptor) error {
+				e, err := entry(d, a.Version, a.Key)
+				if err == nil {
+					e.Enabled = a.Enabled
+				}
+				return err
+			})
+		}),
+		MethodVSetFlags.Handle(func(_ context.Context, a SetFlagsArgs) (rpc.None, error) {
+			return configure(a.Version, func(d *dfm.Descriptor) error {
+				e, err := entry(d, a.Version, a.Key)
+				if err == nil {
+					e.Exported, e.Mandatory, e.Permanent = a.Exported, a.Mandatory, a.Permanent
+				}
+				return err
+			})
+		}),
+		MethodVAddDep.Handle(func(_ context.Context, a AddDepArgs) (rpc.None, error) {
+			return configure(a.Version, func(d *dfm.Descriptor) error {
+				d.Deps = append(d.Deps, a.Dep)
+				return nil
+			})
+		}),
+		MethodRecover.Handle(func(ctx context.Context, _ rpc.None) (RecoveryReport, error) {
+			return m.Recover(ctx)
+		}),
+		MethodHealth.Handle(func(context.Context, rpc.None) ([]InstanceHealth, error) {
+			return m.InstanceHealths(), nil
+		}),
+		MethodPolicyGet.Handle(func(_ context.Context, loid naming.LOID) (Designation, error) {
+			pol, ok := m.PolicyOf(loid)
+			return Designation{Policy: pol, Designated: ok}, nil
+		}),
+		MethodPolicySet.Handle(func(_ context.Context, a PolicyArgs) (rpc.None, error) {
+			return none, m.SetPolicy(a.LOID, a.Policy)
+		}),
+	)
 }
 
-// EncodeRecoveryReport serialises a RecoveryReport for the wire.
-func EncodeRecoveryReport(r RecoveryReport) []byte {
-	e := wire.NewEncoder(64)
-	e.PutUvarint(uint64(r.Passes))
-	e.PutUintSlice(r.Current.Encode())
-	putLOIDs := func(loids []naming.LOID) {
-		e.PutUvarint(uint64(len(loids)))
-		for _, loid := range loids {
-			e.PutString(loid.String())
-		}
-	}
-	putLOIDs(r.Resumed)
-	putLOIDs(r.Verified)
-	putLOIDs(r.RolledBack)
-	putLOIDs(r.Quarantined)
-	return e.Bytes()
+// runCodec carries a count-prefixed run of items.
+func runCodec[T any](put func(*wire.Encoder, T), get func(*wire.Decoder) (T, error)) rpc.Codec[[]T] {
+	return rpc.NewCodec(
+		func(e *wire.Encoder, items []T) { rpc.PutRun(e, items, put) },
+		func(d *wire.Decoder) ([]T, error) { return rpc.GetRun(d, get) })
 }
 
-// DecodeRecoveryReport parses EncodeRecoveryReport's payload.
-func DecodeRecoveryReport(payload []byte) (RecoveryReport, error) {
-	var r RecoveryReport
-	dec := wire.NewDecoder(payload)
-	passes, err := dec.Uvarint()
-	if err != nil {
-		return r, err
-	}
-	r.Passes = int(passes)
-	segs, err := dec.UintSlice()
-	if err != nil {
-		return r, err
-	}
-	if r.Current, err = version.Decode(segs); err != nil {
-		return r, err
-	}
-	readLOIDs := func() ([]naming.LOID, error) {
-		n, err := dec.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(dec.Remaining()) {
-			return nil, fmt.Errorf("loid count %d exceeds payload", n)
-		}
-		var out []naming.LOID
-		for i := uint64(0); i < n; i++ {
-			s, err := dec.String()
-			if err != nil {
-				return nil, err
-			}
-			loid, err := naming.ParseLOID(s)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, loid)
-		}
-		return out, nil
-	}
-	if r.Resumed, err = readLOIDs(); err != nil {
-		return r, err
-	}
-	if r.Verified, err = readLOIDs(); err != nil {
-		return r, err
-	}
-	if r.RolledBack, err = readLOIDs(); err != nil {
-		return r, err
-	}
-	if r.Quarantined, err = readLOIDs(); err != nil {
-		return r, err
-	}
-	return r, nil
+func putEvolveArgs(e *wire.Encoder, a EvolveArgs) {
+	core.PutLOID(e, a.LOID)
+	core.PutVersion(e, a.Version)
 }
 
-// DecodeInstanceHealths parses the mgr.health reply.
-func DecodeInstanceHealths(payload []byte) ([]InstanceHealth, error) {
-	dec := wire.NewDecoder(payload)
-	n, err := dec.Uvarint()
+func getEvolveArgs(d *wire.Decoder) (a EvolveArgs, err error) {
+	if a.LOID, err = core.GetLOID(d); err != nil {
+		return a, err
+	}
+	a.Version, err = core.GetVersion(d)
+	return a, err
+}
+
+func putRecord(e *wire.Encoder, r Record) {
+	core.PutLOID(e, r.LOID)
+	core.PutVersion(e, r.Version)
+	e.PutString(r.Impl.String())
+}
+
+func getRecord(d *wire.Decoder) (r Record, err error) {
+	if r.LOID, err = core.GetLOID(d); err != nil {
+		return r, err
+	}
+	if r.Version, err = core.GetVersion(d); err != nil {
+		return r, err
+	}
+	r.Impl, err = getImpl(d)
+	return r, err
+}
+
+func getImpl(d *wire.Decoder) (registry.ImplType, error) {
+	s, err := d.String()
 	if err != nil {
+		return registry.ImplType{}, err
+	}
+	return registry.ParseImplType(s)
+}
+
+func putRootDescriptor(e *wire.Encoder, desc *dfm.Descriptor) {
+	if desc == nil {
+		e.PutBytes(nil)
+		return
+	}
+	e.PutBytes(desc.Encode())
+}
+
+func getRootDescriptor(d *wire.Decoder) (*dfm.Descriptor, error) {
+	b, err := d.Bytes()
+	if err != nil || len(b) == 0 {
 		return nil, err
 	}
-	if n > uint64(dec.Remaining()) {
-		return nil, fmt.Errorf("health count %d exceeds payload", n)
-	}
-	out := make([]InstanceHealth, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var h InstanceHealth
-		s, err := dec.String()
-		if err != nil {
-			return nil, err
-		}
-		if h.LOID, err = naming.ParseLOID(s); err != nil {
-			return nil, err
-		}
-		segs, err := dec.UintSlice()
-		if err != nil {
-			return nil, err
-		}
-		if h.Version, err = version.Decode(segs); err != nil {
-			return nil, err
-		}
-		if h.Quarantined, err = dec.Bool(); err != nil {
-			return nil, err
-		}
-		if h.Reason, err = dec.String(); err != nil {
-			return nil, err
-		}
-		out = append(out, h)
-	}
-	return out, nil
+	return dfm.DecodeDescriptor(b)
 }
 
-func decodeAddComponent(dec *wire.Decoder) (string, dfm.ComponentRef, []dfm.EntryDesc, error) {
-	id, err := dec.String()
-	if err != nil {
-		return "", dfm.ComponentRef{}, nil, err
-	}
-	var ref dfm.ComponentRef
-	loidStr, err := dec.String()
-	if err != nil {
-		return "", ref, nil, err
-	}
-	if ref.ICO, err = naming.ParseLOID(loidStr); err != nil {
-		return "", ref, nil, err
-	}
-	if ref.CodeRef, err = dec.String(); err != nil {
-		return "", ref, nil, err
-	}
-	implStr, err := dec.String()
-	if err != nil {
-		return "", ref, nil, err
-	}
-	if ref.Impl, err = registry.ParseImplType(implStr); err != nil {
-		return "", ref, nil, err
-	}
-	if ref.CodeSize, err = dec.Varint(); err != nil {
-		return "", ref, nil, err
-	}
-	if ref.Revision, err = dec.Uvarint(); err != nil {
-		return "", ref, nil, err
-	}
-	n, err := dec.Uvarint()
-	if err != nil {
-		return "", ref, nil, err
-	}
-	if n > uint64(dec.Remaining()) {
-		return "", ref, nil, fmt.Errorf("entry count %d exceeds buffer", n)
-	}
-	entries := make([]dfm.EntryDesc, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e dfm.EntryDesc
-		if e.Function, err = dec.String(); err != nil {
-			return "", ref, nil, err
-		}
-		e.Component = id
-		if e.Exported, err = dec.Bool(); err != nil {
-			return "", ref, nil, err
-		}
-		if e.Enabled, err = dec.Bool(); err != nil {
-			return "", ref, nil, err
-		}
-		if e.Mandatory, err = dec.Bool(); err != nil {
-			return "", ref, nil, err
-		}
-		if e.Permanent, err = dec.Bool(); err != nil {
-			return "", ref, nil, err
-		}
-		entries = append(entries, e)
-	}
-	return id, ref, entries, nil
-}
-
-// EncodeAddComponentArgs builds MethodVAddComponent's payload.
-func EncodeAddComponentArgs(v version.ID, id string, ref dfm.ComponentRef, entries []dfm.EntryDesc) []byte {
-	e := wire.NewEncoder(128)
-	e.PutUintSlice(v.Encode())
-	e.PutString(id)
-	e.PutString(ref.ICO.String())
-	e.PutString(ref.CodeRef)
-	e.PutString(ref.Impl.String())
-	e.PutVarint(ref.CodeSize)
-	e.PutUvarint(ref.Revision)
-	e.PutUvarint(uint64(len(entries)))
-	for _, en := range entries {
+func putAddComponentArgs(e *wire.Encoder, a AddComponentArgs) {
+	core.PutVersion(e, a.Version)
+	e.PutString(a.ID)
+	core.PutLOID(e, a.Ref.ICO)
+	e.PutString(a.Ref.CodeRef)
+	e.PutString(a.Ref.Impl.String())
+	e.PutVarint(a.Ref.CodeSize)
+	e.PutUvarint(a.Ref.Revision)
+	rpc.PutRun(e, a.Entries, func(e *wire.Encoder, en dfm.EntryDesc) {
 		e.PutString(en.Function)
 		e.PutBool(en.Exported)
 		e.PutBool(en.Enabled)
 		e.PutBool(en.Mandatory)
 		e.PutBool(en.Permanent)
+	})
+}
+
+func getAddComponentArgs(d *wire.Decoder) (a AddComponentArgs, err error) {
+	if a.Version, err = core.GetVersion(d); err != nil {
+		return a, err
 	}
-	return e.Bytes()
-}
-
-// EncodeVersionArgs builds a payload holding just a version.
-func EncodeVersionArgs(v version.ID) []byte {
-	e := wire.NewEncoder(16)
-	e.PutUintSlice(v.Encode())
-	return e.Bytes()
-}
-
-// EncodeSetEnabledArgs builds MethodVSetEnabled's payload.
-func EncodeSetEnabledArgs(v version.ID, key dfm.EntryKey, enabled bool) []byte {
-	e := wire.NewEncoder(64)
-	e.PutUintSlice(v.Encode())
-	e.PutString(key.Function)
-	e.PutString(key.Component)
-	e.PutBool(enabled)
-	return e.Bytes()
-}
-
-// EncodeSetFlagsArgs builds MethodVSetFlags's payload.
-func EncodeSetFlagsArgs(v version.ID, key dfm.EntryKey, exported, mandatory, permanent bool) []byte {
-	e := wire.NewEncoder(64)
-	e.PutUintSlice(v.Encode())
-	e.PutString(key.Function)
-	e.PutString(key.Component)
-	e.PutBool(exported)
-	e.PutBool(mandatory)
-	e.PutBool(permanent)
-	return e.Bytes()
-}
-
-// EncodeAddDepArgs builds MethodVAddDep's payload.
-func EncodeAddDepArgs(v version.ID, dep dfm.Dependency) []byte {
-	e := wire.NewEncoder(64)
-	e.PutUintSlice(v.Encode())
-	e.PutUvarint(uint64(dep.Kind))
-	e.PutString(dep.FromFunc)
-	e.PutString(dep.FromComp)
-	e.PutString(dep.ToFunc)
-	e.PutString(dep.ToComp)
-	return e.Bytes()
-}
-
-// EncodeEvolveInstanceArgs builds MethodEvolveInstance's payload.
-func EncodeEvolveInstanceArgs(loid naming.LOID, v version.ID) []byte {
-	e := wire.NewEncoder(48)
-	e.PutString(loid.String())
-	e.PutUintSlice(v.Encode())
-	return e.Bytes()
-}
-
-// EncodePolicyGetArgs builds MethodPolicyGet's payload.
-func EncodePolicyGetArgs(loid naming.LOID) []byte {
-	e := wire.NewEncoder(32)
-	e.PutString(loid.String())
-	return e.Bytes()
-}
-
-// DecodePolicyGetReply parses the mgr.policyGet reply: the serialised
-// document and whether one was designated.
-func DecodePolicyGetReply(payload []byte) (doc string, ok bool, err error) {
-	dec := wire.NewDecoder(payload)
-	if ok, err = dec.Bool(); err != nil {
-		return "", false, err
+	if a.ID, err = d.String(); err != nil {
+		return a, err
 	}
-	if doc, err = dec.String(); err != nil {
-		return "", false, err
+	if a.Ref.ICO, err = core.GetLOID(d); err != nil {
+		return a, err
 	}
-	return doc, ok, nil
+	if a.Ref.CodeRef, err = d.String(); err != nil {
+		return a, err
+	}
+	if a.Ref.Impl, err = getImpl(d); err != nil {
+		return a, err
+	}
+	if a.Ref.CodeSize, err = d.Varint(); err != nil {
+		return a, err
+	}
+	if a.Ref.Revision, err = d.Uvarint(); err != nil {
+		return a, err
+	}
+	a.Entries, err = rpc.GetRun(d, func(d *wire.Decoder) (en dfm.EntryDesc, err error) {
+		en.Component = a.ID
+		if en.Function, err = d.String(); err != nil {
+			return en, err
+		}
+		for _, flag := range []*bool{&en.Exported, &en.Enabled, &en.Mandatory, &en.Permanent} {
+			if *flag, err = d.Bool(); err != nil {
+				return en, err
+			}
+		}
+		return en, nil
+	})
+	return a, err
 }
 
-// EncodePolicySetArgs builds MethodPolicySet's payload.
-func EncodePolicySetArgs(loid naming.LOID, doc string) []byte {
-	e := wire.NewEncoder(32 + len(doc))
-	e.PutString(loid.String())
-	e.PutString(doc)
-	return e.Bytes()
+func putComponentArgs(e *wire.Encoder, a ComponentArgs) {
+	core.PutVersion(e, a.Version)
+	e.PutString(a.ID)
+}
+
+func getComponentArgs(d *wire.Decoder) (a ComponentArgs, err error) {
+	if a.Version, err = core.GetVersion(d); err != nil {
+		return a, err
+	}
+	a.ID, err = d.String()
+	return a, err
+}
+
+func putSetEnabledArgs(e *wire.Encoder, a SetEnabledArgs) {
+	core.PutVersion(e, a.Version)
+	core.PutEntryKey(e, a.Key)
+	e.PutBool(a.Enabled)
+}
+
+func getSetEnabledArgs(d *wire.Decoder) (a SetEnabledArgs, err error) {
+	if a.Version, err = core.GetVersion(d); err != nil {
+		return a, err
+	}
+	if a.Key, err = core.GetEntryKey(d); err != nil {
+		return a, err
+	}
+	a.Enabled, err = d.Bool()
+	return a, err
+}
+
+func putSetFlagsArgs(e *wire.Encoder, a SetFlagsArgs) {
+	core.PutVersion(e, a.Version)
+	core.PutEntryKey(e, a.Key)
+	e.PutBool(a.Exported)
+	e.PutBool(a.Mandatory)
+	e.PutBool(a.Permanent)
+}
+
+func getSetFlagsArgs(d *wire.Decoder) (a SetFlagsArgs, err error) {
+	if a.Version, err = core.GetVersion(d); err != nil {
+		return a, err
+	}
+	if a.Key, err = core.GetEntryKey(d); err != nil {
+		return a, err
+	}
+	for _, flag := range []*bool{&a.Exported, &a.Mandatory, &a.Permanent} {
+		if *flag, err = d.Bool(); err != nil {
+			return a, err
+		}
+	}
+	return a, nil
+}
+
+func putAddDepArgs(e *wire.Encoder, a AddDepArgs) {
+	core.PutVersion(e, a.Version)
+	e.PutUvarint(uint64(a.Dep.Kind))
+	e.PutString(a.Dep.FromFunc)
+	e.PutString(a.Dep.FromComp)
+	e.PutString(a.Dep.ToFunc)
+	e.PutString(a.Dep.ToComp)
+}
+
+func getAddDepArgs(d *wire.Decoder) (a AddDepArgs, err error) {
+	if a.Version, err = core.GetVersion(d); err != nil {
+		return a, err
+	}
+	kind, err := d.Uvarint()
+	if err != nil {
+		return a, err
+	}
+	a.Dep.Kind = dfm.DepKind(kind)
+	for _, field := range []*string{&a.Dep.FromFunc, &a.Dep.FromComp, &a.Dep.ToFunc, &a.Dep.ToComp} {
+		if *field, err = d.String(); err != nil {
+			return a, err
+		}
+	}
+	return a, a.Dep.Validate()
+}
+
+func putRecoveryReport(e *wire.Encoder, r RecoveryReport) {
+	e.PutUvarint(uint64(r.Passes))
+	core.PutVersion(e, r.Current)
+	for _, loids := range [][]naming.LOID{r.Resumed, r.Verified, r.RolledBack, r.Quarantined} {
+		rpc.PutRun(e, loids, core.PutLOID)
+	}
+}
+
+func getRecoveryReport(d *wire.Decoder) (r RecoveryReport, err error) {
+	passes, err := d.Uvarint()
+	if err != nil {
+		return r, err
+	}
+	r.Passes = int(passes)
+	if r.Current, err = core.GetVersion(d); err != nil {
+		return r, err
+	}
+	for _, loids := range []*[]naming.LOID{&r.Resumed, &r.Verified, &r.RolledBack, &r.Quarantined} {
+		if *loids, err = rpc.GetRun(d, core.GetLOID); err != nil {
+			return r, err
+		}
+	}
+	return r, nil
+}
+
+func putInstanceHealth(e *wire.Encoder, h InstanceHealth) {
+	core.PutLOID(e, h.LOID)
+	core.PutVersion(e, h.Version)
+	e.PutBool(h.Quarantined)
+	e.PutString(h.Reason)
+}
+
+func getInstanceHealth(d *wire.Decoder) (h InstanceHealth, err error) {
+	if h.LOID, err = core.GetLOID(d); err != nil {
+		return h, err
+	}
+	if h.Version, err = core.GetVersion(d); err != nil {
+		return h, err
+	}
+	if h.Quarantined, err = d.Bool(); err != nil {
+		return h, err
+	}
+	h.Reason, err = d.String()
+	return h, err
+}
+
+func putDesignation(e *wire.Encoder, g Designation) {
+	e.PutBool(g.Designated)
+	if g.Designated {
+		e.PutString(g.Policy.String())
+	} else {
+		e.PutString("")
+	}
+}
+
+func getDesignation(d *wire.Decoder) (g Designation, err error) {
+	if g.Designated, err = d.Bool(); err != nil {
+		return g, err
+	}
+	doc, err := d.String()
+	if err != nil || !g.Designated {
+		g.Policy = policy.Default()
+		return g, err
+	}
+	g.Policy, err = policy.Parse(doc)
+	return g, err
+}
+
+func putPolicyArgs(e *wire.Encoder, a PolicyArgs) {
+	core.PutLOID(e, a.LOID)
+	e.PutString(a.Policy.String())
+}
+
+func getPolicyArgs(d *wire.Decoder) (a PolicyArgs, err error) {
+	if a.LOID, err = core.GetLOID(d); err != nil {
+		return a, err
+	}
+	doc, err := d.String()
+	if err != nil {
+		return a, err
+	}
+	a.Policy, err = policy.Parse(doc)
+	return a, err
 }
 
 // --- Remote proxies -----------------------------------------------------------
@@ -656,33 +554,17 @@ func (r RemoteInstance) LOID() naming.LOID { return r.Target }
 
 // Version implements Instance.
 func (r RemoteInstance) Version(ctx context.Context) (version.ID, error) {
-	out, err := r.Client.Invoke(ctx, r.Target, core.MethodVersion, nil)
-	if err != nil {
-		return nil, err
-	}
-	segs, err := wire.NewDecoder(out).UintSlice()
-	if err != nil {
-		return nil, fmt.Errorf("remote version: %w", err)
-	}
-	return version.Decode(segs)
+	return core.MethodVersion.Call(ctx, r.Client, r.Target, rpc.None{})
 }
 
 // Apply implements Instance.
 func (r RemoteInstance) Apply(ctx context.Context, target *dfm.Descriptor, v version.ID) (core.ApplyReport, error) {
-	out, err := r.Client.Invoke(ctx, r.Target, core.MethodApplyDescriptor, core.EncodeApplyArgs(target, v))
-	if err != nil {
-		return core.ApplyReport{}, err
-	}
-	return core.DecodeApplyReport(out)
+	return core.MethodApplyDescriptor.Call(ctx, r.Client, r.Target, core.ApplyArgs{Target: target, Version: v})
 }
 
 // Interface implements Instance.
 func (r RemoteInstance) Interface(ctx context.Context) ([]string, error) {
-	out, err := r.Client.Invoke(ctx, r.Target, core.MethodInterface, nil)
-	if err != nil {
-		return nil, err
-	}
-	return wire.NewDecoder(out).StringSlice()
+	return core.MethodInterface.Call(ctx, r.Client, r.Target, rpc.None{})
 }
 
 // EnsureCurrent implements the client side of the explicit update policy
@@ -692,23 +574,21 @@ func (r RemoteInstance) Interface(ctx context.Context) ([]string, error) {
 // version and, when they differ, asks the manager to evolve the instance.
 // It reports whether an update was initiated.
 func EnsureCurrent(ctx context.Context, client *rpc.Client, mgr, obj naming.LOID) (bool, error) {
-	view := RemoteView{Client: client, Target: mgr}
-	current, err := view.currentVersion(ctx)
+	current, err := MethodCurrentVersion.Call(ctx, client, mgr, rpc.None{})
 	if err != nil {
 		return false, fmt.Errorf("ensure current: %w", err)
 	}
 	if current.IsZero() {
 		return false, nil
 	}
-	inst := RemoteInstance{Client: client, Target: obj}
-	mine, err := inst.Version(ctx)
+	mine, err := RemoteInstance{Client: client, Target: obj}.Version(ctx)
 	if err != nil {
 		return false, fmt.Errorf("ensure current: %w", err)
 	}
 	if current.Equal(mine) {
 		return false, nil
 	}
-	if _, err := client.Invoke(ctx, mgr, MethodEvolveInstance, EncodeEvolveInstanceArgs(obj, current)); err != nil {
+	if _, err := MethodEvolveInstance.Call(ctx, client, mgr, EvolveArgs{LOID: obj, Version: current}); err != nil {
 		return false, fmt.Errorf("ensure current: %w", err)
 	}
 	return true, nil
@@ -727,26 +607,10 @@ var _ evolution.ManagerView = RemoteView{}
 // deliberately context-free (lazy update checks are the object's own
 // maintenance); the proxy supplies a background context.
 func (r RemoteView) CurrentVersion() (version.ID, error) {
-	return r.currentVersion(context.Background())
-}
-
-func (r RemoteView) currentVersion(ctx context.Context) (version.ID, error) {
-	out, err := r.Client.Invoke(ctx, r.Target, MethodCurrentVersion, nil)
-	if err != nil {
-		return nil, err
-	}
-	segs, err := wire.NewDecoder(out).UintSlice()
-	if err != nil {
-		return nil, fmt.Errorf("remote current version: %w", err)
-	}
-	return version.Decode(segs)
+	return MethodCurrentVersion.Call(context.Background(), r.Client, r.Target, rpc.None{})
 }
 
 // InstantiableDescriptor implements evolution.ManagerView.
 func (r RemoteView) InstantiableDescriptor(v version.ID) (*dfm.Descriptor, error) {
-	out, err := r.Client.Invoke(context.Background(), r.Target, MethodInstantiableDesc, EncodeVersionArgs(v))
-	if err != nil {
-		return nil, err
-	}
-	return dfm.DecodeDescriptor(out)
+	return MethodInstantiableDesc.Call(context.Background(), r.Client, r.Target, v)
 }

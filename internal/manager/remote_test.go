@@ -86,11 +86,7 @@ func TestRemoteCurrentVersionAndDescriptor(t *testing.T) {
 		t.Fatal("configurable descriptor served as instantiable")
 	}
 	// But visible through the plain descriptor method.
-	out, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodDescriptor, EncodeVersionArgs(cfgV))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dfm.DecodeDescriptor(out); err != nil {
+	if _, err := MethodDescriptor.Call(context.Background(), env.client, env.mgrLOI, cfgV); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -99,41 +95,32 @@ func TestRemoteVersionLifecycle(t *testing.T) {
 	env := newRemoteEnv(t, evolution.SingleVersion)
 
 	// Derive a new version remotely.
-	out, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodDerive, EncodeVersionArgs(v(1)))
+	ctx := context.Background()
+	child, err := MethodDerive.Call(ctx, env.client, env.mgrLOI, v(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := wire.NewDecoder(out).UintSlice()
-	child, _ := versionFromSegs(segs)
 
 	// Configure it: swap the enabled implementation to fr.
-	if _, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodVSetEnabled,
-		EncodeSetEnabledArgs(child, dfm.EntryKey{Function: "greet", Component: "en"}, false)); err != nil {
+	if _, err := MethodVSetEnabled.Call(ctx, env.client, env.mgrLOI,
+		SetEnabledArgs{Version: child, Key: dfm.EntryKey{Function: "greet", Component: "en"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodVSetEnabled,
-		EncodeSetEnabledArgs(child, dfm.EntryKey{Function: "greet", Component: "fr"}, true)); err != nil {
+	if _, err := MethodVSetEnabled.Call(ctx, env.client, env.mgrLOI,
+		SetEnabledArgs{Version: child, Key: dfm.EntryKey{Function: "greet", Component: "fr"}, Enabled: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Mark instantiable and set current.
-	if _, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodMarkInstantiable, EncodeVersionArgs(child)); err != nil {
+	if _, err := MethodMarkInstantiable.Call(ctx, env.client, env.mgrLOI, child); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodSetCurrent, EncodeVersionArgs(child)); err != nil {
+	if _, err := MethodSetCurrent.Call(ctx, env.client, env.mgrLOI, child); err != nil {
 		t.Fatal(err)
 	}
 	cur, _ := env.mgr.CurrentVersion()
 	if !cur.Equal(child) {
 		t.Fatalf("current = %v, want %v", cur, child)
 	}
-}
-
-func versionFromSegs(segs []uint64) (out []uint32, err error) {
-	out = make([]uint32, len(segs))
-	for i, s := range segs {
-		out[i] = uint32(s)
-	}
-	return out, nil
 }
 
 func TestRemoteInstanceEvolution(t *testing.T) {
@@ -155,11 +142,11 @@ func TestRemoteInstanceEvolution(t *testing.T) {
 	}
 
 	// Evolve via the manager's remote interface.
-	if _, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodSetCurrent, EncodeVersionArgs(v(1, 1))); err != nil {
+	if _, err := MethodSetCurrent.Call(context.Background(), env.client, env.mgrLOI, v(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodEvolveInstance,
-		EncodeEvolveInstanceArgs(obj.LOID(), v(1, 1))); err != nil {
+	if _, err := MethodEvolveInstance.Call(context.Background(), env.client, env.mgrLOI,
+		EvolveArgs{LOID: obj.LOID(), Version: v(1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := env.client.Invoke(context.Background(), obj.LOID(), "greet", nil)
@@ -233,26 +220,13 @@ func TestRemoteRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodRecords, nil)
+	records, err := MethodRecords.Call(context.Background(), env.client, env.mgrLOI, rpc.None{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := wire.NewDecoder(out)
-	n, _ := dec.Uvarint()
-	if n != 1 {
-		t.Fatalf("records = %d", n)
-	}
-	loidStr, _ := dec.String()
-	if loidStr != obj.LOID().String() {
-		t.Fatalf("record loid = %q", loidStr)
-	}
-	segs, _ := dec.UintSlice()
-	if len(segs) != 1 || segs[0] != 1 {
-		t.Fatalf("record version = %v", segs)
-	}
-	implStr, _ := dec.String()
-	if implStr != registry.NativeImplType.String() {
-		t.Fatalf("record impl = %q", implStr)
+	want := []Record{{LOID: obj.LOID(), Version: v(1), Impl: registry.NativeImplType}}
+	if !reflect.DeepEqual(records, want) {
+		t.Fatalf("records = %+v, want %+v", records, want)
 	}
 }
 
@@ -261,7 +235,8 @@ func TestRemoteAddComponentAndDep(t *testing.T) {
 	cfgV, _ := env.mgr.Store().Derive(v(1))
 
 	// Remove fr remotely, then re-add it with different entries.
-	if _, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodVRemoveComponent, encodeRemoveComponentArgs(cfgV, "fr")); err != nil {
+	ctx := context.Background()
+	if _, err := MethodVRemoveComponent.Call(ctx, env.client, env.mgrLOI, ComponentArgs{Version: cfgV, ID: "fr"}); err != nil {
 		t.Fatal(err)
 	}
 	desc, _ := env.mgr.Store().Descriptor(cfgV)
@@ -271,12 +246,12 @@ func TestRemoteAddComponentAndDep(t *testing.T) {
 
 	ref := dfm.ComponentRef{ICO: env.f.icoFR, CodeRef: "fr:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
 	entries := []dfm.EntryDesc{{Function: "greet", Component: "fr", Exported: true}}
-	if _, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodVAddComponent,
-		EncodeAddComponentArgs(cfgV, "fr", ref, entries)); err != nil {
+	if _, err := MethodVAddComponent.Call(ctx, env.client, env.mgrLOI,
+		AddComponentArgs{Version: cfgV, ID: "fr", Ref: ref, Entries: entries}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodVAddDep,
-		EncodeAddDepArgs(cfgV, dfm.Dependency{Kind: dfm.DepD, FromFunc: "greet", ToFunc: "greet"})); err != nil {
+	if _, err := MethodVAddDep.Call(ctx, env.client, env.mgrLOI,
+		AddDepArgs{Version: cfgV, Dep: dfm.Dependency{Kind: dfm.DepD, FromFunc: "greet", ToFunc: "greet"}}); err != nil {
 		t.Fatal(err)
 	}
 	desc, _ = env.mgr.Store().Descriptor(cfgV)
@@ -285,25 +260,14 @@ func TestRemoteAddComponentAndDep(t *testing.T) {
 	}
 
 	// SetFlags remotely.
-	if _, err := env.client.Invoke(context.Background(), env.mgrLOI, MethodVSetFlags,
-		EncodeSetFlagsArgs(cfgV, dfm.EntryKey{Function: "greet", Component: "en"}, true, true, false)); err != nil {
+	if _, err := MethodVSetFlags.Call(ctx, env.client, env.mgrLOI,
+		SetFlagsArgs{Version: cfgV, Key: dfm.EntryKey{Function: "greet", Component: "en"}, Exported: true, Mandatory: true}); err != nil {
 		t.Fatal(err)
 	}
 	desc, _ = env.mgr.Store().Descriptor(cfgV)
 	if e := desc.Entry(dfm.EntryKey{Function: "greet", Component: "en"}); e == nil || !e.Mandatory {
 		t.Fatalf("entry after remote flags = %+v", e)
 	}
-}
-
-func encodeRemoveComponentArgs(ver []uint32, id string) []byte {
-	e := wire.NewEncoder(32)
-	segs := make([]uint64, len(ver))
-	for i, s := range ver {
-		segs[i] = uint64(s)
-	}
-	e.PutUintSlice(segs)
-	e.PutString(id)
-	return e.Bytes()
 }
 
 func TestRemoteCreateRoot(t *testing.T) {
@@ -314,7 +278,7 @@ func TestRemoteCreateRoot(t *testing.T) {
 	// Empty payload creates an empty root.
 	e := wire.NewEncoder(8)
 	e.PutBytes(nil)
-	out, err := obj.InvokeMethod(MethodCreateRoot, e.Bytes())
+	out, err := obj.InvokeMethod(MethodCreateRoot.Name, e.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +290,7 @@ func TestRemoteCreateRoot(t *testing.T) {
 	// Second root refused.
 	e2 := wire.NewEncoder(8)
 	e2.PutBytes(f.descriptorEnabling("en").Encode())
-	if _, err := obj.InvokeMethod(MethodCreateRoot, e2.Bytes()); !errors.Is(err, ErrRootExists) {
+	if _, err := obj.InvokeMethod(MethodCreateRoot.Name, e2.Bytes()); !errors.Is(err, ErrRootExists) {
 		t.Fatalf("err = %v, want ErrRootExists", err)
 	}
 }
@@ -335,9 +299,9 @@ func TestRemoteBadArgsAndUnknownMethod(t *testing.T) {
 	m := New(evolution.SingleVersion, evolution.Explicit)
 	obj := &Object{Mgr: m}
 	for _, method := range []string{
-		MethodSetCurrent, MethodDescriptor, MethodDerive, MethodMarkInstantiable,
-		MethodEvolveInstance, MethodVAddComponent, MethodVRemoveComponent,
-		MethodVSetEnabled, MethodVSetFlags, MethodVAddDep,
+		MethodSetCurrent.Name, MethodDescriptor.Name, MethodDerive.Name, MethodMarkInstantiable.Name,
+		MethodEvolveInstance.Name, MethodVAddComponent.Name, MethodVRemoveComponent.Name,
+		MethodVSetEnabled.Name, MethodVSetFlags.Name, MethodVAddDep.Name,
 	} {
 		if _, err := obj.InvokeMethod(method, nil); !errors.Is(err, rpc.ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", method, err)

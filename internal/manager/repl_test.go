@@ -344,7 +344,8 @@ func TestEvolveReplicatedResumesAfterPartialPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ep := range []string{"inproc:r1", "inproc:r2"} {
-		if _, err := env.group.Call(ctx, ep, core.MethodApplyDescriptor, core.EncodeApplyArgs(desc, v(1, 1))); err != nil {
+		if _, err := env.group.Call(ctx, ep, core.MethodApplyDescriptor.Name,
+			core.MethodApplyDescriptor.Args.Encode(core.ApplyArgs{Target: desc, Version: v(1, 1)})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -97,8 +97,8 @@ func (s ReplicaSet) Clone() ReplicaSet {
 // replicated LOIDs, Set carries the full replica group; Address.Endpoint
 // always equals the primary endpoint, so unreplicated callers keep working
 // untouched. Policy, when non-nil, is the object's distribution-policy
-// document as registered with the agent — clients learn read-routing and
-// retry defaults on resolve instead of through configuration. The pointed-to
+// document as registered with the agent — clients learn read routing on
+// resolve instead of through configuration. The pointed-to
 // document is immutable by convention (the agent clones on registration);
 // nil means the implicit policy.Default().
 type Binding struct {
@@ -192,11 +192,11 @@ func (a *Agent) Set(loid LOID) ReplicaSet {
 }
 
 // RegisterPolicy attaches a distribution-policy document to loid: every
-// subsequent Lookup carries it, so clients learn read routing and retry
-// defaults on resolve. The document is cloned; later registrations replace
-// it (documents are versionless — the manager journal is the authority on
-// history). Registering for an unbound LOID is allowed: the policy waits
-// for the binding.
+// subsequent Lookup carries it, so clients learn read routing on resolve.
+// The document is cloned; later registrations replace it (documents are
+// versionless — the manager journal is the authority on history).
+// Registering for an unbound LOID is allowed: the policy waits for the
+// binding.
 func (a *Agent) RegisterPolicy(loid LOID, pol policy.DistributionPolicy) {
 	cloned := pol.Clone()
 	a.mu.Lock()

@@ -1,8 +1,8 @@
 // Package policy defines the per-object declarative distribution policy:
 // one document, carried on naming bindings and journalled by the manager,
 // that states how a LOID is distributed — replication degree, placement
-// candidates and anti-affinity, where reads may go, consistency hints, and
-// retry defaults. The layers that used to hard-code these decisions
+// candidates and anti-affinity, where reads may go, and consistency hints.
+// The layers that used to hard-code these decisions
 // (replica groups, the rpc client, node flags) interpret the document
 // instead; retuning a live object is rewriting its document, never
 // redeploying code. The package is a leaf: it depends only on the wire
@@ -50,7 +50,7 @@ const (
 
 // formatVersion guards the wire encoding; bump on incompatible change.
 // Decoders ignore trailing bytes, so compatible growth appends fields.
-const formatVersion = 1
+const formatVersion = 2
 
 // MaxDegree bounds the replication degree a document may ask for; beyond
 // this the synchronous shipping fan-out is the wrong mechanism anyway.
@@ -77,14 +77,6 @@ type DistributionPolicy struct {
 	// already hosting a member of another policy-managed group, spreading
 	// groups across the fleet instead of stacking them.
 	AntiAffinity bool `json:"anti_affinity,omitempty"`
-	// RetryIdempotent is the idempotency default: callers that do not know
-	// better may treat the object's exported functions as idempotent
-	// (retry ambiguous failures, route reads per ReadPreference).
-	RetryIdempotent bool `json:"retry_idempotent,omitempty"`
-	// MaxAttempts, when positive, overrides the client retry policy's
-	// transport attempt budget for this object. Zero keeps the client
-	// default.
-	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
 // Default returns the document every LOID implicitly has before anyone
@@ -127,9 +119,6 @@ func (p DistributionPolicy) Validate() error {
 	default:
 		return fmt.Errorf("policy: unknown consistency %q", p.Consistency)
 	}
-	if p.MaxAttempts < 0 {
-		return fmt.Errorf("policy: max attempts %d < 0", p.MaxAttempts)
-	}
 	seen := make(map[string]bool, len(p.Candidates))
 	for _, c := range p.Candidates {
 		if c == "" {
@@ -159,8 +148,7 @@ func (p DistributionPolicy) Clone() DistributionPolicy {
 func (p DistributionPolicy) Equal(o DistributionPolicy) bool {
 	a, b := p.Normalize(), o.Normalize()
 	if a.Degree != b.Degree || a.ReadPreference != b.ReadPreference ||
-		a.Consistency != b.Consistency || a.AntiAffinity != b.AntiAffinity ||
-		a.RetryIdempotent != b.RetryIdempotent || a.MaxAttempts != b.MaxAttempts {
+		a.Consistency != b.Consistency || a.AntiAffinity != b.AntiAffinity {
 		return false
 	}
 	if len(a.Candidates) != len(b.Candidates) {
@@ -203,12 +191,6 @@ func (p DistributionPolicy) Diff(o DistributionPolicy) []string {
 	if a.AntiAffinity != b.AntiAffinity {
 		out = append(out, fmt.Sprintf("anti_affinity: %t -> %t", a.AntiAffinity, b.AntiAffinity))
 	}
-	if a.RetryIdempotent != b.RetryIdempotent {
-		out = append(out, fmt.Sprintf("retry_idempotent: %t -> %t", a.RetryIdempotent, b.RetryIdempotent))
-	}
-	if a.MaxAttempts != b.MaxAttempts {
-		out = append(out, fmt.Sprintf("max_attempts: %d -> %d", a.MaxAttempts, b.MaxAttempts))
-	}
 	return out
 }
 
@@ -250,8 +232,6 @@ func (p DistributionPolicy) EncodeWire() []byte {
 	e.PutString(string(p.ReadPreference))
 	e.PutString(string(p.Consistency))
 	putBool(e, p.AntiAffinity)
-	putBool(e, p.RetryIdempotent)
-	e.PutUvarint(uint64(p.MaxAttempts))
 	e.PutUvarint(uint64(len(p.Candidates)))
 	for _, c := range p.Candidates {
 		e.PutString(c)
@@ -288,14 +268,6 @@ func DecodeWire(buf []byte) (DistributionPolicy, error) {
 	if p.AntiAffinity, err = getBool(dec); err != nil {
 		return DistributionPolicy{}, fmt.Errorf("policy: decode anti-affinity: %w", err)
 	}
-	if p.RetryIdempotent, err = getBool(dec); err != nil {
-		return DistributionPolicy{}, fmt.Errorf("policy: decode retry default: %w", err)
-	}
-	attempts, err := dec.Uvarint()
-	if err != nil {
-		return DistributionPolicy{}, fmt.Errorf("policy: decode max attempts: %w", err)
-	}
-	p.MaxAttempts = int(attempts)
 	n, err := dec.Uvarint()
 	if err != nil {
 		return DistributionPolicy{}, fmt.Errorf("policy: decode candidate count: %w", err)

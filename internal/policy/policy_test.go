@@ -48,6 +48,8 @@ func TestParseRejects(t *testing.T) {
 		{"bad read pref", `{"degree":1,"read_preference":"nearest"}`, "read preference"},
 		{"bad consistency", `{"degree":1,"consistency":"linear"}`, "consistency"},
 		{"unknown field", `{"degree":1,"shards":4}`, "unknown field"},
+		{"retired retry default", `{"degree":1,"retry_idempotent":true}`, "unknown field"},
+		{"retired max attempts", `{"degree":1,"max_attempts":5}`, "unknown field"},
 		{"dup candidate", `{"degree":2,"candidates":["a","a"]}`, "duplicate candidate"},
 		{"too few candidates", `{"degree":3,"candidates":["a","b"]}`, "cannot satisfy degree"},
 		{"garbage", `degree=3`, "parse"},
@@ -67,13 +69,11 @@ func TestParseRejects(t *testing.T) {
 
 func TestWireRoundTrip(t *testing.T) {
 	p := DistributionPolicy{
-		Degree:          3,
-		ReadPreference:  ReadBackupOK,
-		Consistency:     ConsistencyEventual,
-		Candidates:      []string{"inproc://a", "inproc://b", "inproc://c", "inproc://d"},
-		AntiAffinity:    true,
-		RetryIdempotent: true,
-		MaxAttempts:     5,
+		Degree:         3,
+		ReadPreference: ReadBackupOK,
+		Consistency:    ConsistencyEventual,
+		Candidates:     []string{"inproc://a", "inproc://b", "inproc://c", "inproc://d"},
+		AntiAffinity:   true,
 	}
 	back, err := DecodeWire(p.EncodeWire())
 	if err != nil {
@@ -101,6 +101,12 @@ func TestDecodeWireRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeWire([]byte{99}); err == nil {
 		t.Fatal("DecodeWire(bad format) succeeded")
+	}
+	// Format 1 still carried the retry fields: refused, not misread.
+	v1 := DistributionPolicy{Degree: 1}.EncodeWire()
+	v1[0] = 1
+	if _, err := DecodeWire(v1); err == nil || !strings.Contains(err.Error(), "unsupported format 1") {
+		t.Fatalf("DecodeWire(format 1) = %v, want unsupported format", err)
 	}
 	// Truncated mid-candidates.
 	p := DistributionPolicy{Degree: 3, Candidates: []string{"a", "b", "c"}}

@@ -583,11 +583,12 @@ func (r *Replica) invokeRepl(ctx context.Context, method string, args []byte) ([
 
 // versionSegs reads the wrapped object's version via its control plane.
 func (r *Replica) versionSegs(ctx context.Context) ([]uint64, error) {
-	out, err := r.inner.InvokeMethodCtx(ctx, core.MethodVersion, nil)
+	out, err := r.inner.InvokeMethodCtx(ctx, core.MethodVersion.Name, nil)
 	if err != nil {
 		return nil, err
 	}
-	return wire.NewDecoder(out).UintSlice()
+	v, err := core.MethodVersion.Result.Decode(out)
+	return v.Encode(), err
 }
 
 // EncodePromoteArgs encodes a MethodPromote payload.

@@ -35,7 +35,7 @@ func (f *fakeInner) State() *objstate.State { return f.st }
 
 func (f *fakeInner) InvokeMethodCtx(_ context.Context, method string, args []byte) ([]byte, error) {
 	switch method {
-	case core.MethodVersion:
+	case core.MethodVersion.Name:
 		e := wire.NewEncoder(16)
 		e.PutUintSlice(f.segs)
 		return e.Bytes(), nil
@@ -185,7 +185,7 @@ func TestBackupRefusesDynamicServesControl(t *testing.T) {
 	}
 
 	// Control plane passes through on any role.
-	out, err := env.call("inproc:b1", core.MethodVersion, nil)
+	out, err := env.call("inproc:b1", core.MethodVersion.Name, nil)
 	if err != nil {
 		t.Fatalf("version probe on backup: %v", err)
 	}

@@ -195,7 +195,7 @@ func (c *Client) invokeChunk(ctx context.Context, endpoint string, calls []Batch
 			}
 		}
 		c.cBatchFB.Inc()
-		results[i].Payload, results[i].Err = c.invoke(ctx, call.LOID, call.Method, call.Args, call.Idempotent, st)
+		results[i].Payload, results[i].Err = c.invoke(ctx, call.LOID, call.Method, call.Args, call.Idempotent, call.Idempotent, st)
 	}
 }
 

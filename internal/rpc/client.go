@@ -257,30 +257,34 @@ func (c *Client) ObserveStages(reg *metrics.Registry) {
 // aborts retries and backoff sleeps, and the per-attempt timeout shrinks to
 // fit ctx's remaining budget.
 func (c *Client) Invoke(ctx context.Context, loid naming.LOID, method string, args []byte) ([]byte, error) {
-	return c.invoke(ctx, loid, method, args, false, callState{start: time.Now()})
+	return c.invoke(ctx, loid, method, args, false, false, callState{start: time.Now()})
 }
 
 // InvokeIdempotent is Invoke for functions the caller asserts are idempotent:
 // ambiguous failures are retried under the policy (with backoff) because a
-// duplicate execution is harmless.
+// duplicate execution is harmless. The caller also asserts the function only
+// reads, so when the binding's policy allows backup reads the first attempt
+// may go to a backup.
 func (c *Client) InvokeIdempotent(ctx context.Context, loid naming.LOID, method string, args []byte) ([]byte, error) {
-	return c.invoke(ctx, loid, method, args, true, callState{start: time.Now()})
+	return c.invoke(ctx, loid, method, args, true, true, callState{start: time.Now()})
 }
 
 // invoke runs one call from st: a fresh call's, or a batch sub-call's after
-// its frame (the sub-call's first attempt) failed.
-func (c *Client) invoke(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent bool, st callState) ([]byte, error) {
+// its frame (the sub-call's first attempt) failed. idempotent selects the
+// failure table's retry row; backupOK lets the first attempt go to a backup
+// when the binding's policy allows backup reads.
+func (c *Client) invoke(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent, backupOK bool, st callState) ([]byte, error) {
 	if c.Tracer == nil {
 		// Fast path: untraced calls must not pay a single allocation for the
 		// obs layer (BenchmarkInvokeTracingOff gates this).
-		return c.invokeInner(ctx, loid, method, args, idempotent, nil, obs.SpanContext{}, st)
+		return c.invokeInner(ctx, loid, method, args, idempotent, backupOK, nil, obs.SpanContext{}, st)
 	}
 	// Head sampling: the keep/drop decision is made once, here at the trace
 	// root, and propagated on the wire so every node treats the distributed
 	// trace the same way. A tracer without a sampler keeps everything.
 	tctx := c.Tracer.MintContext()
 	if !c.Tracer.Keep(tctx.TraceID) {
-		return c.invokeUnsampled(ctx, loid, method, args, idempotent, tctx, st)
+		return c.invokeUnsampled(ctx, loid, method, args, idempotent, backupOK, tctx, st)
 	}
 	// Root the client.invoke span on the minted trace ID (a parent context
 	// with no span ID parents nothing but pins the trace), so the sampled
@@ -288,7 +292,7 @@ func (c *Client) invoke(ctx context.Context, loid naming.LOID, method string, ar
 	root := c.Tracer.StartSpan(obs.StageClientInvoke, obs.SpanContext{TraceID: tctx.TraceID})
 	root.Annotate("loid", loid.String())
 	root.Annotate("method", method)
-	result, err := c.invokeInner(ctx, loid, method, args, idempotent, root, obs.SpanContext{}, st)
+	result, err := c.invokeInner(ctx, loid, method, args, idempotent, backupOK, root, obs.SpanContext{}, st)
 	root.Fail(err)
 	root.Finish()
 	return result, err
@@ -301,8 +305,8 @@ func (c *Client) invoke(ctx context.Context, loid naming.LOID, method string, ar
 // call completes slow or failed does it materialise a client.invoke record
 // into the flight recorder, so the 1-in-10k outlier stays explainable while
 // the other 9999 calls pay ~zero.
-func (c *Client) invokeUnsampled(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent bool, tctx obs.SpanContext, st callState) ([]byte, error) {
-	result, err := c.invokeInner(ctx, loid, method, args, idempotent, nil, tctx, st)
+func (c *Client) invokeUnsampled(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent, backupOK bool, tctx obs.SpanContext, st callState) ([]byte, error) {
+	result, err := c.invokeInner(ctx, loid, method, args, idempotent, backupOK, nil, tctx, st)
 	if fl := c.Tracer.Flight(); fl != nil {
 		dur := time.Since(st.start)
 		if fl.ShouldRetain(dur, err != nil) {
@@ -333,7 +337,7 @@ func (c *Client) invokeUnsampled(ctx context.Context, loid naming.LOID, method s
 // unsampled trace context: it is stamped into each attempt's envelope with
 // the unsampled flag so the server joins the drop decision, without any
 // span machinery on this side.
-func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent bool, root *obs.Span, tail obs.SpanContext, st callState) ([]byte, error) {
+func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method string, args []byte, idempotent, backupOK bool, root *obs.Span, tail obs.SpanContext, st callState) ([]byte, error) {
 	p := c.Retry.normalized()
 	c.cCalls.Inc()
 	if idempotent {
@@ -368,7 +372,7 @@ func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method strin
 		endpoint := binding.Address.Endpoint
 
 		// Policy-routed reads: when the binding's distribution policy allows
-		// reads off the primary, spread idempotent calls round-robin across
+		// reads off the primary, spread backup-ok calls round-robin across
 		// the whole group, wrapping the request in MethodReplRead so the
 		// backup's replica wrapper invokes it locally on any role. Only the
 		// first attempt routes away — after any failure the call falls back
@@ -376,7 +380,7 @@ func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method strin
 		// one pointer compare here.
 		callMethod, callArgs := method, args
 		viaBackup := false
-		if idempotent && st.lastFailed == "" && binding.Policy != nil &&
+		if backupOK && st.lastFailed == "" && binding.Policy != nil &&
 			len(binding.Set.Backups) > 0 && binding.Policy.BackupReadsAllowed() {
 			if idx := c.readRR.Add(1) % uint64(1+len(binding.Set.Backups)); idx > 0 {
 				endpoint = binding.Set.Backups[idx-1]
