@@ -80,11 +80,14 @@ fuzz-smoke:
 # failover / expand / shrink / fence mid-stream, restore under writes — each
 # ending byte-converged), the supervisor's pause/abort-vs-widening race, and
 # the declared-method drills: a component fetch through 25% lost responses
-# on 20 seeds, and the three method tables' contract (reads retry through a
-# lost response, writes end ambiguous having run once).
+# on 20 seeds, the three retrying method tables' contract (reads retry
+# through a lost response, writes end ambiguous having run once) and the
+# endpoint-addressed tables' (agent, health, obs, mgr.repl here; repl.*,
+# replhost and rollout in their packages' runs). TestStandby includes the
+# standby fence racing shipments against takeovers.
 chaos:
 	$(GO) test -race -run 'TestRunE8|TestRunE11|TestRunE13|TestRunE14|TestRunE15' ./internal/harness/
-	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestReconcile|TestPolicyRecover|TestSetPolicy|TestSinglePass|TestConcurrentSinglePasses|TestJournalBatch|TestDeclaredMethodContracts' ./internal/manager/
+	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestReconcile|TestPolicyRecover|TestSetPolicy|TestSinglePass|TestConcurrentSinglePasses|TestJournalBatch|TestDeclaredMethodContracts|TestInfraMethodContracts' ./internal/manager/
 	$(GO) test -race ./internal/replica/
 	$(GO) test -race -run 'TestRollout|TestSupervisor' ./internal/supervisor/
 	$(GO) test -race -run TestLossyFetchCompletes ./internal/component/

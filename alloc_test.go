@@ -85,10 +85,15 @@ func unsampledObs() *obs.Obs {
 //     release closure;
 //   - unreplicated: a degree-1 object never constructs a Replica;
 //   - default policy: the policy plane costs a nil check and a comparison;
-//   - 16-call batch: 3 allocs per sub-call, against 6 for a single call.
+//   - 16-call batch: 3 allocs per sub-call, against 6 for a single call;
+//   - replicated write: a degree-3 inproc bump, its delta shipped to both
+//     backups;
+//   - backup read: an idempotent read on a backup-ok LOID, which the client
+//     spreads over the primary and, wrapped in repl.read, the two backups
+//     (1500 runs, so each member serves a third).
 //
-// The wire and TCP budgets are their measured counts, so any new allocation
-// on the transport path fails the test.
+// The wire, TCP and replicated budgets are their measured counts, so any new
+// allocation on the transport or replication path fails the test.
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -140,6 +145,11 @@ func TestAllocBudgets(t *testing.T) {
 		{"unreplicated", 5, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "reploff", nil, false) }},
 		{"default-policy", 5, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "polbench", nil, true) }},
 		{"batch-16", 48, 300, func(t *testing.T) func() error { return batchInvoke(t, 16) }},
+		{"repl-write", 20, 1000, func(t *testing.T) func() error {
+			g := newReplGroup(t, "allocw")
+			return func() error { return g.invoke("bump") }
+		}},
+		{"backup-read", 4, 1500, func(t *testing.T) func() error { return newReplGroup(t, "allocr").backupReads() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			call := tc.setup(t)

@@ -339,14 +339,10 @@ func run(args []string) error {
 		fmt.Printf("replica set for %s: generation %d, %d member(s), primary %s\n",
 			loid, b.Set.Generation, len(endpoints), b.Set.Primary)
 		for _, ep := range endpoints {
-			out, err := rpc.DirectCall(ctx, dialer, ep, loid, replica.MethodStatus, nil, *timeout)
+			st, err := replica.MethodStatus.CallAt(ctx, dialer, ep, loid, *timeout, rpc.None{})
 			if err != nil {
 				fmt.Printf("  %-26s unreachable (%v)\n", ep, err)
 				continue
-			}
-			st, err := replica.DecodeStatus(out)
-			if err != nil {
-				return fmt.Errorf("replica status from %s: %w", ep, err)
 			}
 			verStr := "?"
 			if ver, err := version.Decode(st.VersionSegs); err == nil {

@@ -31,7 +31,7 @@ func startDemoNode(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = node.Close() })
-	if _, err := node.HostObject(rpc.AgentLOID, &rpc.AgentService{Agent: agent}); err != nil {
+	if _, err := node.HostObject(rpc.AgentLOID, rpc.NewAgentService(agent)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := demo.Install(node); err != nil {
@@ -271,7 +271,7 @@ func TestCtlReplicas(t *testing.T) {
 		endpoints[i] = node.Endpoint()
 	}
 	// The first node also answers agent lookups for the CLI.
-	if _, err := nodes[0].HostObject(rpc.AgentLOID, &rpc.AgentService{Agent: agent}); err != nil {
+	if _, err := nodes[0].HostObject(rpc.AgentLOID, rpc.NewAgentService(agent)); err != nil {
 		t.Fatal(err)
 	}
 	for i, node := range nodes {
@@ -344,8 +344,8 @@ func startObsDemoNode(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = node.Close() })
-	node.Dispatcher().Host(rpc.ObsLOID, &rpc.ObsService{Obs: node.Obs()})
-	if _, err := node.HostObject(rpc.AgentLOID, &rpc.AgentService{Agent: agent}); err != nil {
+	node.Dispatcher().Host(rpc.ObsLOID, rpc.NewObsService(node.Obs()))
+	if _, err := node.HostObject(rpc.AgentLOID, rpc.NewAgentService(agent)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := demo.Install(node); err != nil {
@@ -423,8 +423,8 @@ func startFlightDemoNode(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = node.Close() })
-	node.Dispatcher().Host(rpc.ObsLOID, &rpc.ObsService{Obs: node.Obs()})
-	if _, err := node.HostObject(rpc.AgentLOID, &rpc.AgentService{Agent: agent}); err != nil {
+	node.Dispatcher().Host(rpc.ObsLOID, rpc.NewObsService(node.Obs()))
+	if _, err := node.HostObject(rpc.AgentLOID, rpc.NewAgentService(agent)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := demo.Install(node); err != nil {

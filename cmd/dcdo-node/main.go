@@ -255,9 +255,9 @@ func startNode(name, addr, agentEndpoint string, cfg legion.NodeConfig, obsOpts 
 	// The obs service is hosted on the dispatcher only — not registered with
 	// the binding agent — so each node answers for its own telemetry at its
 	// own endpoint.
-	node.Dispatcher().Host(rpc.ObsLOID, &rpc.ObsService{Obs: node.Obs()})
+	node.Dispatcher().Host(rpc.ObsLOID, rpc.NewObsService(node.Obs()))
 	if localAgent != nil {
-		if _, err := node.HostObject(rpc.AgentLOID, &rpc.AgentService{Agent: localAgent}); err != nil {
+		if _, err := node.HostObject(rpc.AgentLOID, rpc.NewAgentService(localAgent)); err != nil {
 			_ = node.Close()
 			return nil, nil, err
 		}

@@ -222,7 +222,7 @@ var (
 	MethodIncorporate = rpc.Method[IncorporateArgs, rpc.None]{Name: ControlPrefix + "incorporate",
 		Args: rpc.NewCodec(putIncorporateArgs, getIncorporateArgs), Result: rpc.NoneCodec}
 	MethodRemoveComponent = rpc.Method[string, rpc.None]{Name: ControlPrefix + "removeComponent",
-		Args: rpc.NewCodec((*wire.Encoder).PutString, (*wire.Decoder).String), Result: rpc.NoneCodec}
+		Args: rpc.StringCodec, Result: rpc.NoneCodec}
 )
 
 // controlTable serves the control methods. ctx bounds the long-running
@@ -325,26 +325,14 @@ func getApplyReport(d *wire.Decoder) (r ApplyReport, err error) {
 }
 
 func putIncorporateArgs(e *wire.Encoder, a IncorporateArgs) {
-	PutLOID(e, a.ICO)
+	rpc.PutLOID(e, a.ICO)
 	e.PutBool(a.Enable)
 }
 
 func getIncorporateArgs(d *wire.Decoder) (a IncorporateArgs, err error) {
-	if a.ICO, err = GetLOID(d); err != nil {
+	if a.ICO, err = rpc.GetLOID(d); err != nil {
 		return a, err
 	}
 	a.Enable, err = d.Bool()
 	return a, err
-}
-
-// PutLOID writes a LOID as its canonical string.
-func PutLOID(e *wire.Encoder, loid naming.LOID) { e.PutString(loid.String()) }
-
-// GetLOID reads a PutLOID LOID.
-func GetLOID(d *wire.Decoder) (naming.LOID, error) {
-	s, err := d.String()
-	if err != nil {
-		return naming.LOID{}, err
-	}
-	return naming.ParseLOID(s)
 }

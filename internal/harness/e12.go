@@ -88,7 +88,7 @@ func e12Setup(name string) (*e12Env, error) {
 		_ = node.Close()
 		return nil, err
 	}
-	node.Dispatcher().Host(rpc.ObsLOID, &rpc.ObsService{Obs: serverObs})
+	node.Dispatcher().Host(rpc.ObsLOID, rpc.NewObsService(serverObs))
 
 	clientObs := mkObs()
 	dialer := transport.NewTCPDialer()

@@ -100,40 +100,14 @@ func RunE13() (*Report, error) {
 		}
 		comps[c.ico] = comp
 	}
-	counterValue := func(c registry.Caller) uint64 {
-		raw, ok := c.State().Get("n")
-		if !ok {
-			return 0
-		}
-		n, err := wire.NewDecoder(raw).Uvarint()
-		if err != nil {
-			return 0
-		}
-		return n
+	descEN := dfm.NewDescriptor()
+	descEN.Components["en"] = dfm.ComponentRef{ICO: icoEN, CodeRef: "en:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
+	descEN.Components["fr"] = dfm.ComponentRef{ICO: icoFR, CodeRef: "fr:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
+	descEN.Entries = []dfm.EntryDesc{
+		{Function: "greet", Component: "en", Exported: true, Enabled: true},
+		{Function: "greet", Component: "fr", Exported: true, Enabled: false},
 	}
-	if _, err := reg.Register("counter:1", registry.NativeImplType, map[string]registry.Func{
-		"bump": func(c registry.Caller, _ []byte) ([]byte, error) {
-			e := wire.NewEncoder(8)
-			e.PutUvarint(counterValue(c) + 1)
-			c.State().Set("n", e.Bytes())
-			return e.Bytes(), nil
-		},
-		"total": func(c registry.Caller, _ []byte) ([]byte, error) {
-			e := wire.NewEncoder(8)
-			e.PutUvarint(counterValue(c))
-			return e.Bytes(), nil
-		},
-	}); err != nil {
-		return nil, err
-	}
-	ctrComp, err := component.NewSynthetic(component.Descriptor{
-		ID: "counter", Revision: 1, CodeRef: "counter:1",
-		Impl: registry.NativeImplType, CodeSize: 64,
-		Functions: []component.FunctionDecl{
-			{Name: "bump", Exported: true},
-			{Name: "total", Exported: true},
-		},
-	})
+	ctrComp, err := addCounter(reg, icoCTR, descEN)
 	if err != nil {
 		return nil, err
 	}
@@ -145,16 +119,6 @@ func RunE13() (*Report, error) {
 		}
 		return c, nil
 	})
-	descEN := dfm.NewDescriptor()
-	descEN.Components["en"] = dfm.ComponentRef{ICO: icoEN, CodeRef: "en:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
-	descEN.Components["fr"] = dfm.ComponentRef{ICO: icoFR, CodeRef: "fr:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
-	descEN.Components["counter"] = dfm.ComponentRef{ICO: icoCTR, CodeRef: "counter:1", Impl: registry.NativeImplType, CodeSize: 64, Revision: 1}
-	descEN.Entries = []dfm.EntryDesc{
-		{Function: "greet", Component: "en", Exported: true, Enabled: true},
-		{Function: "greet", Component: "fr", Exported: true, Enabled: false},
-		{Function: "bump", Component: "counter", Exported: true, Enabled: true},
-		{Function: "total", Component: "counter", Exported: true, Enabled: true},
-	}
 
 	// --- Primary manager: store with v1 (en) and v1.1 (fr). ---------------
 	o := obs.New()
@@ -304,8 +268,8 @@ func RunE13() (*Report, error) {
 	}
 	// The initial primary learns its backups once every endpoint exists.
 	group := replica.NewGroup(groupLOID, dialer, agent, memberEndpoints[0], memberEndpoints[1:])
-	if _, err := rpc.DirectCall(ctx, dialer, memberEndpoints[0], groupLOID, replica.MethodPromote,
-		replica.EncodePromoteArgs(1, memberEndpoints[1:]), time.Second); err != nil {
+	if _, err := replica.Call(ctx, group, memberEndpoints[0], replica.MethodPromote,
+		replica.PromoteArgs{Epoch: 1, Backups: memberEndpoints[1:]}); err != nil {
 		return nil, fmt.Errorf("e13: arm initial primary: %w", err)
 	}
 	if err := mgr1.Adopt(ctx, manager.RemoteInstance{Client: client, Target: groupLOID}, registry.NativeImplType); err != nil {

@@ -70,40 +70,8 @@ func RunE14() (*Report, error) {
 	// --- Object type: a replicated counter (bump = write, total = read). --
 	reg := registry.New()
 	icoCTR := naming.LOID{Domain: 1, Class: 9, Instance: 1}
-	counterValue := func(c registry.Caller) uint64 {
-		raw, ok := c.State().Get("n")
-		if !ok {
-			return 0
-		}
-		n, err := wire.NewDecoder(raw).Uvarint()
-		if err != nil {
-			return 0
-		}
-		return n
-	}
-	if _, err := reg.Register("counter:1", registry.NativeImplType, map[string]registry.Func{
-		"bump": func(c registry.Caller, _ []byte) ([]byte, error) {
-			e := wire.NewEncoder(8)
-			e.PutUvarint(counterValue(c) + 1)
-			c.State().Set("n", e.Bytes())
-			return e.Bytes(), nil
-		},
-		"total": func(c registry.Caller, _ []byte) ([]byte, error) {
-			e := wire.NewEncoder(8)
-			e.PutUvarint(counterValue(c))
-			return e.Bytes(), nil
-		},
-	}); err != nil {
-		return nil, err
-	}
-	ctrComp, err := component.NewSynthetic(component.Descriptor{
-		ID: "counter", Revision: 1, CodeRef: "counter:1",
-		Impl: registry.NativeImplType, CodeSize: 64,
-		Functions: []component.FunctionDecl{
-			{Name: "bump", Exported: true},
-			{Name: "total", Exported: true},
-		},
-	})
+	desc := dfm.NewDescriptor()
+	ctrComp, err := addCounter(reg, icoCTR, desc)
 	if err != nil {
 		return nil, err
 	}
@@ -113,12 +81,6 @@ func RunE14() (*Report, error) {
 		}
 		return ctrComp, nil
 	})
-	desc := dfm.NewDescriptor()
-	desc.Components["counter"] = dfm.ComponentRef{ICO: icoCTR, CodeRef: "counter:1", Impl: registry.NativeImplType, CodeSize: 64, Revision: 1}
-	desc.Entries = []dfm.EntryDesc{
-		{Function: "bump", Component: "counter", Exported: true, Enabled: true},
-		{Function: "total", Component: "counter", Exported: true, Enabled: true},
-	}
 
 	// --- Primary manager with a shipped journal. --------------------------
 	mgr1 := manager.New(evolution.MultiIncreasing, evolution.Explicit)
@@ -221,8 +183,8 @@ func RunE14() (*Report, error) {
 		groupEndpoints = append(groupEndpoints, srv.Endpoint())
 	}
 	group := replica.NewGroup(groupLOID, dialer, agent, groupEndpoints[0], groupEndpoints[1:])
-	if _, err := rpc.DirectCall(ctx, dialer, groupEndpoints[0], groupLOID, replica.MethodPromote,
-		replica.EncodePromoteArgs(1, groupEndpoints[1:]), time.Second); err != nil {
+	if _, err := replica.Call(ctx, group, groupEndpoints[0], replica.MethodPromote,
+		replica.PromoteArgs{Epoch: 1, Backups: groupEndpoints[1:]}); err != nil {
 		return nil, fmt.Errorf("e14: arm group primary: %w", err)
 	}
 	mgr1.RegisterReplicaGroup(groupLOID, group)

@@ -125,7 +125,7 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer infra.Close()
-	if _, err := infra.HostObject(rpc.AgentLOID, &rpc.AgentService{Agent: localAgent}); err != nil {
+	if _, err := infra.HostObject(rpc.AgentLOID, rpc.NewAgentService(localAgent)); err != nil {
 		t.Fatal(err)
 	}
 	g.hostICOs(t, infra)

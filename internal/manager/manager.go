@@ -459,8 +459,7 @@ func (m *Manager) finishStep(st *step, err error) {
 // repeating completed work or flipping leadership twice.
 func (m *Manager) evolveReplicated(ctx context.Context, j *Journal, pass uint64, g *replica.Group, loid naming.LOID, desc *dfm.Descriptor, v version.ID) error {
 	set := g.Set()
-	apply := core.MethodApplyDescriptor
-	applyArgs := apply.Args.Encode(core.ApplyArgs{Target: desc, Version: v})
+	apply := core.ApplyArgs{Target: desc, Version: v}
 
 	memberAt := func(endpoint string) (bool, error) {
 		st, err := g.Status(ctx, endpoint)
@@ -483,7 +482,7 @@ func (m *Manager) evolveReplicated(ctx context.Context, j *Journal, pass uint64,
 		if done {
 			continue
 		}
-		if _, err := g.Call(ctx, ep, apply.Name, applyArgs); err != nil {
+		if _, err := replica.Call(ctx, g, ep, core.MethodApplyDescriptor, apply); err != nil {
 			return fmt.Errorf("replica %s: %w", ep, err)
 		}
 	}
@@ -510,7 +509,7 @@ func (m *Manager) evolveReplicated(ctx context.Context, j *Journal, pass uint64,
 		}
 		m.event("replica-promoted", loid, v, "primary="+newPrimary)
 	}
-	if _, err := g.Call(ctx, set.Primary, apply.Name, applyArgs); err != nil {
+	if _, err := replica.Call(ctx, g, set.Primary, core.MethodApplyDescriptor, apply); err != nil {
 		return fmt.Errorf("replica %s: %w", set.Primary, err)
 	}
 	return nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -13,39 +12,28 @@ import (
 	"godcdo/internal/dfm"
 	"godcdo/internal/evolution"
 	"godcdo/internal/naming"
+	"godcdo/internal/obs"
 	"godcdo/internal/policy"
 	"godcdo/internal/registry"
+	"godcdo/internal/replica"
 	"godcdo/internal/rpc"
+	"godcdo/internal/rpc/rpctest"
 	"godcdo/internal/transport"
 	"godcdo/internal/vclock"
 )
 
-// declRow is one declared method with its types erased: a valid argument
-// for it, a call that sends that argument, and its two decoders.
+// declRow is one declared method with its types erased, and a call that
+// sends its valid argument through a client.
 type declRow struct {
-	name         string
-	idempotent   bool
-	noArgs       bool
-	args         []byte
-	call         func(ctx context.Context, c *rpc.Client) error
-	decodeArgs   func([]byte) error
-	decodeResult func([]byte) error
+	rpctest.Row
+	call func(ctx context.Context, c *rpc.Client) error
 }
 
 func declare[A, R any](m rpc.Method[A, R], target naming.LOID, a A) declRow {
-	_, none := any(a).(rpc.None)
-	return declRow{
-		name:       m.Name,
-		idempotent: m.Idempotent,
-		noArgs:     none,
-		args:       m.Args.Encode(a),
-		call: func(ctx context.Context, c *rpc.Client) error {
-			_, err := m.Call(ctx, c, target, a)
-			return err
-		},
-		decodeArgs:   func(b []byte) error { _, err := m.Args.Decode(b); return err },
-		decodeResult: func(b []byte) error { _, err := m.Result.Decode(b); return err },
-	}
+	return declRow{Row: rpctest.Declare(m, a), call: func(ctx context.Context, c *rpc.Client) error {
+		_, err := m.Call(ctx, c, target, a)
+		return err
+	}}
 }
 
 // declGroup is one service's declarations, addressed at one object.
@@ -141,33 +129,14 @@ func TestDeclaredMethodContracts(t *testing.T) {
 	tables := map[string]rpc.Table{"dcdo": obj.Control(), "ico": ico.Table, "mgr": m.methods}
 	var idempotent []string
 	for _, g := range groups {
-		var declared []string
+		var rows []rpctest.Row
 		for _, r := range g.rows {
-			declared = append(declared, r.name)
-			if r.idempotent {
-				idempotent = append(idempotent, r.name)
+			rows = append(rows, r.Row)
+			if r.Idempotent {
+				idempotent = append(idempotent, r.Name)
 			}
 		}
-		var served []string
-		for name := range tables[g.service] {
-			served = append(served, name)
-		}
-		sort.Strings(declared)
-		sort.Strings(served)
-		if !reflect.DeepEqual(served, declared) {
-			t.Errorf("%s serves %v, declares %v", g.service, served, declared)
-		}
-		if _, err := client.Invoke(ctx, g.target, g.prefix+"bogus", nil); !errors.Is(err, rpc.ErrNoSuchFunction) {
-			t.Errorf("%sbogus: err = %v, want ErrNoSuchFunction", g.prefix, err)
-		}
-		for _, r := range g.rows {
-			if r.noArgs {
-				continue
-			}
-			if _, err := client.Invoke(ctx, g.target, r.name, r.args[:len(r.args)-1]); !errors.Is(err, rpc.ErrBadRequest) {
-				t.Errorf("%s with a truncated payload: err = %v, want ErrBadRequest", r.name, err)
-			}
-		}
+		rpctest.CheckTable(t, tables[g.service], g.prefix, rows)
 	}
 	wantIdempotent := []string{
 		"dcdo.interface", "dcdo.version", "dcdo.snapshot",
@@ -183,16 +152,16 @@ func TestDeclaredMethodContracts(t *testing.T) {
 	dropOne := transport.FaultConfig{DropResponse: 1, Budget: 1}
 	for _, g := range groups {
 		for _, r := range g.rows {
-			if !r.idempotent {
+			if !r.Idempotent {
 				continue
 			}
 			faults.SetDefault(dropOne)
 			dropped := faults.Stats().DroppedResponses
 			if err := r.call(ctx, client); err != nil {
-				t.Errorf("%s through a lost response: %v", r.name, err)
+				t.Errorf("%s through a lost response: %v", r.Name, err)
 			}
 			if got := faults.Stats().DroppedResponses - dropped; got != 1 {
-				t.Errorf("%s: %d responses dropped, want 1", r.name, got)
+				t.Errorf("%s: %d responses dropped, want 1", r.Name, got)
 			}
 		}
 	}
@@ -233,26 +202,88 @@ func TestDeclaredMethodContracts(t *testing.T) {
 	}
 }
 
+// infraMethods lists every declaration of the services addressed by
+// endpoint — the binding agent, health, obs, mgr.repl, the replica host and
+// the replication plane — keyed by method-name prefix, each with a valid
+// argument. The rollout service's JSON table is checked in its own package.
+func infraMethods(loid naming.LOID) map[string][]rpctest.Row {
+	none := rpc.None{}
+	return map[string][]rpctest.Row{
+		"agent.": {
+			rpctest.Declare(rpc.MethodAgentLookup, loid),
+			rpctest.Declare(rpc.MethodAgentRegister, rpc.AgentRegisterArgs{LOID: loid, Address: naming.Address{Endpoint: "tcp:a:1"}}),
+			rpctest.Declare(rpc.MethodAgentDeregister, loid),
+			rpctest.Declare(rpc.MethodAgentRegisterSet, rpc.AgentSetArgs{LOID: loid,
+				Set: naming.ReplicaSet{Primary: "tcp:a:1", Backups: []string{"tcp:b:1"}, Generation: 1}}),
+			rpctest.Declare(rpc.MethodAgentSetPolicy, rpc.AgentPolicyArgs{LOID: loid, Policy: policy.Default()}),
+		},
+		"health.": {rpctest.Declare(rpc.MethodHealthPing, none)},
+		"obs.": {
+			rpctest.Declare(rpc.MethodObsSnapshot, none),
+			rpctest.Declare(rpc.MethodObsSpans, rpc.ObsQuery{Limit: 8}),
+			rpctest.Declare(rpc.MethodObsEvents, rpc.ObsQuery{Limit: 8}),
+			rpctest.Declare(rpc.MethodObsFlight, rpc.ObsQuery{Slowest: true}),
+		},
+		"mgr.repl.": {rpctest.Declare(MethodMgrReplAppend, Shipment{Epoch: 1,
+			Record: JournalRecord{Op: OpSkipped, Pass: 1, LOID: loid, Reason: "shipped"}})},
+		"replhost.": {rpctest.Declare(replica.MethodHostAdd, replica.HostAddArgs{LOID: loid, Epoch: 1})},
+		"repl.": {
+			rpctest.Declare(replica.MethodShip, []byte{1, 1, 0, 0}),
+			rpctest.Declare(replica.MethodPromote, replica.PromoteArgs{Epoch: 2, Backups: []string{"inproc:b"}}),
+			rpctest.Declare(replica.MethodDemote, 2),
+			rpctest.Declare(replica.MethodStatus, none),
+			rpctest.Declare(replica.MethodSyncTo, "inproc:b"),
+			rpctest.Declare(replica.MethodRead, rpc.ReadArgs{Method: "get"}),
+		},
+	}
+}
+
+// TestInfraMethodContracts holds the agent, health, obs and mgr.repl tables
+// to their declarations. They are called at one endpoint in one attempt, so
+// unlike the three tables above nothing here retries.
+func TestInfraMethodContracts(t *testing.T) {
+	j, err := OpenJournal(journalPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	methods := infraMethods(naming.LOID{Domain: 1, Class: 1, Instance: 1})
+	for prefix, table := range map[string]rpc.Table{
+		"agent.":    rpc.NewAgentService(naming.NewAgent(vclock.Real{})),
+		"health.":   rpc.NewHealthService("contract-node", nil, nil),
+		"obs.":      rpc.NewObsService(obs.New()),
+		"mgr.repl.": NewReplService(j, 1).Table,
+	} {
+		rpctest.CheckTable(t, table, prefix, methods[prefix])
+	}
+}
+
 // FuzzDeclaredDecoders feeds arbitrary bytes to every declared Args and
-// Result decoder of the three method tables. The bytes come off the network,
+// Result decoder of the manager's, DCDO's and ICO's tables and of the
+// services infraMethods lists. The bytes come off the network,
 // so a decoder may refuse them but must never panic.
 func FuzzDeclaredDecoders(f *testing.F) {
 	desc := dfm.NewDescriptor()
 	desc.Components["fr"] = dfm.ComponentRef{CodeRef: "fr:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
 	desc.Entries = []dfm.EntryDesc{{Function: "greet", Component: "fr", Exported: true, Enabled: true}}
 	loid := func(class uint32) naming.LOID { return naming.LOID{Domain: 1, Class: class, Instance: 1} }
-	var rows []declRow
+	var rows []rpctest.Row
 	for _, g := range declaredMethods(loid(1), loid(8), loid(2), loid(9), desc) {
-		rows = append(rows, g.rows...)
+		for _, r := range g.rows {
+			rows = append(rows, r.Row)
+		}
+	}
+	for _, infra := range infraMethods(loid(1)) {
+		rows = append(rows, infra...)
 	}
 	for _, r := range rows {
-		f.Add(r.args)
+		f.Add(r.Args)
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, r := range rows {
-			_ = r.decodeArgs(data)
-			_ = r.decodeResult(data)
+			_ = r.DecodeArgs(data)
+			_ = r.DecodeResult(data)
 		}
 	})
 }

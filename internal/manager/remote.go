@@ -108,7 +108,7 @@ var (
 	MethodHealth = rpc.Method[rpc.None, []InstanceHealth]{Name: "mgr.health", Idempotent: true,
 		Args: rpc.NoneCodec, Result: runCodec(putInstanceHealth, getInstanceHealth)}
 	MethodPolicyGet = rpc.Method[naming.LOID, Designation]{Name: "mgr.policyGet", Idempotent: true,
-		Args: rpc.NewCodec(core.PutLOID, core.GetLOID), Result: rpc.NewCodec(putDesignation, getDesignation)}
+		Args: rpc.LOIDCodec, Result: rpc.NewCodec(putDesignation, getDesignation)}
 	MethodPolicySet = rpc.Method[PolicyArgs, rpc.None]{Name: "mgr.policySet",
 		Args: rpc.NewCodec(putPolicyArgs, getPolicyArgs), Result: rpc.NoneCodec}
 )
@@ -268,12 +268,12 @@ func runCodec[T any](put func(*wire.Encoder, T), get func(*wire.Decoder) (T, err
 }
 
 func putEvolveArgs(e *wire.Encoder, a EvolveArgs) {
-	core.PutLOID(e, a.LOID)
+	rpc.PutLOID(e, a.LOID)
 	core.PutVersion(e, a.Version)
 }
 
 func getEvolveArgs(d *wire.Decoder) (a EvolveArgs, err error) {
-	if a.LOID, err = core.GetLOID(d); err != nil {
+	if a.LOID, err = rpc.GetLOID(d); err != nil {
 		return a, err
 	}
 	a.Version, err = core.GetVersion(d)
@@ -281,13 +281,13 @@ func getEvolveArgs(d *wire.Decoder) (a EvolveArgs, err error) {
 }
 
 func putRecord(e *wire.Encoder, r Record) {
-	core.PutLOID(e, r.LOID)
+	rpc.PutLOID(e, r.LOID)
 	core.PutVersion(e, r.Version)
 	e.PutString(r.Impl.String())
 }
 
 func getRecord(d *wire.Decoder) (r Record, err error) {
-	if r.LOID, err = core.GetLOID(d); err != nil {
+	if r.LOID, err = rpc.GetLOID(d); err != nil {
 		return r, err
 	}
 	if r.Version, err = core.GetVersion(d); err != nil {
@@ -324,7 +324,7 @@ func getRootDescriptor(d *wire.Decoder) (*dfm.Descriptor, error) {
 func putAddComponentArgs(e *wire.Encoder, a AddComponentArgs) {
 	core.PutVersion(e, a.Version)
 	e.PutString(a.ID)
-	core.PutLOID(e, a.Ref.ICO)
+	rpc.PutLOID(e, a.Ref.ICO)
 	e.PutString(a.Ref.CodeRef)
 	e.PutString(a.Ref.Impl.String())
 	e.PutVarint(a.Ref.CodeSize)
@@ -345,7 +345,7 @@ func getAddComponentArgs(d *wire.Decoder) (a AddComponentArgs, err error) {
 	if a.ID, err = d.String(); err != nil {
 		return a, err
 	}
-	if a.Ref.ICO, err = core.GetLOID(d); err != nil {
+	if a.Ref.ICO, err = rpc.GetLOID(d); err != nil {
 		return a, err
 	}
 	if a.Ref.CodeRef, err = d.String(); err != nil {
@@ -458,7 +458,7 @@ func putRecoveryReport(e *wire.Encoder, r RecoveryReport) {
 	e.PutUvarint(uint64(r.Passes))
 	core.PutVersion(e, r.Current)
 	for _, loids := range [][]naming.LOID{r.Resumed, r.Verified, r.RolledBack, r.Quarantined} {
-		rpc.PutRun(e, loids, core.PutLOID)
+		rpc.PutRun(e, loids, rpc.PutLOID)
 	}
 }
 
@@ -472,7 +472,7 @@ func getRecoveryReport(d *wire.Decoder) (r RecoveryReport, err error) {
 		return r, err
 	}
 	for _, loids := range []*[]naming.LOID{&r.Resumed, &r.Verified, &r.RolledBack, &r.Quarantined} {
-		if *loids, err = rpc.GetRun(d, core.GetLOID); err != nil {
+		if *loids, err = rpc.GetRun(d, rpc.GetLOID); err != nil {
 			return r, err
 		}
 	}
@@ -480,14 +480,14 @@ func getRecoveryReport(d *wire.Decoder) (r RecoveryReport, err error) {
 }
 
 func putInstanceHealth(e *wire.Encoder, h InstanceHealth) {
-	core.PutLOID(e, h.LOID)
+	rpc.PutLOID(e, h.LOID)
 	core.PutVersion(e, h.Version)
 	e.PutBool(h.Quarantined)
 	e.PutString(h.Reason)
 }
 
 func getInstanceHealth(d *wire.Decoder) (h InstanceHealth, err error) {
-	if h.LOID, err = core.GetLOID(d); err != nil {
+	if h.LOID, err = rpc.GetLOID(d); err != nil {
 		return h, err
 	}
 	if h.Version, err = core.GetVersion(d); err != nil {
@@ -523,12 +523,12 @@ func getDesignation(d *wire.Decoder) (g Designation, err error) {
 }
 
 func putPolicyArgs(e *wire.Encoder, a PolicyArgs) {
-	core.PutLOID(e, a.LOID)
+	rpc.PutLOID(e, a.LOID)
 	e.PutString(a.Policy.String())
 }
 
 func getPolicyArgs(d *wire.Decoder) (a PolicyArgs, err error) {
-	if a.LOID, err = core.GetLOID(d); err != nil {
+	if a.LOID, err = rpc.GetLOID(d); err != nil {
 		return a, err
 	}
 	doc, err := d.String()

@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -18,14 +19,41 @@ import (
 // acting, after which the deposed primary's next shipped record is refused
 // with rpc.ErrFenced — failing its in-flight Append and halting its pass.
 
-// Remotely callable manager-replication methods, hosted at rpc.MgrReplLOID.
-const (
-	// MethodMgrReplAppend appends one shipped journal record: the shipper's
-	// epoch followed by the encoded record.
-	MethodMgrReplAppend = "mgr.repl.append"
-	// MethodMgrReplEpoch reports the service's current manager epoch.
-	MethodMgrReplEpoch = "mgr.repl.epoch"
-)
+// Shipment is one shipped journal record and the epoch of the manager that
+// shipped it.
+type Shipment struct {
+	Epoch  uint64
+	Record JournalRecord
+}
+
+// MethodMgrReplAppend appends one shipped journal record to a standby's
+// journal, hosted at rpc.MgrReplLOID. The frame is the shipper's epoch
+// followed by the encoded record.
+var MethodMgrReplAppend = rpc.Method[Shipment, rpc.None]{Name: "mgr.repl.append",
+	Args: rpc.Codec[Shipment]{Encode: encodeJournalShipment, Decode: decodeJournalShipment}, Result: rpc.NoneCodec}
+
+func encodeJournalShipment(s Shipment) []byte {
+	payload := s.Record.encode()
+	e := wire.NewEncoder(len(payload) + 8)
+	e.PutUvarint(s.Epoch)
+	e.PutBytes(payload)
+	return e.Bytes()
+}
+
+func decodeJournalShipment(b []byte) (s Shipment, err error) {
+	d := wire.NewDecoder(b)
+	if s.Epoch, err = d.Uvarint(); err != nil {
+		return s, fmt.Errorf("epoch: %w", err)
+	}
+	payload, err := d.Bytes()
+	if err != nil {
+		return s, fmt.Errorf("record: %w", err)
+	}
+	if s.Record, err = decodeJournalRecord(payload); err != nil {
+		return s, fmt.Errorf("record: %w", err)
+	}
+	return s, nil
+}
 
 // JournalShipper streams journal records to a standby manager's ReplService.
 // Install it as the journal's sink: j.SetSink(shipper.Ship).
@@ -44,19 +72,9 @@ type JournalShipper struct {
 // Ship sends one record to the standby. An rpc.ErrFenced result means the
 // standby took over and this manager must stop acting for the fleet.
 func (s *JournalShipper) Ship(rec JournalRecord) error {
-	payload := rec.encode()
-	e := wire.NewEncoder(len(payload) + 8)
-	e.PutUvarint(s.Epoch)
-	e.PutBytes(payload)
-	timeout := s.Timeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	_, err := rpc.DirectCall(context.Background(), s.Dialer, s.Endpoint, rpc.MgrReplLOID, MethodMgrReplAppend, e.Bytes(), timeout)
-	if err != nil {
-		return fmt.Errorf("ship to standby %s: %w", s.Endpoint, err)
-	}
-	return nil
+	_, err := MethodMgrReplAppend.CallAt(context.Background(), s.Dialer, s.Endpoint, rpc.MgrReplLOID,
+		cmp.Or(s.Timeout, 2*time.Second), Shipment{Epoch: s.Epoch, Record: rec})
+	return err
 }
 
 // Sync ships every record already in j, bringing a standby attached after
@@ -74,19 +92,22 @@ func (s *JournalShipper) Sync(j *Journal) error {
 	return nil
 }
 
-// ReplService is the standby side of journal shipping: an rpc.Object hosted
-// at rpc.MgrReplLOID that appends shipped records to the standby's own
-// journal and enforces the manager epoch. It is hosted directly on the
-// standby node's dispatcher, never registered with the binding agent (like
-// the health service — it is addressed by endpoint).
+// ReplService is the standby side of journal shipping: a table hosted at
+// rpc.MgrReplLOID that appends shipped records to the standby's own journal
+// and enforces the manager epoch. It is hosted directly on the standby
+// node's dispatcher, never registered with the binding agent (like the
+// health service — it is addressed by endpoint).
 type ReplService struct {
+	rpc.Table
+
+	// mu is held across each append, so a Bump waits for the append in
+	// flight: once it returns, no record shipped in an older epoch can
+	// land after the takeover's epoch record.
 	mu       sync.Mutex
 	epoch    uint64
 	journal  *Journal
 	received uint64
 }
-
-var _ rpc.Object = (*ReplService)(nil)
 
 // NewReplService returns a service accepting shipments at the given epoch
 // into journal (the standby's own journal file, which must have no sink —
@@ -95,7 +116,27 @@ func NewReplService(journal *Journal, epoch uint64) *ReplService {
 	if epoch == 0 {
 		epoch = 1
 	}
-	return &ReplService{journal: journal, epoch: epoch}
+	s := &ReplService{journal: journal, epoch: epoch}
+	s.Table = rpc.Serve(MethodMgrReplAppend.Handle(func(_ context.Context, sh Shipment) (rpc.None, error) {
+		return rpc.None{}, s.append(sh)
+	}))
+	return s
+}
+
+// append journals one shipment unless its epoch is fenced, and counts it
+// once it is durable.
+func (s *ReplService) append(sh Shipment) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sh.Epoch < s.epoch {
+		return fmt.Errorf("%w: shipment epoch %d < manager epoch %d", rpc.ErrFenced, sh.Epoch, s.epoch)
+	}
+	s.epoch = sh.Epoch
+	if err := s.journal.Append(sh.Record); err != nil {
+		return err
+	}
+	s.received++
+	return nil
 }
 
 // Epoch returns the service's current manager epoch.
@@ -120,50 +161,6 @@ func (s *ReplService) Bump() uint64 {
 	defer s.mu.Unlock()
 	s.epoch++
 	return s.epoch
-}
-
-// InvokeMethod implements rpc.Object.
-func (s *ReplService) InvokeMethod(method string, args []byte) ([]byte, error) {
-	switch method {
-	case MethodMgrReplAppend:
-		dec := wire.NewDecoder(args)
-		epoch, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: epoch: %v", rpc.ErrBadRequest, err)
-		}
-		payload, err := dec.Bytes()
-		if err != nil {
-			return nil, fmt.Errorf("%w: record: %v", rpc.ErrBadRequest, err)
-		}
-		rec, err := decodeJournalRecord(payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record: %v", rpc.ErrBadRequest, err)
-		}
-		s.mu.Lock()
-		if epoch < s.epoch {
-			own := s.epoch
-			s.mu.Unlock()
-			return nil, fmt.Errorf("%w: shipment epoch %d < manager epoch %d", rpc.ErrFenced, epoch, own)
-		}
-		if epoch > s.epoch {
-			s.epoch = epoch
-		}
-		j := s.journal
-		s.received++
-		s.mu.Unlock()
-		if err := j.Append(rec); err != nil {
-			return nil, err
-		}
-		return nil, nil
-
-	case MethodMgrReplEpoch:
-		e := wire.NewEncoder(8)
-		e.PutUvarint(s.Epoch())
-		return e.Bytes(), nil
-
-	default:
-		return nil, fmt.Errorf("%w: %q", rpc.ErrNoSuchFunction, method)
-	}
 }
 
 // Standby couples a cold manager (instances adopted, journal receiving

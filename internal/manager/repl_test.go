@@ -2,7 +2,10 @@ package manager
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,6 +105,69 @@ func TestStandbyFencesDeposedPrimary(t *testing.T) {
 	_, err := env.primaryJ.BeginPass(v(1, 1), nil)
 	if !errors.Is(err, rpc.ErrFenced) {
 		t.Fatalf("append after takeover err = %v, want ErrFenced", err)
+	}
+}
+
+// TestStandbyFenceHoldsAcrossAppend races shipments of the old era against
+// a takeover's epoch bump and epoch record, 30 times: a shipment accepted
+// before the bump must be journaled before the bump returns, so no shipped
+// record ever follows the takeover's OpMgrEpoch record.
+func TestStandbyFenceHoldsAcrossAppend(t *testing.T) {
+	payload := MethodMgrReplAppend.Args.Encode(Shipment{Epoch: 1,
+		Record: JournalRecord{Op: OpSkipped, Pass: 1, LOID: naming.LOID{Instance: 1}, Reason: "shipped"}})
+	for round := 0; round < 30; round++ {
+		j, err := OpenJournal(journalPath(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := NewReplService(j, 1)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if _, err := svc.InvokeMethod(MethodMgrReplAppend.Name, payload); err != nil {
+						if !errors.Is(err, rpc.ErrFenced) {
+							t.Error(err)
+						}
+						return
+					}
+				}
+			}()
+		}
+		for svc.Received() < 4 {
+			runtime.Gosched()
+		}
+		epoch := svc.Bump()
+		if err := j.MgrEpoch(epoch); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		recs, err := j.Records()
+		j.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range recs {
+			if r.Op == OpMgrEpoch && i != len(recs)-1 {
+				t.Fatalf("round %d: %d shipped records follow the epoch record", round, len(recs)-1-i)
+			}
+		}
+		if got := svc.Received(); got != uint64(len(recs)-1) {
+			t.Fatalf("round %d: received = %d, journaled %d", round, got, len(recs)-1)
+		}
+	}
+}
+
+// TestInfraPayloadBytes pins mgr.repl.append's frame, captured from the
+// hand-written encoder its declaration replaced: a standby built before it
+// must still understand every shipment.
+func TestInfraPayloadBytes(t *testing.T) {
+	got := MethodMgrReplAppend.Args.Encode(Shipment{Epoch: 3, Record: JournalRecord{Op: OpIntent, Pass: 7,
+		LOID: naming.LOID{Domain: 1, Class: 2, Instance: 3}, From: v(1), To: v(1, 1)}})
+	if want := "031601030700000a6c6f69643a312e322e33010102010100"; hex.EncodeToString(got) != want {
+		t.Errorf("mgr.repl.append args = %x, want %s", got, want)
 	}
 }
 
@@ -344,8 +410,8 @@ func TestEvolveReplicatedResumesAfterPartialPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ep := range []string{"inproc:r1", "inproc:r2"} {
-		if _, err := env.group.Call(ctx, ep, core.MethodApplyDescriptor.Name,
-			core.MethodApplyDescriptor.Args.Encode(core.ApplyArgs{Target: desc, Version: v(1, 1)})); err != nil {
+		if _, err := replica.Call(ctx, env.group, ep, core.MethodApplyDescriptor,
+			core.ApplyArgs{Target: desc, Version: v(1, 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

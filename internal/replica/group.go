@@ -105,18 +105,15 @@ func (g *Group) Epoch() uint64 {
 	return g.epoch
 }
 
-// Call invokes method on the group's LOID at a specific member endpoint.
-func (g *Group) Call(ctx context.Context, endpoint, method string, args []byte) ([]byte, error) {
-	return rpc.DirectCall(ctx, g.Dialer, endpoint, g.LOID, method, args, g.timeout())
+// Call invokes m on the group's LOID at one member endpoint, in one attempt
+// bounded by the group's CallTimeout.
+func Call[A, R any](ctx context.Context, g *Group, endpoint string, m rpc.Method[A, R], a A) (R, error) {
+	return m.CallAt(ctx, g.Dialer, endpoint, g.LOID, g.timeout(), a)
 }
 
 // Status probes one member's replication status.
 func (g *Group) Status(ctx context.Context, endpoint string) (Status, error) {
-	out, err := g.Call(ctx, endpoint, MethodStatus, nil)
-	if err != nil {
-		return Status{}, err
-	}
-	return DecodeStatus(out)
+	return Call(ctx, g, endpoint, MethodStatus, rpc.None{})
 }
 
 // Promote makes endpoint the group's primary at a bumped epoch: the member
@@ -152,14 +149,14 @@ func (g *Group) Promote(ctx context.Context, endpoint string, keepOldPrimary boo
 		}
 	}
 
-	if _, err := g.Call(ctx, endpoint, MethodPromote, EncodePromoteArgs(newEpoch, backups)); err != nil {
+	if _, err := Call(ctx, g, endpoint, MethodPromote, PromoteArgs{Epoch: newEpoch, Backups: backups}); err != nil {
 		return naming.ReplicaSet{}, fmt.Errorf("promote %s for %s: %w", endpoint, g.LOID, err)
 	}
 	if oldSet.Primary != endpoint {
 		// Fence the old primary into a backup of the new era. If it is dead
 		// or partitioned this fails harmlessly: its first shipment into the
 		// new era will be refused with ErrFenced and it demotes itself.
-		_, _ = g.Call(ctx, oldSet.Primary, MethodDemote, EncodeDemoteArgs(newEpoch))
+		_, _ = Call(ctx, g, oldSet.Primary, MethodDemote, newEpoch)
 	}
 
 	newSet := naming.ReplicaSet{Primary: endpoint, Backups: backups}
@@ -205,8 +202,8 @@ func (g *Group) Expand(ctx context.Context, endpoint string) (naming.ReplicaSet,
 	if _, err := g.Status(ctx, endpoint); err != nil {
 		// Not yet hosting a member: ask the node's replica-host service to
 		// build one as a backup of the new era.
-		if _, err := rpc.DirectCall(ctx, g.Dialer, endpoint, rpc.ReplicaHostLOID,
-			MethodHostAdd, EncodeHostAddArgs(g.LOID, newEpoch), g.timeout()); err != nil {
+		if _, err := MethodHostAdd.CallAt(ctx, g.Dialer, endpoint, rpc.ReplicaHostLOID, g.timeout(),
+			HostAddArgs{LOID: g.LOID, Epoch: newEpoch}); err != nil {
 			return naming.ReplicaSet{}, fmt.Errorf("expand %s for %s: host backup: %w", endpoint, g.LOID, err)
 		}
 	}
@@ -215,10 +212,10 @@ func (g *Group) Expand(ctx context.Context, endpoint string) (naming.ReplicaSet,
 	// Re-promoting the sitting primary with a higher epoch is an in-place
 	// membership change: the promote guard admits it, and the bumped epoch
 	// fences any shipment still in flight from the old era.
-	if _, err := g.Call(ctx, oldSet.Primary, MethodPromote, EncodePromoteArgs(newEpoch, backups)); err != nil {
+	if _, err := Call(ctx, g, oldSet.Primary, MethodPromote, PromoteArgs{Epoch: newEpoch, Backups: backups}); err != nil {
 		return naming.ReplicaSet{}, fmt.Errorf("expand %s for %s: reconfigure primary: %w", endpoint, g.LOID, err)
 	}
-	if _, err := g.Call(ctx, oldSet.Primary, MethodSyncTo, EncodeSyncToArgs(endpoint)); err != nil {
+	if _, err := Call(ctx, g, oldSet.Primary, MethodSyncTo, endpoint); err != nil {
 		return naming.ReplicaSet{}, fmt.Errorf("expand %s for %s: seed backup: %w", endpoint, g.LOID, err)
 	}
 
@@ -267,12 +264,12 @@ func (g *Group) Shrink(ctx context.Context, endpoint string) (naming.ReplicaSet,
 			backups = append(backups, b)
 		}
 	}
-	if _, err := g.Call(ctx, oldSet.Primary, MethodPromote, EncodePromoteArgs(newEpoch, backups)); err != nil {
+	if _, err := Call(ctx, g, oldSet.Primary, MethodPromote, PromoteArgs{Epoch: newEpoch, Backups: backups}); err != nil {
 		return naming.ReplicaSet{}, fmt.Errorf("shrink %s for %s: reconfigure primary: %w", endpoint, g.LOID, err)
 	}
 	// Fence the removed member into the new era as a lone backup; if it is
 	// dead this fails harmlessly.
-	_, _ = g.Call(ctx, endpoint, MethodDemote, EncodeDemoteArgs(newEpoch))
+	_, _ = Call(ctx, g, endpoint, MethodDemote, newEpoch)
 
 	newSet := naming.ReplicaSet{Primary: oldSet.Primary, Backups: backups}
 	if g.Registrar != nil {

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -18,8 +19,29 @@ import (
 // node without a Factory simply does not host one and is skipped as a
 // placement candidate.
 
-// MethodHostAdd asks a node to host a fresh backup replica for a LOID.
-const MethodHostAdd = "replhost.add"
+// HostAddArgs are MethodHostAdd's arguments.
+type HostAddArgs struct {
+	LOID  naming.LOID
+	Epoch uint64
+}
+
+// MethodHostAdd asks a node to host a fresh backup replica for a LOID at an
+// epoch.
+var MethodHostAdd = rpc.Method[HostAddArgs, rpc.None]{Name: "replhost.add",
+	Args: rpc.NewCodec(putHostAddArgs, getHostAddArgs), Result: rpc.NoneCodec}
+
+func putHostAddArgs(e *wire.Encoder, a HostAddArgs) {
+	rpc.PutLOID(e, a.LOID)
+	e.PutUvarint(a.Epoch)
+}
+
+func getHostAddArgs(d *wire.Decoder) (a HostAddArgs, err error) {
+	if a.LOID, err = rpc.GetLOID(d); err != nil {
+		return a, err
+	}
+	a.Epoch, err = d.Uvarint()
+	return a, err
+}
 
 // Factory constructs the node-local inner object for a LOID about to join a
 // replica group as a backup. The returned object's state is immediately
@@ -38,6 +60,9 @@ type HostService struct {
 	// the node (legion.NewNode) so this package needs no dispatcher import.
 	Host func(loid naming.LOID, obj rpc.Object)
 
+	tableOnce sync.Once
+	table     rpc.Table
+
 	mu     sync.Mutex
 	hosted map[naming.LOID]*Replica
 }
@@ -54,25 +79,17 @@ func (s *HostService) Hosted(loid naming.LOID) (*Replica, bool) {
 
 // InvokeMethod implements rpc.Object.
 func (s *HostService) InvokeMethod(method string, args []byte) ([]byte, error) {
-	switch method {
-	case MethodHostAdd:
-		dec := wire.NewDecoder(args)
-		str, err := dec.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: loid: %v", rpc.ErrBadRequest, err)
-		}
-		loid, err := naming.ParseLOID(str)
-		if err != nil {
-			return nil, fmt.Errorf("%w: loid: %v", rpc.ErrBadRequest, err)
-		}
-		epoch, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: epoch: %v", rpc.ErrBadRequest, err)
-		}
-		return nil, s.add(loid, epoch)
-	default:
-		return nil, fmt.Errorf("%w: %q", rpc.ErrNoSuchFunction, method)
-	}
+	return s.methods().InvokeMethod(method, args)
+}
+
+// methods returns the service's table, built on first use.
+func (s *HostService) methods() rpc.Table {
+	s.tableOnce.Do(func() {
+		s.table = rpc.Serve(MethodHostAdd.Handle(func(_ context.Context, a HostAddArgs) (rpc.None, error) {
+			return rpc.None{}, s.add(a.LOID, a.Epoch)
+		}))
+	})
+	return s.table
 }
 
 // add hosts a backup replica for loid at epoch. Adding a LOID this service
@@ -108,12 +125,4 @@ func (s *HostService) add(loid naming.LOID, epoch uint64) error {
 
 	s.Host(loid, rep)
 	return nil
-}
-
-// EncodeHostAddArgs encodes a MethodHostAdd payload.
-func EncodeHostAddArgs(loid naming.LOID, epoch uint64) []byte {
-	e := wire.NewEncoder(32)
-	e.PutString(loid.String())
-	e.PutUvarint(epoch)
-	return e.Bytes()
 }

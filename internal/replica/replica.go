@@ -55,25 +55,43 @@ func (r Role) String() string {
 	return "backup"
 }
 
-// Replication methods, hosted on the replica's own LOID beside the object's
-// dynamic and control methods. The "repl." prefix is reserved the same way
-// core.ControlPrefix is.
-const (
-	// ReplPrefix marks replication-plane methods.
-	ReplPrefix = "repl."
-	// MethodShip ships state: epoch, sequence, base sequence, objstate
-	// delta. The response is the sequence the receiver holds afterwards.
-	MethodShip = ReplPrefix + "ship"
+// ReplPrefix marks replication-plane methods, hosted on the replica's own
+// LOID beside the object's dynamic and control methods. The prefix is
+// reserved the same way core.ControlPrefix is.
+const ReplPrefix = "repl."
+
+// PromoteArgs are MethodPromote's arguments.
+type PromoteArgs struct {
+	Epoch   uint64
+	Backups []string
+}
+
+// The replication plane. Only status and the wrapped read are reads.
+var (
+	// MethodShip ships state: an encodeShipment frame of epoch, sequence,
+	// base sequence and objstate delta. The frame is built once per
+	// shipment and sent to every backup as it is. The result is the
+	// sequence the receiver holds afterwards.
+	MethodShip = rpc.Method[[]byte, uint64]{Name: ReplPrefix + "ship",
+		Args: rpc.RawCodec, Result: rpc.UvarintCodec}
 	// MethodPromote makes the receiver primary at a new epoch with a new
 	// backup list.
-	MethodPromote = ReplPrefix + "promote"
+	MethodPromote = rpc.Method[PromoteArgs, rpc.None]{Name: ReplPrefix + "promote",
+		Args: rpc.NewCodec(putPromoteArgs, getPromoteArgs), Result: rpc.NoneCodec}
 	// MethodDemote makes the receiver a backup at a new epoch.
-	MethodDemote = ReplPrefix + "demote"
+	MethodDemote = rpc.Method[uint64, rpc.None]{Name: ReplPrefix + "demote",
+		Args: rpc.UvarintCodec, Result: rpc.NoneCodec}
 	// MethodStatus reports role, epoch, applied sequence, and version.
-	MethodStatus = ReplPrefix + "status"
+	MethodStatus = rpc.Method[rpc.None, Status]{Name: ReplPrefix + "status", Idempotent: true,
+		Args: rpc.NoneCodec, Result: rpc.NewCodec(putStatus, getStatus)}
 	// MethodSyncTo (primary-only) ships a full state image to one named
 	// endpoint: how a freshly hosted backup is seeded when a group expands.
-	MethodSyncTo = ReplPrefix + "syncto"
+	MethodSyncTo = rpc.Method[string, rpc.None]{Name: ReplPrefix + "syncto",
+		Args: rpc.StringCodec, Result: rpc.NoneCodec}
+	// MethodRead executes a wrapped read on any role: the one
+	// replication-plane method backups serve (see rpc.MethodReplRead).
+	MethodRead = rpc.Method[rpc.ReadArgs, []byte]{Name: rpc.MethodReplRead, Idempotent: true,
+		Args: rpc.ReadArgsCodec, Result: rpc.RawCodec}
 )
 
 // Inner is the object a Replica wraps: context-aware invocation plus the
@@ -118,6 +136,8 @@ type Replica struct {
 
 	shipsDelta, shipsFull, shipFallbacks, shipBytes atomic.Uint64
 	events                                          atomic.Pointer[obs.EventLog]
+
+	repl rpc.Table // the replication plane, built once by New
 }
 
 var (
@@ -131,7 +151,7 @@ var (
 // primary starts at epoch 1 with its peers as backups; initial backups
 // start at epoch 1 with no peer list.
 func New(loid naming.LOID, inner Inner, dialer transport.Dialer, role Role, epoch uint64, backups []string) *Replica {
-	return &Replica{
+	r := &Replica{
 		loid:    loid,
 		inner:   inner,
 		dialer:  dialer,
@@ -139,6 +159,17 @@ func New(loid naming.LOID, inner Inner, dialer transport.Dialer, role Role, epoc
 		epoch:   epoch,
 		backups: append([]string(nil), backups...),
 	}
+	r.repl = rpc.Serve(
+		MethodRead.Handle(r.read),
+		MethodShip.Handle(r.applyShipment),
+		MethodSyncTo.Handle(func(ctx context.Context, endpoint string) (rpc.None, error) {
+			return rpc.None{}, r.syncTo(ctx, endpoint)
+		}),
+		MethodPromote.Handle(r.promote),
+		MethodDemote.Handle(r.demote),
+		MethodStatus.Handle(r.status),
+	)
+	return r
 }
 
 // Status is a replica's self-report.
@@ -207,7 +238,7 @@ func (r *Replica) InvokeMethod(method string, args []byte) ([]byte, error) {
 // mutated state.
 func (r *Replica) InvokeMethodCtx(ctx context.Context, method string, args []byte) ([]byte, error) {
 	if strings.HasPrefix(method, ReplPrefix) {
-		return r.invokeRepl(ctx, method, args)
+		return r.repl.InvokeMethodCtx(ctx, method, args)
 	}
 	if strings.HasPrefix(method, core.ControlPrefix) {
 		return r.inner.InvokeMethodCtx(ctx, method, args)
@@ -362,7 +393,13 @@ func (r *Replica) syncTo(ctx context.Context, endpoint string) error {
 	return nil
 }
 
-// encodeShipment builds a MethodShip payload.
+// shipment is a decoded MethodShip frame.
+type shipment struct {
+	epoch, seq, base uint64
+	delta            []byte
+}
+
+// encodeShipment builds a MethodShip frame.
 func encodeShipment(epoch, seq, base uint64, delta []byte) []byte {
 	e := wire.NewEncoder(len(delta) + 32)
 	e.PutUvarint(epoch)
@@ -370,6 +407,21 @@ func encodeShipment(epoch, seq, base uint64, delta []byte) []byte {
 	e.PutUvarint(base)
 	e.PutBytes(delta)
 	return e.Bytes()
+}
+
+// decodeShipment parses an encodeShipment frame. The delta aliases frame.
+// A malformed frame is refused with rpc.ErrBadRequest.
+func decodeShipment(frame []byte) (s shipment, err error) {
+	d := wire.NewDecoder(frame)
+	for _, field := range []*uint64{&s.epoch, &s.seq, &s.base} {
+		if *field, err = d.Uvarint(); err != nil {
+			return s, fmt.Errorf("%w: shipment: %v", rpc.ErrBadRequest, err)
+		}
+	}
+	if s.delta, err = d.Bytes(); err != nil {
+		return s, fmt.Errorf("%w: shipment delta: %v", rpc.ErrBadRequest, err)
+	}
+	return s, nil
 }
 
 // shipTo sends one shipment to one backup, counts it, and returns the
@@ -381,14 +433,7 @@ func (r *Replica) shipTo(ctx context.Context, endpoint string, payload []byte, b
 		r.shipsDelta.Add(1)
 	}
 	r.shipBytes.Add(uint64(len(payload)))
-	out, err := rpc.DirectCall(ctx, r.dialer, endpoint, r.loid, MethodShip, payload, r.shipTimeout())
-	if err != nil {
-		return 0, err
-	}
-	if held, err = wire.NewDecoder(out).Uvarint(); err != nil {
-		return 0, fmt.Errorf("ship response: %w", err)
-	}
-	return held, nil
+	return MethodShip.CallAt(ctx, r.dialer, endpoint, r.loid, r.shipTimeout(), payload)
 }
 
 // reconfigure installs an epoch, role and backup list. The caller holds
@@ -420,165 +465,113 @@ func (r *Replica) shipTimeout() time.Duration {
 	return 2 * time.Second
 }
 
-// invokeRepl handles the replication plane.
-func (r *Replica) invokeRepl(ctx context.Context, method string, args []byte) ([]byte, error) {
-	dec := wire.NewDecoder(args)
-	switch method {
-	case rpc.MethodReplRead:
-		// Policy-routed read: unwrap and execute locally on ANY role — the
-		// one replication-plane method backups serve. The caller asserted
-		// the inner method is read-only; the generation check makes a
-		// violation loud instead of letting a backup silently diverge.
-		inner, innerArgs, err := rpc.DecodeReadArgs(args)
-		if err != nil {
-			return nil, err
-		}
-		if strings.HasPrefix(inner, ReplPrefix) || strings.HasPrefix(inner, core.ControlPrefix) {
-			return nil, fmt.Errorf("%w: %q may not ride %s", rpc.ErrBadRequest, inner, rpc.MethodReplRead)
-		}
-		r.mu.Lock()
-		if r.role == RolePrimary {
-			// Concurrent writes move a primary's generation, so the guard
-			// below cannot tell them from the read's own. The guard exists
-			// to stop a backup diverging, and a primary cannot diverge
-			// from its group: execute the read as the dynamic call it is —
-			// whatever it changes ships. The asymmetry is deliberate: a
-			// wrapped mutation is refused on a backup and committed here.
-			// Clients wrap reads for backups only, so this is a binding
-			// gone stale across a promotion.
-			r.mu.Unlock()
-			return r.invokePrimary(ctx, inner, innerArgs)
-		}
-		st := r.inner.State()
-		gen, applied := st.Generation(), r.applied
-		r.mu.Unlock()
-		out, err := r.inner.InvokeMethodCtx(ctx, inner, innerArgs)
-		if err != nil {
-			return nil, err
-		}
-		// Shipments landing mid-read move the generation too, one each, and
-		// they apply under r.mu: any movement beyond theirs is the read's.
-		r.mu.Lock()
-		mutated := st.Generation()-gen != r.applied-applied
-		if mutated && r.role == RoleBackup {
-			// This state is no shipment's result any more, so it is no
-			// delta's base: holding nothing makes the next one a full image.
-			r.seq = 0
-		}
-		r.mu.Unlock()
-		if mutated {
-			return nil, fmt.Errorf("replica %s: %q mutated state via %s; backup-ok reads must be read-only",
-				r.loid, inner, rpc.MethodReplRead)
-		}
-		return out, nil
-
-	case MethodSyncTo:
-		endpoint, err := dec.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: endpoint: %v", rpc.ErrBadRequest, err)
-		}
-		return nil, r.syncTo(ctx, endpoint)
-	case MethodShip:
-		epoch, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: epoch: %v", rpc.ErrBadRequest, err)
-		}
-		seq, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: seq: %v", rpc.ErrBadRequest, err)
-		}
-		base, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: base: %v", rpc.ErrBadRequest, err)
-		}
-		delta, err := dec.Bytes()
-		if err != nil {
-			return nil, fmt.Errorf("%w: delta: %v", rpc.ErrBadRequest, err)
-		}
-		// Held across the apply so the sequence number and the state move
-		// together, and so the repl.read guard sees each applied shipment
-		// with its generation bump.
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if epoch < r.epoch {
-			return nil, fmt.Errorf("%w: shipment epoch %d < group epoch %d", rpc.ErrFenced, epoch, r.epoch)
-		}
-		if epoch > r.epoch {
-			// A new leadership era we missed: adopt it. If we thought we
-			// were primary, two primaries existed and the higher epoch wins.
-			r.reconfigure(epoch, RoleBackup, nil)
-		}
-		// base <= r.seq: we hold what the delta builds on (always, for base
-		// 0). r.seq < seq: not a duplicate or a reordered older shipment.
-		// Anything else changes nothing, and the answer says what we hold.
-		if base <= r.seq && r.seq < seq {
-			if err := r.inner.State().ApplyDelta(delta); err != nil {
-				return nil, fmt.Errorf("replica %s: apply shipment %d: %w", r.loid, seq, err)
-			}
-			r.seq = seq
-			r.applied++
-		}
-		e := wire.NewEncoder(8)
-		e.PutUvarint(r.seq)
-		return e.Bytes(), nil
-
-	case MethodPromote:
-		epoch, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: epoch: %v", rpc.ErrBadRequest, err)
-		}
-		n, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: backup count: %v", rpc.ErrBadRequest, err)
-		}
-		backups := make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			b, err := dec.String()
-			if err != nil {
-				return nil, fmt.Errorf("%w: backup: %v", rpc.ErrBadRequest, err)
-			}
-			backups = append(backups, b)
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if epoch <= r.epoch && !(epoch == r.epoch && r.role == RolePrimary) {
-			return nil, fmt.Errorf("%w: promote epoch %d not newer than %d", rpc.ErrFenced, epoch, r.epoch)
-		}
-		r.reconfigure(epoch, RolePrimary, backups)
-		return nil, nil
-
-	case MethodDemote:
-		epoch, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: epoch: %v", rpc.ErrBadRequest, err)
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if epoch < r.epoch {
-			return nil, fmt.Errorf("%w: demote epoch %d < group epoch %d", rpc.ErrFenced, epoch, r.epoch)
-		}
-		r.reconfigure(epoch, RoleBackup, nil)
-		return nil, nil
-
-	case MethodStatus:
-		segs, err := r.versionSegs(ctx)
-		if err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		st := Status{Role: r.role, Epoch: r.epoch, Seq: r.seq, VersionSegs: segs, AckSeq: r.ackSeq}
-		r.mu.Unlock()
-		e := wire.NewEncoder(32)
-		e.PutString(st.Role.String())
-		e.PutUvarint(st.Epoch)
-		e.PutUvarint(st.Seq)
-		e.PutUintSlice(st.VersionSegs)
-		e.PutUvarint(st.AckSeq) // fields are append-only: older readers stop before it
-		return e.Bytes(), nil
-
-	default:
-		return nil, fmt.Errorf("%w: %q", rpc.ErrNoSuchFunction, method)
+// read serves MethodRead: it unwraps a policy-routed read and executes it
+// locally on ANY role. The caller asserted the inner method is read-only;
+// the generation check makes a violation loud instead of letting a backup
+// silently diverge.
+func (r *Replica) read(ctx context.Context, a rpc.ReadArgs) ([]byte, error) {
+	if strings.HasPrefix(a.Method, ReplPrefix) || strings.HasPrefix(a.Method, core.ControlPrefix) {
+		return nil, fmt.Errorf("%w: %q may not ride %s", rpc.ErrBadRequest, a.Method, rpc.MethodReplRead)
 	}
+	r.mu.Lock()
+	if r.role == RolePrimary {
+		// Concurrent writes move a primary's generation, so the guard below
+		// cannot tell them from the read's own. The guard exists to stop a
+		// backup diverging, and a primary cannot diverge from its group:
+		// execute the read as the dynamic call it is — whatever it changes
+		// ships. The asymmetry is deliberate: a wrapped mutation is refused
+		// on a backup and committed here. Clients wrap reads for backups
+		// only, so this is a binding gone stale across a promotion.
+		r.mu.Unlock()
+		return r.invokePrimary(ctx, a.Method, a.Args)
+	}
+	st := r.inner.State()
+	gen, applied := st.Generation(), r.applied
+	r.mu.Unlock()
+	out, err := r.inner.InvokeMethodCtx(ctx, a.Method, a.Args)
+	if err != nil {
+		return nil, err
+	}
+	// Shipments landing mid-read move the generation too, one each, and
+	// they apply under r.mu: any movement beyond theirs is the read's.
+	r.mu.Lock()
+	mutated := st.Generation()-gen != r.applied-applied
+	if mutated && r.role == RoleBackup {
+		// This state is no shipment's result any more, so it is no delta's
+		// base: holding nothing makes the next one a full image.
+		r.seq = 0
+	}
+	r.mu.Unlock()
+	if mutated {
+		return nil, fmt.Errorf("replica %s: %q mutated state via %s; backup-ok reads must be read-only",
+			r.loid, a.Method, rpc.MethodReplRead)
+	}
+	return out, nil
+}
+
+// applyShipment serves MethodShip and answers the sequence held afterwards.
+func (r *Replica) applyShipment(_ context.Context, frame []byte) (uint64, error) {
+	s, err := decodeShipment(frame)
+	if err != nil {
+		return 0, err
+	}
+	// Held across the apply so the sequence number and the state move
+	// together, and so the repl.read guard sees each applied shipment with
+	// its generation bump.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.epoch < r.epoch {
+		return 0, fmt.Errorf("%w: shipment epoch %d < group epoch %d", rpc.ErrFenced, s.epoch, r.epoch)
+	}
+	if s.epoch > r.epoch {
+		// A new leadership era we missed: adopt it. If we thought we were
+		// primary, two primaries existed and the higher epoch wins.
+		r.reconfigure(s.epoch, RoleBackup, nil)
+	}
+	// base <= r.seq: we hold what the delta builds on (always, for base 0).
+	// r.seq < seq: not a duplicate or a reordered older shipment. Anything
+	// else changes nothing, and the answer says what we hold.
+	if s.base <= r.seq && r.seq < s.seq {
+		if err := r.inner.State().ApplyDelta(s.delta); err != nil {
+			return 0, fmt.Errorf("replica %s: apply shipment %d: %w", r.loid, s.seq, err)
+		}
+		r.seq = s.seq
+		r.applied++
+	}
+	return r.seq, nil
+}
+
+// promote serves MethodPromote.
+func (r *Replica) promote(_ context.Context, a PromoteArgs) (rpc.None, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if a.Epoch <= r.epoch && !(a.Epoch == r.epoch && r.role == RolePrimary) {
+		return rpc.None{}, fmt.Errorf("%w: promote epoch %d not newer than %d", rpc.ErrFenced, a.Epoch, r.epoch)
+	}
+	r.reconfigure(a.Epoch, RolePrimary, a.Backups)
+	return rpc.None{}, nil
+}
+
+// demote serves MethodDemote.
+func (r *Replica) demote(_ context.Context, epoch uint64) (rpc.None, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if epoch < r.epoch {
+		return rpc.None{}, fmt.Errorf("%w: demote epoch %d < group epoch %d", rpc.ErrFenced, epoch, r.epoch)
+	}
+	r.reconfigure(epoch, RoleBackup, nil)
+	return rpc.None{}, nil
+}
+
+// status serves MethodStatus.
+func (r *Replica) status(ctx context.Context, _ rpc.None) (Status, error) {
+	segs, err := r.versionSegs(ctx)
+	if err != nil {
+		return Status{}, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return Status{Role: r.role, Epoch: r.epoch, Seq: r.seq, VersionSegs: segs, AckSeq: r.ackSeq}, nil
 }
 
 // versionSegs reads the wrapped object's version via its control plane.
@@ -591,57 +584,47 @@ func (r *Replica) versionSegs(ctx context.Context) ([]uint64, error) {
 	return v.Encode(), err
 }
 
-// EncodePromoteArgs encodes a MethodPromote payload.
-func EncodePromoteArgs(epoch uint64, backups []string) []byte {
-	e := wire.NewEncoder(64)
-	e.PutUvarint(epoch)
-	e.PutUvarint(uint64(len(backups)))
-	for _, b := range backups {
-		e.PutString(b)
-	}
-	return e.Bytes()
+func putPromoteArgs(e *wire.Encoder, a PromoteArgs) {
+	e.PutUvarint(a.Epoch)
+	rpc.PutRun(e, a.Backups, (*wire.Encoder).PutString)
 }
 
-// EncodeDemoteArgs encodes a MethodDemote payload.
-func EncodeDemoteArgs(epoch uint64) []byte {
-	e := wire.NewEncoder(8)
-	e.PutUvarint(epoch)
-	return e.Bytes()
+func getPromoteArgs(d *wire.Decoder) (a PromoteArgs, err error) {
+	if a.Epoch, err = d.Uvarint(); err != nil {
+		return a, err
+	}
+	a.Backups, err = rpc.GetRun(d, (*wire.Decoder).String)
+	return a, err
 }
 
-// EncodeSyncToArgs encodes a MethodSyncTo payload.
-func EncodeSyncToArgs(endpoint string) []byte {
-	e := wire.NewEncoder(16 + len(endpoint))
-	e.PutString(endpoint)
-	return e.Bytes()
+func putStatus(e *wire.Encoder, st Status) {
+	e.PutString(st.Role.String())
+	e.PutUvarint(st.Epoch)
+	e.PutUvarint(st.Seq)
+	e.PutUintSlice(st.VersionSegs)
+	e.PutUvarint(st.AckSeq) // fields are append-only: older readers stop before it
 }
 
-// DecodeStatus parses a MethodStatus response.
-func DecodeStatus(buf []byte) (Status, error) {
-	dec := wire.NewDecoder(buf)
-	role, err := dec.String()
+func getStatus(d *wire.Decoder) (st Status, err error) {
+	role, err := d.String()
 	if err != nil {
-		return Status{}, fmt.Errorf("status: role: %w", err)
+		return st, fmt.Errorf("role: %w", err)
 	}
-	epoch, err := dec.Uvarint()
-	if err != nil {
-		return Status{}, fmt.Errorf("status: epoch: %w", err)
-	}
-	seq, err := dec.Uvarint()
-	if err != nil {
-		return Status{}, fmt.Errorf("status: seq: %w", err)
-	}
-	segs, err := dec.UintSlice()
-	if err != nil {
-		return Status{}, fmt.Errorf("status: version: %w", err)
-	}
-	st := Status{Epoch: epoch, Seq: seq, VersionSegs: segs}
 	if role == RolePrimary.String() {
 		st.Role = RolePrimary
 	}
-	if dec.Remaining() > 0 { // absent from members that predate it
-		if st.AckSeq, err = dec.Uvarint(); err != nil {
-			return Status{}, fmt.Errorf("status: ack seq: %w", err)
+	if st.Epoch, err = d.Uvarint(); err != nil {
+		return st, fmt.Errorf("epoch: %w", err)
+	}
+	if st.Seq, err = d.Uvarint(); err != nil {
+		return st, fmt.Errorf("seq: %w", err)
+	}
+	if st.VersionSegs, err = d.UintSlice(); err != nil {
+		return st, fmt.Errorf("version: %w", err)
+	}
+	if d.Remaining() > 0 { // absent from members that predate it
+		if st.AckSeq, err = d.Uvarint(); err != nil {
+			return st, fmt.Errorf("ack seq: %w", err)
 		}
 	}
 	return st, nil

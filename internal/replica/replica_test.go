@@ -137,6 +137,11 @@ func (e *replicaEnv) call(endpoint, method string, args []byte) ([]byte, error) 
 	return rpc.DirectCall(context.Background(), e.net.Dialer(), endpoint, e.loid, method, args, time.Second)
 }
 
+// callAt invokes a declared method on the group's LOID at endpoint.
+func callAt[A, R any](e *replicaEnv, endpoint string, m rpc.Method[A, R], a A) (R, error) {
+	return m.CallAt(context.Background(), e.net.Dialer(), endpoint, e.loid, time.Second, a)
+}
+
 func TestPrimaryExecutesAndShips(t *testing.T) {
 	env := newReplicaEnv(t)
 
@@ -207,11 +212,11 @@ func TestStaleShipmentAndDuplicateDropped(t *testing.T) {
 	other.Set("k", []byte("replayed"))
 	image, _ := other.EncodeFull()
 	replay := encodeShipment(1, 1, 0, image)
-	out, err := env.call("inproc:b1", MethodShip, replay)
+	held, err := callAt(env, "inproc:b1", MethodShip, replay)
 	if err != nil {
 		t.Fatalf("duplicate shipment: %v", err)
 	}
-	if held, _ := wire.NewDecoder(out).Uvarint(); held != 1 {
+	if held != 1 {
 		t.Fatalf("duplicate shipment answered held=%d, want 1", held)
 	}
 	if got := getValue(t, env.inners["b1"], "k"); got != "v1" {
@@ -220,7 +225,7 @@ func TestStaleShipmentAndDuplicateDropped(t *testing.T) {
 
 	// A corrupt delta is refused without advancing the sequence, so the
 	// shipment can be repeated.
-	if _, err := env.call("inproc:b1", MethodShip, encodeShipment(1, 2, 0, []byte{0xff})); err == nil {
+	if _, err := callAt(env, "inproc:b1", MethodShip, encodeShipment(1, 2, 0, []byte{0xff})); err == nil {
 		t.Fatal("corrupt shipment accepted")
 	}
 	if st := env.status(t, "b1"); st.Seq != 1 {
@@ -231,7 +236,7 @@ func TestStaleShipmentAndDuplicateDropped(t *testing.T) {
 	env.members["b1"].mu.Lock()
 	env.members["b1"].epoch = 5
 	env.members["b1"].mu.Unlock()
-	_, err = env.call("inproc:b1", MethodShip, replay)
+	_, err = callAt(env, "inproc:b1", MethodShip, replay)
 	if !errors.Is(err, rpc.ErrFenced) {
 		t.Fatalf("stale-epoch shipment err = %v, want ErrFenced", err)
 	}
@@ -248,10 +253,10 @@ func TestDeposedPrimarySelfDemotes(t *testing.T) {
 
 	// A new era starts without the old primary noticing: b1 is promoted at
 	// epoch 2 and b2 learns the new epoch.
-	if _, err := env.call("inproc:b1", MethodPromote, EncodePromoteArgs(2, []string{"inproc:b2"})); err != nil {
+	if _, err := callAt(env, "inproc:b1", MethodPromote, PromoteArgs{Epoch: 2, Backups: []string{"inproc:b2"}}); err != nil {
 		t.Fatalf("promote b1: %v", err)
 	}
-	if _, err := env.call("inproc:b2", MethodDemote, EncodeDemoteArgs(2)); err != nil {
+	if _, err := callAt(env, "inproc:b2", MethodDemote, 2); err != nil {
 		t.Fatalf("demote b2 into era 2: %v", err)
 	}
 
@@ -498,10 +503,9 @@ func TestHostServiceIdempotentAdd(t *testing.T) {
 	env := newReplicaEnv(t)
 	ep, hs := env.addHostNode(t)
 	ctx := context.Background()
-	args := EncodeHostAddArgs(env.loid, 5)
+	args := HostAddArgs{LOID: env.loid, Epoch: 5}
 	for i := 0; i < 2; i++ {
-		if _, err := rpc.DirectCall(ctx, env.net.Dialer(), ep, rpc.ReplicaHostLOID,
-			MethodHostAdd, args, time.Second); err != nil {
+		if _, err := MethodHostAdd.CallAt(ctx, env.net.Dialer(), ep, rpc.ReplicaHostLOID, time.Second, args); err != nil {
 			t.Fatalf("add #%d: %v", i+1, err)
 		}
 	}
@@ -515,7 +519,7 @@ func TestHostServiceIdempotentAdd(t *testing.T) {
 
 	// A node without a factory refuses politely.
 	bare := &HostService{}
-	if _, err := bare.InvokeMethod(MethodHostAdd, args); !errors.Is(err, rpc.ErrNoSuchFunction) {
+	if _, err := bare.InvokeMethod(MethodHostAdd.Name, MethodHostAdd.Args.Encode(args)); !errors.Is(err, rpc.ErrNoSuchFunction) {
 		t.Fatalf("factory-less add err = %v, want ErrNoSuchFunction", err)
 	}
 }
@@ -528,7 +532,7 @@ func TestReplReadServedOnAnyRole(t *testing.T) {
 
 	// A wrapped read is served by primary and backups alike.
 	for _, ep := range []string{"inproc:p", "inproc:b1", "inproc:b2"} {
-		out, err := env.call(ep, rpc.MethodReplRead, rpc.EncodeReadArgs("get", wireString("k")))
+		out, err := callAt(env, ep, MethodRead, rpc.ReadArgs{Method: "get", Args: wireString("k")})
 		if err != nil {
 			t.Fatalf("repl.read on %s: %v", ep, err)
 		}
@@ -539,13 +543,13 @@ func TestReplReadServedOnAnyRole(t *testing.T) {
 	}
 
 	// A wrapped mutation trips the generation guard — loudly, not silently.
-	if _, err := env.call("inproc:b1", rpc.MethodReplRead, rpc.EncodeReadArgs("set", setArgs("k", "x"))); err == nil {
+	if _, err := callAt(env, "inproc:b1", MethodRead, rpc.ReadArgs{Method: "set", Args: setArgs("k", "x")}); err == nil {
 		t.Fatal("repl.read let a mutation through on a backup")
 	}
 
 	// On the primary the same wrapped mutation is a dynamic call: it is not
 	// refused, it commits to the group like any write, so nothing diverges.
-	if _, err := env.call("inproc:p", rpc.MethodReplRead, rpc.EncodeReadArgs("set", setArgs("k", "v2"))); err != nil {
+	if _, err := callAt(env, "inproc:p", MethodRead, rpc.ReadArgs{Method: "set", Args: setArgs("k", "v2")}); err != nil {
 		t.Fatalf("repl.read carrying a write on the primary: %v", err)
 	}
 	env.converged(t, "p", "b1", "b2")
@@ -554,8 +558,8 @@ func TestReplReadServedOnAnyRole(t *testing.T) {
 	}
 
 	// Replication-plane and control methods may not ride the wrapper.
-	for _, inner := range []string{MethodShip, "dcdo.version"} {
-		if _, err := env.call("inproc:b1", rpc.MethodReplRead, rpc.EncodeReadArgs(inner, nil)); !errors.Is(err, rpc.ErrBadRequest) {
+	for _, inner := range []string{MethodShip.Name, "dcdo.version"} {
+		if _, err := callAt(env, "inproc:b1", MethodRead, rpc.ReadArgs{Method: inner}); !errors.Is(err, rpc.ErrBadRequest) {
 			t.Fatalf("repl.read(%s) err = %v, want ErrBadRequest", inner, err)
 		}
 	}
@@ -563,7 +567,7 @@ func TestReplReadServedOnAnyRole(t *testing.T) {
 
 func TestSyncToPrimaryOnly(t *testing.T) {
 	env := newReplicaEnv(t)
-	if _, err := env.call("inproc:b1", MethodSyncTo, EncodeSyncToArgs("inproc:b2")); !errors.Is(err, rpc.ErrNotPrimary) {
+	if _, err := callAt(env, "inproc:b1", MethodSyncTo, "inproc:b2"); !errors.Is(err, rpc.ErrNotPrimary) {
 		t.Fatalf("syncTo on a backup err = %v, want ErrNotPrimary", err)
 	}
 }

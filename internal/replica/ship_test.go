@@ -26,13 +26,9 @@ import (
 
 func (e *replicaEnv) status(t *testing.T, name string) Status {
 	t.Helper()
-	out, err := e.call("inproc:"+name, MethodStatus, nil)
+	st, err := callAt(e, "inproc:"+name, MethodStatus, rpc.None{})
 	if err != nil {
 		t.Fatalf("status of %s: %v", name, err)
-	}
-	st, err := DecodeStatus(out)
-	if err != nil {
-		t.Fatal(err)
 	}
 	return st
 }
@@ -156,7 +152,7 @@ func TestBackupBehindBaseGetsFullImage(t *testing.T) {
 
 	// A "read" that writes is refused, and leaves b1 holding state no
 	// shipment produced — it stops vouching for any base.
-	if _, err := env.call("inproc:b1", rpc.MethodReplRead, rpc.EncodeReadArgs("set", setArgs("rogue", "x"))); err == nil {
+	if _, err := callAt(env, "inproc:b1", MethodRead, rpc.ReadArgs{Method: "set", Args: setArgs("rogue", "x")}); err == nil {
 		t.Fatal("mutating repl.read accepted")
 	}
 	if st := env.status(t, "b1"); st.Seq != 0 {
@@ -195,7 +191,7 @@ func TestDemotedMidCallDoesNotAck(t *testing.T) {
 	env := newReplicaEnv(t)
 	env.seedResident(t, "p")
 	env.inners["p"].duringSet = func() {
-		if _, err := env.call("inproc:p", MethodDemote, EncodeDemoteArgs(2)); err != nil {
+		if _, err := callAt(env, "inproc:p", MethodDemote, 2); err != nil {
 			t.Errorf("demote mid-call: %v", err)
 		}
 	}
@@ -205,7 +201,7 @@ func TestDemotedMidCallDoesNotAck(t *testing.T) {
 	env.inners["p"].duringSet = nil
 
 	// The new era's first shipment replaces the uncommitted write.
-	if _, err := env.call("inproc:b1", MethodPromote, EncodePromoteArgs(2, []string{"inproc:b2", "inproc:p"})); err != nil {
+	if _, err := callAt(env, "inproc:b1", MethodPromote, PromoteArgs{Epoch: 2, Backups: []string{"inproc:b2", "inproc:p"}}); err != nil {
 		t.Fatal(err)
 	}
 	env.mustSet(t, "b1", "k2", "v")
@@ -221,7 +217,7 @@ func TestDemotedMidReadStillAnswers(t *testing.T) {
 	env := newReplicaEnv(t)
 	env.mustSet(t, "p", "k", "v")
 	env.inners["p"].duringGet = func() {
-		if _, err := env.call("inproc:p", MethodDemote, EncodeDemoteArgs(2)); err != nil {
+		if _, err := callAt(env, "inproc:p", MethodDemote, 2); err != nil {
 			t.Errorf("demote mid-call: %v", err)
 		}
 	}
@@ -254,7 +250,7 @@ func TestReadDuringShipmentNotRefused(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 2000; i++ {
-		if _, err := env.call("inproc:b1", rpc.MethodReplRead, rpc.EncodeReadArgs("get", wireString("k"))); err != nil {
+		if _, err := callAt(env, "inproc:b1", MethodRead, rpc.ReadArgs{Method: "get", Args: wireString("k")}); err != nil {
 			t.Errorf("read %d refused mid-shipment: %v", i, err)
 			break
 		}
@@ -312,10 +308,10 @@ func TestFirstShipmentAfterReconfigurationIsFull(t *testing.T) {
 		{"fenced", func(t *testing.T, env *replicaEnv) (string, []string) {
 			// b1 takes over at epoch 2 keeping p as a backup, but p is not
 			// told. Its next write is fenced by b2 and stays local.
-			if _, err := env.call("inproc:b1", MethodPromote, EncodePromoteArgs(2, []string{"inproc:b2", "inproc:p"})); err != nil {
+			if _, err := callAt(env, "inproc:b1", MethodPromote, PromoteArgs{Epoch: 2, Backups: []string{"inproc:b2", "inproc:p"}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := env.call("inproc:b2", MethodDemote, EncodeDemoteArgs(2)); err != nil {
+			if _, err := callAt(env, "inproc:b2", MethodDemote, 2); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := env.call("inproc:p", "set", setArgs("uncommitted", "x")); !errors.Is(err, rpc.ErrNotPrimary) {

@@ -12,157 +12,184 @@ import (
 	"godcdo/internal/wire"
 )
 
-// In Legion, binding agents are themselves objects. AgentService exposes an
-// in-memory naming.Agent as an rpc.Object so other processes can resolve
-// and register bindings over the wire; RemoteAgent is the client-side proxy
-// implementing naming.Authority against such a service.
-
-// Remotely callable binding-agent methods.
-const (
-	MethodAgentLookup      = "agent.lookup"
-	MethodAgentRegister    = "agent.register"
-	MethodAgentDeregister  = "agent.deregister"
-	MethodAgentRegisterSet = "agent.registerSet"
-	MethodAgentSetPolicy   = "agent.setPolicy"
-)
+// In Legion, binding agents are themselves objects. NewAgentService exposes
+// an in-memory naming.Agent as a method table so other processes can
+// resolve and register bindings over the wire; RemoteAgent is the
+// client-side proxy implementing naming.Authority against such a service.
 
 // AgentLOID is the well-known LOID a domain's binding-agent service is
 // hosted at (domain 0 is reserved for infrastructure objects).
 var AgentLOID = naming.LOID{Domain: 0, Class: 1, Instance: 1}
 
-// AgentService wraps an in-memory binding agent as a hosted object.
-type AgentService struct {
-	Agent *naming.Agent
+// AgentRegisterArgs are MethodAgentRegister's arguments.
+type AgentRegisterArgs struct {
+	LOID    naming.LOID
+	Address naming.Address
 }
 
-var _ Object = (*AgentService)(nil)
+// AgentSetArgs are MethodAgentRegisterSet's arguments.
+type AgentSetArgs struct {
+	LOID naming.LOID
+	Set  naming.ReplicaSet
+}
 
-// InvokeMethod implements Object.
-func (s *AgentService) InvokeMethod(method string, args []byte) ([]byte, error) {
-	dec := wire.NewDecoder(args)
-	decodeLOID := func() (naming.LOID, error) {
-		str, err := dec.String()
-		if err != nil {
-			return naming.LOID{}, err
-		}
-		return naming.ParseLOID(str)
-	}
-	switch method {
-	case MethodAgentLookup:
-		loid, err := decodeLOID()
-		if err != nil {
-			return nil, fmt.Errorf("%w: loid: %v", ErrBadRequest, err)
-		}
-		binding, err := s.Agent.Lookup(loid)
-		if err != nil {
-			return nil, err
-		}
-		e := wire.NewEncoder(48)
-		e.PutString(binding.Address.Endpoint)
-		e.PutUvarint(binding.Address.Incarnation)
-		// Replica-set extension, appended after the original fields: old
-		// decoders ignore trailing bytes, so singleton-era clients still
-		// resolve replicated LOIDs (to the primary).
-		e.PutUvarint(binding.Set.Generation)
-		e.PutUvarint(uint64(len(binding.Set.Backups)))
-		for _, b := range binding.Set.Backups {
-			e.PutString(b)
-		}
-		// Policy extension, appended after the replica set under the same
-		// append-only discipline: a presence flag, then the wire-encoded
-		// document.
-		if binding.Policy != nil {
-			e.PutUvarint(1)
-			e.PutBytes(binding.Policy.EncodeWire())
-		} else {
-			e.PutUvarint(0)
-		}
-		return e.Bytes(), nil
+// AgentPolicyArgs are MethodAgentSetPolicy's arguments. The document
+// travels in its wire form.
+type AgentPolicyArgs struct {
+	LOID   naming.LOID
+	Policy policy.DistributionPolicy
+}
 
-	case MethodAgentRegister:
-		loid, err := decodeLOID()
-		if err != nil {
-			return nil, fmt.Errorf("%w: loid: %v", ErrBadRequest, err)
-		}
-		endpoint, err := dec.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: endpoint: %v", ErrBadRequest, err)
-		}
-		incarnation, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: incarnation: %v", ErrBadRequest, err)
-		}
-		addr := s.Agent.Register(loid, naming.Address{Endpoint: endpoint, Incarnation: incarnation})
-		e := wire.NewEncoder(16)
-		e.PutUvarint(addr.Incarnation)
-		return e.Bytes(), nil
+// The binding agent's exported interface. Only lookup reads. Register and
+// registerSet answer the effective incarnation and generation.
+var (
+	MethodAgentLookup = Method[naming.LOID, naming.Binding]{Name: "agent.lookup", Idempotent: true,
+		Args: LOIDCodec, Result: NewCodec(putBinding, getBinding)}
+	MethodAgentRegister = Method[AgentRegisterArgs, uint64]{Name: "agent.register",
+		Args: NewCodec(putRegisterArgs, getRegisterArgs), Result: UvarintCodec}
+	MethodAgentDeregister = Method[naming.LOID, None]{Name: "agent.deregister",
+		Args: LOIDCodec, Result: NoneCodec}
+	MethodAgentRegisterSet = Method[AgentSetArgs, uint64]{Name: "agent.registerSet",
+		Args: NewCodec(putSetArgs, getSetArgs), Result: UvarintCodec}
+	MethodAgentSetPolicy = Method[AgentPolicyArgs, None]{Name: "agent.setPolicy",
+		Args: NewCodec(putPolicyArgs, getPolicyArgs), Result: NoneCodec}
+)
 
-	case MethodAgentRegisterSet:
-		loid, err := decodeLOID()
-		if err != nil {
-			return nil, fmt.Errorf("%w: loid: %v", ErrBadRequest, err)
-		}
-		primary, err := dec.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: primary: %v", ErrBadRequest, err)
-		}
-		generation, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: generation: %v", ErrBadRequest, err)
-		}
-		n, err := dec.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: backup count: %v", ErrBadRequest, err)
-		}
-		set := naming.ReplicaSet{Primary: primary, Generation: generation}
-		for i := uint64(0); i < n; i++ {
-			b, err := dec.String()
-			if err != nil {
-				return nil, fmt.Errorf("%w: backup: %v", ErrBadRequest, err)
+// NewAgentService returns the method table serving agent.
+func NewAgentService(agent *naming.Agent) Table {
+	return Serve(
+		MethodAgentLookup.Handle(func(_ context.Context, loid naming.LOID) (naming.Binding, error) {
+			return agent.Lookup(loid)
+		}),
+		MethodAgentRegister.Handle(func(_ context.Context, a AgentRegisterArgs) (uint64, error) {
+			return agent.Register(a.LOID, a.Address).Incarnation, nil
+		}),
+		MethodAgentDeregister.Handle(func(_ context.Context, loid naming.LOID) (None, error) {
+			agent.Deregister(loid)
+			return None{}, nil
+		}),
+		MethodAgentRegisterSet.Handle(func(_ context.Context, a AgentSetArgs) (uint64, error) {
+			eff, ok := agent.RegisterSet(a.LOID, a.Set)
+			if !ok {
+				return 0, &RemoteError{Code: wire.CodeFenced,
+					Message: fmt.Sprintf("replica set generation %d not newer than %d", a.Set.Generation, eff.Generation)}
 			}
-			set.Backups = append(set.Backups, b)
-		}
-		eff, ok := s.Agent.RegisterSet(loid, set)
-		if !ok {
-			return nil, &RemoteError{Code: wire.CodeFenced,
-				Message: fmt.Sprintf("replica set generation %d not newer than %d", set.Generation, eff.Generation)}
-		}
-		e := wire.NewEncoder(16)
-		e.PutUvarint(eff.Generation)
-		return e.Bytes(), nil
+			return eff.Generation, nil
+		}),
+		MethodAgentSetPolicy.Handle(func(_ context.Context, a AgentPolicyArgs) (None, error) {
+			agent.RegisterPolicy(a.LOID, a.Policy)
+			return None{}, nil
+		}),
+	)
+}
 
-	case MethodAgentSetPolicy:
-		loid, err := decodeLOID()
-		if err != nil {
-			return nil, fmt.Errorf("%w: loid: %v", ErrBadRequest, err)
-		}
-		raw, err := dec.Bytes()
-		if err != nil {
-			return nil, fmt.Errorf("%w: policy: %v", ErrBadRequest, err)
-		}
-		pol, err := policy.DecodeWire(raw)
-		if err != nil {
-			return nil, fmt.Errorf("%w: policy: %v", ErrBadRequest, err)
-		}
-		s.Agent.RegisterPolicy(loid, pol)
-		return nil, nil
-
-	case MethodAgentDeregister:
-		loid, err := decodeLOID()
-		if err != nil {
-			return nil, fmt.Errorf("%w: loid: %v", ErrBadRequest, err)
-		}
-		s.Agent.Deregister(loid)
-		return nil, nil
-
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchFunction, method)
+// putBinding writes a lookup result. The replica-set and policy extensions
+// are appended after the original fields, so a decoder that predates one
+// stops before it.
+func putBinding(e *wire.Encoder, b naming.Binding) {
+	e.PutString(b.Address.Endpoint)
+	e.PutUvarint(b.Address.Incarnation)
+	e.PutUvarint(b.Set.Generation)
+	PutRun(e, b.Set.Backups, (*wire.Encoder).PutString)
+	if b.Policy != nil {
+		e.PutUvarint(1)
+		e.PutBytes(b.Policy.EncodeWire())
+	} else {
+		e.PutUvarint(0)
 	}
 }
 
-// RemoteAgent resolves and registers bindings against an AgentService at a
+// getBinding reads a putBinding result. Only the address is required: a
+// reply that ends before an extension, or carries one this decoder cannot
+// read, resolves to the address alone (a singleton-era agent's replicated
+// LOIDs resolve to their primary). The caller fills in the LOID.
+func getBinding(d *wire.Decoder) (b naming.Binding, err error) {
+	if b.Address.Endpoint, err = d.String(); err != nil {
+		return b, err
+	}
+	if b.Address.Incarnation, err = d.Uvarint(); err != nil {
+		return b, err
+	}
+	if d.Remaining() > 0 {
+		if generation, err := d.Uvarint(); err == nil {
+			if backups, err := GetRun(d, (*wire.Decoder).String); err == nil && (generation > 0 || len(backups) > 0) {
+				b.Set = naming.ReplicaSet{Primary: b.Address.Endpoint, Backups: backups, Generation: generation}
+			}
+		}
+	}
+	if d.Remaining() > 0 {
+		if has, err := d.Uvarint(); err == nil && has == 1 {
+			if raw, err := d.Bytes(); err == nil {
+				if pol, err := policy.DecodeWire(raw); err == nil {
+					b.Policy = &pol
+				}
+			}
+		}
+	}
+	return b, nil
+}
+
+func putRegisterArgs(e *wire.Encoder, a AgentRegisterArgs) {
+	PutLOID(e, a.LOID)
+	e.PutString(a.Address.Endpoint)
+	e.PutUvarint(a.Address.Incarnation)
+}
+
+func getRegisterArgs(d *wire.Decoder) (a AgentRegisterArgs, err error) {
+	if a.LOID, err = GetLOID(d); err != nil {
+		return a, err
+	}
+	if a.Address.Endpoint, err = d.String(); err != nil {
+		return a, err
+	}
+	a.Address.Incarnation, err = d.Uvarint()
+	return a, err
+}
+
+func putSetArgs(e *wire.Encoder, a AgentSetArgs) {
+	PutLOID(e, a.LOID)
+	e.PutString(a.Set.Primary)
+	e.PutUvarint(a.Set.Generation)
+	PutRun(e, a.Set.Backups, (*wire.Encoder).PutString)
+}
+
+func getSetArgs(d *wire.Decoder) (a AgentSetArgs, err error) {
+	if a.LOID, err = GetLOID(d); err != nil {
+		return a, err
+	}
+	if a.Set.Primary, err = d.String(); err != nil {
+		return a, err
+	}
+	if a.Set.Generation, err = d.Uvarint(); err != nil {
+		return a, err
+	}
+	a.Set.Backups, err = GetRun(d, (*wire.Decoder).String)
+	return a, err
+}
+
+func putPolicyArgs(e *wire.Encoder, a AgentPolicyArgs) {
+	PutLOID(e, a.LOID)
+	e.PutBytes(a.Policy.EncodeWire())
+}
+
+func getPolicyArgs(d *wire.Decoder) (a AgentPolicyArgs, err error) {
+	if a.LOID, err = GetLOID(d); err != nil {
+		return a, err
+	}
+	raw, err := d.Bytes()
+	if err != nil {
+		return a, err
+	}
+	a.Policy, err = policy.DecodeWire(raw)
+	return a, err
+}
+
+// RemoteAgent resolves and registers bindings against an agent service at a
 // fixed, well-known endpoint. It implements naming.Authority, so nodes in
 // other processes plug it in wherever an in-memory agent would go.
+// naming.Authority is deliberately context-free (binding resolution is a
+// substrate concern with its own short timeout), so the proxy calls under a
+// background context; Timeout still bounds each call.
 type RemoteAgent struct {
 	// Dialer reaches the agent's endpoint.
 	Dialer transport.Dialer
@@ -174,35 +201,9 @@ type RemoteAgent struct {
 
 var _ naming.Authority = (*RemoteAgent)(nil)
 
-// call issues one agent RPC. naming.Authority is deliberately context-free
-// (binding resolution is a substrate concern with its own short timeout),
-// so the proxy supplies a background context; Timeout still bounds the call.
-func (r *RemoteAgent) call(method string, payload []byte) (*wire.Envelope, error) {
-	timeout := r.Timeout
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
-	req := &wire.Envelope{
-		Kind:    wire.KindRequest,
-		Target:  AgentLOID.String(),
-		Method:  method,
-		Payload: payload,
-	}
-	resp, err := r.Dialer.Call(context.Background(), r.Endpoint, req, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("binding agent at %s: %w", r.Endpoint, err)
-	}
-	if resp.Kind == wire.KindError {
-		return nil, &RemoteError{Code: resp.Code, Message: resp.ErrorMsg}
-	}
-	return resp, nil
-}
-
 // Lookup implements naming.Resolver.
 func (r *RemoteAgent) Lookup(loid naming.LOID) (naming.Binding, error) {
-	e := wire.NewEncoder(32)
-	e.PutString(loid.String())
-	resp, err := r.call(MethodAgentLookup, e.Bytes())
+	b, err := MethodAgentLookup.CallAt(context.Background(), r.Dialer, r.Endpoint, AgentLOID, r.Timeout, loid)
 	if err != nil {
 		var re *RemoteError
 		if errors.As(err, &re) && re.Code == wire.CodeInternal {
@@ -212,49 +213,7 @@ func (r *RemoteAgent) Lookup(loid naming.LOID) (naming.Binding, error) {
 		}
 		return naming.Binding{}, err
 	}
-	dec := wire.NewDecoder(resp.Payload)
-	endpoint, err := dec.String()
-	if err != nil {
-		return naming.Binding{}, fmt.Errorf("binding agent: corrupt response: %w", err)
-	}
-	incarnation, err := dec.Uvarint()
-	if err != nil {
-		return naming.Binding{}, fmt.Errorf("binding agent: corrupt response: %w", err)
-	}
-	b := naming.Binding{
-		LOID:    loid,
-		Address: naming.Address{Endpoint: endpoint, Incarnation: incarnation},
-	}
-	// Optional replica-set extension (absent in singleton-era responses).
-	if dec.Remaining() > 0 {
-		if generation, err := dec.Uvarint(); err == nil {
-			if n, err := dec.Uvarint(); err == nil {
-				backups := make([]string, 0, n)
-				ok := true
-				for i := uint64(0); i < n; i++ {
-					s, err := dec.String()
-					if err != nil {
-						ok = false
-						break
-					}
-					backups = append(backups, s)
-				}
-				if ok && (generation > 0 || len(backups) > 0) {
-					b.Set = naming.ReplicaSet{Primary: endpoint, Backups: backups, Generation: generation}
-				}
-			}
-		}
-	}
-	// Optional policy extension (absent in pre-policy responses).
-	if dec.Remaining() > 0 {
-		if has, err := dec.Uvarint(); err == nil && has == 1 {
-			if raw, err := dec.Bytes(); err == nil {
-				if pol, err := policy.DecodeWire(raw); err == nil {
-					b.Policy = &pol
-				}
-			}
-		}
-	}
+	b.LOID = loid
 	return b, nil
 }
 
@@ -262,21 +221,12 @@ func (r *RemoteAgent) Lookup(loid naming.LOID) (naming.Binding, error) {
 // and returns the effective set. A generation at or below the agent's
 // current one is rejected with ErrFenced (the caller is a deposed primary).
 func (r *RemoteAgent) RegisterSet(loid naming.LOID, set naming.ReplicaSet) (naming.ReplicaSet, error) {
-	e := wire.NewEncoder(96)
-	e.PutString(loid.String())
-	e.PutString(set.Primary)
-	e.PutUvarint(set.Generation)
-	e.PutUvarint(uint64(len(set.Backups)))
-	for _, b := range set.Backups {
-		e.PutString(b)
-	}
-	resp, err := r.call(MethodAgentRegisterSet, e.Bytes())
+	gen, err := MethodAgentRegisterSet.CallAt(context.Background(), r.Dialer, r.Endpoint, AgentLOID, r.Timeout,
+		AgentSetArgs{LOID: loid, Set: set})
 	if err != nil {
 		return naming.ReplicaSet{}, err
 	}
-	if generation, err := wire.NewDecoder(resp.Payload).Uvarint(); err == nil {
-		set.Generation = generation
-	}
+	set.Generation = gen
 	return set, nil
 }
 
@@ -286,33 +236,23 @@ func (r *RemoteAgent) RegisterSet(loid naming.LOID, set naming.ReplicaSet) (nami
 // the journal is the durable authority, and the next republish (takeover,
 // explicit SetPolicy) retries.
 func (r *RemoteAgent) RegisterPolicy(loid naming.LOID, pol policy.DistributionPolicy) {
-	e := wire.NewEncoder(96)
-	e.PutString(loid.String())
-	e.PutBytes(pol.EncodeWire())
-	_, _ = r.call(MethodAgentSetPolicy, e.Bytes())
+	_, _ = MethodAgentSetPolicy.CallAt(context.Background(), r.Dialer, r.Endpoint, AgentLOID, r.Timeout,
+		AgentPolicyArgs{LOID: loid, Policy: pol})
 }
 
-// Register implements naming.Authority.
+// Register implements naming.Authority. Registration against an
+// unreachable agent leaves the intended address in place; the next lookup
+// will fail loudly instead.
 func (r *RemoteAgent) Register(loid naming.LOID, addr naming.Address) naming.Address {
-	e := wire.NewEncoder(64)
-	e.PutString(loid.String())
-	e.PutString(addr.Endpoint)
-	e.PutUvarint(addr.Incarnation)
-	resp, err := r.call(MethodAgentRegister, e.Bytes())
-	if err != nil {
-		// Registration against an unreachable agent leaves the intended
-		// address in place; the next lookup will fail loudly instead.
-		return addr
-	}
-	if incarnation, err := wire.NewDecoder(resp.Payload).Uvarint(); err == nil {
-		addr.Incarnation = incarnation
+	inc, err := MethodAgentRegister.CallAt(context.Background(), r.Dialer, r.Endpoint, AgentLOID, r.Timeout,
+		AgentRegisterArgs{LOID: loid, Address: addr})
+	if err == nil {
+		addr.Incarnation = inc
 	}
 	return addr
 }
 
 // Deregister implements naming.Authority.
 func (r *RemoteAgent) Deregister(loid naming.LOID) {
-	e := wire.NewEncoder(32)
-	e.PutString(loid.String())
-	_, _ = r.call(MethodAgentDeregister, e.Bytes())
+	_, _ = MethodAgentDeregister.CallAt(context.Background(), r.Dialer, r.Endpoint, AgentLOID, r.Timeout, loid)
 }

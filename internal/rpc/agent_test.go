@@ -12,12 +12,12 @@ import (
 	"godcdo/internal/vclock"
 )
 
-// agentEnv hosts an AgentService over TCP and returns a RemoteAgent proxy.
+// agentEnv hosts an agent service over TCP and returns a RemoteAgent proxy.
 func agentEnv(t *testing.T) (*naming.Agent, *RemoteAgent, func()) {
 	t.Helper()
 	agent := naming.NewAgent(vclock.Real{})
 	disp := NewDispatcher()
-	disp.Host(AgentLOID, &AgentService{Agent: agent})
+	disp.Host(AgentLOID, NewAgentService(agent))
 	srv, err := transport.ListenTCP("127.0.0.1:0", disp)
 	if err != nil {
 		t.Fatal(err)
@@ -116,18 +116,6 @@ func TestRemoteAgentUnreachable(t *testing.T) {
 		t.Fatalf("addr = %+v", addr)
 	}
 	remote.Deregister(naming.LOID{Instance: 1}) // must not panic
-}
-
-func TestAgentServiceBadArgs(t *testing.T) {
-	svc := &AgentService{Agent: naming.NewAgent(vclock.Real{})}
-	for _, method := range []string{MethodAgentLookup, MethodAgentRegister, MethodAgentDeregister} {
-		if _, err := svc.InvokeMethod(method, nil); !errors.Is(err, ErrBadRequest) {
-			t.Errorf("%s: err = %v, want ErrBadRequest", method, err)
-		}
-	}
-	if _, err := svc.InvokeMethod("agent.bogus", nil); !errors.Is(err, ErrNoSuchFunction) {
-		t.Fatalf("err = %v, want ErrNoSuchFunction", err)
-	}
 }
 
 // Full cross-"process" deployment: a node in one dispatcher registers its

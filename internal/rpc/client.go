@@ -385,7 +385,7 @@ func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method strin
 			if idx := c.readRR.Add(1) % uint64(1+len(binding.Set.Backups)); idx > 0 {
 				endpoint = binding.Set.Backups[idx-1]
 				callMethod = MethodReplRead
-				callArgs = EncodeReadArgs(method, args)
+				callArgs = ReadArgsCodec.Encode(ReadArgs{Method: method, Args: args})
 				viaBackup = true
 			}
 		}

@@ -1,27 +1,22 @@
 package rpc
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"godcdo/internal/naming"
 	"godcdo/internal/transport"
 	"godcdo/internal/vclock"
-	"godcdo/internal/wire"
 )
 
 // Node liveness is an infrastructure service, like the observability
-// surface: HealthService answers pings on every node at a well-known LOID,
-// and HealthClient is the direct-dial proxy the manager's prober and
-// dcdo-ctl's `health` subcommand use. A successful ping proves the node's
-// transport, dispatcher, and service loop are all alive — which is exactly
-// the evidence the prober needs before un-quarantining the instances the
-// node hosts.
-
-// MethodHealthPing answers a liveness probe with the node's HealthInfo.
-const MethodHealthPing = "health.ping"
+// surface: NewHealthService's table answers pings on every node at a
+// well-known LOID, and HealthClient is the direct-dial proxy that a standby
+// manager's Monitor and dcdo-ctl's `health` subcommand use. (The manager's
+// Prober asks each instance for its version instead of pinging nodes.) A
+// successful ping proves the node's transport, dispatcher and service loop
+// are all alive.
 
 // HealthLOID is the well-known LOID a node's health service is hosted at
 // (domain 0 is reserved for infrastructure; the binding agent holds
@@ -58,48 +53,31 @@ type HealthInfo struct {
 // Uptime returns the node's uptime as a duration.
 func (h HealthInfo) Uptime() time.Duration { return time.Duration(h.UptimeNs) }
 
-// HealthService answers liveness probes for one node. It is hosted directly
-// on the node's dispatcher (never registered with the binding agent): every
-// node carries one at the same LOID, so probers address a node by endpoint.
-type HealthService struct {
-	// Node is the node's display name, echoed in responses.
-	Node string
-	// Clock supplies time for uptime accounting (vclock.Real when nil).
-	Clock vclock.Clock
-	// Hosted, when non-nil, reports the node's hosted-object count.
-	Hosted func() int
+// MethodHealthPing answers a liveness probe with the node's HealthInfo.
+var MethodHealthPing = Method[None, HealthInfo]{Name: "health.ping", Idempotent: true,
+	Args: NoneCodec, Result: JSONCodec[HealthInfo]()}
 
-	started time.Time
-}
-
-var _ Object = (*HealthService)(nil)
-
-// NewHealthService returns a service whose uptime starts now.
-func NewHealthService(node string, clock vclock.Clock, hosted func() int) *HealthService {
+// NewHealthService returns the table answering liveness probes for one
+// node, named node, whose uptime starts now by clock (vclock.Real when
+// nil). hosted, when non-nil, reports the node's hosted-object count. The
+// table is hosted directly on the node's dispatcher (never registered with
+// the binding agent): every node carries one at the same LOID, so probers
+// address a node by endpoint.
+func NewHealthService(node string, clock vclock.Clock, hosted func() int) Table {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
-	return &HealthService{Node: node, Clock: clock, Hosted: hosted, started: clock.Now()}
+	started := clock.Now()
+	return Serve(MethodHealthPing.Handle(func(context.Context, None) (HealthInfo, error) {
+		info := HealthInfo{Node: node, UptimeNs: clock.Now().Sub(started).Nanoseconds()}
+		if hosted != nil {
+			info.HostedObjects = hosted()
+		}
+		return info, nil
+	}))
 }
 
-// InvokeMethod implements Object.
-func (s *HealthService) InvokeMethod(method string, args []byte) ([]byte, error) {
-	switch method {
-	case MethodHealthPing:
-		info := HealthInfo{Node: s.Node}
-		if s.Clock != nil && !s.started.IsZero() {
-			info.UptimeNs = s.Clock.Now().Sub(s.started).Nanoseconds()
-		}
-		if s.Hosted != nil {
-			info.HostedObjects = s.Hosted()
-		}
-		return json.Marshal(info)
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchFunction, method)
-	}
-}
-
-// HealthClient probes the HealthService at a specific node endpoint.
+// HealthClient probes the health service at a specific node endpoint.
 type HealthClient struct {
 	// Dialer reaches the node.
 	Dialer transport.Dialer
@@ -114,25 +92,5 @@ type HealthClient struct {
 // the transport reported it, with its retry class, so callers can
 // distinguish an unreachable node from a node that answered strangely.
 func (c *HealthClient) Ping(ctx context.Context) (HealthInfo, error) {
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	req := &wire.Envelope{
-		Kind:   wire.KindRequest,
-		Target: HealthLOID.String(),
-		Method: MethodHealthPing,
-	}
-	resp, err := c.Dialer.Call(ctx, c.Endpoint, req, timeout)
-	if err != nil {
-		return HealthInfo{}, fmt.Errorf("health probe of %s: %w", c.Endpoint, err)
-	}
-	if resp.Kind == wire.KindError {
-		return HealthInfo{}, &RemoteError{Code: resp.Code, Message: resp.ErrorMsg}
-	}
-	var info HealthInfo
-	if err := json.Unmarshal(resp.Payload, &info); err != nil {
-		return HealthInfo{}, fmt.Errorf("health probe of %s: corrupt response: %w", c.Endpoint, err)
-	}
-	return info, nil
+	return MethodHealthPing.CallAt(ctx, c.Dialer, c.Endpoint, HealthLOID, cmp.Or(c.Timeout, 2*time.Second), None{})
 }

@@ -2,19 +2,23 @@ package rpc
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"time"
 
 	"godcdo/internal/naming"
+	"godcdo/internal/transport"
 	"godcdo/internal/wire"
 )
 
-// Declared methods. A runtime service (the DCDO's control table, the ICO,
-// the manager) declares each method once as a Method value: its name,
+// Declared methods. Every runtime service (the DCDO's control table, the
+// ICO, the manager, the binding agent, the infrastructure services and the
+// replication plane) declares each method once as a Method value: its name,
 // whether it is retry-safe, and the codecs of its arguments and result. The
 // server builds its method table from the declarations with Handle and
-// Serve, and the client calls through the same values, so the two ends
-// cannot disagree on a payload and no call site picks its own retry class.
+// Serve, and the client calls through the same values — Call through the
+// naming plane, CallAt at one endpoint — so the two ends cannot disagree on
+// a payload and no call site picks its own retry class.
 
 // Codec converts a value to and from its payload.
 type Codec[T any] struct {
@@ -23,7 +27,9 @@ type Codec[T any] struct {
 }
 
 // NewCodec builds a Codec from the functions that write one value to an
-// encoder and read it back from a decoder.
+// encoder and read it back from a decoder. The encoder and decoder escape
+// through put and get, which costs an allocation each way: a codec on a hot
+// path is written out as a Codec literal instead.
 func NewCodec[T any](put func(*wire.Encoder, T), get func(*wire.Decoder) (T, error)) Codec[T] {
 	return Codec[T]{
 		Encode: func(v T) []byte {
@@ -50,6 +56,51 @@ var RawCodec = Codec[[]byte]{
 	Encode: func(b []byte) []byte { return b },
 	Decode: func(b []byte) ([]byte, error) { return b, nil },
 }
+
+// UvarintCodec carries one unsigned integer.
+var UvarintCodec = Codec[uint64]{
+	Encode: func(v uint64) []byte {
+		e := wire.NewEncoder(8)
+		e.PutUvarint(v)
+		return e.Bytes()
+	},
+	Decode: func(b []byte) (uint64, error) { return wire.NewDecoder(b).Uvarint() },
+}
+
+// StringCodec carries one string.
+var StringCodec = NewCodec((*wire.Encoder).PutString, (*wire.Decoder).String)
+
+// JSONCodec carries a value as its JSON document, for services far from
+// the invoke path whose data already has a JSON shape. Decoding is strict:
+// an empty or malformed payload is refused. A value JSON cannot represent
+// encodes as an empty payload, which the other end refuses in turn.
+func JSONCodec[T any]() Codec[T] {
+	return Codec[T]{
+		Encode: func(v T) []byte {
+			b, _ := json.Marshal(v)
+			return b
+		},
+		Decode: func(b []byte) (v T, err error) {
+			err = json.Unmarshal(b, &v)
+			return v, err
+		},
+	}
+}
+
+// PutLOID writes a LOID as its canonical string.
+func PutLOID(e *wire.Encoder, loid naming.LOID) { e.PutString(loid.String()) }
+
+// GetLOID reads a PutLOID LOID.
+func GetLOID(d *wire.Decoder) (naming.LOID, error) {
+	s, err := d.String()
+	if err != nil {
+		return naming.LOID{}, err
+	}
+	return naming.ParseLOID(s)
+}
+
+// LOIDCodec carries one LOID.
+var LOIDCodec = NewCodec(PutLOID, GetLOID)
 
 // PutRun writes items as a count-prefixed run.
 func PutRun[T any](e *wire.Encoder, items []T, put func(*wire.Encoder, T)) {
@@ -105,6 +156,26 @@ func (m Method[A, R]) Call(ctx context.Context, client *Client, loid naming.LOID
 	r, err := m.Result.Decode(out)
 	if err != nil {
 		return zero, fmt.Errorf("%s.%s: decode result: %w", loid, m.Name, err)
+	}
+	return r, nil
+}
+
+// CallAt invokes the method on loid at one endpoint, bypassing binding
+// resolution, and decodes its result. It makes exactly one attempt through
+// DirectCall whatever Idempotent says: the callers that address an exact
+// endpoint (journal and state shipping, group control, probes, the binding
+// agent proxy) each keep their own retry rules. A failure wraps DirectCall's
+// error, so errors.Is and errors.As see the same *RemoteError sentinels and
+// transport retry classes.
+func (m Method[A, R]) CallAt(ctx context.Context, dialer transport.Dialer, endpoint string, loid naming.LOID, timeout time.Duration, a A) (R, error) {
+	var zero R
+	out, err := DirectCall(ctx, dialer, endpoint, loid, m.Name, m.Args.Encode(a), timeout)
+	if err != nil {
+		return zero, fmt.Errorf("%s at %s: %w", m.Name, endpoint, err)
+	}
+	r, err := m.Result.Decode(out)
+	if err != nil {
+		return zero, fmt.Errorf("%s at %s: decode result: %w", m.Name, endpoint, err)
 	}
 	return r, nil
 }

@@ -2,38 +2,28 @@ package rpc
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"godcdo/internal/naming"
 	"godcdo/internal/obs"
 	"godcdo/internal/transport"
-	"godcdo/internal/wire"
 )
 
 // The observability surface is itself an object, mirroring how binding
-// agents are objects: ObsService exposes a node's obs.Obs as an rpc.Object
-// hosted at a well-known infrastructure LOID, and ObsClient is the
+// agents are objects: NewObsService serves a node's obs.Obs from a method
+// table hosted at a well-known infrastructure LOID, and ObsClient is the
 // direct-dial proxy dcdo-ctl's `trace` subcommand uses. Payloads are JSON —
 // the data already has JSON shapes for /debug/obs, and the trace/metrics
 // path is nowhere near the invoke hot path.
-
-// Remotely callable observability methods.
-const (
-	MethodObsSnapshot = "obs.snapshot"
-	MethodObsSpans    = "obs.spans"
-	MethodObsEvents   = "obs.events"
-	MethodObsFlight   = "obs.flight"
-)
 
 // ObsLOID is the well-known LOID a node's observability service is hosted
 // at (domain 0 is reserved for infrastructure objects; the binding agent
 // holds instance 1).
 var ObsLOID = naming.LOID{Domain: 0, Class: 1, Instance: 2}
 
-// obsQuery parameterises obs.spans and obs.flight requests.
-type obsQuery struct {
+// ObsQuery parameterises obs.spans, obs.events and obs.flight. A zero or
+// negative Limit takes the method's default.
+type ObsQuery struct {
 	TraceID uint64 `json:"trace_id,omitempty"`
 	Limit   int    `json:"limit,omitempty"`
 	// Slowest orders obs.flight results by slowest span instead of most
@@ -48,92 +38,74 @@ type FlightReport struct {
 	Traces []obs.FlightTrace `json:"traces"`
 }
 
-// ObsService wraps a node's observability state as a hosted object. It is
-// hosted directly on the node's dispatcher (not registered with the binding
-// agent): every node has one at the same LOID, so callers address a node by
-// endpoint, never by name.
-type ObsService struct {
-	Obs *obs.Obs
-}
+// The observability service's exported interface; every method reads.
+var (
+	MethodObsSnapshot = Method[None, obs.Snapshot]{Name: "obs.snapshot", Idempotent: true,
+		Args: NoneCodec, Result: JSONCodec[obs.Snapshot]()}
+	MethodObsSpans = Method[ObsQuery, []obs.SpanRecord]{Name: "obs.spans", Idempotent: true,
+		Args: JSONCodec[ObsQuery](), Result: JSONCodec[[]obs.SpanRecord]()}
+	MethodObsEvents = Method[ObsQuery, []obs.Event]{Name: "obs.events", Idempotent: true,
+		Args: JSONCodec[ObsQuery](), Result: JSONCodec[[]obs.Event]()}
+	MethodObsFlight = Method[ObsQuery, FlightReport]{Name: "obs.flight", Idempotent: true,
+		Args: JSONCodec[ObsQuery](), Result: JSONCodec[FlightReport]()}
+)
 
-var _ Object = (*ObsService)(nil)
-
-// InvokeMethod implements Object.
-func (s *ObsService) InvokeMethod(method string, args []byte) ([]byte, error) {
-	switch method {
-	case MethodObsSnapshot:
-		return json.Marshal(s.Obs.Snapshot(obs.SnapshotLimits{Spans: 256, Events: 256}))
-
-	case MethodObsSpans:
-		var q obsQuery
-		if len(args) > 0 {
-			if err := json.Unmarshal(args, &q); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-			}
-		}
+// NewObsService returns the table serving o. It is hosted directly on the
+// node's dispatcher (not registered with the binding agent): every node has
+// one at the same LOID, so callers address a node by endpoint, never by
+// name.
+func NewObsService(o *obs.Obs) Table {
+	limit := func(q ObsQuery, def int) int {
 		if q.Limit <= 0 {
-			q.Limit = 256
+			return def
 		}
-		var spans []obs.SpanRecord
-		if q.TraceID != 0 {
-			spans = s.Obs.GetTracer().Trace(q.TraceID)
-		} else {
-			spans = s.Obs.GetTracer().Recent(q.Limit)
-		}
-		if spans == nil {
-			spans = []obs.SpanRecord{}
-		}
-		return json.Marshal(spans)
-
-	case MethodObsEvents:
-		var q obsQuery
-		if len(args) > 0 {
-			if err := json.Unmarshal(args, &q); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-			}
-		}
-		if q.Limit <= 0 {
-			q.Limit = 256
-		}
-		events := s.Obs.GetEvents().Recent(q.Limit)
-		if events == nil {
-			events = []obs.Event{}
-		}
-		return json.Marshal(events)
-
-	case MethodObsFlight:
-		var q obsQuery
-		if len(args) > 0 {
-			if err := json.Unmarshal(args, &q); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-			}
-		}
-		if q.Limit <= 0 {
-			q.Limit = 64
-		}
-		fl := s.Obs.GetFlight()
-		rep := FlightReport{Stats: fl.Stats()}
-		switch {
-		case q.TraceID != 0:
-			if ft, ok := fl.Trace(q.TraceID); ok {
-				rep.Traces = []obs.FlightTrace{ft}
-			}
-		case q.Slowest:
-			rep.Traces = fl.Slowest(q.Limit)
-		default:
-			rep.Traces = fl.Recent(q.Limit)
-		}
-		if rep.Traces == nil {
-			rep.Traces = []obs.FlightTrace{}
-		}
-		return json.Marshal(rep)
-
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchFunction, method)
+		return q.Limit
 	}
+	return Serve(
+		MethodObsSnapshot.Handle(func(context.Context, None) (obs.Snapshot, error) {
+			return o.Snapshot(obs.SnapshotLimits{Spans: 256, Events: 256}), nil
+		}),
+		MethodObsSpans.Handle(func(_ context.Context, q ObsQuery) ([]obs.SpanRecord, error) {
+			var spans []obs.SpanRecord
+			if q.TraceID != 0 {
+				spans = o.GetTracer().Trace(q.TraceID)
+			} else {
+				spans = o.GetTracer().Recent(limit(q, 256))
+			}
+			if spans == nil {
+				spans = []obs.SpanRecord{}
+			}
+			return spans, nil
+		}),
+		MethodObsEvents.Handle(func(_ context.Context, q ObsQuery) ([]obs.Event, error) {
+			events := o.GetEvents().Recent(limit(q, 256))
+			if events == nil {
+				events = []obs.Event{}
+			}
+			return events, nil
+		}),
+		MethodObsFlight.Handle(func(_ context.Context, q ObsQuery) (FlightReport, error) {
+			fl := o.GetFlight()
+			rep := FlightReport{Stats: fl.Stats()}
+			switch {
+			case q.TraceID != 0:
+				if ft, ok := fl.Trace(q.TraceID); ok {
+					rep.Traces = []obs.FlightTrace{ft}
+				}
+			case q.Slowest:
+				rep.Traces = fl.Slowest(limit(q, 64))
+			default:
+				rep.Traces = fl.Recent(limit(q, 64))
+			}
+			if rep.Traces == nil {
+				rep.Traces = []obs.FlightTrace{}
+			}
+			return rep, nil
+		}),
+	)
 }
 
-// ObsClient fetches observability state from the ObsService at a specific
+// ObsClient fetches observability state from the obs service at a specific
 // node endpoint.
 type ObsClient struct {
 	// Dialer reaches the node.
@@ -144,91 +116,27 @@ type ObsClient struct {
 	Timeout time.Duration
 }
 
-func (c *ObsClient) call(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
-	req := &wire.Envelope{
-		Kind:    wire.KindRequest,
-		Target:  ObsLOID.String(),
-		Method:  method,
-		Payload: payload,
-	}
-	resp, err := c.Dialer.Call(ctx, c.Endpoint, req, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("obs service at %s: %w", c.Endpoint, err)
-	}
-	if resp.Kind == wire.KindError {
-		return nil, &RemoteError{Code: resp.Code, Message: resp.ErrorMsg}
-	}
-	return resp.Payload, nil
-}
-
 // Snapshot fetches the node's full observability snapshot.
 func (c *ObsClient) Snapshot(ctx context.Context) (obs.Snapshot, error) {
-	payload, err := c.call(ctx, MethodObsSnapshot, nil)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return obs.Snapshot{}, fmt.Errorf("obs service: corrupt snapshot: %w", err)
-	}
-	return snap, nil
+	return MethodObsSnapshot.CallAt(ctx, c.Dialer, c.Endpoint, ObsLOID, c.Timeout, None{})
 }
 
 // Spans fetches recent spans; traceID filters to one trace when nonzero,
 // limit bounds the count when positive.
 func (c *ObsClient) Spans(ctx context.Context, traceID uint64, limit int) ([]obs.SpanRecord, error) {
-	args, err := json.Marshal(obsQuery{TraceID: traceID, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.call(ctx, MethodObsSpans, args)
-	if err != nil {
-		return nil, err
-	}
-	var spans []obs.SpanRecord
-	if err := json.Unmarshal(payload, &spans); err != nil {
-		return nil, fmt.Errorf("obs service: corrupt spans: %w", err)
-	}
-	return spans, nil
+	return MethodObsSpans.CallAt(ctx, c.Dialer, c.Endpoint, ObsLOID, c.Timeout, ObsQuery{TraceID: traceID, Limit: limit})
 }
 
 // Flight fetches the node's flight recorder state: retained (tail-sampled)
 // traces plus recorder stats. traceID filters to one trace when nonzero;
 // slowest orders by the slowest span; limit bounds the count when positive.
 func (c *ObsClient) Flight(ctx context.Context, traceID uint64, limit int, slowest bool) (FlightReport, error) {
-	args, err := json.Marshal(obsQuery{TraceID: traceID, Limit: limit, Slowest: slowest})
-	if err != nil {
-		return FlightReport{}, err
-	}
-	payload, err := c.call(ctx, MethodObsFlight, args)
-	if err != nil {
-		return FlightReport{}, err
-	}
-	var rep FlightReport
-	if err := json.Unmarshal(payload, &rep); err != nil {
-		return FlightReport{}, fmt.Errorf("obs service: corrupt flight report: %w", err)
-	}
-	return rep, nil
+	return MethodObsFlight.CallAt(ctx, c.Dialer, c.Endpoint, ObsLOID, c.Timeout,
+		ObsQuery{TraceID: traceID, Limit: limit, Slowest: slowest})
 }
 
 // Events fetches recent evolution events; limit bounds the count when
 // positive.
 func (c *ObsClient) Events(ctx context.Context, limit int) ([]obs.Event, error) {
-	args, err := json.Marshal(obsQuery{Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.call(ctx, MethodObsEvents, args)
-	if err != nil {
-		return nil, err
-	}
-	var events []obs.Event
-	if err := json.Unmarshal(payload, &events); err != nil {
-		return nil, fmt.Errorf("obs service: corrupt events: %w", err)
-	}
-	return events, nil
+	return MethodObsEvents.CallAt(ctx, c.Dialer, c.Endpoint, ObsLOID, c.Timeout, ObsQuery{Limit: limit})
 }

@@ -193,7 +193,7 @@ func TestDispatcherDimensionedMetrics(t *testing.T) {
 
 func TestObsServiceFlightMethod(t *testing.T) {
 	env, o := sampledEnv(t, 0.0000001, -1)
-	env.disp.Host(ObsLOID, &ObsService{Obs: o})
+	env.disp.Host(ObsLOID, NewObsService(o))
 	loid := naming.LOID{Domain: 4, Class: 4, Instance: 9}
 	env.host(loid, ObjectFunc(func(method string, args []byte) ([]byte, error) {
 		return nil, errors.New("retained")

@@ -18,5 +18,5 @@ func (s *Supervisor) Attach(n *legion.Node) {
 	if s.Hub != nil && n.Obs() != nil {
 		s.Hub.Bind(n.Obs().GetEvents())
 	}
-	n.HostInfraService(rpc.RolloutLOID, &Service{Sup: s})
+	n.HostInfraService(rpc.RolloutLOID, NewService(s))
 }

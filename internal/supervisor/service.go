@@ -2,85 +2,60 @@ package supervisor
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"godcdo/internal/rpc"
 	"godcdo/internal/transport"
-	"godcdo/internal/wire"
 )
 
-// The supervisor is remotely operable the same way the obs surface is: a
-// Service wraps it as an rpc.Object hosted at rpc.RolloutLOID on the node's
-// dispatcher (endpoint-addressed, never agent-registered), and Client is
-// the direct-dial proxy dcdo-ctl's `rollout` subcommands use. Payloads are
-// JSON — rollout control is nowhere near the invoke hot path.
+// The supervisor is remotely operable the same way the obs surface is:
+// NewService serves it from a method table hosted at rpc.RolloutLOID on the
+// node's dispatcher (endpoint-addressed, never agent-registered), and
+// Client is the direct-dial proxy dcdo-ctl's `rollout` subcommands use.
+// Payloads are JSON — rollout control is nowhere near the invoke hot path.
 
-// Remotely callable rollout methods.
-const (
-	MethodRolloutStart  = "rollout.start"
-	MethodRolloutStatus = "rollout.status"
-	MethodRolloutPause  = "rollout.pause"
-	MethodRolloutResume = "rollout.resume"
-	MethodRolloutAbort  = "rollout.abort"
-)
-
-// abortArgs parameterises rollout.abort.
-type abortArgs struct {
+// AbortArgs are MethodRolloutAbort's arguments.
+type AbortArgs struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Service exposes a Supervisor as a hosted object.
-type Service struct {
-	Sup *Supervisor
-}
+// The rollout service's exported interface. Each method answers the
+// rollout status after it acted; only status does nothing else.
+var (
+	MethodRolloutStart = rpc.Method[Policy, Status]{Name: "rollout.start",
+		Args: rpc.JSONCodec[Policy](), Result: statusCodec}
+	MethodRolloutStatus = rpc.Method[rpc.None, Status]{Name: "rollout.status", Idempotent: true,
+		Args: rpc.NoneCodec, Result: statusCodec}
+	MethodRolloutPause = rpc.Method[rpc.None, Status]{Name: "rollout.pause",
+		Args: rpc.NoneCodec, Result: statusCodec}
+	MethodRolloutResume = rpc.Method[rpc.None, Status]{Name: "rollout.resume",
+		Args: rpc.NoneCodec, Result: statusCodec}
+	MethodRolloutAbort = rpc.Method[AbortArgs, Status]{Name: "rollout.abort",
+		Args: rpc.JSONCodec[AbortArgs](), Result: statusCodec}
+)
 
-var _ rpc.Object = (*Service)(nil)
+var statusCodec = rpc.JSONCodec[Status]()
 
-// InvokeMethod implements rpc.Object.
-func (s *Service) InvokeMethod(method string, args []byte) ([]byte, error) {
-	switch method {
-	case MethodRolloutStart:
-		var policy Policy
-		if err := json.Unmarshal(args, &policy); err != nil {
-			return nil, fmt.Errorf("%w: %v", rpc.ErrBadRequest, err)
+// NewService returns the table serving sup. A rollout outlives the call
+// that starts it, so it runs under its own context, not the caller's.
+func NewService(sup *Supervisor) rpc.Table {
+	status := func(err error) (Status, error) {
+		if err != nil {
+			return Status{}, err
 		}
-		if err := s.Sup.Start(context.Background(), policy); err != nil {
-			return nil, err
-		}
-		return json.Marshal(s.Sup.Status())
-
-	case MethodRolloutStatus:
-		return json.Marshal(s.Sup.Status())
-
-	case MethodRolloutPause:
-		if err := s.Sup.Pause(); err != nil {
-			return nil, err
-		}
-		return json.Marshal(s.Sup.Status())
-
-	case MethodRolloutResume:
-		if err := s.Sup.Unpause(); err != nil {
-			return nil, err
-		}
-		return json.Marshal(s.Sup.Status())
-
-	case MethodRolloutAbort:
-		var a abortArgs
-		if len(args) > 0 {
-			if err := json.Unmarshal(args, &a); err != nil {
-				return nil, fmt.Errorf("%w: %v", rpc.ErrBadRequest, err)
-			}
-		}
-		if err := s.Sup.Abort(a.Reason); err != nil {
-			return nil, err
-		}
-		return json.Marshal(s.Sup.Status())
-
-	default:
-		return nil, fmt.Errorf("%w: %q", rpc.ErrNoSuchFunction, method)
+		return sup.Status(), nil
 	}
+	return rpc.Serve(
+		MethodRolloutStart.Handle(func(_ context.Context, p Policy) (Status, error) {
+			return status(sup.Start(context.Background(), p))
+		}),
+		MethodRolloutStatus.Handle(func(context.Context, rpc.None) (Status, error) { return status(nil) }),
+		MethodRolloutPause.Handle(func(context.Context, rpc.None) (Status, error) { return status(sup.Pause()) }),
+		MethodRolloutResume.Handle(func(context.Context, rpc.None) (Status, error) { return status(sup.Unpause()) }),
+		MethodRolloutAbort.Handle(func(_ context.Context, a AbortArgs) (Status, error) {
+			return status(sup.Abort(a.Reason))
+		}),
+	)
 }
 
 // Client operates the rollout service at a specific node endpoint.
@@ -93,72 +68,27 @@ type Client struct {
 	Timeout time.Duration
 }
 
-func (c *Client) call(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
-	req := &wire.Envelope{
-		Kind:    wire.KindRequest,
-		Target:  rpc.RolloutLOID.String(),
-		Method:  method,
-		Payload: payload,
-	}
-	resp, err := c.Dialer.Call(ctx, c.Endpoint, req, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("rollout service at %s: %w", c.Endpoint, err)
-	}
-	if resp.Kind == wire.KindError {
-		return nil, &rpc.RemoteError{Code: resp.Code, Message: resp.ErrorMsg}
-	}
-	return resp.Payload, nil
-}
-
-func (c *Client) status(payload []byte, err error) (Status, error) {
-	if err != nil {
-		return Status{}, err
-	}
-	var st Status
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return Status{}, fmt.Errorf("rollout service: corrupt status: %w", err)
-	}
-	return st, nil
-}
-
 // Start submits a policy and begins the rollout.
 func (c *Client) Start(ctx context.Context, policy Policy) (Status, error) {
-	args, err := json.Marshal(policy)
-	if err != nil {
-		return Status{}, err
-	}
-	payload, err := c.call(ctx, MethodRolloutStart, args)
-	return c.status(payload, err)
+	return MethodRolloutStart.CallAt(ctx, c.Dialer, c.Endpoint, rpc.RolloutLOID, c.Timeout, policy)
 }
 
 // Status fetches the rollout status.
 func (c *Client) Status(ctx context.Context) (Status, error) {
-	payload, err := c.call(ctx, MethodRolloutStatus, nil)
-	return c.status(payload, err)
+	return MethodRolloutStatus.CallAt(ctx, c.Dialer, c.Endpoint, rpc.RolloutLOID, c.Timeout, rpc.None{})
 }
 
 // Pause suspends the active rollout.
 func (c *Client) Pause(ctx context.Context) (Status, error) {
-	payload, err := c.call(ctx, MethodRolloutPause, nil)
-	return c.status(payload, err)
+	return MethodRolloutPause.CallAt(ctx, c.Dialer, c.Endpoint, rpc.RolloutLOID, c.Timeout, rpc.None{})
 }
 
 // Resume unpauses the active rollout.
 func (c *Client) Resume(ctx context.Context) (Status, error) {
-	payload, err := c.call(ctx, MethodRolloutResume, nil)
-	return c.status(payload, err)
+	return MethodRolloutResume.CallAt(ctx, c.Dialer, c.Endpoint, rpc.RolloutLOID, c.Timeout, rpc.None{})
 }
 
 // Abort stops the active rollout and rolls it back.
 func (c *Client) Abort(ctx context.Context, reason string) (Status, error) {
-	args, err := json.Marshal(abortArgs{Reason: reason})
-	if err != nil {
-		return Status{}, err
-	}
-	payload, err := c.call(ctx, MethodRolloutAbort, args)
-	return c.status(payload, err)
+	return MethodRolloutAbort.CallAt(ctx, c.Dialer, c.Endpoint, rpc.RolloutLOID, c.Timeout, AbortArgs{Reason: reason})
 }

@@ -10,6 +10,7 @@ import (
 	"godcdo/internal/dfm"
 	"godcdo/internal/legion"
 	"godcdo/internal/naming"
+	"godcdo/internal/policy"
 	"godcdo/internal/registry"
 	"godcdo/internal/replica"
 	"godcdo/internal/transport"
@@ -33,31 +34,46 @@ func BenchmarkInvokeUnreplicated(b *testing.B) {
 	}
 }
 
-// BenchmarkInvokeReplicated measures what being replicated costs one invoke
-// against a degree-3 primary/backup group. "read": the call runs through the
-// Replica wrapper's role check and state-generation comparison, but a read
-// leaves the state generation unchanged, so nothing ships — the delta
-// against BenchmarkInvokeUnreplicated is the per-call price of the wrapper.
-// "write-4KiB-resident": an 8-byte counter bump on an object that also holds
-// 4 KiB it does not touch; shipped-B/op is what reaches the two backups per
-// write, and must track the bytes changed, not the bytes resident.
-func BenchmarkInvokeReplicated(b *testing.B) {
+// replGroup is a degree-3 primary/backup group of a generated 20-function
+// DCDO plus a "bump" counter, hosted on three inproc nodes, with a fourth
+// node's client calling it.
+type replGroup struct {
+	client     *legion.Node
+	agent      *naming.Agent
+	loid       naming.LOID
+	primaryObj *core.DCDO
+	primary    *replica.Replica
+	// read is a stateless generated leaf; "bump" is the one function that
+	// writes.
+	read string
+}
+
+// newReplGroup builds a replGroup whose nodes' names start with prefix. The
+// nodes are closed when tb finishes.
+func newReplGroup(tb testing.TB, prefix string) *replGroup {
+	tb.Helper()
 	agent := naming.NewAgent(vclock.Real{})
 	net := transport.NewInprocNetwork()
-	client, err := legion.NewNode(legion.NodeConfig{Name: "repl-on-client", Agent: agent, Inproc: net})
-	if err != nil {
-		b.Fatal(err)
+	newNode := func(name string) *legion.Node {
+		node, err := legion.NewNode(legion.NodeConfig{Name: prefix + "-" + name, Agent: agent, Inproc: net})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { _ = node.Close() })
+		return node
 	}
-	defer client.Close()
+	g := &replGroup{client: newNode("client"), agent: agent, loid: naming.LOID{Domain: 1, Class: 1, Instance: 1},
+		read: workload.LeafName(prefix, 0, 0)}
 
 	reg := registry.New()
 	alloc := naming.NewAllocator(1, 9)
-	built, err := workload.Build(reg, alloc, workload.Spec{Prefix: "replon", Functions: 20, Components: 2})
+	built, err := workload.Build(reg, alloc, workload.Spec{Prefix: prefix, Functions: 20, Components: 2})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// The generated leaves are stateless; add the one function that writes.
-	if _, err := reg.Register("replon_ctr:1", registry.NativeImplType, map[string]registry.Func{
+	codeRef := prefix + "_ctr:1"
+	if _, err := reg.Register(codeRef, registry.NativeImplType, map[string]registry.Func{
 		"bump": func(c registry.Caller, _ []byte) ([]byte, error) {
 			var n [8]byte
 			if raw, ok := c.State().Get("n"); ok {
@@ -68,21 +84,21 @@ func BenchmarkInvokeReplicated(b *testing.B) {
 			return nil, nil
 		},
 	}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	counter, err := component.NewSynthetic(component.Descriptor{
-		ID: "replon_ctr", Revision: 1, CodeRef: "replon_ctr:1", Impl: registry.NativeImplType, CodeSize: 64,
+		ID: prefix + "_ctr", Revision: 1, CodeRef: codeRef, Impl: registry.NativeImplType, CodeSize: 64,
 		Functions: []component.FunctionDecl{{Name: "bump", Exported: true}},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	counterICO := alloc.Next()
-	built.Descriptor.Components["replon_ctr"] = dfm.ComponentRef{
-		ICO: counterICO, CodeRef: "replon_ctr:1", Impl: registry.NativeImplType, CodeSize: 64, Revision: 1,
+	built.Descriptor.Components[prefix+"_ctr"] = dfm.ComponentRef{
+		ICO: counterICO, CodeRef: codeRef, Impl: registry.NativeImplType, CodeSize: 64, Revision: 1,
 	}
 	built.Descriptor.Entries = append(built.Descriptor.Entries,
-		dfm.EntryDesc{Function: "bump", Component: "replon_ctr", Exported: true, Enabled: true})
+		dfm.EntryDesc{Function: "bump", Component: prefix + "_ctr", Exported: true, Enabled: true})
 	generated := built.Fetcher()
 	fetcher := component.FetcherFunc(func(ico naming.LOID) (*component.Component, error) {
 		if ico == counterICO {
@@ -90,69 +106,89 @@ func BenchmarkInvokeReplicated(b *testing.B) {
 		}
 		return generated.Fetch(context.Background(), ico)
 	})
-	loid := naming.LOID{Domain: 1, Class: 1, Instance: 1}
 
 	const degree = 3
-	endpoints := make([]string, degree)
 	nodes := make([]*legion.Node, degree)
-	for i := 0; i < degree; i++ {
-		node, err := legion.NewNode(legion.NodeConfig{
-			Name: "repl-on-server-" + string(rune('a'+i)), Agent: agent, Inproc: net,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer node.Close()
-		nodes[i] = node
-		endpoints[i] = node.Endpoint()
+	endpoints := make([]string, degree)
+	for i := range nodes {
+		nodes[i] = newNode("server-" + string(rune('a'+i)))
+		endpoints[i] = nodes[i].Endpoint()
 	}
-	var primaryObj *core.DCDO
-	var primary *replica.Replica
 	for i, node := range nodes {
-		obj := core.New(core.Config{LOID: loid, Registry: reg, Fetcher: fetcher})
+		obj := core.New(core.Config{LOID: g.loid, Registry: reg, Fetcher: fetcher})
 		if _, err := obj.ApplyDescriptor(context.Background(), built.Descriptor, version.ID{1}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		role, backups := replica.RoleBackup, []string(nil)
 		if i == 0 {
 			role, backups = replica.RolePrimary, endpoints[1:]
 		}
-		rep := replica.New(loid, obj, net.Dialer(), role, 1, backups)
+		rep := replica.New(g.loid, obj, net.Dialer(), role, 1, backups)
 		if i == 0 {
-			primaryObj, primary = obj, rep
+			g.primaryObj, g.primary = obj, rep
 		}
-		node.Dispatcher().Host(loid, rep)
+		node.Dispatcher().Host(g.loid, rep)
 	}
-	if _, ok := agent.RegisterSet(loid, naming.ReplicaSet{Primary: endpoints[0], Backups: endpoints[1:]}); !ok {
-		b.Fatal("RegisterSet refused")
+	if _, ok := agent.RegisterSet(g.loid, naming.ReplicaSet{Primary: endpoints[0], Backups: endpoints[1:]}); !ok {
+		tb.Fatal("RegisterSet refused")
 	}
+	return g
+}
+
+// invoke calls method on the group from the client node.
+func (g *replGroup) invoke(method string) error {
+	_, err := g.client.Client().Invoke(context.Background(), g.loid, method, nil)
+	return err
+}
+
+// backupReads lets the group serve idempotent reads off its backups and
+// returns a call that the client spreads round-robin across all three
+// members, wrapping the two backups' shares in repl.read.
+func (g *replGroup) backupReads() func() error {
+	g.agent.RegisterPolicy(g.loid, policy.DistributionPolicy{Degree: 3,
+		ReadPreference: policy.ReadBackupOK, Consistency: policy.ConsistencyEventual})
+	return func() error {
+		_, err := g.client.Client().InvokeIdempotent(context.Background(), g.loid, g.read, nil)
+		return err
+	}
+}
+
+// BenchmarkInvokeReplicated measures what being replicated costs one invoke
+// against a degree-3 primary/backup group. "read": the call runs through the
+// Replica wrapper's role check and state-generation comparison, but a read
+// leaves the state generation unchanged, so nothing ships — the delta
+// against BenchmarkInvokeUnreplicated is the per-call price of the wrapper.
+// "write-4KiB-resident": an 8-byte counter bump on an object that also holds
+// 4 KiB it does not touch; shipped-B/op is what reaches the two backups per
+// write, and must track the bytes changed, not the bytes resident.
+func BenchmarkInvokeReplicated(b *testing.B) {
+	g := newReplGroup(b, "replon")
 
 	b.Run("read", func(b *testing.B) {
-		target := workload.LeafName("replon", 0, 0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.Client().Invoke(context.Background(), loid, target, nil); err != nil {
+			if err := g.invoke(g.read); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("write-4KiB-resident", func(b *testing.B) {
-		primaryObj.State().Set("resident", make([]byte, 4<<10))
+		g.primaryObj.State().Set("resident", make([]byte, 4<<10))
 		// The first shipment carries the resident bytes; time the ones after.
-		if _, err := client.Client().Invoke(context.Background(), loid, "bump", nil); err != nil {
+		if err := g.invoke("bump"); err != nil {
 			b.Fatal(err)
 		}
-		before := primary.Stats()
+		before := g.primary.Stats()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.Client().Invoke(context.Background(), loid, "bump", nil); err != nil {
+			if err := g.invoke("bump"); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.StopTimer()
-		after := primary.Stats()
+		after := g.primary.Stats()
 		b.ReportMetric(float64(after.ShipBytes-before.ShipBytes)/float64(b.N), "shipped-B/op")
 		if full := after.ShipsFull - before.ShipsFull; full != 0 {
 			b.Fatalf("%d of %d shipments fell back to a full image", full, after.ShipsDelta-before.ShipsDelta+full)

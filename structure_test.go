@@ -1,0 +1,69 @@
+package godcdo_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestStructure holds two layering rules over every non-test Go file of the
+// module (the benchmark module is its own):
+//
+//   - only the rpc, transport and wire packages build request envelopes;
+//     everything else calls through a declared method (Method.Call or
+//     CallAt). The E9 overload drill is the one exception: it fires raw
+//     envelopes at a server on purpose;
+//   - no service dispatches on a method name by hand: a switch on a
+//     variable named method belongs in a method table (rpc.Serve). The
+//     harness's test objects are exempt.
+func TestStructure(t *testing.T) {
+	envelopeOK := func(path string) bool {
+		for _, dir := range []string{"internal/rpc/", "internal/transport/", "internal/wire/"} {
+			if strings.HasPrefix(path, dir) {
+				return true
+			}
+		}
+		return path == "internal/harness/e9.go"
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "wire" && n.Sel.Name == "KindRequest" && !envelopeOK(path) {
+					t.Errorf("%s: builds a request envelope; call through a declared method", fset.Position(n.Pos()))
+				}
+			case *ast.SwitchStmt:
+				if tag, ok := n.Tag.(*ast.Ident); ok && tag.Name == "method" && !strings.HasPrefix(path, "internal/harness/") {
+					t.Errorf("%s: switch on method; serve a method table instead", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
