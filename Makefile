@@ -30,12 +30,15 @@ test:
 # transactional swaps), the transport's first-call race (64 callers racing
 # the dials that publish each stripe), its pooled-request recycling (every
 # way a call ends, shutdown included, with poison checks on), batch
-# sub-calls borrowing their args from the frame (8 callers, poison checks on)
-# and the client failure table's route parity (every row met by a single call
-# and by a batch sub-call), whose value is the schedules the detector sees.
+# sub-calls borrowing their args from the frame (8 callers, poison checks on),
+# the client failure table's route parity (every row met by a single call
+# and by a batch sub-call), the server's reused handler goroutines (parked
+# between requests, capped, gone after Close; slow handlers never stall the
+# requests behind them) and the wire decoder's name intern table (8 decoders
+# at once across its clears), whose value is the schedules the detector sees.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/legion/ ./internal/rpc/
+	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/
 
 # One iteration of every benchmark plus the E9 overload experiment, a short
 # end-to-end rollout (E11 drives canary waves, an SLO rollback, and a

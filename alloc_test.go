@@ -77,23 +77,24 @@ func unsampledObs() *obs.Obs {
 //   - unsampled: at 1% sampling 99% of calls take this path, so it stays
 //     near the tracing-off cost;
 //   - encode / decode / framing / TCP invoke: the pooled-frame transport's
-//     wins. A frame round trip over bufio allocates nothing; a pooled
-//     request decode allocates only its Target and Method strings;
-//   - TCP invoke (6): the client's request envelope, its response envelope
-//     and detached payload, the server's Target and Method strings, and the
-//     handler goroutine. A DCDO over TCP (7) adds the DFM's per-call
-//     release closure;
+//     wins. A frame round trip over bufio allocates nothing; a request
+//     decode allocates nothing either, since Target and Method come from
+//     the wire package's intern table;
+//   - TCP invoke (3): the client's request envelope, its response envelope
+//     and detached payload. The server serves the call on a parked handler
+//     goroutine, so it starts none. A DCDO over TCP (4) adds the DFM's
+//     per-call release closure;
 //   - unreplicated: a degree-1 object never constructs a Replica;
 //   - default policy: the policy plane costs a nil check and a comparison;
-//   - 16-call batch: 3 allocs per sub-call, against 6 for a single call;
+//   - 16-call batch: 15 allocs for 16 sub-calls, against 3 for one call;
 //   - replicated write: a degree-3 inproc bump, its delta shipped to both
 //     backups;
 //   - backup read: an idempotent read on a backup-ok LOID, which the client
 //     spreads over the primary and, wrapped in repl.read, the two backups
 //     (1500 runs, so each member serves a third).
 //
-// The wire, TCP and replicated budgets are their measured counts, so any new
-// allocation on the transport or replication path fails the test.
+// Every budget is its measured count, so any new allocation on a measured
+// path fails the test.
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -106,15 +107,15 @@ func TestAllocBudgets(t *testing.T) {
 		runs   int
 		setup  func(t *testing.T) func() error
 	}{
-		{"tracing-off", 5, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsoff", nil, false) }},
-		{"unsampled", 7, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsuns", unsampledObs(), false) }},
+		{"tracing-off", 3, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsoff", nil, false) }},
+		{"unsampled", 3, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsuns", unsampledObs(), false) }},
 		{"wire-encode", 1, 2000, func(t *testing.T) func() error {
 			return func() error { env.Encode(); return nil }
 		}},
-		{"wire-decode", 2, 2000, func(t *testing.T) func() error {
+		{"wire-decode", 0, 2000, func(t *testing.T) func() error {
 			return func() error { _, err := wire.DecodeEnvelope(encoded); return err }
 		}},
-		{"wire-decode-pooled", 2, 2000, func(t *testing.T) func() error {
+		{"wire-decode-pooled", 0, 2000, func(t *testing.T) func() error {
 			return func() error {
 				ev, err := wire.DecodeEnvelopePooled(encoded)
 				wire.PutEnvelope(ev)
@@ -136,15 +137,15 @@ func TestAllocBudgets(t *testing.T) {
 				return err
 			}
 		}},
-		{"tcp-invoke", 6, 1000, func(t *testing.T) func() error {
+		{"tcp-invoke", 3, 1000, func(t *testing.T) func() error {
 			client, loid := tcpEchoClient(t, 4, legion.NodeConfig{Name: "alloc-tcp"})
 			payload := make([]byte, 64)
 			return func() error { _, err := client.Invoke(context.Background(), loid, "echo", payload); return err }
 		}},
-		{"dcdo-tcp", 7, 1000, func(t *testing.T) func() error { return tcpDCDOEcho(t) }},
-		{"unreplicated", 5, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "reploff", nil, false) }},
-		{"default-policy", 5, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "polbench", nil, true) }},
-		{"batch-16", 48, 300, func(t *testing.T) func() error { return batchInvoke(t, 16) }},
+		{"dcdo-tcp", 4, 1000, func(t *testing.T) func() error { return tcpDCDOEcho(t) }},
+		{"unreplicated", 3, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "reploff", nil, false) }},
+		{"default-policy", 3, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "polbench", nil, true) }},
+		{"batch-16", 15, 300, func(t *testing.T) func() error { return batchInvoke(t, 16) }},
 		{"repl-write", 20, 1000, func(t *testing.T) func() error {
 			g := newReplGroup(t, "allocw")
 			return func() error { return g.invoke("bump") }

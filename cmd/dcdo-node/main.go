@@ -62,7 +62,7 @@ func run(args []string) error {
 	maxInflight := fs.Int("max-inflight", 0, "max concurrent dispatches before requests queue (0 = unlimited)")
 	queueDepth := fs.Int("queue-depth", 0, "admission queue depth beyond max-inflight; excess requests are shed with OVERLOADED (with -max-inflight)")
 	transportStripes := fs.Int("transport-stripes", 0, "TCP connections per endpoint in the dialer, spread round-robin (0 = 1)")
-	transportWorkers := fs.Int("transport-workers", 0, "max concurrent TCP handler goroutines before read loops apply backpressure (0 = unlimited)")
+	transportWorkers := fs.Int("transport-workers", 0, "max TCP handlers running at once before read loops apply backpressure (0 = unlimited; at most 64 idle handler goroutines stay parked)")
 	traceSample := fs.Float64("trace-sample", 1, "fraction of traces to keep (head sampling; 1 = keep all, 0.01 = 1%). Dropped traces still reach the flight recorder on error or slowness")
 	obsSpans := fs.Int("obs-spans", 0, "span ring capacity (0 = default)")
 	obsEvents := fs.Int("obs-events", 0, "event ring capacity (0 = default)")

@@ -66,10 +66,11 @@ type NodeConfig struct {
 	// (calls are spread round-robin). Zero means 1, the pre-striping
 	// behaviour.
 	TransportStripes int
-	// TransportWorkers bounds the TCP server's concurrent handler
-	// goroutines, below the dispatcher's admission control (which sheds;
-	// this caps goroutine fan-out and applies read-loop backpressure).
-	// Zero means unlimited.
+	// TransportWorkers bounds the TCP server's handlers running at once,
+	// below the dispatcher's admission control (which sheds; this caps
+	// handler fan-out and applies read-loop backpressure). Zero means
+	// unlimited. Either way at most 64 idle handler goroutines stay parked
+	// for reuse.
 	TransportWorkers int
 	// ReplicaFactory, when non-nil, makes the node a placement candidate for
 	// the distribution-policy reconciler: a replica-host service is hosted

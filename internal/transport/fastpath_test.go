@@ -6,6 +6,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -647,5 +649,133 @@ func TestTCPStripePickSkipsDeadConn(t *testing.T) {
 	if _, err := d.Call(context.Background(), srv.Endpoint(),
 		&wire.Envelope{Kind: wire.KindRequest, Payload: []byte("after")}, 5*time.Second); err != nil {
 		t.Fatalf("call after dead-stripe skip: %v", err)
+	}
+}
+
+// goroutineID reads the calling goroutine's ID from its stack header
+// ("goroutine 123 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1]
+}
+
+// settles polls cond for up to 5 s and reports whether it came to hold.
+func settles(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTCPServerReusesHandlers pins the handler goroutine lifecycle: once
+// warm, sequential calls run on parked goroutines instead of new ones; after
+// a burst, at most maxIdleHandlers goroutines stay parked; and Close leaves
+// none behind.
+func TestTCPServerReusesHandlers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const burst, calls = 200, 1000
+	release := make(chan struct{}, burst) // one token per held call
+	entered := make(chan struct{}, burst)
+	var mu sync.Mutex
+	servedBy := make(map[string]bool)
+	handler := HandlerFunc(func(ctx context.Context, req *wire.Envelope) *wire.Envelope {
+		switch req.Method {
+		case "hold":
+			entered <- struct{}{}
+			<-release
+		case "record":
+			id := goroutineID()
+			mu.Lock()
+			servedBy[id] = true
+			mu.Unlock()
+		}
+		return &wire.Envelope{Kind: wire.KindResponse}
+	})
+	srv, err := ListenTCP("127.0.0.1:0", handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewTCPDialer()
+	t.Cleanup(func() { // both closes are idempotent
+		_ = d.Close()
+		_ = srv.Close()
+	})
+	t.Cleanup(func() { close(release) }) // runs before the closes above
+	call := func(method string) error {
+		_, err := d.Call(context.Background(), srv.Endpoint(), &wire.Envelope{Kind: wire.KindRequest, Method: method}, 10*time.Second)
+		return err
+	}
+	// hold has n calls in the handler at once, then lets them all finish.
+	hold := func(n int) {
+		t.Helper()
+		done := make(chan error, n)
+		for i := 0; i < n; i++ {
+			go func() { done <- call("hold") }()
+		}
+		deadline := time.After(5 * time.Second)
+		for i := 0; i < n; i++ {
+			select {
+			case <-entered:
+			case <-deadline:
+				t.Fatalf("only %d of %d concurrent calls reached the handler", i, n)
+			}
+		}
+		for i := 0; i < n; i++ {
+			release <- struct{}{}
+		}
+		for i := 0; i < n; i++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	parked := func() bool { return srv.idleCount.Load() == maxIdleHandlers }
+
+	// Warm up with the pool full, so no call can add a goroutine that
+	// stays: the goroutine count after the calls below is an invariant.
+	hold(maxIdleHandlers)
+	if !settles(parked) {
+		t.Fatalf("%d handler goroutines parked after the warm-up, want %d", srv.idleCount.Load(), maxIdleHandlers)
+	}
+	warm := runtime.NumGoroutine()
+	for i := 0; i < calls; i++ {
+		if err := call("record"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !settles(func() bool { return runtime.NumGoroutine() <= warm }) {
+		t.Errorf("%d sequential calls raised the goroutine count from %d to %d", calls, warm, runtime.NumGoroutine())
+	}
+	// The calls rotate through the parked goroutines. A handler that loses
+	// its processor on the way back to park (a CPU-starved box) is stood in
+	// for by a new goroutine, which exits at the cap; a goroutine per
+	// request would run the calls on 1000.
+	mu.Lock()
+	started := len(servedBy) - maxIdleHandlers
+	mu.Unlock()
+	if started > calls/2 {
+		t.Errorf("%d sequential calls started %d handler goroutines beyond the %d parked ones", calls, started, maxIdleHandlers)
+	}
+
+	// preBurst holds the connection goroutines (the burst reuses the warm
+	// connection) and a full pool, so every goroutine the burst starts
+	// beyond it must exit.
+	preBurst := runtime.NumGoroutine()
+	hold(burst)
+	if !settles(func() bool { return runtime.NumGoroutine() <= preBurst }) {
+		t.Errorf("after a %d-call burst %d goroutines are live, want at most %d as before it (%d parked at most)",
+			burst, runtime.NumGoroutine(), preBurst, maxIdleHandlers)
+	}
+	if !settles(parked) {
+		t.Errorf("%d handler goroutines parked after the burst, want %d", srv.idleCount.Load(), maxIdleHandlers)
+	}
+
+	_ = d.Close()
+	_ = srv.Close()
+	if !settles(func() bool { return runtime.NumGoroutine() <= base }) {
+		t.Errorf("after Close %d goroutines are live, %d before the server started", runtime.NumGoroutine(), base)
 	}
 }

@@ -32,19 +32,29 @@ type ServerStats struct {
 // TCPServerOptions tunes the server. The zero value is the default
 // configuration (unlimited workers).
 type TCPServerOptions struct {
-	// MaxWorkers bounds concurrent handler goroutines across the whole
+	// MaxWorkers bounds the handlers running at once across the whole
 	// server. When the bound is reached the read loops stop pulling frames,
 	// so backpressure lands on the kernel socket buffers instead of on
 	// unbounded goroutine growth. It composes with the dispatcher's
 	// admission control: admission sheds load per node with CodeOverloaded,
-	// while MaxWorkers caps raw goroutine fan-out below it. Zero means
-	// unlimited (one goroutine per in-flight request).
+	// while MaxWorkers caps raw handler fan-out below it. Zero means
+	// unlimited (one running handler per in-flight request). Either way, at
+	// most maxIdleHandlers (64) finished handler goroutines stay parked for
+	// reuse.
 	MaxWorkers int
 }
 
+// maxIdleHandlers caps the finished handler goroutines a server keeps parked
+// for reuse. It is above the in-flight count any of the repository's
+// workloads puts on one server, so in steady state no request starts a
+// goroutine.
+const maxIdleHandlers = 64
+
 // TCPServer serves envelopes over TCP. Each connection is read by one
 // goroutine; requests are dispatched concurrently so a slow handler does not
-// head-of-line block pipelined callers. Responses from all handlers on a
+// head-of-line block pipelined callers. Each request runs on a handler
+// goroutine that parks for the next request once it is done, so serving a
+// request normally starts no goroutine. Responses from all handlers on a
 // connection funnel through one coalescing writer, which flushes once per
 // batch rather than once per response.
 type TCPServer struct {
@@ -52,18 +62,28 @@ type TCPServer struct {
 	listener net.Listener
 
 	// workers is the MaxWorkers semaphore (nil = unlimited). Acquired by the
-	// read loop before spawning a handler goroutine.
+	// read loop before handing a request off, released by the handler
+	// goroutine once the request is served.
 	workers chan struct{}
+
+	// idle hands a request to a parked handler goroutine. It is unbuffered,
+	// so a send succeeds only when a goroutine is already waiting: a request
+	// never queues behind another one. Close closes it once no read loop is
+	// left to send, which is what unparks the goroutines for good.
+	// idleCount counts the parked goroutines, capped at maxIdleHandlers.
+	idle      chan serveJob
+	idleCount atomic.Int32
 
 	// ctx is the server's lifetime context, cancelled on Close so in-flight
 	// handlers observe shutdown. It is the ctx passed to Handler.Handle.
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	mu        sync.Mutex
+	conns     map[net.Conn]struct{}
+	closed    bool
+	wg        sync.WaitGroup // the accept loop and each connection's read loop
+	handlerWG sync.WaitGroup // handler goroutines, parked ones included
 
 	accepted     atomic.Uint64
 	active       atomic.Int64
@@ -88,7 +108,8 @@ func ListenTCPOptions(addr string, handler Handler, opts TCPServerOptions) (*TCP
 		return nil, fmt.Errorf("listen %q: %w", addr, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &TCPServer{handler: handler, listener: ln, ctx: ctx, cancel: cancel, conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{handler: handler, listener: ln, ctx: ctx, cancel: cancel,
+		conns: make(map[net.Conn]struct{}), idle: make(chan serveJob)}
 	if opts.MaxWorkers > 0 {
 		s.workers = make(chan struct{}, opts.MaxWorkers)
 	}
@@ -134,6 +155,8 @@ func (s *TCPServer) Close() error {
 		_ = c.Close()
 	}
 	s.wg.Wait()
+	close(s.idle)
+	s.handlerWG.Wait()
 	return err
 }
 
@@ -205,23 +228,53 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			}
 		}
 		handlers.Add(1)
-		// A go statement whose call has arguments still allocates: the
-		// runtime boxes the call and its arguments in a heap closure, one
-		// allocation per request. Dispatching inline on this goroutine when
-		// the pool is idle is what would remove it (ROADMAP item 3).
-		go s.handleOneAsync(req, frame, wr, &handlers)
+		j := serveJob{req: req, frame: frame, wr: wr, handlers: &handlers}
+		select {
+		case s.idle <- j:
+		default:
+			s.handlerWG.Add(1)
+			go s.serve(j)
+		}
 	}
 }
 
-// handleOneAsync is the goroutine body behind each request: it
-// dispatches, releases the MaxWorkers slot acquired by the read loop, and
-// signals the connection's handler WaitGroup.
-func (s *TCPServer) handleOneAsync(req *wire.Envelope, frame []byte, wr *frameWriter, handlers *sync.WaitGroup) {
-	defer handlers.Done()
-	if s.workers != nil {
-		defer func() { <-s.workers }()
+// serveJob is one decoded request handed from a connection's read loop to a
+// handler goroutine.
+type serveJob struct {
+	req      *wire.Envelope
+	frame    []byte
+	wr       *frameWriter
+	handlers *sync.WaitGroup
+}
+
+// serve is a handler goroutine's body: it serves j, releases the MaxWorkers
+// slot the read loop acquired, signals the connection's handler WaitGroup,
+// then parks until a read loop hands it the next request. It exits when the
+// server closes, or instead of parking once maxIdleHandlers goroutines are
+// parked already. Parked goroutines count in s.handlerWG, so Close waits for
+// them.
+func (s *TCPServer) serve(j serveJob) {
+	defer s.handlerWG.Done()
+	for {
+		s.handleOne(j.req, j.frame, j.wr)
+		if s.workers != nil {
+			<-s.workers
+		}
+		j.handlers.Done()
+		j = serveJob{} // a parked goroutine must not pin a closed connection's writer
+		if s.idleCount.Add(1) > maxIdleHandlers {
+			s.idleCount.Add(-1)
+			return
+		}
+		// One channel, not a select with the server's Done channel: every
+		// parked goroutine would queue on that one shared channel too.
+		var ok bool
+		j, ok = <-s.idle
+		s.idleCount.Add(-1)
+		if !ok {
+			return // Close: no read loop is left to hand off a request
+		}
 	}
-	s.handleOne(req, frame, wr)
 }
 
 // handleOne dispatches one decoded request and enqueues its response on the

@@ -115,10 +115,18 @@ func TestTCPConcurrentCallsShareConnection(t *testing.T) {
 	}
 }
 
+// TestTCPSlowHandlerDoesNotBlockPipelinedCalls holds eight slow calls in the
+// handler on one connection, after a warm-up that leaves a handler goroutine
+// parked for reuse, and requires a fast call on the same connection to get
+// through. A server that dispatched on its read loop would stall the second
+// slow call, and this test fails rather than hangs when it does.
 func TestTCPSlowHandlerDoesNotBlockPipelinedCalls(t *testing.T) {
+	const slow = 8
 	block := make(chan struct{})
+	entered := make(chan struct{}, slow)
 	handler := HandlerFunc(func(ctx context.Context, req *wire.Envelope) *wire.Envelope {
 		if req.Method == "slow" {
+			entered <- struct{}{}
 			<-block
 		}
 		return &wire.Envelope{Kind: wire.KindResponse, Payload: req.Payload}
@@ -127,23 +135,44 @@ func TestTCPSlowHandlerDoesNotBlockPipelinedCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { _ = srv.Close() })
+	// Cleanups run last-registered first, so a failing test releases the
+	// slow handlers before srv.Close waits for them.
+	var release sync.Once
+	unblock := func() { release.Do(func() { close(block) }) }
+	t.Cleanup(unblock)
 	d := NewTCPDialer()
-	defer d.Close()
+	t.Cleanup(func() { _ = d.Close() })
 
-	slowDone := make(chan error, 1)
-	go func() {
-		_, err := d.Call(context.Background(), srv.Endpoint(), &wire.Envelope{Kind: wire.KindRequest, Method: "slow"}, 10*time.Second)
-		slowDone <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let slow call reach the handler
-
-	if _, err := d.Call(context.Background(), srv.Endpoint(), &wire.Envelope{Kind: wire.KindRequest, Method: "fast"}, 2*time.Second); err != nil {
-		t.Fatalf("fast call blocked behind slow call: %v", err)
+	call := func(method string, timeout time.Duration) error {
+		_, err := d.Call(context.Background(), srv.Endpoint(), &wire.Envelope{Kind: wire.KindRequest, Method: method}, timeout)
+		return err
 	}
-	close(block)
-	if err := <-slowDone; err != nil {
-		t.Fatalf("slow call failed: %v", err)
+	for i := 0; i < 10; i++ {
+		if err := call("fast", 2*time.Second); err != nil {
+			t.Fatalf("warm-up call: %v", err)
+		}
+	}
+	slowDone := make(chan error, slow)
+	for i := 0; i < slow; i++ {
+		go func() { slowDone <- call("slow", 10*time.Second) }()
+	}
+	deadline := time.After(2 * time.Second)
+	for i := 0; i < slow; i++ {
+		select {
+		case <-entered:
+		case <-deadline:
+			t.Fatalf("only %d of %d slow calls reached the handler: requests wait behind a blocked handler", i, slow)
+		}
+	}
+	if err := call("fast", 2*time.Second); err != nil {
+		t.Fatalf("fast call blocked behind slow calls: %v", err)
+	}
+	unblock()
+	for i := 0; i < slow; i++ {
+		if err := <-slowDone; err != nil {
+			t.Fatalf("slow call failed: %v", err)
+		}
 	}
 }
 

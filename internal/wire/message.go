@@ -310,11 +310,11 @@ func (ev *Envelope) decodeFrom(buf []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: id: %v", ErrTruncatedEnvelope, err)
 	}
-	target, err := d.String()
+	target, err := d.Bytes()
 	if err != nil {
 		return fmt.Errorf("%w: target: %v", ErrTruncatedEnvelope, err)
 	}
-	method, err := d.String()
+	method, err := d.Bytes()
 	if err != nil {
 		return fmt.Errorf("%w: method: %v", ErrTruncatedEnvelope, err)
 	}
@@ -333,8 +333,8 @@ func (ev *Envelope) decodeFrom(buf []byte) error {
 	*ev = Envelope{
 		Kind:     Kind(kind),
 		ID:       id,
-		Target:   target,
-		Method:   method,
+		Target:   internName(target),
+		Method:   internName(method),
 		Code:     code,
 		ErrorMsg: errMsg,
 		Payload:  payload,

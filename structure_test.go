@@ -6,13 +6,17 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestStructure holds two layering rules over every non-test Go file of the
+// TestStructure holds four rules over every non-test Go file of the
 // module (the benchmark module is its own):
 //
+//   - internal/wire imports no package of this module, and
+//     internal/transport imports only internal/wire: the name intern table
+//     and the handler hand-off stay below rpc;
 //   - only the rpc, transport and wire packages build request envelopes;
 //     everything else calls through a declared method (Method.Call or
 //     CallAt). The E9 overload drill is the one exception: it fires raw
@@ -21,6 +25,12 @@ import (
 //     variable named method belongs in a method table (rpc.Serve). The
 //     harness's test objects are exempt.
 func TestStructure(t *testing.T) {
+	// importsOK maps a package directory to the module packages it may
+	// import; directories not listed are unconstrained.
+	importsOK := map[string][]string{
+		"internal/wire":      nil,
+		"internal/transport": {"godcdo/internal/wire"},
+	}
 	envelopeOK := func(path string) bool {
 		for _, dir := range []string{"internal/rpc/", "internal/transport/", "internal/wire/"} {
 			if strings.HasPrefix(path, dir) {
@@ -47,6 +57,14 @@ func TestStructure(t *testing.T) {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
+		}
+		if allowed, ok := importsOK[filepath.ToSlash(filepath.Dir(path))]; ok {
+			for _, imp := range f.Imports {
+				p := strings.Trim(imp.Path.Value, `"`)
+				if strings.HasPrefix(p, "godcdo/") && !slices.Contains(allowed, p) {
+					t.Errorf("%s: imports %s; this package may import only %v of the module", fset.Position(imp.Pos()), p, allowed)
+				}
+			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
