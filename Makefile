@@ -34,11 +34,15 @@ test:
 # the client failure table's route parity (every row met by a single call
 # and by a batch sub-call), the server's reused handler goroutines (parked
 # between requests, capped, gone after Close; slow handlers never stall the
-# requests behind them) and the wire decoder's name intern table (8 decoders
-# at once across its clears), whose value is the schedules the detector sees.
+# requests behind them), the wire decoder's name intern table (8 decoders
+# at once across its clears), and the caller-side release contracts (every
+# dialer lets go of a request once Call returns; a backup read's pooled
+# wrapper survives an echo that hands it back; a failed shipment's frame is
+# never rewritten; a value Get returned survives in-place writes), whose
+# value is the schedules the detector sees.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/
+	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure|TestCallLeavesRequestToCaller|TestBackupReadEchoKeepsItsResult|TestDroppedShipmentFrameNotReused|TestGetSurvivesLaterWrites' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/ ./internal/objstate/ ./internal/replica/
 
 # One iteration of every benchmark plus the E9 overload experiment, a short
 # end-to-end rollout (E11 drives canary waves, an SLO rollback, and a

@@ -8,6 +8,7 @@ import (
 
 	"godcdo/internal/legion"
 	"godcdo/internal/naming"
+	"godcdo/internal/objstate"
 	"godcdo/internal/obs"
 	"godcdo/internal/policy"
 	"godcdo/internal/registry"
@@ -69,6 +70,18 @@ func unsampledObs() *obs.Obs {
 	})
 }
 
+// deltaSource returns a state shaped like a replicated counter object — a
+// counter beside a 4 KiB resident value — and a generation after which only
+// the counter changed.
+func deltaSource() (*objstate.State, uint64) {
+	st := objstate.New()
+	st.Set("counter", make([]byte, 8))
+	st.Set("blob", make([]byte, 4096))
+	base := st.Generation()
+	st.Set("counter", []byte{1, 0, 0, 0, 0, 0, 0, 0})
+	return st, base
+}
+
 // TestAllocBudgets holds the hot paths to their allocation ceilings.
 // testing.AllocsPerRun reads the process-wide MemStats.Mallocs, exactly as
 // -benchmem does, so client, transport goroutines and server all count.
@@ -80,18 +93,22 @@ func unsampledObs() *obs.Obs {
 //     wins. A frame round trip over bufio allocates nothing; a request
 //     decode allocates nothing either, since Target and Method come from
 //     the wire package's intern table;
-//   - TCP invoke (3): the client's request envelope, its response envelope
-//     and detached payload. The server serves the call on a parked handler
-//     goroutine, so it starts none. A DCDO over TCP (4) adds the DFM's
-//     per-call release closure;
+//   - TCP invoke (2): the client's response envelope and detached payload.
+//     The client's request envelope is pooled, and the server serves the
+//     call on a parked handler goroutine, so it starts none. A DCDO over
+//     TCP (3) adds the DFM's per-call release closure;
 //   - unreplicated: a degree-1 object never constructs a Replica;
 //   - default policy: the policy plane costs a nil check and a comparison;
+//   - delta append / apply (0): a backup's state delta encoded into a
+//     buffer kept across shipments, and applied over keys the receiver
+//     holds, overwriting their values in place;
 //   - 16-call batch: 15 allocs for 16 sub-calls, against 3 for one call;
-//   - replicated write: a degree-3 inproc bump, its delta shipped to both
-//     backups;
-//   - backup read: an idempotent read on a backup-ok LOID, which the client
-//     spreads over the primary and, wrapped in repl.read, the two backups
-//     (1500 runs, so each member serves a third).
+//   - replicated write (7): a degree-3 inproc bump, its delta shipped to
+//     both backups from one reused frame and applied in place (DESIGN.md
+//     "Replicated write ledger" names each allocation left);
+//   - backup read (2): an idempotent read on a backup-ok LOID, which the
+//     client spreads over the primary and, wrapped in a pooled repl.read
+//     payload, the two backups (1500 runs, so each member serves a third).
 //
 // Every budget is its measured count, so any new allocation on a measured
 // path fails the test.
@@ -107,8 +124,8 @@ func TestAllocBudgets(t *testing.T) {
 		runs   int
 		setup  func(t *testing.T) func() error
 	}{
-		{"tracing-off", 3, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsoff", nil, false) }},
-		{"unsampled", 3, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsuns", unsampledObs(), false) }},
+		{"tracing-off", 2, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsoff", nil, false) }},
+		{"unsampled", 2, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsuns", unsampledObs(), false) }},
 		{"wire-encode", 1, 2000, func(t *testing.T) func() error {
 			return func() error { env.Encode(); return nil }
 		}},
@@ -137,20 +154,36 @@ func TestAllocBudgets(t *testing.T) {
 				return err
 			}
 		}},
-		{"tcp-invoke", 3, 1000, func(t *testing.T) func() error {
+		{"tcp-invoke", 2, 1000, func(t *testing.T) func() error {
 			client, loid := tcpEchoClient(t, 4, legion.NodeConfig{Name: "alloc-tcp"})
 			payload := make([]byte, 64)
 			return func() error { _, err := client.Invoke(context.Background(), loid, "echo", payload); return err }
 		}},
-		{"dcdo-tcp", 4, 1000, func(t *testing.T) func() error { return tcpDCDOEcho(t) }},
-		{"unreplicated", 3, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "reploff", nil, false) }},
-		{"default-policy", 3, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "polbench", nil, true) }},
+		{"dcdo-tcp", 3, 1000, func(t *testing.T) func() error { return tcpDCDOEcho(t) }},
+		{"unreplicated", 2, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "reploff", nil, false) }},
+		{"default-policy", 2, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "polbench", nil, true) }},
+		{"delta-append", 0, 2000, func(t *testing.T) func() error {
+			st, base := deltaSource()
+			buf, _, _ := st.AppendDelta(nil, 0, true)
+			return func() error { buf, _, _ = st.AppendDelta(buf[:0], base, false); return nil }
+		}},
+		{"delta-apply", 0, 2000, func(t *testing.T) func() error {
+			st, base := deltaSource()
+			framed, _, _ := st.AppendDelta(nil, base, false)
+			delta, err := wire.NewDecoder(framed).Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, _ := deltaSource()
+			val := make([]byte, 8)
+			return func() error { dst.Set("counter", val); return dst.ApplyDelta(delta) }
+		}},
 		{"batch-16", 15, 300, func(t *testing.T) func() error { return batchInvoke(t, 16) }},
-		{"repl-write", 20, 1000, func(t *testing.T) func() error {
+		{"repl-write", 7, 1000, func(t *testing.T) func() error {
 			g := newReplGroup(t, "allocw")
 			return func() error { return g.invoke("bump") }
 		}},
-		{"backup-read", 4, 1500, func(t *testing.T) func() error { return newReplGroup(t, "allocr").backupReads() }},
+		{"backup-read", 2, 1500, func(t *testing.T) func() error { return newReplGroup(t, "allocr").backupReads() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			call := tc.setup(t)

@@ -5,10 +5,9 @@
 package objstate
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"godcdo/internal/wire"
@@ -18,26 +17,49 @@ import (
 // write it; capture/restore serialise it deterministically. A generation
 // counter increments on every mutation so replication can cheaply detect
 // "did this call change anything", and every key remembers the generation
-// of its last Set, so EncodeSince can ship only what changed after a
+// of its last Set, so AppendDelta can ship only what changed after a
 // generation the receiver is known to hold.
+//
+// Stored values never leave the State: Set, ApplyDelta and ReplaceFrom copy
+// into it, and Get and the encoders copy out. That lets a write overwrite a
+// key's stored value in place when the new value fits, so a steady stream
+// of writes to the same keys stops allocating.
 type State struct {
 	mu   sync.Mutex
-	data map[string]entry
+	data map[string]*entry
 	gen  uint64
 
-	// floor is the oldest base generation EncodeSince can still prove a
+	// floor is the oldest base generation AppendDelta can still prove a
 	// complete delta from: bases before it predate a wholesale replacement
 	// or a trimmed tombstone. tombs holds the Deletes after floor, oldest
 	// first.
 	floor uint64
 	tombs []tombstone
+
+	// keys is keysSince's scratch slice, reused under mu.
+	keys []string
 }
 
-// entry is one key's value and the generation of the Set that stored it,
-// kept together so Set stays a single map write.
+// entry is one key's value and the generation of the Set that stored it.
+// The map holds it by pointer so an overwrite needs no map write, which
+// for a key decoded from a delta would first have to copy the key out.
 type entry struct {
 	val []byte
 	gen uint64
+}
+
+// newEntry returns an entry holding a copy of v, stored at generation gen.
+func newEntry(v []byte, gen uint64) *entry {
+	e := new(entry)
+	e.set(v, gen)
+	return e
+}
+
+// set stores a copy of v at generation gen, reusing the stored value's
+// storage when v fits in it.
+func (e *entry) set(v []byte, gen uint64) {
+	e.val = append(e.val[:0], v...)
+	e.gen = gen
 }
 
 // tombstone records that key was deleted at gen.
@@ -53,7 +75,7 @@ const maxTombstones = 64
 
 // New returns an empty state.
 func New() *State {
-	return &State{data: make(map[string]entry)}
+	return &State{data: make(map[string]*entry)}
 }
 
 // Get returns a copy of the value stored under key.
@@ -71,11 +93,13 @@ func (s *State) Get(key string) ([]byte, bool) {
 
 // Set stores a copy of value under key.
 func (s *State) Set(key string, value []byte) {
-	v := make([]byte, len(value))
-	copy(v, value)
 	s.mu.Lock()
 	s.gen++
-	s.data[key] = entry{val: v, gen: s.gen}
+	if e, ok := s.data[key]; ok {
+		e.set(value, s.gen)
+	} else {
+		s.data[key] = newEntry(value, s.gen)
+	}
 	s.mu.Unlock()
 }
 
@@ -113,9 +137,9 @@ func (s *State) Generation() uint64 {
 // Keys returns the sorted keys.
 func (s *State) Keys() []string {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	keys, _ := s.keysSince(0)
-	s.mu.Unlock()
-	return keys
+	return append([]string(nil), keys...)
 }
 
 // Len reports the number of keys.
@@ -125,18 +149,32 @@ func (s *State) Len() int {
 	return len(s.data)
 }
 
+// uvarintLen is the encoded size of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// prefixedLen is the encoded size of an n-byte length-prefixed string.
+func prefixedLen(n int) int { return uvarintLen(uint64(n)) + n }
+
 // keysSince returns, sorted, the keys Set after generation base (every key
-// for base 0) and an upper bound on the bytes putSets needs for them. The
-// caller holds s.mu.
+// for base 0) and the exact size of the putSets run for them. The slice is
+// s.keys, valid only while the caller holds s.mu.
 func (s *State) keysSince(base uint64) (keys []string, size int) {
+	keys = s.keys[:0]
 	for k, e := range s.data {
 		if e.gen > base {
 			keys = append(keys, k)
-			size += len(k) + len(e.val) + 2*binary.MaxVarintLen64
+			size += prefixedLen(len(k)) + prefixedLen(len(e.val))
 		}
 	}
-	sort.Strings(keys)
-	return keys, size + binary.MaxVarintLen64
+	slices.Sort(keys)
+	s.keys = keys
+	return keys, size + uvarintLen(uint64(len(keys)))
 }
 
 // putSets appends the key/value run shared by Encode and the delta format:
@@ -168,36 +206,32 @@ const (
 	deltaSince = 1
 )
 
-// EncodeFull serialises the whole state as a delta that replaces whatever
-// the receiver holds, and reports the generation it covers.
-func (s *State) EncodeFull() (delta []byte, gen uint64) {
+// AppendDelta appends a delta to dst and reports the generation it brings
+// a receiver to. The delta goes in as one length-prefixed byte string, the
+// form wire.Decoder.Bytes reads back, so a caller embeds it in a larger
+// frame without copying it; ApplyDelta takes the bytes inside the prefix.
+// dst grows at most once, so a caller that keeps its buffer across calls
+// stops allocating once the buffer has grown to fit.
+//
+// A full delta carries the whole state and replaces whatever the receiver
+// holds. Otherwise the delta carries the mutations after generation base —
+// the keys deleted and the latest value of every key set — and, applied to
+// any copy of this state taken at a generation in [base, gen], reproduces
+// the state at gen. ok is false, and dst comes back unchanged, when that
+// cannot be proven: base is ahead of the state, or predates a ReplaceFrom, a
+// full ApplyDelta, or the oldest retained Delete tombstone. The caller then
+// asks for a full delta.
+func (s *State) AppendDelta(dst []byte, base uint64, full bool) (out []byte, gen uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.encodeDelta(deltaFull, 0), s.gen
-}
-
-// EncodeSince serialises the mutations after generation base — the keys
-// deleted and the latest value of every key set — and reports the
-// generation the delta brings a receiver to. Applied to any copy of this
-// state taken at a generation in [base, gen], it reproduces the state at
-// gen. ok is false, and delta nil, when that cannot be proven: base is
-// ahead of the state, or predates a ReplaceFrom, a full ApplyDelta, or the
-// oldest retained Delete tombstone. The caller then ships EncodeFull.
-func (s *State) EncodeSince(base uint64) (delta []byte, gen uint64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if base < s.floor || base > s.gen {
-		return nil, s.gen, false
-	}
-	return s.encodeDelta(deltaSince, base), s.gen, true
-}
-
-// encodeDelta writes kind, the keys deleted after base, and the keys set
-// after base. A full delta passes base 0 and omits the deletions: the
-// receiver starts from nothing. The caller holds s.mu.
-func (s *State) encodeDelta(kind, base uint64) []byte {
-	var dels []tombstone
-	if kind == deltaSince {
+	kind := uint64(deltaSince)
+	var dels []tombstone // a full delta starts from nothing: it deletes nothing
+	if full {
+		kind, base = deltaFull, 0
+	} else {
+		if base < s.floor || base > s.gen {
+			return dst, s.gen, false
+		}
 		first := len(s.tombs)
 		for first > 0 && s.tombs[first-1].gen > base {
 			first--
@@ -205,30 +239,26 @@ func (s *State) encodeDelta(kind, base uint64) []byte {
 		dels = s.tombs[first:]
 	}
 	keys, size := s.keysSince(base)
+	size += uvarintLen(kind) + uvarintLen(uint64(len(dels)))
 	for _, t := range dels {
-		size += len(t.key) + binary.MaxVarintLen64
+		size += prefixedLen(len(t.key))
 	}
-	e := wire.NewEncoder(size + 2*binary.MaxVarintLen64)
+	e := wire.EncoderOn(slices.Grow(dst, prefixedLen(size)))
+	e.PutUvarint(uint64(size))
 	e.PutUvarint(kind)
 	e.PutUvarint(uint64(len(dels)))
 	for _, t := range dels {
 		e.PutString(t.key)
 	}
-	s.putSets(e, keys)
-	return e.Bytes()
+	s.putSets(&e, keys)
+	return e.Bytes(), s.gen, true
 }
 
 // ErrCorrupt is returned when captured state cannot be decoded.
 var ErrCorrupt = errors.New("objstate: corrupt state")
 
-// keyValue is one decoded Set; val is the receiver's own copy.
-type keyValue struct {
-	key string
-	val []byte
-}
-
 // decodeCount reads an element count and rejects one the remaining bytes
-// cannot possibly hold, so corrupt input cannot force a huge allocation.
+// cannot possibly hold.
 func decodeCount(dec *wire.Decoder, what string) (int, error) {
 	n, err := dec.Uvarint()
 	if err != nil {
@@ -238,28 +268,6 @@ func decodeCount(dec *wire.Decoder, what string) (int, error) {
 		return 0, fmt.Errorf("%w: %s count %d exceeds buffer", ErrCorrupt, what, n)
 	}
 	return int(n), nil
-}
-
-// decodeSets parses a run written by putSets, copying every value out of
-// the decoder's buffer.
-func decodeSets(dec *wire.Decoder) ([]keyValue, error) {
-	n, err := decodeCount(dec, "key")
-	if err != nil {
-		return nil, err
-	}
-	sets := make([]keyValue, 0, min(n, 32)) // n is untrusted: grow on demand past a typical delta
-	for i := 0; i < n; i++ {
-		k, err := dec.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: key: %v", ErrCorrupt, err)
-		}
-		v, err := dec.Bytes()
-		if err != nil {
-			return nil, fmt.Errorf("%w: value: %v", ErrCorrupt, err)
-		}
-		sets = append(sets, keyValue{key: k, val: append(make([]byte, 0, len(v)), v...)})
-	}
-	return sets, nil
 }
 
 // Decode parses state produced by Encode.
@@ -274,78 +282,109 @@ func Decode(buf []byte) (*State, error) {
 // ReplaceFrom atomically replaces the state's contents with those encoded
 // in buf (produced by Encode on another State). On decode failure the state
 // is left untouched. The replacement is one generation bump, and it
-// invalidates every earlier delta base: EncodeSince of a generation before
+// invalidates every earlier delta base: AppendDelta from a generation before
 // it reports ok == false, because what the replacement removed is unknown.
 func (s *State) ReplaceFrom(buf []byte) error {
-	sets, err := decodeSets(wire.NewDecoder(buf))
-	if err != nil {
-		return err
-	}
-	s.apply(true, nil, sets)
-	return nil
+	return s.apply(buf, true)
 }
 
-// ApplyDelta atomically applies a delta produced by EncodeFull or
-// EncodeSince on another State: a full delta replaces the contents, an
-// incremental one deletes and sets the keys it names. Either lands as
-// exactly one generation bump, never as a partially applied mixture, and on
-// decode failure the state is left untouched. This is the backup side of
-// replica state shipping.
+// ApplyDelta atomically applies a delta produced by AppendDelta on another
+// State: a full delta replaces the contents, an incremental one deletes and
+// sets the keys it names. Either lands as exactly one generation bump, never
+// as a partially applied mixture, and on decode failure the state is left
+// untouched. This is the backup side of replica state shipping.
 func (s *State) ApplyDelta(buf []byte) error {
-	dec := wire.NewDecoder(buf)
-	kind, err := dec.Uvarint()
-	if err != nil {
-		return fmt.Errorf("%w: delta kind: %v", ErrCorrupt, err)
-	}
-	if kind != deltaFull && kind != deltaSince {
-		return fmt.Errorf("%w: delta kind %d", ErrCorrupt, kind)
-	}
-	n, err := decodeCount(dec, "delete")
-	if err != nil {
-		return err
-	}
-	if kind == deltaFull && n != 0 {
-		return fmt.Errorf("%w: full delta carries %d deletes", ErrCorrupt, n)
-	}
-	dels := make([]string, 0, min(n, 32))
-	for i := 0; i < n; i++ {
-		k, err := dec.String()
-		if err != nil {
-			return fmt.Errorf("%w: deleted key: %v", ErrCorrupt, err)
-		}
-		dels = append(dels, k)
-	}
-	sets, err := decodeSets(dec)
-	if err != nil {
-		return err
-	}
-	if dec.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after delta", ErrCorrupt, dec.Remaining())
-	}
-	s.apply(kind == deltaFull, dels, sets)
-	return nil
+	return s.apply(buf, false)
 }
 
-// apply is the one mutation path for decoded images and deltas: under one
-// lock hold and one generation bump it optionally discards the current
-// contents, then deletes dels, then stores sets (deletes first, so a key
-// deleted and set again within one delta survives). Stored entries carry
-// the new generation and deletions leave tombstones, so the receiver can
-// itself serve deltas from this point on.
-func (s *State) apply(replace bool, dels []string, sets []keyValue) {
+// apply is the one mutation path for images and deltas. It walks buf twice:
+// once to validate all of it, touching nothing, then under s.mu to apply it
+// as one generation bump, so corrupt input leaves the state untouched and no
+// decoded copy of buf is ever built. Stored entries carry the new generation
+// and deletions leave tombstones, so the receiver can itself serve deltas
+// from this point on. A replacement (an image, or a full delta) overwrites
+// the keys it carries and then drops every key it did not carry.
+func (s *State) apply(buf []byte, image bool) error {
+	replace, err := walk(nil, buf, image)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++
+	_, _ = walk(s, buf, image) // validated above, so it cannot fail
 	if replace {
-		s.data = make(map[string]entry, len(sets))
-		s.floor, s.tombs = s.gen, nil
+		for k, e := range s.data {
+			if e.gen != s.gen {
+				delete(s.data, k)
+			}
+		}
+		clear(s.tombs)
+		s.floor, s.tombs = s.gen, s.tombs[:0]
 	}
-	for _, k := range dels {
-		if _, ok := s.data[k]; ok {
-			s.remove(k)
+	return nil
+}
+
+// walk decodes buf — an Encode image when image is set, a delta otherwise —
+// and, when s is non-nil, applies each delete and then each set to s at
+// s.gen (deletes first, so a key deleted and set again within one delta
+// survives); the caller then holds s.mu. It reports whether buf replaces the
+// receiver's contents.
+func walk(s *State, buf []byte, image bool) (replace bool, err error) {
+	dec := wire.NewDecoder(buf)
+	if !image {
+		kind, err := dec.Uvarint()
+		if err != nil {
+			return false, fmt.Errorf("%w: delta kind: %v", ErrCorrupt, err)
+		}
+		if kind != deltaFull && kind != deltaSince {
+			return false, fmt.Errorf("%w: delta kind %d", ErrCorrupt, kind)
+		}
+		n, err := decodeCount(dec, "delete")
+		if err != nil {
+			return false, err
+		}
+		if kind == deltaFull && n != 0 {
+			return false, fmt.Errorf("%w: full delta carries %d deletes", ErrCorrupt, n)
+		}
+		for i := 0; i < n; i++ {
+			k, err := dec.Bytes()
+			if err != nil {
+				return false, fmt.Errorf("%w: deleted key: %v", ErrCorrupt, err)
+			}
+			if s == nil {
+				continue
+			}
+			if _, ok := s.data[string(k)]; ok {
+				s.remove(string(k))
+			}
+		}
+		replace = kind == deltaFull
+	}
+	n, err := decodeCount(dec, "key")
+	if err != nil {
+		return false, err
+	}
+	for i := 0; i < n; i++ {
+		k, err := dec.Bytes()
+		if err != nil {
+			return false, fmt.Errorf("%w: key: %v", ErrCorrupt, err)
+		}
+		v, err := dec.Bytes()
+		if err != nil {
+			return false, fmt.Errorf("%w: value: %v", ErrCorrupt, err)
+		}
+		if s == nil {
+			continue
+		}
+		if e, ok := s.data[string(k)]; ok {
+			e.set(v, s.gen)
+		} else {
+			s.data[string(k)] = newEntry(v, s.gen)
 		}
 	}
-	for _, kv := range sets {
-		s.data[kv.key] = entry{val: kv.val, gen: s.gen}
+	if !image && dec.Remaining() != 0 {
+		return false, fmt.Errorf("%w: %d trailing bytes after delta", ErrCorrupt, dec.Remaining())
 	}
+	return replace || image, nil
 }

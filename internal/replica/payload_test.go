@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"godcdo/internal/naming"
+	"godcdo/internal/objstate"
 	"godcdo/internal/rpc"
 	"godcdo/internal/rpc/rpctest"
+	"godcdo/internal/wire"
 )
 
 // TestInfraPayloadBytes pins the wire bytes of the replication plane and
@@ -16,12 +18,16 @@ import (
 // understand every payload.
 func TestInfraPayloadBytes(t *testing.T) {
 	status := Status{Role: RolePrimary, Epoch: 3, Seq: 9, VersionSegs: []uint64{1, 1}, AckSeq: 8}
+	st := objstate.New()
+	st.Set("k", []byte{1})
+	shipped, _, _ := appendShipment(nil, st, 2, 9, 8, 0)
 	for _, row := range []struct {
 		name string
 		got  []byte
 		want string
 	}{
-		{"repl.ship frame", encodeShipment(2, 9, 8, []byte{1, 2, 3}), "02090803010203"},
+		{"repl.ship frame", shipmentFrame(2, 9, 8, []byte{1, 2, 3}), "02090803010203"},
+		{"repl.ship frame of a state delta", shipped, "02090807010001016b0101"},
 		{"repl.ship result", MethodShip.Result.Encode(9), "09"},
 		{"repl.promote args", MethodPromote.Args.Encode(PromoteArgs{Epoch: 3, Backups: []string{"inproc:b1", "inproc:b2"}}),
 			"030209696e70726f633a623109696e70726f633a6232"},
@@ -49,13 +55,25 @@ func TestInfraPayloadBytes(t *testing.T) {
 	}
 }
 
+// shipmentFrame builds a MethodShip frame around an arbitrary delta, which
+// appendShipment (taking the delta from a State) cannot: the golden bytes
+// and the corrupt-delta cases need one.
+func shipmentFrame(epoch, seq, base uint64, delta []byte) []byte {
+	e := wire.EncoderOn(nil)
+	e.PutUvarint(epoch)
+	e.PutUvarint(seq)
+	e.PutUvarint(base)
+	e.PutBytes(delta)
+	return e.Bytes()
+}
+
 // TestReplMethodContracts holds the replication plane and the replica-host
 // table to their declarations.
 func TestReplMethodContracts(t *testing.T) {
 	none := rpc.None{}
 	r := New(naming.LOID{Domain: 1, Class: 1, Instance: 1}, newFakeInner(1), nil, RoleBackup, 1, nil)
 	rpctest.CheckTable(t, r.repl, ReplPrefix, []rpctest.Row{
-		rpctest.Declare(MethodShip, encodeShipment(1, 1, 0, nil)),
+		rpctest.Declare(MethodShip, shipmentFrame(1, 1, 0, nil)),
 		rpctest.Declare(MethodPromote, PromoteArgs{Epoch: 2, Backups: []string{"inproc:b"}}),
 		rpctest.Declare(MethodDemote, 2),
 		rpctest.Declare(MethodStatus, none),

@@ -68,10 +68,10 @@ type PromoteArgs struct {
 
 // The replication plane. Only status and the wrapped read are reads.
 var (
-	// MethodShip ships state: an encodeShipment frame of epoch, sequence,
+	// MethodShip ships state: an appendShipment frame of epoch, sequence,
 	// base sequence and objstate delta. The frame is built once per
-	// shipment and sent to every backup as it is. The result is the
-	// sequence the receiver holds afterwards.
+	// shipment, into a buffer the primary reuses, and sent to every backup
+	// as it is. The result is the sequence the receiver holds afterwards.
 	MethodShip = rpc.Method[[]byte, uint64]{Name: ReplPrefix + "ship",
 		Args: rpc.RawCodec, Result: rpc.UvarintCodec}
 	// MethodPromote makes the receiver primary at a new epoch with a new
@@ -131,8 +131,10 @@ type Replica struct {
 	applied uint64
 
 	// shipMu serialises encoding and shipment so sequence numbers observed
-	// by backups are in state order.
+	// by backups are in state order. frame is the shipment buffer each
+	// shipment reuses under it; nil after a failed shipment.
 	shipMu sync.Mutex
+	frame  []byte
 
 	shipsDelta, shipsFull, shipFallbacks, shipBytes atomic.Uint64
 	events                                          atomic.Pointer[obs.EventLog]
@@ -312,30 +314,26 @@ func (r *Replica) shipIfChanged(ctx context.Context) error {
 	base, baseGen := r.ackSeq, r.shipGen
 	r.mu.Unlock()
 
-	var delta []byte
-	var gen uint64
-	if base != 0 {
-		var ok bool
-		if delta, gen, ok = st.EncodeSince(baseGen); !ok {
-			base = 0
-		}
+	frame, gen, ok := appendShipment(r.frame[:0], st, epoch, seq, base, baseGen)
+	if !ok {
+		base = 0
+		frame, gen, _ = appendShipment(r.frame[:0], st, epoch, seq, 0, 0)
 	}
-	if base == 0 {
-		delta, gen = st.EncodeFull()
-	}
-	payload := encodeShipment(epoch, seq, base, delta)
+	// The frame buffer is reused only after a shipment every backup took: a
+	// dialer that misbehaved on a failure path must not see it rewritten.
+	r.frame = nil
 
 	var full []byte // built at most once, for backups that refuse the delta
 	var firstErr error
 	for _, endpoint := range backups {
-		held, err := r.shipTo(ctx, endpoint, payload, base)
+		held, err := r.shipTo(ctx, endpoint, frame, base)
 		if err == nil && held < seq && base != 0 {
 			r.shipFallbacks.Add(1)
 			r.events.Load().Append(obs.Event{Kind: "ship-fallback", Object: r.loid.String(),
 				Detail: fmt.Sprintf("backup=%s base=%d held=%d", endpoint, base, held)})
 			if full == nil {
-				image, _ := st.EncodeFull() // may be newer than gen; the next delta still starts at gen
-				full = encodeShipment(epoch, seq, 0, image)
+				// May be newer than gen; the next delta still starts at gen.
+				full, _, _ = appendShipment(nil, st, epoch, seq, 0, 0)
 			}
 			held, err = r.shipTo(ctx, endpoint, full, 0)
 		}
@@ -353,6 +351,7 @@ func (r *Replica) shipIfChanged(ctx context.Context) error {
 	if firstErr != nil {
 		return firstErr
 	}
+	r.frame = frame
 	r.mu.Lock()
 	if r.config == config {
 		r.shipGen, r.ackSeq = gen, seq
@@ -381,8 +380,9 @@ func (r *Replica) syncTo(ctx context.Context, endpoint string) error {
 	epoch := r.epoch
 	r.mu.Unlock()
 
-	image, _ := r.inner.State().EncodeFull()
-	_, err := r.shipTo(ctx, endpoint, encodeShipment(epoch, seq, 0, image), 0)
+	frame, _, _ := appendShipment(r.frame[:0], r.inner.State(), epoch, seq, 0, 0)
+	r.frame = nil // as in shipIfChanged: reused only after a shipment that succeeded
+	_, err := r.shipTo(ctx, endpoint, frame, 0)
 	if errors.Is(err, rpc.ErrFenced) {
 		r.demoteSelf()
 		return err
@@ -390,6 +390,7 @@ func (r *Replica) syncTo(ctx context.Context, endpoint string) error {
 	if err != nil {
 		return fmt.Errorf("sync %s to %s: %w", r.loid, endpoint, err)
 	}
+	r.frame = frame
 	return nil
 }
 
@@ -399,17 +400,23 @@ type shipment struct {
 	delta            []byte
 }
 
-// encodeShipment builds a MethodShip frame.
-func encodeShipment(epoch, seq, base uint64, delta []byte) []byte {
-	e := wire.NewEncoder(len(delta) + 32)
+// appendShipment appends a MethodShip frame to buf: epoch, sequence and
+// base, then st's delta since generation baseGen — the whole state when base
+// is 0 — which objstate appends in place, length prefix included. gen is the
+// generation the delta covers. ok is false, and buf comes back unchanged,
+// when st cannot prove a delta since baseGen.
+func appendShipment(buf []byte, st *objstate.State, epoch, seq, base, baseGen uint64) (frame []byte, gen uint64, ok bool) {
+	e := wire.EncoderOn(buf)
 	e.PutUvarint(epoch)
 	e.PutUvarint(seq)
 	e.PutUvarint(base)
-	e.PutBytes(delta)
-	return e.Bytes()
+	if frame, gen, ok = st.AppendDelta(e.Bytes(), baseGen, base == 0); !ok {
+		return buf, gen, false
+	}
+	return frame, gen, true
 }
 
-// decodeShipment parses an encodeShipment frame. The delta aliases frame.
+// decodeShipment parses an appendShipment frame. The delta aliases frame.
 // A malformed frame is refused with rpc.ErrBadRequest.
 func decodeShipment(frame []byte) (s shipment, err error) {
 	d := wire.NewDecoder(frame)

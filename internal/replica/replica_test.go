@@ -210,8 +210,7 @@ func TestStaleShipmentAndDuplicateDropped(t *testing.T) {
 	// untouched, and the answer is the sequence already held.
 	other := objstate.New()
 	other.Set("k", []byte("replayed"))
-	image, _ := other.EncodeFull()
-	replay := encodeShipment(1, 1, 0, image)
+	replay, _, _ := appendShipment(nil, other, 1, 1, 0, 0)
 	held, err := callAt(env, "inproc:b1", MethodShip, replay)
 	if err != nil {
 		t.Fatalf("duplicate shipment: %v", err)
@@ -225,7 +224,7 @@ func TestStaleShipmentAndDuplicateDropped(t *testing.T) {
 
 	// A corrupt delta is refused without advancing the sequence, so the
 	// shipment can be repeated.
-	if _, err := callAt(env, "inproc:b1", MethodShip, encodeShipment(1, 2, 0, []byte{0xff})); err == nil {
+	if _, err := callAt(env, "inproc:b1", MethodShip, shipmentFrame(1, 2, 0, []byte{0xff})); err == nil {
 		t.Fatal("corrupt shipment accepted")
 	}
 	if st := env.status(t, "b1"); st.Seq != 1 {

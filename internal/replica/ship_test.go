@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"godcdo/internal/component"
 	"godcdo/internal/core"
@@ -459,4 +460,66 @@ func TestRestoreOnPrimaryUnderWrites(t *testing.T) {
 			t.Fatalf("backup %d diverged after restore:\n got %q\nwant %q", i+1, got, want)
 		}
 	}
+}
+
+// lateDialer stands for a dialer that breaks the Dialer contract on a
+// failure path: the one call it is armed for fails as a timeout but keeps
+// the request's payload by reference, to deliver it after the caller has
+// moved on, as if the network still held the frame.
+type lateDialer struct {
+	transport.Dialer
+
+	mu       sync.Mutex
+	armed    string // endpoint whose next call is held back
+	heldAt   string
+	held     []byte // the payload, by reference
+	snapshot []byte // a copy taken when it was held
+}
+
+func (d *lateDialer) Call(ctx context.Context, endpoint string, req *wire.Envelope, timeout time.Duration) (*wire.Envelope, error) {
+	d.mu.Lock()
+	if endpoint == d.armed {
+		d.armed = ""
+		d.heldAt, d.held, d.snapshot = endpoint, req.Payload, bytes.Clone(req.Payload)
+		d.mu.Unlock()
+		return nil, &transport.CallError{Class: transport.RetryAmbiguous, Err: transport.ErrTimeout}
+	}
+	d.mu.Unlock()
+	return d.Dialer.Call(ctx, endpoint, req, timeout)
+}
+
+// deliver hands the held payload to its endpoint and reports whether it
+// still reads as it did when it was held.
+func (d *lateDialer) deliver(loid naming.LOID) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, _ = MethodShip.CallAt(context.Background(), d.Dialer, d.heldAt, loid, time.Second, d.held)
+	return bytes.Equal(d.held, d.snapshot)
+}
+
+// TestDroppedShipmentFrameNotReused drops a shipment and then sends a good
+// one. The primary reuses one frame buffer across shipments, but never
+// after a failed one: a dialer may still hold the failed frame (here one
+// that delivers it late), and rewriting it would turn that stale shipment
+// into a different one. The stale frame must arrive as it was sent. Every
+// member must end byte-converged.
+func TestDroppedShipmentFrameNotReused(t *testing.T) {
+	env := newReplicaEnv(t)
+	env.seedResident(t, "p")
+	p := env.members["p"]
+	late := &lateDialer{Dialer: p.dialer, armed: "inproc:b1"}
+	p.dialer = late
+
+	// A long value, so the next shipment's frame fits in this one's buffer.
+	if _, err := env.call("inproc:p", "set", setArgs("k", strings.Repeat("v", 64))); !errors.Is(err, rpc.ErrUnavailable) {
+		t.Fatalf("write with a dropped shipment err = %v, want ErrUnavailable", err)
+	}
+	env.mustSet(t, "p", "k", "short")
+	if !late.deliver(env.loid) {
+		t.Fatal("the dropped shipment's frame was rewritten after its shipment failed")
+	}
+	if st := env.status(t, "b1"); st.Seq != 3 {
+		t.Fatalf("b1 holds seq %d after the late delivery, want 3", st.Seq)
+	}
+	env.converged(t, "p", "b1", "b2")
 }

@@ -219,7 +219,7 @@ func (c *Client) sendBatch(ctx context.Context, endpoint string, calls []BatchCa
 		sub := wire.Envelope{
 			Kind:    wire.KindRequest,
 			ID:      uint64(k + 1),
-			Target:  c.targetString(calls[i].LOID),
+			Target:  targetOf(calls[i].LOID),
 			Method:  calls[i].Method,
 			Payload: calls[i].Args,
 		}

@@ -180,21 +180,6 @@ type Client struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	// targets caches each LOID's canonical Target string. Rendering the
-	// string costs an allocation per call otherwise, and a client talks to a
-	// small, stable set of objects, so the cache converges immediately.
-	targets sync.Map // naming.LOID -> string
-}
-
-// targetString returns loid's canonical string, cached per LOID.
-func (c *Client) targetString(loid naming.LOID) string {
-	if v, ok := c.targets.Load(loid); ok {
-		return v.(string)
-	}
-	s := loid.String()
-	c.targets.Store(loid, s)
-	return s
 }
 
 // NewClient returns a client over the given cache and dialer with
@@ -379,14 +364,14 @@ func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method strin
 		// to the primary path. The default (nil or primary-only) policy pays
 		// one pointer compare here.
 		callMethod, callArgs := method, args
-		viaBackup := false
+		var wrapper []byte // a backup read's pooled repl.read payload
 		if backupOK && st.lastFailed == "" && binding.Policy != nil &&
 			len(binding.Set.Backups) > 0 && binding.Policy.BackupReadsAllowed() {
 			if idx := c.readRR.Add(1) % uint64(1+len(binding.Set.Backups)); idx > 0 {
 				endpoint = binding.Set.Backups[idx-1]
-				callMethod = MethodReplRead
-				callArgs = ReadArgsCodec.Encode(ReadArgs{Method: method, Args: args})
-				viaBackup = true
+				a := ReadArgs{Method: method, Args: args}
+				wrapper = appendReadArgs(wire.GetBuf(readArgsSize(a))[:0], a)
+				callMethod, callArgs = MethodReplRead, wrapper
 			}
 		}
 
@@ -418,17 +403,16 @@ func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method strin
 
 		timeout, ok := p.timeout(st.start)
 		if !ok {
+			if wrapper != nil {
+				wire.PutBuf(wrapper)
+			}
 			st.lastErr = joinErr(ErrBudgetExhausted, st.lastErr)
 			c.cErrors.Inc()
 			return nil, st.exhausted(loid, method)
 		}
 
-		req := &wire.Envelope{
-			Kind:    wire.KindRequest,
-			Target:  c.targetString(loid),
-			Method:  callMethod,
-			Payload: callArgs,
-		}
+		req := wire.GetEnvelope()
+		req.Kind, req.Target, req.Method, req.Payload = wire.KindRequest, targetOf(loid), callMethod, callArgs
 		var attSpan *obs.Span
 		if root != nil {
 			// The attempt span is the parent of the server's dispatch span:
@@ -448,6 +432,7 @@ func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method strin
 			req.TraceFlags = wire.TraceFlagUnsampled
 		}
 		resp, err := c.dialer.Call(ctx, endpoint, req, timeout)
+		releaseRequest(req, resp, wrapper)
 		if attSpan != nil {
 			attSpan.Fail(err)
 			attSpan.Finish()
@@ -456,7 +441,7 @@ func (c *Client) invokeInner(ctx context.Context, loid naming.LOID, method strin
 			err = answerErr(resp, wire.KindResponse)
 		}
 		if err == nil {
-			if viaBackup {
+			if wrapper != nil {
 				c.cBkReads.Inc()
 			}
 			if c.Latency != nil {

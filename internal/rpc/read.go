@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"godcdo/internal/wire"
@@ -28,17 +29,15 @@ type ReadArgs struct {
 
 // ReadArgsCodec frames ReadArgs. Most backup-ok traffic rides it, so it is
 // written out rather than built with NewCodec, whose encoder and decoder
-// escape.
+// escape; the method name decodes through wire's intern table, since a
+// backup serves the same few reads over and over.
 var ReadArgsCodec = Codec[ReadArgs]{
 	Encode: func(a ReadArgs) []byte {
-		e := wire.NewEncoder(16 + len(a.Method) + len(a.Args))
-		e.PutString(a.Method)
-		e.PutBytes(a.Args)
-		return e.Bytes()
+		return appendReadArgs(make([]byte, 0, readArgsSize(a)), a)
 	},
 	Decode: func(b []byte) (a ReadArgs, err error) {
 		d := wire.NewDecoder(b)
-		if a.Method, err = d.String(); err != nil {
+		if a.Method, err = d.Name(); err != nil {
 			return a, fmt.Errorf("read method: %w", err)
 		}
 		if a.Args, err = d.Bytes(); err != nil {
@@ -46,4 +45,19 @@ var ReadArgsCodec = Codec[ReadArgs]{
 		}
 		return a, nil
 	},
+}
+
+// readArgsSize bounds the bytes appendReadArgs writes for a.
+func readArgsSize(a ReadArgs) int {
+	return 2*binary.MaxVarintLen64 + len(a.Method) + len(a.Args)
+}
+
+// appendReadArgs appends a's encoding to buf. The client writes each
+// backup read's wrapper into a frame-pool buffer this way and releases it
+// with the attempt.
+func appendReadArgs(buf []byte, a ReadArgs) []byte {
+	e := wire.EncoderOn(buf)
+	e.PutString(a.Method)
+	e.PutBytes(a.Args)
+	return e.Bytes()
 }

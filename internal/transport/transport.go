@@ -160,9 +160,24 @@ type Dialer interface {
 	// remaining budget; a done ctx aborts the wait immediately. Dialers
 	// stamp ctx's absolute deadline (when one is set and req carries none)
 	// into req.Deadline so it propagates to the server.
+	//
+	// Once Call returns, on success or failure, the dialer holds neither
+	// req nor its Payload: the caller may recycle both at once. TCP meets
+	// this by encoding the frame before it waits, the in-process dialer by
+	// running the handler synchronously. A returned response is the
+	// caller's; over inproc it may be req itself, or alias req.Payload.
 	Call(ctx context.Context, endpoint string, req *wire.Envelope, timeout time.Duration) (*wire.Envelope, error)
 	// Close releases pooled connections.
 	Close() error
+}
+
+// ReleaseRequest recycles req once Call has returned resp, as the Dialer
+// contract allows, unless resp is req itself: a handler may answer with its
+// own request, and over inproc that hands the caller's envelope back.
+func ReleaseRequest(req, resp *wire.Envelope) {
+	if resp != req {
+		wire.PutEnvelope(req)
+	}
 }
 
 // StampDeadline copies ctx's absolute deadline into req.Deadline when ctx

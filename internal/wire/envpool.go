@@ -2,11 +2,10 @@ package wire
 
 import "sync"
 
-// Envelope pooling for the TCP server. Every dispatched call used to
-// allocate a request envelope when its frame was decoded and a response
-// envelope that died as soon as the transport encoded it; pooling both
-// removes those per-call allocations the same way the frame pool removed the
-// per-frame one.
+// Envelope pooling. Every call used to allocate a request envelope on each
+// side of the wire and a response envelope that died as soon as the
+// transport encoded it; pooling them removes those per-call allocations the
+// same way the frame pool removed the per-frame one.
 //
 // The contract is deliberately asymmetric so it is impossible to corrupt an
 // envelope by handing it to the wrong component:
@@ -14,10 +13,16 @@ import "sync"
 //   - Only envelopes obtained from GetEnvelope or DecodeEnvelopePooled are
 //     marked recyclable. PutEnvelope on anything else (a stack envelope, a
 //     DecodeEnvelope result, transport.Dropped) is a no-op.
-//   - Only the TCP server recycles: each request envelope it decoded, and
-//     each response after it has been fully encoded into its outgoing frame.
-//     The in-process transport hands the handler's envelope straight to the
-//     caller and never recycles it, so pooled envelopes returned over inproc
+//   - Two components recycle. The TCP server recycles each request envelope
+//     it decoded, and each response after it has been fully encoded into its
+//     outgoing frame. The callers that send requests (rpc.Client and
+//     rpc.DirectCall) recycle each request envelope as soon as
+//     transport.Dialer.Call returns, which the Dialer contract allows: by
+//     then the dialer holds neither the envelope nor its payload.
+//     transport.ReleaseRequest skips a response that is the request itself,
+//     which an in-process handler may return.
+//   - The in-process transport hands the handler's response straight to the
+//     caller and never recycles it, so pooled responses returned over inproc
 //     simply fall to the GC (a pool miss, never an aliasing bug).
 
 var envPool = sync.Pool{New: func() any { return new(Envelope) }}

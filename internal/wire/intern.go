@@ -6,7 +6,9 @@ import "sync"
 // each, yet decoding Target and Method as fresh strings cost two
 // allocations per request. decodeFrom reads both through a small intern
 // table instead, so a name seen before costs a read lock and no allocation.
-// Strings are immutable, so a handler may keep an interned name.
+// Strings are immutable, so a handler may keep an interned name. Payloads
+// that carry a name of their own (the backup-read wrapper's method) read it
+// through Decoder.Name, which uses the same table.
 const (
 	// maxInternedNames caps the table. At the cap it is cleared rather than
 	// frozen, so a long-lived node follows its current working set.
@@ -21,6 +23,16 @@ var interned = struct {
 	sync.RWMutex
 	m map[string]string
 }{m: make(map[string]string, maxInternedNames)}
+
+// Name reads a length-prefixed string, like String, through the intern
+// table: a name decoded before costs no allocation.
+func (d *Decoder) Name() (string, error) {
+	b, err := d.Bytes()
+	if err != nil {
+		return "", err
+	}
+	return internName(b), nil
+}
 
 // internName returns b as a string, reusing an earlier copy of the same
 // bytes when the table holds one.

@@ -310,11 +310,11 @@ func (ev *Envelope) decodeFrom(buf []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: id: %v", ErrTruncatedEnvelope, err)
 	}
-	target, err := d.Bytes()
+	target, err := d.Name()
 	if err != nil {
 		return fmt.Errorf("%w: target: %v", ErrTruncatedEnvelope, err)
 	}
-	method, err := d.Bytes()
+	method, err := d.Name()
 	if err != nil {
 		return fmt.Errorf("%w: method: %v", ErrTruncatedEnvelope, err)
 	}
@@ -333,8 +333,8 @@ func (ev *Envelope) decodeFrom(buf []byte) error {
 	*ev = Envelope{
 		Kind:     Kind(kind),
 		ID:       id,
-		Target:   internName(target),
-		Method:   internName(method),
+		Target:   target,
+		Method:   method,
 		Code:     code,
 		ErrorMsg: errMsg,
 		Payload:  payload,

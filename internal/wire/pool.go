@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Frame-buffer pooling. The invoke hot path reads one frame and encodes one
@@ -156,6 +157,20 @@ func PutBuf(b []byte) {
 	box := boxPool.Get().(*poolBuf)
 	box.b = b[:0:c]
 	bufPools[ci].Put(box)
+}
+
+// Overlaps reports whether a and b share backing storage anywhere within
+// their capacities. A caller about to PutBuf a buffer asks it of every slice
+// that may have been derived from the buffer and outlives the release: an
+// in-process handler can hand its argument bytes straight back as the
+// result.
+func Overlaps(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	a0 := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	b0 := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b)) && b0 < a0+uintptr(cap(a))
 }
 
 // ReadFramePooled reads one frame written by WriteFrame into pooled storage.

@@ -193,3 +193,28 @@ func TestPoolConcurrentReuse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestOverlaps(t *testing.T) {
+	buf := make([]byte, 16)
+	other := make([]byte, 16)
+	for _, tc := range []struct {
+		name string
+		a, b []byte
+		want bool
+	}{
+		{"same slice", buf, buf, true},
+		{"subslice", buf[4:6], buf, true},
+		{"within capacity only", buf[:0], buf[8:], true},
+		{"adjacent", buf[:4:4], buf[4:8], false},
+		{"separate arrays", buf, other, false},
+		{"nil", nil, buf, false},
+		{"zero capacity", buf[4:4:4], buf, false},
+	} {
+		if got := Overlaps(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: Overlaps = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := Overlaps(tc.b, tc.a); got != tc.want {
+			t.Errorf("%s (swapped): Overlaps = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

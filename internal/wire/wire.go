@@ -48,6 +48,11 @@ func NewEncoder(sizeHint int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, sizeHint)}
 }
 
+// EncoderOn returns an encoder that appends to buf, so a caller that keeps
+// its own storage (a pooled frame, a reused scratch buffer) encodes into it
+// without allocating. Bytes returns the extended slice.
+func EncoderOn(buf []byte) Encoder { return Encoder{buf: buf} }
+
 // Bytes returns the encoded buffer. The returned slice aliases the encoder's
 // internal storage and is invalidated by further Put calls.
 func (e *Encoder) Bytes() []byte { return e.buf }

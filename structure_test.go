@@ -11,12 +11,16 @@ import (
 	"testing"
 )
 
-// TestStructure holds four rules over every non-test Go file of the
+// TestStructure holds these rules over every non-test Go file of the
 // module (the benchmark module is its own):
 //
-//   - internal/wire imports no package of this module, and
-//     internal/transport imports only internal/wire: the name intern table
-//     and the handler hand-off stay below rpc;
+//   - internal/wire imports no package of this module, internal/transport
+//     and internal/objstate import only internal/wire: the name intern
+//     table, the handler hand-off and the delta codec stay below rpc;
+//   - internal/rpc imports none of core, replica or manager, and
+//     internal/dfm does not import internal/rpc: the call path does not
+//     reach up into the runtime that serves over it, and the DFM stays a
+//     local indirection;
 //   - only the rpc, transport and wire packages build request envelopes;
 //     everything else calls through a declared method (Method.Call or
 //     CallAt). The E9 overload drill is the one exception: it fires raw
@@ -30,6 +34,13 @@ func TestStructure(t *testing.T) {
 	importsOK := map[string][]string{
 		"internal/wire":      nil,
 		"internal/transport": {"godcdo/internal/wire"},
+		"internal/objstate":  {"godcdo/internal/wire"},
+	}
+	// importsNot maps a package directory to module packages it must not
+	// import.
+	importsNot := map[string][]string{
+		"internal/rpc": {"godcdo/internal/core", "godcdo/internal/replica", "godcdo/internal/manager"},
+		"internal/dfm": {"godcdo/internal/rpc"},
 	}
 	envelopeOK := func(path string) bool {
 		for _, dir := range []string{"internal/rpc/", "internal/transport/", "internal/wire/"} {
@@ -58,12 +69,15 @@ func TestStructure(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if allowed, ok := importsOK[filepath.ToSlash(filepath.Dir(path))]; ok {
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if strings.HasPrefix(p, "godcdo/") && !slices.Contains(allowed, p) {
-					t.Errorf("%s: imports %s; this package may import only %v of the module", fset.Position(imp.Pos()), p, allowed)
-				}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		allowed, limited := importsOK[dir]
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			if limited && strings.HasPrefix(p, "godcdo/") && !slices.Contains(allowed, p) {
+				t.Errorf("%s: imports %s; this package may import only %v of the module", fset.Position(imp.Pos()), p, allowed)
+			}
+			if slices.Contains(importsNot[dir], p) {
+				t.Errorf("%s: imports %s; this package may import none of %v", fset.Position(imp.Pos()), p, importsNot[dir])
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
