@@ -10,14 +10,8 @@ import (
 	"godcdo/internal/vclock"
 )
 
-// Errors returned by the binding agent and cache.
-var (
-	// ErrNotBound is returned when a LOID has no registered address.
-	ErrNotBound = errors.New("naming: object not bound")
-	// ErrStaleBinding indicates a cached address whose incarnation no longer
-	// matches the live object.
-	ErrStaleBinding = errors.New("naming: stale binding")
-)
+// ErrNotBound is returned when a LOID has no registered address.
+var ErrNotBound = errors.New("naming: object not bound")
 
 // ReplicaSet describes the replica group serving one LOID: the primary
 // endpoint, the backups in failover order, and a generation number that

@@ -79,30 +79,30 @@ func (e *RemoteError) Error() string {
 
 // Unwrap maps the wire code back to the package sentinel.
 func (e *RemoteError) Unwrap() error {
-	switch e.Code {
-	case wire.CodeNoSuchObject:
-		return ErrNoSuchObject
-	case wire.CodeNoSuchFunction:
-		return ErrNoSuchFunction
-	case wire.CodeDisabled:
-		return ErrFunctionDisabled
-	case wire.CodeStaleBinding:
-		return ErrStaleBinding
-	case wire.CodeUnavailable:
-		return ErrUnavailable
-	case wire.CodeBadRequest:
-		return ErrBadRequest
-	case wire.CodeOverloaded:
-		return ErrOverloaded
-	case wire.CodeExpired:
-		return ErrExpired
-	case wire.CodeNotPrimary:
-		return ErrNotPrimary
-	case wire.CodeFenced:
-		return ErrFenced
-	default:
-		return nil
+	for _, ce := range codeErrs {
+		if ce.code == e.Code {
+			return ce.err
+		}
 	}
+	return nil
+}
+
+// codeErrs pairs each wire error code with the sentinel it carries: CodeOf
+// tries them in order, and RemoteError.Unwrap maps a code back.
+var codeErrs = []struct {
+	code uint64
+	err  error
+}{
+	{wire.CodeNoSuchObject, ErrNoSuchObject},
+	{wire.CodeNoSuchFunction, ErrNoSuchFunction},
+	{wire.CodeDisabled, ErrFunctionDisabled},
+	{wire.CodeStaleBinding, ErrStaleBinding},
+	{wire.CodeUnavailable, ErrUnavailable},
+	{wire.CodeBadRequest, ErrBadRequest},
+	{wire.CodeOverloaded, ErrOverloaded},
+	{wire.CodeNotPrimary, ErrNotPrimary},
+	{wire.CodeFenced, ErrFenced},
+	{wire.CodeExpired, ErrExpired},
 }
 
 // CodeOf maps an error to the wire code used to transmit it. Unrecognised
@@ -112,32 +112,15 @@ func CodeOf(err error) uint64 {
 	if errors.As(err, &re) {
 		return re.Code
 	}
-	switch {
-	case errors.Is(err, ErrNoSuchObject):
-		return wire.CodeNoSuchObject
-	case errors.Is(err, ErrNoSuchFunction):
-		return wire.CodeNoSuchFunction
-	case errors.Is(err, ErrFunctionDisabled):
-		return wire.CodeDisabled
-	case errors.Is(err, ErrStaleBinding):
-		return wire.CodeStaleBinding
-	case errors.Is(err, ErrUnavailable):
-		return wire.CodeUnavailable
-	case errors.Is(err, ErrBadRequest):
-		return wire.CodeBadRequest
-	case errors.Is(err, ErrOverloaded):
-		return wire.CodeOverloaded
-	case errors.Is(err, ErrNotPrimary):
-		return wire.CodeNotPrimary
-	case errors.Is(err, ErrFenced):
-		return wire.CodeFenced
-	case errors.Is(err, ErrExpired),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
+	for _, ce := range codeErrs {
+		if errors.Is(err, ce.err) {
+			return ce.code
+		}
+	}
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		// A context error surfacing from object execution means the call's
 		// propagated deadline (or the caller itself) expired mid-dispatch.
 		return wire.CodeExpired
-	default:
-		return wire.CodeInternal
 	}
+	return wire.CodeInternal
 }

@@ -149,7 +149,7 @@ type Method[A, R any] struct {
 // Call invokes the method on loid through client and decodes its result.
 func (m Method[A, R]) Call(ctx context.Context, client *Client, loid naming.LOID, a A) (R, error) {
 	var zero R
-	out, err := client.invoke(ctx, loid, m.Name, m.Args.Encode(a), m.Idempotent, false, callState{start: time.Now()})
+	out, err := client.invoke(ctx, BatchCall{LOID: loid, Method: m.Name, Args: m.Args.Encode(a), Idempotent: m.Idempotent}, false)
 	if err != nil {
 		return zero, err
 	}

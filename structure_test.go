@@ -14,9 +14,10 @@ import (
 // TestStructure holds these rules over every non-test Go file of the
 // module (the benchmark module is its own):
 //
-//   - internal/wire imports no package of this module, internal/transport
-//     and internal/objstate import only internal/wire: the name intern
-//     table, the handler hand-off and the delta codec stay below rpc;
+//   - internal/wire, internal/vclock and internal/metrics import no package
+//     of this module, internal/transport and internal/objstate import only
+//     internal/wire: the name intern table, the handler hand-off, the delta
+//     codec, the clocks and the counters stay below rpc;
 //   - internal/rpc imports none of core, replica or manager, and
 //     internal/dfm does not import internal/rpc: the call path does not
 //     reach up into the runtime that serves over it, and the DFM stays a
@@ -27,12 +28,18 @@ import (
 //     envelopes at a server on purpose;
 //   - no service dispatches on a method name by hand: a switch on a
 //     variable named method belongs in a method table (rpc.Serve). The
-//     harness's test objects are exempt.
+//     harness's test objects are exempt;
+//   - of the client's files, only internal/rpc/failure.go reads a transport
+//     failure class (transport.Classify, transport.Retry*) or a wire error
+//     code (wire.Code*): every route settles a failed attempt through its
+//     one failure table.
 func TestStructure(t *testing.T) {
 	// importsOK maps a package directory to the module packages it may
 	// import; directories not listed are unconstrained.
 	importsOK := map[string][]string{
 		"internal/wire":      nil,
+		"internal/vclock":    nil,
+		"internal/metrics":   nil,
 		"internal/transport": {"godcdo/internal/wire"},
 		"internal/objstate":  {"godcdo/internal/wire"},
 	}
@@ -49,6 +56,12 @@ func TestStructure(t *testing.T) {
 			}
 		}
 		return path == "internal/harness/e9.go"
+	}
+	clientFiles := []string{"internal/rpc/client.go", "internal/rpc/batch.go", "internal/rpc/direct.go",
+		"internal/rpc/method.go", "internal/rpc/read.go"}
+	classifies := func(pkg, sel string) bool {
+		return pkg == "transport" && (sel == "Classify" || strings.HasPrefix(sel, "Retry")) ||
+			pkg == "wire" && strings.HasPrefix(sel, "Code")
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -83,8 +96,12 @@ func TestStructure(t *testing.T) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "wire" && n.Sel.Name == "KindRequest" && !envelopeOK(path) {
+				pkg, ok := n.X.(*ast.Ident)
+				if ok && pkg.Name == "wire" && n.Sel.Name == "KindRequest" && !envelopeOK(path) {
 					t.Errorf("%s: builds a request envelope; call through a declared method", fset.Position(n.Pos()))
+				}
+				if ok && classifies(pkg.Name, n.Sel.Name) && slices.Contains(clientFiles, path) {
+					t.Errorf("%s: reads %s.%s; only failure.go classifies a client's failures", fset.Position(n.Pos()), pkg.Name, n.Sel.Name)
 				}
 			case *ast.SwitchStmt:
 				if tag, ok := n.Tag.(*ast.Ident); ok && tag.Name == "method" && !strings.HasPrefix(path, "internal/harness/") {
