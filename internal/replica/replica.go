@@ -325,6 +325,7 @@ func (r *Replica) shipIfChanged(ctx context.Context) error {
 
 	var full []byte // built at most once, for backups that refuse the delta
 	var firstErr error
+	took := false // some backup holds this shipment
 	for _, endpoint := range backups {
 		held, err := r.shipTo(ctx, endpoint, frame, base)
 		if err == nil && held < seq && base != 0 {
@@ -339,11 +340,18 @@ func (r *Replica) shipIfChanged(ctx context.Context) error {
 		}
 		if errors.Is(err, rpc.ErrFenced) {
 			r.demoteSelf()
+			if took {
+				// A backup of the old era took the call's changes and may
+				// lead the new one: the call may have committed, so the
+				// caller must not hear the fence's "never committed".
+				return fmt.Errorf("backup %s fenced shipment %d after another backup took it: %v", endpoint, seq, err)
+			}
 			return err
 		}
 		if err == nil && held < seq {
 			err = fmt.Errorf("refused shipment %d, holds %d", seq, held)
 		}
+		took = took || err == nil
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("backup %s: %w", endpoint, err)
 		}
