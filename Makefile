@@ -37,7 +37,10 @@ test:
 # requests behind them), the wire decoder's name intern table (8 decoders
 # at once across its clears), and the caller-side release contracts (every
 # dialer lets go of a request once Call returns; a backup read's pooled
-# wrapper survives an echo that hands it back; a failed shipment's frame is
+# wrapper survives an echo that hands it back; every response a caller
+# recycles leaves its result intact, over TCP, inproc and a lossy dialer,
+# batch runs, remote errors and a handler answering with its own request
+# included; a failed shipment's frame is
 # never rewritten; a value Get returned survives in-place writes), the
 # client's wait for a moved binding (a partitioned endpoint's call waits out
 # a delayed failover; one whose binding never moves ends at MaxRebinds, or
@@ -46,7 +49,7 @@ test:
 # the schedules the detector sees.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure|TestCallLeavesRequestToCaller|TestBackupReadEchoKeepsItsResult|TestDroppedShipmentFrameNotReused|TestGetSurvivesLaterWrites|TestSafeFailureWaitsForTheBinding|TestWaitForBindingEndsAtMaxRebinds|TestWaitWithBudgetEndsAtMaxAttempts|TestIdempotentBatchReadsOffBackups' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/ ./internal/objstate/ ./internal/replica/
+	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure|TestCallLeavesRequestToCaller|TestBackupReadEchoKeepsItsResult|TestResponsesOutliveTheirRelease|TestDroppedShipmentFrameNotReused|TestGetSurvivesLaterWrites|TestSafeFailureWaitsForTheBinding|TestWaitForBindingEndsAtMaxRebinds|TestWaitWithBudgetEndsAtMaxAttempts|TestIdempotentBatchReadsOffBackups' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/ ./internal/objstate/ ./internal/replica/
 
 # One iteration of every benchmark plus the E9 overload experiment, a short
 # end-to-end rollout (E11 drives canary waves, an SLO rollback, and a

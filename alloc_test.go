@@ -93,20 +93,21 @@ func deltaSource() (*objstate.State, uint64) {
 //     wins. A frame round trip over bufio allocates nothing; a request
 //     decode allocates nothing either, since Target and Method come from
 //     the wire package's intern table;
-//   - TCP invoke (2): the client's response envelope and detached payload.
-//     The client's request envelope is pooled, and the server serves the
-//     call on a parked handler goroutine, so it starts none. A DCDO over
-//     TCP (3) adds the DFM's per-call release closure;
+//   - TCP invoke (1): the detached response payload, which is the
+//     caller's result. Both of the client's envelopes are pooled, the
+//     response released once its payload is taken, and the server serves
+//     the call on a parked handler goroutine, so it starts none. A DCDO
+//     over TCP (2) adds the DFM's per-call release closure;
 //   - unreplicated: a degree-1 object never constructs a Replica;
 //   - default policy: the policy plane costs a nil check and a comparison;
 //   - delta append / apply (0): a backup's state delta encoded into a
 //     buffer kept across shipments, and applied over keys the receiver
 //     holds, overwriting their values in place;
-//   - 16-call batch: 15 allocs for 16 sub-calls, against 3 for one call;
-//   - replicated write (7): a degree-3 inproc bump, its delta shipped to
+//   - 16-call batch: 11 allocs for 16 sub-calls, against 1 for one call;
+//   - replicated write (4): a degree-3 inproc bump, its delta shipped to
 //     both backups from one reused frame and applied in place (DESIGN.md
 //     "Replicated write ledger" names each allocation left);
-//   - backup read (2): an idempotent read on a backup-ok LOID, which the
+//   - backup read (1): an idempotent read on a backup-ok LOID, which the
 //     client spreads over the primary and, wrapped in a pooled repl.read
 //     payload, the two backups (1500 runs, so each member serves a third).
 //
@@ -124,8 +125,8 @@ func TestAllocBudgets(t *testing.T) {
 		runs   int
 		setup  func(t *testing.T) func() error
 	}{
-		{"tracing-off", 2, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsoff", nil, false) }},
-		{"unsampled", 2, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsuns", unsampledObs(), false) }},
+		{"tracing-off", 1, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsoff", nil, false) }},
+		{"unsampled", 1, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "obsuns", unsampledObs(), false) }},
 		{"wire-encode", 1, 2000, func(t *testing.T) func() error {
 			return func() error { env.Encode(); return nil }
 		}},
@@ -154,14 +155,14 @@ func TestAllocBudgets(t *testing.T) {
 				return err
 			}
 		}},
-		{"tcp-invoke", 2, 1000, func(t *testing.T) func() error {
+		{"tcp-invoke", 1, 1000, func(t *testing.T) func() error {
 			client, loid := tcpEchoClient(t, 4, legion.NodeConfig{Name: "alloc-tcp"})
 			payload := make([]byte, 64)
 			return func() error { _, err := client.Invoke(context.Background(), loid, "echo", payload); return err }
 		}},
-		{"dcdo-tcp", 3, 1000, func(t *testing.T) func() error { return tcpDCDOEcho(t) }},
-		{"unreplicated", 2, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "reploff", nil, false) }},
-		{"default-policy", 2, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "polbench", nil, true) }},
+		{"dcdo-tcp", 2, 1000, func(t *testing.T) func() error { return tcpDCDOEcho(t) }},
+		{"unreplicated", 1, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "reploff", nil, false) }},
+		{"default-policy", 1, 2000, func(t *testing.T) func() error { return inprocInvoke(t, "polbench", nil, true) }},
 		{"delta-append", 0, 2000, func(t *testing.T) func() error {
 			st, base := deltaSource()
 			buf, _, _ := st.AppendDelta(nil, 0, true)
@@ -178,12 +179,12 @@ func TestAllocBudgets(t *testing.T) {
 			val := make([]byte, 8)
 			return func() error { dst.Set("counter", val); return dst.ApplyDelta(delta) }
 		}},
-		{"batch-16", 15, 300, func(t *testing.T) func() error { return batchInvoke(t, 16) }},
-		{"repl-write", 7, 1000, func(t *testing.T) func() error {
+		{"batch-16", 11, 300, func(t *testing.T) func() error { return batchInvoke(t, 16) }},
+		{"repl-write", 4, 1000, func(t *testing.T) func() error {
 			g := newReplGroup(t, "allocw")
 			return func() error { return g.invoke("bump") }
 		}},
-		{"backup-read", 2, 1500, func(t *testing.T) func() error { return newReplGroup(t, "allocr").backupReads() }},
+		{"backup-read", 1, 1500, func(t *testing.T) func() error { return newReplGroup(t, "allocr").backupReads() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			call := tc.setup(t)

@@ -33,9 +33,10 @@ func DirectCall(ctx context.Context, dialer transport.Dialer, endpoint string, l
 // transport's error, the server's error envelope as a *RemoteError, or an
 // answer of the wrong kind. req, and wrapper (a backup read's pooled
 // repl.read payload, or nil), are released once the dialer is done with
-// them. An in-process handler may return req itself, or a result aliasing
-// its arguments: an echo hands them straight back. Whatever the response
-// still uses is left to the GC.
+// them, and the response once its payload is taken. An in-process handler
+// may answer with req itself, which is then released once, as the
+// response, or with a result aliasing its arguments, as an echo does.
+// Whatever the payload still uses is left to the GC.
 func attempt(ctx context.Context, dialer transport.Dialer, endpoint string, req *wire.Envelope, wrapper []byte, timeout time.Duration) ([]byte, error) {
 	want := wire.KindResponse
 	if req.Kind == wire.KindBatchRequest {
@@ -46,13 +47,16 @@ func attempt(ctx context.Context, dialer transport.Dialer, endpoint string, req 
 		wire.PutBuf(wrapper)
 	}
 	transport.ReleaseRequest(req, resp)
-	if err == nil {
-		err = answerErr(resp, want)
-	}
 	if err != nil {
 		return nil, err
 	}
-	return resp.Payload, nil
+	err = answerErr(resp, want)
+	payload := resp.TakePayload()
+	wire.PutEnvelope(resp)
+	if err != nil {
+		return nil, err
+	}
+	return payload, nil
 }
 
 // maxTargets caps the target table; at the cap it is cleared rather than

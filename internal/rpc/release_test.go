@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"godcdo/internal/naming"
 	"godcdo/internal/policy"
+	"godcdo/internal/transport"
 	"godcdo/internal/wire"
 )
 
@@ -56,5 +62,130 @@ func TestBackupReadEchoKeepsItsResult(t *testing.T) {
 	}
 	if n := backupReads.Load(); n < 400 {
 		t.Fatalf("the backup served %d of 1000 reads, want about half", n)
+	}
+}
+
+// TestResponsesOutliveTheirRelease holds the caller to the response release
+// contract: every attempt recycles its response envelope once it has taken
+// the payload, and nothing the caller returns may read the envelope, or a
+// buffer it owned, after that. Poison checks are on and every result is kept
+// until the end, then checked, so a released envelope or run shows as
+// poison or as a reused buffer. The calls cover a raw Invoke over TCP,
+// inproc and a FaultDialer over inproc that drops responses, batch
+// sub-results (over inproc they alias the server's pooled response run), a
+// RemoteError's message, and a handler that answers with its own request
+// (released once, not twice). Run under -race by `make race`.
+func TestResponsesOutliveTheirRelease(t *testing.T) {
+	wire.SetPoisonChecks(true)
+	defer wire.SetPoisonChecks(false)
+
+	env := newTestEnv(t, "release")
+	tcpSrv, err := transport.ListenTCP("127.0.0.1:0", env.disp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcpSrv.Close()
+	self, err := env.net.Listen("self", transport.HandlerFunc(func(_ context.Context, req *wire.Envelope) *wire.Envelope {
+		req.Kind = wire.KindResponse
+		return req
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := transport.NewTCPDialer()
+	defer tcp.Close()
+	multi := transport.NewMultiDialer(map[transport.Scheme]transport.Dialer{
+		transport.SchemeTCP: tcp, transport.SchemeInproc: env.net.Dialer()})
+	env.client = NewClient(env.cache, multi)
+	env.client.Retry.BaseBackoff, env.client.Retry.MaxBackoff = time.Millisecond, time.Millisecond
+	faults := transport.NewFaults(7)
+	faults.SetDefault(transport.FaultConfig{DropResponse: 0.3})
+	lossy := NewClient(env.cache, transport.NewFaultDialer(env.net.Dialer(), faults))
+	lossy.Retry.CallTimeout, lossy.Retry.MaxAttempts = 5*time.Millisecond, 20
+	lossy.Retry.BaseBackoff, lossy.Retry.MaxBackoff = time.Millisecond, time.Millisecond
+
+	refuse := ObjectFunc(func(method string, args []byte) ([]byte, error) {
+		return nil, fmt.Errorf("%w: %s refused %s", ErrNoSuchFunction, method, args)
+	})
+	type object struct {
+		name     string
+		loid     naming.LOID
+		endpoint string
+		obj      Object
+	}
+	var objects []object
+	for i, ep := range []string{env.server.Endpoint(), tcpSrv.Endpoint()} {
+		objects = append(objects,
+			object{"echo@" + ep, naming.LOID{Domain: 4, Class: 1, Instance: uint64(i)}, ep, echoObject()},
+			object{"refuse@" + ep, naming.LOID{Domain: 4, Class: 2, Instance: uint64(i)}, ep, refuse})
+	}
+	objects = append(objects, object{"self", naming.LOID{Domain: 4, Class: 3}, self.Endpoint(), nil})
+	for _, o := range objects {
+		if o.obj != nil {
+			env.disp.Host(o.loid, o.obj)
+		}
+		env.agent.Register(o.loid, naming.Address{Endpoint: o.endpoint})
+	}
+
+	// want is what a call of o with args must return: its result, or the
+	// message of the remote error it must fail with.
+	want := func(o object, args []byte) (result []byte, msg string) {
+		switch {
+		case o.obj == nil:
+			return args, ""
+		case strings.HasPrefix(o.name, "refuse"):
+			return nil, fmt.Sprintf("%v: call refused %s", ErrNoSuchFunction, args)
+		}
+		return append([]byte("call:"), args...), ""
+	}
+	var checks []func() error
+	keep := func(route string, o object, args, got []byte, err error) {
+		result, msg := want(o, args)
+		checks = append(checks, func() error {
+			var re *RemoteError
+			switch {
+			case msg != "" && (!errors.As(err, &re) || re.Message != msg):
+				return fmt.Errorf("%s %s: got %v, want a remote error %q", route, o.name, err, msg)
+			case msg == "" && err != nil:
+				return fmt.Errorf("%s %s: %v", route, o.name, err)
+			case !bytes.Equal(got, result):
+				return fmt.Errorf("%s %s returned %q, want %q", route, o.name, got, result)
+			}
+			return nil
+		})
+	}
+
+	ctx := context.Background()
+	for i := 0; i < 100; i++ {
+		for _, o := range objects {
+			args := fmt.Appendf(nil, "%s #%d", o.name, i)
+			got, err := env.client.Invoke(ctx, o.loid, "call", args)
+			keep("invoke", o, args, got, err)
+			if o.endpoint != tcpSrv.Endpoint() {
+				got, err = lossy.InvokeIdempotent(ctx, o.loid, "call", args)
+				keep("lossy invoke", o, args, got, err)
+			}
+		}
+		batch := env.client.NewBatch()
+		var batched []object
+		var batchArgs [][]byte
+		for _, o := range objects[:4] {
+			for j := 0; j < 4; j++ {
+				args := fmt.Appendf(nil, "%s #%d.%d", o.name, i, j)
+				batch.Add(o.loid, "call", args)
+				batched, batchArgs = append(batched, o), append(batchArgs, args)
+			}
+		}
+		for k, r := range slices.Clone(batch.Invoke(ctx)) {
+			keep("batch", batched[k], batchArgs[k], r.Payload, r.Err)
+		}
+	}
+	for _, check := range checks {
+		if err := check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if faults.Stats().DroppedResponses == 0 {
+		t.Fatal("the lossy dialer dropped no response")
 	}
 }

@@ -251,7 +251,11 @@ func (d *FaultDialer) Call(ctx context.Context, endpoint string, req *wire.Envel
 		return nil, err
 	}
 	if p.dropResponse {
-		// The server executed the request; only the response is lost.
+		// The server executed the request; only the response is lost. A
+		// response that is req itself stays the caller's to release.
+		if resp != req {
+			wire.PutEnvelope(resp)
+		}
 		sleepUntil(start, timeout)
 		return nil, ambiguousErr(fmt.Errorf("%w: %s after %v (injected response drop)", ErrTimeout, endpoint, timeout))
 	}

@@ -595,6 +595,7 @@ func (d *TCPDialer) Call(ctx context.Context, endpoint string, req *wire.Envelop
 			// race is an orphan for accounting, not a silent drop.
 			if out := <-respCh; out.resp != nil {
 				d.orphaned.Add(1)
+				wire.PutEnvelope(out.resp)
 			}
 		}
 		// Either we reclaimed the pending entry (no send ever) or we
@@ -802,7 +803,7 @@ func (d *TCPDialer) readLoop(endpoint string, cc *tcpClientConn) {
 			}
 			break
 		}
-		resp, err := wire.DecodeEnvelope(frame)
+		resp, err := wire.DecodeEnvelopePooled(frame)
 		if err != nil {
 			wire.PutBuf(frame)
 			loopErr = fmt.Errorf("%w: %v", ErrUnreachable, err)
@@ -821,7 +822,7 @@ func (d *TCPDialer) readLoop(endpoint string, cc *tcpClientConn) {
 		if ok {
 			// The payload aliases the pooled frame, which is reused the
 			// moment it is released: detach it before handing the envelope
-			// to the caller.
+			// to the caller, who releases the envelope but never a frame.
 			if len(resp.Payload) > 0 {
 				p := make([]byte, len(resp.Payload))
 				copy(p, resp.Payload)
@@ -835,6 +836,7 @@ func (d *TCPDialer) readLoop(endpoint string, cc *tcpClientConn) {
 				// request anyway. Account for it instead of dropping silently.
 				d.orphaned.Add(1)
 			}
+			wire.PutEnvelope(resp)
 			wire.PutBuf(frame)
 		}
 	}

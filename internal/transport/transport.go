@@ -166,6 +166,9 @@ type Dialer interface {
 	// this by encoding the frame before it waits, the in-process dialer by
 	// running the handler synchronously. A returned response is the
 	// caller's; over inproc it may be req itself, or alias req.Payload.
+	// Once the caller has taken its payload (Envelope.TakePayload) it may
+	// recycle the response with wire.PutEnvelope; a dialer never hands
+	// over a frame buffer, only a payload the caller may keep.
 	Call(ctx context.Context, endpoint string, req *wire.Envelope, timeout time.Duration) (*wire.Envelope, error)
 	// Close releases pooled connections.
 	Close() error

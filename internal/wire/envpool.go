@@ -21,9 +21,12 @@ import "sync"
 //     then the dialer holds neither the envelope nor its payload.
 //     transport.ReleaseRequest skips a response that is the request itself,
 //     which an in-process handler may return.
-//   - The in-process transport hands the handler's response straight to the
-//     caller and never recycles it, so pooled responses returned over inproc
-//     simply fall to the GC (a pool miss, never an aliasing bug).
+//   - The same callers recycle each response once they have taken its
+//     payload with TakePayload: the TCP dialer's read loop decodes it into a
+//     pooled envelope, and the in-process dialer hands over the handler's
+//     own pooled response. A response that is the request itself is then
+//     released once, by this step alone. A dialer recycles each response
+//     it discards instead of returning it.
 
 var envPool = sync.Pool{New: func() any { return new(Envelope) }}
 
@@ -54,6 +57,14 @@ func DecodeEnvelopePooled(buf []byte) (*Envelope, error) {
 // (GetBuf) whose ownership travels with the envelope: PutEnvelope releases
 // it via PutBuf when the envelope is recycled.
 func (ev *Envelope) MarkPayloadPooled() { ev.payloadPooled = true }
+
+// TakePayload returns ev.Payload and makes it the caller's: a frame-pool
+// payload marked via MarkPayloadPooled is no longer released with ev, so the
+// caller may keep it, and slices of it, after PutEnvelope(ev).
+func (ev *Envelope) TakePayload() []byte {
+	ev.payloadPooled = false
+	return ev.Payload
+}
 
 // releasedMsg fills the string fields of an envelope quarantined while
 // poison checks are on; together with a PoisonByte kind it also marks the

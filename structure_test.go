@@ -26,6 +26,9 @@ import (
 //     everything else calls through a declared method (Method.Call or
 //     CallAt). The E9 overload drill is the one exception: it fires raw
 //     envelopes at a server on purpose;
+//   - nothing calls wire.DecodeEnvelope, the unpooled decoder: the
+//     transport decodes every envelope with wire.DecodeEnvelopePooled, and
+//     its caller releases the envelope;
 //   - no service dispatches on a method name by hand: a switch on a
 //     variable named method belongs in a method table (rpc.Serve). The
 //     harness's test objects are exempt;
@@ -99,6 +102,9 @@ func TestStructure(t *testing.T) {
 				pkg, ok := n.X.(*ast.Ident)
 				if ok && pkg.Name == "wire" && n.Sel.Name == "KindRequest" && !envelopeOK(path) {
 					t.Errorf("%s: builds a request envelope; call through a declared method", fset.Position(n.Pos()))
+				}
+				if ok && pkg.Name == "wire" && n.Sel.Name == "DecodeEnvelope" {
+					t.Errorf("%s: calls wire.DecodeEnvelope; decode with wire.DecodeEnvelopePooled and release it", fset.Position(n.Pos()))
 				}
 				if ok && classifies(pkg.Name, n.Sel.Name) && slices.Contains(clientFiles, path) {
 					t.Errorf("%s: reads %s.%s; only failure.go classifies a client's failures", fset.Position(n.Pos()), pkg.Name, n.Sel.Name)
