@@ -40,7 +40,10 @@ test:
 # wrapper survives an echo that hands it back; every response a caller
 # recycles leaves its result intact, over TCP, inproc and a lossy dialer,
 # batch runs, remote errors and a handler answering with its own request
-# included; a failed shipment's frame is
+# included; both ends of a batch frame release their pooled run of
+# sub-envelopes exactly once, after its last read, on malformed, miscounted
+# and expired frames too, and batch results outlive 1,000 later batches over
+# TCP and inproc; a failed shipment's frame is
 # never rewritten; a value Get returned survives in-place writes), the
 # client's wait for a moved binding (a partitioned endpoint's call waits out
 # a delayed failover; one whose binding never moves ends at MaxRebinds, or
@@ -49,7 +52,7 @@ test:
 # the schedules the detector sees.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure|TestCallLeavesRequestToCaller|TestBackupReadEchoKeepsItsResult|TestResponsesOutliveTheirRelease|TestDroppedShipmentFrameNotReused|TestGetSurvivesLaterWrites|TestSafeFailureWaitsForTheBinding|TestWaitForBindingEndsAtMaxRebinds|TestWaitWithBudgetEndsAtMaxAttempts|TestIdempotentBatchReadsOffBackups' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/ ./internal/objstate/ ./internal/replica/
+	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure|TestCallLeavesRequestToCaller|TestBackupReadEchoKeepsItsResult|TestResponsesOutliveTheirRelease|TestBatchRunsOutliveTheirRelease|TestDroppedShipmentFrameNotReused|TestGetSurvivesLaterWrites|TestSafeFailureWaitsForTheBinding|TestWaitForBindingEndsAtMaxRebinds|TestWaitWithBudgetEndsAtMaxAttempts|TestIdempotentBatchReadsOffBackups' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/ ./internal/objstate/ ./internal/replica/
 
 # One iteration of every benchmark plus the E9 overload experiment, a short
 # end-to-end rollout (E11 drives canary waves, an SLO rollback, and a
@@ -68,7 +71,8 @@ bench:
 experiments:
 	$(GO) run ./cmd/dcdo-bench
 
-# Bounded run of the native fuzz targets: the wire decoder, the store image
+# Bounded run of the native fuzz targets: the wire decoder (a batch run
+# decoded into a dirty reused run must equal one decoded into nil), the store image
 # loader, the state-delta applier and every declared method's argument and
 # result decoders must never panic on adversarial bytes, and a delta that is
 # refused must leave the state untouched. FUZZTIME is per target.
@@ -77,6 +81,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz 'FuzzFrameRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run xxx -fuzz FuzzDecodeBatchRun -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzLoadStore -fuzztime $(FUZZTIME) ./internal/manager/
 	$(GO) test -run xxx -fuzz FuzzApplyDelta -fuzztime $(FUZZTIME) ./internal/objstate/
 	$(GO) test -run xxx -fuzz FuzzDeclaredDecoders -fuzztime $(FUZZTIME) ./internal/manager/

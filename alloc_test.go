@@ -103,10 +103,13 @@ func deltaSource() (*objstate.State, uint64) {
 //   - delta append / apply (0): a backup's state delta encoded into a
 //     buffer kept across shipments, and applied over keys the receiver
 //     holds, overwriting their values in place;
-//   - 16-call batch: 11 allocs for 16 sub-calls, against 1 for one call;
-//   - replicated write (4): a degree-3 inproc bump, its delta shipped to
-//     both backups from one reused frame and applied in place (DESIGN.md
-//     "Replicated write ledger" names each allocation left);
+//   - 16-call batch (1): the detached response run, which the 16 results
+//     alias, the same one allocation a single call pays. Both ends decode
+//     their batch run into pooled storage (DESIGN.md "Batched invoke");
+//   - replicated write (2): a degree-3 inproc bump, its delta shipped to
+//     both backups from one reused frame and applied in place, each backup
+//     acking with an empty payload (DESIGN.md "Replicated write ledger"
+//     names each allocation left);
 //   - backup read (1): an idempotent read on a backup-ok LOID, which the
 //     client spreads over the primary and, wrapped in a pooled repl.read
 //     payload, the two backups (1500 runs, so each member serves a third).
@@ -179,8 +182,8 @@ func TestAllocBudgets(t *testing.T) {
 			val := make([]byte, 8)
 			return func() error { dst.Set("counter", val); return dst.ApplyDelta(delta) }
 		}},
-		{"batch-16", 11, 300, func(t *testing.T) func() error { return batchInvoke(t, 16) }},
-		{"repl-write", 4, 1000, func(t *testing.T) func() error {
+		{"batch-16", 1, 300, func(t *testing.T) func() error { return batchInvoke(t, 16) }},
+		{"repl-write", 2, 1000, func(t *testing.T) func() error {
 			g := newReplGroup(t, "allocw")
 			return func() error { return g.invoke("bump") }
 		}},

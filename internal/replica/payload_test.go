@@ -28,7 +28,8 @@ func TestInfraPayloadBytes(t *testing.T) {
 	}{
 		{"repl.ship frame", shipmentFrame(2, 9, 8, []byte{1, 2, 3}), "02090803010203"},
 		{"repl.ship frame of a state delta", shipped, "02090807010001016b0101"},
-		{"repl.ship result", MethodShip.Result.Encode(9), "09"},
+		{"repl.ship result, took the shipment", MethodShip.Result.Encode(ShipAck{Took: true}), ""},
+		{"repl.ship result, holds another sequence", MethodShip.Result.Encode(ShipAck{Held: 9}), "09"},
 		{"repl.promote args", MethodPromote.Args.Encode(PromoteArgs{Epoch: 3, Backups: []string{"inproc:b1", "inproc:b2"}}),
 			"030209696e70726f633a623109696e70726f633a6232"},
 		{"repl.demote args", MethodDemote.Args.Encode(3), "03"},
@@ -46,6 +47,13 @@ func TestInfraPayloadBytes(t *testing.T) {
 	frame, _ := hex.DecodeString("02090803010203")
 	if s, err := decodeShipment(frame); err != nil || !reflect.DeepEqual(s, shipment{epoch: 2, seq: 9, base: 8, delta: []byte{1, 2, 3}}) {
 		t.Errorf("decodeShipment = %+v, %v", s, err)
+	}
+	// Each ack form decodes to itself: an empty payload is a shipment
+	// taken, a uvarint the sequence held, whatever it is.
+	for _, ack := range []ShipAck{{Took: true}, {Held: 9}, {Held: 0}} {
+		if got, err := MethodShip.Result.Decode(MethodShip.Result.Encode(ack)); err != nil || got != ack {
+			t.Errorf("repl.ship result %+v decodes to %+v, %v", ack, got, err)
+		}
 	}
 	// A member that predates AckSeq stops before it.
 	old, _ := hex.DecodeString("077072696d6172790309020101")

@@ -71,9 +71,9 @@ var (
 	// MethodShip ships state: an appendShipment frame of epoch, sequence,
 	// base sequence and objstate delta. The frame is built once per
 	// shipment, into a buffer the primary reuses, and sent to every backup
-	// as it is. The result is the sequence the receiver holds afterwards.
-	MethodShip = rpc.Method[[]byte, uint64]{Name: ReplPrefix + "ship",
-		Args: rpc.RawCodec, Result: rpc.UvarintCodec}
+	// as it is. The result is what the receiver holds afterwards (ShipAck).
+	MethodShip = rpc.Method[[]byte, ShipAck]{Name: ReplPrefix + "ship",
+		Args: rpc.RawCodec, Result: shipAckCodec}
 	// MethodPromote makes the receiver primary at a new epoch with a new
 	// backup list.
 	MethodPromote = rpc.Method[PromoteArgs, rpc.None]{Name: ReplPrefix + "promote",
@@ -93,6 +93,43 @@ var (
 	MethodRead = rpc.Method[rpc.ReadArgs, []byte]{Name: rpc.MethodReplRead, Idempotent: true,
 		Args: rpc.ReadArgsCodec, Result: rpc.RawCodec}
 )
+
+// ShipAck is MethodShip's result. Took says the receiver took this
+// shipment, so it holds exactly the shipment's sequence; that ack, the one
+// nearly every shipment gets, travels as an empty payload. Otherwise (a
+// duplicate, a reordered older shipment, or a delta whose base the receiver
+// lacks) Held is the sequence the receiver holds, sent as a uvarint.
+type ShipAck struct {
+	Took bool
+	Held uint64
+}
+
+// held resolves the ack of the shipment with sequence seq.
+func (a ShipAck) held(seq uint64) uint64 {
+	if a.Took {
+		return seq
+	}
+	return a.Held
+}
+
+// shipAckCodec encodes a ShipAck as nothing when it took the shipment and
+// as its held sequence otherwise. A uvarint is never empty, so the two
+// forms cannot be confused.
+var shipAckCodec = rpc.Codec[ShipAck]{
+	Encode: func(a ShipAck) []byte {
+		if a.Took {
+			return nil
+		}
+		return rpc.UvarintCodec.Encode(a.Held)
+	},
+	Decode: func(b []byte) (ShipAck, error) {
+		if len(b) == 0 {
+			return ShipAck{Took: true}, nil
+		}
+		held, err := rpc.UvarintCodec.Decode(b)
+		return ShipAck{Held: held}, err
+	},
+}
 
 // Inner is the object a Replica wraps: context-aware invocation plus the
 // serialisable state container replication ships. core.DCDO satisfies it.
@@ -327,7 +364,7 @@ func (r *Replica) shipIfChanged(ctx context.Context) error {
 	var firstErr error
 	took := false // some backup holds this shipment
 	for _, endpoint := range backups {
-		held, err := r.shipTo(ctx, endpoint, frame, base)
+		held, err := r.shipTo(ctx, endpoint, frame, seq, base)
 		if err == nil && held < seq && base != 0 {
 			r.shipFallbacks.Add(1)
 			r.events.Load().Append(obs.Event{Kind: "ship-fallback", Object: r.loid.String(),
@@ -336,7 +373,7 @@ func (r *Replica) shipIfChanged(ctx context.Context) error {
 				// May be newer than gen; the next delta still starts at gen.
 				full, _, _ = appendShipment(nil, st, epoch, seq, 0, 0)
 			}
-			held, err = r.shipTo(ctx, endpoint, full, 0)
+			held, err = r.shipTo(ctx, endpoint, full, seq, 0)
 		}
 		if errors.Is(err, rpc.ErrFenced) {
 			r.demoteSelf()
@@ -390,7 +427,7 @@ func (r *Replica) syncTo(ctx context.Context, endpoint string) error {
 
 	frame, _, _ := appendShipment(r.frame[:0], r.inner.State(), epoch, seq, 0, 0)
 	r.frame = nil // as in shipIfChanged: reused only after a shipment that succeeded
-	_, err := r.shipTo(ctx, endpoint, frame, 0)
+	_, err := r.shipTo(ctx, endpoint, frame, seq, 0)
 	if errors.Is(err, rpc.ErrFenced) {
 		r.demoteSelf()
 		return err
@@ -439,16 +476,17 @@ func decodeShipment(frame []byte) (s shipment, err error) {
 	return s, nil
 }
 
-// shipTo sends one shipment to one backup, counts it, and returns the
+// shipTo sends shipment seq to one backup, counts it, and returns the
 // sequence the backup holds afterwards.
-func (r *Replica) shipTo(ctx context.Context, endpoint string, payload []byte, base uint64) (held uint64, err error) {
+func (r *Replica) shipTo(ctx context.Context, endpoint string, payload []byte, seq, base uint64) (held uint64, err error) {
 	if base == 0 {
 		r.shipsFull.Add(1)
 	} else {
 		r.shipsDelta.Add(1)
 	}
 	r.shipBytes.Add(uint64(len(payload)))
-	return MethodShip.CallAt(ctx, r.dialer, endpoint, r.loid, r.shipTimeout(), payload)
+	ack, err := MethodShip.CallAt(ctx, r.dialer, endpoint, r.loid, r.shipTimeout(), payload)
+	return ack.held(seq), err
 }
 
 // reconfigure installs an epoch, role and backup list. The caller holds
@@ -524,11 +562,11 @@ func (r *Replica) read(ctx context.Context, a rpc.ReadArgs) ([]byte, error) {
 	return out, nil
 }
 
-// applyShipment serves MethodShip and answers the sequence held afterwards.
-func (r *Replica) applyShipment(_ context.Context, frame []byte) (uint64, error) {
+// applyShipment serves MethodShip and answers what it holds afterwards.
+func (r *Replica) applyShipment(_ context.Context, frame []byte) (ShipAck, error) {
 	s, err := decodeShipment(frame)
 	if err != nil {
-		return 0, err
+		return ShipAck{}, err
 	}
 	// Held across the apply so the sequence number and the state move
 	// together, and so the repl.read guard sees each applied shipment with
@@ -536,7 +574,7 @@ func (r *Replica) applyShipment(_ context.Context, frame []byte) (uint64, error)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s.epoch < r.epoch {
-		return 0, fmt.Errorf("%w: shipment epoch %d < group epoch %d", rpc.ErrFenced, s.epoch, r.epoch)
+		return ShipAck{}, fmt.Errorf("%w: shipment epoch %d < group epoch %d", rpc.ErrFenced, s.epoch, r.epoch)
 	}
 	if s.epoch > r.epoch {
 		// A new leadership era we missed: adopt it. If we thought we were
@@ -548,12 +586,13 @@ func (r *Replica) applyShipment(_ context.Context, frame []byte) (uint64, error)
 	// else changes nothing, and the answer says what we hold.
 	if s.base <= r.seq && r.seq < s.seq {
 		if err := r.inner.State().ApplyDelta(s.delta); err != nil {
-			return 0, fmt.Errorf("replica %s: apply shipment %d: %w", r.loid, s.seq, err)
+			return ShipAck{}, fmt.Errorf("replica %s: apply shipment %d: %w", r.loid, s.seq, err)
 		}
 		r.seq = s.seq
 		r.applied++
+		return ShipAck{Took: true}, nil
 	}
-	return r.seq, nil
+	return ShipAck{Held: r.seq}, nil
 }
 
 // promote serves MethodPromote.

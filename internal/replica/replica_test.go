@@ -208,16 +208,17 @@ func TestStaleShipmentAndDuplicateDropped(t *testing.T) {
 	}
 
 	// Replay the same sequence with different bytes: deduplicated, state
-	// untouched, and the answer is the sequence already held.
+	// untouched, and the answer is the sequence already held, sent as such:
+	// the backup did not take this shipment.
 	other := objstate.New()
 	other.Set("k", []byte("replayed"))
 	replay, _, _ := appendShipment(nil, other, 1, 1, 0, 0)
-	held, err := callAt(env, "inproc:b1", MethodShip, replay)
+	ack, err := callAt(env, "inproc:b1", MethodShip, replay)
 	if err != nil {
 		t.Fatalf("duplicate shipment: %v", err)
 	}
-	if held != 1 {
-		t.Fatalf("duplicate shipment answered held=%d, want 1", held)
+	if ack != (ShipAck{Held: 1}) || ack.held(1) != 1 {
+		t.Fatalf("duplicate shipment answered %+v, want held=1", ack)
 	}
 	if got := getValue(t, env.inners["b1"], "k"); got != "v1" {
 		t.Fatalf("duplicate shipment overwrote state: %q", got)
@@ -239,6 +240,17 @@ func TestStaleShipmentAndDuplicateDropped(t *testing.T) {
 	_, err = callAt(env, "inproc:b1", MethodShip, replay)
 	if !errors.Is(err, rpc.ErrFenced) {
 		t.Fatalf("stale-epoch shipment err = %v, want ErrFenced", err)
+	}
+
+	// A shipment the backup takes is acked with nothing; the shipment it
+	// then holds past, replayed, is answered with the sequence held.
+	next, _, _ := appendShipment(nil, other, 5, 2, 0, 0)
+	if ack, err := callAt(env, "inproc:b1", MethodShip, next); err != nil || ack != (ShipAck{Took: true}) {
+		t.Fatalf("fresh shipment answered %+v, %v; want it taken", ack, err)
+	}
+	older, _, _ := appendShipment(nil, other, 5, 1, 0, 0)
+	if ack, err := callAt(env, "inproc:b1", MethodShip, older); err != nil || ack != (ShipAck{Held: 2}) {
+		t.Fatalf("older shipment answered %+v, %v; want held=2", ack, err)
 	}
 
 	// The retired full-snapshot method is gone, not aliased: a binary that

@@ -153,21 +153,26 @@ func (c *Client) sendFrame(ctx context.Context, p *RetryPolicy, endpoint string,
 	wire.PutBuf(runBuf)
 	var subs []wire.Envelope
 	if err == nil {
-		if subs, err = wire.DecodeBatchRun(answer, nil); err == nil && len(subs) != n {
-			err = fmt.Errorf("%w: batch response carried %d results for %d calls", ErrBadRequest, len(subs), n)
+		if subs, err = wire.DecodeBatchRunPooled(answer); err == nil {
+			// Released once every sub-call has settled. Sub-results alias
+			// answer, which is the caller's, not the run.
+			defer wire.PutBatchRun(subs)
+			if len(subs) != n {
+				err = fmt.Errorf("%w: batch response carried %d results for %d calls", ErrBadRequest, len(subs), n)
+			}
 		}
 		if err != nil {
 			err = malformed(err)
 		}
 	}
-	for k := i; k < next; k++ {
+	for k, j := i, 0; k < next; k++ {
 		switch pc := &calls[k]; {
 		case pc.done:
 		case err != nil:
 			c.settle(pc, p, nil, nil, err)
 		default:
-			c.settle(pc, p, nil, subs[0].Payload, answerErr(&subs[0], wire.KindResponse))
-			subs = subs[1:]
+			c.settle(pc, p, nil, subs[j].Payload, answerErr(&subs[j], wire.KindResponse))
+			j++
 		}
 	}
 	return next

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -187,5 +188,182 @@ func TestResponsesOutliveTheirRelease(t *testing.T) {
 	}
 	if faults.Stats().DroppedResponses == 0 {
 		t.Fatal("the lossy dialer dropped no response")
+	}
+}
+
+// TestBatchRunsOutliveTheirRelease holds both ends of a batch frame to the
+// batch-run release contract: the dispatcher and the client each decode a
+// frame's run of sub-envelopes into a pooled run and release it once, after
+// the last read of its entries, on every path; a released run holds nothing
+// of its frame. Poison checks are on, so a run released twice panics and a
+// run read after its release reads as poison, and wire.FramePoolStats's
+// RunsHeld shows a run never released. Run under -race by `make race`.
+func TestBatchRunsOutliveTheirRelease(t *testing.T) {
+	wire.SetPoisonChecks(true)
+	defer wire.SetPoisonChecks(false)
+	held := func() int64 { return wire.FramePoolStats().RunsHeld }
+	ctx := context.Background()
+
+	env := newTestEnv(t, "runs")
+	tcpSrv, err := transport.ListenTCP("127.0.0.1:0", env.disp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcpSrv.Close()
+	tcp := transport.NewTCPDialer()
+	defer tcp.Close()
+	env.client = NewClient(env.cache, transport.NewMultiDialer(map[transport.Scheme]transport.Dialer{
+		transport.SchemeTCP: tcp, transport.SchemeInproc: env.net.Dialer()}))
+	loids := map[string]naming.LOID{}
+	for i, ep := range []string{env.server.Endpoint(), tcpSrv.Endpoint()} {
+		loids[ep] = naming.LOID{Domain: 5, Class: 1, Instance: uint64(i)}
+		env.disp.Host(loids[ep], echoObject())
+		env.agent.Register(loids[ep], naming.Address{Endpoint: ep})
+	}
+
+	t.Run("results outlive 1000 later batches", func(t *testing.T) {
+		type kept struct {
+			want []byte
+			got  BatchResult
+		}
+		var all []kept
+		batch := env.client.NewBatch()
+		before := held()
+		for i := 0; i < 1001; i++ {
+			batch.Reset()
+			var wants [][]byte
+			for ep, loid := range loids {
+				for j := 0; j < 8; j++ {
+					args := fmt.Appendf(nil, "%s #%d.%d", ep, i, j)
+					batch.Add(loid, "call", args)
+					wants = append(wants, append([]byte("call:"), args...))
+				}
+			}
+			for k, r := range batch.Invoke(ctx) {
+				all = append(all, kept{wants[k], r})
+			}
+		}
+		if got := held(); got != before {
+			t.Fatalf("%d batch runs left unreleased", got-before)
+		}
+		for _, k := range all {
+			if k.got.Err != nil || !bytes.Equal(k.got.Payload, k.want) {
+				t.Fatalf("kept result %q, %v; want %q", k.got.Payload, k.got.Err, k.want)
+			}
+		}
+	})
+
+	// okRun is a well-formed response run of n sub-responses; liar answers
+	// every batch frame with the run it is given.
+	okRun := func(n int) []byte {
+		run := wire.AppendBatchHeader(nil, n)
+		for id := 1; id <= n; id++ {
+			run, _ = wire.AppendBatchEntry(run, &wire.Envelope{Kind: wire.KindResponse, ID: uint64(id), Payload: []byte("ok")}, nil)
+		}
+		return run
+	}
+	run2 := okRun(2)
+	var answer atomic.Pointer[[]byte]
+	liar, err := env.net.Listen("liar", transport.HandlerFunc(func(_ context.Context, req *wire.Envelope) *wire.Envelope {
+		return &wire.Envelope{Kind: wire.KindBatchResponse, ID: req.ID, Payload: *answer.Load()}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	liarLOID := naming.LOID{Domain: 5, Class: 2}
+	env.agent.Register(liarLOID, naming.Address{Endpoint: liar.Endpoint()})
+	for _, tc := range []struct {
+		name string
+		resp []byte
+	}{
+		{"a malformed response run", run2[:len(run2)-1]},
+		{"a response run with the wrong count", okRun(1)},
+		{"a well-formed response run", run2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			answer.Store(&tc.resp)
+			before := held()
+			batch := env.client.NewBatch()
+			batch.Add(liarLOID, "w", nil)
+			batch.Add(liarLOID, "w", nil)
+			results := batch.Invoke(ctx)
+			if got := held(); got != before {
+				t.Fatalf("RunsHeld moved %d -> %d", before, got)
+			}
+			for _, r := range results {
+				switch {
+				case bytes.Equal(tc.resp, run2) && (r.Err != nil || string(r.Payload) != "ok"):
+					t.Fatalf("sub-result %q, %v; want ok", r.Payload, r.Err)
+				case !bytes.Equal(tc.resp, run2) && !errors.Is(r.Err, ErrAmbiguousResult):
+					t.Fatalf("sub-result %q, %v; want ErrAmbiguousResult", r.Payload, r.Err)
+				}
+			}
+		})
+	}
+
+	t.Run("a malformed request run", func(t *testing.T) {
+		before := held()
+		req := &wire.Envelope{Kind: wire.KindBatchRequest, Payload: run2[:len(run2)-1]}
+		resp := env.disp.Handle(ctx, req)
+		if resp.Kind != wire.KindError || resp.Code != wire.CodeBadRequest {
+			t.Fatalf("malformed run answered %+v, want CodeBadRequest", resp)
+		}
+		if got := held(); got != before {
+			t.Fatalf("RunsHeld moved %d -> %d", before, got)
+		}
+	})
+
+	t.Run("a batch that expires mid-run", func(t *testing.T) {
+		expiring, cancel := context.WithCancel(ctx)
+		defer cancel()
+		stop := naming.LOID{Domain: 5, Class: 3}
+		env.disp.Host(stop, ObjectFunc(func(string, []byte) ([]byte, error) { cancel(); return nil, nil }))
+		run := wire.AppendBatchHeader(nil, 3)
+		for id := uint64(1); id <= 3; id++ {
+			run, _ = wire.AppendBatchEntry(run, &wire.Envelope{Kind: wire.KindRequest, ID: id, Target: stop.String(), Method: "m"}, nil)
+		}
+		before := held()
+		resp := env.disp.Handle(expiring, &wire.Envelope{Kind: wire.KindBatchRequest, Payload: run})
+		if got := held(); got != before {
+			t.Fatalf("RunsHeld moved %d -> %d", before, got)
+		}
+		subs, err := wire.DecodeBatchRunPooled(resp.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(subs) != 3 || subs[0].Kind != wire.KindResponse || subs[1].Code != wire.CodeExpired || subs[2].Code != wire.CodeExpired {
+			t.Fatalf("expired batch answered %+v", subs)
+		}
+		wire.PutBatchRun(subs)
+	})
+
+	// A released run holds nothing of its frame: cleared for the pool, or
+	// poisoned in quarantine, where a second release panics.
+	for _, poison := range []bool{false, true} {
+		t.Run(fmt.Sprintf("release clears the run, poison=%v", poison), func(t *testing.T) {
+			wire.SetPoisonChecks(poison)
+			defer wire.SetPoisonChecks(true)
+			run, err := wire.DecodeBatchRunPooled(run2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			released := run[:cap(run)]
+			wire.PutBatchRun(run)
+			for i, ev := range released {
+				if ev.Payload != nil || poison != (ev.Kind == wire.Kind(wire.PoisonByte)) ||
+					!poison && !reflect.ValueOf(ev).IsZero() {
+					t.Fatalf("released entry %d holds %+v", i, ev)
+				}
+			}
+			if !poison {
+				return
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("second release did not panic")
+				}
+			}()
+			wire.PutBatchRun(run)
+		})
 	}
 }

@@ -469,7 +469,8 @@ func (d *Dispatcher) dispatchOne(ctx context.Context, req *wire.Envelope) *wire.
 // dispatchOne — sequential dispatch is what makes payload borrowing trivially
 // safe, since the inbound frame outlives every sub-call. Each sub-result is
 // encoded into the response run as soon as it is produced, so sub-response
-// envelopes are recycled immediately. When the context expires mid-batch the
+// envelopes are recycled immediately, and the decoded request run goes back
+// to its pool on every return. When the context expires mid-batch the
 // remaining sub-calls fail with CodeExpired individually (the ones already
 // executed keep their results).
 func (d *Dispatcher) handleBatch(ctx context.Context, req *wire.Envelope) *wire.Envelope {
@@ -481,10 +482,13 @@ func (d *Dispatcher) handleBatch(ctx context.Context, req *wire.Envelope) *wire.
 		return expired
 	}
 
-	subs, err := wire.DecodeBatchRun(req.Payload, nil)
+	subs, err := wire.DecodeBatchRunPooled(req.Payload)
 	if err != nil {
 		return errEnvelope(req.ID, wire.CodeBadRequest, fmt.Sprintf("batch run: %v", err))
 	}
+	// Every sub-response is encoded into the response run before this
+	// returns, so nothing reads the decoded run after it.
+	defer wire.PutBatchRun(subs)
 
 	if d.slots != nil {
 		if resp := d.admit(ctx, req); resp != nil {

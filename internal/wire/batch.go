@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Batch runs. A KindBatchRequest (or KindBatchResponse) envelope carries in
@@ -61,8 +62,11 @@ func BatchEntrySizeHint(sub *Envelope) int {
 
 // DecodeBatchRun parses a batch run from buf, appending the decoded
 // sub-envelopes to dst (which may be nil) and returning the extended slice.
-// Sub-envelope Payloads alias buf, so buf must outlive every use of the
-// results — the standard frame-pool ownership contract applies.
+// dst grows at most once, to the count in the run's header, and each entry
+// is zeroed before it is decoded into, so stale entries past len(dst) never
+// show through. Sub-envelope Payloads alias buf, so buf must outlive every
+// use of the results — the standard frame-pool ownership contract applies.
+// DecodeBatchRunPooled decodes into a run from a pool instead.
 func DecodeBatchRun(buf []byte, dst []Envelope) ([]Envelope, error) {
 	d := NewDecoder(buf)
 	count, err := d.Uvarint()
@@ -78,6 +82,7 @@ func DecodeBatchRun(buf []byte, dst []Envelope) ([]Envelope, error) {
 		return dst, fmt.Errorf("%w: batch count %d exceeds %d remaining bytes",
 			ErrTruncatedEnvelope, count, d.Remaining())
 	}
+	dst = slices.Grow(dst, int(count))
 	for i := uint64(0); i < count; i++ {
 		raw, err := d.Bytes()
 		if err != nil {

@@ -247,3 +247,65 @@ func BenchmarkBatchRunEncode16(b *testing.B) {
 		}
 	}
 }
+
+// TestDecodeBatchRunGrowsOnce pins DecodeBatchRun's growth: a run decoded
+// into nil costs one allocation, sized by the header's count, and a run
+// decoded into room enough costs none.
+func TestDecodeBatchRunGrowsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	subs := make([]*Envelope, 16)
+	for i := range subs {
+		subs[i] = &Envelope{Kind: KindResponse, ID: uint64(i + 1), Payload: []byte("result")}
+	}
+	run := buildRun(t, subs)
+	var got []Envelope
+	if n := testing.AllocsPerRun(100, func() { got, _ = DecodeBatchRun(run, nil) }); n != 1 {
+		t.Fatalf("decoding 16 entries into nil: %.0f allocs, want 1", n)
+	}
+	if cap(got) < 16 {
+		t.Fatalf("cap %d < 16", cap(got))
+	}
+	if n := testing.AllocsPerRun(100, func() { got, _ = DecodeBatchRun(run, got[:0]) }); n != 0 {
+		t.Fatalf("decoding 16 entries into a run of cap %d: %.0f allocs, want 0", cap(got), n)
+	}
+}
+
+// TestBatchRunPool pins the run pool: a steady stream of decodes and
+// releases allocates nothing, and a run too big to keep goes to the GC.
+func TestBatchRunPool(t *testing.T) {
+	small := buildRun(t, []*Envelope{{Kind: KindResponse, ID: 1}, {Kind: KindResponse, ID: 2}})
+	if !raceEnabled { // the race detector makes sync.Pool drop puts at random
+		n := testing.AllocsPerRun(1000, func() {
+			run, err := DecodeBatchRunPooled(small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			PutBatchRun(run)
+		})
+		if n != 0 {
+			t.Fatalf("pooled decode and release: %.0f allocs, want 0", n)
+		}
+	}
+	big := make([]*Envelope, maxPooledRun+1)
+	for i := range big {
+		big[i] = &Envelope{Kind: KindResponse, ID: uint64(i + 1)}
+	}
+	run, err := DecodeBatchRunPooled(buildRun(t, big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	PutBatchRun(run)
+	run, err = DecodeBatchRunPooled(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer PutBatchRun(run)
+	if cap(run) > maxPooledRun {
+		t.Fatalf("the pool kept a run of cap %d > %d", cap(run), maxPooledRun)
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool

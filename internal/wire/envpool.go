@@ -1,6 +1,9 @@
 package wire
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Envelope pooling. Every call used to allocate a request envelope on each
 // side of the wire and a response envelope that died as soon as the
@@ -71,6 +74,16 @@ func (ev *Envelope) TakePayload() []byte {
 // envelope as already released.
 const releasedMsg = "wire: envelope read after release"
 
+// poisoned is what a released envelope, or each entry of a released batch
+// run, holds while poison checks are on.
+var poisoned = Envelope{Kind: Kind(PoisonByte), ID: 1<<64 - 1, Target: releasedMsg,
+	Method: releasedMsg, ErrorMsg: releasedMsg}
+
+// released reports whether ev holds the poison of a release.
+func (ev *Envelope) released() bool {
+	return ev.Kind == Kind(PoisonByte) && ev.ErrorMsg == releasedMsg
+}
+
 // PutEnvelope recycles an envelope previously returned by GetEnvelope or
 // DecodeEnvelopePooled, along with any frame-pool payload marked via
 // MarkPayloadPooled. Envelopes from any other source are left for the GC, so
@@ -85,17 +98,94 @@ func PutEnvelope(ev *Envelope) {
 		return
 	}
 	poison := poisonChecks.Load()
-	if poison && ev.Kind == Kind(PoisonByte) && ev.ErrorMsg == releasedMsg {
+	if poison && ev.released() {
 		panic("wire: envelope released twice")
 	}
 	if ev.payloadPooled && ev.Payload != nil {
 		PutBuf(ev.Payload)
 	}
 	if poison {
-		*ev = Envelope{Kind: Kind(PoisonByte), ID: 1<<64 - 1, Target: releasedMsg,
-			Method: releasedMsg, ErrorMsg: releasedMsg, pooled: true}
+		*ev = poisoned
+		ev.pooled = true
 		return
 	}
 	*ev = Envelope{}
 	envPool.Put(ev)
+}
+
+// Batch-run pooling. Both ends of a batch frame decode its run of
+// sub-envelopes into a []Envelope that dies with the frame; decoding into a
+// run from a pool instead saves its growth, which is most of a batch's
+// allocations. The caller owns a run from DecodeBatchRunPooled until it
+// hands it back with PutBatchRun, once, whole (the slice it was given, not a
+// reslice of it). Nothing the caller keeps may point into the run itself:
+// it may keep a sub-envelope's Payload (which aliases the decoded buffer, as
+// with DecodeBatchRun), Target or ErrorMsg, never &run[i]. PutBatchRun
+// clears every entry before the run goes back to the pool, so a pooled run
+// holds on to no frame, payload or string.
+
+// maxPooledRun is the largest run capacity the pool keeps; a bigger run
+// (a batch of more sub-calls than a frame usually carries) goes to the GC.
+const maxPooledRun = 64
+
+// runBox boxes a run so PutBatchRun does not allocate an interface header
+// on every release, as poolBuf does for frames.
+type runBox struct{ run []Envelope }
+
+var (
+	runPool    sync.Pool // *runBox holding a released run
+	runBoxPool = sync.Pool{New: func() any { return new(runBox) }}
+	runsHeld   atomic.Int64
+)
+
+// DecodeBatchRunPooled is DecodeBatchRun into a run from the pool: the
+// caller owns the result and releases it with PutBatchRun once nothing reads
+// its entries any more. Payloads alias buf, as with DecodeBatchRun. On error
+// nothing is left to release.
+func DecodeBatchRunPooled(buf []byte) ([]Envelope, error) {
+	var run []Envelope
+	if v := runPool.Get(); v != nil {
+		box := v.(*runBox)
+		run, box.run = box.run, nil
+		runBoxPool.Put(box)
+	}
+	runsHeld.Add(1)
+	run, err := DecodeBatchRun(buf, run)
+	if err != nil {
+		PutBatchRun(run)
+		return nil, err
+	}
+	return run, nil
+}
+
+// PutBatchRun clears a run returned by DecodeBatchRunPooled and recycles
+// it. The caller must not touch the run afterwards, and must release it only
+// once.
+//
+// While poison checks are on (SetPoisonChecks) the run is quarantined
+// instead: every entry is overwritten with the poison PutEnvelope leaves, it
+// never re-enters the pool, and releasing it a second time panics. A run
+// with no capacity holds nothing to poison.
+func PutBatchRun(run []Envelope) {
+	runsHeld.Add(-1)
+	all := run[:cap(run)]
+	if len(all) == 0 {
+		return
+	}
+	if poisonChecks.Load() {
+		if all[0].released() {
+			panic("wire: batch run released twice")
+		}
+		for i := range all {
+			all[i] = poisoned
+		}
+		return
+	}
+	clear(all)
+	if len(all) > maxPooledRun {
+		return
+	}
+	box := runBoxPool.Get().(*runBox)
+	box.run = all[:0]
+	runPool.Put(box)
 }

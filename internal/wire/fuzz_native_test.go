@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -120,5 +122,59 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("batch sub payload changed in flight: %d bytes vs %d", len(subs[0].Payload), len(payload))
 		}
 		PutBuf(frame)
+	})
+}
+
+// FuzzDecodeBatchRun asserts the batch-run decoder never panics, and that
+// decoding into a dirty reused run, as a pooled run is, gives field for
+// field the envelopes and the error decoding into nil gives: no stale
+// entry, flag or metadata field shows through.
+func FuzzDecodeBatchRun(f *testing.F) {
+	sub := Envelope{Kind: KindRequest, ID: 1, Target: "loid:1.2.3", Method: "m", Payload: []byte("args"),
+		TraceID: 7, SpanID: 8, Deadline: 1 << 40, TraceFlags: TraceFlagUnsampled}
+	one := AppendBatchHeader(nil, 1)
+	one, _ = AppendBatchEntry(one, &sub, nil)
+	two := AppendBatchHeader(nil, 2)
+	two, _ = AppendBatchEntry(two, &sub, nil)
+	two, _ = AppendBatchEntry(two, &Envelope{Kind: KindError, ID: 2, Code: CodeInternal, ErrorMsg: "boom"}, nil)
+	f.Add([]byte{})
+	f.Add(AppendBatchHeader(nil, 0))
+	f.Add(one)
+	f.Add(two)
+	f.Add(two[:len(two)-1])
+	f.Add(AppendBatchHeader(nil, 3)) // lying count
+	stale := Envelope{Kind: KindError, ID: 99, Target: "stale", Method: "stale", Code: CodeInternal,
+		ErrorMsg: "stale", Payload: []byte("stale"), TraceID: 1, SpanID: 2, Deadline: 3, TraceFlags: 4,
+		pooled: true, payloadPooled: true}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := DecodeBatchRun(data, nil)
+		check := func(how string, got []Envelope, err error) {
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || len(got) != len(want) {
+				t.Fatalf("%s: %d entries, %v; into nil: %d entries, %v", how, len(got), err, len(want), wantErr)
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%s: entry %d = %+v; into nil %+v", how, i, got[i], want[i])
+				}
+			}
+		}
+		for _, size := range []int{1, 4, 64} {
+			dirty := make([]Envelope, size)
+			for i := range dirty {
+				dirty[i] = stale
+			}
+			got, err := DecodeBatchRun(data, dirty[:0])
+			check(fmt.Sprintf("into a dirty run of %d", size), got, err)
+		}
+		pooled, err := DecodeBatchRunPooled(data)
+		if err != nil {
+			// The pooled decode has already released its run.
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("pooled: %v; into nil: %v", err, wantErr)
+			}
+			return
+		}
+		check("pooled", pooled, err)
+		PutBatchRun(pooled)
 	})
 }

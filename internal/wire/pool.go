@@ -58,6 +58,10 @@ type PoolStats struct {
 	// Poisoned counts buffers quarantined by PutBuf while poison checks
 	// were enabled (see SetPoisonChecks).
 	Poisoned uint64
+	// RunsHeld counts batch runs DecodeBatchRunPooled has handed out and
+	// PutBatchRun has not yet taken back: at rest it returns to where it
+	// was, and a run released twice takes it below.
+	RunsHeld int64
 }
 
 // FramePoolStats returns a snapshot of the pool counters.
@@ -67,6 +71,7 @@ func FramePoolStats() PoolStats {
 		Misses:   poolMisses.Load(),
 		Oversize: poolOversize.Load(),
 		Poisoned: poolPoisoned.Load(),
+		RunsHeld: runsHeld.Load(),
 	}
 }
 

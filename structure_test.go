@@ -29,6 +29,9 @@ import (
 //   - nothing calls wire.DecodeEnvelope, the unpooled decoder: the
 //     transport decodes every envelope with wire.DecodeEnvelopePooled, and
 //     its caller releases the envelope;
+//   - nothing outside internal/wire calls wire.DecodeBatchRun either: both
+//     ends of a batch frame decode its run with wire.DecodeBatchRunPooled,
+//     and a function that does releases the run with wire.PutBatchRun;
 //   - no service dispatches on a method name by hand: a switch on a
 //     variable named method belongs in a method table (rpc.Serve). The
 //     harness's test objects are exempt;
@@ -106,8 +109,15 @@ func TestStructure(t *testing.T) {
 				if ok && pkg.Name == "wire" && n.Sel.Name == "DecodeEnvelope" {
 					t.Errorf("%s: calls wire.DecodeEnvelope; decode with wire.DecodeEnvelopePooled and release it", fset.Position(n.Pos()))
 				}
+				if ok && pkg.Name == "wire" && n.Sel.Name == "DecodeBatchRun" {
+					t.Errorf("%s: calls wire.DecodeBatchRun; decode with wire.DecodeBatchRunPooled and release the run", fset.Position(n.Pos()))
+				}
 				if ok && classifies(pkg.Name, n.Sel.Name) && slices.Contains(clientFiles, path) {
 					t.Errorf("%s: reads %s.%s; only failure.go classifies a client's failures", fset.Position(n.Pos()), pkg.Name, n.Sel.Name)
+				}
+			case *ast.FuncDecl:
+				if n.Body != nil && selects(n.Body, "wire", "DecodeBatchRunPooled") && !selects(n.Body, "wire", "PutBatchRun") {
+					t.Errorf("%s: %s decodes a pooled batch run and never releases it with wire.PutBatchRun", fset.Position(n.Pos()), n.Name.Name)
 				}
 			case *ast.SwitchStmt:
 				if tag, ok := n.Tag.(*ast.Ident); ok && tag.Name == "method" && !strings.HasPrefix(path, "internal/harness/") {
@@ -121,4 +131,18 @@ func TestStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// selects reports whether n mentions pkg.sel.
+func selects(n ast.Node, pkg, sel string) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if s, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := s.X.(*ast.Ident); ok && id.Name == pkg && s.Sel.Name == sel {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
