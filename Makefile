@@ -92,7 +92,10 @@ fuzz-smoke:
 # the E13 replication drill (primary replica and primary manager killed
 # mid-load), the E14 distribution-policy drill, the E15 batch drill (seeded
 # faults under batched load: the at-most-once proof for batch sub-calls,
-# which settle through the client failure table), the manager's concurrency, recovery, and standby-takeover
+# which settle through the client failure table), the testbed E8, E11, E13
+# and E14 stand their clusters up with (a build, one call on each kind of
+# object and a teardown pass its goroutine guard; a goroutine leaked past
+# teardown fails it), the manager's concurrency, recovery, and standby-takeover
 # contracts (the single-instance pass's crash images, durability points and
 # torn journal batches among them), replica group fencing/failover and the delta-shipping
 # fault matrix (dropped shipment, lost ack, backup behind base, promote /
@@ -106,6 +109,7 @@ fuzz-smoke:
 # standby fence racing shipments against takeovers.
 chaos:
 	$(GO) test -race -run 'TestRunE8|TestRunE11|TestRunE13|TestRunE14|TestRunE15' ./internal/harness/
+	$(GO) test -race ./internal/testbed/
 	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestReconcile|TestPolicyRecover|TestSetPolicy|TestSinglePass|TestConcurrentSinglePasses|TestJournalBatch|TestDeclaredMethodContracts|TestInfraMethodContracts' ./internal/manager/
 	$(GO) test -race ./internal/replica/
 	$(GO) test -race -run 'TestRollout|TestSupervisor' ./internal/supervisor/

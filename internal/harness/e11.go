@@ -1,30 +1,16 @@
 package harness
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"godcdo/internal/component"
-	"godcdo/internal/core"
-	"godcdo/internal/dfm"
-	"godcdo/internal/evolution"
-	"godcdo/internal/manager"
 	"godcdo/internal/metrics"
-	"godcdo/internal/naming"
-	"godcdo/internal/obs"
-	"godcdo/internal/registry"
-	"godcdo/internal/rpc"
 	"godcdo/internal/supervisor"
-	"godcdo/internal/transport"
-	"godcdo/internal/vault"
-	"godcdo/internal/vclock"
-	"godcdo/internal/version"
+	"godcdo/internal/testbed"
 )
 
 // e11Fleet is the number of managed DCDO instances.
@@ -52,169 +38,36 @@ const e11SlowLatency = 2 * time.Millisecond
 // recovery finishes the interrupted pass, Resume reconstructs the rollout
 // (policy, promoted set, unbaked wave) and drives it to completion — the
 // fleet lands on v1.2 with the workload still at zero failures.
-func RunE11() (*Report, error) {
-	dir, err := os.MkdirTemp("", "e11-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	journalPath := filepath.Join(dir, "evolution.journal")
-	imagePath := filepath.Join(dir, "store.image")
-
-	// --- Object type: greet via en (v1), fr-slow (v1.1), or de (v1.2). ----
-	reg := registry.New()
-	icos := map[string]naming.LOID{
-		"en": {Domain: 1, Class: 8, Instance: 1},
-		"fr": {Domain: 1, Class: 8, Instance: 2},
-		"de": {Domain: 1, Class: 8, Instance: 3},
-	}
-	comps := make(map[naming.LOID]*component.Component)
-	for _, c := range []struct {
-		id, ref, greeting string
-		delay             time.Duration
-	}{
-		{"en", "en:1", "hello", 0},
-		{"fr", "fr:1", "bonjour", e11SlowLatency}, // the per-version fault
-		{"de", "de:1", "guten tag", 0},
-	} {
-		msg, delay := c.greeting, c.delay
-		if _, err := reg.Register(c.ref, registry.NativeImplType, map[string]registry.Func{
-			"greet": func(registry.Caller, []byte) ([]byte, error) {
-				if delay > 0 {
-					time.Sleep(delay)
-				}
-				return []byte(msg), nil
-			},
-		}); err != nil {
-			return nil, err
-		}
-		comp, err := component.NewSynthetic(component.Descriptor{
-			ID: c.id, Revision: 1, CodeRef: c.ref,
-			Impl: registry.NativeImplType, CodeSize: 32,
-			Functions: []component.FunctionDecl{{Name: "greet", Exported: true}},
-		})
-		if err != nil {
-			return nil, err
-		}
-		comps[icos[c.id]] = comp
-	}
-	fetcher := component.FetcherFunc(func(ico naming.LOID) (*component.Component, error) {
-		c, ok := comps[ico]
-		if !ok {
-			return nil, fmt.Errorf("e11: unknown ico %s", ico)
-		}
-		return c, nil
+func RunE11() (rep *Report, err error) {
+	tb, err := testbed.Build(testbed.Config{
+		Name: "e11",
+		Greetings: []testbed.Greeting{
+			{ID: "en", Text: "hello"},
+			{ID: "fr", Text: "bonjour", Delay: e11SlowLatency}, // the per-version fault
+			{ID: "de", Text: "guten tag"},
+		},
+		Fleet: e11Fleet,
 	})
-	baseDesc := dfm.NewDescriptor()
-	for id, ico := range icos {
-		baseDesc.Components[id] = dfm.ComponentRef{ICO: ico, CodeRef: id + ":1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
-	}
-	baseDesc.Entries = []dfm.EntryDesc{
-		{Function: "greet", Component: "en", Exported: true, Enabled: true},
-		{Function: "greet", Component: "fr", Exported: true, Enabled: false},
-		{Function: "greet", Component: "de", Exported: true, Enabled: false},
-	}
-	enable := func(only string) func(*dfm.Descriptor) error {
-		return func(d *dfm.Descriptor) error {
-			for _, id := range []string{"en", "fr", "de"} {
-				d.Entry(dfm.EntryKey{Function: "greet", Component: id}).Enabled = id == only
-			}
-			return nil
-		}
-	}
-
-	// --- Manager: v1 (en), v1.1 (fr, slow), v1.2 (de), all instantiable. --
-	o := obs.New()
-	mgr := manager.New(evolution.MultiIncreasing, evolution.Explicit)
-	mgr.SetObs(o)
-	root, err := mgr.Store().CreateRoot(baseDesc)
 	if err != nil {
 		return nil, err
 	}
-	if err := mgr.Store().MarkInstantiable(root); err != nil {
-		return nil, err
-	}
-	var children []version.ID
-	for _, impl := range []string{"fr", "de"} {
-		child, err := mgr.Store().Derive(root)
-		if err != nil {
-			return nil, err
-		}
-		if err := mgr.Store().Configure(child, enable(impl)); err != nil {
-			return nil, err
-		}
-		if err := mgr.Store().MarkInstantiable(child); err != nil {
-			return nil, err
-		}
-		children = append(children, child.Clone())
-	}
-	badVersion, goodVersion := children[0], children[1]
-
-	var img bytes.Buffer
-	if err := mgr.Store().Save(&img); err != nil {
-		return nil, err
-	}
-	if err := vault.WriteDurable(imagePath, img.Bytes()); err != nil {
-		return nil, err
-	}
-	journal, err := manager.OpenJournal(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	mgr.SetJournal(journal)
-
-	// --- Fleet: six DCDOs on separate inproc endpoints. -------------------
-	clk := vclock.Real{}
-	agent := naming.NewAgent(clk)
-	cache := naming.NewCache(agent, clk, 0)
-	net := transport.NewInprocNetwork()
-	client := rpc.NewClient(cache, net.Dialer())
-	client.ObserveStages(o.Metrics)
+	defer func() { err = errors.Join(err, tb.Close()) }()
+	o, mgr, client, loids := tb.Obs, tb.Mgr, tb.Client, tb.Fleet
+	root, badVersion, goodVersion := tb.Versions[0], tb.Versions[1], tb.Versions[2]
 	o.Metrics.RegisterCounters("client.e11", client.Metrics())
-
-	loids := make([]naming.LOID, 0, e11Fleet)
-	instances := make([]manager.RemoteInstance, 0, e11Fleet)
-	for i := uint64(1); i <= e11Fleet; i++ {
-		obj := core.New(core.Config{
-			LOID:     naming.LOID{Domain: 1, Class: 1, Instance: i},
-			Registry: reg,
-			Fetcher:  fetcher,
-		})
-		loid := obj.LOID()
-		disp := rpc.NewDispatcher()
-		srv, err := net.Listen(loid.String(), disp)
-		if err != nil {
-			return nil, err
-		}
-		disp.Host(loid, obj)
-		agent.Register(loid, naming.Address{Endpoint: srv.Endpoint()})
-		inst := manager.RemoteInstance{Client: client, Target: loid}
-		if err := mgr.CreateInstance(context.Background(), inst, root, registry.NativeImplType); err != nil {
-			return nil, err
-		}
-		loids = append(loids, loid)
-		instances = append(instances, inst)
-	}
 	if err := mgr.SetCurrentVersion(context.Background(), root); err != nil {
 		return nil, err
 	}
 
 	// --- Client workload: continuous round-robin greet invokes. -----------
 	var calls, failures atomic.Uint64
-	stopWorkload := make(chan struct{})
+	stopped, stopWorkload := context.WithCancel(context.Background())
 	var workloadWG sync.WaitGroup
 	workloadWG.Add(1)
 	go func() {
 		defer workloadWG.Done()
-		i := 0
-		for {
-			select {
-			case <-stopWorkload:
-				return
-			default:
-			}
+		for i := 0; stopped.Err() == nil; i++ {
 			loid := loids[i%len(loids)]
-			i++
 			calls.Add(1)
 			if _, err := client.InvokeIdempotent(context.Background(), loid, "greet", nil); err != nil {
 				// §3.2: calls racing a mid-flight evolution may observe the
@@ -235,11 +88,7 @@ func RunE11() (*Report, error) {
 		}
 	}()
 	defer func() {
-		select {
-		case <-stopWorkload:
-		default:
-			close(stopWorkload)
-		}
+		stopWorkload()
 		workloadWG.Wait()
 	}()
 
@@ -305,32 +154,18 @@ func RunE11() (*Report, error) {
 	}
 	// The crash: journal handle closed with the wave pass open, supervisor
 	// and manager #1 abandoned.
-	if err := journal.Close(); err != nil {
+	if err := tb.Crash(); err != nil {
 		return nil, err
 	}
 
 	// --- Act III: restart from disk; Resume completes the rollout. --------
-	imgBytes, err := os.ReadFile(imagePath)
+	mgr2, err := tb.Restart()
 	if err != nil {
 		return nil, err
 	}
-	store, err := manager.LoadStore(bytes.NewReader(imgBytes))
-	if err != nil {
+	if err := tb.Adopt(mgr2); err != nil {
 		return nil, err
 	}
-	mgr2 := manager.NewWithStore(store, evolution.MultiIncreasing, evolution.Explicit)
-	mgr2.SetObs(o)
-	for _, inst := range instances {
-		if err := mgr2.Adopt(context.Background(), inst, registry.NativeImplType); err != nil {
-			return nil, err
-		}
-	}
-	journal2, err := manager.OpenJournal(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	defer journal2.Close()
-	mgr2.SetJournal(journal2)
 
 	sup3 := &supervisor.Supervisor{Mgr: mgr2, Reg: o.Metrics, Obs: o}
 	resumeStart := time.Now()
@@ -346,24 +181,13 @@ func RunE11() (*Report, error) {
 	}
 	resumeCost := time.Since(resumeStart)
 
-	close(stopWorkload)
+	stopWorkload()
 	workloadWG.Wait()
 	totalCalls, totalFailures := calls.Load(), failures.Load()
 
 	// Converged = every instance answers greet with the v1.2 implementation
 	// and its record matches.
-	converged := 0
-	for _, loid := range loids {
-		out, err := client.InvokeIdempotent(context.Background(), loid, "greet", nil)
-		if err != nil || string(out) != "guten tag" {
-			continue
-		}
-		rec, err := mgr2.RecordOf(loid)
-		if err != nil || !rec.Version.Equal(goodVersion) {
-			continue
-		}
-		converged++
-	}
+	converged := tb.Converged(mgr2, goodVersion, "guten tag")
 	currentAfterIII, _ := mgr2.CurrentVersion()
 
 	table := metrics.NewTable(

@@ -4,25 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync/atomic"
 	"time"
 
-	"godcdo/internal/component"
-	"godcdo/internal/core"
-	"godcdo/internal/dfm"
-	"godcdo/internal/evolution"
 	"godcdo/internal/manager"
 	"godcdo/internal/metrics"
 	"godcdo/internal/naming"
 	"godcdo/internal/policy"
-	"godcdo/internal/registry"
 	"godcdo/internal/replica"
 	"godcdo/internal/rpc"
-	"godcdo/internal/transport"
-	"godcdo/internal/vclock"
-	"godcdo/internal/version"
+	"godcdo/internal/testbed"
 	"godcdo/internal/wire"
 )
 
@@ -57,169 +47,37 @@ const e14OffPrimaryFloor = 0.30
 // served off-primary; (III) the primary manager is killed mid-reconcile and
 // the standby — recovering policies from the shipped journal — finishes the
 // convergence its predecessor started.
-func RunE14() (*Report, error) {
-	dir, err := os.MkdirTemp("", "e14-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	primaryJournalPath := filepath.Join(dir, "primary.journal")
-	standbyJournalPath := filepath.Join(dir, "standby.journal")
+func RunE14() (rep *Report, err error) {
 	ctx := context.Background()
-
-	// --- Object type: a replicated counter (bump = write, total = read). --
-	reg := registry.New()
-	icoCTR := naming.LOID{Domain: 1, Class: 9, Instance: 1}
-	desc := dfm.NewDescriptor()
-	ctrComp, err := addCounter(reg, icoCTR, desc)
-	if err != nil {
-		return nil, err
-	}
-	fetcher := component.FetcherFunc(func(ico naming.LOID) (*component.Component, error) {
-		if ico != icoCTR {
-			return nil, fmt.Errorf("e14: unknown ico %s", ico)
-		}
-		return ctrComp, nil
+	tb, err := testbed.Build(testbed.Config{
+		Name:    "e14",
+		Seed:    e14Seed,
+		Counter: true,
+		Groups:  []int{3, 1},
+		Spares:  4,
+		Standby: true,
+		// MaxAttempts 8: an idempotent read that lands inside the
+		// dead-backup window gets CodeUnavailable from the primary (it
+		// cannot commit pending state to the group) until the reconciler
+		// drops the dead member; the backoff schedule must outlast that
+		// few-millisecond convergence window.
+		Retry: rpc.RetryPolicy{
+			CallTimeout: 25 * time.Millisecond,
+			MaxAttempts: 8,
+			MaxRebinds:  16,
+			BaseBackoff: time.Millisecond,
+			MaxBackoff:  4 * time.Millisecond,
+			Multiplier:  2,
+			Jitter:      0.2,
+		},
 	})
-
-	// --- Primary manager with a shipped journal. --------------------------
-	mgr1 := manager.New(evolution.MultiIncreasing, evolution.Explicit)
-	root, err := mgr1.Store().CreateRoot(desc)
 	if err != nil {
 		return nil, err
 	}
-	if err := mgr1.Store().MarkInstantiable(root); err != nil {
-		return nil, err
-	}
-	descV1, err := mgr1.Store().InstantiableDescriptor(version.ID{1})
-	if err != nil {
-		return nil, err
-	}
-
-	clk := vclock.Real{}
-	agent := naming.NewAgent(clk)
-	cache := naming.NewCache(agent, clk, 0)
-	net := transport.NewInprocNetwork()
-	faults := transport.NewFaults(e14Seed)
-	dialer := transport.NewFaultDialer(net.Dialer(), faults)
-	client := rpc.NewClient(cache, dialer)
-	// MaxAttempts 8: an idempotent read that lands inside the dead-backup
-	// window gets CodeUnavailable from the primary (it cannot commit pending
-	// state to the group) until the reconciler drops the dead member; the
-	// backoff schedule must outlast that few-millisecond convergence window.
-	client.Retry = rpc.RetryPolicy{
-		CallTimeout: 25 * time.Millisecond,
-		MaxAttempts: 8,
-		MaxRebinds:  16,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.2,
-	}
-
-	primaryJournal, err := manager.OpenJournal(primaryJournalPath)
-	if err != nil {
-		return nil, err
-	}
-	mgr1.SetJournal(primaryJournal)
-	mgr1.SetPolicyPublisher(agent)
-	standbyJournal, err := manager.OpenJournal(standbyJournalPath)
-	if err != nil {
-		return nil, err
-	}
-	defer standbyJournal.Close()
-	replService := manager.NewReplService(standbyJournal, 1)
-	mgr1Disp := rpc.NewDispatcher()
-	mgr1Disp.Host(rpc.HealthLOID, rpc.NewHealthService("mgr1", clk, mgr1Disp.Len))
-	mgrLOID := naming.LOID{Domain: 0, Class: 2, Instance: 9}
-	mgr1Disp.Host(mgrLOID, &manager.Object{Mgr: mgr1})
-	mgr1Srv, err := net.Listen("mgr1", mgr1Disp)
-	if err != nil {
-		return nil, err
-	}
-	agent.Register(mgrLOID, naming.Address{Endpoint: mgr1Srv.Endpoint()})
-	standbyDisp := rpc.NewDispatcher()
-	standbyDisp.Host(rpc.MgrReplLOID, replService)
-	standbySrv, err := net.Listen("mgr-standby", standbyDisp)
-	if err != nil {
-		return nil, err
-	}
-	shipper := &manager.JournalShipper{
-		Dialer:   net.Dialer(), // manager-to-manager link, not under client faults
-		Endpoint: standbySrv.Endpoint(),
-		Epoch:    1,
-		Timeout:  time.Second,
-	}
-	primaryJournal.SetSink(shipper.Ship)
-
-	// --- Members and spares. ----------------------------------------------
-	newMember := func(loid naming.LOID) (*core.DCDO, error) {
-		obj := core.New(core.Config{LOID: loid, Registry: reg, Fetcher: fetcher})
-		if _, err := obj.ApplyDescriptor(ctx, descV1, version.ID{1}); err != nil {
-			return nil, err
-		}
-		return obj, nil
-	}
-
-	groupLOID := naming.LOID{Domain: 2, Class: 2, Instance: 1}
-	groupEndpoints := make([]string, 0, 3)
-	for i := 0; i < 3; i++ {
-		obj, err := newMember(groupLOID)
-		if err != nil {
-			return nil, err
-		}
-		role := replica.RoleBackup
-		if i == 0 {
-			role = replica.RolePrimary
-		}
-		rep := replica.New(groupLOID, obj, dialer, role, 1, nil)
-		rep.ShipTimeout = 250 * time.Millisecond
-		disp := rpc.NewDispatcher()
-		srv, err := net.Listen(fmt.Sprintf("g%d", i), disp)
-		if err != nil {
-			return nil, err
-		}
-		disp.Host(groupLOID, rep)
-		groupEndpoints = append(groupEndpoints, srv.Endpoint())
-	}
-	group := replica.NewGroup(groupLOID, dialer, agent, groupEndpoints[0], groupEndpoints[1:])
-	if _, err := replica.Call(ctx, group, groupEndpoints[0], replica.MethodPromote,
-		replica.PromoteArgs{Epoch: 1, Backups: groupEndpoints[1:]}); err != nil {
-		return nil, fmt.Errorf("e14: arm group primary: %w", err)
-	}
-	mgr1.RegisterReplicaGroup(groupLOID, group)
-
-	soloLOID := naming.LOID{Domain: 2, Class: 2, Instance: 2}
-	soloObj, err := newMember(soloLOID)
-	if err != nil {
-		return nil, err
-	}
-	soloRep := replica.New(soloLOID, soloObj, dialer, replica.RolePrimary, 1, nil)
-	soloRep.ShipTimeout = 250 * time.Millisecond
-	soloDisp := rpc.NewDispatcher()
-	soloSrv, err := net.Listen("solo", soloDisp)
-	if err != nil {
-		return nil, err
-	}
-	soloDisp.Host(soloLOID, soloRep)
-	soloGroup := replica.NewGroup(soloLOID, dialer, agent, soloSrv.Endpoint(), nil)
-	mgr1.RegisterReplicaGroup(soloLOID, soloGroup)
-
-	spares := make([]string, 0, 4)
-	for i := 0; i < 4; i++ {
-		disp := rpc.NewDispatcher()
-		hs := &replica.HostService{
-			Factory: func(loid naming.LOID) (replica.Inner, error) { return newMember(loid) },
-			Dialer:  dialer,
-			Host:    disp.Host,
-		}
-		disp.Host(rpc.ReplicaHostLOID, hs)
-		srv, err := net.Listen(fmt.Sprintf("s%d", i), disp)
-		if err != nil {
-			return nil, err
-		}
-		spares = append(spares, srv.Endpoint())
-	}
+	defer func() { err = errors.Join(err, tb.Close()) }()
+	agent, cache, faults, client, dialer := tb.Agent, tb.Cache, tb.Faults, tb.Client, tb.Dialer
+	mgr1, mgr2, mgrLOID, spares := tb.Mgr, tb.Standby.Mgr, tb.MgrLOID, tb.Spares
+	groupLOID, groupEndpoints, soloLOID := tb.Groups[0].LOID, tb.Groups[0].Set().Endpoints(), tb.Groups[1].LOID
 
 	// The group's declarative contract: stay at degree 3. The solo object
 	// starts without a designation (implicit degree-1 default).
@@ -242,83 +100,19 @@ func RunE14() (*Report, error) {
 	}
 
 	// --- Standby manager, watching the primary's health endpoint. ---------
-	mgr2 := manager.New(evolution.MultiIncreasing, evolution.Explicit)
-	mgr2.SetJournal(standbyJournal)
-	mgr2.SetPolicyPublisher(agent)
-	standby := &manager.Standby{Mgr: mgr2, Service: replService}
-	type takeoverResult struct {
-		report manager.RecoveryReport
-		epoch  uint64
-		err    error
-	}
-	takeoverCh := make(chan takeoverResult, 1)
-	monitorCtx, cancelMonitor := context.WithTimeout(ctx, 30*time.Second)
-	defer cancelMonitor()
-	go func() {
-		rep, epoch, err := standby.Monitor(monitorCtx, &rpc.HealthClient{
-			Dialer:   net.Dialer(),
-			Endpoint: mgr1Srv.Endpoint(),
-			Timeout:  10 * time.Millisecond,
-		}, 2*time.Millisecond, 2)
-		takeoverCh <- takeoverResult{rep, epoch, err}
-	}()
+	tb.Monitor(30 * time.Second)
 
 	// --- The reconciler: the policy plane's convergence loop. -------------
 	rec1 := &manager.Reconciler{Mgr: mgr1, Candidates: spares, Interval: 2 * time.Millisecond}
 	rec1.Run()
-	rec1Stopped := false
-	stopRec1 := func() {
-		if !rec1Stopped {
-			rec1Stopped = true
-			rec1.Stop()
-		}
-	}
-	defer stopRec1()
+	defer rec1.Stop()
 
 	// --- Act I: kill a backup under load; the reconciler heals degree. ----
-	var idemOK, idemFail atomic.Uint64
-	var bumpOK, bumpAmbiguous, bumpOther atomic.Uint64
-	stop := make(chan struct{})
-	loadDone := make(chan struct{}, 2)
-	go func() { // idempotent reader against the degree-3 group
-		defer func() { loadDone <- struct{}{} }()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			out, err := client.InvokeIdempotent(ctx, groupLOID, "total", nil)
-			if err != nil {
-				idemFail.Add(1)
-			} else if n, derr := wire.NewDecoder(out).Uvarint(); derr != nil || n < e14SeedBumps {
-				idemFail.Add(1)
-			} else {
-				idemOK.Add(1)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	go func() { // non-idempotent writer against the same group
-		defer func() { loadDone <- struct{}{} }()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_, err := client.Invoke(ctx, groupLOID, "bump", nil)
-			switch {
-			case err == nil:
-				bumpOK.Add(1)
-			case errors.Is(err, rpc.ErrAmbiguousResult):
-				bumpAmbiguous.Add(1)
-			default:
-				bumpOther.Add(1)
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
+	load := tb.StartLoad(groupLOID, "total", func(out []byte) bool {
+		n, err := wire.NewDecoder(out).Uvarint()
+		return err == nil && n >= e14SeedBumps
+	}, "bump")
+	defer load.Stop()
 	time.Sleep(10 * time.Millisecond)
 
 	deadBackup := groupEndpoints[2]
@@ -337,9 +131,7 @@ func RunE14() (*Report, error) {
 	}
 	healCost := time.Since(healStart)
 	time.Sleep(10 * time.Millisecond)
-	close(stop)
-	<-loadDone
-	<-loadDone
+	load.Stop()
 
 	groupTotalOut, err := client.InvokeIdempotent(ctx, groupLOID, "total", nil)
 	if err != nil {
@@ -349,32 +141,16 @@ func RunE14() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	minTotal := uint64(e14SeedBumps) + bumpOK.Load()
-	maxTotal := minTotal + bumpAmbiguous.Load() + bumpOther.Load()
+	minTotal := uint64(e14SeedBumps) + load.WriteOK.Load()
+	maxTotal := minTotal + load.WriteAmbiguous.Load() + load.WriteOther.Load()
 
 	// --- Act II: live retune over RPC — degree 1 -> 3, backup-ok reads. ---
-	var soloReadOK, soloReadFail atomic.Uint64
-	soloStop := make(chan struct{})
-	soloDone := make(chan struct{})
-	go func() { // continuous reader across the retune: the downtime probe
-		defer close(soloDone)
-		for {
-			select {
-			case <-soloStop:
-				return
-			default:
-			}
-			out, err := client.InvokeIdempotent(ctx, soloLOID, "total", nil)
-			if err != nil {
-				soloReadFail.Add(1)
-			} else if n, derr := wire.NewDecoder(out).Uvarint(); derr != nil || n != e14SoloSeed {
-				soloReadFail.Add(1)
-			} else {
-				soloReadOK.Add(1)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
+	// A continuous reader across the retune: the downtime probe.
+	soloLoad := tb.StartLoad(soloLOID, "total", func(out []byte) bool {
+		n, err := wire.NewDecoder(out).Uvarint()
+		return err == nil && n == e14SoloSeed
+	}, "")
+	defer soloLoad.Stop()
 	time.Sleep(5 * time.Millisecond)
 
 	retunePol := policy.Default()
@@ -404,8 +180,7 @@ func RunE14() (*Report, error) {
 	}
 	retuneCost := time.Since(retuneStart)
 	time.Sleep(5 * time.Millisecond)
-	close(soloStop)
-	<-soloDone
+	soloLoad.Stop()
 
 	// Pick up the grown set (and the policy document riding the binding),
 	// then measure where idempotent reads actually land.
@@ -430,33 +205,24 @@ func RunE14() (*Report, error) {
 	// Stop the reconciler between observation and action: it has journalled
 	// (and shipped) its intent for the next repair, then dies before doing
 	// it — the standby must finish from the document, not from a checkpoint.
-	stopRec1()
+	rec1.Stop()
 	soloDead := soloSet.Backups[len(soloSet.Backups)-1]
 	faults.Partition(soloDead)
 	if err := mgr1.Journal().Reconcile(soloLOID, "drop dead "+soloDead); err != nil {
 		return nil, err
 	}
-	if err := primaryJournal.Close(); err != nil {
+	if err := tb.Crash(); err != nil {
 		return nil, err
 	}
-	if err := mgr1Srv.Close(); err != nil {
-		return nil, err
+	takeover, err := tb.AwaitTakeover(20 * time.Second)
+	if err != nil {
+		return nil, fmt.Errorf("e14: takeover: %w", err)
 	}
-
-	var takeover takeoverResult
-	select {
-	case takeover = <-takeoverCh:
-	case <-time.After(20 * time.Second):
-		return nil, fmt.Errorf("e14: standby never took over")
-	}
-	if takeover.err != nil {
-		return nil, fmt.Errorf("e14: takeover: %w", takeover.err)
-	}
-	fenceErr := shipper.Ship(manager.JournalRecord{Op: manager.OpMgrEpoch, Pass: 1})
+	fenceErr := tb.Shipper.Ship(manager.JournalRecord{Op: manager.OpMgrEpoch, Pass: 1})
 
 	// Snapshot the journal the takeover compacted, before the successor's own
 	// sweep appends fresh reconcile records to it.
-	journalAfter, err := standbyJournal.Records()
+	journalAfter, err := mgr2.Journal().Records()
 	if err != nil {
 		return nil, err
 	}
@@ -502,18 +268,18 @@ func RunE14() (*Report, error) {
 		"E14 — declarative distribution policy: heal, live retune, standby convergence",
 		"act", "reads ok/fail", "writer ok/ambig/other", "outcome")
 	table.AddRow("I: backup killed, degree healed",
-		fmt.Sprintf("%d/%d", idemOK.Load(), idemFail.Load()),
-		fmt.Sprintf("%d/%d/%d", bumpOK.Load(), bumpAmbiguous.Load(), bumpOther.Load()),
+		fmt.Sprintf("%d/%d", load.ReadOK.Load(), load.ReadFail.Load()),
+		fmt.Sprintf("%d/%d/%d", load.WriteOK.Load(), load.WriteAmbiguous.Load(), load.WriteOther.Load()),
 		fmt.Sprintf("healed in %s (gen %d), counter %d in [%d,%d]",
 			metrics.FormatDuration(healCost), healedSet.Generation, groupTotal, minTotal, maxTotal))
 	table.AddRow("II: live retune 1->3 backup-ok",
-		fmt.Sprintf("%d/%d", soloReadOK.Load(), soloReadFail.Load()),
+		fmt.Sprintf("%d/%d", soloLoad.ReadOK.Load(), soloLoad.ReadFail.Load()),
 		"-",
 		fmt.Sprintf("converged in %s, %.0f%% reads off-primary", metrics.FormatDuration(retuneCost), offPrimary*100))
 	table.AddRow("III: manager killed mid-reconcile",
 		"-", "-",
 		fmt.Sprintf("takeover epoch %d, %d policies restored, sweep %d converged",
-			takeover.epoch, takeover.report.Policies, sweepRep.Converged))
+			takeover.Epoch, takeover.Report.Policies, sweepRep.Converged))
 
 	checks := []Check{
 		check("act I: reconciler heals replication degree to N on a spare after backup loss",
@@ -522,14 +288,14 @@ func RunE14() (*Report, error) {
 					healedSet.Contains(spares[2]) || healedSet.Contains(spares[3])),
 			"set=%+v", healedSet),
 		check("act I: zero idempotent-read failures across the loss and the heal",
-			idemOK.Load() > 0 && idemFail.Load() == 0,
-			"ok=%d fail=%d", idemOK.Load(), idemFail.Load()),
+			load.ReadOK.Load() > 0 && load.ReadFail.Load() == 0,
+			"ok=%d fail=%d", load.ReadOK.Load(), load.ReadFail.Load()),
 		check("act I: counter consistent — every acked write applied, failures at most once",
 			groupTotal >= minTotal && groupTotal <= maxTotal,
 			"total=%d want [%d,%d]", groupTotal, minTotal, maxTotal),
 		check("act I: writer failures in the window are ambiguous (applied locally, uncommitted), never hard errors",
-			bumpOK.Load() > 0 && bumpOther.Load() == 0,
-			"ok=%d ambiguous=%d other=%d", bumpOK.Load(), bumpAmbiguous.Load(), bumpOther.Load()),
+			load.WriteOK.Load() > 0 && load.WriteOther.Load() == 0,
+			"ok=%d ambiguous=%d other=%d", load.WriteOK.Load(), load.WriteAmbiguous.Load(), load.WriteOther.Load()),
 		check("act I: convergence steps drove the repair (drop + heal journalled)",
 			rec1Stats.Drops >= 1 && rec1Stats.Heals >= 1,
 			"stats=%+v", rec1Stats),
@@ -537,8 +303,8 @@ func RunE14() (*Report, error) {
 			gotOK && roundTripped.Equal(retunePol.Normalize()),
 			"ok=%v doc=%q", gotOK, gotDoc),
 		check("act II: zero downtime for the reader across the live retune",
-			soloReadOK.Load() > 0 && soloReadFail.Load() == 0,
-			"ok=%d fail=%d", soloReadOK.Load(), soloReadFail.Load()),
+			soloLoad.ReadOK.Load() > 0 && soloLoad.ReadFail.Load() == 0,
+			"ok=%d fail=%d", soloLoad.ReadOK.Load(), soloLoad.ReadFail.Load()),
 		check("act II: degree retuned 1 -> 3 by the reconciler",
 			len(soloSet.Endpoints()) == 3,
 			"set=%+v", soloSet),
@@ -546,8 +312,8 @@ func RunE14() (*Report, error) {
 			offPrimary >= e14OffPrimaryFloor && measuredBad == 0,
 			"offPrimary=%.2f (%d/%d), wrong values %d", offPrimary, backupDelta, idemDelta, measuredBad),
 		check("act III: standby restored both policy documents from the shipped journal",
-			takeover.report.Policies == 2 && takeover.epoch == 2,
-			"policies=%d epoch=%d", takeover.report.Policies, takeover.epoch),
+			takeover.Report.Policies == 2 && takeover.Epoch == 2,
+			"policies=%d epoch=%d", takeover.Report.Policies, takeover.Epoch),
 		check("act III: deposed manager's shipment refused with ErrFenced",
 			errors.Is(fenceErr, rpc.ErrFenced),
 			"err=%v", fenceErr),

@@ -1,26 +1,16 @@
 package harness
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
-	"godcdo/internal/component"
-	"godcdo/internal/core"
-	"godcdo/internal/dfm"
-	"godcdo/internal/evolution"
 	"godcdo/internal/manager"
 	"godcdo/internal/metrics"
-	"godcdo/internal/naming"
-	"godcdo/internal/obs"
 	"godcdo/internal/registry"
 	"godcdo/internal/rpc"
-	"godcdo/internal/transport"
-	"godcdo/internal/vault"
-	"godcdo/internal/vclock"
+	"godcdo/internal/testbed"
 	"godcdo/internal/version"
 )
 
@@ -45,143 +35,29 @@ const e8Applies = 2
 // heals, the liveness prober re-converges the straggler. The run asserts
 // the whole fleet converges to the target with no half-applied descriptors
 // and that recovery is idempotent (a second Recover is a no-op).
-func RunE8() (*Report, error) {
-	dir, err := os.MkdirTemp("", "e8-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	journalPath := filepath.Join(dir, "evolution.journal")
-	imagePath := filepath.Join(dir, "store.image")
-
-	// --- Object type: greet via component en (v1) or fr (v1.1). ---------
-	reg := registry.New()
-	icoEN := naming.LOID{Domain: 1, Class: 8, Instance: 1}
-	icoFR := naming.LOID{Domain: 1, Class: 8, Instance: 2}
-	comps := make(map[naming.LOID]*component.Component)
-	for _, c := range []struct {
-		ico      naming.LOID
-		id, ref  string
-		greeting string
-	}{{icoEN, "en", "en:1", "hello"}, {icoFR, "fr", "fr:1", "bonjour"}} {
-		msg := c.greeting
-		if _, err := reg.Register(c.ref, registry.NativeImplType, map[string]registry.Func{
-			"greet": func(registry.Caller, []byte) ([]byte, error) { return []byte(msg), nil },
-		}); err != nil {
-			return nil, err
-		}
-		comp, err := component.NewSynthetic(component.Descriptor{
-			ID: c.id, Revision: 1, CodeRef: c.ref,
-			Impl: registry.NativeImplType, CodeSize: 32,
-			Functions: []component.FunctionDecl{{Name: "greet", Exported: true}},
-		})
-		if err != nil {
-			return nil, err
-		}
-		comps[c.ico] = comp
-	}
-	fetcher := component.FetcherFunc(func(ico naming.LOID) (*component.Component, error) {
-		c, ok := comps[ico]
-		if !ok {
-			return nil, fmt.Errorf("e8: unknown ico %s", ico)
-		}
-		return c, nil
-	})
-	descEN := dfm.NewDescriptor()
-	descEN.Components["en"] = dfm.ComponentRef{ICO: icoEN, CodeRef: "en:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
-	descEN.Components["fr"] = dfm.ComponentRef{ICO: icoFR, CodeRef: "fr:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
-	descEN.Entries = []dfm.EntryDesc{
-		{Function: "greet", Component: "en", Exported: true, Enabled: true},
-		{Function: "greet", Component: "fr", Exported: true, Enabled: false},
-	}
-
-	// --- Manager #1: store with v1 (en) and v1.1 (fr), both instantiable. --
-	o := obs.New()
-	mgr := manager.New(evolution.MultiIncreasing, evolution.Explicit)
-	mgr.SetObs(o)
-	root, err := mgr.Store().CreateRoot(descEN)
-	if err != nil {
-		return nil, err
-	}
-	if err := mgr.Store().MarkInstantiable(root); err != nil {
-		return nil, err
-	}
-	child, err := mgr.Store().Derive(root)
-	if err != nil {
-		return nil, err
-	}
-	err = mgr.Store().Configure(child, func(d *dfm.Descriptor) error {
-		d.Entry(dfm.EntryKey{Function: "greet", Component: "en"}).Enabled = false
-		d.Entry(dfm.EntryKey{Function: "greet", Component: "fr"}).Enabled = true
-		return nil
+func RunE8() (rep *Report, err error) {
+	tb, err := testbed.Build(testbed.Config{
+		Name:      "e8",
+		Seed:      e8Seed,
+		Greetings: []testbed.Greeting{{ID: "en", Text: "hello"}, {ID: "fr", Text: "bonjour"}},
+		Fleet:     e8Fleet,
+		// Short timeouts: probing the partitioned node must fail in
+		// milliseconds, not the default seconds.
+		Retry: rpc.RetryPolicy{
+			CallTimeout: 20 * time.Millisecond,
+			MaxAttempts: 2,
+			MaxRebinds:  1,
+			BaseBackoff: time.Millisecond,
+			MaxBackoff:  4 * time.Millisecond,
+			Multiplier:  2,
+			Jitter:      0.2,
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := mgr.Store().MarkInstantiable(child); err != nil {
-		return nil, err
-	}
-	target := child.Clone()
-
-	// Persist the store image the way a production node would, before the
-	// evolution starts — the restarted manager rebuilds from this file.
-	var img bytes.Buffer
-	if err := mgr.Store().Save(&img); err != nil {
-		return nil, err
-	}
-	if err := vault.WriteDurable(imagePath, img.Bytes()); err != nil {
-		return nil, err
-	}
-	journal, err := manager.OpenJournal(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	mgr.SetJournal(journal)
-
-	// --- Fleet: four DCDOs on separate endpoints behind a fault dialer. ---
-	clk := vclock.Real{}
-	agent := naming.NewAgent(clk)
-	cache := naming.NewCache(agent, clk, 0)
-	net := transport.NewInprocNetwork()
-	faults := transport.NewFaults(e8Seed)
-	client := rpc.NewClient(cache, transport.NewFaultDialer(net.Dialer(), faults))
-	client.ObserveStages(o.Metrics)
-	// Short timeouts: probing the partitioned node must fail in
-	// milliseconds, not the default seconds.
-	client.Retry = rpc.RetryPolicy{
-		CallTimeout: 20 * time.Millisecond,
-		MaxAttempts: 2,
-		MaxRebinds:  1,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.2,
-	}
-
-	loids := make([]naming.LOID, 0, e8Fleet)
-	endpoints := make(map[naming.LOID]string, e8Fleet)
-	for i := uint64(1); i <= e8Fleet; i++ {
-		obj := core.New(core.Config{
-			LOID:     naming.LOID{Domain: 1, Class: 1, Instance: i},
-			Registry: reg,
-			Fetcher:  fetcher,
-		})
-		loid := obj.LOID()
-		disp := rpc.NewDispatcher()
-		disp.SetObs(o)
-		srv, err := net.Listen(loid.String(), disp)
-		if err != nil {
-			return nil, err
-		}
-		disp.Host(loid, obj)
-		agent.Register(loid, naming.Address{Endpoint: srv.Endpoint()})
-		endpoints[loid] = srv.Endpoint()
-		if err := mgr.CreateInstance(context.Background(), manager.RemoteInstance{Client: client, Target: loid},
-			version.ID{1}, registry.NativeImplType); err != nil {
-			return nil, err
-		}
-		loids = append(loids, loid)
-	}
+	defer func() { err = errors.Join(err, tb.Close()) }()
+	mgr, client, faults, loids, target := tb.Mgr, tb.Client, tb.Faults, tb.Fleet, tb.Versions[1]
 	// Victim sits mid-plan (sorted order), so the crashed pass has touched
 	// instances both before and after it.
 	victim := loids[1]
@@ -190,28 +66,22 @@ func RunE8() (*Report, error) {
 	if err := mgr.SetCurrentVersion(context.Background(), target); err != nil {
 		return nil, err
 	}
-	faults.Partition(endpoints[victim])
-	crashRep, err := mgr.EvolveFleetPartial(context.Background(), target, e8Applies)
+	faults.Partition(tb.Endpoints[victim])
+	crashRep, err := mgr.EvolveFleet(context.Background(), target, nil, e8Applies)
 	if err != nil {
 		return nil, fmt.Errorf("e8: crashed pass: %w", err)
 	}
 	// The crash: the journal file handle closes with the pass still open —
 	// no done record — and manager #1 is abandoned.
-	if err := journal.Close(); err != nil {
+	if err := tb.Crash(); err != nil {
 		return nil, err
 	}
 
 	// --- Act II: restart from the image + journal, recover. ---------------
-	imgBytes, err := os.ReadFile(imagePath)
+	mgr2, err := tb.Restart()
 	if err != nil {
 		return nil, err
 	}
-	store, err := manager.LoadStore(bytes.NewReader(imgBytes))
-	if err != nil {
-		return nil, err
-	}
-	mgr2 := manager.NewWithStore(store, evolution.MultiIncreasing, evolution.Explicit)
-	mgr2.SetObs(o)
 	for _, loid := range loids {
 		inst := manager.RemoteInstance{Client: client, Target: loid}
 		if loid == victim {
@@ -225,12 +95,6 @@ func RunE8() (*Report, error) {
 			return nil, err
 		}
 	}
-	journal2, err := manager.OpenJournal(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	defer journal2.Close()
-	mgr2.SetJournal(journal2)
 
 	recoverStart := time.Now()
 	recRep, err := mgr2.Recover(context.Background())
@@ -243,13 +107,13 @@ func RunE8() (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("e8: second recover: %w", err)
 	}
-	journalAfter, err := manager.ReadJournal(journalPath)
+	journalAfter, err := mgr2.Journal().Records()
 	if err != nil {
 		return nil, err
 	}
 
 	// --- Act III: the partition heals; the prober converges the victim. ---
-	faults.Heal(endpoints[victim])
+	faults.Heal(tb.Endpoints[victim])
 	prober := &manager.Prober{Mgr: mgr2, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond}
 	healStart := time.Now()
 	reconverged := false
@@ -270,18 +134,7 @@ func RunE8() (*Report, error) {
 	// Converged = every instance answers greet with the v1.1 (fr)
 	// implementation and its table record matches — no half-applied
 	// descriptors anywhere.
-	converged := 0
-	for _, loid := range loids {
-		out, err := client.InvokeIdempotent(context.Background(), loid, "greet", nil)
-		if err != nil || string(out) != "bonjour" {
-			continue
-		}
-		rec, err := mgr2.RecordOf(loid)
-		if err != nil || !rec.Version.Equal(target) {
-			continue
-		}
-		converged++
-	}
+	converged := tb.Converged(mgr2, target, "bonjour")
 	victimQuarantined, _ := mgr2.IsQuarantined(victim)
 	current, _ := mgr2.CurrentVersion()
 
@@ -331,11 +184,11 @@ func RunE8() (*Report, error) {
 		ID:     "E8",
 		Title:  "crash-safe fleet evolution: journal replay after a mid-pass manager crash with a partitioned instance",
 		Table:  table,
-		Extras: []*metrics.Table{stageBreakdown(o.Metrics)},
+		Extras: []*metrics.Table{stageBreakdown(tb.Obs.Metrics)},
 		Notes: []string{
 			fmt.Sprintf("real components over inproc transport behind a seeded FaultDialer (seed %d)", e8Seed),
 			"store image persisted with vault.WriteDurable before the pass; journal fsynced per record",
-			"crash simulated with EvolveFleetPartial: journal left open, manager abandoned, new manager restarts from disk",
+			"crash simulated with EvolveFleet's halt-after count: journal left open, manager abandoned, new manager restarts from disk",
 			"recovery probes each planned instance's actual version — the journal narrows, the probe decides",
 		},
 		Checks: checks,

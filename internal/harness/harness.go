@@ -1,9 +1,11 @@
-// Package harness reproduces the paper's performance study (§4). Each
-// experiment E1–E7 regenerates one reported result: it exercises the real
-// mechanism (DFM dispatch, TCP round trips, descriptor evolution) and,
-// where the paper's numbers depend on 1999 hardware (multi-second
-// downloads, stale-binding discovery, process spawn), computes modeled
-// Centurion time from the calibrated cost model.
+// Package harness reproduces the paper's performance study (§4) and drills
+// the runtime built on it. Each of E1–E7 regenerates one reported result:
+// it exercises the real mechanism (DFM dispatch, TCP round trips,
+// descriptor evolution) and, where the paper's numbers depend on 1999
+// hardware (multi-second downloads, stale-binding discovery, process
+// spawn), computes modeled Centurion time from the calibrated cost model.
+// E8–E15 are crash, failover, overload, transport and observability
+// drills; E8, E11, E13 and E14 stand their clusters up with testbed.
 //
 // Every experiment returns a Report whose Checks encode the paper's *shape*
 // criteria — who wins, by roughly what factor, what is independent of what —
@@ -31,7 +33,7 @@ type Check struct {
 
 // Report is one experiment's output.
 type Report struct {
-	// ID is the experiment identifier (E1–E7).
+	// ID is the experiment identifier (E1–E15).
 	ID string
 	// Title restates what the paper reports.
 	Title string

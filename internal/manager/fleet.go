@@ -32,53 +32,37 @@ type FleetReport struct {
 	// Failed lists instances whose evolution failed for non-connectivity
 	// reasons (style violation, descriptor errors, application failures).
 	Failed []naming.LOID
-	// Halted reports that the pass was abandoned mid-way (only by
-	// EvolveFleetPartial, the crash-simulation hook).
+	// Halted reports that the pass was abandoned mid-way, at EvolveFleet's
+	// crash point or by its ctx ending.
 	Halted bool
 }
 
-// EvolveFleet evolves every managed, non-quarantined instance to v as one
-// journalled pass. Unreachable instances are quarantined and skipped; other
-// per-instance failures are collected and returned joined (each wrapped
-// with its LOID), without stopping the pass. Instances dropped while the
-// pass runs are left out of the report. A ctx that ends mid-pass halts
-// the pass between instances — never mid-instance — leaving the journal
-// open for Recover to resume, exactly as a crash would.
-func (m *Manager) EvolveFleet(ctx context.Context, v version.ID) (FleetReport, error) {
-	return m.evolveFleet(ctx, v, -1, nil)
-}
-
-// EvolveFleetPartial is EvolveFleet with a crash point: the pass is
-// abandoned — journal left open, no done record — after maxApplies
-// successful applications. It exists so tests and the chaos harness can
-// simulate a manager dying mid-pass; production callers want EvolveFleet.
-func (m *Manager) EvolveFleetPartial(ctx context.Context, v version.ID, maxApplies int) (FleetReport, error) {
-	return m.evolveFleet(ctx, v, maxApplies, nil)
-}
-
-// EvolveFleetSubset evolves only the given instances to v, as one journalled
-// pass. This is the rollout supervisor's wave primitive: the journal pass
-// plans exactly the subset, so a crash mid-wave makes Recover finish the
-// wave — and only the wave — rather than pushing the whole fleet to the
-// target behind the SLO guard's back. Quarantined and unknown LOIDs in the
-// subset are skipped.
-func (m *Manager) EvolveFleetSubset(ctx context.Context, v version.ID, subset []naming.LOID) (FleetReport, error) {
-	return m.evolveFleet(ctx, v, -1, subset)
-}
-
-// EvolveFleetSubsetPartial is EvolveFleetSubset with EvolveFleetPartial's
-// crash point, for chaos tests that kill a supervisor mid-wave.
-func (m *Manager) EvolveFleetSubsetPartial(ctx context.Context, v version.ID, subset []naming.LOID, maxApplies int) (FleetReport, error) {
-	return m.evolveFleet(ctx, v, maxApplies, subset)
-}
-
-func (m *Manager) evolveFleet(ctx context.Context, v version.ID, maxApplies int, only []naming.LOID) (FleetReport, error) {
+// EvolveFleet evolves managed, non-quarantined instances to v as one
+// journalled pass: every one of them when subset is nil, otherwise only
+// those listed in subset. A subset pass is the rollout supervisor's wave
+// primitive: the journal pass plans exactly the subset, so a crash mid-wave
+// makes Recover finish the wave — and only the wave — rather than pushing
+// the whole fleet to the target behind the SLO guard's back. Quarantined
+// and unknown LOIDs in the subset are skipped.
+//
+// Unreachable instances are quarantined and skipped; other per-instance
+// failures are collected and returned joined (each wrapped with its LOID),
+// without stopping the pass. Instances dropped while the pass runs are left
+// out of the report. A ctx that ends mid-pass halts the pass between
+// instances — never mid-instance — leaving the journal open for Recover to
+// resume, exactly as a crash would.
+//
+// haltAfter is a crash point: with haltAfter >= 0 the pass is abandoned —
+// journal left open, no done record — after that many successful
+// applications, so tests and the chaos drills can simulate a manager dying
+// mid-pass. A negative haltAfter runs the pass to its end.
+func (m *Manager) EvolveFleet(ctx context.Context, v version.ID, subset []naming.LOID, haltAfter int) (FleetReport, error) {
 	m.mu.Lock()
 	j := m.journal
 	var planned []naming.LOID
-	if only != nil {
-		planned = make([]naming.LOID, 0, len(only))
-		for _, loid := range only {
+	if subset != nil {
+		planned = make([]naming.LOID, 0, len(subset))
+		for _, loid := range subset {
 			_, q := m.quarantined[loid]
 			if m.records[loid] != nil && !q {
 				planned = append(planned, loid)
@@ -111,7 +95,7 @@ func (m *Manager) evolveFleet(ctx context.Context, v version.ID, maxApplies int,
 			errs = append(errs, fmt.Errorf("fleet pass %d halted: %w", pass, err))
 			return report, errors.Join(errs...)
 		}
-		if maxApplies >= 0 && len(report.Evolved) >= maxApplies {
+		if haltAfter >= 0 && len(report.Evolved) >= haltAfter {
 			report.Halted = true
 			return report, errors.Join(errs...)
 		}

@@ -181,7 +181,7 @@ func (m *Manager) SetCurrentVersion(ctx context.Context, v version.ID) error {
 	if policy != evolution.Proactive {
 		return nil
 	}
-	_, err := m.EvolveFleet(ctx, v)
+	_, err := m.EvolveFleet(ctx, v, nil, -1)
 	return err
 }
 

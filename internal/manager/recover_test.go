@@ -99,7 +99,7 @@ func TestRecoverResumesInterruptedPass(t *testing.T) {
 	if err := m.SetCurrentVersion(context.Background(), v(1, 1)); err != nil {
 		t.Fatalf("set current: %v", err)
 	}
-	rep, err := m.EvolveFleetPartial(context.Background(), v(1, 1), 1)
+	rep, err := m.EvolveFleet(context.Background(), v(1, 1), nil, 1)
 	if err != nil {
 		t.Fatalf("partial fleet pass: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestRecoverRollsBackOrphanedTarget(t *testing.T) {
 		}
 	}
 	// Crash mid-pass: a reaches 1.1, b untouched, no done record.
-	rep, err := m.EvolveFleetPartial(context.Background(), v(1, 1), 1)
+	rep, err := m.EvolveFleet(context.Background(), v(1, 1), nil, 1)
 	if err != nil || !rep.Halted {
 		t.Fatalf("partial pass: %+v err=%v", rep, err)
 	}
@@ -268,7 +268,7 @@ func TestRecoverQuarantinesUnreachableInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash after beginning the pass but before touching anything.
-	if _, err := m.EvolveFleetPartial(context.Background(), v(1, 1), 0); err != nil {
+	if _, err := m.EvolveFleet(context.Background(), v(1, 1), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	_ = j.Close()
@@ -296,7 +296,7 @@ func TestRecoverQuarantinesUnreachableInstance(t *testing.T) {
 		t.Fatalf("reachable instance at %s, want %s", got, v(1, 1))
 	}
 	// The quarantined instance is excluded from subsequent fleet passes.
-	rep, err := m2.EvolveFleet(context.Background(), v(1, 1))
+	rep, err := m2.EvolveFleet(context.Background(), v(1, 1), nil, -1)
 	if err != nil {
 		t.Fatalf("fleet pass with quarantined instance: %v", err)
 	}

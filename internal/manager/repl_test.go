@@ -218,7 +218,7 @@ func TestStandbyTakeoverResumesFleetPass(t *testing.T) {
 
 	// The pass dies after one apply; the journal (and its shipped mirror)
 	// holds an open pass.
-	rep, err := primary.EvolveFleetPartial(ctx, v(1, 1), 1)
+	rep, err := primary.EvolveFleet(ctx, v(1, 1), nil, 1)
 	if err != nil || !rep.Halted || len(rep.Evolved) != 1 {
 		t.Fatalf("partial pass: %+v err=%v", rep, err)
 	}

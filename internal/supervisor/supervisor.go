@@ -463,7 +463,7 @@ func (s *Supervisor) run(ctx context.Context, ro *rollout) {
 			if s.CrashMidWave > 0 && waveNum >= s.CrashMidWave {
 				// Simulated SIGKILL mid-wave: one instance applied, the
 				// journal pass left open, then gone.
-				_, _ = s.Mgr.EvolveFleetSubsetPartial(ctx, target, wave, 1)
+				_, _ = s.Mgr.EvolveFleet(ctx, target, wave, 1)
 				return
 			}
 
@@ -472,7 +472,7 @@ func (s *Supervisor) run(ctx context.Context, ro *rollout) {
 				phase = PhaseCanary
 			}
 			s.setPhase(ro, phase)
-			rep, err := s.Mgr.EvolveFleetSubset(ctx, target, wave)
+			rep, err := s.Mgr.EvolveFleet(ctx, target, wave, -1)
 			if err != nil && len(rep.Evolved) == 0 {
 				s.fail(ro, fmt.Sprintf("wave evolution failed: %v", err))
 				return

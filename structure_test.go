@@ -1,10 +1,12 @@
 package godcdo_test
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -38,7 +40,14 @@ import (
 //   - of the client's files, only internal/rpc/failure.go reads a transport
 //     failure class (transport.Classify, transport.Retry*) or a wire error
 //     code (wire.Code*): every route settles a failed attempt through its
-//     one failure table.
+//     one failure table;
+//   - time.Sleep appears only in internal/vclock, internal/transport/faulty.go,
+//     internal/harness, internal/testbed and examples: everything else waits
+//     on an event or a clock;
+//   - the E8, E11, E13 and E14 drills call none of naming.NewAgent,
+//     transport.NewInprocNetwork and manager.OpenJournal: they stand their
+//     clusters up with internal/testbed, not by hand;
+//   - no package has more non-test lines than its row in maxLines allows.
 func TestStructure(t *testing.T) {
 	// importsOK maps a package directory to the module packages it may
 	// import; directories not listed are unconstrained.
@@ -69,6 +78,17 @@ func TestStructure(t *testing.T) {
 		return pkg == "transport" && (sel == "Classify" || strings.HasPrefix(sel, "Retry")) ||
 			pkg == "wire" && strings.HasPrefix(sel, "Code")
 	}
+	sleepOK := func(path string) bool {
+		for _, prefix := range []string{"internal/vclock/", "internal/transport/faulty.go", "internal/harness/", "internal/testbed/", "examples/"} {
+			if strings.HasPrefix(path, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	drills := []string{"internal/harness/e8.go", "internal/harness/e11.go", "internal/harness/e13.go", "internal/harness/e14.go"}
+	handBuilt := map[string]bool{"naming.NewAgent": true, "transport.NewInprocNetwork": true, "manager.OpenJournal": true}
+	lines := make(map[string]int)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -84,11 +104,16 @@ func TestStructure(t *testing.T) {
 			return nil
 		}
 		path = filepath.ToSlash(path)
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, src, 0)
 		if err != nil {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
+		lines[dir] += bytes.Count(src, []byte("\n"))
 		allowed, limited := importsOK[dir]
 		for _, imp := range f.Imports {
 			p := strings.Trim(imp.Path.Value, `"`)
@@ -115,6 +140,12 @@ func TestStructure(t *testing.T) {
 				if ok && classifies(pkg.Name, n.Sel.Name) && slices.Contains(clientFiles, path) {
 					t.Errorf("%s: reads %s.%s; only failure.go classifies a client's failures", fset.Position(n.Pos()), pkg.Name, n.Sel.Name)
 				}
+				if ok && pkg.Name == "time" && n.Sel.Name == "Sleep" && !sleepOK(path) {
+					t.Errorf("%s: calls time.Sleep; wait on an event or a vclock.Clock instead", fset.Position(n.Pos()))
+				}
+				if ok && handBuilt[pkg.Name+"."+n.Sel.Name] && slices.Contains(drills, path) {
+					t.Errorf("%s: calls %s.%s; stand the drill's cluster up with internal/testbed", fset.Position(n.Pos()), pkg.Name, n.Sel.Name)
+				}
 			case *ast.FuncDecl:
 				if n.Body != nil && selects(n.Body, "wire", "DecodeBatchRunPooled") && !selects(n.Body, "wire", "PutBatchRun") {
 					t.Errorf("%s: %s decodes a pooled batch run and never releases it with wire.PutBatchRun", fset.Position(n.Pos()), n.Name.Name)
@@ -131,6 +162,62 @@ func TestStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for dir, n := range lines {
+		row, ok := maxLines[dir]
+		switch {
+		case !ok:
+			t.Errorf("%s: %d non-test lines and no row in maxLines; add one at its count", dir, n)
+		case n > row:
+			t.Errorf("%s: %d non-test lines, above its maxLines row of %d; cut it, or raise the row with a CHANGES.md line saying why", dir, n, row)
+		}
+	}
+	for dir := range maxLines {
+		if _, ok := lines[dir]; !ok {
+			t.Errorf("maxLines has a row for %s, which holds no Go file; delete the row", dir)
+		}
+	}
+}
+
+// maxLines is the line ratchet: the most non-test lines (newlines in the
+// package's non-test .go files) each package directory may hold. A change
+// may lower a row freely; raising one needs a CHANGES.md line saying why.
+var maxLines = map[string]int{
+	"cmd/dcdo-bench":        93,
+	"cmd/dcdo-ctl":          776,
+	"cmd/dcdo-node":         399,
+	"dcdo":                  422,
+	"examples/hotfix":       218,
+	"examples/migration":    145,
+	"examples/multiversion": 157,
+	"examples/quickstart":   138,
+	"examples/sortdep":      231,
+	"internal/baseline":     179,
+	"internal/component":    457,
+	"internal/core":         1263,
+	"internal/demo":         170,
+	"internal/dfm":          1362,
+	"internal/evolution":    325,
+	"internal/harness":      3188,
+	"internal/legion":       595,
+	"internal/manager":      3939,
+	"internal/metrics":      1335,
+	"internal/naming":       509,
+	"internal/objstate":     390,
+	"internal/obs":          1060,
+	"internal/policy":       306,
+	"internal/registry":     195,
+	"internal/replica":      1122,
+	"internal/rpc":          2746,
+	"internal/rpc/rpctest":  72,
+	"internal/simnet":       351,
+	"internal/supervisor":   1367,
+	"internal/testbed":      608,
+	"internal/transport":    1873,
+	"internal/vault":        270,
+	"internal/vclock":       182,
+	"internal/version":      165,
+	"internal/wire":         1236,
+	"internal/workload":     185,
 }
 
 // selects reports whether n mentions pkg.sel.
