@@ -97,7 +97,10 @@ fuzz-smoke:
 # object and a teardown pass its goroutine guard; a goroutine leaked past
 # teardown fails it), the manager's concurrency, recovery, and standby-takeover
 # contracts (the single-instance pass's crash images, durability points and
-# torn journal batches among them), replica group fencing/failover and the delta-shipping
+# torn journal batches among them, and a replica group's rollback and
+# half-evolved recovery moving every member: TestRollbackMovesEveryReplica
+# and TestRecoverFinishesHalfEvolvedGroup, which TestRecover's prefix runs),
+# replica group fencing/failover and the delta-shipping
 # fault matrix (dropped shipment, lost ack, backup behind base, promote /
 # failover / expand / shrink / fence mid-stream, restore under writes — each
 # ending byte-converged), the supervisor's pause/abort-vs-widening race, and
@@ -110,7 +113,7 @@ fuzz-smoke:
 chaos:
 	$(GO) test -race -run 'TestRunE8|TestRunE11|TestRunE13|TestRunE14|TestRunE15' ./internal/harness/
 	$(GO) test -race ./internal/testbed/
-	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestReconcile|TestPolicyRecover|TestSetPolicy|TestSinglePass|TestConcurrentSinglePasses|TestJournalBatch|TestDeclaredMethodContracts|TestInfraMethodContracts' ./internal/manager/
+	$(GO) test -race -run 'TestRecover|TestEvolveDropAdopt|TestConcurrentEvolveDropAdopt|TestCreateInstanceConcurrentDuplicate|TestFleetEvolution|TestProber|TestJournalShipping|TestStandby|TestShipperSync|TestEvolveReplicated|TestRollbackMovesEveryReplica|TestReconcile|TestPolicyRecover|TestSetPolicy|TestSinglePass|TestConcurrentSinglePasses|TestJournalBatch|TestDeclaredMethodContracts|TestInfraMethodContracts' ./internal/manager/
 	$(GO) test -race ./internal/replica/
 	$(GO) test -race -run 'TestRollout|TestSupervisor' ./internal/supervisor/
 	$(GO) test -race -run TestLossyFetchCompletes ./internal/component/

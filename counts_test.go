@@ -5,18 +5,23 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
+	"godcdo/internal/core"
 	"godcdo/internal/dfm"
 	"godcdo/internal/evolution"
 	"godcdo/internal/manager"
+	"godcdo/internal/naming"
 	"godcdo/internal/registry"
 	"godcdo/internal/version"
 )
 
 // The counts below carry the evolution-cost claim (EXPERIMENTS.md E5): an
 // evolution's price follows the change because the DFM publishes one snapshot
-// per reconfiguration and the journal fsyncs twice per single-instance pass.
+// per reconfiguration and the journal fsyncs twice per single-instance pass,
+// and once per move plus once for done per fleet pass.
 // They are exact, so a regression to per-mutation publishing or per-record
 // fsyncs fails tier-1 rather than waiting for a benchmark to notice.
 
@@ -134,6 +139,149 @@ func TestTwoSyncsPerSingleInstancePass(t *testing.T) {
 		}
 		if got := obj.DFM().Publishes() - published; got != 1 {
 			t.Fatalf("%s published %d snapshots, want 1", move.name, got)
+		}
+	}
+}
+
+// versionOnly is a managed instance that holds nothing but its version: the
+// fleet row counts journal records, so no DCDO need stand behind it.
+type versionOnly struct {
+	loid naming.LOID
+	mu   sync.Mutex
+	ver  version.ID
+}
+
+func (i *versionOnly) LOID() naming.LOID { return i.loid }
+
+func (i *versionOnly) Version(context.Context) (version.ID, error) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.ver.Clone(), nil
+}
+
+func (i *versionOnly) Apply(_ context.Context, _ *dfm.Descriptor, v version.ID) (core.ApplyReport, error) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	i.ver = v.Clone()
+	return core.ApplyReport{}, nil
+}
+
+func (i *versionOnly) Interface(context.Context) ([]string, error) { return nil, nil }
+
+// TestFleetPassSyncsOncePerMove: a fleet pass over four instances that all
+// move writes begin, intent and applied per instance, and done — ten records,
+// in that order — in five syncs: each intent's batch carries the records held
+// since the last one, and done carries the last applied. Cut after each of
+// those batches, the journal still recovers: Recover brings every instance to
+// the target, and a second Recover finds nothing to do.
+func TestFleetPassSyncsOncePerMove(t *testing.T) {
+	_, base, next := evolvePair(t, "fl", 20, 2)
+	store := manager.NewStore()
+	root, err := store.CreateRoot(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.MarkInstantiable(root); err != nil {
+		t.Fatal(err)
+	}
+	child, err := store.Derive(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Configure(child, func(d *dfm.Descriptor) error { *d = *next.Clone(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.MarkInstantiable(child); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const n = 4
+	loids := make([]naming.LOID, n)
+	for k := range loids {
+		loids[k] = naming.LOID{Domain: 1, Class: 1, Instance: uint64(k + 1)}
+	}
+	// fleet adopts the four instances under a fresh manager over the journal at
+	// path, with the first at of them already on child.
+	fleet := func(t *testing.T, path string, at int) (*manager.Manager, *manager.Journal, []*versionOnly) {
+		t.Helper()
+		mgr := manager.NewWithStore(store, evolution.MultiIncreasing, evolution.Explicit)
+		journal, err := manager.OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = journal.Close() })
+		mgr.SetJournal(journal)
+		insts := make([]*versionOnly, n)
+		for k, loid := range loids {
+			insts[k] = &versionOnly{loid: loid, ver: root}
+			if k < at {
+				insts[k].ver = child
+			}
+			if err := mgr.Adopt(ctx, insts[k], registry.NativeImplType); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return mgr, journal, insts
+	}
+
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+	mgr, journal, _ := fleet(t, path, 0)
+	var ends []uint64 // the journal's length after each batch
+	journal.SetSink(func(manager.JournalRecord) error {
+		if b := journal.Stats().Bytes; len(ends) == 0 || ends[len(ends)-1] != b {
+			ends = append(ends, b)
+		}
+		return nil
+	})
+	rep, err := mgr.EvolveFleet(ctx, child, nil, -1)
+	if err != nil || len(rep.Evolved) != n || rep.Halted {
+		t.Fatalf("EvolveFleet = %+v, %v", rep, err)
+	}
+	if st := journal.Stats(); st.Records != 2*n+2 || st.Syncs != n+1 {
+		t.Fatalf("fleet pass of %d moves wrote %d records in %d syncs, want %d in %d", n, st.Records, st.Syncs, 2*n+2, n+1)
+	}
+	want := []manager.JournalRecord{{Op: manager.OpBegin, Pass: 1, Target: child, Planned: loids}}
+	for _, loid := range loids {
+		want = append(want,
+			manager.JournalRecord{Op: manager.OpIntent, Pass: 1, LOID: loid, From: root, To: child},
+			manager.JournalRecord{Op: manager.OpApplied, Pass: 1, LOID: loid, To: child})
+	}
+	want = append(want, manager.JournalRecord{Op: manager.OpDone, Pass: 1})
+	recs, err := manager.ReadJournal(path)
+	if err != nil || !reflect.DeepEqual(recs, want) {
+		t.Fatalf("fleet pass journal = %+v (%v), want %+v", recs, err, want)
+	}
+	if len(ends) != n+1 {
+		t.Fatalf("sink saw %d batches, want %d", len(ends), n+1)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The crash after batch k (intent k+1's, or done's) comes before that
+	// instance's apply: the first k instances are on child.
+	for k, end := range ends {
+		cut := filepath.Join(t.TempDir(), "cut.journal")
+		if err := os.WriteFile(cut, data[:end], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mgr2, _, insts := fleet(t, cut, k)
+		report, err := mgr2.Recover(ctx)
+		wantPasses := 1
+		if k == n {
+			wantPasses = 0 // done is on disk: the pass is closed
+		}
+		if err != nil || report.Passes != wantPasses {
+			t.Fatalf("batch %d: Recover = %+v, %v, want %d passes", k+1, report, err, wantPasses)
+		}
+		for _, inst := range insts {
+			if got, _ := inst.Version(ctx); !got.Equal(child) {
+				t.Fatalf("batch %d: %s at %s after Recover, want %s", k+1, inst.loid, got, child)
+			}
+		}
+		if again, err := mgr2.Recover(ctx); err != nil || again.Passes != 0 {
+			t.Fatalf("batch %d: second Recover = %+v, %v, want a no-op", k+1, again, err)
 		}
 	}
 }

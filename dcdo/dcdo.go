@@ -43,12 +43,10 @@ import (
 	"context"
 	"io"
 
-	"godcdo/internal/baseline"
 	"godcdo/internal/component"
 	"godcdo/internal/core"
 	"godcdo/internal/dfm"
 	"godcdo/internal/evolution"
-	"godcdo/internal/harness"
 	"godcdo/internal/legion"
 	"godcdo/internal/manager"
 	"godcdo/internal/naming"
@@ -71,8 +69,6 @@ type (
 	Address = naming.Address
 	// BindingAgent is the authoritative LOID → Address registry.
 	BindingAgent = naming.Agent
-	// BindingCache is a client-side binding cache.
-	BindingCache = naming.Cache
 	// Allocator hands out fresh LOIDs.
 	Allocator = naming.Allocator
 	// DiscoverySchedule models stale-binding discovery time.
@@ -199,8 +195,6 @@ type (
 	Event = core.Event
 	// EventKind classifies configuration events.
 	EventKind = core.EventKind
-	// EventObserver receives configuration events.
-	EventObserver = core.Observer
 )
 
 // Event kinds.
@@ -246,17 +240,12 @@ type (
 	VersionState = manager.VersionState
 	// Instance is a managed DCDO as the manager sees it.
 	Instance = manager.Instance
-	// InstanceRecord is one row of the DCDO table.
-	InstanceRecord = manager.Record
 	// LocalInstance adapts an in-process DCDO to Instance.
 	LocalInstance = manager.LocalInstance
 	// RemoteInstance adapts a DCDO reachable over RPC to Instance.
 	RemoteInstance = manager.RemoteInstance
 	// ManagerObject exposes a Manager as a remotely callable object.
 	ManagerObject = manager.Object
-	// RemoteManagerView lets remote DCDOs run lazy checks against their
-	// manager.
-	RemoteManagerView = manager.RemoteView
 	// Factory creates, hosts, and registers DCDO instances on nodes (the
 	// class-object creation flow).
 	Factory = manager.Factory
@@ -401,20 +390,12 @@ func Migrate(loid LOID, src, dst *Node, obj, target StatefulObject) error {
 type (
 	// CostModel computes modeled Centurion durations.
 	CostModel = simnet.CostModel
-	// BaselineEvolver evolves normal objects by executable replacement.
-	BaselineEvolver = baseline.Evolver
-	// ExperimentReport is one experiment's regenerated result.
-	ExperimentReport = harness.Report
 	// WorkloadSpec describes a synthetic object type.
 	WorkloadSpec = workload.Spec
 )
 
 // CenturionModel returns the cost model calibrated to the paper's testbed.
 func CenturionModel() CostModel { return simnet.Centurion() }
-
-// RunExperiments regenerates every table and figure from the paper's
-// performance study (E1–E6).
-func RunExperiments() ([]*ExperimentReport, error) { return harness.RunAll() }
 
 // BuildWorkload generates a synthetic object type.
 func BuildWorkload(reg *Registry, alloc *Allocator, spec WorkloadSpec) (*workload.Built, error) {

@@ -15,6 +15,7 @@ import (
 	"godcdo/internal/evolution"
 	"godcdo/internal/naming"
 	"godcdo/internal/registry"
+	"godcdo/internal/transport"
 	"godcdo/internal/version"
 )
 
@@ -49,7 +50,8 @@ func TestJournalBatchTornAtEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	intent := JournalRecord{Op: OpIntent, LOID: loid, From: v(1), To: v(1, 1)}
-	pass, err := j.beginPass(v(1, 1), []naming.LOID{loid}, "", intent)
+	l := j.openPass(v(1, 1), []naming.LOID{loid}, "")
+	pass, err := l.pass, l.sync(intent)
 	if err != nil || pass != 1 {
 		t.Fatalf("beginPass = %d, %v", pass, err)
 	}
@@ -499,5 +501,39 @@ func TestConcurrentSinglePassesLeaveCleanJournal(t *testing.T) {
 	report, err := m.Recover(ctx)
 	if err != nil || report.Passes != 0 {
 		t.Fatalf("Recover = %+v, %v, want a clean journal", report, err)
+	}
+}
+
+// TestUnjournalledMoveQuarantinesNothing: a move whose intent the journal
+// cannot take (here its shipping sink cannot reach a standby) fails without
+// touching the instance, and the instance is not quarantined: an unreachable
+// standby says nothing about the instance. A single move and a fleet pass
+// alike.
+func TestUnjournalledMoveQuarantinesNothing(t *testing.T) {
+	m, spy, j, _ := journalled(t)
+	loid := spy.LOID()
+	ctx := context.Background()
+	j.SetSink(func(r JournalRecord) error {
+		if r.Op == OpIntent {
+			return transport.ErrUnreachable
+		}
+		return nil
+	})
+	for _, move := range []struct {
+		name string
+		run  func() error
+	}{
+		{"EvolveInstance", func() error { return m.EvolveInstance(ctx, loid, v(1, 1)) }},
+		{"EvolveFleet", func() error { _, err := m.EvolveFleet(ctx, v(1, 1), nil, -1); return err }},
+	} {
+		if err := move.run(); !errors.Is(err, transport.ErrUnreachable) {
+			t.Fatalf("%s: err = %v, want the shipping failure", move.name, err)
+		}
+		if spy.applies != 0 {
+			t.Fatalf("%s: touched the instance without a shipped intent", move.name)
+		}
+		if q, reason := m.IsQuarantined(loid); q {
+			t.Fatalf("%s: quarantined the instance: %s", move.name, reason)
+		}
 	}
 }

@@ -45,91 +45,50 @@ type FleetReport struct {
 // the whole fleet to the target behind the SLO guard's back. Quarantined
 // and unknown LOIDs in the subset are skipped.
 //
-// Unreachable instances are quarantined and skipped; other per-instance
-// failures are collected and returned joined (each wrapped with its LOID),
-// without stopping the pass. Instances dropped while the pass runs are left
-// out of the report. A ctx that ends mid-pass halts the pass between
-// instances — never mid-instance — leaving the journal open for Recover to
-// resume, exactly as a crash would.
-//
-// haltAfter is a crash point: with haltAfter >= 0 the pass is abandoned —
-// journal left open, no done record — after that many successful
-// applications, so tests and the chaos drills can simulate a manager dying
-// mid-pass. A negative haltAfter runs the pass to its end.
+// The pass runs through the executor (runPass): unreachable instances are
+// quarantined and skipped; other failures are returned joined, each wrapped
+// with its LOID, without stopping the pass; instances dropped meanwhile are
+// left out of the report. N moves cost N + 1 fsyncs. A ctx that ends
+// mid-pass halts it between instances, leaving the journal open for
+// Recover, exactly as a crash would. haltAfter is such a crash point for
+// tests and drills: with haltAfter >= 0 the pass halts once that many
+// instances are at v. A negative haltAfter runs the pass to its end.
 func (m *Manager) EvolveFleet(ctx context.Context, v version.ID, subset []naming.LOID, haltAfter int) (FleetReport, error) {
 	m.mu.Lock()
 	j := m.journal
-	var planned []naming.LOID
-	if subset != nil {
-		planned = make([]naming.LOID, 0, len(subset))
-		for _, loid := range subset {
-			_, q := m.quarantined[loid]
-			if m.records[loid] != nil && !q {
-				planned = append(planned, loid)
-			}
-		}
-	} else {
-		planned = make([]naming.LOID, 0, len(m.records))
+	if subset == nil {
 		for loid := range m.records {
-			if _, q := m.quarantined[loid]; !q {
-				planned = append(planned, loid)
-			}
+			subset = append(subset, loid)
+		}
+	}
+	planned := make([]naming.LOID, 0, len(subset))
+	for _, loid := range subset {
+		if _, q := m.quarantined[loid]; m.records[loid] != nil && !q {
+			planned = append(planned, loid)
 		}
 	}
 	m.mu.Unlock()
-	sort.Slice(planned, func(i, j int) bool { return planned[i].String() < planned[j].String() })
-
-	report := FleetReport{Target: v.Clone()}
-	pass, err := j.BeginPass(v, planned)
-	if err != nil {
-		return report, err
+	sortLOIDs(planned)
+	moves := make([]move, len(planned))
+	for i, loid := range planned {
+		moves[i] = move{loid: loid, to: v}
 	}
-	report.Pass = pass
-
+	p := &pass{log: j.openPass(v, planned, ""), halting: true, haltAfter: haltAfter}
+	res, halted, err := m.runPass(ctx, p, moves)
+	report := FleetReport{Target: v.Clone(), Pass: p.log.pass, Halted: halted}
 	var errs []error
-	for _, loid := range planned {
-		if err := ctx.Err(); err != nil {
-			// Halt like a crash: the journal pass stays open, so Recover
-			// resumes the instances this pass never reached.
-			report.Halted = true
-			errs = append(errs, fmt.Errorf("fleet pass %d halted: %w", pass, err))
-			return report, errors.Join(errs...)
-		}
-		if haltAfter >= 0 && len(report.Evolved) >= haltAfter {
-			report.Halted = true
-			return report, errors.Join(errs...)
-		}
-		// Already converged instances need no transition (styles like
-		// multi-increasing would even deny the self-transition).
-		m.mu.Lock()
-		atTarget := m.records[loid] != nil && m.records[loid].Version.Equal(v)
-		m.mu.Unlock()
-		if atTarget {
-			report.Evolved = append(report.Evolved, loid)
-			continue
-		}
-		switch evErr := m.evolveOne(ctx, pass, loid, v, false); {
-		case evErr == nil:
-			report.Evolved = append(report.Evolved, loid)
-		case errors.Is(evErr, ErrUnknownInstance):
-			// Dropped after the pass was planned: it has left the fleet,
-			// so there is nothing to converge (Recover skips it likewise).
-		case isConnectivityError(evErr):
-			reason := fmt.Sprintf("unreachable during pass %d: %v", pass, evErr)
-			m.quarantine(loid, reason)
-			if jerr := j.Skipped(pass, loid, reason); jerr != nil {
-				errs = append(errs, fmt.Errorf("%s: %w", loid, jerr))
-			}
-			report.Skipped = append(report.Skipped, loid)
-		default:
-			report.Failed = append(report.Failed, loid)
-			errs = append(errs, fmt.Errorf("%s: %w", loid, evErr))
+	for _, r := range res {
+		switch r.out {
+		case outMoved, outAt:
+			report.Evolved = append(report.Evolved, r.loid)
+		case outQuarantined:
+			report.Skipped = append(report.Skipped, r.loid)
+		case outFailed:
+			report.Failed = append(report.Failed, r.loid)
+			errs = append(errs, fmt.Errorf("%s: %w", r.loid, r.err))
 		}
 	}
-	if err := j.Done(pass); err != nil {
-		errs = append(errs, err)
-	}
-	return report, errors.Join(errs...)
+	return report, errors.Join(append(errs, err)...)
 }
 
 // isConnectivityError reports whether err indicates the instance could not

@@ -418,60 +418,58 @@ func (j *Journal) SetSink(sink func(JournalRecord) error) {
 // the target version and the instances the pass plans to evolve. Nil-safe
 // (returns pass 0).
 func (j *Journal) BeginPass(target version.ID, planned []naming.LOID) (uint64, error) {
-	return j.beginPass(target, planned, "")
-}
-
-// BeginRollbackPass is BeginPass for a rollback: the begin record's Reason
-// marks the pass as style-exempt, so a recovery that resumes it applies the
-// target descriptor directly instead of re-running the style check (which a
-// forward-only style would veto — exactly as live rollback does).
-func (j *Journal) BeginRollbackPass(target version.ID, planned []naming.LOID) (uint64, error) {
-	return j.beginPass(target, planned, passReasonRollback)
+	l := j.openPass(target, planned, "")
+	if err := l.sync(); err != nil {
+		return 0, err
+	}
+	return l.pass, nil
 }
 
 // passReasonRollback on an OpBegin record marks a style-exempt rollback pass.
 const passReasonRollback = "rollback"
 
-// beginPass allocates a pass identifier and appends the pass's begin record
-// and, in the same batch, the records in follow, each stamped with the new
-// identifier.
-func (j *Journal) beginPass(target version.ID, planned []naming.LOID, reason string, follow ...JournalRecord) (uint64, error) {
-	if j == nil {
-		return 0, nil
+// passLog writes one pass's records under the executor's rule: a record
+// handed to sync reaches the disk, with every record held before it, in one
+// batch before sync returns; a record handed to add is held for the next
+// sync. Nil-safe through its journal.
+type passLog struct {
+	j       *Journal
+	pass    uint64
+	pending []JournalRecord
+}
+
+// openPass allocates a pass identifier (0 for a nil journal) and holds the
+// pass's begin record for its first sync.
+func (j *Journal) openPass(target version.ID, planned []naming.LOID, reason string) *passLog {
+	l := &passLog{j: j}
+	if j != nil {
+		j.mu.Lock()
+		l.pass = j.nextPass
+		j.nextPass++
+		j.mu.Unlock()
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	pass := j.nextPass
-	j.nextPass++
-	batch := append([]JournalRecord{{Op: OpBegin, Pass: pass, Target: target.Clone(), Planned: planned, Reason: reason}}, follow...)
-	for i := range batch {
-		batch[i].Pass = pass
+	l.add(JournalRecord{Op: OpBegin, Target: target.Clone(), Planned: planned, Reason: reason})
+	return l
+}
+
+// add holds r, stamped with the pass, for the next sync.
+func (l *passLog) add(r JournalRecord) {
+	r.Pass = l.pass
+	l.pending = append(l.pending, r)
+}
+
+// sync appends recs behind the held records and writes them all in one
+// batch. With nothing to write it writes nothing.
+func (l *passLog) sync(recs ...JournalRecord) error {
+	for _, r := range recs {
+		l.add(r)
 	}
-	if err := j.appendLocked(batch); err != nil {
-		return 0, err
+	batch := l.pending
+	l.pending = nil
+	if len(batch) == 0 {
+		return nil
 	}
-	return pass, nil
-}
-
-// Intent records that the manager is about to evolve loid from 'from' to
-// 'to' under the given pass. Nil-safe.
-func (j *Journal) Intent(pass uint64, loid naming.LOID, from, to version.ID) error {
-	return j.Append(JournalRecord{Op: OpIntent, Pass: pass, LOID: loid, From: from.Clone(), To: to.Clone()})
-}
-
-// Applied records that loid verifiably reached 'to'. Nil-safe.
-func (j *Journal) Applied(pass uint64, loid naming.LOID, to version.ID) error {
-	return j.Append(JournalRecord{Op: OpApplied, Pass: pass, LOID: loid, To: to.Clone()})
-}
-
-// Skipped records that loid was left out of the pass. Nil-safe.
-func (j *Journal) Skipped(pass uint64, loid naming.LOID, reason string) error {
-	return j.Append(JournalRecord{Op: OpSkipped, Pass: pass, LOID: loid, Reason: reason})
-}
-
-// Done closes the pass. Nil-safe.
-func (j *Journal) Done(pass uint64) error {
-	return j.Append(JournalRecord{Op: OpDone, Pass: pass})
+	return l.j.AppendBatch(batch...)
 }
 
 // RolloutStart allocates a rollout identifier and durably records the
@@ -517,12 +515,6 @@ func (j *Journal) RolloutDone(rollout uint64, disposition string) error {
 // Current records a current-version designation. Nil-safe.
 func (j *Journal) Current(v version.ID) error {
 	return j.Append(JournalRecord{Op: OpCurrent, Target: v.Clone()})
-}
-
-// ReplicaPromote records that loid's group promoted the member at endpoint
-// to primary within the pass. Nil-safe.
-func (j *Journal) ReplicaPromote(pass uint64, loid naming.LOID, endpoint string) error {
-	return j.Append(JournalRecord{Op: OpReplicaPromote, Pass: pass, LOID: loid, Reason: endpoint})
 }
 
 // MgrEpoch records a manager-epoch bump; Pass carries the epoch. Nil-safe.

@@ -39,16 +39,16 @@ func TestJournalRoundTrip(t *testing.T) {
 	if pass != 1 {
 		t.Fatalf("first pass = %d, want 1", pass)
 	}
-	if err := j.Intent(pass, a, v(1), target); err != nil {
+	if err := j.Append(JournalRecord{Op: OpIntent, Pass: pass, LOID: a, From: v(1), To: target}); err != nil {
 		t.Fatalf("Intent: %v", err)
 	}
-	if err := j.Applied(pass, a, target); err != nil {
+	if err := j.Append(JournalRecord{Op: OpApplied, Pass: pass, LOID: a, To: target}); err != nil {
 		t.Fatalf("Applied: %v", err)
 	}
-	if err := j.Skipped(pass, b, "quarantined"); err != nil {
+	if err := j.Append(JournalRecord{Op: OpSkipped, Pass: pass, LOID: b, Reason: "quarantined"}); err != nil {
 		t.Fatalf("Skipped: %v", err)
 	}
-	if err := j.Done(pass); err != nil {
+	if err := j.Append(JournalRecord{Op: OpDone, Pass: pass}); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
 
@@ -121,7 +121,7 @@ func TestJournalOpenSweepsOrphanedTemps(t *testing.T) {
 		t.Fatalf("Current: %v", err)
 	}
 	pass, _ := j.BeginPass(v(1, 1), nil)
-	if err := j.Done(pass); err != nil {
+	if err := j.Append(JournalRecord{Op: OpDone, Pass: pass}); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -180,7 +180,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 	pass, _ := j.BeginPass(v(1, 1), nil)
 	loid := naming.LOID{Domain: 1, Class: 2, Instance: 3}
-	if err := j.Intent(pass, loid, v(1), v(1, 1)); err != nil {
+	if err := j.Append(JournalRecord{Op: OpIntent, Pass: pass, LOID: loid, From: v(1), To: v(1, 1)}); err != nil {
 		t.Fatalf("Intent: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -235,13 +235,13 @@ func TestJournalReplicationOps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BeginPass: %v", err)
 	}
-	if err := j.ReplicaPromote(pass, loid, "inproc://replica-b"); err != nil {
+	if err := j.Append(JournalRecord{Op: OpReplicaPromote, Pass: pass, LOID: loid, Reason: "inproc://replica-b"}); err != nil {
 		t.Fatalf("ReplicaPromote: %v", err)
 	}
 	if err := j.MgrEpoch(7); err != nil {
 		t.Fatalf("MgrEpoch: %v", err)
 	}
-	if err := j.Done(pass); err != nil {
+	if err := j.Append(JournalRecord{Op: OpDone, Pass: pass}); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -282,7 +282,7 @@ func TestJournalTornTailOnReplicatedRecord(t *testing.T) {
 	}
 	loid := naming.LOID{Domain: 1, Class: 2, Instance: 3}
 	pass, _ := j.BeginPass(v(1, 1), []naming.LOID{loid})
-	if err := j.ReplicaPromote(pass, loid, "inproc://replica-b"); err != nil {
+	if err := j.Append(JournalRecord{Op: OpReplicaPromote, Pass: pass, LOID: loid, Reason: "inproc://replica-b"}); err != nil {
 		t.Fatalf("ReplicaPromote: %v", err)
 	}
 	if err := j.MgrEpoch(3); err != nil {
@@ -357,7 +357,7 @@ func TestJournalSink(t *testing.T) {
 	}
 
 	fail = errors.New("standby fenced us")
-	if err := j.Done(pass); err == nil {
+	if err := j.Append(JournalRecord{Op: OpDone, Pass: pass}); err == nil {
 		t.Fatal("Done with failing sink: want error, got nil")
 	}
 	// The record still landed locally (fsync precedes shipping): a re-read
@@ -384,7 +384,7 @@ func TestJournalCompact(t *testing.T) {
 	}
 	defer j.Close()
 	pass, _ := j.BeginPass(v(1, 1), nil)
-	_ = j.Done(pass)
+	_ = j.Append(JournalRecord{Op: OpDone, Pass: pass})
 	_ = j.Current(v(1, 1))
 
 	if err := j.Compact([]JournalRecord{{Op: OpCurrent, Target: v(1, 1)}}); err != nil {
@@ -421,10 +421,8 @@ func TestJournalNilIsNoOp(t *testing.T) {
 		t.Fatalf("nil BeginPass: pass=%d err=%v", pass, err)
 	}
 	if err := errors.Join(
-		j.Intent(0, naming.LOID{}, nil, nil),
-		j.Applied(0, naming.LOID{}, nil),
-		j.Skipped(0, naming.LOID{}, ""),
-		j.Done(0),
+		j.Append(JournalRecord{Op: OpDone}),
+		j.openPass(v(1), nil, "").sync(JournalRecord{Op: OpDone}),
 		j.Current(v(1)),
 		j.Compact(nil),
 		j.Close(),

@@ -164,7 +164,7 @@ func TestFleetEvolutionQuarantinesPartitionedInstance(t *testing.T) {
 	if err != nil || !rec.Version.Equal(v(1, 1)) {
 		t.Fatalf("victim record after heal = %+v (%v), want %s", rec, err, v(1, 1))
 	}
-	actual, err := m.instanceProbe(context.Background(), victim)
+	actual, err := m.instanceProbe(context.Background(), victim, v(1, 1))
 	if err != nil || !actual.Equal(v(1, 1)) {
 		t.Fatalf("victim actual version = %s (%v), want %s", actual, err, v(1, 1))
 	}

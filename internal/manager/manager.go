@@ -262,7 +262,7 @@ func (m *Manager) Drop(loid naming.LOID) {
 // update policy relies on. With a journal installed the evolution runs as a
 // durable single-instance pass, recoverable if the manager crashes mid-way.
 func (m *Manager) EvolveInstance(ctx context.Context, loid naming.LOID, v version.ID) error {
-	return m.singlePass(ctx, loid, v, "")
+	return m.moveOne(ctx, loid, v, "")
 }
 
 // RollbackInstance forces one managed DCDO back to version v without
@@ -274,55 +274,139 @@ func (m *Manager) EvolveInstance(ctx context.Context, loid naming.LOID, v versio
 // crash mid-retreat resumes as a rollback too — and still requires v to be
 // instantiable in the store.
 func (m *Manager) RollbackInstance(ctx context.Context, loid naming.LOID, v version.ID) error {
-	return m.singlePass(ctx, loid, v, passReasonRollback)
+	return m.moveOne(ctx, loid, v, passReasonRollback)
 }
 
-// singlePass runs one instance's move as a journal pass of its own. The
-// pass's four records reach the disk in two batches, one fsync each: begin
-// and intent before the instance is touched, applied and done before the
-// call returns. A move refused before the instance is touched leaves begin
-// and done (one batch); one that fails after intent leaves the pass closed
-// by a lone done. Only a crash leaves it open for Recover to finish.
-func (m *Manager) singlePass(ctx context.Context, loid naming.LOID, v version.ID, reason string) error {
-	j := m.Journal()
-	planned := []naming.LOID{loid}
-	st, err := m.planStep(loid, v, reason == passReasonRollback)
-	if st == nil {
-		_, jerr := j.beginPass(v, planned, reason, JournalRecord{Op: OpDone})
-		if err == nil {
-			err = jerr
-		}
-		return err
+// moveOne runs one instance's move as a pass of its own. Its four records
+// reach the disk in two batches: begin and intent before the instance is
+// touched, applied and done before the call returns. A move refused before
+// the instance is touched leaves begin and done (one batch); one that fails
+// after intent leaves the pass closed by a lone done. Only a crash leaves it
+// open for Recover to finish.
+func (m *Manager) moveOne(ctx context.Context, loid naming.LOID, v version.ID, reason string) error {
+	p := &pass{log: m.Journal().openPass(v, []naming.LOID{loid}, reason), rollback: reason == passReasonRollback}
+	res, _, err := m.runPass(ctx, p, []move{{loid: loid, to: v}})
+	if res[0].err != nil {
+		return res[0].err // the move's failure is the error to report
 	}
-	pass, err := j.beginPass(v, planned, reason, st.intent(0))
+	return err
+}
+
+// pass is how the executor runs one journal pass.
+type pass struct {
+	log      *passLog
+	rollback bool // skip the style check: the retreat a forward style vetoes
+	recovery bool // probe each instance before planning its move
+	// halting (fleet) passes stop between moves once ctx ends or haltAfter
+	// instances are at the target (never when haltAfter < 0).
+	halting   bool
+	haltAfter int
+}
+
+// move is one instance's move within a pass. A recovery move with only set
+// leaves alone an instance found on a version other than only (the orphaned
+// target a recovery rolls back from).
+type move struct {
+	loid     naming.LOID
+	to, only version.ID
+}
+
+// outcome sorts how a move ended.
+type outcome uint8
+
+const (
+	outMoved       outcome = iota // applied: now at the target
+	outAt                         // found at the target, or left alone
+	outDropped                    // no longer managed: left out
+	outQuarantined                // unreachable: quarantined and skipped
+	outFailed                     // refused, or failed for any other reason
+)
+
+type moveResult struct {
+	loid naming.LOID
+	out  outcome
+	err  error
+}
+
+// runPass is the manager's one pass executor: every instance move —
+// EvolveInstance and RollbackInstance (a pass of one), EvolveFleet, and
+// Recover's resume and orphaned-target rollback — goes through it, one move
+// at a time. Each move takes the same steps: in recovery, probe where the
+// instance is; plan the step (a rollback skips the style check); sync its
+// intent; apply. Any failure is sorted once: a dropped instance is left
+// out, an unreachable one quarantined and skipped, anything else failed.
+//
+// The journal rule: an intent is synced before its instance is touched;
+// every other record (begin, applied, skipped) rides in the next synced
+// batch, and done closes the pass, so N moves cost N + 1 fsyncs. A halted
+// pass flushes what it holds and writes no done, leaving Recover to finish.
+func (m *Manager) runPass(ctx context.Context, p *pass, moves []move) (res []moveResult, halted bool, err error) {
+	at := 0
+	for _, mv := range moves {
+		if p.halting {
+			if cerr := ctx.Err(); cerr != nil {
+				return res, true, errors.Join(fmt.Errorf("pass %d halted: %w", p.log.pass, cerr), p.log.sync())
+			}
+			if p.haltAfter >= 0 && at >= p.haltAfter {
+				return res, true, p.log.sync()
+			}
+		}
+		r := moveResult{loid: mv.loid}
+		r.out, r.err = m.runMove(ctx, p, mv)
+		switch {
+		case r.err == nil:
+			at++
+			if p.recovery {
+				m.UnquarantineInstance(mv.loid) // it answered: it is alive
+			}
+		case r.out == outFailed: // sorted by runMove
+		case errors.Is(r.err, ErrUnknownInstance):
+			r.out = outDropped
+		case isConnectivityError(r.err):
+			r.out = outQuarantined
+			reason := fmt.Sprintf("unreachable during pass %d: %v", p.log.pass, r.err)
+			m.quarantine(mv.loid, reason)
+			p.log.add(JournalRecord{Op: OpSkipped, LOID: mv.loid, Reason: reason})
+		default:
+			r.out = outFailed
+		}
+		res = append(res, r)
+	}
+	return res, false, p.log.sync(JournalRecord{Op: OpDone})
+}
+
+// runMove takes one move through its steps; runPass sorts its failure,
+// unless runMove already has.
+func (m *Manager) runMove(ctx context.Context, p *pass, mv move) (outcome, error) {
+	if p.recovery {
+		actual, err := m.instanceProbe(ctx, mv.loid, mv.to)
+		if err != nil {
+			return 0, err
+		}
+		m.syncRecord(mv.loid, actual)
+		if actual.Equal(mv.to) {
+			// The apply landed before the crash; its applied record did not.
+			p.log.add(JournalRecord{Op: OpApplied, LOID: mv.loid, To: mv.to})
+			return outAt, nil
+		}
+		if !mv.only.IsZero() && !actual.Equal(mv.only) {
+			return outAt, nil
+		}
+	}
+	st, err := m.planStep(mv.loid, mv.to, p.rollback)
+	if st == nil {
+		return outAt, err
+	}
+	// A failed intent sync is not the instance's failure: it was never touched.
+	out, err := outFailed, p.log.sync(JournalRecord{Op: OpIntent, LOID: st.loid, From: st.from, To: st.to})
 	if err == nil {
-		done := JournalRecord{Op: OpDone, Pass: pass}
-		if err = m.applyStep(ctx, j, pass, st); err == nil {
-			err = j.AppendBatch(st.applied(pass), done)
-		} else {
-			_ = j.Append(done) // the apply's failure is the error to report
-		}
+		out, err = outMoved, m.applyStep(ctx, p.log, st)
+	}
+	if err == nil {
+		p.log.add(JournalRecord{Op: OpApplied, LOID: st.loid, To: st.to})
 	}
 	m.finishStep(st, err)
-	return err
-}
-
-// evolveOne moves one instance under a journal pass the caller has already
-// opened (a fleet pass, or one Recover resumes): intent is durably recorded
-// before the instance is touched, applied after it is verified there.
-func (m *Manager) evolveOne(ctx context.Context, pass uint64, loid naming.LOID, v version.ID, rollback bool) error {
-	st, err := m.planStep(loid, v, rollback)
-	if st == nil {
-		return err
-	}
-	j := m.Journal()
-	if err = j.Append(st.intent(pass)); err == nil {
-		if err = m.applyStep(ctx, j, pass, st); err == nil {
-			err = j.Append(st.applied(pass))
-		}
-	}
-	m.finishStep(st, err)
-	return err
+	return out, err
 }
 
 // step is one instance's move to a pass target: decided by planStep, not yet
@@ -338,14 +422,6 @@ type step struct {
 	desc     *dfm.Descriptor
 	rollback bool
 	sp       *obs.Span
-}
-
-func (st *step) intent(pass uint64) JournalRecord {
-	return JournalRecord{Op: OpIntent, Pass: pass, LOID: st.loid, From: st.from.Clone(), To: st.to.Clone()}
-}
-
-func (st *step) applied(pass uint64) JournalRecord {
-	return JournalRecord{Op: OpApplied, Pass: pass, LOID: st.loid, To: st.to.Clone()}
 }
 
 // planStep decides everything about one instance's move that can be decided
@@ -412,17 +488,20 @@ func (m *Manager) planStep(loid naming.LOID, v version.ID, rollback bool) (*step
 }
 
 // applyStep applies the step's descriptor — through the replica group when
-// the LOID has one — and pins the table row to the target.
-func (m *Manager) applyStep(ctx context.Context, j *Journal, pass uint64, st *step) error {
+// the LOID has one, in either direction — and pins the table row to the
+// target.
+func (m *Manager) applyStep(ctx context.Context, l *passLog, st *step) error {
 	verb := "evolve"
 	if st.rollback {
 		verb = "rollback"
 	}
-	if g := m.ReplicaGroup(st.loid); g != nil && !st.rollback {
-		if err := m.evolveReplicated(ctx, j, pass, g, st.loid, st.desc, st.to); err != nil {
-			return fmt.Errorf("%s %s to %s: %w", verb, st.loid, st.to, err)
-		}
-	} else if _, err := applyInstance(ctx, st.sp, st.inst, st.desc, st.to); err != nil {
+	var err error
+	if g := m.ReplicaGroup(st.loid); g != nil {
+		err = m.evolveReplicated(ctx, l, g, st.loid, st.desc, st.to)
+	} else {
+		_, err = applyInstance(ctx, st.sp, st.inst, st.desc, st.to)
+	}
+	if err != nil {
 		return fmt.Errorf("%s %s to %s: %w", verb, st.loid, st.to, err)
 	}
 	m.mu.Lock()
@@ -439,7 +518,7 @@ func (m *Manager) finishStep(st *step, err error) {
 		st.sp.Fail(err)
 		st.sp.Finish()
 	}
-	if err == nil {
+	if err == nil && st.desc != nil { // an instance already at the target did not move
 		kind := "evolved"
 		if st.rollback {
 			kind = "rolled-back"
@@ -448,38 +527,26 @@ func (m *Manager) finishStep(st *step, err error) {
 	}
 }
 
-// evolveReplicated evolves a replica group to v with the LOID continuously
-// available: every backup is brought to the target first (each still serving
-// shipped state, none serving clients), then an evolved backup is promoted
-// to primary — the instant of hand-off is the only leadership change and
-// both sides of it run the target version or the old one, never neither —
-// and finally the deposed primary, now a backup, is evolved. Each member
-// already at the target is skipped, which is what makes a crash-interrupted
-// pass resumable: the re-run converges on the remaining members instead of
-// repeating completed work or flipping leadership twice.
-func (m *Manager) evolveReplicated(ctx context.Context, j *Journal, pass uint64, g *replica.Group, loid naming.LOID, desc *dfm.Descriptor, v version.ID) error {
+// evolveReplicated moves a replica group to v — forward or back — with the
+// LOID continuously available: every backup is brought to the target first
+// (each still serving shipped state, none serving clients), then a moved
+// backup is promoted to primary — the instant of hand-off is the only
+// leadership change and both sides of it run the target version or the old
+// one, never neither — and finally the deposed primary, now a backup, is
+// moved. Each member already at the target is skipped, which is what makes a
+// crash-interrupted pass resumable: the re-run converges on the remaining
+// members instead of repeating completed work or flipping leadership twice.
+func (m *Manager) evolveReplicated(ctx context.Context, l *passLog, g *replica.Group, loid naming.LOID, desc *dfm.Descriptor, v version.ID) error {
 	set := g.Set()
 	apply := core.ApplyArgs{Target: desc, Version: v}
 
-	memberAt := func(endpoint string) (bool, error) {
-		st, err := g.Status(ctx, endpoint)
-		if err != nil {
-			return false, err
-		}
-		at, err := version.Decode(st.VersionSegs)
-		if err != nil {
-			return false, err
-		}
-		return at.Equal(v), nil
-	}
-
 	// Backups first: invisible to clients, the primary keeps serving.
 	for _, ep := range set.Backups {
-		done, err := memberAt(ep)
+		at, err := memberAt(ctx, g, ep)
 		if err != nil {
-			return fmt.Errorf("replica %s: %w", ep, err)
+			return err
 		}
-		if done {
+		if at.Equal(v) {
 			continue
 		}
 		if _, err := replica.Call(ctx, g, ep, core.MethodApplyDescriptor, apply); err != nil {
@@ -489,19 +556,19 @@ func (m *Manager) evolveReplicated(ctx context.Context, j *Journal, pass uint64,
 
 	// If the primary already runs the target (a resumed pass promoted it
 	// before the crash), the group is converged.
-	done, err := memberAt(set.Primary)
+	at, err := memberAt(ctx, g, set.Primary)
 	if err != nil {
-		return fmt.Errorf("replica %s: %w", set.Primary, err)
+		return err
 	}
-	if done {
+	if at.Equal(v) {
 		return nil
 	}
 
 	if len(set.Backups) > 0 {
-		// Promote an evolved backup; the old primary stays in the set as a
-		// backup of the new era and is evolved last.
+		// Promote a moved backup; the old primary stays in the set as a
+		// backup of the new era and is moved last.
 		newPrimary := set.Backups[0]
-		if err := j.ReplicaPromote(pass, loid, newPrimary); err != nil {
+		if err := l.sync(JournalRecord{Op: OpReplicaPromote, LOID: loid, Reason: newPrimary}); err != nil {
 			return err
 		}
 		if _, err := g.Promote(ctx, newPrimary, true); err != nil {
@@ -513,6 +580,18 @@ func (m *Manager) evolveReplicated(ctx context.Context, j *Journal, pass uint64,
 		return fmt.Errorf("replica %s: %w", set.Primary, err)
 	}
 	return nil
+}
+
+// memberAt reports the version the group member at endpoint runs.
+func memberAt(ctx context.Context, g *replica.Group, endpoint string) (version.ID, error) {
+	st, err := g.Status(ctx, endpoint)
+	if err == nil {
+		var at version.ID
+		if at, err = version.Decode(st.VersionSegs); err == nil {
+			return at, nil
+		}
+	}
+	return nil, fmt.Errorf("replica %s: %w", endpoint, err)
 }
 
 // checkHybridDerivation applies the mandatory/permanent rules between two

@@ -157,7 +157,7 @@ func (p *Prober) Sweep(ctx context.Context) (SweepReport, error) {
 func (p *Prober) reconverge(ctx context.Context, loid naming.LOID) error {
 	current, _ := p.Mgr.CurrentVersion()
 	if !current.IsZero() {
-		actual, err := p.Mgr.instanceProbe(ctx, loid)
+		actual, err := p.Mgr.instanceProbe(ctx, loid, current)
 		if err != nil {
 			return err
 		}
@@ -279,12 +279,24 @@ func (p *Prober) Stop() {
 	p.wg.Wait()
 }
 
-// instanceProbe returns the instance's actual version (an RPC for remote
-// instances).
-func (m *Manager) instanceProbe(ctx context.Context, loid naming.LOID) (version.ID, error) {
+// instanceProbe reports where loid is, measured against v: its version, or
+// for a replica group the version of the first member, backups first, not at
+// v. A group is at v only when every member is.
+func (m *Manager) instanceProbe(ctx context.Context, loid naming.LOID, v version.ID) (version.ID, error) {
 	inst := m.instanceOf(loid)
 	if inst == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownInstance, loid)
 	}
-	return inst.Version(ctx)
+	g := m.ReplicaGroup(loid)
+	if g == nil {
+		return inst.Version(ctx)
+	}
+	set := g.Set()
+	for _, ep := range append(append([]string(nil), set.Backups...), set.Primary) {
+		at, err := memberAt(ctx, g, ep)
+		if err != nil || !at.Equal(v) {
+			return at, err
+		}
+	}
+	return v, nil
 }

@@ -47,13 +47,8 @@ type RecoveryReport struct {
 
 // passState is one journal pass reconstructed from its records.
 type passState struct {
-	pass    uint64
-	target  version.ID
-	reason  string // OpBegin reason; passReasonRollback marks style-exempt
-	planned []naming.LOID
-	intents map[naming.LOID]JournalRecord // latest intent per instance
-	applied map[naming.LOID]bool
-	skipped map[naming.LOID]bool
+	begin   JournalRecord
+	intents map[naming.LOID]JournalRecord // first intent per instance
 	done    bool
 }
 
@@ -100,7 +95,7 @@ func (m *Manager) Recover(ctx context.Context) (RecoveryReport, error) {
 	if tr := m.tracer(); tr != nil {
 		sp = tr.StartSpan(obs.StageMgrRecover, obs.SpanContext{})
 	}
-	report, err := m.recover(ctx, sp, j, recs)
+	report, err := m.recover(ctx, j, recs)
 	if sp != nil {
 		sp.Annotate("passes", fmt.Sprintf("%d", report.Passes))
 		sp.Fail(err)
@@ -113,7 +108,7 @@ func (m *Manager) Recover(ctx context.Context) (RecoveryReport, error) {
 	return report, err
 }
 
-func (m *Manager) recover(ctx context.Context, sp *obs.Span, j *Journal, recs []JournalRecord) (RecoveryReport, error) {
+func (m *Manager) recover(ctx context.Context, j *Journal, recs []JournalRecord) (RecoveryReport, error) {
 	var report RecoveryReport
 	var lastCurrent version.ID
 	var lastEpoch uint64
@@ -157,27 +152,15 @@ func (m *Manager) recover(ctx context.Context, sp *obs.Span, j *Journal, recs []
 		case OpRolloutDone:
 			rolloutDone[r.Pass] = true
 		case OpBegin:
-			passes[r.Pass] = &passState{
-				pass:    r.Pass,
-				target:  r.Target,
-				reason:  r.Reason,
-				planned: r.Planned,
-				intents: make(map[naming.LOID]JournalRecord),
-				applied: make(map[naming.LOID]bool),
-				skipped: make(map[naming.LOID]bool),
-			}
+			passes[r.Pass] = &passState{begin: r, intents: make(map[naming.LOID]JournalRecord)}
 			order = append(order, r.Pass)
 		case OpIntent:
+			// The first intent holds the pre-pass version a rollback
+			// restores; a recovery's own intents come after it.
 			if p := passes[r.Pass]; p != nil {
-				p.intents[r.LOID] = r
-			}
-		case OpApplied:
-			if p := passes[r.Pass]; p != nil {
-				p.applied[r.LOID] = true
-			}
-		case OpSkipped:
-			if p := passes[r.Pass]; p != nil {
-				p.skipped[r.LOID] = true
+				if _, seen := p.intents[r.LOID]; !seen {
+					p.intents[r.LOID] = r
+				}
 			}
 		case OpDone:
 			if p := passes[r.Pass]; p != nil {
@@ -211,14 +194,7 @@ func (m *Manager) recover(ctx context.Context, sp *obs.Span, j *Journal, recs []
 			continue
 		}
 		report.Passes++
-		if m.store.IsInstantiable(p.target) {
-			m.resumePass(ctx, j, p, &report, &errs)
-		} else {
-			m.rollbackPass(ctx, sp, j, p, &report, &errs)
-		}
-		if err := j.Done(p.pass); err != nil {
-			errs = append(errs, err)
-		}
+		errs = append(errs, m.recoverPass(ctx, j, p, &report))
 	}
 
 	// Every pass is now closed; shrink the journal to just the designation
@@ -251,101 +227,44 @@ func (m *Manager) recover(ctx context.Context, sp *obs.Span, j *Journal, recs []
 	return report, errors.Join(errs...)
 }
 
-// resumePass drives an interrupted pass forward: every planned instance
-// still managed is probed and, if not already on the target, evolved to it.
-func (m *Manager) resumePass(ctx context.Context, j *Journal, p *passState, report *RecoveryReport, errs *[]error) {
-	for _, loid := range p.planned {
-		inst := m.instanceOf(loid)
-		if inst == nil {
-			continue // dropped or never re-registered; nothing to converge
+// recoverPass finishes an interrupted pass through the executor, probing
+// each instance first. While the store offers the pass target, every planned
+// instance still managed is moved to it (a rollback pass stays style-exempt).
+// Once the target is orphaned, each instance with an intent that is found on
+// it is rolled back, style-exempt, to its pre-pass version.
+func (m *Manager) recoverPass(ctx context.Context, j *Journal, ps *passState, report *RecoveryReport) error {
+	b := ps.begin
+	p := &pass{log: &passLog{j: j, pass: b.Pass}, recovery: true, rollback: b.Reason == passReasonRollback}
+	var moves []move
+	resume := m.store.IsInstantiable(b.Target)
+	if resume {
+		for _, loid := range b.Planned {
+			moves = append(moves, move{loid: loid, to: b.Target})
 		}
-		actual, err := inst.Version(ctx)
-		if err != nil {
-			m.quarantineUnreachable(j, p.pass, loid, err, report, errs)
-			continue
+	} else {
+		p.rollback = true
+		for loid, intent := range ps.intents {
+			moves = append(moves, move{loid: loid, to: intent.From, only: b.Target})
 		}
-		m.syncRecord(loid, actual)
-		if actual.Equal(p.target) {
-			// Already there — either the applied record was lost with the
-			// crash or the apply landed before it. Record it now.
-			if err := j.Applied(p.pass, loid, p.target); err != nil {
-				*errs = append(*errs, err)
-			}
-			m.UnquarantineInstance(loid) // probe succeeded: it is alive
-			report.Verified = append(report.Verified, loid)
-			continue
-		}
-		// A normal pass re-runs the style check; a rollback pass (begin
-		// reason passReasonRollback) applies the target descriptor directly
-		// — the forward-only style vetoed the transition when the rollback
-		// was decided live, so it must not be consulted again on resume.
-		switch err := m.evolveOne(ctx, p.pass, loid, p.target, p.reason == passReasonRollback); {
-		case err == nil:
-			m.UnquarantineInstance(loid)
-			report.Resumed = append(report.Resumed, loid)
-		case isConnectivityError(err):
-			m.quarantineUnreachable(j, p.pass, loid, err, report, errs)
-		default:
-			*errs = append(*errs, fmt.Errorf("resume %s: %w", loid, err))
+		sort.Slice(moves, func(a, b int) bool { return moves[a].loid.String() < moves[b].loid.String() })
+	}
+	res, _, err := m.runPass(ctx, p, moves)
+	errs := []error{err}
+	for _, r := range res {
+		switch {
+		case r.out == outMoved && resume:
+			report.Resumed = append(report.Resumed, r.loid)
+		case r.out == outMoved:
+			report.RolledBack = append(report.RolledBack, r.loid)
+		case r.out == outAt:
+			report.Verified = append(report.Verified, r.loid)
+		case r.out == outQuarantined:
+			report.Quarantined = append(report.Quarantined, r.loid)
+		case r.out == outFailed:
+			errs = append(errs, fmt.Errorf("recover %s: %w", r.loid, r.err))
 		}
 	}
-}
-
-// rollbackPass undoes an interrupted pass whose target the loaded store no
-// longer offers: any instance observed on the orphaned target is forced
-// back to its journalled pre-pass version. The style is deliberately not
-// consulted — the orphaned version does not exist as far as the store is
-// concerned, so the only consistent state is the pre-pass one.
-func (m *Manager) rollbackPass(ctx context.Context, sp *obs.Span, j *Journal, p *passState, report *RecoveryReport, errs *[]error) {
-	loids := make([]naming.LOID, 0, len(p.intents))
-	for loid := range p.intents {
-		loids = append(loids, loid)
-	}
-	sortLOIDs(loids)
-	for _, loid := range loids {
-		intent := p.intents[loid]
-		inst := m.instanceOf(loid)
-		if inst == nil {
-			continue
-		}
-		actual, err := inst.Version(ctx)
-		if err != nil {
-			m.quarantineUnreachable(j, p.pass, loid, err, report, errs)
-			continue
-		}
-		m.syncRecord(loid, actual)
-		if !actual.Equal(p.target) {
-			report.Verified = append(report.Verified, loid)
-			continue
-		}
-		desc, err := m.store.InstantiableDescriptor(intent.From)
-		if err != nil {
-			*errs = append(*errs, fmt.Errorf("rollback %s to %s: %w", loid, intent.From, err))
-			continue
-		}
-		if _, err := applyInstance(ctx, sp, inst, desc, intent.From); err != nil {
-			if isConnectivityError(err) {
-				m.quarantineUnreachable(j, p.pass, loid, err, report, errs)
-			} else {
-				*errs = append(*errs, fmt.Errorf("rollback %s to %s: %w", loid, intent.From, err))
-			}
-			continue
-		}
-		m.syncRecord(loid, intent.From)
-		m.event("rolled-back", loid, intent.From, "orphaned target "+p.target.String())
-		report.RolledBack = append(report.RolledBack, loid)
-	}
-}
-
-// quarantineUnreachable handles a probe/evolve connectivity failure during
-// recovery: quarantine the instance, journal the skip, report it.
-func (m *Manager) quarantineUnreachable(j *Journal, pass uint64, loid naming.LOID, cause error, report *RecoveryReport, errs *[]error) {
-	reason := fmt.Sprintf("unreachable during recovery of pass %d: %v", pass, cause)
-	m.quarantine(loid, reason)
-	if err := j.Skipped(pass, loid, reason); err != nil {
-		*errs = append(*errs, err)
-	}
-	report.Quarantined = append(report.Quarantined, loid)
+	return errors.Join(errs...)
 }
 
 // syncRecord pins the DCDO table to an instance's observed version.

@@ -17,6 +17,7 @@ import (
 	"godcdo/internal/rpc"
 	"godcdo/internal/transport"
 	"godcdo/internal/vclock"
+	"godcdo/internal/version"
 )
 
 // standbyEnv wires a primary journal shipping into a standby ReplService
@@ -67,10 +68,10 @@ func TestJournalShippingMirrorsRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BeginPass: %v", err)
 	}
-	if err := env.primaryJ.Intent(pass, naming.LOID{Instance: 1}, v(1), v(1, 1)); err != nil {
+	if err := env.primaryJ.Append(JournalRecord{Op: OpIntent, Pass: pass, LOID: naming.LOID{Instance: 1}, From: v(1), To: v(1, 1)}); err != nil {
 		t.Fatalf("Intent: %v", err)
 	}
-	if err := env.primaryJ.Done(pass); err != nil {
+	if err := env.primaryJ.Append(JournalRecord{Op: OpDone, Pass: pass}); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
 
@@ -180,7 +181,7 @@ func TestShipperSyncBringsStandbyUpToDate(t *testing.T) {
 		t.Fatalf("Current: %v", err)
 	}
 	pass, _ := env.primaryJ.BeginPass(v(1, 1), nil)
-	_ = env.primaryJ.Done(pass)
+	_ = env.primaryJ.Append(JournalRecord{Op: OpDone, Pass: pass})
 
 	if err := env.shipper.Sync(env.primaryJ); err != nil {
 		t.Fatalf("Sync: %v", err)
@@ -426,5 +427,120 @@ func TestEvolveReplicatedResumesAfterPartialPass(t *testing.T) {
 	}
 	if got := env.group.Epoch(); got != 2 {
 		t.Fatalf("group epoch = %d, want exactly one promotion", got)
+	}
+}
+
+// membersAt fails the test unless every member of the group, read through
+// Group.Status, runs want.
+func membersAt(t *testing.T, g *replica.Group, want version.ID) {
+	t.Helper()
+	set := g.Set()
+	members := append([]string{set.Primary}, set.Backups...)
+	if len(members) != 3 {
+		t.Fatalf("group set = %+v, want 3 members", set)
+	}
+	for _, ep := range members {
+		st, err := g.Status(context.Background(), ep)
+		if err != nil {
+			t.Fatalf("status %s: %v", ep, err)
+		}
+		if at, err := version.Decode(st.VersionSegs); err != nil || !at.Equal(want) {
+			t.Fatalf("member %s (%s) at %v (%v), want %s", ep, st.Role, at, err, want)
+		}
+	}
+}
+
+// TestRollbackMovesEveryReplica: a rollback of a degree-3 group moves every
+// member back, the primary included, the way evolution moved them forward.
+func TestRollbackMovesEveryReplica(t *testing.T) {
+	env := newReplicatedFleetEnv(t)
+	ctx := context.Background()
+	j, err := OpenJournal(journalPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	env.mgr.SetJournal(j)
+
+	if err := env.mgr.EvolveInstance(ctx, env.loid, v(1, 1)); err != nil {
+		t.Fatalf("EvolveInstance: %v", err)
+	}
+	membersAt(t, env.group, v(1, 1))
+	if err := env.mgr.RollbackInstance(ctx, env.loid, v(1)); err != nil {
+		t.Fatalf("RollbackInstance: %v", err)
+	}
+	membersAt(t, env.group, v(1))
+	if rec, err := env.mgr.RecordOf(env.loid); err != nil || !rec.Version.Equal(v(1)) {
+		t.Fatalf("record = %+v (%v), want version 1", rec, err)
+	}
+	out, err := env.client.Invoke(ctx, env.loid, "greet", nil)
+	if err != nil || string(out) != "hello" {
+		t.Fatalf("greet after rollback = %q, %v", out, err)
+	}
+}
+
+// TestRecoverFinishesHalfEvolvedGroup: a pass that crashed after promoting an
+// evolved backup, before the deposed primary's apply, leaves the new primary
+// on the target and the old one behind. A restarted manager recovering
+// through a fresh client must finish the group, not verify it by its primary.
+func TestRecoverFinishesHalfEvolvedGroup(t *testing.T) {
+	env := newReplicatedFleetEnv(t)
+	ctx := context.Background()
+	path := journalPath(t)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.mgr.SetJournal(j)
+
+	target := v(1, 1)
+	pass, err := j.BeginPass(target, []naming.LOID{env.loid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(JournalRecord{Op: OpIntent, Pass: pass, LOID: env.loid, From: v(1), To: target}); err != nil {
+		t.Fatal(err)
+	}
+	desc, err := env.mgr.Store().InstantiableDescriptor(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []string{"inproc:r1", "inproc:r2"} {
+		if _, err := replica.Call(ctx, env.group, ep, core.MethodApplyDescriptor,
+			core.ApplyArgs{Target: desc, Version: target}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Append(JournalRecord{Op: OpReplicaPromote, Pass: pass, LOID: env.loid, Reason: "inproc:r1"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.group.Promote(ctx, "inproc:r1", true); err != nil {
+		t.Fatal(err)
+	}
+	_ = j.Close() // crash: inproc:r0, the deposed primary, is still on 1
+
+	m2 := restartManager(t, env.mgr, evolution.MultiGeneral, evolution.Explicit, path)
+	defer m2.Journal().Close()
+	client := rpc.NewClient(naming.NewCache(env.agent, vclock.Real{}, 0), env.net.Dialer())
+	if err := m2.Adopt(ctx, RemoteInstance{Client: client, Target: env.loid}, registry.NativeImplType); err != nil {
+		t.Fatal(err)
+	}
+	m2.RegisterReplicaGroup(env.loid, replica.Attach(env.loid, env.net.Dialer(), env.agent, env.agent.Set(env.loid), env.group.Epoch()))
+	report, err := m2.Recover(ctx)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if report.Passes != 1 || len(report.Resumed) != 1 || report.Resumed[0] != env.loid || len(report.Verified) != 0 {
+		t.Fatalf("report = %+v, want the group resumed, not verified", report)
+	}
+	membersAt(t, env.group, target)
+	if rec, err := m2.RecordOf(env.loid); err != nil || !rec.Version.Equal(target) {
+		t.Fatalf("record = %+v (%v), want version %s", rec, err, target)
+	}
+	if got := env.group.Epoch(); got != 2 {
+		t.Fatalf("group epoch = %d, want the one promotion", got)
+	}
+	if again, err := m2.Recover(ctx); err != nil || again.Passes != 0 {
+		t.Fatalf("second Recover = %+v, %v, want a no-op", again, err)
 	}
 }

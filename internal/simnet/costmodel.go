@@ -1,8 +1,6 @@
-// Package simnet provides a deterministic network simulation for the
-// modeled-time experiments: a cost model calibrated against the paper's
-// Centurion testbed (16 dual 400 MHz Pentium IIs on 100 Mbps switched
-// Ethernet), and a virtual message bus that delivers messages on a virtual
-// clock.
+// Package simnet provides the deterministic network cost model for the
+// modeled-time experiments, calibrated against the paper's Centurion testbed
+// (16 dual 400 MHz Pentium IIs on 100 Mbps switched Ethernet).
 //
 // The paper's multi-second results (implementation downloads, stale-binding
 // discovery, multi-component object creation) cannot be reproduced in

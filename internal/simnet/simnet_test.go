@@ -1,11 +1,8 @@
 package simnet
 
 import (
-	"errors"
 	"testing"
 	"time"
-
-	"godcdo/internal/vclock"
 )
 
 func TestCenturionDownloadTimesMatchPaper(t *testing.T) {
@@ -82,139 +79,5 @@ func TestRPCTimeComponents(t *testing.T) {
 	bigger := m.RPCTime(1<<20, 100)
 	if bigger <= rpc {
 		t.Fatal("larger request should cost more")
-	}
-}
-
-func TestBusDeliveryOrder(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	bus := NewBus(clk, Centurion())
-	a := bus.Node("a")
-	b := bus.Node("b")
-
-	if _, err := a.Send("b", []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Send("b", []byte("second")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Nothing deliverable until the clock advances.
-	if _, ok := b.TryRecv(); ok {
-		t.Fatal("message delivered before virtual time advanced")
-	}
-	clk.Advance(time.Second)
-
-	m1, ok := b.TryRecv()
-	if !ok {
-		t.Fatal("first message not deliverable")
-	}
-	m2, ok := b.TryRecv()
-	if !ok {
-		t.Fatal("second message not deliverable")
-	}
-	if string(m1.Payload) != "first" || string(m2.Payload) != "second" {
-		t.Fatalf("out of order: %q then %q", m1.Payload, m2.Payload)
-	}
-	if m1.From != "a" || m1.To != "b" {
-		t.Fatalf("bad addressing: %+v", m1)
-	}
-}
-
-func TestBusRecvBlocksUntilVirtualDelivery(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	bus := NewBus(clk, Centurion())
-	a := bus.Node("a")
-	b := bus.Node("b")
-
-	got := make(chan Message, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		m, err := b.Recv()
-		if err != nil {
-			errCh <- err
-			return
-		}
-		got <- m
-	}()
-
-	if _, err := a.Send("b", []byte("hi")); err != nil {
-		t.Fatal(err)
-	}
-	// Drive virtual time until the receiver's sleep resolves.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		clk.RunUntilIdle()
-		select {
-		case m := <-got:
-			if string(m.Payload) != "hi" {
-				t.Fatalf("payload = %q", m.Payload)
-			}
-			return
-		case err := <-errCh:
-			t.Fatal(err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Recv never returned")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestBusUnknownAndDownNodes(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	bus := NewBus(clk, Centurion())
-	a := bus.Node("a")
-	if _, err := a.Send("ghost", nil); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v, want ErrUnknownNode", err)
-	}
-	b := bus.Node("b")
-	b.SetUp(false)
-	if _, err := a.Send("b", nil); !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("err = %v, want ErrNodeDown", err)
-	}
-	if b.Up() {
-		t.Fatal("node reports up after SetUp(false)")
-	}
-	b.SetUp(true)
-	if _, err := a.Send("b", nil); err != nil {
-		t.Fatalf("send after SetUp(true): %v", err)
-	}
-	if b.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", b.Pending())
-	}
-}
-
-func TestBusCloseWakesReceivers(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	bus := NewBus(clk, Centurion())
-	n := bus.Node("n")
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := n.Recv()
-		errCh <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the receiver block
-	bus.Close()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrBusClosed) {
-			t.Fatalf("err = %v, want ErrBusClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Recv not woken by Close")
-	}
-	if _, err := bus.Node("n").Send("n", nil); !errors.Is(err, ErrBusClosed) {
-		t.Fatalf("send after close err = %v", err)
-	}
-}
-
-func TestBusNodeIdentityStable(t *testing.T) {
-	bus := NewBus(vclock.NewVirtual(time.Unix(0, 0)), Centurion())
-	if bus.Node("x") != bus.Node("x") {
-		t.Fatal("Node() returned different instances for same name")
-	}
-	if bus.Node("x").Name() != "x" {
-		t.Fatal("bad node name")
 	}
 }
