@@ -25,9 +25,10 @@ test:
 # loopback-TCP sweeps (they run in plain `make test` and in E2/E7 below).
 # -shuffle=on randomises test order so inter-test state dependencies fail
 # loudly instead of hiding behind source order.
-# The second line repeats the two no-intermediate-table contracts (callers
-# hammering an object through 200 alternating applies; a DFM through 400
-# transactional swaps), the transport's first-call race (64 callers racing
+# The second line repeats the no-intermediate-table contracts (callers
+# hammering an object through 200 alternating applies, once by full
+# descriptor and once by planned change; a DFM through 400 transactional
+# swaps), the transport's first-call race (64 callers racing
 # the dials that publish each stripe), its pooled-request recycling (every
 # way a call ends, shutdown included, with poison checks on), batch
 # sub-calls borrowing their args from the frame (8 callers, poison checks on),
@@ -52,7 +53,7 @@ test:
 # the schedules the detector sees.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure|TestCallLeavesRequestToCaller|TestBackupReadEchoKeepsItsResult|TestResponsesOutliveTheirRelease|TestBatchRunsOutliveTheirRelease|TestDroppedShipmentFrameNotReused|TestGetSurvivesLaterWrites|TestSafeFailureWaitsForTheBinding|TestWaitForBindingEndsAtMaxRebinds|TestWaitWithBudgetEndsAtMaxAttempts|TestIdempotentBatchReadsOffBackups' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/ ./internal/objstate/ ./internal/replica/
+	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestPlannedApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure|TestCallLeavesRequestToCaller|TestBackupReadEchoKeepsItsResult|TestResponsesOutliveTheirRelease|TestBatchRunsOutliveTheirRelease|TestDroppedShipmentFrameNotReused|TestGetSurvivesLaterWrites|TestSafeFailureWaitsForTheBinding|TestWaitForBindingEndsAtMaxRebinds|TestWaitWithBudgetEndsAtMaxAttempts|TestIdempotentBatchReadsOffBackups' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/ ./internal/objstate/ ./internal/replica/
 
 # One iteration of every benchmark plus the E9 overload experiment, a short
 # end-to-end rollout (E11 drives canary waves, an SLO rollback, and a
@@ -99,7 +100,9 @@ fuzz-smoke:
 # contracts (the single-instance pass's crash images, durability points and
 # torn journal batches among them, and a replica group's rollback and
 # half-evolved recovery moving every member: TestRollbackMovesEveryReplica
-# and TestRecoverFinishesHalfEvolvedGroup, which TestRecover's prefix runs),
+# and TestRecoverFinishesHalfEvolvedGroup, which TestRecover's prefix runs;
+# so does TestRecoverWithEndedCtxKeepsPassOpen, a Recover whose ctx has ended
+# leaving the pass it could not finish open for the next one),
 # replica group fencing/failover and the delta-shipping
 # fault matrix (dropped shipment, lost ack, backup behind base, promote /
 # failover / expand / shrink / fence mid-stream, restore under writes — each

@@ -423,6 +423,30 @@ func BenchmarkApplyDescriptor(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyPlan is BenchmarkApplyDescriptor on the plan route: one op is
+// one ApplyPlan of a change planned once per version pair, as the manager's
+// Store plans it, so no op plans or copies the table.
+func BenchmarkApplyPlan(b *testing.B) {
+	for _, diff := range []int{1, 10, 50} {
+		for _, objFuncs := range []int{100, 500, 1000} {
+			b.Run(fmt.Sprintf("diff=%d/obj=%d", diff, objFuncs), func(b *testing.B) {
+				obj, base, next := evolvePair(b, "bp", objFuncs, diff)
+				plans := []core.PlanArgs{
+					{From: version.ID{1}, To: version.ID{1, 1}, Change: dfm.NewChange(base, next)},
+					{From: version.ID{1, 1}, To: version.ID{1}, Change: dfm.NewChange(next, base)},
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := obj.ApplyPlan(context.Background(), plans[i%2]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // --- E6: DCDO vs baseline evolution ---------------------------------------------------
 
 func BenchmarkE6_EvolutionComparison(b *testing.B) {

@@ -2,6 +2,7 @@ package godcdo_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,7 +15,11 @@ import (
 	"godcdo/internal/evolution"
 	"godcdo/internal/manager"
 	"godcdo/internal/naming"
+	"godcdo/internal/obs"
 	"godcdo/internal/registry"
+	"godcdo/internal/rpc"
+	"godcdo/internal/transport"
+	"godcdo/internal/vclock"
 	"godcdo/internal/version"
 )
 
@@ -166,6 +171,10 @@ func (i *versionOnly) Apply(_ context.Context, _ *dfm.Descriptor, v version.ID) 
 	return core.ApplyReport{}, nil
 }
 
+func (i *versionOnly) ApplyPlan(ctx context.Context, a core.PlanArgs) (core.ApplyReport, error) {
+	return i.Apply(ctx, nil, a.To)
+}
+
 func (i *versionOnly) Interface(context.Context) ([]string, error) { return nil, nil }
 
 // TestFleetPassSyncsOncePerMove: a fleet pass over four instances that all
@@ -283,6 +292,206 @@ func TestFleetPassSyncsOncePerMove(t *testing.T) {
 		if again, err := mgr2.Recover(ctx); err != nil || again.Passes != 0 {
 			t.Fatalf("batch %d: second Recover = %+v, %v, want a no-op", k+1, again, err)
 		}
+	}
+}
+
+// pairStore is a store holding base as version 1 and next as 1.1, both
+// instantiable.
+func pairStore(t *testing.T, base, next *dfm.Descriptor) (store *manager.Store, root, child version.ID) {
+	t.Helper()
+	store = manager.NewStore()
+	root, err := store.CreateRoot(base)
+	if err == nil {
+		err = store.MarkInstantiable(root)
+	}
+	if err == nil {
+		child, err = store.Derive(root)
+	}
+	if err == nil {
+		err = store.Configure(child, func(d *dfm.Descriptor) error { *d = *next.Clone(); return nil })
+	}
+	if err == nil {
+		err = store.MarkInstantiable(child)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store, root, child
+}
+
+// mustPlan is store.Plan(from, to), which must exist.
+func mustPlan(t *testing.T, store *manager.Store, from, to version.ID) *dfm.Change {
+	t.Helper()
+	c, err := store.Plan(from, to)
+	if err != nil || c == nil {
+		t.Fatalf("plan %s → %s: %v, %v", from, to, c, err)
+	}
+	return c
+}
+
+// TestPlannedEvolutionCounts carries the claim that an evolution's wire cost
+// follows the change: the manager ships a planned change, computed once per
+// version pair, and the object applies it against its live table.
+func TestPlannedEvolutionCounts(t *testing.T) {
+	ctx := context.Background()
+	requestBytes := func(objFuncs int) (plan, full int) {
+		_, base, next := evolvePair(t, "rb", objFuncs, 1)
+		store, root, child := pairStore(t, base, next)
+		plan = len(core.MethodApplyPlan.Args.Encode(core.PlanArgs{From: root, To: child, Change: mustPlan(t, store, root, child)}))
+		full = len(core.MethodApplyDescriptor.Args.Encode(core.ApplyArgs{Target: next, Version: child}))
+		return plan, full
+	}
+	plan100, full100 := requestBytes(100)
+	plan1000, full1000 := requestBytes(1000)
+	if plan100 != plan1000 {
+		t.Errorf("evolve request at diff = 1 is %d bytes at obj = 100 and %d at obj = 1000, want equal", plan100, plan1000)
+	}
+	if full1000 <= full100 || plan1000 >= full100 {
+		t.Errorf("full descriptor %d → %d bytes, plan %d: want the descriptor to grow with obj and the plan below it", full100, full1000, plan1000)
+	}
+
+	obj, base, next := evolvePair(t, "pa", 100, 10)
+	store, root, child := pairStore(t, base, next)
+	for _, step := range []struct {
+		name     string
+		from, to version.ID
+		want     uint64
+	}{{"planned apply", root, child, 1}, {"planned no-op", child, child, 0}, {"planned apply back", child, root, 1}} {
+		before := obj.DFM().Publishes()
+		if _, err := obj.ApplyPlan(ctx, core.PlanArgs{From: step.from, To: step.to, Change: mustPlan(t, store, step.from, step.to)}); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got := obj.DFM().Publishes() - before; got != step.want {
+			t.Errorf("%s published %d snapshots, want %d", step.name, got, step.want)
+		}
+	}
+	if !obj.Snapshot().Equivalent(base) {
+		t.Error("object not at version 1 after planned applies there and back")
+	}
+
+	// A fleet pass of n instances at the same version diffs the pair once.
+	const n = 4
+	store, root, child = pairStore(t, base, next)
+	mgr := manager.NewWithStore(store, evolution.MultiIncreasing, evolution.Explicit)
+	for k := 0; k < n; k++ {
+		inst := &versionOnly{loid: naming.LOID{Domain: 2, Class: 1, Instance: uint64(k + 1)}, ver: root}
+		if err := mgr.Adopt(ctx, inst, registry.NativeImplType); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep, err := mgr.EvolveFleet(ctx, child, nil, -1); err != nil || len(rep.Evolved) != n {
+		t.Fatalf("EvolveFleet = %+v, %v", rep, err)
+	}
+	if got := store.Diffs(); got != 1 {
+		t.Errorf("fleet pass of %d moves from one version ran Diff %d times, want 1", n, got)
+	}
+	if got := mgr.EvolveFallbacks(); got != 0 {
+		t.Errorf("fleet pass fell back to the full descriptor %d times, want 0", got)
+	}
+}
+
+// olderObject serves a DCDO as an object built before dcdo.applyPlan existed
+// would: it does not know the method.
+type olderObject struct{ *core.DCDO }
+
+func (o olderObject) InvokeMethodCtx(ctx context.Context, method string, args []byte) ([]byte, error) {
+	if method == core.MethodApplyPlan.Name {
+		return nil, fmt.Errorf("%w: %q", rpc.ErrNoSuchFunction, method)
+	}
+	return o.DCDO.InvokeMethodCtx(ctx, method, args)
+}
+
+// TestEvolveFallbackCounts: every way an instance can turn a plan down ends
+// at the target through the full descriptor, counted once as an
+// evolve-fallback with one event.
+func TestEvolveFallbackCounts(t *testing.T) {
+	ctx := context.Background()
+	for _, trigger := range []struct {
+		name  string
+		older bool
+		// setup readies obj (at version 1, the manager's record too) and
+		// returns the Instance the manager is to drive.
+		setup func(t *testing.T, obj *core.DCDO, next *dfm.Descriptor) manager.Instance
+	}{
+		{"direct reconfiguration since the stamp", false, func(t *testing.T, obj *core.DCDO, _ *dfm.Descriptor) manager.Instance {
+			if err := obj.DisableFunction(dfm.EntryKey{Function: "fb_f0_0", Component: "fb_c0"}); err != nil {
+				t.Fatal(err)
+			}
+			return manager.LocalInstance{Obj: obj}
+		}},
+		{"stale manager record", false, func(t *testing.T, obj *core.DCDO, next *dfm.Descriptor) manager.Instance {
+			// Adopted at 1 (setup runs after Adopt), then moved behind the
+			// manager's back.
+			if _, err := obj.ApplyDescriptor(ctx, next, version.ID{1, 1}); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}},
+		{"instance without the method", true, func(t *testing.T, obj *core.DCDO, _ *dfm.Descriptor) manager.Instance {
+			clk := vclock.Real{}
+			agent := naming.NewAgent(clk)
+			net := transport.NewInprocNetwork()
+			disp := rpc.NewDispatcher()
+			srv, err := net.Listen("older-node", disp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = srv.Close() })
+			disp.Host(obj.LOID(), olderObject{obj})
+			agent.Register(obj.LOID(), naming.Address{Endpoint: srv.Endpoint()})
+			return manager.RemoteInstance{Client: rpc.NewClient(naming.NewCache(agent, clk, 0), net.Dialer()), Target: obj.LOID()}
+		}},
+	} {
+		t.Run(trigger.name, func(t *testing.T) {
+			obj, base, next := evolvePair(t, "fb", 100, 10)
+			store, _, child := pairStore(t, base, next)
+			mgr := manager.NewWithStore(store, evolution.MultiIncreasing, evolution.Explicit)
+			o := obs.New()
+			mgr.SetObs(o)
+			var inst manager.Instance = manager.LocalInstance{Obj: obj}
+			if err := mgr.Adopt(ctx, inst, registry.NativeImplType); err != nil {
+				t.Fatal(err)
+			}
+			if replaced := trigger.setup(t, obj, next); replaced != nil {
+				mgr.Drop(obj.LOID())
+				if err := mgr.Adopt(ctx, replaced, registry.NativeImplType); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := mgr.EvolveInstance(ctx, obj.LOID(), child); err != nil {
+				t.Fatalf("EvolveInstance: %v", err)
+			}
+			if got := mgr.EvolveFallbacks(); got != 1 {
+				t.Errorf("%d evolve-fallbacks, want 1", got)
+			}
+			events := 0
+			for _, ev := range o.GetEvents().Recent(0) {
+				if ev.Kind == "evolve-fallback" {
+					events++
+				}
+			}
+			if events != 1 {
+				t.Errorf("%d evolve-fallback events, want 1", events)
+			}
+			if !obj.Version().Equal(child) || !obj.Snapshot().Equivalent(next) {
+				t.Errorf("object at %s, equivalent to 1.1: %v; want at the target", obj.Version(), obj.Snapshot().Equivalent(next))
+			}
+			// The fallback restamped the object, so the next move is planned;
+			// an object without the method turns every plan down.
+			if err := mgr.RollbackInstance(ctx, obj.LOID(), version.ID{1}); err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(1)
+			if trigger.older {
+				want = 2
+			}
+			if got := mgr.EvolveFallbacks(); got != want {
+				t.Errorf("after the rollback: %d evolve-fallbacks, want %d", got, want)
+			}
+			if !obj.Snapshot().Equivalent(base) {
+				t.Error("object not back at version 1")
+			}
+		})
 	}
 }
 

@@ -145,9 +145,37 @@ func (st *shapedType) instantiate(t *testing.T) *DCDO {
 // Run under -race (make race).
 func TestApplyNeverExposesAnIntermediateTable(t *testing.T) {
 	st := newShapedType(t)
+	targets := []*dfm.Descriptor{st.next, st.base}
+	hammerApplies(t, st, func(d *DCDO, i int) error {
+		_, err := d.ApplyDescriptor(context.Background(), targets[i%2], shapedVersions[i%2])
+		return err
+	})
+}
+
+// TestPlannedApplyNeverExposesAnIntermediateTable is the same contract on
+// the plan route: 200 alternating ApplyPlan calls, each a change planned once
+// for its version pair.
+func TestPlannedApplyNeverExposesAnIntermediateTable(t *testing.T) {
+	st := newShapedType(t)
+	changes := []*dfm.Change{
+		dfm.NewChange(st.base, st.next),
+		dfm.NewChange(st.next, st.base),
+	}
+	hammerApplies(t, st, func(d *DCDO, i int) error {
+		_, err := d.ApplyPlan(context.Background(), PlanArgs{From: shapedVersions[(i+1)%2], To: shapedVersions[i%2], Change: changes[i%2]})
+		return err
+	})
+}
+
+// shapedVersions are the versions apply i alternates between: 1.1, then 1.
+var shapedVersions = []version.ID{{1, 1}, {1}}
+
+// hammerApplies runs apply(d, i) for i in [0, 200) on a fresh version-1
+// object while callers hammer it, and holds each apply to one publish and
+// every caller to one version's table or the other's.
+func hammerApplies(t *testing.T, st *shapedType, apply func(d *DCDO, i int) error) {
 	d := st.instantiate(t)
 	ifaces := [][]string{st.base.Interface(), st.next.Interface()}
-
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -188,11 +216,9 @@ func TestApplyNeverExposesAnIntermediateTable(t *testing.T) {
 		}
 	}()
 
-	targets := []*dfm.Descriptor{st.next, st.base}
-	versions := []version.ID{{1, 1}, {1}}
 	for i := 0; i < 200; i++ {
 		before := d.DFM().Publishes()
-		if _, err := d.ApplyDescriptor(context.Background(), targets[i%2], versions[i%2]); err != nil {
+		if err := apply(d, i); err != nil {
 			t.Fatalf("apply %d: %v", i, err)
 		}
 		if got := d.DFM().Publishes() - before; got != 1 {
@@ -326,5 +352,131 @@ func TestIncorporateRefusedByAutoDependencyLeavesNothing(t *testing.T) {
 	// Disabled, the same component is admissible: nothing triggers the premise.
 	if err := d.Incorporate(context.Background(), f.icos["needy"], false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestApplyPlanOnlyAtItsSource: a plan is applied only to an object at its
+// source version whose table is as that version's stamp left it. Every other
+// object refuses it with ErrPlanRefused, untouched — also through the control
+// table, where the refusal is a result, not an error — and the full
+// descriptor restamps it.
+func TestApplyPlanOnlyAtItsSource(t *testing.T) {
+	ctx := context.Background()
+	st := newShapedType(t)
+	d := st.instantiate(t)
+	forward := PlanArgs{From: version.ID{1}, To: version.ID{1, 1}, Change: dfm.NewChange(st.base, st.next)}
+	back := PlanArgs{From: version.ID{1, 1}, To: version.ID{1}, Change: dfm.NewChange(st.next, st.base)}
+	refused := func(what string, a PlanArgs) {
+		t.Helper()
+		image, before, ver := d.Snapshot().Encode(), d.DFM().Publishes(), d.Version()
+		if _, err := d.ApplyPlan(ctx, a); !errors.Is(err, ErrPlanRefused) {
+			t.Fatalf("%s: err = %v, want ErrPlanRefused", what, err)
+		}
+		if res, err := control(d, MethodApplyPlan, a); err != nil || !res.Refused {
+			t.Fatalf("%s through the control table = %+v, %v; want refused", what, res, err)
+		}
+		if d.DFM().Publishes() != before || !d.Version().Equal(ver) || !reflect.DeepEqual(d.Snapshot().Encode(), image) {
+			t.Fatalf("%s: a refused plan touched the object", what)
+		}
+	}
+
+	refused("plan from another version", back)
+	if err := d.DisableFunction(dfm.EntryKey{Function: st.stable[0], Component: "c0"}); err != nil {
+		t.Fatal(err)
+	}
+	refused("plan after a direct disable", forward)
+	if _, err := d.ApplyDescriptor(ctx, st.base, version.ID{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ApplyPlan(ctx, forward); err != nil || !d.Snapshot().Equivalent(st.next) {
+		t.Fatalf("plan after the full descriptor restamped the object: %v", err)
+	}
+
+	bad := st.base.Clone()
+	bad.Entries = append(bad.Entries, dfm.EntryDesc{Function: "undeclared", Component: "c9", Exported: true})
+	bad.Components["c9"] = dfm.ComponentRef{ICO: st.next.Components["c9"].ICO, CodeRef: "c9:1", Impl: registry.NativeImplType, Revision: 1}
+	if _, err := d.ApplyDescriptor(ctx, bad, version.ID{1}); err == nil {
+		t.Fatal("apply of a target flagging an undeclared entry succeeded")
+	}
+	refused("plan after a failed apply", back)
+
+	// A reconfiguration that lands while the plan's arrivals are fetched is
+	// caught by the transaction's own check.
+	var racer *DCDO
+	armed := false
+	fetcher := component.FetcherFunc(func(ico naming.LOID) (*component.Component, error) {
+		if armed {
+			if err := racer.DisableFunction(dfm.EntryKey{Function: st.stable[0], Component: "c0"}); err != nil {
+				return nil, err
+			}
+		}
+		return st.fetcher.Fetch(ctx, ico)
+	})
+	racer = New(Config{LOID: naming.LOID{Domain: 1, Class: 1, Instance: 2}, Registry: st.reg, Fetcher: fetcher})
+	if _, err := racer.ApplyDescriptor(ctx, st.base, version.ID{1}); err != nil {
+		t.Fatal(err)
+	}
+	armed = true
+	before := racer.DFM().Publishes()
+	if _, err := racer.ApplyPlan(ctx, forward); !errors.Is(err, ErrPlanRefused) {
+		t.Fatalf("plan with a disable during its fetch: err = %v, want ErrPlanRefused", err)
+	}
+	if got := racer.DFM().Publishes() - before; got != 1 || !racer.Version().Equal(version.ID{1}) {
+		t.Fatalf("plan refused mid-flight: %d publishes (want the disable's 1), version %s", got, racer.Version())
+	}
+}
+
+// TestPlanArgsCodecRoundTrip: a decoded plan re-encodes to the same bytes
+// and applies like the one encoded; one whose arriving component carries
+// another component's entry is refused.
+func TestPlanArgsCodecRoundTrip(t *testing.T) {
+	st := newShapedType(t)
+	in := PlanArgs{From: version.ID{1}, To: version.ID{1, 1}, Change: dfm.NewChange(st.base, st.next)}
+	raw := MethodApplyPlan.Args.Encode(in)
+	out, err := MethodApplyPlan.Args.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := MethodApplyPlan.Args.Encode(out); !reflect.DeepEqual(again, raw) {
+		t.Fatalf("re-encoded plan = %x, want %x", again, raw)
+	}
+	d := st.instantiate(t)
+	if _, err := d.ApplyPlan(context.Background(), out); err != nil || !d.Snapshot().Equivalent(st.next) {
+		t.Fatalf("decoded plan did not reach 1.1: %v", err)
+	}
+	c := *in.Change
+	c.Arriving = append([]dfm.Arrival(nil), c.Arriving...)
+	c.Arriving[0].Entries = []dfm.EntryDesc{{Function: "f", Component: "elsewhere"}}
+	if _, err := MethodApplyPlan.Args.Decode(MethodApplyPlan.Args.Encode(PlanArgs{From: in.From, To: in.To, Change: &c})); !errors.Is(err, dfm.ErrCorruptDescriptor) {
+		t.Fatalf("misfiled arriving entry: err = %v, want ErrCorruptDescriptor", err)
+	}
+}
+
+// TestRestoredObjectRefusesPlans: a capture carries the table as it stood,
+// which a direct reconfiguration may have taken away from its version's
+// configuration. The restored object therefore refuses plans, and the full
+// descriptor takes it to the target — re-enabling the entry disabled by
+// hand, which a plan from version 1 would not retune.
+func TestRestoredObjectRefusesPlans(t *testing.T) {
+	ctx := context.Background()
+	st := newShapedType(t)
+	d := st.instantiate(t)
+	if err := d.DisableFunction(dfm.EntryKey{Function: st.stable[0], Component: "c0"}); err != nil {
+		t.Fatal(err)
+	}
+	capture, err := d.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New(Config{LOID: naming.LOID{Domain: 1, Class: 1, Instance: 2}, Registry: st.reg, Fetcher: st.fetcher})
+	if err := restored.RestoreState(capture); err != nil {
+		t.Fatal(err)
+	}
+	forward := PlanArgs{From: version.ID{1}, To: version.ID{1, 1}, Change: dfm.NewChange(st.base, st.next)}
+	if _, err := restored.ApplyPlan(ctx, forward); !errors.Is(err, ErrPlanRefused) {
+		t.Fatalf("plan on a restored object: err = %v, want ErrPlanRefused", err)
+	}
+	if _, err := restored.ApplyDescriptor(ctx, st.next, version.ID{1, 1}); err != nil || !restored.Snapshot().Equivalent(st.next) {
+		t.Fatalf("full descriptor after the refusal did not reach 1.1: %v", err)
 	}
 }

@@ -121,14 +121,18 @@ type DCDO struct {
 	// control serves the ControlPrefix methods.
 	control rpc.Table
 
-	// evolveMu serialises whole-descriptor evolutions; invocation of user
-	// functions never takes it.
+	// evolveMu serialises evolutions (ApplyDescriptor, ApplyPlan);
+	// invocation of user functions never takes it.
 	evolveMu sync.Mutex
 
 	mu         sync.Mutex
 	components map[string]*incorporated
 	ver        version.ID
-	state      *objstate.State
+	// stamp is the DFM's Publishes() when ver was stamped: ApplyPlan trusts
+	// the table to be ver's configuration only while the two agree. A
+	// restored object holds unstamped.
+	stamp uint64
+	state *objstate.State
 
 	// obsState holds the observability wiring installed by SetObs, nil when
 	// disabled. Read with one atomic load on the invoke path.
@@ -535,10 +539,12 @@ func (d *DCDO) Version() version.ID {
 	return d.ver.Clone()
 }
 
-// SetVersion stamps the object's version (used at creation).
+// SetVersion stamps the object's version (used at creation): the table as it
+// stands is taken to be v's configuration.
 func (d *DCDO) SetVersion(v version.ID) {
 	d.mu.Lock()
 	d.ver = v.Clone()
+	d.stamp = d.table.Publishes()
 	d.mu.Unlock()
 }
 

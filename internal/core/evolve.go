@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"godcdo/internal/dfm"
 	"godcdo/internal/naming"
@@ -21,10 +23,17 @@ type ApplyReport struct {
 	BytesFetched       int64
 }
 
+// ErrPlanRefused means the object refused a planned change: it is not at
+// the plan's source version, or its table has changed since that version was
+// stamped. Nothing was touched; the full descriptor is the way forward.
+var ErrPlanRefused = errors.New("core: plan refused: object is not at the plan's source configuration")
+
 // ApplyDescriptor evolves the object to match target, stamping it with
-// newVersion. The target descriptor must already be validated (managers
-// only hand out instantiable versions), so constraint checks are bypassed
-// here; thread-activity policies still apply to component removal.
+// newVersion: it plans the change from a snapshot of the object, then runs
+// it through the same executor as ApplyPlan. The target descriptor must
+// already be validated (managers only hand out instantiable versions), so
+// constraint checks are bypassed here; thread-activity policies still apply
+// to component removal.
 //
 // The object keeps servicing calls throughout: evolution never deactivates
 // the process. The whole reconfiguration is one DFM transaction, published
@@ -41,36 +50,66 @@ type ApplyReport struct {
 // inside the transaction leaves what it had staged — a consistent, if
 // intermediate, configuration — published once, with the version unchanged.
 func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newVersion version.ID) (ApplyReport, error) {
+	return d.apply(ctx, nil, newVersion, true, func() *dfm.Change { return d.changeTo(target) })
+}
+
+// changeTo plans the change from the object's configuration to target.
+func (d *DCDO) changeTo(target *dfm.Descriptor) *dfm.Change {
+	return dfm.NewChange(d.snapshotOf(d.table.EntriesUnordered()), target) // Diff does not read the order
+}
+
+// PlanArgs carry a planned change: the plan that moves an object configured
+// as version From to version To.
+type PlanArgs struct {
+	From, To version.ID
+	Change   *dfm.Change
+}
+
+// ApplyPlan applies a.Change and stamps the object a.To, provided the object
+// is at a.From with its table unchanged since that version was stamped — no
+// direct enable, incorporate or removal, no failed apply and no restore,
+// since. Otherwise it refuses with ErrPlanRefused and touches nothing. Past
+// that check it is ApplyDescriptor without the planning.
+func (d *DCDO) ApplyPlan(ctx context.Context, a PlanArgs) (ApplyReport, error) {
+	return d.apply(ctx, a.From, a.To, true, func() *dfm.Change { return a.Change })
+}
+
+// atLocked reports whether the object is at version from with its table as
+// that version's stamp left it. The caller holds d.mu.
+func (d *DCDO) atLocked(from version.ID) bool {
+	return !from.IsZero() && d.ver.Equal(from) && d.stamp == d.table.Publishes()
+}
+
+// unstamped is a stamp no Publishes() count reaches.
+const unstamped = ^uint64(0)
+
+// apply is the one evolution executor: it runs the change plan returns and
+// stamps the object newVersion. A non-nil from makes it conditional on
+// atLocked(from), checked before the plan and again inside the transaction,
+// before anything is staged. With stamp false the object ends up unstamped,
+// so ApplyPlan refuses every plan until the next full apply: RestoreState's
+// target is the object's captured table, not necessarily newVersion's
+// configuration as the store describes it.
+func (d *DCDO) apply(ctx context.Context, from, newVersion version.ID, stamp bool, plan func() *dfm.Change) (ApplyReport, error) {
 	d.evolveMu.Lock()
 	defer d.evolveMu.Unlock()
-
-	var report ApplyReport
 	if err := ctx.Err(); err != nil {
-		return report, fmt.Errorf("apply: %w", err)
+		return ApplyReport{}, fmt.Errorf("apply: %w", err)
 	}
-	current := d.snapshotOf(d.table.EntriesUnordered()) // Diff does not read the order
-	plan := dfm.Diff(current, target)
-
-	// byComp groups desc's entries for the named components only, so its cost
-	// is one pass over the entries however many components move.
-	byComp := func(desc *dfm.Descriptor, ids []string) map[string][]dfm.EntryDesc {
-		m := make(map[string][]dfm.EntryDesc, len(ids))
-		for _, id := range ids {
-			m[id] = nil
-		}
-		for _, e := range desc.Entries {
-			if _, wanted := m[e.Component]; wanted {
-				m[e.Component] = append(m[e.Component], e)
-			}
-		}
-		return m
+	d.mu.Lock()
+	refused := from != nil && !d.atLocked(from)
+	d.mu.Unlock()
+	if refused {
+		return ApplyReport{}, ErrPlanRefused
 	}
-	remove := append(append([]string{}, plan.RemoveComponents...), plan.ReplaceComponents...)
-	departing := byComp(current, remove)
-	for _, id := range remove {
+	c := plan()
+	var report ApplyReport
+	departing := slices.Concat(c.RemoveComponents, c.ReplaceComponents)
+	keys := d.table.ComponentKeys(departing)
+	for _, id := range departing {
 		active := func() (n int64) {
-			for _, e := range departing[id] {
-				n += d.table.ActiveThreads(e.Key())
+			for _, k := range keys[id] {
+				n += d.table.ActiveThreads(k)
 			}
 			return n
 		}
@@ -78,20 +117,14 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 			return report, fmt.Errorf("apply: %w", err)
 		}
 	}
-	add := append(append([]string{}, plan.AddComponents...), plan.ReplaceComponents...)
-	arriving := byComp(target, add)
-	arrivals := make([]*arrival, len(add))
-	for i, id := range add {
-		ref, ok := target.Components[id]
-		if !ok {
-			return report, fmt.Errorf("apply: target missing component ref %q", id)
-		}
-		comp, err := d.cfg.Fetcher.Fetch(ctx, ref.ICO)
+	arrivals := make([]*arrival, len(c.Arriving))
+	for i, a := range c.Arriving {
+		comp, err := d.cfg.Fetcher.Fetch(ctx, a.Ref.ICO)
 		if err != nil {
-			return report, fmt.Errorf("apply: fetch %q: %w", id, err)
+			return report, fmt.Errorf("apply: fetch %q: %w", a.ID, err)
 		}
 		report.BytesFetched += int64(len(comp.Code))
-		if arrivals[i], err = d.prepareArrival(comp, ref.ICO); err != nil {
+		if arrivals[i], err = d.prepareArrival(comp, a.Ref.ICO); err != nil {
 			return report, fmt.Errorf("apply: %w", err)
 		}
 	}
@@ -101,10 +134,13 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 
 	staged := 0 // arrivals incorporated, for the events emitted afterwards
 	d.mu.Lock()
-	err := d.table.Update(func(tx *dfm.Tx) error {
+	published, err := d.table.UpdateAt(func(tx *dfm.Tx) error {
+		if from != nil && !d.atLocked(from) {
+			return ErrPlanRefused // changed while the arrivals were fetched
+		}
 		// Phase 1: retune entries being disabled, releasing function names
 		// that later phases re-bind to other implementations.
-		for _, e := range plan.Retune {
+		for _, e := range c.Retune {
 			if e.Enabled {
 				continue
 			}
@@ -118,12 +154,12 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 		}
 
 		// Phase 2: remove departing and replaced components.
-		for _, id := range remove {
-			for _, e := range departing[id] {
-				if err := tx.Disable(e.Key(), true); err != nil {
-					return fmt.Errorf("apply: disable %s: %w", e.Key(), err)
+		for _, id := range departing {
+			for _, k := range keys[id] {
+				if err := tx.Disable(k, true); err != nil {
+					return fmt.Errorf("apply: disable %s: %w", k, err)
 				}
-				if err := tx.Remove(e.Key()); err != nil {
+				if err := tx.Remove(k); err != nil {
 					return fmt.Errorf("apply: remove %q: %w", id, err)
 				}
 			}
@@ -133,12 +169,12 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 		// Phase 3: incorporate arriving and replaced components, entries
 		// initially disabled so cross-component swaps never double-enable,
 		// then stamp the target's flags on them.
-		for i, id := range add {
+		for i, a := range c.Arriving {
 			if err := d.stageArrival(tx, arrivals[i], false); err != nil {
 				return fmt.Errorf("apply: %w", err)
 			}
 			staged++
-			for _, te := range arriving[id] {
+			for _, te := range a.Entries {
 				if err := tx.SetFlags(te.Key(), te.Exported, te.Mandatory, te.Permanent); err != nil {
 					return fmt.Errorf("apply: flag %s: %w", te.Key(), err)
 				}
@@ -147,7 +183,7 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 
 		// Phase 4: enable everything the target enables — retunes and new
 		// entries alike.
-		for _, e := range plan.Retune {
+		for _, e := range c.Retune {
 			if !e.Enabled {
 				continue
 			}
@@ -159,8 +195,8 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 			}
 			report.EntriesRetuned++
 		}
-		for _, id := range add {
-			for _, te := range arriving[id] {
+		for _, a := range c.Arriving {
+			for _, te := range a.Entries {
 				if !te.Enabled {
 					continue
 				}
@@ -169,10 +205,16 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 				}
 			}
 		}
-		tx.SetDeps(plan.Deps)
+		tx.SetDeps(c.Deps)
 		d.ver = newVersion.Clone()
 		return nil
 	})
+	if err == nil {
+		d.stamp = unstamped
+		if stamp {
+			d.stamp = published
+		}
+	}
 	d.mu.Unlock()
 	for _, a := range arrivals[:staged] {
 		d.emitIncorporated(a)
@@ -180,9 +222,9 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 	if err != nil {
 		return report, err
 	}
-	report.ComponentsAdded = len(plan.AddComponents)
-	report.ComponentsReplaced = len(plan.ReplaceComponents)
-	report.ComponentsRemoved = len(plan.RemoveComponents)
+	report.ComponentsAdded = len(c.AddComponents)
+	report.ComponentsReplaced = len(c.ReplaceComponents)
+	report.ComponentsRemoved = len(c.RemoveComponents)
 	d.emit(EventEvolved, "", "", newVersion, fmt.Sprintf(
 		"+%d components, -%d, ~%d replaced, %d entries retuned, %d bytes fetched",
 		report.ComponentsAdded, report.ComponentsRemoved, report.ComponentsReplaced,
@@ -196,6 +238,22 @@ func (d *DCDO) ApplyDescriptor(ctx context.Context, target *dfm.Descriptor, newV
 type ApplyArgs struct {
 	Target  *dfm.Descriptor
 	Version version.ID
+}
+
+// PlanResult is MethodApplyPlan's result: the report of an applied plan, or
+// Refused, ErrPlanRefused carried as a value so that a caller tells a refusal
+// from a failure without reading an error's text.
+type PlanResult struct {
+	Refused bool
+	Report  ApplyReport
+}
+
+// Outcome is the result as ApplyPlan returned it.
+func (r PlanResult) Outcome() (ApplyReport, error) {
+	if r.Refused {
+		return ApplyReport{}, ErrPlanRefused
+	}
+	return r.Report, nil
 }
 
 // IncorporateArgs are MethodIncorporate's arguments.
@@ -215,6 +273,8 @@ var (
 		Args: rpc.NoneCodec, Result: DescriptorCodec}
 	MethodApplyDescriptor = rpc.Method[ApplyArgs, ApplyReport]{Name: ControlPrefix + "applyDescriptor",
 		Args: rpc.NewCodec(putApplyArgs, getApplyArgs), Result: rpc.NewCodec(putApplyReport, getApplyReport)}
+	MethodApplyPlan = rpc.Method[PlanArgs, PlanResult]{Name: ControlPrefix + "applyPlan",
+		Args: rpc.NewCodec(putPlanArgs, getPlanArgs), Result: rpc.NewCodec(putPlanResult, getPlanResult)}
 	MethodEnable = rpc.Method[dfm.EntryKey, rpc.None]{Name: ControlPrefix + "enable",
 		Args: rpc.NewCodec(PutEntryKey, GetEntryKey), Result: rpc.NoneCodec}
 	MethodDisable = rpc.Method[dfm.EntryKey, rpc.None]{Name: ControlPrefix + "disable",
@@ -235,6 +295,13 @@ func (d *DCDO) controlTable() rpc.Table {
 		MethodSnapshot.Handle(func(context.Context, rpc.None) (*dfm.Descriptor, error) { return d.Snapshot(), nil }),
 		MethodApplyDescriptor.Handle(func(ctx context.Context, a ApplyArgs) (ApplyReport, error) {
 			return d.ApplyDescriptor(ctx, a.Target, a.Version)
+		}),
+		MethodApplyPlan.Handle(func(ctx context.Context, a PlanArgs) (PlanResult, error) {
+			report, err := d.ApplyPlan(ctx, a)
+			if errors.Is(err, ErrPlanRefused) {
+				return PlanResult{Refused: true}, nil
+			}
+			return PlanResult{Report: report}, err
 		}),
 		MethodEnable.Handle(func(_ context.Context, key dfm.EntryKey) (rpc.None, error) {
 			return rpc.None{}, d.EnableFunction(key)
@@ -302,6 +369,77 @@ func getApplyArgs(d *wire.Decoder) (a ApplyArgs, err error) {
 	}
 	a.Version, err = GetVersion(d)
 	return a, err
+}
+
+// putPlanArgs writes the versions, the plan's three component lists and its
+// retunes, then each arriving component's ref and entries (added, then
+// replaced, in the lists' order), then the dependencies.
+func putPlanArgs(e *wire.Encoder, a PlanArgs) {
+	PutVersion(e, a.From)
+	PutVersion(e, a.To)
+	c := a.Change
+	e.PutStringSlice(c.AddComponents)
+	e.PutStringSlice(c.RemoveComponents)
+	e.PutStringSlice(c.ReplaceComponents)
+	dfm.PutCounted(e, c.Retune, dfm.PutEntry)
+	for _, ar := range c.Arriving {
+		dfm.PutComponentRef(e, ar.Ref)
+		dfm.PutCounted(e, ar.Entries, dfm.PutEntry)
+	}
+	dfm.PutCounted(e, c.Deps, dfm.PutDependency)
+}
+
+func getPlanArgs(d *wire.Decoder) (a PlanArgs, err error) {
+	if a.From, err = GetVersion(d); err != nil {
+		return a, err
+	}
+	if a.To, err = GetVersion(d); err != nil {
+		return a, err
+	}
+	c := &dfm.Change{}
+	for _, list := range []*[]string{&c.AddComponents, &c.RemoveComponents, &c.ReplaceComponents} {
+		if *list, err = d.StringSlice(); err != nil {
+			return a, err
+		}
+	}
+	if c.Retune, err = dfm.GetCounted(d, dfm.GetEntry); err != nil {
+		return a, err
+	}
+	for _, id := range slices.Concat(c.AddComponents, c.ReplaceComponents) {
+		ar := dfm.Arrival{ID: id}
+		if ar.Ref, err = dfm.GetComponentRef(d); err != nil {
+			return a, err
+		}
+		if ar.Entries, err = dfm.GetCounted(d, dfm.GetEntry); err != nil {
+			return a, err
+		}
+		for _, en := range ar.Entries {
+			if en.Component != id {
+				return a, fmt.Errorf("%w: arriving %q carries entry %s", dfm.ErrCorruptDescriptor, id, en.Key())
+			}
+		}
+		c.Arriving = append(c.Arriving, ar)
+	}
+	if c.Deps, err = dfm.GetCounted(d, dfm.GetDependency); err != nil {
+		return a, err
+	}
+	a.Change = c
+	return a, nil
+}
+
+func putPlanResult(e *wire.Encoder, r PlanResult) {
+	e.PutBool(r.Refused)
+	if !r.Refused {
+		putApplyReport(e, r.Report)
+	}
+}
+
+func getPlanResult(d *wire.Decoder) (r PlanResult, err error) {
+	if r.Refused, err = d.Bool(); err != nil || r.Refused {
+		return r, err
+	}
+	r.Report, err = getApplyReport(d)
+	return r, err
 }
 
 func putApplyReport(e *wire.Encoder, r ApplyReport) {

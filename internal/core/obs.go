@@ -138,14 +138,23 @@ func (d *DCDO) InvokeMethodTraced(ctx context.Context, parent obs.SpanContext, m
 // (the manager's mgr.apply span), recording the whole evolution as a
 // dcdo.apply span. With tracing off it is exactly ApplyDescriptor.
 func (d *DCDO) ApplyDescriptorTraced(ctx context.Context, parent obs.SpanContext, target *dfm.Descriptor, newVersion version.ID) (ApplyReport, error) {
+	return d.traceApply(parent, newVersion, func() (ApplyReport, error) { return d.ApplyDescriptor(ctx, target, newVersion) })
+}
+
+// ApplyPlanTraced is ApplyPlan recorded the same way.
+func (d *DCDO) ApplyPlanTraced(ctx context.Context, parent obs.SpanContext, a PlanArgs) (ApplyReport, error) {
+	return d.traceApply(parent, a.To, func() (ApplyReport, error) { return d.ApplyPlan(ctx, a) })
+}
+
+func (d *DCDO) traceApply(parent obs.SpanContext, newVersion version.ID, apply func() (ApplyReport, error)) (ApplyReport, error) {
 	st := d.obsState.Load()
 	if st == nil || st.tracer == nil {
-		return d.ApplyDescriptor(ctx, target, newVersion)
+		return apply()
 	}
 	sp := st.tracer.StartSpan(obs.StageDCDOApply, parent)
 	sp.Annotate("object", d.cfg.LOID.String())
 	sp.Annotate("version", newVersion.String())
-	report, err := d.ApplyDescriptor(ctx, target, newVersion)
+	report, err := apply()
 	sp.Fail(err)
 	sp.Finish()
 	return report, err

@@ -64,8 +64,11 @@ func (d *DCDO) RestoreState(buf []byte) error {
 
 	// RestoreState implements the context-free legion.StatefulObject
 	// contract; restoration runs to completion rather than inheriting any
-	// caller deadline — a half-restored object is worse than a slow one.
-	if _, err := d.ApplyDescriptor(context.Background(), desc, ver); err != nil {
+	// caller deadline — a half-restored object is worse than a slow one. The
+	// capture is the table as it stood, which a direct reconfiguration may
+	// have taken away from ver's configuration: the object comes back
+	// unstamped, so its next evolution ships the full descriptor.
+	if _, err := d.apply(context.Background(), nil, ver, false, func() *dfm.Change { return d.changeTo(desc) }); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 	// In place: State() hands the container out unlocked, to running

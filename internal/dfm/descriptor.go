@@ -337,23 +337,8 @@ func (d *Descriptor) Equivalent(other *Descriptor) bool {
 // DCDOs.
 func (d *Descriptor) Encode() []byte {
 	e := wire.NewEncoder(64 + 32*len(d.Entries))
-	e.PutUvarint(uint64(len(d.Entries)))
-	for _, en := range d.Entries {
-		e.PutString(en.Function)
-		e.PutString(en.Component)
-		e.PutBool(en.Exported)
-		e.PutBool(en.Enabled)
-		e.PutBool(en.Mandatory)
-		e.PutBool(en.Permanent)
-	}
-	e.PutUvarint(uint64(len(d.Deps)))
-	for _, dep := range d.Deps {
-		e.PutUvarint(uint64(dep.Kind))
-		e.PutString(dep.FromFunc)
-		e.PutString(dep.FromComp)
-		e.PutString(dep.ToFunc)
-		e.PutString(dep.ToComp)
-	}
+	PutCounted(e, d.Entries, PutEntry)
+	PutCounted(e, d.Deps, PutDependency)
 	ids := make([]string, 0, len(d.Components))
 	for id := range d.Components {
 		ids = append(ids, id)
@@ -361,13 +346,8 @@ func (d *Descriptor) Encode() []byte {
 	sort.Strings(ids)
 	e.PutUvarint(uint64(len(ids)))
 	for _, id := range ids {
-		ref := d.Components[id]
 		e.PutString(id)
-		e.PutString(ref.ICO.String())
-		e.PutString(ref.CodeRef)
-		e.PutString(ref.Impl.String())
-		e.PutVarint(ref.CodeSize)
-		e.PutUvarint(ref.Revision)
+		PutComponentRef(e, d.Components[id])
 	}
 	return e.Bytes()
 }
@@ -379,102 +359,148 @@ func DecodeDescriptor(buf []byte) (*Descriptor, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptDescriptor, what, err)
 	}
 	d := NewDescriptor()
-	nEntries, err := dec.Uvarint()
-	if err != nil {
-		return fail("entry count", err)
+	var err error
+	if d.Entries, err = GetCounted(dec, GetEntry); err != nil {
+		return fail("entries", err)
 	}
-	if nEntries > uint64(dec.Remaining()) {
-		return fail("entry count", ErrCorruptDescriptor)
+	if d.Deps, err = GetCounted(dec, GetDependency); err != nil {
+		return fail("dependencies", err)
 	}
-	d.Entries = make([]EntryDesc, 0, nEntries)
-	for i := uint64(0); i < nEntries; i++ {
-		var en EntryDesc
-		if en.Function, err = dec.String(); err != nil {
-			return fail("entry function", err)
-		}
-		if en.Component, err = dec.String(); err != nil {
-			return fail("entry component", err)
-		}
-		if en.Exported, err = dec.Bool(); err != nil {
-			return fail("entry exported", err)
-		}
-		if en.Enabled, err = dec.Bool(); err != nil {
-			return fail("entry enabled", err)
-		}
-		if en.Mandatory, err = dec.Bool(); err != nil {
-			return fail("entry mandatory", err)
-		}
-		if en.Permanent, err = dec.Bool(); err != nil {
-			return fail("entry permanent", err)
-		}
-		d.Entries = append(d.Entries, en)
-	}
-	nDeps, err := dec.Uvarint()
-	if err != nil {
-		return fail("dependency count", err)
-	}
-	if nDeps > uint64(dec.Remaining()) {
-		return fail("dependency count", ErrCorruptDescriptor)
-	}
-	d.Deps = make([]Dependency, 0, nDeps)
-	for i := uint64(0); i < nDeps; i++ {
-		var dep Dependency
-		kind, err := dec.Uvarint()
-		if err != nil {
-			return fail("dependency kind", err)
-		}
-		dep.Kind = DepKind(kind)
-		if dep.FromFunc, err = dec.String(); err != nil {
-			return fail("dependency from-func", err)
-		}
-		if dep.FromComp, err = dec.String(); err != nil {
-			return fail("dependency from-comp", err)
-		}
-		if dep.ToFunc, err = dec.String(); err != nil {
-			return fail("dependency to-func", err)
-		}
-		if dep.ToComp, err = dec.String(); err != nil {
-			return fail("dependency to-comp", err)
-		}
-		d.Deps = append(d.Deps, dep)
-	}
-	nComps, err := dec.Uvarint()
+	nComps, err := getCount(dec)
 	if err != nil {
 		return fail("component count", err)
 	}
-	if nComps > uint64(dec.Remaining()) {
-		return fail("component count", ErrCorruptDescriptor)
-	}
-	for i := uint64(0); i < nComps; i++ {
+	for i := 0; i < nComps; i++ {
 		id, err := dec.String()
 		if err != nil {
 			return fail("component id", err)
 		}
-		var ref ComponentRef
-		loidStr, err := dec.String()
-		if err != nil {
-			return fail("component ico", err)
+		if d.Components[id], err = GetComponentRef(dec); err != nil {
+			return fail("component "+id, err)
 		}
-		if ref.ICO, err = naming.ParseLOID(loidStr); err != nil {
-			return fail("component ico", err)
-		}
-		if ref.CodeRef, err = dec.String(); err != nil {
-			return fail("component code ref", err)
-		}
-		implStr, err := dec.String()
-		if err != nil {
-			return fail("component impl type", err)
-		}
-		if ref.Impl, err = registry.ParseImplType(implStr); err != nil {
-			return fail("component impl type", err)
-		}
-		if ref.CodeSize, err = dec.Varint(); err != nil {
-			return fail("component code size", err)
-		}
-		if ref.Revision, err = dec.Uvarint(); err != nil {
-			return fail("component revision", err)
-		}
-		d.Components[id] = ref
 	}
 	return d, nil
+}
+
+// The pieces of the descriptor encoding, shared with the codecs that carry a
+// Change (package core).
+
+// PutEntry writes one entry.
+func PutEntry(e *wire.Encoder, en EntryDesc) {
+	e.PutString(en.Function)
+	e.PutString(en.Component)
+	e.PutBool(en.Exported)
+	e.PutBool(en.Enabled)
+	e.PutBool(en.Mandatory)
+	e.PutBool(en.Permanent)
+}
+
+// GetEntry reads a PutEntry entry.
+func GetEntry(d *wire.Decoder) (en EntryDesc, err error) {
+	if en.Function, err = d.String(); err != nil {
+		return en, err
+	}
+	if en.Component, err = d.String(); err != nil {
+		return en, err
+	}
+	for _, flag := range []*bool{&en.Exported, &en.Enabled, &en.Mandatory, &en.Permanent} {
+		if *flag, err = d.Bool(); err != nil {
+			return en, err
+		}
+	}
+	return en, nil
+}
+
+// PutDependency writes one dependency.
+func PutDependency(e *wire.Encoder, dep Dependency) {
+	e.PutUvarint(uint64(dep.Kind))
+	e.PutString(dep.FromFunc)
+	e.PutString(dep.FromComp)
+	e.PutString(dep.ToFunc)
+	e.PutString(dep.ToComp)
+}
+
+// GetDependency reads a PutDependency dependency.
+func GetDependency(d *wire.Decoder) (dep Dependency, err error) {
+	kind, err := d.Uvarint()
+	if err != nil {
+		return dep, err
+	}
+	dep.Kind = DepKind(kind)
+	for _, s := range []*string{&dep.FromFunc, &dep.FromComp, &dep.ToFunc, &dep.ToComp} {
+		if *s, err = d.String(); err != nil {
+			return dep, err
+		}
+	}
+	return dep, nil
+}
+
+// PutComponentRef writes one component reference.
+func PutComponentRef(e *wire.Encoder, ref ComponentRef) {
+	e.PutString(ref.ICO.String())
+	e.PutString(ref.CodeRef)
+	e.PutString(ref.Impl.String())
+	e.PutVarint(ref.CodeSize)
+	e.PutUvarint(ref.Revision)
+}
+
+// GetComponentRef reads a PutComponentRef reference.
+func GetComponentRef(d *wire.Decoder) (ref ComponentRef, err error) {
+	s, err := d.String()
+	if err != nil {
+		return ref, err
+	}
+	if ref.ICO, err = naming.ParseLOID(s); err != nil {
+		return ref, err
+	}
+	if ref.CodeRef, err = d.String(); err != nil {
+		return ref, err
+	}
+	if s, err = d.String(); err != nil {
+		return ref, err
+	}
+	if ref.Impl, err = registry.ParseImplType(s); err != nil {
+		return ref, err
+	}
+	if ref.CodeSize, err = d.Varint(); err != nil {
+		return ref, err
+	}
+	ref.Revision, err = d.Uvarint()
+	return ref, err
+}
+
+// getCount reads a uvarint count, refusing one larger than the bytes left
+// (each counted item takes at least one).
+func getCount(d *wire.Decoder) (int, error) {
+	n, err := d.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(d.Remaining()) {
+		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes left", ErrCorruptDescriptor, n, d.Remaining())
+	}
+	return int(n), nil
+}
+
+// PutCounted writes len(items), then each item with put.
+func PutCounted[T any](e *wire.Encoder, items []T, put func(*wire.Encoder, T)) {
+	e.PutUvarint(uint64(len(items)))
+	for _, it := range items {
+		put(e, it)
+	}
+}
+
+// GetCounted reads a PutCounted count, then that many items with get.
+func GetCounted[T any](d *wire.Decoder, get func(*wire.Decoder) (T, error)) ([]T, error) {
+	n, err := getCount(d)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, n)
+	for i := range out {
+		if out[i], err = get(d); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

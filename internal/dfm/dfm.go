@@ -114,6 +114,14 @@ type Tx struct {
 // so the table is consistent after every step) and the error is returned.
 // fn must not call the DFM's own methods — they take the same lock.
 func (d *DFM) Update(fn func(tx *Tx) error) error {
+	_, err := d.UpdateAt(fn)
+	return err
+}
+
+// UpdateAt is Update that also reports Publishes() as the transaction left
+// it, read under the same hold of the lock: a later Publishes() that differs
+// means the table has changed since.
+func (d *DFM) UpdateAt(fn func(tx *Tx) error) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	tx := Tx{d: d}
@@ -121,7 +129,7 @@ func (d *DFM) Update(fn func(tx *Tx) error) error {
 	if tx.dirty {
 		d.publishLocked()
 	}
-	return err
+	return d.publishes.Load(), err
 }
 
 // Publishes reports how many lookup snapshots the DFM has published — one
@@ -556,6 +564,26 @@ func (d *DFM) EntriesUnordered() []EntryDesc {
 	out := make([]EntryDesc, 0, len(d.entries))
 	for _, e := range d.entries {
 		out = append(out, e.desc)
+	}
+	return out
+}
+
+// ComponentKeys returns the keys of the named components' entries, grouped
+// by component, in one pass over the table and without copying it.
+func (d *DFM) ComponentKeys(ids []string) map[string][]EntryKey {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make(map[string][]EntryKey, len(ids))
+	for _, id := range ids {
+		out[id] = nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for key := range d.entries {
+		if keys, wanted := out[key.Component]; wanted {
+			out[key.Component] = append(keys, key)
+		}
 	}
 	return out
 }

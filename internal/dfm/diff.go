@@ -1,6 +1,9 @@
 package dfm
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Plan describes the operations needed to evolve a DCDO from one descriptor
 // to another. Managers compute plans when driving evolution; the costs the
@@ -109,4 +112,37 @@ func Diff(current, target *Descriptor) Plan {
 	plan.Deps = make([]Dependency, len(target.Deps))
 	copy(plan.Deps, target.Deps)
 	return plan
+}
+
+// Change is a Plan made self-contained: it carries what applying the plan
+// needs from the target — the ref and entry states of every arriving (added
+// or replaced) component — so an object configured as the plan's source
+// applies it without the target descriptor. Arriving lists the added
+// components, then the replaced ones, each in the plan's order.
+type Change struct {
+	Plan
+	Arriving []Arrival
+}
+
+// Arrival is one component a Change incorporates, with its target entries.
+type Arrival struct {
+	ID      string
+	Ref     ComponentRef
+	Entries []EntryDesc
+}
+
+// NewChange is Diff completed into a Change.
+func NewChange(current, target *Descriptor) *Change {
+	c := &Change{Plan: Diff(current, target)}
+	at := make(map[string]int)
+	for _, id := range slices.Concat(c.AddComponents, c.ReplaceComponents) {
+		at[id] = len(c.Arriving)
+		c.Arriving = append(c.Arriving, Arrival{ID: id, Ref: target.Components[id]})
+	}
+	for _, e := range target.Entries {
+		if i, ok := at[e.Component]; ok {
+			c.Arriving[i].Entries = append(c.Arriving[i].Entries, e)
+		}
+	}
+	return c
 }

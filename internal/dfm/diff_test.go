@@ -1,7 +1,10 @@
 package dfm
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"godcdo/internal/naming"
@@ -112,5 +115,61 @@ func TestDiffCarriesTargetDeps(t *testing.T) {
 	plan.Deps[0].FromFunc = "mutated"
 	if tgt.Deps[0].FromFunc != "sort" {
 		t.Fatal("plan aliases target deps")
+	}
+}
+
+// randomConfig draws a descriptor over components c0..c2 and functions
+// f0..f2: each component present or not, at revision 1 or 2, holding a
+// random subset of the functions with random flags, at most one enabled
+// implementation per function.
+func randomConfig(rng *rand.Rand) *Descriptor {
+	d := NewDescriptor()
+	enabled := make(map[string]bool)
+	for c := 0; c < 3; c++ {
+		if rng.Intn(4) == 0 {
+			continue
+		}
+		id := fmt.Sprintf("c%d", c)
+		rev := uint64(1 + rng.Intn(2))
+		d.Components[id] = ComponentRef{CodeRef: fmt.Sprintf("%s:%d", id, rev), Impl: registry.NativeImplType, Revision: rev}
+		for f := 0; f < 3; f++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			fn := fmt.Sprintf("f%d", f)
+			e := EntryDesc{Function: fn, Component: id, Exported: rng.Intn(2) == 0, Mandatory: rng.Intn(2) == 0}
+			if !enabled[fn] && rng.Intn(2) == 0 {
+				e.Enabled, enabled[fn] = true, true
+			}
+			d.Entries = append(d.Entries, e)
+		}
+	}
+	return d
+}
+
+// TestNewChangeCarriesArrivals: NewChange's plan is Diff(current, target),
+// and it carries every arriving component's ref and target entries.
+func TestNewChangeCarriesArrivals(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		current, target := randomConfig(rng), randomConfig(rng)
+		c := NewChange(current, target)
+		if want := Diff(current, target); !reflect.DeepEqual(c.Plan, want) {
+			t.Fatalf("pair %d: NewChange plans %+v, Diff %+v", i, c.Plan, want)
+		}
+		if len(c.Arriving) != len(c.AddComponents)+len(c.ReplaceComponents) {
+			t.Fatalf("pair %d: %d arriving for %+v", i, len(c.Arriving), c.Plan)
+		}
+		for _, a := range c.Arriving {
+			var entries []EntryDesc
+			for _, e := range target.Entries {
+				if e.Component == a.ID {
+					entries = append(entries, e)
+				}
+			}
+			if a.Ref != target.Components[a.ID] || !slices.Equal(a.Entries, entries) {
+				t.Fatalf("pair %d: arrival %+v, want ref %+v and entries %+v", i, a, target.Components[a.ID], entries)
+			}
+		}
 	}
 }

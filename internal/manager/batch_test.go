@@ -161,8 +161,8 @@ func TestJournalBatchSink(t *testing.T) {
 	}
 }
 
-// spyInstance wraps an Instance; Apply first runs before, which may inspect
-// the world at the moment the manager touches the instance.
+// spyInstance wraps an Instance; Apply and ApplyPlan first run before, which
+// may inspect the world at the moment the manager touches the instance.
 type spyInstance struct {
 	Instance
 	before  func()
@@ -171,14 +171,25 @@ type spyInstance struct {
 }
 
 func (s *spyInstance) Apply(ctx context.Context, d *dfm.Descriptor, v version.ID) (core.ApplyReport, error) {
+	if err := s.touch(); err != nil {
+		return core.ApplyReport{}, err
+	}
+	return s.Instance.Apply(ctx, d, v)
+}
+
+func (s *spyInstance) ApplyPlan(ctx context.Context, a core.PlanArgs) (core.ApplyReport, error) {
+	if err := s.touch(); err != nil {
+		return core.ApplyReport{}, err
+	}
+	return s.Instance.ApplyPlan(ctx, a)
+}
+
+func (s *spyInstance) touch() error {
 	s.applies++
 	if s.before != nil {
 		s.before()
 	}
-	if s.fail != nil {
-		return core.ApplyReport{}, s.fail
-	}
-	return s.Instance.Apply(ctx, d, v)
+	return s.fail
 }
 
 // journalled builds a multi-increasing manager with a journal and one adopted

@@ -42,6 +42,11 @@ type Instance interface {
 	Version(ctx context.Context) (version.ID, error)
 	// Apply evolves the instance to the target descriptor and version.
 	Apply(ctx context.Context, target *dfm.Descriptor, v version.ID) (core.ApplyReport, error)
+	// ApplyPlan evolves the instance by a planned change (see
+	// core.DCDO.ApplyPlan). core.ErrPlanRefused, or rpc.ErrNoSuchFunction
+	// from an instance that predates the method, sends the manager back to
+	// Apply.
+	ApplyPlan(ctx context.Context, a core.PlanArgs) (core.ApplyReport, error)
 	// Interface returns the instance's enabled exported function names.
 	Interface(ctx context.Context) ([]string, error)
 }
@@ -73,6 +78,8 @@ type Manager struct {
 	groups      map[naming.LOID]*replica.Group
 	policies    map[naming.LOID]policy.DistributionPolicy
 	policyPub   PolicyPublisher
+	// fallbacks counts plans turned down (see EvolveFallbacks).
+	fallbacks atomic.Uint64
 
 	// obsState holds the observability handle installed by SetObs, nil when
 	// disabled.
@@ -297,8 +304,10 @@ type pass struct {
 	log      *passLog
 	rollback bool // skip the style check: the retreat a forward style vetoes
 	recovery bool // probe each instance before planning its move
-	// halting (fleet) passes stop between moves once ctx ends or haltAfter
-	// instances are at the target (never when haltAfter < 0).
+	// halting passes stop between moves once ctx ends or haltAfter instances
+	// are at the target (never when haltAfter < 0). Recovery passes halt on
+	// ctx, and also when it ended during their last move, which may have
+	// failed for the ctx alone.
 	halting   bool
 	haltAfter int
 }
@@ -372,6 +381,9 @@ func (m *Manager) runPass(ctx context.Context, p *pass, moves []move) (res []mov
 		}
 		res = append(res, r)
 	}
+	if cerr := ctx.Err(); cerr != nil && p.recovery {
+		return res, true, errors.Join(fmt.Errorf("pass %d halted: %w", p.log.pass, cerr), p.log.sync())
+	}
 	return res, false, p.log.sync(JournalRecord{Op: OpDone})
 }
 
@@ -419,7 +431,7 @@ type step struct {
 	inst     Instance
 	rec      *Record
 	from, to version.ID
-	desc     *dfm.Descriptor
+	moves    bool // decided: the instance is not already at the target
 	rollback bool
 	sp       *obs.Span
 }
@@ -427,7 +439,7 @@ type step struct {
 // planStep decides everything about one instance's move that can be decided
 // without touching the instance or the journal: that it is managed, that it
 // is not already at v, that the style admits the transition (a rollback is
-// exempt from both of those), and which descriptor v names. A nil step means
+// exempt from both of those), and that v is instantiable. A nil step means
 // there is nothing to apply — the move was refused (err says why) or the
 // instance is already at the target (err is nil).
 func (m *Manager) planStep(loid naming.LOID, v version.ID, rollback bool) (*step, error) {
@@ -453,7 +465,7 @@ func (m *Manager) planStep(loid naming.LOID, v version.ID, rollback bool) (*step
 			st.sp.Annotate("rollback", "true")
 		}
 	}
-	err := func() error {
+	moves, err := func() (bool, error) {
 		if !rollback {
 			// An instance already at the target has nothing to evolve:
 			// succeed without consulting the style (whose rules govern
@@ -461,7 +473,7 @@ func (m *Manager) planStep(loid naming.LOID, v version.ID, rollback bool) (*step
 			// rejects the degenerate self-edge) and without re-applying
 			// the descriptor.
 			if !from.IsZero() && from.Equal(v) {
-				return nil
+				return false, nil
 			}
 			input := evolution.TransitionInput{
 				From:           from,
@@ -473,23 +485,22 @@ func (m *Manager) planStep(loid naming.LOID, v version.ID, rollback bool) (*step
 				input.DerivationErr = m.checkHybridDerivation(from, v)
 			}
 			if err := m.style.CheckTransition(input); err != nil {
-				return err
+				return false, err
 			}
 		}
-		var err error
-		st.desc, err = m.store.InstantiableDescriptor(v)
-		return err
+		_, err := m.store.Plan(from, v)
+		return true, err
 	}()
-	if st.desc == nil {
+	if st.moves = moves && err == nil; !st.moves {
 		m.finishStep(st, err)
 		return nil, err
 	}
 	return st, nil
 }
 
-// applyStep applies the step's descriptor — through the replica group when
-// the LOID has one, in either direction — and pins the table row to the
-// target.
+// applyStep moves the instance to the step's target — through the replica
+// group when the LOID has one, in either direction — and pins the table row
+// to the target.
 func (m *Manager) applyStep(ctx context.Context, l *passLog, st *step) error {
 	verb := "evolve"
 	if st.rollback {
@@ -497,9 +508,11 @@ func (m *Manager) applyStep(ctx context.Context, l *passLog, st *step) error {
 	}
 	var err error
 	if g := m.ReplicaGroup(st.loid); g != nil {
-		err = m.evolveReplicated(ctx, l, g, st.loid, st.desc, st.to)
+		err = m.evolveReplicated(ctx, l, g, st.loid, st.to)
 	} else {
-		_, err = applyInstance(ctx, st.sp, st.inst, st.desc, st.to)
+		err = m.applyPlanned(st.loid, st.from, st.to, func(a *core.PlanArgs, desc *dfm.Descriptor) error {
+			return applyInstance(ctx, st.sp, st.inst, a, desc, st.to)
+		})
 	}
 	if err != nil {
 		return fmt.Errorf("%s %s to %s: %w", verb, st.loid, st.to, err)
@@ -518,7 +531,7 @@ func (m *Manager) finishStep(st *step, err error) {
 		st.sp.Fail(err)
 		st.sp.Finish()
 	}
-	if err == nil && st.desc != nil { // an instance already at the target did not move
+	if err == nil && st.moves { // an instance already at the target did not move
 		kind := "evolved"
 		if st.rollback {
 			kind = "rolled-back"
@@ -536,9 +549,25 @@ func (m *Manager) finishStep(st *step, err error) {
 // moved. Each member already at the target is skipped, which is what makes a
 // crash-interrupted pass resumable: the re-run converges on the remaining
 // members instead of repeating completed work or flipping leadership twice.
-func (m *Manager) evolveReplicated(ctx context.Context, l *passLog, g *replica.Group, loid naming.LOID, desc *dfm.Descriptor, v version.ID) error {
+func (m *Manager) evolveReplicated(ctx context.Context, l *passLog, g *replica.Group, loid naming.LOID, v version.ID) error {
 	set := g.Set()
-	apply := core.ApplyArgs{Target: desc, Version: v}
+	apply := func(ep string, at version.ID) error {
+		err := m.applyPlanned(loid, at, v, func(a *core.PlanArgs, desc *dfm.Descriptor) error {
+			if a == nil {
+				_, err := replica.Call(ctx, g, ep, core.MethodApplyDescriptor, core.ApplyArgs{Target: desc, Version: v})
+				return err
+			}
+			res, err := replica.Call(ctx, g, ep, core.MethodApplyPlan, *a)
+			if err == nil {
+				_, err = res.Outcome()
+			}
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("replica %s: %w", ep, err)
+		}
+		return nil
+	}
 
 	// Backups first: invisible to clients, the primary keeps serving.
 	for _, ep := range set.Backups {
@@ -549,8 +578,8 @@ func (m *Manager) evolveReplicated(ctx context.Context, l *passLog, g *replica.G
 		if at.Equal(v) {
 			continue
 		}
-		if _, err := replica.Call(ctx, g, ep, core.MethodApplyDescriptor, apply); err != nil {
-			return fmt.Errorf("replica %s: %w", ep, err)
+		if err := apply(ep, at); err != nil {
+			return err
 		}
 	}
 
@@ -576,11 +605,39 @@ func (m *Manager) evolveReplicated(ctx context.Context, l *passLog, g *replica.G
 		}
 		m.event("replica-promoted", loid, v, "primary="+newPrimary)
 	}
-	if _, err := replica.Call(ctx, g, set.Primary, core.MethodApplyDescriptor, apply); err != nil {
-		return fmt.Errorf("replica %s: %w", set.Primary, err)
-	}
-	return nil
+	return apply(set.Primary, at)
 }
+
+// applyPlanned moves one object from version from to version to through
+// apply: with the store's plan for the pair when it has one (a non-nil
+// *core.PlanArgs), with the full descriptor when it has none or the object
+// turns the plan down. An object turns it down when it refuses it
+// (core.ErrPlanRefused: it is not at from, or its table changed since) or
+// predates the method (rpc.ErrNoSuchFunction); each such plan counts one
+// evolve-fallback and one event.
+func (m *Manager) applyPlanned(loid naming.LOID, from, to version.ID, apply func(*core.PlanArgs, *dfm.Descriptor) error) error {
+	c, err := m.store.Plan(from, to)
+	if err != nil {
+		return err
+	}
+	if c != nil {
+		err := apply(&core.PlanArgs{From: from, To: to, Change: c}, nil)
+		if !errors.Is(err, core.ErrPlanRefused) && !errors.Is(err, rpc.ErrNoSuchFunction) {
+			return err
+		}
+		m.fallbacks.Add(1)
+		m.event("evolve-fallback", loid, to, fmt.Sprintf("from=%s: %v", from, err))
+	}
+	desc, err := m.store.InstantiableDescriptor(to)
+	if err != nil {
+		return err
+	}
+	return apply(nil, desc)
+}
+
+// EvolveFallbacks counts the plans objects turned down, each of whose moves
+// then shipped the full descriptor.
+func (m *Manager) EvolveFallbacks() uint64 { return m.fallbacks.Load() }
 
 // memberAt reports the version the group member at endpoint runs.
 func memberAt(ctx context.Context, g *replica.Group, endpoint string) (version.ID, error) {
@@ -664,6 +721,11 @@ func (l LocalInstance) Version(context.Context) (version.ID, error) { return l.O
 // Apply implements Instance.
 func (l LocalInstance) Apply(ctx context.Context, target *dfm.Descriptor, v version.ID) (core.ApplyReport, error) {
 	return l.Obj.ApplyDescriptor(ctx, target, v)
+}
+
+// ApplyPlan implements Instance.
+func (l LocalInstance) ApplyPlan(ctx context.Context, a core.PlanArgs) (core.ApplyReport, error) {
+	return l.Obj.ApplyPlan(ctx, a)
 }
 
 // Interface implements Instance.

@@ -55,6 +55,8 @@ func declaredMethods(obj, ico, mgr, icoFR naming.LOID, desc *dfm.Descriptor) []d
 			declare(core.MethodVersion, obj, none),
 			declare(core.MethodSnapshot, obj, none),
 			declare(core.MethodApplyDescriptor, obj, core.ApplyArgs{Target: desc, Version: v(1)}),
+			declare(core.MethodApplyPlan, obj, core.PlanArgs{From: v(1), To: v(1, 1),
+				Change: dfm.NewChange(dfm.NewDescriptor(), desc)}),
 			declare(core.MethodEnable, obj, greetEN),
 			declare(core.MethodDisable, obj, greetEN),
 			declare(core.MethodIncorporate, obj, core.IncorporateArgs{ICO: icoFR, Enable: true}),

@@ -11,16 +11,22 @@ import (
 )
 
 // tracedInstance is optionally implemented by instances that can thread
-// trace context into their apply path (LocalInstance does, via
-// core.ApplyDescriptorTraced). Remote instances fall back to plain Apply —
-// the trace context for those rides the RPC envelope instead.
+// trace context into their apply path (LocalInstance does, via core's
+// Apply*Traced). Remote instances fall back to the plain calls — the trace
+// context for those rides the RPC envelope instead.
 type tracedInstance interface {
 	ApplyTraced(ctx context.Context, parent obs.SpanContext, target *dfm.Descriptor, v version.ID) (core.ApplyReport, error)
+	ApplyPlanTraced(ctx context.Context, parent obs.SpanContext, a core.PlanArgs) (core.ApplyReport, error)
 }
 
 // ApplyTraced implements tracedInstance.
 func (l LocalInstance) ApplyTraced(ctx context.Context, parent obs.SpanContext, target *dfm.Descriptor, v version.ID) (core.ApplyReport, error) {
 	return l.Obj.ApplyDescriptorTraced(ctx, parent, target, v)
+}
+
+// ApplyPlanTraced implements tracedInstance.
+func (l LocalInstance) ApplyPlanTraced(ctx context.Context, parent obs.SpanContext, a core.PlanArgs) (core.ApplyReport, error) {
+	return l.Obj.ApplyPlanTraced(ctx, parent, a)
 }
 
 var (
@@ -63,24 +69,34 @@ func (m *Manager) event(kind string, loid naming.LOID, v version.ID, detail stri
 	log.Append(ev)
 }
 
-// applyInstance runs inst.Apply under a mgr.apply span parented on sp,
-// threading the span context into local instances so the object's
-// dcdo.apply span joins the same trace. With tracing off (sp nil) it is a
-// plain Apply call. ctx flows through either way.
-func applyInstance(ctx context.Context, sp *obs.Span, inst Instance, desc *dfm.Descriptor, v version.ID) (core.ApplyReport, error) {
-	if sp == nil {
-		return inst.Apply(ctx, desc, v)
-	}
-	child := sp.Child(obs.StageMgrApply)
-	child.Annotate("object", inst.LOID().String())
-	var report core.ApplyReport
-	var err error
-	if ti, ok := inst.(tracedInstance); ok {
-		report, err = ti.ApplyTraced(ctx, child.Context(), desc, v)
+// applyInstance moves inst to v under a mgr.apply span parented on sp: by
+// the planned change a when it is non-nil, else to the full descriptor desc.
+// Local instances get the span's context, so the object's dcdo.apply span
+// joins the same trace. With tracing off (sp nil) it is the plain Instance
+// call. ctx flows through either way.
+func applyInstance(ctx context.Context, sp *obs.Span, inst Instance, a *core.PlanArgs, desc *dfm.Descriptor, v version.ID) error {
+	ti, traced := inst.(tracedInstance)
+	var child *obs.Span
+	if sp != nil {
+		child = sp.Child(obs.StageMgrApply)
+		child.Annotate("object", inst.LOID().String())
 	} else {
-		report, err = inst.Apply(ctx, desc, v)
+		traced = false
 	}
-	child.Fail(err)
-	child.Finish()
-	return report, err
+	var err error
+	switch {
+	case a != nil && traced:
+		_, err = ti.ApplyPlanTraced(ctx, child.Context(), *a)
+	case a != nil:
+		_, err = inst.ApplyPlan(ctx, *a)
+	case traced:
+		_, err = ti.ApplyTraced(ctx, child.Context(), desc, v)
+	default:
+		_, err = inst.Apply(ctx, desc, v)
+	}
+	if child != nil {
+		child.Fail(err)
+		child.Finish()
+	}
+	return err
 }

@@ -49,6 +49,10 @@ func (g *gateInstance) Apply(_ context.Context, _ *dfm.Descriptor, v version.ID)
 	return core.ApplyReport{}, nil
 }
 
+func (g *gateInstance) ApplyPlan(ctx context.Context, a core.PlanArgs) (core.ApplyReport, error) {
+	return g.Apply(ctx, nil, a.To)
+}
+
 func (g *gateInstance) Interface(context.Context) ([]string, error) { return nil, nil }
 
 // TestEvolveDropAdoptNoResurrection pins the evolve/drop race fix: an

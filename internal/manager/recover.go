@@ -49,6 +49,7 @@ type RecoveryReport struct {
 type passState struct {
 	begin   JournalRecord
 	intents map[naming.LOID]JournalRecord // first intent per instance
+	recs    []JournalRecord               // every record but done, in order
 	done    bool
 }
 
@@ -152,7 +153,7 @@ func (m *Manager) recover(ctx context.Context, j *Journal, recs []JournalRecord)
 		case OpRolloutDone:
 			rolloutDone[r.Pass] = true
 		case OpBegin:
-			passes[r.Pass] = &passState{begin: r, intents: make(map[naming.LOID]JournalRecord)}
+			passes[r.Pass] = &passState{begin: r, intents: make(map[naming.LOID]JournalRecord), recs: []JournalRecord{r}}
 			order = append(order, r.Pass)
 		case OpIntent:
 			// The first intent holds the pre-pass version a rollback
@@ -161,6 +162,11 @@ func (m *Manager) recover(ctx context.Context, j *Journal, recs []JournalRecord)
 				if _, seen := p.intents[r.LOID]; !seen {
 					p.intents[r.LOID] = r
 				}
+				p.recs = append(p.recs, r)
+			}
+		case OpApplied, OpSkipped, OpReplicaPromote:
+			if p := passes[r.Pass]; p != nil {
+				p.recs = append(p.recs, r)
 			}
 		case OpDone:
 			if p := passes[r.Pass]; p != nil {
@@ -188,18 +194,24 @@ func (m *Manager) recover(ctx context.Context, j *Journal, recs []JournalRecord)
 		}
 		report.Policies++
 	}
+	var open []uint64 // passes this recovery halted, ctx having ended
 	for _, id := range order {
 		p := passes[id]
 		if p.done {
 			continue
 		}
 		report.Passes++
-		errs = append(errs, m.recoverPass(ctx, j, p, &report))
+		closed, err := m.recoverPass(ctx, j, p, &report)
+		if !closed {
+			open = append(open, id)
+		}
+		errs = append(errs, err)
 	}
 
-	// Every pass is now closed; shrink the journal to just the designation
-	// a future restart needs — plus any open rollout's records, which the
-	// supervisor (not this recovery) will close.
+	// Shrink the journal to just the designations a future restart needs —
+	// plus any open rollout's records, which the supervisor (not this
+	// recovery) will close, and every pass this recovery could not close, as
+	// its records stood, for the next Recover to finish.
 	var keep []JournalRecord
 	if !report.Current.IsZero() {
 		keep = append(keep, JournalRecord{Op: OpCurrent, Target: report.Current})
@@ -217,6 +229,9 @@ func (m *Manager) recover(ctx context.Context, j *Journal, recs []JournalRecord)
 			keep = append(keep, rolloutRecs[id]...)
 		}
 	}
+	for _, id := range open {
+		keep = append(keep, passes[id].recs...)
+	}
 	if err := j.Compact(keep); err != nil {
 		errs = append(errs, err)
 	}
@@ -231,10 +246,12 @@ func (m *Manager) recover(ctx context.Context, j *Journal, recs []JournalRecord)
 // each instance first. While the store offers the pass target, every planned
 // instance still managed is moved to it (a rollback pass stays style-exempt).
 // Once the target is orphaned, each instance with an intent that is found on
-// it is rolled back, style-exempt, to its pre-pass version.
-func (m *Manager) recoverPass(ctx context.Context, j *Journal, ps *passState, report *RecoveryReport) error {
+// it is rolled back, style-exempt, to its pre-pass version. It reports
+// whether it closed the pass: a ctx that ends halts it, open.
+func (m *Manager) recoverPass(ctx context.Context, j *Journal, ps *passState, report *RecoveryReport) (bool, error) {
 	b := ps.begin
-	p := &pass{log: &passLog{j: j, pass: b.Pass}, recovery: true, rollback: b.Reason == passReasonRollback}
+	p := &pass{log: &passLog{j: j, pass: b.Pass}, recovery: true, rollback: b.Reason == passReasonRollback,
+		halting: true, haltAfter: -1}
 	var moves []move
 	resume := m.store.IsInstantiable(b.Target)
 	if resume {
@@ -248,7 +265,7 @@ func (m *Manager) recoverPass(ctx context.Context, j *Journal, ps *passState, re
 		}
 		sort.Slice(moves, func(a, b int) bool { return moves[a].loid.String() < moves[b].loid.String() })
 	}
-	res, _, err := m.runPass(ctx, p, moves)
+	res, halted, err := m.runPass(ctx, p, moves)
 	errs := []error{err}
 	for _, r := range res {
 		switch {
@@ -264,7 +281,7 @@ func (m *Manager) recoverPass(ctx context.Context, j *Journal, ps *passState, re
 			errs = append(errs, fmt.Errorf("recover %s: %w", r.loid, r.err))
 		}
 	}
-	return errors.Join(errs...)
+	return !halted, errors.Join(errs...)
 }
 
 // syncRecord pins the DCDO table to an instance's observed version.

@@ -50,6 +50,10 @@ func (f *flakyInstance) Apply(_ context.Context, _ *dfm.Descriptor, v version.ID
 	return core.ApplyReport{}, nil
 }
 
+func (f *flakyInstance) ApplyPlan(ctx context.Context, a core.PlanArgs) (core.ApplyReport, error) {
+	return f.Apply(ctx, nil, a.To)
+}
+
 func (f *flakyInstance) Interface(context.Context) ([]string, error) {
 	if f.down.Load() {
 		return nil, transport.ErrUnreachable
@@ -155,6 +159,54 @@ func TestRecoverResumesInterruptedPass(t *testing.T) {
 	}
 	if !report2.Current.Equal(v(1, 1)) {
 		t.Fatalf("second recover lost current: %+v", report2)
+	}
+}
+
+// TestRecoverWithEndedCtxKeepsPassOpen: a Recover whose ctx has ended closes
+// no pass it did not finish. A fleet pass halted before its first apply is
+// still open afterwards, the instance untouched, and the next Recover
+// finishes it.
+func TestRecoverWithEndedCtxKeepsPassOpen(t *testing.T) {
+	ctx := context.Background()
+	f := newFixture(t)
+	m := f.newManager(t, evolution.MultiIncreasing, evolution.Explicit)
+	path := filepath.Join(t.TempDir(), "evolution.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetJournal(j)
+	obj := f.newDCDO()
+	if err := m.CreateInstance(ctx, LocalInstance{Obj: obj}, v(1), registry.NativeImplType); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := m.EvolveFleet(ctx, v(1, 1), nil, 0); err != nil || !rep.Halted || len(rep.Evolved) != 0 {
+		t.Fatalf("EvolveFleet = %+v, %v; want halted before its first apply", rep, err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := restartManager(t, m, evolution.MultiIncreasing, evolution.Explicit, path)
+	if err := m2.Adopt(ctx, LocalInstance{Obj: obj}, registry.NativeImplType); err != nil {
+		t.Fatal(err)
+	}
+	ended, cancel := context.WithCancel(ctx)
+	cancel()
+	if report, err := m2.Recover(ended); !errors.Is(err, context.Canceled) || report.Passes != 1 {
+		t.Fatalf("Recover with an ended ctx = %+v, %v; want 1 pass halted by context.Canceled", report, err)
+	}
+	if !obj.Version().Equal(v(1)) {
+		t.Fatalf("instance at %s after a halted Recover, want 1", obj.Version())
+	}
+	if report, err := m2.Recover(ctx); err != nil || report.Passes != 1 || len(report.Resumed) != 1 {
+		t.Fatalf("Recover = %+v, %v; want the pass left open finished", report, err)
+	}
+	if !obj.Version().Equal(v(1, 1)) {
+		t.Fatalf("instance at %s after Recover, want 1.1", obj.Version())
+	}
+	if report, err := m2.Recover(ctx); err != nil || report.Passes != 0 {
+		t.Fatalf("third Recover = %+v, %v; want a no-op", report, err)
 	}
 }
 
@@ -312,5 +364,52 @@ func TestRecoverRequiresJournal(t *testing.T) {
 	m := f.newManager(t, evolution.MultiIncreasing, evolution.Explicit)
 	if _, err := m.Recover(context.Background()); !errors.Is(err, ErrNoJournal) {
 		t.Fatalf("recover without journal: %v, want ErrNoJournal", err)
+	}
+}
+
+// TestMoveToConfigurableRefusedBeforeIntent: Store.Plan refuses a target that
+// is not instantiable (and has no plan, without error, from such a source),
+// and planning the move asks it, so a style-exempt rollback to a
+// configurable version is refused before its intent is journalled or the
+// instance touched.
+func TestMoveToConfigurableRefusedBeforeIntent(t *testing.T) {
+	ctx := context.Background()
+	f := newFixture(t)
+	m := f.newManager(t, evolution.MultiIncreasing, evolution.Explicit)
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	m.SetJournal(j)
+	obj := f.newDCDO()
+	if err := m.CreateInstance(ctx, LocalInstance{Obj: obj}, v(1), registry.NativeImplType); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := m.Store().Derive(v(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := m.Store().Plan(v(1), cfg); c != nil || !errors.Is(err, ErrVersionNotReady) {
+		t.Fatalf("plan to a configurable version = %v, %v; want ErrVersionNotReady", c, err)
+	}
+	if c, err := m.Store().Plan(cfg, v(1)); c != nil || err != nil {
+		t.Fatalf("plan from a configurable version = %v, %v; want no plan", c, err)
+	}
+	before := obj.DFM().Publishes()
+	if err := m.RollbackInstance(ctx, obj.LOID(), cfg); !errors.Is(err, ErrVersionNotReady) {
+		t.Fatalf("rollback to a configurable version: err = %v, want ErrVersionNotReady", err)
+	}
+	recs, err := j.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Op == OpIntent {
+			t.Fatalf("refused move journalled an intent: %+v", r)
+		}
+	}
+	if obj.DFM().Publishes() != before || !obj.Version().Equal(v(1)) {
+		t.Fatal("refused move touched the instance")
 	}
 }

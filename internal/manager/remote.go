@@ -562,6 +562,15 @@ func (r RemoteInstance) Apply(ctx context.Context, target *dfm.Descriptor, v ver
 	return core.MethodApplyDescriptor.Call(ctx, r.Client, r.Target, core.ApplyArgs{Target: target, Version: v})
 }
 
+// ApplyPlan implements Instance.
+func (r RemoteInstance) ApplyPlan(ctx context.Context, a core.PlanArgs) (core.ApplyReport, error) {
+	res, err := core.MethodApplyPlan.Call(ctx, r.Client, r.Target, a)
+	if err != nil {
+		return core.ApplyReport{}, err
+	}
+	return res.Outcome()
+}
+
 // Interface implements Instance.
 func (r RemoteInstance) Interface(ctx context.Context) ([]string, error) {
 	return core.MethodInterface.Call(ctx, r.Client, r.Target, rpc.None{})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"godcdo/internal/core"
+	"godcdo/internal/dfm"
 	"godcdo/internal/evolution"
 	"godcdo/internal/naming"
 	"godcdo/internal/registry"
@@ -161,14 +162,46 @@ func TestStandbyFenceHoldsAcrossAppend(t *testing.T) {
 	}
 }
 
-// TestInfraPayloadBytes pins mgr.repl.append's frame, captured from the
-// hand-written encoder its declaration replaced: a standby built before it
-// must still understand every shipment.
+// TestInfraPayloadBytes pins the wire bytes of mgr.repl.append's frame,
+// captured from the hand-written encoder its declaration replaced (a standby
+// built before it must still understand every shipment), and of
+// dcdo.applyPlan's arguments and results, which managers send to objects of
+// other builds. The rows are append-only: a changed encoding adds a row and
+// keeps the old one, whose bytes must still decode, so an older peer's form
+// never leaves the suite.
 func TestInfraPayloadBytes(t *testing.T) {
-	got := MethodMgrReplAppend.Args.Encode(Shipment{Epoch: 3, Record: JournalRecord{Op: OpIntent, Pass: 7,
-		LOID: naming.LOID{Domain: 1, Class: 2, Instance: 3}, From: v(1), To: v(1, 1)}})
-	if want := "031601030700000a6c6f69643a312e322e33010102010100"; hex.EncodeToString(got) != want {
-		t.Errorf("mgr.repl.append args = %x, want %s", got, want)
+	fr := dfm.ComponentRef{ICO: naming.LOID{Domain: 1, Class: 8, Instance: 2}, CodeRef: "fr:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
+	plan := core.PlanArgs{From: v(1), To: v(1, 1), Change: &dfm.Change{
+		Plan: dfm.Plan{AddComponents: []string{"fr"},
+			Retune: []dfm.EntryDesc{{Function: "greet", Component: "en", Exported: true}},
+			Deps:   []dfm.Dependency{{Kind: dfm.DepD, FromFunc: "greet", ToFunc: "greet"}}},
+		Arriving: []dfm.Arrival{{ID: "fr", Ref: fr,
+			Entries: []dfm.EntryDesc{{Function: "greet", Component: "fr", Exported: true, Enabled: true}}}},
+	}}
+	for _, row := range []struct {
+		name   string
+		got    []byte
+		want   string
+		decode func([]byte) error
+	}{
+		{"mgr.repl.append args", MethodMgrReplAppend.Args.Encode(Shipment{Epoch: 3, Record: JournalRecord{Op: OpIntent, Pass: 7,
+			LOID: naming.LOID{Domain: 1, Class: 2, Instance: 3}, From: v(1), To: v(1, 1)}}),
+			"031601030700000a6c6f69643a312e322e33010102010100",
+			func(b []byte) error { _, err := MethodMgrReplAppend.Args.Decode(b); return err }},
+		{"dcdo.applyPlan args", core.MethodApplyPlan.Args.Encode(plan),
+			"01010201010102667200000105677265657402656e010000000a6c6f69643a312e382e320466723a310e676f2f72656769737472792f676f4001010567726565740266720101000001040567726565740005677265657400",
+			func(b []byte) error { _, err := core.MethodApplyPlan.Args.Decode(b); return err }},
+		{"dcdo.applyPlan result, applied", core.MethodApplyPlan.Result.Encode(core.PlanResult{Report: core.ApplyReport{ComponentsAdded: 1, EntriesRetuned: 1, BytesFetched: 32}}),
+			"000100000140", func(b []byte) error { _, err := core.MethodApplyPlan.Result.Decode(b); return err }},
+		{"dcdo.applyPlan result, refused", core.MethodApplyPlan.Result.Encode(core.PlanResult{Refused: true}), "01",
+			func(b []byte) error { _, err := core.MethodApplyPlan.Result.Decode(b); return err }},
+	} {
+		if got := hex.EncodeToString(row.got); got != row.want {
+			t.Errorf("%s = %s, want %s", row.name, got, row.want)
+		}
+		if raw, _ := hex.DecodeString(row.want); row.decode(raw) != nil {
+			t.Errorf("%s: golden bytes no longer decode: %v", row.name, row.decode(raw))
+		}
 	}
 }
 
@@ -466,8 +499,19 @@ func TestRollbackMovesEveryReplica(t *testing.T) {
 		t.Fatalf("EvolveInstance: %v", err)
 	}
 	membersAt(t, env.group, v(1, 1))
+	if n := env.mgr.EvolveFallbacks(); n != 0 {
+		t.Fatalf("%d members turned the plan down, want none", n)
+	}
+	// One member reconfigured behind the manager's back turns the rollback's
+	// plan down and is rolled back by the full descriptor.
+	if err := env.objs["inproc:r2"].DisableFunction(dfm.EntryKey{Function: "greet", Component: "fr"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := env.mgr.RollbackInstance(ctx, env.loid, v(1)); err != nil {
 		t.Fatalf("RollbackInstance: %v", err)
+	}
+	if n := env.mgr.EvolveFallbacks(); n != 1 {
+		t.Fatalf("%d evolve-fallbacks, want the reconfigured member's 1", n)
 	}
 	membersAt(t, env.group, v(1))
 	if rec, err := env.mgr.RecordOf(env.loid); err != nil || !rec.Version.Equal(v(1)) {

@@ -70,11 +70,19 @@ type Store struct {
 	mu    sync.Mutex
 	nodes map[string]*versionNode
 	root  version.ID
+	// plans caches Plan's changes, at most maxPlans of them; diffs counts
+	// the changes computed.
+	plans map[[2]string]*dfm.Change
+	diffs uint64
 }
+
+// maxPlans bounds the plan cache: a manager moves its objects between a
+// handful of versions at a time.
+const maxPlans = 64
 
 // NewStore returns an empty DFM store.
 func NewStore() *Store {
-	return &Store{nodes: make(map[string]*versionNode)}
+	return &Store{nodes: make(map[string]*versionNode), plans: make(map[[2]string]*dfm.Change)}
 }
 
 // CreateRoot installs the tree's root version (conventionally version 1) in
@@ -208,6 +216,14 @@ func (s *Store) Descriptor(v version.ID) (*dfm.Descriptor, error) {
 func (s *Store) InstantiableDescriptor(v version.ID) (*dfm.Descriptor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	node, err := s.instantiableLocked(v)
+	if err != nil {
+		return nil, err
+	}
+	return node.desc.Clone(), nil
+}
+
+func (s *Store) instantiableLocked(v version.ID) (*versionNode, error) {
 	node, ok := s.nodes[v.String()]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownVersion, v)
@@ -215,15 +231,55 @@ func (s *Store) InstantiableDescriptor(v version.ID) (*dfm.Descriptor, error) {
 	if node.state != StateInstantiable {
 		return nil, fmt.Errorf("%w: %s", ErrVersionNotReady, v)
 	}
-	return node.desc.Clone(), nil
+	return node, nil
+}
+
+// Plan returns the change that moves an object configured as version from to
+// version to, diffing their descriptors once per pair. to must be
+// instantiable: Plan returns InstantiableDescriptor's error otherwise. When
+// from is not instantiable there is no plan, and the change is nil. An
+// instantiable version's descriptor never changes, so a cached plan never
+// goes stale. The change is shared; callers must not modify it.
+func (s *Store) Plan(from, to version.ID) (*dfm.Change, error) {
+	key := [2]string{from.String(), to.String()}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c, ok := s.plans[key]; ok {
+		return c, nil
+	}
+	t, err := s.instantiableLocked(to)
+	if err != nil {
+		return nil, err
+	}
+	f, err := s.instantiableLocked(from)
+	if err != nil {
+		return nil, nil
+	}
+	if len(s.plans) >= maxPlans {
+		for k := range s.plans {
+			delete(s.plans, k) // any one: the bound matters, not the choice
+			break
+		}
+	}
+	c := dfm.NewChange(f.desc, t.desc)
+	s.plans[key] = c
+	s.diffs++
+	return c, nil
+}
+
+// Diffs reports how many changes Plan has computed rather than found cached.
+func (s *Store) Diffs() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.diffs
 }
 
 // IsInstantiable reports whether v exists and is instantiable.
 func (s *Store) IsInstantiable(v version.ID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	node, ok := s.nodes[v.String()]
-	return ok && node.state == StateInstantiable
+	_, err := s.instantiableLocked(v)
+	return err == nil
 }
 
 // Parent returns a version's parent (nil for the root).

@@ -208,13 +208,13 @@ var maxLines = map[string]int{
 	"examples/sortdep":      231,
 	"internal/baseline":     179,
 	"internal/component":    457,
-	"internal/core":         1263,
+	"internal/core":         1419,
 	"internal/demo":         170,
-	"internal/dfm":          1362,
+	"internal/dfm":          1452,
 	"internal/evolution":    325,
 	"internal/harness":      3188,
 	"internal/legion":       595,
-	"internal/manager":      3900,
+	"internal/manager":      4060,
 	"internal/metrics":      1335,
 	"internal/naming":       509,
 	"internal/objstate":     390,
