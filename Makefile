@@ -112,7 +112,12 @@ fuzz-smoke:
 # through a lost response, writes end ambiguous having run once) and the
 # endpoint-addressed tables' (agent, health, obs, mgr.repl here; repl.*,
 # replhost and rollout in their packages' runs). TestStandby includes the
-# standby fence racing shipments against takeovers.
+# standby fence racing shipments against takeovers. The supervisor line's
+# TestRollout prefix also runs the rollout stop contracts: a rollout whose
+# ctx ends mid-wave or mid-bake parks open and Resume finishes it, a
+# resumed rollout keeps the policy's wave widths, a retreat with a failed
+# or skipped move stays open until Resume retreats again, and a retreat
+# moves quarantined instances too.
 chaos:
 	$(GO) test -race -run 'TestRunE8|TestRunE11|TestRunE13|TestRunE14|TestRunE15' ./internal/harness/
 	$(GO) test -race ./internal/testbed/

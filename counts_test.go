@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"godcdo/internal/core"
 	"godcdo/internal/dfm"
@@ -18,6 +19,7 @@ import (
 	"godcdo/internal/obs"
 	"godcdo/internal/registry"
 	"godcdo/internal/rpc"
+	"godcdo/internal/supervisor"
 	"godcdo/internal/transport"
 	"godcdo/internal/vclock"
 	"godcdo/internal/version"
@@ -242,7 +244,7 @@ func TestFleetPassSyncsOncePerMove(t *testing.T) {
 		}
 		return nil
 	})
-	rep, err := mgr.EvolveFleet(ctx, child, nil, -1)
+	rep, err := mgr.EvolveFleet(ctx, child, nil)
 	if err != nil || len(rep.Evolved) != n || rep.Halted {
 		t.Fatalf("EvolveFleet = %+v, %v", rep, err)
 	}
@@ -291,6 +293,92 @@ func TestFleetPassSyncsOncePerMove(t *testing.T) {
 		}
 		if again, err := mgr2.Recover(ctx); err != nil || again.Passes != 0 {
 			t.Fatalf("batch %d: second Recover = %+v, %v, want a no-op", k+1, again, err)
+		}
+	}
+}
+
+// TestRetreatIsOneRollbackPass: a rollout retreating from the three instances
+// on its target journals rollout-rollback, one rollback pass — begin, an
+// intent and an applied per instance, done — and rollout-done, in that
+// order, in six syncs: rollout-rollback's, one per move, done's and
+// rollout-done's.
+func TestRetreatIsOneRollbackPass(t *testing.T) {
+	_, base, next := evolvePair(t, "rt", 20, 2)
+	store, root, child := pairStore(t, base, next)
+	mgr := manager.NewWithStore(store, evolution.MultiIncreasing, evolution.Explicit)
+	journal, err := manager.OpenJournal(filepath.Join(t.TempDir(), "retreat.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	mgr.SetJournal(journal)
+	ctx := context.Background()
+	if err := mgr.SetCurrentVersion(ctx, root); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	loids := make([]naming.LOID, n)
+	for k := range loids {
+		loids[k] = naming.LOID{Domain: 1, Class: 1, Instance: uint64(k + 1)}
+		if err := mgr.Adopt(ctx, &versionOnly{loid: loids[k], ver: root}, registry.NativeImplType); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The canary takes all three; once the third is on the target the
+	// rollout is aborted, and the journal's counters are read as the
+	// retreat begins.
+	o := obs.NewMetricsOnly()
+	mgr.SetObs(o)
+	sup := &supervisor.Supervisor{Mgr: mgr, Reg: o.Metrics, Obs: o}
+	evolved := 0
+	var before manager.JournalStats
+	o.Events.SetSink(func(ev obs.Event) {
+		switch ev.Kind {
+		case "evolved":
+			if evolved++; evolved == n {
+				_ = sup.Abort("retreat")
+			}
+		case "rollout-rollback":
+			before = journal.Stats()
+		}
+	})
+	policy := supervisor.Policy{Name: "retreat", Target: child, CanarySize: n, BakeTime: time.Hour, ProbeInterval: time.Millisecond}
+	if err := sup.Start(ctx, policy); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := sup.Wait(ctx); err != nil || st.Phase != supervisor.PhaseAborted {
+		t.Fatalf("rollout = %+v, %v; want aborted", st, err)
+	}
+
+	recs, err := journal.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []manager.JournalOp
+	for i, r := range recs {
+		if r.Op == manager.OpRolloutRollback {
+			for _, r := range recs[i:] {
+				ops = append(ops, r.Op)
+			}
+			break
+		}
+	}
+	want := []manager.JournalOp{manager.OpRolloutRollback, manager.OpBegin}
+	for range loids {
+		want = append(want, manager.OpIntent, manager.OpApplied)
+	}
+	want = append(want, manager.OpDone, manager.OpRolloutDone)
+	if !reflect.DeepEqual(ops, want) {
+		t.Fatalf("retreat journalled %v, want %v", ops, want)
+	}
+	if st := journal.Stats(); st.Records-before.Records != uint64(len(want)) || st.Syncs-before.Syncs != n+3 {
+		t.Fatalf("retreat of %d wrote %d records in %d syncs, want %d in %d",
+			n, st.Records-before.Records, st.Syncs-before.Syncs, len(want), n+3)
+	}
+	for _, loid := range loids {
+		if rec, err := mgr.RecordOf(loid); err != nil || !rec.Version.Equal(root) {
+			t.Fatalf("%s after the retreat: %+v, %v; want %s", loid, rec, err, root)
 		}
 	}
 }
@@ -379,7 +467,7 @@ func TestPlannedEvolutionCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rep, err := mgr.EvolveFleet(ctx, child, nil, -1); err != nil || len(rep.Evolved) != n {
+	if rep, err := mgr.EvolveFleet(ctx, child, nil); err != nil || len(rep.Evolved) != n {
 		t.Fatalf("EvolveFleet = %+v, %v", rep, err)
 	}
 	if got := store.Diffs(); got != 1 {

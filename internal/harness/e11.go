@@ -133,8 +133,8 @@ func RunE11() (rep *Report, err error) {
 	currentAfterI, _ := mgr.CurrentVersion()
 
 	// --- Act II: good rollout, supervisor killed mid-wave 2. --------------
-	sup2 := &supervisor.Supervisor{Mgr: mgr, Reg: o.Metrics, Obs: o, CrashMidWave: 2}
-	err = sup2.Start(context.Background(), supervisor.Policy{
+	sup2 := &supervisor.Supervisor{Mgr: mgr, Reg: o.Metrics, Obs: o}
+	err = sup2.Start(testbed.CancelAfter(tb.Obs.Events, "evolved", 2, sup.Hub.Publish), supervisor.Policy{
 		Name:          "good-rollout",
 		Target:        goodVersion,
 		CanarySize:    1,
@@ -240,7 +240,7 @@ func RunE11() (rep *Report, err error) {
 		Notes: []string{
 			fmt.Sprintf("per-version fault: v1.1's greet sleeps %s per call — an SLO regression, not an outage", e11SlowLatency),
 			"SLO guard reads the same client.invoke histogram and client counters /debug/obs exports",
-			"crash simulated with CrashMidWave: one wave instance applied through the journalled pass, no done record",
+			"crash simulated by ending the rollout's ctx after wave 2's first apply: the journalled pass left open, no done record",
 			"restart rebuilds the manager from the persisted store image; Resume reconstructs the rollout from journal records",
 		},
 		Checks: checks,

@@ -98,7 +98,9 @@ func TestJournalBatchTornAtEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
-		next, err := j2.BeginPass(v(1, 1), nil)
+		l := j2.openPass(v(1, 1), nil, "")
+		err = l.sync()
+		next := l.pass
 		_ = j2.Close()
 		wantNext := uint64(1)
 		if want >= 2 {
@@ -535,7 +537,7 @@ func TestUnjournalledMoveQuarantinesNothing(t *testing.T) {
 		run  func() error
 	}{
 		{"EvolveInstance", func() error { return m.EvolveInstance(ctx, loid, v(1, 1)) }},
-		{"EvolveFleet", func() error { _, err := m.EvolveFleet(ctx, v(1, 1), nil, -1); return err }},
+		{"EvolveFleet", func() error { _, err := m.EvolveFleet(ctx, v(1, 1), nil); return err }},
 	} {
 		if err := move.run(); !errors.Is(err, transport.ErrUnreachable) {
 			t.Fatalf("%s: err = %v, want the shipping failure", move.name, err)

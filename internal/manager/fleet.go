@@ -32,8 +32,8 @@ type FleetReport struct {
 	// Failed lists instances whose evolution failed for non-connectivity
 	// reasons (style violation, descriptor errors, application failures).
 	Failed []naming.LOID
-	// Halted reports that the pass was abandoned mid-way, at EvolveFleet's
-	// crash point or by its ctx ending.
+	// Halted reports that the pass was abandoned mid-way because its ctx
+	// ended: no done record, the pass left open for Recover.
 	Halted bool
 }
 
@@ -50,10 +50,23 @@ type FleetReport struct {
 // with its LOID, without stopping the pass; instances dropped meanwhile are
 // left out of the report. N moves cost N + 1 fsyncs. A ctx that ends
 // mid-pass halts it between instances, leaving the journal open for
-// Recover, exactly as a crash would. haltAfter is such a crash point for
-// tests and drills: with haltAfter >= 0 the pass halts once that many
-// instances are at v. A negative haltAfter runs the pass to its end.
-func (m *Manager) EvolveFleet(ctx context.Context, v version.ID, subset []naming.LOID, haltAfter int) (FleetReport, error) {
+// Recover, exactly as a crash would: the report is Halted and the error
+// carries ctx's.
+func (m *Manager) EvolveFleet(ctx context.Context, v version.ID, subset []naming.LOID) (FleetReport, error) {
+	return m.fleetPass(ctx, v, subset, "")
+}
+
+// RollbackFleet is EvolveFleet's retreat: it forces the instances back to v
+// without consulting the evolution style (see RollbackInstance), as one
+// pass begun with the rollback reason, so a crash mid-retreat resumes as a
+// rollback. Like RollbackInstance it moves quarantined instances too: the
+// prober's style-checked re-convergence may not take one back. The rollout
+// supervisor retreats through it.
+func (m *Manager) RollbackFleet(ctx context.Context, v version.ID, subset []naming.LOID) (FleetReport, error) {
+	return m.fleetPass(ctx, v, subset, passReasonRollback)
+}
+
+func (m *Manager) fleetPass(ctx context.Context, v version.ID, subset []naming.LOID, reason string) (FleetReport, error) {
 	m.mu.Lock()
 	j := m.journal
 	if subset == nil {
@@ -63,7 +76,7 @@ func (m *Manager) EvolveFleet(ctx context.Context, v version.ID, subset []naming
 	}
 	planned := make([]naming.LOID, 0, len(subset))
 	for _, loid := range subset {
-		if _, q := m.quarantined[loid]; m.records[loid] != nil && !q {
+		if _, q := m.quarantined[loid]; m.records[loid] != nil && (!q || reason == passReasonRollback) {
 			planned = append(planned, loid)
 		}
 	}
@@ -73,7 +86,7 @@ func (m *Manager) EvolveFleet(ctx context.Context, v version.ID, subset []naming
 	for i, loid := range planned {
 		moves[i] = move{loid: loid, to: v}
 	}
-	p := &pass{log: j.openPass(v, planned, ""), halting: true, haltAfter: haltAfter}
+	p := &pass{log: j.openPass(v, planned, reason), rollback: reason == passReasonRollback, halting: true}
 	res, halted, err := m.runPass(ctx, p, moves)
 	report := FleetReport{Target: v.Clone(), Pass: p.log.pass, Halted: halted}
 	var errs []error

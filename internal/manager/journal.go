@@ -414,17 +414,6 @@ func (j *Journal) SetSink(sink func(JournalRecord) error) {
 	j.mu.Unlock()
 }
 
-// BeginPass allocates a pass identifier and durably records the pass intent:
-// the target version and the instances the pass plans to evolve. Nil-safe
-// (returns pass 0).
-func (j *Journal) BeginPass(target version.ID, planned []naming.LOID) (uint64, error) {
-	l := j.openPass(target, planned, "")
-	if err := l.sync(); err != nil {
-		return 0, err
-	}
-	return l.pass, nil
-}
-
 // passReasonRollback on an OpBegin record marks a style-exempt rollback pass.
 const passReasonRollback = "rollback"
 

@@ -32,10 +32,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Current(v(1)); err != nil {
 		t.Fatalf("Current: %v", err)
 	}
-	pass, err := j.BeginPass(target, []naming.LOID{a, b})
-	if err != nil {
-		t.Fatalf("BeginPass: %v", err)
+	l := j.openPass(target, []naming.LOID{a, b}, "")
+	if err := l.sync(); err != nil {
+		t.Fatalf("begin pass: %v", err)
 	}
+	pass := l.pass
 	if pass != 1 {
 		t.Fatalf("first pass = %d, want 1", pass)
 	}
@@ -87,9 +88,9 @@ func TestJournalPassSequenceSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	p1, _ := j.BeginPass(v(1), nil)
-	p2, _ := j.BeginPass(v(1, 1), nil)
-	if p1 != 1 || p2 != 2 {
+	l1, l2 := j.openPass(v(1), nil, ""), j.openPass(v(1, 1), nil, "")
+	_, _ = l1.sync(), l2.sync()
+	if p1, p2 := l1.pass, l2.pass; p1 != 1 || p2 != 2 {
 		t.Fatalf("passes = %d, %d", p1, p2)
 	}
 	if err := j.Close(); err != nil {
@@ -101,8 +102,9 @@ func TestJournalPassSequenceSurvivesReopen(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer j2.Close()
-	p3, _ := j2.BeginPass(v(1, 1), nil)
-	if p3 != 3 {
+	l3 := j2.openPass(v(1, 1), nil, "")
+	_ = l3.sync()
+	if p3 := l3.pass; p3 != 3 {
 		t.Fatalf("pass after reopen = %d, want 3", p3)
 	}
 }
@@ -120,7 +122,9 @@ func TestJournalOpenSweepsOrphanedTemps(t *testing.T) {
 	if err := j.Current(v(1)); err != nil {
 		t.Fatalf("Current: %v", err)
 	}
-	pass, _ := j.BeginPass(v(1, 1), nil)
+	l := j.openPass(v(1, 1), nil, "")
+	_ = l.sync()
+	pass := l.pass
 	if err := j.Append(JournalRecord{Op: OpDone, Pass: pass}); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
@@ -178,7 +182,9 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	pass, _ := j.BeginPass(v(1, 1), nil)
+	l := j.openPass(v(1, 1), nil, "")
+	_ = l.sync()
+	pass := l.pass
 	loid := naming.LOID{Domain: 1, Class: 2, Instance: 3}
 	if err := j.Append(JournalRecord{Op: OpIntent, Pass: pass, LOID: loid, From: v(1), To: v(1, 1)}); err != nil {
 		t.Fatalf("Intent: %v", err)
@@ -231,10 +237,11 @@ func TestJournalReplicationOps(t *testing.T) {
 		t.Fatalf("OpenJournal: %v", err)
 	}
 	loid := naming.LOID{Domain: 1, Class: 2, Instance: 3}
-	pass, err := j.BeginPass(v(2), []naming.LOID{loid})
-	if err != nil {
-		t.Fatalf("BeginPass: %v", err)
+	l := j.openPass(v(2), []naming.LOID{loid}, "")
+	if err := l.sync(); err != nil {
+		t.Fatalf("begin pass: %v", err)
 	}
+	pass := l.pass
 	if err := j.Append(JournalRecord{Op: OpReplicaPromote, Pass: pass, LOID: loid, Reason: "inproc://replica-b"}); err != nil {
 		t.Fatalf("ReplicaPromote: %v", err)
 	}
@@ -281,7 +288,9 @@ func TestJournalTornTailOnReplicatedRecord(t *testing.T) {
 		t.Fatalf("OpenJournal: %v", err)
 	}
 	loid := naming.LOID{Domain: 1, Class: 2, Instance: 3}
-	pass, _ := j.BeginPass(v(1, 1), []naming.LOID{loid})
+	l := j.openPass(v(1, 1), []naming.LOID{loid}, "")
+	_ = l.sync()
+	pass := l.pass
 	if err := j.Append(JournalRecord{Op: OpReplicaPromote, Pass: pass, LOID: loid, Reason: "inproc://replica-b"}); err != nil {
 		t.Fatalf("ReplicaPromote: %v", err)
 	}
@@ -344,10 +353,11 @@ func TestJournalSink(t *testing.T) {
 		return nil
 	})
 
-	pass, err := j.BeginPass(v(1, 1), nil)
-	if err != nil {
-		t.Fatalf("BeginPass: %v", err)
+	l := j.openPass(v(1, 1), nil, "")
+	if err := l.sync(); err != nil {
+		t.Fatalf("begin pass: %v", err)
 	}
+	pass := l.pass
 	if err := j.MgrEpoch(2); err != nil {
 		t.Fatalf("MgrEpoch: %v", err)
 	}
@@ -383,7 +393,9 @@ func TestJournalCompact(t *testing.T) {
 		t.Fatalf("OpenJournal: %v", err)
 	}
 	defer j.Close()
-	pass, _ := j.BeginPass(v(1, 1), nil)
+	l := j.openPass(v(1, 1), nil, "")
+	_ = l.sync()
+	pass := l.pass
 	_ = j.Append(JournalRecord{Op: OpDone, Pass: pass})
 	_ = j.Current(v(1, 1))
 
@@ -399,8 +411,8 @@ func TestJournalCompact(t *testing.T) {
 	}
 
 	// The journal stays appendable after compaction.
-	if _, err := j.BeginPass(v(1, 1), nil); err != nil {
-		t.Fatalf("BeginPass after compact: %v", err)
+	if err := j.openPass(v(1, 1), nil, "").sync(); err != nil {
+		t.Fatalf("begin pass after compact: %v", err)
 	}
 	recs, _ = j.Records()
 	if len(recs) != 2 {
@@ -417,8 +429,9 @@ func TestJournalMissingFile(t *testing.T) {
 
 func TestJournalNilIsNoOp(t *testing.T) {
 	var j *Journal
-	if pass, err := j.BeginPass(v(1), nil); pass != 0 || err != nil {
-		t.Fatalf("nil BeginPass: pass=%d err=%v", pass, err)
+	l := j.openPass(v(1), nil, "")
+	if err := l.sync(); l.pass != 0 || err != nil {
+		t.Fatalf("nil begin pass: pass=%d err=%v", l.pass, err)
 	}
 	if err := errors.Join(
 		j.Append(JournalRecord{Op: OpDone}),

@@ -96,7 +96,7 @@ func TestFleetEvolutionQuarantinesPartitionedInstance(t *testing.T) {
 	if err := m.SetCurrentVersion(context.Background(), v(1, 1)); err != nil {
 		t.Fatalf("set current: %v", err)
 	}
-	rep, err := m.EvolveFleet(context.Background(), v(1, 1), nil, -1)
+	rep, err := m.EvolveFleet(context.Background(), v(1, 1), nil)
 	if err != nil {
 		t.Fatalf("fleet pass: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestFleetEvolutionQuarantinesPartitionedInstance(t *testing.T) {
 
 	// A second pass skips the quarantined instance outright: it is not in
 	// the plan, so the pass succeeds without probing the dead endpoint.
-	rep2, err := m.EvolveFleet(context.Background(), v(1, 1), nil, -1)
+	rep2, err := m.EvolveFleet(context.Background(), v(1, 1), nil)
 	if err != nil {
 		t.Fatalf("second pass: %v", err)
 	}

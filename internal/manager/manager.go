@@ -188,7 +188,7 @@ func (m *Manager) SetCurrentVersion(ctx context.Context, v version.ID) error {
 	if policy != evolution.Proactive {
 		return nil
 	}
-	_, err := m.EvolveFleet(ctx, v, nil, -1)
+	_, err := m.EvolveFleet(ctx, v, nil)
 	return err
 }
 
@@ -304,12 +304,10 @@ type pass struct {
 	log      *passLog
 	rollback bool // skip the style check: the retreat a forward style vetoes
 	recovery bool // probe each instance before planning its move
-	// halting passes stop between moves once ctx ends or haltAfter instances
-	// are at the target (never when haltAfter < 0). Recovery passes halt on
-	// ctx, and also when it ended during their last move, which may have
-	// failed for the ctx alone.
-	halting   bool
-	haltAfter int
+	// halting passes stop between moves once ctx ends. Recovery passes
+	// also halt when it ended during their last move, which may have failed
+	// for the ctx alone.
+	halting bool
 }
 
 // move is one instance's move within a pass. A recovery move with only set
@@ -338,33 +336,28 @@ type moveResult struct {
 }
 
 // runPass is the manager's one pass executor: every instance move —
-// EvolveInstance and RollbackInstance (a pass of one), EvolveFleet, and
-// Recover's resume and orphaned-target rollback — goes through it, one move
-// at a time. Each move takes the same steps: in recovery, probe where the
-// instance is; plan the step (a rollback skips the style check); sync its
-// intent; apply. Any failure is sorted once: a dropped instance is left
-// out, an unreachable one quarantined and skipped, anything else failed.
+// EvolveInstance and RollbackInstance (a pass of one), EvolveFleet and
+// RollbackFleet, and Recover's resume and orphaned-target rollback — goes
+// through it, one move at a time. Each move takes the same steps: in
+// recovery, probe where the instance is; plan the step (a rollback skips
+// the style check); sync its intent; apply. Any failure is sorted once: a
+// dropped instance is left out, an unreachable one quarantined and skipped,
+// anything else failed.
 //
 // The journal rule: an intent is synced before its instance is touched;
 // every other record (begin, applied, skipped) rides in the next synced
-// batch, and done closes the pass, so N moves cost N + 1 fsyncs. A halted
-// pass flushes what it holds and writes no done, leaving Recover to finish.
+// batch, and done closes the pass, so N moves cost N + 1 fsyncs. Its one
+// stop is ctx: a halting pass whose ctx ends flushes what it holds and
+// writes no done, leaving Recover to finish.
 func (m *Manager) runPass(ctx context.Context, p *pass, moves []move) (res []moveResult, halted bool, err error) {
-	at := 0
 	for _, mv := range moves {
-		if p.halting {
-			if cerr := ctx.Err(); cerr != nil {
-				return res, true, errors.Join(fmt.Errorf("pass %d halted: %w", p.log.pass, cerr), p.log.sync())
-			}
-			if p.haltAfter >= 0 && at >= p.haltAfter {
-				return res, true, p.log.sync()
-			}
+		if p.halting && ctx.Err() != nil {
+			break
 		}
 		r := moveResult{loid: mv.loid}
 		r.out, r.err = m.runMove(ctx, p, mv)
 		switch {
 		case r.err == nil:
-			at++
 			if p.recovery {
 				m.UnquarantineInstance(mv.loid) // it answered: it is alive
 			}
@@ -381,7 +374,7 @@ func (m *Manager) runPass(ctx context.Context, p *pass, moves []move) (res []mov
 		}
 		res = append(res, r)
 	}
-	if cerr := ctx.Err(); cerr != nil && p.recovery {
+	if cerr := ctx.Err(); cerr != nil && (len(res) < len(moves) || p.recovery) {
 		return res, true, errors.Join(fmt.Errorf("pass %d halted: %w", p.log.pass, cerr), p.log.sync())
 	}
 	return res, false, p.log.sync(JournalRecord{Op: OpDone})

@@ -56,7 +56,7 @@ func TestProberRacesEvolvingFleet(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if _, err := m.EvolveFleet(ctx, v(1, 1), nil, -1); err != nil {
+			if _, err := m.EvolveFleet(ctx, v(1, 1), nil); err != nil {
 				t.Errorf("evolve fleet: %v", err)
 				return
 			}

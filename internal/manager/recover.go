@@ -250,8 +250,7 @@ func (m *Manager) recover(ctx context.Context, j *Journal, recs []JournalRecord)
 // whether it closed the pass: a ctx that ends halts it, open.
 func (m *Manager) recoverPass(ctx context.Context, j *Journal, ps *passState, report *RecoveryReport) (bool, error) {
 	b := ps.begin
-	p := &pass{log: &passLog{j: j, pass: b.Pass}, recovery: true, rollback: b.Reason == passReasonRollback,
-		halting: true, haltAfter: -1}
+	p := &pass{log: &passLog{j: j, pass: b.Pass}, recovery: true, rollback: b.Reason == passReasonRollback, halting: true}
 	var moves []move
 	resume := m.store.IsInstantiable(b.Target)
 	if resume {

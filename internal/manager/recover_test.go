@@ -103,8 +103,8 @@ func TestRecoverResumesInterruptedPass(t *testing.T) {
 	if err := m.SetCurrentVersion(context.Background(), v(1, 1)); err != nil {
 		t.Fatalf("set current: %v", err)
 	}
-	rep, err := m.EvolveFleet(context.Background(), v(1, 1), nil, 1)
-	if err != nil {
+	rep, err := m.EvolveFleet(crashAfter(t, m, 1), v(1, 1), nil)
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("partial fleet pass: %v", err)
 	}
 	if !rep.Halted || len(rep.Evolved) != 1 {
@@ -180,7 +180,7 @@ func TestRecoverWithEndedCtxKeepsPassOpen(t *testing.T) {
 	if err := m.CreateInstance(ctx, LocalInstance{Obj: obj}, v(1), registry.NativeImplType); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := m.EvolveFleet(ctx, v(1, 1), nil, 0); err != nil || !rep.Halted || len(rep.Evolved) != 0 {
+	if rep, err := m.EvolveFleet(crashAfter(t, m, 0), v(1, 1), nil); !errors.Is(err, context.Canceled) || !rep.Halted || len(rep.Evolved) != 0 {
 		t.Fatalf("EvolveFleet = %+v, %v; want halted before its first apply", rep, err)
 	}
 	if err := j.Close(); err != nil {
@@ -256,8 +256,8 @@ func TestRecoverRollsBackOrphanedTarget(t *testing.T) {
 		}
 	}
 	// Crash mid-pass: a reaches 1.1, b untouched, no done record.
-	rep, err := m.EvolveFleet(context.Background(), v(1, 1), nil, 1)
-	if err != nil || !rep.Halted {
+	rep, err := m.EvolveFleet(crashAfter(t, m, 1), v(1, 1), nil)
+	if !errors.Is(err, context.Canceled) || !rep.Halted {
 		t.Fatalf("partial pass: %+v err=%v", rep, err)
 	}
 	_ = j.Close()
@@ -320,7 +320,7 @@ func TestRecoverQuarantinesUnreachableInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash after beginning the pass but before touching anything.
-	if _, err := m.EvolveFleet(context.Background(), v(1, 1), nil, 0); err != nil {
+	if _, err := m.EvolveFleet(crashAfter(t, m, 0), v(1, 1), nil); !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
 	}
 	_ = j.Close()
@@ -348,7 +348,7 @@ func TestRecoverQuarantinesUnreachableInstance(t *testing.T) {
 		t.Fatalf("reachable instance at %s, want %s", got, v(1, 1))
 	}
 	// The quarantined instance is excluded from subsequent fleet passes.
-	rep, err := m2.EvolveFleet(context.Background(), v(1, 1), nil, -1)
+	rep, err := m2.EvolveFleet(context.Background(), v(1, 1), nil)
 	if err != nil {
 		t.Fatalf("fleet pass with quarantined instance: %v", err)
 	}

@@ -65,10 +65,11 @@ func newStandbyEnv(t *testing.T) *standbyEnv {
 func TestJournalShippingMirrorsRecords(t *testing.T) {
 	env := newStandbyEnv(t)
 
-	pass, err := env.primaryJ.BeginPass(v(1, 1), []naming.LOID{{Instance: 1}})
-	if err != nil {
-		t.Fatalf("BeginPass: %v", err)
+	l := env.primaryJ.openPass(v(1, 1), []naming.LOID{{Instance: 1}}, "")
+	if err := l.sync(); err != nil {
+		t.Fatalf("begin pass: %v", err)
 	}
+	pass := l.pass
 	if err := env.primaryJ.Append(JournalRecord{Op: OpIntent, Pass: pass, LOID: naming.LOID{Instance: 1}, From: v(1), To: v(1, 1)}); err != nil {
 		t.Fatalf("Intent: %v", err)
 	}
@@ -97,14 +98,14 @@ func TestJournalShippingMirrorsRecords(t *testing.T) {
 func TestStandbyFencesDeposedPrimary(t *testing.T) {
 	env := newStandbyEnv(t)
 
-	if _, err := env.primaryJ.BeginPass(v(1, 1), nil); err != nil {
-		t.Fatalf("BeginPass before takeover: %v", err)
+	if err := env.primaryJ.openPass(v(1, 1), nil, "").sync(); err != nil {
+		t.Fatalf("begin pass before takeover: %v", err)
 	}
 
 	// The standby takes over: epoch 2. The deposed primary's next append
 	// fails at the shipping step with a fencing error.
 	env.service.Bump()
-	_, err := env.primaryJ.BeginPass(v(1, 1), nil)
+	err := env.primaryJ.openPass(v(1, 1), nil, "").sync()
 	if !errors.Is(err, rpc.ErrFenced) {
 		t.Fatalf("append after takeover err = %v, want ErrFenced", err)
 	}
@@ -213,7 +214,9 @@ func TestShipperSyncBringsStandbyUpToDate(t *testing.T) {
 	if err := env.primaryJ.Current(v(1)); err != nil {
 		t.Fatalf("Current: %v", err)
 	}
-	pass, _ := env.primaryJ.BeginPass(v(1, 1), nil)
+	l := env.primaryJ.openPass(v(1, 1), nil, "")
+	_ = l.sync()
+	pass := l.pass
 	_ = env.primaryJ.Append(JournalRecord{Op: OpDone, Pass: pass})
 
 	if err := env.shipper.Sync(env.primaryJ); err != nil {
@@ -252,8 +255,8 @@ func TestStandbyTakeoverResumesFleetPass(t *testing.T) {
 
 	// The pass dies after one apply; the journal (and its shipped mirror)
 	// holds an open pass.
-	rep, err := primary.EvolveFleet(ctx, v(1, 1), nil, 1)
-	if err != nil || !rep.Halted || len(rep.Evolved) != 1 {
+	rep, err := primary.EvolveFleet(crashAfter(t, primary, 1), v(1, 1), nil)
+	if !errors.Is(err, context.Canceled) || !rep.Halted || len(rep.Evolved) != 1 {
 		t.Fatalf("partial pass: %+v err=%v", rep, err)
 	}
 	_ = env.primaryJ.Close() // crash
@@ -538,10 +541,11 @@ func TestRecoverFinishesHalfEvolvedGroup(t *testing.T) {
 	env.mgr.SetJournal(j)
 
 	target := v(1, 1)
-	pass, err := j.BeginPass(target, []naming.LOID{env.loid})
-	if err != nil {
+	l := j.openPass(target, []naming.LOID{env.loid}, "")
+	if err := l.sync(); err != nil {
 		t.Fatal(err)
 	}
+	pass := l.pass
 	if err := j.Append(JournalRecord{Op: OpIntent, Pass: pass, LOID: env.loid, From: v(1), To: target}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package manager
 
 import (
+	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"godcdo/internal/component"
@@ -9,6 +11,7 @@ import (
 	"godcdo/internal/dfm"
 	"godcdo/internal/evolution"
 	"godcdo/internal/naming"
+	"godcdo/internal/obs"
 	"godcdo/internal/registry"
 	"godcdo/internal/version"
 )
@@ -127,3 +130,26 @@ func (f *fixture) newManager(t *testing.T, style evolution.Style, policy evoluti
 }
 
 func v(segs ...uint32) version.ID { return version.ID(segs) }
+
+// crashAfter returns a ctx that ends as m emits its n-th "evolved" event: a
+// halting pass's crash point. The manager emits the event as a move
+// finishes, before runPass checks ctx for the next move, so a pass run
+// under the ctx halts with exactly n instances moved. n == 0 returns an
+// ended ctx. It wires m to an event log of its own.
+func crashAfter(t *testing.T, m *Manager, n int) context.Context {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if n == 0 {
+		cancel()
+	}
+	o := &obs.Obs{Events: obs.NewEventLog(0)}
+	var seen atomic.Int64
+	o.Events.SetSink(func(ev obs.Event) {
+		if ev.Kind == "evolved" && seen.Add(1) == int64(n) {
+			cancel()
+		}
+	})
+	m.SetObs(o)
+	return ctx
+}

@@ -59,18 +59,6 @@ type Supervisor struct {
 	// Clock supplies time (vclock.Real when nil).
 	Clock vclock.Clock
 
-	// CrashBeforeWave simulates a SIGKILL for chaos tests: when > 0, the
-	// run loop exits silently — no journal record, no state transition —
-	// just before evolving wave CrashBeforeWave (1-based; the canary is
-	// wave 1). Production callers leave it zero.
-	CrashBeforeWave int
-	// CrashMidWave is the harsher chaos hook: when > 0, wave CrashMidWave
-	// evolves exactly one instance through the journalled pass and then the
-	// run loop vanishes — the evolution pass is left open (no done record)
-	// and the wave is never promoted, exactly the state a kill -9 between
-	// applies leaves behind. Recover + Resume must pick it up.
-	CrashMidWave int
-
 	mu     sync.Mutex
 	ro     *rollout // active rollout (nil when idle)
 	last   Status   // status of the last finished rollout
@@ -126,7 +114,9 @@ func (s *Supervisor) event(kind string, v version.ID, detail string) {
 // the manager's current version at start (the target's parent in the
 // version tree when no current version is designated). One rollout runs at
 // a time; the rollout itself proceeds on a background goroutine, bounded by
-// ctx — use Wait or Status to follow it.
+// ctx — use Wait or Status to follow it. Once ctx ends, the rollout stops
+// as a killed process would: it journals nothing more and parks in
+// PhaseFailed, open for Resume.
 func (s *Supervisor) Start(ctx context.Context, policy Policy) error {
 	if err := policy.Validate(); err != nil {
 		return err
@@ -172,9 +162,7 @@ func (s *Supervisor) Start(ctx context.Context, policy Policy) error {
 		phase:    PhaseCanary,
 		done:     make(chan struct{}),
 	}
-	s.ro = ro
-	s.paused = false
-	s.abort = ""
+	s.ro, s.paused, s.abort = ro, false, ""
 	s.mu.Unlock()
 
 	s.event("rollout-started", policy.Target, fmt.Sprintf("rollout=%d baseline=%s policy=%s", id, baseline, policy.Name))
@@ -186,10 +174,10 @@ func (s *Supervisor) Start(ctx context.Context, policy Policy) error {
 // journal. It first runs the manager's own Recover — which finishes any
 // evolution pass (including a wave or a rollback) the crash interrupted —
 // then reconstructs the rollout from its journalled records: policy from
-// the start record, promoted set from the wave records. Instances found on
-// the target beyond the promoted set are the crashed wave; they bake first
-// before widening continues. Returns false when the journal holds no open
-// rollout.
+// the start record, promoted set and wave count from the wave records.
+// Instances found on the target beyond the promoted set are the crashed
+// wave; they bake first before widening continues. Returns false when the
+// journal holds no open rollout.
 func (s *Supervisor) Resume(ctx context.Context) (bool, error) {
 	s.mu.Lock()
 	if s.ro != nil {
@@ -207,28 +195,25 @@ func (s *Supervisor) Resume(ctx context.Context) (bool, error) {
 	}
 	var start *manager.JournalRecord
 	promoted := make(map[naming.LOID]bool)
+	waves := 0
 	rolledBack := false
-	for i := range recs {
-		r := recs[i]
+	for i, r := range recs {
+		if r.Op == manager.OpRolloutStart {
+			start, promoted, waves, rolledBack = &recs[i], make(map[naming.LOID]bool), 0, false
+		}
+		if start == nil || r.Pass != start.Pass {
+			continue
+		}
 		switch r.Op {
-		case manager.OpRolloutStart:
-			start = &recs[i]
-			promoted = make(map[naming.LOID]bool)
-			rolledBack = false
 		case manager.OpRolloutWave:
-			if start != nil && r.Pass == start.Pass {
-				for _, loid := range r.Planned {
-					promoted[loid] = true
-				}
+			waves++
+			for _, loid := range r.Planned {
+				promoted[loid] = true
 			}
 		case manager.OpRolloutRollback:
-			if start != nil && r.Pass == start.Pass {
-				rolledBack = true
-			}
+			rolledBack = true
 		case manager.OpRolloutDone:
-			if start != nil && r.Pass == start.Pass {
-				start = nil
-			}
+			start = nil
 		}
 	}
 	if start == nil {
@@ -246,7 +231,7 @@ func (s *Supervisor) Resume(ctx context.Context) (bool, error) {
 		policy:   policy,
 		baseline: start.From.Clone(),
 		promoted: promoted,
-		wave:     len(promoted), // approximate; only widths derive from it
+		wave:     waves,
 		done:     make(chan struct{}),
 	}
 	// Instances already on the target but never promoted are the wave the
@@ -273,21 +258,12 @@ func (s *Supervisor) Resume(ctx context.Context) (bool, error) {
 		s.mu.Unlock()
 		return false, ErrRolloutActive
 	}
-	s.ro = ro
-	s.paused = false
-	s.abort = ""
+	s.ro, s.paused, s.abort = ro, false, ""
 	s.mu.Unlock()
 
 	s.event("rollout-resumed", policy.Target,
 		fmt.Sprintf("rollout=%d promoted=%d unbaked=%d", ro.id, len(promoted), len(ro.unbaked)))
-	if rolledBack {
-		go func() {
-			defer s.finish(ro)
-			s.retreat(ctx, ro, "resumed rollback")
-		}()
-	} else {
-		go s.run(ctx, ro)
-	}
+	go s.run(ctx, ro)
 	return true, nil
 }
 
@@ -397,7 +373,8 @@ func (s *Supervisor) finish(ro *rollout) {
 }
 
 // checkControl handles pause and abort between steps. It blocks while
-// paused and returns the abort reason ("" to continue). ctx ends the wait.
+// paused and returns the abort reason ("" to continue). ctx ends the wait;
+// the caller then halts.
 func (s *Supervisor) checkControl(ctx context.Context, ro *rollout) string {
 	for {
 		s.mu.Lock()
@@ -412,7 +389,7 @@ func (s *Supervisor) checkControl(ctx context.Context, ro *rollout) string {
 		}
 		select {
 		case <-ctx.Done():
-			return "context cancelled: " + ctx.Err().Error()
+			return ""
 		case <-s.clock().After(ro.policy.probeInterval()):
 		}
 	}
@@ -425,14 +402,22 @@ func (s *Supervisor) setPhase(ro *rollout, phase string) {
 }
 
 // run is the rollout loop: pick a wave, evolve it, bake it under the
-// guard, promote or retreat, repeat until the fleet is covered.
+// guard, promote or retreat, repeat until the fleet is covered. It halts
+// once ctx ends.
 func (s *Supervisor) run(ctx context.Context, ro *rollout) {
 	defer s.finish(ro)
 	target := ro.policy.Target
-	waveNum := 0 // 1-based count of waves *started* this run, for CrashBeforeWave
+	if ro.phase == PhaseRollingBack { // resumed mid-retreat
+		s.retreat(ctx, ro, "resumed rollback")
+		return
+	}
 
 	for {
-		if reason := s.checkControl(ctx, ro); reason != "" {
+		reason := s.checkControl(ctx, ro)
+		if s.halted(ctx, ro) {
+			return
+		}
+		if reason != "" {
 			s.retreat(ctx, ro, reason)
 			return
 		}
@@ -448,31 +433,17 @@ func (s *Supervisor) run(ctx context.Context, ro *rollout) {
 				s.complete(ctx, ro)
 				return
 			}
-			width := ro.policy.waveWidth(ro.wave)
-			if width > len(pending) {
-				width = len(pending)
-			}
-			wave = pending[:width]
-
-			waveNum++
-			if s.CrashBeforeWave > 0 && waveNum >= s.CrashBeforeWave {
-				// Simulated SIGKILL: vanish without journaling or state
-				// transitions, exactly as a crashed process would.
-				return
-			}
-			if s.CrashMidWave > 0 && waveNum >= s.CrashMidWave {
-				// Simulated SIGKILL mid-wave: one instance applied, the
-				// journal pass left open, then gone.
-				_, _ = s.Mgr.EvolveFleet(ctx, target, wave, 1)
-				return
-			}
+			wave = pending[:min(ro.policy.waveWidth(ro.wave), len(pending))]
 
 			phase := PhaseWidening
 			if ro.wave == 0 {
 				phase = PhaseCanary
 			}
 			s.setPhase(ro, phase)
-			rep, err := s.Mgr.EvolveFleet(ctx, target, wave, -1)
+			rep, err := s.Mgr.EvolveFleet(ctx, target, wave)
+			if s.halted(ctx, ro) {
+				return
+			}
 			if err != nil && len(rep.Evolved) == 0 {
 				s.fail(ro, fmt.Sprintf("wave evolution failed: %v", err))
 				return
@@ -489,6 +460,9 @@ func (s *Supervisor) run(ctx context.Context, ro *rollout) {
 
 		s.setPhase(ro, PhaseBaking)
 		healthy, breach := s.bake(ctx, ro, wave)
+		if s.halted(ctx, ro) {
+			return
+		}
 		if !healthy {
 			s.retreat(ctx, ro, breach)
 			return
@@ -558,7 +532,7 @@ func (s *Supervisor) bake(ctx context.Context, ro *rollout, wave []naming.LOID) 
 	for {
 		select {
 		case <-ctx.Done():
-			return false, "context cancelled: " + ctx.Err().Error()
+			return false, ""
 		case <-clk.After(interval):
 		}
 		if reason := s.checkControl(ctx, ro); reason != "" {
@@ -600,11 +574,16 @@ func (s *Supervisor) complete(ctx context.Context, ro *rollout) {
 	s.event("rollout-completed", target, fmt.Sprintf("rollout=%d waves=%d", ro.id, ro.wave))
 }
 
-// retreat rolls every instance observed on the target back to the
-// baseline. The decision is journalled before the first instance moves, so
-// a crash mid-retreat resumes as a retreat. reason distinguishes an SLO
-// breach from an operator abort in the terminal disposition.
+// retreat rolls every instance on the target back to the baseline as one
+// RollbackFleet pass, journalling the decision first so a crash mid-retreat
+// resumes as a retreat. Only a pass that moves them all closes the rollout;
+// a failed or skipped (unreachable) instance leaves it open, failed, for
+// Resume to retreat again. reason distinguishes an SLO breach from an
+// operator abort in the terminal disposition.
 func (s *Supervisor) retreat(ctx context.Context, ro *rollout, reason string) {
+	if s.halted(ctx, ro) {
+		return
+	}
 	s.setPhase(ro, PhaseRollingBack)
 	s.mu.Lock()
 	aborted := s.abort != ""
@@ -615,47 +594,54 @@ func (s *Supervisor) retreat(ctx context.Context, ro *rollout, reason string) {
 		return
 	}
 
-	target := ro.policy.Target
-	var errs []error
+	onTarget := []naming.LOID{} // not nil: a nil subset is the whole fleet
 	for _, rec := range s.Mgr.Records() {
-		if !rec.Version.Equal(target) {
-			continue
-		}
-		if err := s.Mgr.RollbackInstance(ctx, rec.LOID, ro.baseline); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", rec.LOID, err))
+		if rec.Version.Equal(ro.policy.Target) {
+			onTarget = append(onTarget, rec.LOID)
 		}
 	}
-	disposition := DispositionRolledBack
-	phase := PhaseRolledBack
+	rep, err := s.Mgr.RollbackFleet(ctx, ro.baseline, onTarget)
+	if s.halted(ctx, ro) {
+		return
+	}
+	if err == nil && len(rep.Skipped) > 0 {
+		err = fmt.Errorf("unreachable: %v", rep.Skipped)
+	}
+	if err != nil {
+		s.fail(ro, fmt.Sprintf("%s: rollback: %v", reason, err))
+		return
+	}
+	disposition, phase := DispositionRolledBack, PhaseRolledBack
 	if aborted {
-		disposition = DispositionAborted
-		phase = PhaseAborted
+		disposition, phase = DispositionAborted, PhaseAborted
 	}
 	if err := s.Mgr.Journal().RolloutDone(ro.id, disposition); err != nil {
-		errs = append(errs, err)
+		s.fail(ro, fmt.Sprintf("journal done: %v", err))
+		return
 	}
 	s.mu.Lock()
-	ro.phase = phase
-	ro.err = joinErrString(reason, errs)
+	ro.phase, ro.err = phase, reason
 	s.mu.Unlock()
 	s.event("rollout-"+disposition, ro.baseline, fmt.Sprintf("rollout=%d reason=%s", ro.id, reason))
+}
+
+// halted reports whether ctx has ended and, if so, parks the rollout as a
+// killed process leaves it: nothing more journalled, open for Resume.
+func (s *Supervisor) halted(ctx context.Context, ro *rollout) bool {
+	if ctx.Err() == nil {
+		return false
+	}
+	s.fail(ro, fmt.Sprintf("halted: %v", ctx.Err()))
+	return true
 }
 
 // fail parks the rollout in the failed phase without journaling done: the
 // journal still holds the open rollout, so a restart can resume it.
 func (s *Supervisor) fail(ro *rollout, msg string) {
 	s.mu.Lock()
-	ro.phase = PhaseFailed
-	ro.err = msg
+	ro.phase, ro.err = PhaseFailed, msg
 	s.mu.Unlock()
 	s.event("rollout-failed", ro.policy.Target, fmt.Sprintf("rollout=%d: %s", ro.id, msg))
-}
-
-func joinErrString(reason string, errs []error) string {
-	if len(errs) == 0 {
-		return reason
-	}
-	return fmt.Sprintf("%s (rollback errors: %v)", reason, errors.Join(errs...))
 }
 
 func sortLOIDs(loids []naming.LOID) {

@@ -2,8 +2,10 @@ package supervisor
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
-	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,8 @@ import (
 	"godcdo/internal/metrics"
 	"godcdo/internal/obs"
 	"godcdo/internal/registry"
+	"godcdo/internal/testbed"
+	"godcdo/internal/transport"
 )
 
 // workload feeds a registry's latency histogram and call counters from a
@@ -193,18 +197,7 @@ func TestRolloutRollsBackOnErrorRate(t *testing.T) {
 
 func TestRolloutResumesAfterMidWaveCrash(t *testing.T) {
 	f := newFixture(t)
-	m := f.newManager(t)
-	dir := t.TempDir()
-	j, err := manager.OpenJournal(filepath.Join(dir, "evolution.journal"))
-	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
-	}
-	m.SetJournal(j)
-	// Re-designate so the journal records the designation (the fixture set
-	// it before the journal existed).
-	if err := m.SetCurrentVersion(context.Background(), v(1)); err != nil {
-		t.Fatal(err)
-	}
+	m, j, path := f.newJournalledManager(t)
 	insts := f.populate(t, m, 5)
 	reg := metrics.NewRegistry()
 	w := startWorkload(reg, 100*time.Microsecond)
@@ -212,8 +205,10 @@ func TestRolloutResumesAfterMidWaveCrash(t *testing.T) {
 
 	// The supervisor dies mid-wave 2: canary promoted, then one of the
 	// second wave's two instances applied with the pass left open.
-	sup := &Supervisor{Mgr: m, Reg: reg, CrashMidWave: 2}
-	if err := sup.Start(context.Background(), testPolicy()); err != nil {
+	o := obs.New()
+	m.SetObs(o)
+	sup := &Supervisor{Mgr: m, Reg: reg, Obs: o}
+	if err := sup.Start(testbed.CancelAfter(o.Events, "evolved", 2, nil), testPolicy()); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	st := waitStatus(t, sup)
@@ -230,10 +225,11 @@ func TestRolloutResumesAfterMidWaveCrash(t *testing.T) {
 	// "Restart": a fresh manager over an identical store image, the
 	// reopened journal, and the same (re-adopted) instances.
 	m2 := f.newBareManager(t)
-	j2, err := manager.OpenJournal(filepath.Join(dir, "evolution.journal"))
+	j2, err := manager.OpenJournal(path)
 	if err != nil {
 		t.Fatalf("reopen journal: %v", err)
 	}
+	defer j2.Close()
 	m2.SetJournal(j2)
 	for _, inst := range insts {
 		if err := m2.Adopt(context.Background(), inst, registry.NativeImplType); err != nil {
@@ -262,6 +258,203 @@ func TestRolloutResumesAfterMidWaveCrash(t *testing.T) {
 	// A second Resume finds nothing: the rollout closed.
 	if again, err := sup2.Resume(context.Background()); err != nil || again {
 		t.Fatalf("second Resume = (%v, %v), want (false, nil)", again, err)
+	}
+}
+
+// rolloutDone reports whether j holds a rollout-done record, and with which
+// disposition.
+func rolloutDone(t *testing.T, j *manager.Journal) (bool, string) {
+	t.Helper()
+	recs, err := j.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Op == manager.OpRolloutDone {
+			return true, r.Reason
+		}
+	}
+	return false, ""
+}
+
+// TestRolloutEndedCtxDuringBakeResumes: a rollout whose ctx ends while its
+// canary bakes stops as a killed process would — nothing more journalled,
+// the canary left on the target, the rollout open — and Resume, not a
+// retreat under the dead ctx, finishes it.
+func TestRolloutEndedCtxDuringBakeResumes(t *testing.T) {
+	f := newFixture(t)
+	m, j, _ := f.newJournalledManager(t)
+	f.populate(t, m, 3)
+	reg := metrics.NewRegistry()
+	w := startWorkload(reg, 100*time.Microsecond)
+	defer w.Stop()
+
+	o := obs.New()
+	m.SetObs(o)
+	sup := &Supervisor{Mgr: m, Reg: reg, Obs: o}
+	if err := sup.Start(testbed.CancelAfter(o.Events, "rollout-wave", 1, nil), testPolicy()); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if st := waitStatus(t, sup); st.Phase != PhaseFailed {
+		t.Fatalf("phase after the ctx ended = %q (%+v), want %q", st.Phase, st, PhaseFailed)
+	}
+	if done, how := rolloutDone(t, j); done {
+		t.Fatalf("an ended ctx journalled rollout-done %q", how)
+	}
+	if got := fleetVersions(t, m); got["1"] != 2 || got["1.1"] != 1 {
+		t.Fatalf("fleet = %v, want the canary alone on 1.1", got)
+	}
+
+	resumed, err := sup.Resume(context.Background())
+	if err != nil || !resumed {
+		t.Fatalf("Resume = (%v, %v), want the open rollout resumed", resumed, err)
+	}
+	if st := waitStatus(t, sup); st.Phase != PhaseCompleted {
+		t.Fatalf("resumed rollout terminal phase = %q (%+v)", st.Phase, st)
+	}
+	if got := fleetVersions(t, m); got["1.1"] != 3 {
+		t.Fatalf("fleet after resume = %v, want all at 1.1", got)
+	}
+}
+
+// TestRolloutResumeKeepsWaveWidths: a rollout stopped after its canary's
+// promotion resumes at the policy's next wave, not at the wave numbered by
+// its promoted instances: canary 2, then waves of 1, 3 and 1.
+func TestRolloutResumeKeepsWaveWidths(t *testing.T) {
+	f := newFixture(t)
+	m, j, _ := f.newJournalledManager(t)
+	f.populate(t, m, 7)
+	reg := metrics.NewRegistry()
+	w := startWorkload(reg, 100*time.Microsecond)
+	defer w.Stop()
+
+	policy := testPolicy()
+	policy.CanarySize = 2
+	policy.WaveWidths = []int{1, 3, 5}
+	o := obs.New()
+	m.SetObs(o)
+	sup := &Supervisor{Mgr: m, Reg: reg, Obs: o}
+	if err := sup.Start(testbed.CancelAfter(o.Events, "rollout-promoted", 1, nil), policy); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if st := waitStatus(t, sup); st.Phase != PhaseFailed || st.Wave != 1 {
+		t.Fatalf("stopped rollout = %+v, want failed after the canary", st)
+	}
+	if resumed, err := sup.Resume(context.Background()); err != nil || !resumed {
+		t.Fatalf("Resume = (%v, %v)", resumed, err)
+	}
+	st := waitStatus(t, sup)
+	recs, err := j.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var widths []int
+	for _, r := range recs {
+		if r.Op == manager.OpRolloutWave {
+			widths = append(widths, len(r.Planned))
+		}
+	}
+	if st.Phase != PhaseCompleted || !reflect.DeepEqual(widths, []int{2, 1, 3, 1}) || st.Wave != len(widths) {
+		t.Fatalf("resumed rollout = %+v with promoted waves %v, want completed in waves [2 1 3 1]", st, widths)
+	}
+}
+
+// TestRolloutFailedRetreatStaysOpen: a retreat whose rollback pass does not
+// move an instance — the move refused, or the instance unreachable and
+// quarantined — leaves the rollout open and failed, the instance still on
+// the target; Resume retreats again, quarantined or not, and closes it.
+func TestRolloutFailedRetreatStaysOpen(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"refused", errors.New("test: move to version 1 refused")},
+		{"unreachable", fmt.Errorf("test: %w", transport.ErrUnreachable)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			m, j, _ := f.newJournalledManager(t)
+			f.populate(t, m, 1)
+			stuck := &refusingInstance{Instance: manager.LocalInstance{Obj: f.newDCDO()}, err: tc.err}
+			if err := m.CreateInstance(context.Background(), stuck, v(1), registry.NativeImplType); err != nil {
+				t.Fatal(err)
+			}
+			stuck.refuse.Store(true)
+			reg := metrics.NewRegistry()
+			w := startWorkload(reg, 10*time.Millisecond) // breaches the 1ms p99 guard
+			defer w.Stop()
+
+			policy := testPolicy()
+			policy.CanarySize = 2
+			sup := &Supervisor{Mgr: m, Reg: reg}
+			if err := sup.Start(context.Background(), policy); err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			if st := waitStatus(t, sup); st.Phase != PhaseFailed {
+				t.Fatalf("phase after a failed retreat = %q (%+v), want %q", st.Phase, st, PhaseFailed)
+			}
+			if done, how := rolloutDone(t, j); done {
+				t.Fatalf("a failed retreat journalled rollout-done %q", how)
+			}
+			if got := fleetVersions(t, m); got["1"] != 1 || got["1.1"] != 1 {
+				t.Fatalf("fleet = %v, want the refusing instance alone on 1.1", got)
+			}
+
+			stuck.refuse.Store(false)
+			if resumed, err := sup.Resume(context.Background()); err != nil || !resumed {
+				t.Fatalf("Resume = (%v, %v), want the open rollout resumed", resumed, err)
+			}
+			if st := waitStatus(t, sup); st.Phase != PhaseRolledBack {
+				t.Fatalf("resumed retreat terminal phase = %q (%+v)", st.Phase, st)
+			}
+			if got := fleetVersions(t, m); got["1"] != 2 {
+				t.Fatalf("fleet after the resumed retreat = %v, want all at 1", got)
+			}
+			if done, how := rolloutDone(t, j); !done || how != DispositionRolledBack {
+				t.Fatalf("rollout-done = (%v, %q), want %q", done, how, DispositionRolledBack)
+			}
+		})
+	}
+}
+
+// TestRolloutRetreatMovesQuarantinedInstances: an instance quarantined after
+// it reached the target (by the prober, say, during the bake) is still
+// rolled back by the retreat. The prober could not do it: its style-checked
+// re-convergence is denied the way back to a parent version.
+func TestRolloutRetreatMovesQuarantinedInstances(t *testing.T) {
+	f := newFixture(t)
+	m, j, _ := f.newJournalledManager(t)
+	f.populate(t, m, 3)
+	reg := metrics.NewRegistry()
+	w := startWorkload(reg, 10*time.Millisecond) // breaches the 1ms p99 guard
+	defer w.Stop()
+
+	o := obs.New()
+	o.Events.SetSink(func(ev obs.Event) {
+		if ev.Kind != "rollout-wave" {
+			return
+		}
+		for _, rec := range m.Records() {
+			if rec.Version.Equal(v(1, 1)) {
+				_ = m.QuarantineInstance(rec.LOID, "test: quarantined on the target")
+			}
+		}
+	})
+	sup := &Supervisor{Mgr: m, Reg: reg, Obs: o}
+	if err := sup.Start(context.Background(), testPolicy()); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if st := waitStatus(t, sup); st.Phase != PhaseRolledBack {
+		t.Fatalf("terminal phase = %q (%+v)", st.Phase, st)
+	}
+	if q := m.Quarantined(); len(q) != 1 {
+		t.Fatalf("quarantined = %v, want the canary", q)
+	}
+	if got := fleetVersions(t, m); got["1"] != 3 {
+		t.Fatalf("fleet = %v, want all back at baseline 1", got)
+	}
+	if done, how := rolloutDone(t, j); !done || how != DispositionRolledBack {
+		t.Fatalf("rollout-done = (%v, %q), want %q", done, how, DispositionRolledBack)
 	}
 }
 

@@ -3,6 +3,8 @@ package supervisor
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"godcdo/internal/component"
@@ -152,3 +154,43 @@ func (f *fixture) populate(t *testing.T, m *manager.Manager, n int) []manager.Lo
 }
 
 func v(segs ...uint32) version.ID { return version.ID(segs) }
+
+// newJournalledManager is newManager with a journal, which records the
+// designation too.
+func (f *fixture) newJournalledManager(t *testing.T) (*manager.Manager, *manager.Journal, string) {
+	t.Helper()
+	m := f.newManager(t)
+	path := filepath.Join(t.TempDir(), "evolution.journal")
+	j, err := manager.OpenJournal(path)
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	t.Cleanup(func() { _ = j.Close() })
+	m.SetJournal(j)
+	if err := m.SetCurrentVersion(context.Background(), v(1)); err != nil {
+		t.Fatal(err)
+	}
+	return m, j, path
+}
+
+// refusingInstance is a managed instance whose moves to version 1 fail with
+// err while refuse is set.
+type refusingInstance struct {
+	manager.Instance
+	err    error
+	refuse atomic.Bool
+}
+
+func (r *refusingInstance) Apply(ctx context.Context, d *dfm.Descriptor, to version.ID) (core.ApplyReport, error) {
+	if r.refuse.Load() && to.Equal(v(1)) {
+		return core.ApplyReport{}, r.err
+	}
+	return r.Instance.Apply(ctx, d, to)
+}
+
+func (r *refusingInstance) ApplyPlan(ctx context.Context, a core.PlanArgs) (core.ApplyReport, error) {
+	if r.refuse.Load() && a.To.Equal(v(1)) {
+		return core.ApplyReport{}, r.err
+	}
+	return r.Instance.ApplyPlan(ctx, a)
+}

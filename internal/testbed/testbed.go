@@ -418,6 +418,23 @@ func (tb *Testbed) AwaitTakeover(wait time.Duration) (Takeover, error) {
 	}
 }
 
+// CancelAfter returns a ctx that ends as log takes its n-th event of kind: a
+// crash point, since a pass run under it halts right after its n-th
+// "evolved" event. log holds one sink; this one forwards every event to next.
+func CancelAfter(log *obs.EventLog, kind string, n int, next func(obs.Event)) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	var seen atomic.Int64
+	log.SetSink(func(ev obs.Event) {
+		if ev.Kind == kind && seen.Add(1) == int64(n) {
+			cancel()
+		}
+		if next != nil {
+			next(ev)
+		}
+	})
+	return ctx
+}
+
 // Crash kills the primary manager: its journal closes with whatever pass
 // was open, and its node, the one the standby watches, goes dark.
 func (tb *Testbed) Crash() error {

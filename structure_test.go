@@ -214,7 +214,7 @@ var maxLines = map[string]int{
 	"internal/evolution":    325,
 	"internal/harness":      3188,
 	"internal/legion":       595,
-	"internal/manager":      4060,
+	"internal/manager":      4054,
 	"internal/metrics":      1335,
 	"internal/naming":       509,
 	"internal/objstate":     390,
@@ -225,8 +225,8 @@ var maxLines = map[string]int{
 	"internal/rpc":          2746,
 	"internal/rpc/rpctest":  72,
 	"internal/simnet":       118,
-	"internal/supervisor":   1367,
-	"internal/testbed":      608,
+	"internal/supervisor":   1353,
+	"internal/testbed":      625,
 	"internal/transport":    1873,
 	"internal/vault":        270,
 	"internal/vclock":       182,
