@@ -96,7 +96,9 @@ fuzz-smoke:
 # which settle through the client failure table), the testbed E8, E11, E13
 # and E14 stand their clusters up with (a build, one call on each kind of
 # object and a teardown pass its goroutine guard; a goroutine leaked past
-# teardown fails it), the manager's concurrency, recovery, and standby-takeover
+# teardown fails it; its declared greet and counter functions answer an
+# unknown name and a truncated argument as their declarations promise, with
+# their payload bytes pinned), the manager's concurrency, recovery, and standby-takeover
 # contracts (the single-instance pass's crash images, durability points and
 # torn journal batches among them, and a replica group's rollback and
 # half-evolved recovery moving every member: TestRollbackMovesEveryReplica
@@ -117,7 +119,8 @@ fuzz-smoke:
 # ctx ends mid-wave or mid-bake parks open and Resume finishes it, a
 # resumed rollout keeps the policy's wave widths, a retreat with a failed
 # or skipped move stays open until Resume retreats again, and a retreat
-# moves quarantined instances too.
+# moves quarantined instances too. The manager line's TestReconcile prefix
+# runs a reconciler whose journal is fenced: it takes no step.
 chaos:
 	$(GO) test -race -run 'TestRunE8|TestRunE11|TestRunE13|TestRunE14|TestRunE15' ./internal/harness/
 	$(GO) test -race ./internal/testbed/

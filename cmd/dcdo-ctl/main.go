@@ -24,6 +24,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -47,7 +48,6 @@ import (
 	"godcdo/internal/transport"
 	"godcdo/internal/vclock"
 	"godcdo/internal/version"
-	"godcdo/internal/wire"
 )
 
 func main() {
@@ -757,18 +757,15 @@ func encodeArgs(args []string) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("--uint: %w", err)
 		}
-		e := wire.NewEncoder(8)
-		e.PutUvarint(n)
-		return e.Bytes(), nil
+		return rpc.UvarintCodec.Encode(n), nil
 	}
 	return []byte(args[0]), nil
 }
 
-// printResult renders a payload: if it parses as a single uvarint consuming
-// the buffer it prints the number, otherwise the raw bytes as a string.
+// printResult renders a payload: if it is exactly one uvarint it prints the
+// number, otherwise the raw bytes as a string.
 func printResult(out []byte) {
-	dec := wire.NewDecoder(out)
-	if v, err := dec.Uvarint(); err == nil && dec.Remaining() == 0 {
+	if v, err := rpc.UvarintCodec.Decode(out); err == nil && bytes.Equal(rpc.UvarintCodec.Encode(v), out) {
 		fmt.Println(v)
 		return
 	}

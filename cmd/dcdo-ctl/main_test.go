@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"strings"
@@ -203,12 +204,13 @@ func TestEncodeArgs(t *testing.T) {
 	if out, err := encodeArgs(nil); err != nil || out != nil {
 		t.Fatalf("empty args = %v, %v", out, err)
 	}
-	out, err := encodeArgs([]string{"--uint", "42"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) == 0 {
-		t.Fatal("empty uvarint encoding")
+	// --uint's bytes, captured from the hand-written encoder it replaced,
+	// are what the demo's price declaration reads.
+	for n, want := range map[string]string{"20": "14", "300": "ac02"} {
+		out, err := encodeArgs([]string{"--uint", n})
+		if got := hex.EncodeToString(out); err != nil || got != want {
+			t.Fatalf("--uint %s = %s, %v; want %s", n, got, err, want)
+		}
 	}
 	if _, err := encodeArgs([]string{"--uint"}); err == nil {
 		t.Fatal("--uint without value accepted")

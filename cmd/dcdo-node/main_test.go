@@ -21,7 +21,6 @@ import (
 	"godcdo/internal/policy"
 	"godcdo/internal/rpc"
 	"godcdo/internal/transport"
-	"godcdo/internal/wire"
 )
 
 func TestStartNodeServesLocalAgent(t *testing.T) {
@@ -89,13 +88,10 @@ func TestDemoInstallEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := wire.NewEncoder(8)
-	args.PutUvarint(20)
-	out, err := node.Client().Invoke(context.Background(), demo.PricingLOID, "price", args.Bytes())
+	total, err := demo.Price.Call(context.Background(), node.Client(), demo.PricingLOID, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, _ := wire.NewDecoder(out).Uvarint()
 	if total != 2000 {
 		t.Fatalf("price = %d, want 2000", total)
 	}
@@ -108,11 +104,10 @@ func TestDemoInstallEndToEnd(t *testing.T) {
 	if err := dep.Manager.SetCurrentVersion(context.Background(), mustVersion(t, "1.1")); err != nil {
 		t.Fatal(err)
 	}
-	out, err = node.Client().Invoke(context.Background(), demo.PricingLOID, "price", args.Bytes())
+	total, err = demo.Price.Call(context.Background(), node.Client(), demo.PricingLOID, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, _ = wire.NewDecoder(out).Uvarint()
 	if total != 1600 {
 		t.Fatalf("price after evolution = %d, want 1600", total)
 	}
@@ -189,9 +184,7 @@ func TestNodeObsServiceAndHTTP(t *testing.T) {
 	if _, err := demo.Install(node); err != nil {
 		t.Fatal(err)
 	}
-	args := wire.NewEncoder(8)
-	args.PutUvarint(20)
-	if _, err := node.Client().Invoke(context.Background(), demo.PricingLOID, "price", args.Bytes()); err != nil {
+	if _, err := demo.Price.Call(context.Background(), node.Client(), demo.PricingLOID, 20); err != nil {
 		t.Fatal(err)
 	}
 
@@ -246,9 +239,7 @@ func TestNodeMetricsFlightAndPprofHTTP(t *testing.T) {
 	if _, err := demo.Install(node); err != nil {
 		t.Fatal(err)
 	}
-	args := wire.NewEncoder(8)
-	args.PutUvarint(20)
-	if _, err := node.Client().Invoke(context.Background(), demo.PricingLOID, "price", args.Bytes()); err != nil {
+	if _, err := demo.Price.Call(context.Background(), node.Client(), demo.PricingLOID, 20); err != nil {
 		t.Fatal(err)
 	}
 	// A call to a missing method errors remotely and must land in the

@@ -20,6 +20,7 @@ import (
 	"godcdo/internal/registry"
 	"godcdo/internal/rpc"
 	"godcdo/internal/supervisor"
+	"godcdo/internal/testbed"
 	"godcdo/internal/transport"
 	"godcdo/internal/vclock"
 	"godcdo/internal/version"
@@ -147,6 +148,47 @@ func TestTwoSyncsPerSingleInstancePass(t *testing.T) {
 		if got := obj.DFM().Publishes() - published; got != 1 {
 			t.Fatalf("%s published %d snapshots, want 1", move.name, got)
 		}
+	}
+}
+
+// TestReplicatedMoveSyncsLikeAPlainOne: moving a degree-3 replica group
+// (every backup, a promotion, then the deposed primary) journals what moving
+// one plain DCDO does, begin, intent, applied and done in two syncs. The
+// promotion writes no record: recovery learns the new primary from the
+// published set.
+func TestReplicatedMoveSyncsLikeAPlainOne(t *testing.T) {
+	tb, err := testbed.Build(testbed.Config{
+		Name:      "counts-repl",
+		Greetings: []testbed.Greeting{{ID: "en", Text: "hello"}, {ID: "fr", Text: "bonjour"}},
+		Fleet:     1,
+		Groups:    []int{3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := tb.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	ctx, journal, target := context.Background(), tb.Mgr.Journal(), tb.Versions[1]
+	group := tb.Groups[0]
+	for _, move := range []struct {
+		name string
+		loid naming.LOID
+	}{{"plain", tb.Fleet[0]}, {"replicated", group.LOID}} {
+		before := journal.Stats()
+		if err := tb.Mgr.EvolveInstance(ctx, move.loid, target); err != nil {
+			t.Fatalf("%s move: %v", move.name, err)
+		}
+		after := journal.Stats()
+		if after.Records-before.Records != 4 || after.Syncs-before.Syncs != 2 {
+			t.Fatalf("%s move wrote %d records in %d syncs, want 4 in 2",
+				move.name, after.Records-before.Records, after.Syncs-before.Syncs)
+		}
+	}
+	if set := group.Set(); set.Generation != 2 {
+		t.Fatalf("replicated move published %+v, want one promotion (generation 2)", set)
 	}
 }
 

@@ -20,20 +20,22 @@
 //
 // A minimal in-process session:
 //
+//	greet := dcdo.DeclareFunction("greet", true, dcdo.NoneCodec, dcdo.RawCodec)
 //	reg := dcdo.NewRegistry()
 //	reg.Register("greeter:1", dcdo.NativeImplType, map[string]dcdo.Func{
-//	    "greet": func(c dcdo.Caller, args []byte) ([]byte, error) {
+//	    greet.Name: greet.Func(func(dcdo.Caller, dcdo.None) ([]byte, error) {
 //	        return []byte("hello"), nil
-//	    },
+//	    }),
 //	})
 //	comp, _ := dcdo.NewSyntheticComponent(dcdo.ComponentDescriptor{
 //	    ID: "greeter", Revision: 1, CodeRef: "greeter:1",
 //	    Impl: dcdo.NativeImplType, CodeSize: 1 << 10,
-//	    Functions: []dcdo.FunctionDecl{{Name: "greet", Exported: true}},
+//	    Functions: []dcdo.FunctionDecl{{Name: greet.Name, Exported: true}},
 //	})
 //	obj := dcdo.New(dcdo.Config{Registry: reg, Fetcher: fetcher})
 //	obj.IncorporateComponent(comp, icoLOID, true)
-//	out, _ := obj.InvokeMethod("greet", nil)
+//	out, _ := obj.InvokeMethod(greet.Name, nil)                // in process
+//	out, _ = greet.Call(ctx, node.Client(), loid, dcdo.None{}) // hosted on node
 //
 // See the examples directory for complete programs, including hot upgrades
 // over TCP and multi-version fleets.
@@ -108,6 +110,21 @@ var AnyImplType = registry.AnyImplType
 
 // NewRegistry returns an empty code registry.
 func NewRegistry() *Registry { return registry.New() }
+
+// --- Declared dynamic functions --------------------------------------------------
+
+// None is the argument or result of a dynamic function that carries nothing.
+type None = rpc.None
+
+// Payload codecs: None as nothing, bytes unframed, one uvarint.
+var NoneCodec, RawCodec, UvarintCodec = rpc.NoneCodec, rpc.RawCodec, rpc.UvarintCodec
+
+// DeclareFunction declares a dynamic function once (see rpc.Function): its
+// name, whether it is an idempotent read, and its payload codecs. A generic
+// type alias would need a newer Go version than the module's.
+func DeclareFunction[A, R any](name string, idempotent bool, args rpc.Codec[A], result rpc.Codec[R]) rpc.Function[A, R] {
+	return rpc.Function[A, R]{Name: name, Idempotent: idempotent, Args: args, Result: result}
+}
 
 // --- Components and ICOs ------------------------------------------------------
 

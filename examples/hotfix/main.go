@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"godcdo/dcdo"
-	"godcdo/internal/wire"
 )
 
 func main() {
@@ -25,41 +24,33 @@ func main() {
 	}
 }
 
+// price is the service's one dynamic function: a quantity in, the total
+// out.
+var price = dcdo.DeclareFunction("price", false, dcdo.UvarintCodec, dcdo.UvarintCodec)
+
 // priceV1 charges 100 per unit, flat.
-func priceV1(_ dcdo.Caller, args []byte) ([]byte, error) {
-	qty, err := wire.NewDecoder(args).Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	e := wire.NewEncoder(8)
-	e.PutUvarint(qty * 100)
-	return e.Bytes(), nil
-}
+var priceV1 = price.Func(func(_ dcdo.Caller, qty uint64) (uint64, error) {
+	return qty * 100, nil
+})
 
 // priceV2 gives 20% off above 10 units — the hotfix.
-func priceV2(_ dcdo.Caller, args []byte) ([]byte, error) {
-	qty, err := wire.NewDecoder(args).Uvarint()
-	if err != nil {
-		return nil, err
-	}
+var priceV2 = price.Func(func(_ dcdo.Caller, qty uint64) (uint64, error) {
 	total := qty * 100
 	if qty > 10 {
 		total = total * 80 / 100
 	}
-	e := wire.NewEncoder(8)
-	e.PutUvarint(total)
-	return e.Bytes(), nil
-}
+	return total, nil
+})
 
 func run() error {
 	// --- Build the object type: two pricing components. ---
 	reg := dcdo.NewRegistry()
 	if _, err := reg.Register("pricing-v1:1", dcdo.NativeImplType,
-		map[string]dcdo.Func{"price": priceV1}); err != nil {
+		map[string]dcdo.Func{price.Name: priceV1}); err != nil {
 		return err
 	}
 	if _, err := reg.Register("pricing-v2:1", dcdo.NativeImplType,
-		map[string]dcdo.Func{"price": priceV2}); err != nil {
+		map[string]dcdo.Func{price.Name: priceV2}); err != nil {
 		return err
 	}
 	icoAlloc := dcdo.NewAllocator(1, 9)
@@ -72,7 +63,7 @@ func run() error {
 		comp, err := dcdo.NewSyntheticComponent(dcdo.ComponentDescriptor{
 			ID: c.id, Revision: 1, CodeRef: c.ref,
 			Impl: dcdo.NativeImplType, CodeSize: 550 << 10,
-			Functions: []dcdo.FunctionDecl{{Name: "price", Exported: true}},
+			Functions: []dcdo.FunctionDecl{{Name: price.Name, Exported: true}},
 		})
 		if err != nil {
 			return err
@@ -110,7 +101,7 @@ func run() error {
 		ICO: icoV1, CodeRef: "pricing-v1:1", Impl: dcdo.NativeImplType, CodeSize: 550 << 10, Revision: 1,
 	}
 	v1Desc.Entries = []dcdo.EntryDesc{
-		{Function: "price", Component: "pricing-v1", Exported: true, Enabled: true},
+		{Function: price.Name, Component: "pricing-v1", Exported: true, Enabled: true},
 	}
 	if _, err := obj.ApplyDescriptor(context.Background(), v1Desc, dcdo.RootVersion); err != nil {
 		return err
@@ -134,25 +125,18 @@ func run() error {
 		done.Add(1)
 		go func() {
 			defer done.Done()
-			args := wire.NewEncoder(8)
-			args.PutUvarint(qty)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				out, err := clientNode.Client().Invoke(context.Background(), obj.LOID(), "price", args.Bytes())
+				total, err := price.Call(context.Background(), clientNode.Client(), obj.LOID(), qty)
 				requests.Add(1)
 				if err != nil {
 					if errors.Is(err, dcdo.ErrFunctionDisabled) {
 						continue // transient mid-swap; retry per §3.2
 					}
-					failures.Add(1)
-					continue
-				}
-				total, err := wire.NewDecoder(out).Uvarint()
-				if err != nil {
 					failures.Add(1)
 					continue
 				}
@@ -175,9 +159,9 @@ func run() error {
 	v11Desc.Components["pricing-v2"] = dcdo.ComponentRef{
 		ICO: icoV2, CodeRef: "pricing-v2:1", Impl: dcdo.NativeImplType, CodeSize: 550 << 10, Revision: 1,
 	}
-	v11Desc.Entry(dcdo.EntryKey{Function: "price", Component: "pricing-v1"}).Enabled = false
+	v11Desc.Entry(dcdo.EntryKey{Function: price.Name, Component: "pricing-v1"}).Enabled = false
 	v11Desc.Entries = append(v11Desc.Entries, dcdo.EntryDesc{
-		Function: "price", Component: "pricing-v2", Exported: true, Enabled: true,
+		Function: price.Name, Component: "pricing-v2", Exported: true, Enabled: true,
 	})
 	upgradeStart := time.Now()
 	report, err := obj.ApplyDescriptor(context.Background(), v11Desc, dcdo.VersionID{1, 1})

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"godcdo/dcdo"
-	"godcdo/internal/wire"
 )
 
 func main() {
@@ -22,21 +21,25 @@ func main() {
 	}
 }
 
-func counterFuncs(build string) map[string]dcdo.Func {
+// The counter's dynamic functions: inc adds one to the state key "n" and
+// answers the new count, build names the binary serving the call.
+var (
+	inc   = dcdo.DeclareFunction("inc", false, dcdo.NoneCodec, dcdo.UvarintCodec)
+	build = dcdo.DeclareFunction("build", false, dcdo.NoneCodec, dcdo.RawCodec)
+)
+
+func counterFuncs(binary string) map[string]dcdo.Func {
 	return map[string]dcdo.Func{
-		"inc": func(c dcdo.Caller, _ []byte) ([]byte, error) {
-			var n uint64
-			if raw, ok := c.State().Get("n"); ok {
-				n, _ = wire.NewDecoder(raw).Uvarint()
-			}
-			e := wire.NewEncoder(8)
-			e.PutUvarint(n + 1)
-			c.State().Set("n", e.Bytes())
-			return e.Bytes(), nil
-		},
-		"build": func(dcdo.Caller, []byte) ([]byte, error) {
-			return []byte(build), nil
-		},
+		inc.Name: inc.Func(func(c dcdo.Caller, _ dcdo.None) (uint64, error) {
+			raw, _ := c.State().Get("n")
+			n, _ := dcdo.UvarintCodec.Decode(raw) // absent reads as 0
+			n++
+			c.State().Set("n", dcdo.UvarintCodec.Encode(n))
+			return n, nil
+		}),
+		build.Name: build.Func(func(dcdo.Caller, dcdo.None) ([]byte, error) {
+			return []byte(binary), nil
+		}),
 	}
 }
 
@@ -59,8 +62,8 @@ func run() error {
 		ID: "counter", Revision: 1, CodeRef: "counter:1",
 		Impl: dcdo.AnyImplType, CodeSize: 16 << 10,
 		Functions: []dcdo.FunctionDecl{
-			{Name: "inc", Exported: true},
-			{Name: "build", Exported: true},
+			{Name: inc.Name, Exported: true},
+			{Name: build.Name, Exported: true},
 		},
 	})
 	if err != nil {
@@ -99,21 +102,17 @@ func run() error {
 		return err
 	}
 
-	invoke := func(method string) (string, error) {
-		out, err := clientNode.Client().Invoke(context.Background(), loid, method, nil)
-		return string(out), err
-	}
 	show := func(stage string) error {
-		build, err := invoke("build")
+		ctx, client := context.Background(), clientNode.Client()
+		binary, err := build.Call(ctx, client, loid, dcdo.None{})
 		if err != nil {
 			return err
 		}
-		count, err := invoke("inc")
+		n, err := inc.Call(ctx, client, loid, dcdo.None{})
 		if err != nil {
 			return err
 		}
-		n, _ := wire.NewDecoder([]byte(count)).Uvarint()
-		fmt.Printf("%-18s running %q, counter now %d\n", stage, build, n)
+		fmt.Printf("%-18s running %q, counter now %d\n", stage, binary, n)
 		return nil
 	}
 

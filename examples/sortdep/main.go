@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"godcdo/dcdo"
+	"godcdo/internal/rpc"
 	"godcdo/internal/wire"
 )
 
@@ -20,22 +21,38 @@ func main() {
 	}
 }
 
-func encodeInts(vals []int64) []byte {
-	e := wire.NewEncoder(8 * len(vals))
+// pair is compare's argument.
+type pair struct{ a, b int64 }
+
+// The object's dynamic functions: sort orders a list of integers, and
+// compare answers -1, 0 or 1 for a pair.
+var (
+	sortFn = dcdo.DeclareFunction("sort", false, ints, ints)
+	cmpFn  = dcdo.DeclareFunction("compare", false,
+		rpc.NewCodec(func(e *wire.Encoder, p pair) {
+			e.PutVarint(p.a)
+			e.PutVarint(p.b)
+		}, func(d *wire.Decoder) (p pair, err error) {
+			if p.a, err = d.Varint(); err == nil {
+				p.b, err = d.Varint()
+			}
+			return p, err
+		}),
+		rpc.NewCodec((*wire.Encoder).PutVarint, (*wire.Decoder).Varint))
+)
+
+// ints carries a list of integers: a uvarint count, then each as a varint.
+var ints = rpc.NewCodec(func(e *wire.Encoder, vals []int64) {
 	e.PutUvarint(uint64(len(vals)))
 	for _, v := range vals {
 		e.PutVarint(v)
 	}
-	return e.Bytes()
-}
-
-func decodeInts(buf []byte) ([]int64, error) {
-	d := wire.NewDecoder(buf)
+}, func(d *wire.Decoder) ([]int64, error) {
 	n, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, 0, n)
+	out := make([]int64, 0, min(n, uint64(d.Remaining())))
 	for i := uint64(0); i < n; i++ {
 		v, err := d.Varint()
 		if err != nil {
@@ -44,78 +61,52 @@ func decodeInts(buf []byte) ([]int64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
+})
 
 // sortImpl sorts its payload, delegating every comparison to the dynamic
-// function "compare" through the DFM.
-func sortImpl(c dcdo.Caller, args []byte) ([]byte, error) {
-	vals, err := decodeInts(args)
-	if err != nil {
-		return nil, err
-	}
+// function compare through the DFM.
+var sortImpl = sortFn.Func(func(c dcdo.Caller, vals []int64) ([]int64, error) {
 	var callErr error
 	sort.SliceStable(vals, func(i, j int) bool {
 		if callErr != nil {
 			return false
 		}
-		e := wire.NewEncoder(16)
-		e.PutVarint(vals[i])
-		e.PutVarint(vals[j])
-		res, err := c.CallInternal("compare", e.Bytes())
-		if err != nil {
-			callErr = err
-			return false
-		}
-		cmp, err := wire.NewDecoder(res).Varint()
+		cmp, err := cmpFn.CallInternal(c, pair{vals[i], vals[j]})
 		if err != nil {
 			callErr = err
 			return false
 		}
 		return cmp < 0
 	})
-	if callErr != nil {
-		return nil, callErr
-	}
-	return encodeInts(vals), nil
-}
+	return vals, callErr
+})
 
 func compareImpl(descending bool) dcdo.Func {
-	return func(_ dcdo.Caller, args []byte) ([]byte, error) {
-		d := wire.NewDecoder(args)
-		a, err := d.Varint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := d.Varint()
-		if err != nil {
-			return nil, err
-		}
+	return cmpFn.Func(func(_ dcdo.Caller, p pair) (int64, error) {
 		cmp := int64(0)
 		switch {
-		case a < b:
+		case p.a < p.b:
 			cmp = -1
-		case a > b:
+		case p.a > p.b:
 			cmp = 1
 		}
 		if descending {
 			cmp = -cmp
 		}
-		e := wire.NewEncoder(4)
-		e.PutVarint(cmp)
-		return e.Bytes(), nil
-	}
+		return cmp, nil
+	})
 }
 
 func run() error {
 	reg := dcdo.NewRegistry()
 	if _, err := reg.Register("mathlib:1", dcdo.NativeImplType, map[string]dcdo.Func{
-		"sort":    sortImpl,
-		"compare": compareImpl(false),
+		sortFn.Name: sortImpl,
+		cmpFn.Name:  compareImpl(false),
 	}); err != nil {
 		return err
 	}
 	if _, err := reg.Register("revlib:1", dcdo.NativeImplType, map[string]dcdo.Func{
-		"compare": compareImpl(true),
+		cmpFn.Name: compareImpl(true),
 	}); err != nil {
 		return err
 	}
@@ -126,8 +117,8 @@ func run() error {
 		ID: "mathlib", Revision: 1, CodeRef: "mathlib:1",
 		Impl: dcdo.NativeImplType, CodeSize: 8 << 10,
 		Functions: []dcdo.FunctionDecl{
-			{Name: "sort", Exported: true, Calls: []string{"compare"}},
-			{Name: "compare"},
+			{Name: sortFn.Name, Exported: true, Calls: []string{cmpFn.Name}},
+			{Name: cmpFn.Name},
 		},
 	})
 	if err != nil {
@@ -136,7 +127,7 @@ func run() error {
 	revComp, err := dcdo.NewSyntheticComponent(dcdo.ComponentDescriptor{
 		ID: "revlib", Revision: 1, CodeRef: "revlib:1",
 		Impl: dcdo.NativeImplType, CodeSize: 2 << 10,
-		Functions: []dcdo.FunctionDecl{{Name: "compare"}},
+		Functions: []dcdo.FunctionDecl{{Name: cmpFn.Name}},
 	})
 	if err != nil {
 		return err
@@ -164,11 +155,11 @@ func run() error {
 
 	input := []int64{5, 1, 4, 2, 3}
 	show := func(label string) error {
-		out, err := obj.InvokeMethod("sort", encodeInts(input))
+		out, err := obj.InvokeMethod(sortFn.Name, sortFn.Args.Encode(input))
 		if err != nil {
 			return err
 		}
-		vals, err := decodeInts(out)
+		vals, err := sortFn.Result.Decode(out)
 		if err != nil {
 			return err
 		}
@@ -182,8 +173,8 @@ func run() error {
 
 	// Swap compare's implementation: same signature, reversed behaviour.
 	// No structural dependency is violated — but sort's output flips.
-	mathCompare := dcdo.EntryKey{Function: "compare", Component: "mathlib"}
-	revCompare := dcdo.EntryKey{Function: "compare", Component: "revlib"}
+	mathCompare := dcdo.EntryKey{Function: cmpFn.Name, Component: "mathlib"}
+	revCompare := dcdo.EntryKey{Function: cmpFn.Name, Component: "revlib"}
 	if err := obj.DisableFunction(mathCompare); err != nil {
 		return err
 	}
@@ -204,8 +195,8 @@ func run() error {
 		return err
 	}
 	dep := dcdo.Dependency{
-		Kind: dcdo.DepB, FromFunc: "sort", FromComp: "mathlib",
-		ToFunc: "compare", ToComp: "mathlib",
+		Kind: dcdo.DepB, FromFunc: sortFn.Name, FromComp: "mathlib",
+		ToFunc: cmpFn.Name, ToComp: "mathlib",
 	}
 	if err := obj.AddDependency(dep); err != nil {
 		return err
@@ -220,7 +211,7 @@ func run() error {
 
 	// The protection is not permanent hardwiring: disable sort first and
 	// the dependency's premise goes away.
-	if err := obj.DisableFunction(dcdo.EntryKey{Function: "sort", Component: "mathlib"}); err != nil {
+	if err := obj.DisableFunction(dcdo.EntryKey{Function: sortFn.Name, Component: "mathlib"}); err != nil {
 		return err
 	}
 	if err := obj.DisableFunction(mathCompare); err != nil {

@@ -8,7 +8,6 @@ package demo
 
 import (
 	"context"
-	"fmt"
 
 	"godcdo/internal/component"
 	"godcdo/internal/core"
@@ -20,7 +19,6 @@ import (
 	"godcdo/internal/registry"
 	"godcdo/internal/rpc"
 	"godcdo/internal/version"
-	"godcdo/internal/wire"
 )
 
 // Well-known LOIDs of the demo deployment (domain 0 is infrastructure).
@@ -47,12 +45,12 @@ type Deployment struct {
 func Install(node *legion.Node) (*Deployment, error) {
 	reg := registry.New()
 	if _, err := reg.Register("pricing-v1:1", registry.NativeImplType, map[string]registry.Func{
-		"price": PriceFunc(100, 0),
+		Price.Name: PriceFunc(100, 0),
 	}); err != nil {
 		return nil, err
 	}
 	if _, err := reg.Register("pricing-v2:1", registry.NativeImplType, map[string]registry.Func{
-		"price": PriceFunc(100, 20),
+		Price.Name: PriceFunc(100, 20),
 	}); err != nil {
 		return nil, err
 	}
@@ -61,7 +59,7 @@ func Install(node *legion.Node) (*Deployment, error) {
 		return component.NewSynthetic(component.Descriptor{
 			ID: id, Revision: 1, CodeRef: ref,
 			Impl: registry.NativeImplType, CodeSize: 550 << 10,
-			Functions: []component.FunctionDecl{{Name: "price", Exported: true}},
+			Functions: []component.FunctionDecl{{Name: Price.Name, Exported: true}},
 		})
 	}
 	compV1, err := mkComp("pricing-v1", "pricing-v1:1")
@@ -103,7 +101,7 @@ func Install(node *legion.Node) (*Deployment, error) {
 		CodeSize: 550 << 10, Revision: 1,
 	}
 	rootDesc.Entries = []dfm.EntryDesc{
-		{Function: "price", Component: "pricing-v1", Exported: true, Enabled: true},
+		{Function: Price.Name, Component: "pricing-v1", Exported: true, Enabled: true},
 	}
 	root, err := mgr.Store().CreateRoot(rootDesc)
 	if err != nil {
@@ -125,9 +123,9 @@ func Install(node *legion.Node) (*Deployment, error) {
 			ICO: ICOV2LOID, CodeRef: "pricing-v2:1", Impl: registry.NativeImplType,
 			CodeSize: 550 << 10, Revision: 1,
 		}
-		d.Entry(dfm.EntryKey{Function: "price", Component: "pricing-v1"}).Enabled = false
+		d.Entry(dfm.EntryKey{Function: Price.Name, Component: "pricing-v1"}).Enabled = false
 		d.Entries = append(d.Entries, dfm.EntryDesc{
-			Function: "price", Component: "pricing-v2", Exported: true, Enabled: true,
+			Function: Price.Name, Component: "pricing-v2", Exported: true, Enabled: true,
 		})
 		return nil
 	})
@@ -150,21 +148,18 @@ func Install(node *legion.Node) (*Deployment, error) {
 	return &Deployment{Manager: mgr, Pricing: obj}, nil
 }
 
-// PriceFunc builds a pricing implementation charging unitPrice per unit
-// with discountPct off above 10 units. Arguments carry the quantity as a
-// uvarint; the result is the total as a uvarint.
+// Price is the pricing DCDO's dynamic function: the quantity in, the total
+// out, each a uvarint.
+var Price = rpc.Function[uint64, uint64]{Name: "price", Args: rpc.UvarintCodec, Result: rpc.UvarintCodec}
+
+// PriceFunc builds a Price implementation charging unitPrice per unit with
+// discountPct off above 10 units.
 func PriceFunc(unitPrice, discountPct uint64) registry.Func {
-	return func(_ registry.Caller, args []byte) ([]byte, error) {
-		qty, err := wire.NewDecoder(args).Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: quantity: %v", rpc.ErrBadRequest, err)
-		}
+	return Price.Func(func(_ registry.Caller, qty uint64) (uint64, error) {
 		total := qty * unitPrice
 		if qty > 10 && discountPct > 0 {
 			total = total * (100 - discountPct) / 100
 		}
-		e := wire.NewEncoder(8)
-		e.PutUvarint(total)
-		return e.Bytes(), nil
-	}
+		return total, nil
+	})
 }

@@ -1,0 +1,34 @@
+package demo
+
+import (
+	"encoding/hex"
+	"testing"
+)
+
+// TestPriceBytes pins Price's payloads, captured from the hand-written
+// encoders its declaration replaced: dcdo-ctl's --uint and nodes built
+// before the declaration send and read the same uvarints.
+func TestPriceBytes(t *testing.T) {
+	for _, row := range []struct {
+		name             string
+		qty              uint64
+		args, flat, disc string
+	}{
+		{"5 units", 5, "05", "f403", "f403"},
+		{"20 units", 20, "14", "d00f", "c00c"},
+	} {
+		args := Price.Args.Encode(row.qty)
+		if got := hex.EncodeToString(args); got != row.args {
+			t.Errorf("%s: args = %s, want %s", row.name, got, row.args)
+		}
+		for _, impl := range []struct {
+			discount uint64
+			want     string
+		}{{0, row.flat}, {20, row.disc}} {
+			out, err := PriceFunc(100, impl.discount)(nil, args)
+			if got := hex.EncodeToString(out); err != nil || got != impl.want {
+				t.Errorf("%s at %d%% off = %s, %v; want %s", row.name, impl.discount, got, err, impl.want)
+			}
+		}
+	}
+}

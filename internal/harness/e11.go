@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"godcdo/internal/metrics"
+	"godcdo/internal/rpc"
 	"godcdo/internal/supervisor"
 	"godcdo/internal/testbed"
 )
@@ -69,7 +70,7 @@ func RunE11() (rep *Report, err error) {
 		for i := 0; stopped.Err() == nil; i++ {
 			loid := loids[i%len(loids)]
 			calls.Add(1)
-			if _, err := client.InvokeIdempotent(context.Background(), loid, "greet", nil); err != nil {
+			if _, err := testbed.Greet.Call(context.Background(), client, loid, rpc.None{}); err != nil {
 				// §3.2: calls racing a mid-flight evolution may observe the
 				// function transiently disabled and must tolerate it. A
 				// failure counts only if it survives a few quick retries —
@@ -77,7 +78,7 @@ func RunE11() (rep *Report, err error) {
 				recovered := false
 				for r := 0; r < 5 && !recovered; r++ {
 					time.Sleep(time.Millisecond)
-					_, err2 := client.InvokeIdempotent(context.Background(), loid, "greet", nil)
+					_, err2 := testbed.Greet.Call(context.Background(), client, loid, rpc.None{})
 					recovered = err2 == nil
 				}
 				if !recovered {

@@ -11,7 +11,6 @@ import (
 	"godcdo/internal/rpc"
 	"godcdo/internal/testbed"
 	"godcdo/internal/version"
-	"godcdo/internal/wire"
 )
 
 // e13Seed fixes the fault schedule so the chaos run is reproducible.
@@ -82,7 +81,7 @@ func RunE13() (rep *Report, err error) {
 
 	// Seed the replicated counter and verify the shipment reached a backup.
 	for i := 0; i < e13SeedBumps; i++ {
-		if _, err := client.Invoke(ctx, groupLOID, "bump", nil); err != nil {
+		if _, err := testbed.Bump.Call(ctx, client, groupLOID, rpc.None{}); err != nil {
 			return nil, fmt.Errorf("e13: seed bump %d: %w", i, err)
 		}
 	}
@@ -96,9 +95,9 @@ func RunE13() (rep *Report, err error) {
 	tb.Monitor(10 * time.Second)
 
 	// --- Load: an idempotent reader and a non-idempotent writer. ----------
-	load := tb.StartLoad(groupLOID, "greet", func(out []byte) bool {
+	load := testbed.StartLoad(tb, groupLOID, testbed.Greet, func(out []byte) bool {
 		return string(out) == "hello" || string(out) == "bonjour"
-	}, "bump")
+	}, true)
 	defer load.Stop()
 	time.Sleep(15 * time.Millisecond)
 
@@ -144,7 +143,7 @@ func RunE13() (rep *Report, err error) {
 		return nil, err
 	}
 	convergedPlain := tb.Converged(mgr2, target, "bonjour")
-	groupGreet, err := client.InvokeIdempotent(ctx, groupLOID, "greet", nil)
+	groupGreet, err := testbed.Greet.Call(ctx, client, groupLOID, rpc.None{})
 	if err != nil {
 		return nil, fmt.Errorf("e13: greet after convergence: %w", err)
 	}
@@ -162,13 +161,9 @@ func RunE13() (rep *Report, err error) {
 			convergedMembers++
 		}
 	}
-	totalOut, err := client.InvokeIdempotent(ctx, groupLOID, "total", nil)
+	total, err := testbed.Total.Call(ctx, client, groupLOID, rpc.None{})
 	if err != nil {
 		return nil, fmt.Errorf("e13: total: %w", err)
-	}
-	total, err := wire.NewDecoder(totalOut).Uvarint()
-	if err != nil {
-		return nil, err
 	}
 	minTotal := uint64(e13SeedBumps) + load.WriteOK.Load()
 	maxTotal := minTotal + load.WriteAmbiguous.Load()

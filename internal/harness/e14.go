@@ -13,7 +13,6 @@ import (
 	"godcdo/internal/replica"
 	"godcdo/internal/rpc"
 	"godcdo/internal/testbed"
-	"godcdo/internal/wire"
 )
 
 // e14Seed fixes the fault schedule so the chaos run is reproducible.
@@ -89,12 +88,12 @@ func RunE14() (rep *Report, err error) {
 
 	// Seed both counters before any fault.
 	for i := 0; i < e14SeedBumps; i++ {
-		if _, err := client.Invoke(ctx, groupLOID, "bump", nil); err != nil {
+		if _, err := testbed.Bump.Call(ctx, client, groupLOID, rpc.None{}); err != nil {
 			return nil, fmt.Errorf("e14: seed bump %d: %w", i, err)
 		}
 	}
 	for i := 0; i < e14SoloSeed; i++ {
-		if _, err := client.Invoke(ctx, soloLOID, "bump", nil); err != nil {
+		if _, err := testbed.Bump.Call(ctx, client, soloLOID, rpc.None{}); err != nil {
 			return nil, fmt.Errorf("e14: solo seed bump %d: %w", i, err)
 		}
 	}
@@ -108,10 +107,9 @@ func RunE14() (rep *Report, err error) {
 	defer rec1.Stop()
 
 	// --- Act I: kill a backup under load; the reconciler heals degree. ----
-	load := tb.StartLoad(groupLOID, "total", func(out []byte) bool {
-		n, err := wire.NewDecoder(out).Uvarint()
-		return err == nil && n >= e14SeedBumps
-	}, "bump")
+	load := testbed.StartLoad(tb, groupLOID, testbed.Total, func(n uint64) bool {
+		return n >= e14SeedBumps
+	}, true)
 	defer load.Stop()
 	time.Sleep(10 * time.Millisecond)
 
@@ -133,23 +131,18 @@ func RunE14() (rep *Report, err error) {
 	time.Sleep(10 * time.Millisecond)
 	load.Stop()
 
-	groupTotalOut, err := client.InvokeIdempotent(ctx, groupLOID, "total", nil)
+	groupTotal, err := testbed.Total.Call(ctx, client, groupLOID, rpc.None{})
 	if err != nil {
 		return nil, fmt.Errorf("e14: group total: %w", err)
-	}
-	groupTotal, err := wire.NewDecoder(groupTotalOut).Uvarint()
-	if err != nil {
-		return nil, err
 	}
 	minTotal := uint64(e14SeedBumps) + load.WriteOK.Load()
 	maxTotal := minTotal + load.WriteAmbiguous.Load() + load.WriteOther.Load()
 
 	// --- Act II: live retune over RPC — degree 1 -> 3, backup-ok reads. ---
 	// A continuous reader across the retune: the downtime probe.
-	soloLoad := tb.StartLoad(soloLOID, "total", func(out []byte) bool {
-		n, err := wire.NewDecoder(out).Uvarint()
-		return err == nil && n == e14SoloSeed
-	}, "")
+	soloLoad := testbed.StartLoad(tb, soloLOID, testbed.Total, func(n uint64) bool {
+		return n == e14SoloSeed
+	}, false)
 	defer soloLoad.Stop()
 	time.Sleep(5 * time.Millisecond)
 
@@ -188,11 +181,11 @@ func RunE14() (rep *Report, err error) {
 	statsBefore := client.Stats()
 	measuredBad := 0
 	for i := 0; i < e14MeasuredReads; i++ {
-		out, err := client.InvokeIdempotent(ctx, soloLOID, "total", nil)
+		n, err := testbed.Total.Call(ctx, client, soloLOID, rpc.None{})
 		if err != nil {
 			return nil, fmt.Errorf("e14: measured read %d: %w", i, err)
 		}
-		if n, derr := wire.NewDecoder(out).Uvarint(); derr != nil || n != e14SoloSeed {
+		if n != e14SoloSeed {
 			measuredBad++
 		}
 	}
@@ -254,13 +247,9 @@ func RunE14() (rep *Report, err error) {
 	finalGroup := agent.Set(groupLOID)
 
 	cache.Invalidate(soloLOID)
-	finalReadOut, err := client.InvokeIdempotent(ctx, soloLOID, "total", nil)
+	finalRead, err := testbed.Total.Call(ctx, client, soloLOID, rpc.None{})
 	if err != nil {
 		return nil, fmt.Errorf("e14: read after takeover: %w", err)
-	}
-	finalRead, err := wire.NewDecoder(finalReadOut).Uvarint()
-	if err != nil {
-		return nil, err
 	}
 
 	rec1Stats := rec1.Stats()

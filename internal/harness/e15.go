@@ -82,9 +82,22 @@ func e15AllocsPerSubCall(env *e10Env) (float64, error) {
 	return float64(after.Mallocs-before.Mallocs) / float64(e15AllocBatches*size), nil
 }
 
-// e15CounterObject is the fault drill's stateful target: "add" is the
-// non-idempotent method (each execution increments), "get" the idempotent
-// read. The execution count is ground truth for the at-most-once check.
+// e15Decimal carries the drill counter as decimal text.
+var e15Decimal = rpc.Codec[int]{
+	Encode: func(n int) []byte { return strconv.AppendInt(nil, int64(n), 10) },
+	Decode: func(b []byte) (int, error) { return strconv.Atoi(string(b)) },
+}
+
+// The fault drill's functions: e15Add is the non-idempotent write (each
+// execution increments), e15Get the idempotent read. Both answer the
+// counter.
+var (
+	e15Add = rpc.Function[rpc.None, int]{Name: "add", Args: rpc.NoneCodec, Result: e15Decimal}
+	e15Get = rpc.Function[rpc.None, int]{Name: "get", Idempotent: true, Args: rpc.NoneCodec, Result: e15Decimal}
+)
+
+// e15CounterObject is the fault drill's stateful target, serving e15Add and
+// e15Get. The execution count is ground truth for the at-most-once check.
 type e15CounterObject struct {
 	mu  sync.Mutex
 	val int
@@ -94,14 +107,13 @@ func (o *e15CounterObject) Dispatch(method string, args []byte) ([]byte, error) 
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	switch method {
-	case "add":
+	case e15Add.Name:
 		o.val++
-		return strconv.AppendInt(nil, int64(o.val), 10), nil
-	case "get":
-		return strconv.AppendInt(nil, int64(o.val), 10), nil
+	case e15Get.Name:
 	default:
 		return nil, rpc.ErrNoSuchFunction
 	}
+	return e15Decimal.Encode(o.val), nil
 }
 
 // e15FaultDrill proves the per-sub-call failure classification under seeded
@@ -150,8 +162,8 @@ func e15FaultDrill(seed int64) (*e15DrillResult, error) {
 	for round := 0; round < 40; round++ {
 		b.Reset()
 		for i := 0; i < 4; i++ {
-			b.Add(loid, "add", nil)
-			b.AddIdempotent(loid, "get", nil)
+			b.Add(loid, e15Add.Name, nil)
+			b.AddIdempotent(loid, e15Get.Name, nil)
 		}
 		for i, r := range b.Invoke(context.Background()) {
 			isAdd := i%2 == 0
@@ -172,13 +184,9 @@ func e15FaultDrill(seed int64) (*e15DrillResult, error) {
 	}
 
 	// Read ground truth after the fault budget is provably spent.
-	out, err := client.InvokeIdempotent(context.Background(), loid, "get", nil)
+	res.final, err = e15Get.Call(context.Background(), client, loid, rpc.None{})
 	if err != nil {
 		return nil, fmt.Errorf("final get: %w", err)
-	}
-	res.final, err = strconv.Atoi(string(out))
-	if err != nil {
-		return nil, fmt.Errorf("final get payload %q: %w", out, err)
 	}
 	st := client.Stats()
 	res.fallbacks, res.ambAborted = st.BatchFallbacks, st.AmbiguousAborts

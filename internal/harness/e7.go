@@ -23,6 +23,13 @@ const e7Seed = 42
 // non-zero rate deterministically injects at least one loss under e7Seed.
 const e7Calls = 60
 
+// E7's object answers every call with the method's name, unframed: get is
+// the idempotent read the sweep retries, inc the non-idempotent probe.
+var (
+	e7Get = rpc.Function[rpc.None, []byte]{Name: "get", Idempotent: true, Args: rpc.NoneCodec, Result: rpc.RawCodec}
+	e7Inc = rpc.Function[rpc.None, []byte]{Name: "inc", Args: rpc.NoneCodec, Result: rpc.RawCodec}
+)
+
 // RunE7 measures invoke latency and success under injected message loss.
 // The paper's stale-binding study (§4, Cost) treats lost messages and
 // timeouts as the mechanism by which clients discover reconfiguration; E7
@@ -63,7 +70,7 @@ func RunE7() (*Report, error) {
 		env.client.Latency = sample
 		ok := 0
 		for i := 0; i < e7Calls; i++ {
-			if _, err := env.client.InvokeIdempotent(context.Background(), env.loid, "get", nil); err == nil {
+			if _, err := e7Get.Call(context.Background(), env.client, env.loid, rpc.None{}); err == nil {
 				ok++
 			}
 		}
@@ -84,11 +91,11 @@ func RunE7() (*Report, error) {
 		return nil, err
 	}
 	env.faults.SetEndpoint(env.server.Endpoint(), transport.FaultConfig{DropResponse: 1, Budget: 1})
-	_, probeErr := env.client.Invoke(context.Background(), env.loid, "inc", nil)
+	_, probeErr := e7Inc.Call(context.Background(), env.client, env.loid, rpc.None{})
 	ambiguous := errors.Is(probeErr, rpc.ErrAmbiguousResult)
 	execsAfterDrop := env.executed.Load()
 	// The budget is spent, so a follow-up call completes normally.
-	_, retryErr := env.client.Invoke(context.Background(), env.loid, "inc", nil)
+	_, retryErr := e7Inc.Call(context.Background(), env.client, env.loid, rpc.None{})
 	table.AddRow("at-most-once probe", "2", "1",
 		fmt.Sprintf("%d", env.client.Stats().Retries),
 		"-", "-")

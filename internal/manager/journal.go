@@ -88,11 +88,11 @@ const (
 	// ("completed", "rolled-back", or "aborted"). A rollout start without a
 	// matching done is an interrupted rollout the supervisor resumes.
 	OpRolloutDone
-	// OpReplicaPromote records that, within a pass, LOID's replica group
-	// promoted a new primary (Reason carries its endpoint). A recovery that
-	// resumes the pass sees promotion already happened and continues with
-	// the remaining members instead of promoting twice.
-	OpReplicaPromote
+	// Op 11 recorded a replica group's promotion within a pass. Nothing
+	// read it: recovery learns a group's primary from its published set and
+	// its members' probes. Its number stays reserved, so the ops after it
+	// keep theirs on disk.
+	_
 	// OpMgrEpoch records a manager-epoch bump (Pass carries the epoch): a
 	// standby manager journals one before taking over, fencing the late
 	// writes of the primary it replaces. Recovery carries the latest epoch
@@ -135,8 +135,6 @@ func (op JournalOp) String() string {
 		return "rollout-rollback"
 	case OpRolloutDone:
 		return "rollout-done"
-	case OpReplicaPromote:
-		return "replica-promote"
 	case OpMgrEpoch:
 		return "mgr-epoch"
 	case OpPolicySet:

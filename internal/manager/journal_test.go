@@ -227,9 +227,9 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 }
 
-// TestJournalReplicationOps round-trips the replication-era records
-// (replica promotions inside a pass, manager-epoch bumps) through a close
-// and re-read, exactly like the evolution ops they ride beside.
+// TestJournalReplicationOps round-trips a manager-epoch bump, written
+// inside an open pass, through a close and re-read, exactly like the
+// evolution ops it rides beside.
 func TestJournalReplicationOps(t *testing.T) {
 	path := journalPath(t)
 	j, err := OpenJournal(path)
@@ -242,8 +242,8 @@ func TestJournalReplicationOps(t *testing.T) {
 		t.Fatalf("begin pass: %v", err)
 	}
 	pass := l.pass
-	if err := j.Append(JournalRecord{Op: OpReplicaPromote, Pass: pass, LOID: loid, Reason: "inproc://replica-b"}); err != nil {
-		t.Fatalf("ReplicaPromote: %v", err)
+	if err := j.Append(JournalRecord{Op: OpSkipped, Pass: pass, LOID: loid, Reason: "inproc://replica-b"}); err != nil {
+		t.Fatalf("Skipped: %v", err)
 	}
 	if err := j.MgrEpoch(7); err != nil {
 		t.Fatalf("MgrEpoch: %v", err)
@@ -259,7 +259,7 @@ func TestJournalReplicationOps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJournal: %v", err)
 	}
-	wantOps := []JournalOp{OpBegin, OpReplicaPromote, OpMgrEpoch, OpDone}
+	wantOps := []JournalOp{OpBegin, OpSkipped, OpMgrEpoch, OpDone}
 	if len(recs) != len(wantOps) {
 		t.Fatalf("got %d records, want %d", len(recs), len(wantOps))
 	}
@@ -268,9 +268,9 @@ func TestJournalReplicationOps(t *testing.T) {
 			t.Fatalf("record %d op = %s, want %s", i, recs[i].Op, op)
 		}
 	}
-	promote := recs[1]
-	if promote.Pass != pass || promote.LOID != loid || promote.Reason != "inproc://replica-b" {
-		t.Fatalf("promote record = %+v", promote)
+	skipped := recs[1]
+	if skipped.Pass != pass || skipped.LOID != loid || skipped.Reason != "inproc://replica-b" {
+		t.Fatalf("skipped record = %+v", skipped)
 	}
 	if recs[2].Pass != 7 {
 		t.Fatalf("epoch record pass = %d, want 7", recs[2].Pass)
@@ -291,8 +291,8 @@ func TestJournalTornTailOnReplicatedRecord(t *testing.T) {
 	l := j.openPass(v(1, 1), []naming.LOID{loid}, "")
 	_ = l.sync()
 	pass := l.pass
-	if err := j.Append(JournalRecord{Op: OpReplicaPromote, Pass: pass, LOID: loid, Reason: "inproc://replica-b"}); err != nil {
-		t.Fatalf("ReplicaPromote: %v", err)
+	if err := j.Append(JournalRecord{Op: OpSkipped, Pass: pass, LOID: loid, Reason: "inproc://replica-b"}); err != nil {
+		t.Fatalf("Skipped: %v", err)
 	}
 	if err := j.MgrEpoch(3); err != nil {
 		t.Fatalf("MgrEpoch: %v", err)
@@ -312,8 +312,8 @@ func TestJournalTornTailOnReplicatedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJournal after truncation: %v", err)
 	}
-	if len(recs) != 2 || recs[0].Op != OpBegin || recs[1].Op != OpReplicaPromote {
-		t.Fatalf("after torn epoch tail got %+v, want begin+promote", recs)
+	if len(recs) != 2 || recs[0].Op != OpBegin || recs[1].Op != OpSkipped {
+		t.Fatalf("after torn epoch tail got %+v, want begin+skipped", recs)
 	}
 
 	// Corrupt the tail payload instead: the checksum must stop the read at
@@ -326,8 +326,8 @@ func TestJournalTornTailOnReplicatedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJournal after corruption: %v", err)
 	}
-	if len(recs) != 2 || recs[1].Op != OpReplicaPromote {
-		t.Fatalf("after bit flip got %+v, want begin+promote", recs)
+	if len(recs) != 2 || recs[1].Op != OpSkipped {
+		t.Fatalf("after bit flip got %+v, want begin+skipped", recs)
 	}
 }
 

@@ -405,7 +405,7 @@ func (m *Manager) runMove(ctx context.Context, p *pass, mv move) (outcome, error
 	// A failed intent sync is not the instance's failure: it was never touched.
 	out, err := outFailed, p.log.sync(JournalRecord{Op: OpIntent, LOID: st.loid, From: st.from, To: st.to})
 	if err == nil {
-		out, err = outMoved, m.applyStep(ctx, p.log, st)
+		out, err = outMoved, m.applyStep(ctx, st)
 	}
 	if err == nil {
 		p.log.add(JournalRecord{Op: OpApplied, LOID: st.loid, To: st.to})
@@ -494,14 +494,14 @@ func (m *Manager) planStep(loid naming.LOID, v version.ID, rollback bool) (*step
 // applyStep moves the instance to the step's target — through the replica
 // group when the LOID has one, in either direction — and pins the table row
 // to the target.
-func (m *Manager) applyStep(ctx context.Context, l *passLog, st *step) error {
+func (m *Manager) applyStep(ctx context.Context, st *step) error {
 	verb := "evolve"
 	if st.rollback {
 		verb = "rollback"
 	}
 	var err error
 	if g := m.ReplicaGroup(st.loid); g != nil {
-		err = m.evolveReplicated(ctx, l, g, st.loid, st.to)
+		err = m.evolveReplicated(ctx, g, st.loid, st.to)
 	} else {
 		err = m.applyPlanned(st.loid, st.from, st.to, func(a *core.PlanArgs, desc *dfm.Descriptor) error {
 			return applyInstance(ctx, st.sp, st.inst, a, desc, st.to)
@@ -542,7 +542,7 @@ func (m *Manager) finishStep(st *step, err error) {
 // moved. Each member already at the target is skipped, which is what makes a
 // crash-interrupted pass resumable: the re-run converges on the remaining
 // members instead of repeating completed work or flipping leadership twice.
-func (m *Manager) evolveReplicated(ctx context.Context, l *passLog, g *replica.Group, loid naming.LOID, v version.ID) error {
+func (m *Manager) evolveReplicated(ctx context.Context, g *replica.Group, loid naming.LOID, v version.ID) error {
 	set := g.Set()
 	apply := func(ep string, at version.ID) error {
 		err := m.applyPlanned(loid, at, v, func(a *core.PlanArgs, desc *dfm.Descriptor) error {
@@ -590,9 +590,6 @@ func (m *Manager) evolveReplicated(ctx context.Context, l *passLog, g *replica.G
 		// Promote a moved backup; the old primary stays in the set as a
 		// backup of the new era and is moved last.
 		newPrimary := set.Backups[0]
-		if err := l.sync(JournalRecord{Op: OpReplicaPromote, LOID: loid, Reason: newPrimary}); err != nil {
-			return err
-		}
 		if _, err := g.Promote(ctx, newPrimary, true); err != nil {
 			return err
 		}

@@ -83,9 +83,11 @@ type ReconcileReport struct {
 }
 
 // Sweep reconciles every policy-designated LOID once. Errors converging
-// individual LOIDs are collected and joined, never aborting the sweep; a
-// LOID with no registered replica group is skipped (a degree-1 object that
-// never grew a group has nothing to reconcile — see Manager.SetPolicy).
+// individual LOIDs are collected and joined; only a journal that refuses a
+// step's intent (rpc.ErrFenced once a standby has taken over) ends the
+// sweep, before the step is taken. A LOID with no registered replica group
+// is skipped (a degree-1 object that never grew a group has nothing to
+// reconcile — see Manager.SetPolicy).
 func (r *Reconciler) Sweep(ctx context.Context) (ReconcileReport, error) {
 	var report ReconcileReport
 	var errs []error
@@ -126,10 +128,17 @@ func (r *Reconciler) Sweep(ctx context.Context) (ReconcileReport, error) {
 		} else {
 			report.Diverged++
 		}
+		if errors.Is(err, errUnjournalled) {
+			break // acting unjournalled would hide the step from a standby
+		}
 	}
 	r.sweeps.Add(1)
 	return report, errors.Join(errs...)
 }
+
+// errUnjournalled marks a step the journal refused, which the reconciler
+// therefore did not take.
+var errUnjournalled = errors.New("reconcile step not journalled")
 
 // reconcileOne converges one group toward pol. hosting is updated in place
 // as members move so later LOIDs in the same sweep see the new placement.
@@ -138,12 +147,17 @@ func (r *Reconciler) reconcileOne(ctx context.Context, loid naming.LOID, pol pol
 	var errs []error
 	m := r.Mgr
 
-	step := func(action string) {
-		// Intent is journalled before the action so a shipped journal shows
-		// the standby what its predecessor was mid-way through.
-		_ = m.Journal().Reconcile(loid, action)
+	// step journals an action's intent before the action, so a shipped
+	// journal shows the standby what its predecessor was mid-way through.
+	// A journal that refuses it (a standby has taken over and fences the
+	// shipment) stops the reconciler acting at all.
+	step := func(action string) error {
+		if err := m.Journal().Reconcile(loid, action); err != nil {
+			return fmt.Errorf("%w: %s: %w", errUnjournalled, action, err)
+		}
 		m.event("reconcile", loid, nil, action)
 		acts = append(acts, loid.String()+": "+action)
+		return nil
 	}
 
 	set := g.Set()
@@ -161,7 +175,9 @@ func (r *Reconciler) reconcileOne(ctx context.Context, loid naming.LOID, pol pol
 	// Dead primary: fail over to the first live backup before anything else
 	// — every other action needs a reachable primary.
 	if !alive[set.Primary] {
-		step("failover from " + set.Primary)
+		if err := step("failover from " + set.Primary); err != nil {
+			return false, acts, err
+		}
 		if _, err := g.Failover(ctx); err != nil {
 			return false, acts, fmt.Errorf("failover: %w", err)
 		}
@@ -176,7 +192,9 @@ func (r *Reconciler) reconcileOne(ctx context.Context, loid naming.LOID, pol pol
 		if alive[b] {
 			continue
 		}
-		step("drop dead " + b)
+		if err := step("drop dead " + b); err != nil {
+			return false, acts, errors.Join(append(errs, err)...)
+		}
 		if _, err := g.Shrink(ctx, b); err != nil {
 			errs = append(errs, fmt.Errorf("drop %s: %w", b, err))
 			continue
@@ -193,7 +211,9 @@ func (r *Reconciler) reconcileOne(ctx context.Context, loid naming.LOID, pol pol
 			errs = append(errs, fmt.Errorf("degree %d/%d: no viable candidate", have, pol.Degree))
 			break
 		}
-		step("add " + ep)
+		if err := step("add " + ep); err != nil {
+			return false, acts, errors.Join(append(errs, err)...)
+		}
 		newSet, err := g.Expand(ctx, ep)
 		if err != nil {
 			// The candidate may be down; poison it for this pass and retry
@@ -211,7 +231,9 @@ func (r *Reconciler) reconcileOne(ctx context.Context, loid naming.LOID, pol pol
 	// failover order (the most recently added, least proven members).
 	for have := len(set.Endpoints()); have > pol.Degree && len(set.Backups) > 0; have = len(set.Endpoints()) {
 		ep := set.Backups[len(set.Backups)-1]
-		step("demote " + ep)
+		if err := step("demote " + ep); err != nil {
+			return false, acts, errors.Join(append(errs, err)...)
+		}
 		newSet, err := g.Shrink(ctx, ep)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("demote %s: %w", ep, err))

@@ -2,7 +2,9 @@ package manager
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -189,6 +191,42 @@ func TestReconcileHealsDegreeAfterBackupLoss(t *testing.T) {
 	}
 	if reconcileOps != 2 || policyOps != 1 {
 		t.Fatalf("journal: %d reconcile + %d policy-set records, want 2 + 1", reconcileOps, policyOps)
+	}
+}
+
+// A manager whose journal is fenced (a standby took over, and the shipper
+// refuses every record) takes no step: the sweep ends with ErrFenced and
+// the group's published set is the one it found.
+func TestReconcileStopsWhenJournalFenced(t *testing.T) {
+	env := newReconEnv(t, []string{"p", "b1", "b2"}, []string{"n1", "n2"})
+	j, err := OpenJournal(journalPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	env.mgr.SetJournal(j)
+	pol := policy.Default()
+	pol.Degree = 3
+	if err := env.mgr.SetPolicy(env.loid, pol); err != nil {
+		t.Fatal(err)
+	}
+	j.SetSink(func(JournalRecord) error { return rpc.ErrFenced })
+
+	env.kill(t, "b2")
+	before := env.agent.Set(env.loid)
+	rec := &Reconciler{Mgr: env.mgr, Candidates: []string{ep("n1"), ep("n2")}}
+	report, err := rec.Sweep(context.Background())
+	if !errors.Is(err, rpc.ErrFenced) {
+		t.Fatalf("fenced sweep: err = %v, want ErrFenced", err)
+	}
+	if report.Converged != 0 || len(report.Actions) != 0 {
+		t.Fatalf("fenced sweep = %+v, want no action and nothing converged", report)
+	}
+	if after := env.agent.Set(env.loid); !reflect.DeepEqual(after, before) {
+		t.Fatalf("published set moved under a fenced journal: %+v -> %+v", before, after)
+	}
+	if st := rec.Stats(); st.Drops+st.Heals+st.Failovers+st.Demotions != 0 {
+		t.Fatalf("stats = %+v, want no step taken", st)
 	}
 }
 

@@ -164,7 +164,7 @@ func (m *Manager) recover(ctx context.Context, j *Journal, recs []JournalRecord)
 				}
 				p.recs = append(p.recs, r)
 			}
-		case OpApplied, OpSkipped, OpReplicaPromote:
+		case OpApplied, OpSkipped:
 			if p := passes[r.Pass]; p != nil {
 				p.recs = append(p.recs, r)
 			}

@@ -140,7 +140,7 @@ type Method[A, R any] struct {
 	Name string
 	// Idempotent marks a method that only reads: the client retries it
 	// through ambiguous failures. It never routes the method to a backup;
-	// backups serve only dynamic functions (see InvokeIdempotent).
+	// backups serve only dynamic functions (see Function).
 	Idempotent bool
 	Args       Codec[A]
 	Result     Codec[R]
@@ -148,8 +148,14 @@ type Method[A, R any] struct {
 
 // Call invokes the method on loid through client and decodes its result.
 func (m Method[A, R]) Call(ctx context.Context, client *Client, loid naming.LOID, a A) (R, error) {
+	return m.call(ctx, client, loid, a, false)
+}
+
+// call runs Call, letting the first attempt go to a backup when backupOK is
+// set and the binding's policy allows backup reads.
+func (m Method[A, R]) call(ctx context.Context, client *Client, loid naming.LOID, a A, backupOK bool) (R, error) {
 	var zero R
-	out, err := client.invoke(ctx, BatchCall{LOID: loid, Method: m.Name, Args: m.Args.Encode(a), Idempotent: m.Idempotent}, false)
+	out, err := client.invoke(ctx, BatchCall{LOID: loid, Method: m.Name, Args: m.Args.Encode(a), Idempotent: m.Idempotent}, backupOK)
 	if err != nil {
 		return zero, err
 	}
@@ -190,17 +196,24 @@ type Route struct {
 // Handle binds fn as the method's server side. The route refuses a payload
 // the Args codec cannot decode with ErrBadRequest before fn runs.
 func (m Method[A, R]) Handle(fn func(context.Context, A) (R, error)) Route {
-	return Route{Name: m.Name, serve: func(ctx context.Context, args []byte) ([]byte, error) {
+	return Route{Name: m.Name, serve: serve(m, fn)}
+}
+
+// serve wraps fn, called with the caller's context C, as a handler of raw
+// payloads: it refuses a payload the Args codec cannot decode with
+// ErrBadRequest before fn runs, and encodes fn's result.
+func serve[C, A, R any](m Method[A, R], fn func(C, A) (R, error)) func(C, []byte) ([]byte, error) {
+	return func(c C, args []byte) ([]byte, error) {
 		a, err := m.Args.Decode(args)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrBadRequest, m.Name, err)
 		}
-		r, err := fn(ctx, a)
+		r, err := fn(c, a)
 		if err != nil {
 			return nil, err
 		}
 		return m.Result.Encode(r), nil
-	}}
+	}
 }
 
 // Table is a set of routes keyed by method name. It implements Object and

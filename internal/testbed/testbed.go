@@ -35,15 +35,35 @@ import (
 	"godcdo/internal/vault"
 	"godcdo/internal/vclock"
 	"godcdo/internal/version"
-	"godcdo/internal/wire"
 )
 
 // settleWait bounds how long Close waits for the goroutines a drill started
 // to exit before it calls them leaked.
 const settleWait = 2 * time.Second
 
+// The dynamic functions of the testbed's object types.
+var (
+	// Greet answers a greeting's text, unframed.
+	Greet = rpc.Function[rpc.None, []byte]{Name: "greet", Idempotent: true, Args: rpc.NoneCodec, Result: rpc.RawCodec}
+	// Add adds its argument to the counter and answers the new total.
+	Add = rpc.Function[uint64, uint64]{Name: "add", Args: rpc.UvarintCodec, Result: rpc.UvarintCodec}
+	// Bump adds one to the counter, through an intra-object call of Add,
+	// and answers the new total.
+	Bump = rpc.Function[rpc.None, uint64]{Name: "bump", Args: rpc.NoneCodec, Result: rpc.UvarintCodec}
+	// Total answers the counter.
+	Total = rpc.Function[rpc.None, uint64]{Name: "total", Idempotent: true, Args: rpc.NoneCodec, Result: rpc.UvarintCodec}
+)
+
+// counter reads the counter from the object's state key "n"; an absent key
+// reads as 0.
+func counter(c registry.Caller) uint64 {
+	raw, _ := c.State().Get("n")
+	n, _ := rpc.UvarintCodec.Decode(raw)
+	return n
+}
+
 // Greeting is one implementation of the greet type: a component whose
-// "greet" function sleeps Delay, then answers Text.
+// Greet function sleeps Delay, then answers Text.
 type Greeting struct {
 	ID    string
 	Text  string
@@ -62,8 +82,8 @@ type Config struct {
 	// 1, enables the first; each later one is enabled, alone, by a child
 	// derived from the root.
 	Greetings []Greeting
-	// Counter adds the replicated counter to every version: "bump" adds one
-	// to the state key "n" and answers the new total, "total" reads it.
+	// Counter adds the replicated counter to every version: Add, Bump and
+	// Total over the state key "n".
 	Counter bool
 	// Fleet is the number of plain DCDOs, created at version 1.
 	Fleet int
@@ -240,33 +260,28 @@ func (tb *Testbed) store(cfg Config) error {
 	for i, g := range cfg.Greetings {
 		text, delay := g.Text, g.Delay
 		if err := add(g.ID, i == 0, map[string]registry.Func{
-			"greet": func(registry.Caller, []byte) ([]byte, error) {
+			Greet.Name: Greet.Func(func(registry.Caller, rpc.None) ([]byte, error) {
 				time.Sleep(delay)
 				return []byte(text), nil
-			},
-		}, "greet"); err != nil {
+			}),
+		}, Greet.Name); err != nil {
 			return err
 		}
 	}
-	value := func(c registry.Caller) uint64 {
-		raw, _ := c.State().Get("n")
-		n, _ := wire.NewDecoder(raw).Uvarint() // absent reads as 0
-		return n
-	}
 	if cfg.Counter {
 		if err := add("counter", true, map[string]registry.Func{
-			"bump": func(c registry.Caller, _ []byte) ([]byte, error) {
-				e := wire.NewEncoder(8)
-				e.PutUvarint(value(c) + 1)
-				c.State().Set("n", e.Bytes())
-				return e.Bytes(), nil
-			},
-			"total": func(c registry.Caller, _ []byte) ([]byte, error) {
-				e := wire.NewEncoder(8)
-				e.PutUvarint(value(c))
-				return e.Bytes(), nil
-			},
-		}, "bump", "total"); err != nil {
+			Add.Name: Add.Func(func(c registry.Caller, n uint64) (uint64, error) {
+				n += counter(c)
+				c.State().Set("n", rpc.UvarintCodec.Encode(n))
+				return n, nil
+			}),
+			Bump.Name: Bump.Func(func(c registry.Caller, _ rpc.None) (uint64, error) {
+				return Add.CallInternal(c, 1)
+			}),
+			Total.Name: Total.Func(func(c registry.Caller, _ rpc.None) (uint64, error) {
+				return counter(c), nil
+			}),
+		}, Add.Name, Bump.Name, Total.Name); err != nil {
 			return err
 		}
 	}
@@ -296,7 +311,7 @@ func (tb *Testbed) store(cfg Config) error {
 		}
 		if err := store.Configure(child, func(d *dfm.Descriptor) error {
 			for j, g := range cfg.Greetings {
-				d.Entry(dfm.EntryKey{Function: "greet", Component: g.ID}).Enabled = j == i
+				d.Entry(dfm.EntryKey{Function: Greet.Name, Component: g.ID}).Enabled = j == i
 			}
 			return nil
 		}); err != nil {
@@ -468,7 +483,7 @@ func (tb *Testbed) Adopt(m *manager.Manager) error {
 func (tb *Testbed) Converged(m *manager.Manager, v version.ID, text string) int {
 	n := 0
 	for _, loid := range tb.Fleet {
-		out, err := tb.Client.InvokeIdempotent(context.Background(), loid, "greet", nil)
+		out, err := Greet.Call(context.Background(), tb.Client, loid, rpc.None{})
 		if err != nil || string(out) != text {
 			continue
 		}
@@ -481,20 +496,20 @@ func (tb *Testbed) Converged(m *manager.Manager, v version.ID, text string) int 
 
 // Load is client traffic on one LOID, running until Stop.
 type Load struct {
-	// ReadOK and ReadFail count the idempotent reads.
+	// ReadOK and ReadFail count the reads.
 	ReadOK, ReadFail atomic.Uint64
-	// WriteOK, WriteAmbiguous and WriteOther count the non-idempotent
-	// writes: acked, ended rpc.ErrAmbiguousResult, failed otherwise.
+	// WriteOK, WriteAmbiguous and WriteOther count the Bump writes: acked,
+	// ended rpc.ErrAmbiguousResult, failed otherwise.
 	WriteOK, WriteAmbiguous, WriteOther atomic.Uint64
 
 	stop context.CancelFunc
 	wg   sync.WaitGroup
 }
 
-// StartLoad starts an idempotent reader that calls read on loid every
-// 100µs and counts an answer ok only if ok accepts it and, unless write is
-// "", a non-idempotent writer that calls write every 200µs.
-func (tb *Testbed) StartLoad(loid naming.LOID, read string, ok func([]byte) bool, write string) *Load {
+// StartLoad starts a reader that calls read on loid every 100µs and
+// counts an answer ok only if ok accepts it and, when bump is set, a writer
+// that calls Bump every 200µs.
+func StartLoad[R any](tb *Testbed, loid naming.LOID, read rpc.Function[rpc.None, R], ok func(R) bool, bump bool) *Load {
 	stopped, stop := context.WithCancel(context.Background())
 	l := &Load{stop: stop}
 	loop := func(pause time.Duration, call func()) {
@@ -508,15 +523,15 @@ func (tb *Testbed) StartLoad(loid naming.LOID, read string, ok func([]byte) bool
 		}()
 	}
 	loop(100*time.Microsecond, func() {
-		if out, err := tb.Client.InvokeIdempotent(context.Background(), loid, read, nil); err != nil || !ok(out) {
+		if out, err := read.Call(context.Background(), tb.Client, loid, rpc.None{}); err != nil || !ok(out) {
 			l.ReadFail.Add(1)
 		} else {
 			l.ReadOK.Add(1)
 		}
 	})
-	if write != "" {
+	if bump {
 		loop(200*time.Microsecond, func() {
-			_, err := tb.Client.Invoke(context.Background(), loid, write, nil)
+			_, err := Bump.Call(context.Background(), tb.Client, loid, rpc.None{})
 			switch {
 			case err == nil:
 				l.WriteOK.Add(1)
