@@ -175,8 +175,8 @@ func Example_dependencies() {
 	// refused after serve disabled: false
 }
 
-// Example_manager runs the manager-driven lifecycle: version tree, mark
-// instantiable, create, proactively evolve.
+// Example_manager runs the manager-driven lifecycle: author the version
+// tree, create, proactively evolve.
 func Example_manager() {
 	reg, fetcher, icos, err := buildGreeter()
 	if err != nil {
@@ -185,21 +185,19 @@ func Example_manager() {
 	}
 	mgr := dcdo.NewManager(dcdo.SingleVersion, dcdo.Proactive)
 
-	desc := dcdo.NewDescriptor()
-	for id, ico := range icos {
-		desc.Components[id] = dcdo.ComponentRef{
-			ICO: ico, CodeRef: id + ":1", Impl: dcdo.NativeImplType, CodeSize: 1 << 10, Revision: 1,
+	// Author stores each version whole and instantiable, or refuses it.
+	root, err := mgr.Store().Author(nil, func(d *dcdo.Descriptor) error {
+		for id, ico := range icos {
+			d.Components[id] = dcdo.ComponentRef{
+				ICO: ico, CodeRef: id + ":1", Impl: dcdo.NativeImplType, CodeSize: 1 << 10, Revision: 1,
+			}
+			d.Entries = append(d.Entries, dcdo.EntryDesc{
+				Function: "greet", Component: id, Exported: true, Enabled: id == "greeter-en",
+			})
 		}
-		desc.Entries = append(desc.Entries, dcdo.EntryDesc{
-			Function: "greet", Component: id, Exported: true, Enabled: id == "greeter-en",
-		})
-	}
-	root, err := mgr.Store().CreateRoot(desc)
+		return nil
+	})
 	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	if err := mgr.Store().MarkInstantiable(root); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -218,21 +216,12 @@ func Example_manager() {
 		return
 	}
 
-	child, err := mgr.Store().Derive(root)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	err = mgr.Store().Configure(child, func(d *dcdo.Descriptor) error {
+	child, err := mgr.Store().Author(root, func(d *dcdo.Descriptor) error {
 		d.Entry(dcdo.EntryKey{Function: "greet", Component: "greeter-en"}).Enabled = false
 		d.Entry(dcdo.EntryKey{Function: "greet", Component: "greeter-fr"}).Enabled = true
 		return nil
 	})
 	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	if err := mgr.Store().MarkInstantiable(child); err != nil {
 		fmt.Println(err)
 		return
 	}

@@ -78,26 +78,15 @@ func run() error {
 	}
 
 	// Version tree: 1 -> 1.1 -> 1.1.1, all instantiable.
-	v1, err := mgr.Store().CreateRoot(descFor("motd-r1", "motd:1", 1))
-	if err != nil {
-		return err
-	}
-	if err := mgr.Store().MarkInstantiable(v1); err != nil {
-		return err
-	}
 	define := func(parent dcdo.VersionID, compID, codeRef string, rev uint64) (dcdo.VersionID, error) {
-		child, err := mgr.Store().Derive(parent)
-		if err != nil {
-			return nil, err
-		}
-		err = mgr.Store().Configure(child, func(d *dcdo.Descriptor) error {
+		return mgr.Store().Author(parent, func(d *dcdo.Descriptor) error {
 			*d = *descFor(compID, codeRef, rev)
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		return child, mgr.Store().MarkInstantiable(child)
+	}
+	v1, err := define(nil, "motd-r1", "motd:1", 1)
+	if err != nil {
+		return err
 	}
 	v11, err := define(v1, "motd-r2", "motd:2", 2)
 	if err != nil {

@@ -64,22 +64,20 @@ func run() error {
 	// 3. A DCDO Manager holds the version tree. Version 1 enables the
 	// English greeter; version 1.1 swaps in the French one.
 	mgr := dcdo.NewManager(dcdo.SingleVersion, dcdo.Proactive)
-	rootDesc := dcdo.NewDescriptor()
-	rootDesc.Components["greeter-en"] = dcdo.ComponentRef{
-		ICO: icoEN, CodeRef: "greeter-en:1", Impl: dcdo.NativeImplType, CodeSize: 4 << 10, Revision: 1,
-	}
-	rootDesc.Components["greeter-fr"] = dcdo.ComponentRef{
-		ICO: icoFR, CodeRef: "greeter-fr:1", Impl: dcdo.NativeImplType, CodeSize: 4 << 10, Revision: 1,
-	}
-	rootDesc.Entries = []dcdo.EntryDesc{
-		{Function: "greet", Component: "greeter-en", Exported: true, Enabled: true},
-		{Function: "greet", Component: "greeter-fr", Exported: true, Enabled: false},
-	}
-	root, err := mgr.Store().CreateRoot(rootDesc)
+	root, err := mgr.Store().Author(nil, func(d *dcdo.Descriptor) error {
+		d.Components["greeter-en"] = dcdo.ComponentRef{
+			ICO: icoEN, CodeRef: "greeter-en:1", Impl: dcdo.NativeImplType, CodeSize: 4 << 10, Revision: 1,
+		}
+		d.Components["greeter-fr"] = dcdo.ComponentRef{
+			ICO: icoFR, CodeRef: "greeter-fr:1", Impl: dcdo.NativeImplType, CodeSize: 4 << 10, Revision: 1,
+		}
+		d.Entries = []dcdo.EntryDesc{
+			{Function: "greet", Component: "greeter-en", Exported: true, Enabled: true},
+			{Function: "greet", Component: "greeter-fr", Exported: true, Enabled: false},
+		}
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	if err := mgr.Store().MarkInstantiable(root); err != nil {
 		return err
 	}
 	if err := mgr.SetCurrentVersion(context.Background(), root); err != nil {
@@ -101,22 +99,15 @@ func run() error {
 	}
 	fmt.Printf("version %s: greet() = %q   interface = %v\n", obj.Version(), out, obj.Interface())
 
-	// 5. Derive version 1.1 (logical copy), reconfigure it, mark it
-	// instantiable, and designate it current. Under the proactive policy
+	// 5. Author version 1.1 from a logical copy of 1, reconfigured, in one
+	// checked step, and designate it current. Under the proactive policy
 	// the running object evolves immediately — no restart, no downtime.
-	child, err := mgr.Store().Derive(root)
-	if err != nil {
-		return err
-	}
-	err = mgr.Store().Configure(child, func(d *dcdo.Descriptor) error {
+	child, err := mgr.Store().Author(root, func(d *dcdo.Descriptor) error {
 		d.Entry(dcdo.EntryKey{Function: "greet", Component: "greeter-en"}).Enabled = false
 		d.Entry(dcdo.EntryKey{Function: "greet", Component: "greeter-fr"}).Enabled = true
 		return nil
 	})
 	if err != nil {
-		return err
-	}
-	if err := mgr.Store().MarkInstantiable(child); err != nil {
 		return err
 	}
 	if err := mgr.SetCurrentVersion(context.Background(), child); err != nil {

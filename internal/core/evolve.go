@@ -272,7 +272,7 @@ var (
 	MethodSnapshot = rpc.Method[rpc.None, *dfm.Descriptor]{Name: ControlPrefix + "snapshot", Idempotent: true,
 		Args: rpc.NoneCodec, Result: DescriptorCodec}
 	MethodApplyDescriptor = rpc.Method[ApplyArgs, ApplyReport]{Name: ControlPrefix + "applyDescriptor",
-		Args: rpc.NewCodec(putApplyArgs, getApplyArgs), Result: rpc.NewCodec(putApplyReport, getApplyReport)}
+		Args: ApplyArgsCodec, Result: rpc.NewCodec(putApplyReport, getApplyReport)}
 	MethodApplyPlan = rpc.Method[PlanArgs, PlanResult]{Name: ControlPrefix + "applyPlan",
 		Args: rpc.NewCodec(putPlanArgs, getPlanArgs), Result: rpc.NewCodec(putPlanResult, getPlanResult)}
 	MethodEnable = rpc.Method[dfm.EntryKey, rpc.None]{Name: ControlPrefix + "enable",
@@ -323,6 +323,9 @@ func (d *DCDO) Control() rpc.Table { return d.control }
 
 // VersionCodec carries a version as its segment list.
 var VersionCodec = rpc.NewCodec(PutVersion, GetVersion)
+
+// ApplyArgsCodec carries MethodApplyDescriptor's and mgr.author's arguments.
+var ApplyArgsCodec = rpc.NewCodec(putApplyArgs, getApplyArgs)
 
 // DescriptorCodec carries a configuration descriptor unframed.
 var DescriptorCodec = rpc.Codec[*dfm.Descriptor]{Encode: (*dfm.Descriptor).Encode, Decode: dfm.DecodeDescriptor}

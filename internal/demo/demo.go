@@ -95,30 +95,24 @@ func Install(node *legion.Node) (*Deployment, error) {
 		obj.SetObs(o)
 		mgr.SetObs(o)
 	}
-	rootDesc := dfm.NewDescriptor()
-	rootDesc.Components["pricing-v1"] = dfm.ComponentRef{
-		ICO: ICOV1LOID, CodeRef: "pricing-v1:1", Impl: registry.NativeImplType,
-		CodeSize: 550 << 10, Revision: 1,
-	}
-	rootDesc.Entries = []dfm.EntryDesc{
-		{Function: Price.Name, Component: "pricing-v1", Exported: true, Enabled: true},
-	}
-	root, err := mgr.Store().CreateRoot(rootDesc)
+	root, err := mgr.Store().Author(nil, func(d *dfm.Descriptor) error {
+		d.Components["pricing-v1"] = dfm.ComponentRef{
+			ICO: ICOV1LOID, CodeRef: "pricing-v1:1", Impl: registry.NativeImplType,
+			CodeSize: 550 << 10, Revision: 1,
+		}
+		d.Entries = []dfm.EntryDesc{
+			{Function: Price.Name, Component: "pricing-v1", Exported: true, Enabled: true},
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := mgr.Store().MarkInstantiable(root); err != nil {
 		return nil, err
 	}
 	if err := mgr.SetCurrentVersion(context.Background(), root); err != nil {
 		return nil, err
 	}
 
-	child, err := mgr.Store().Derive(root)
-	if err != nil {
-		return nil, err
-	}
-	err = mgr.Store().Configure(child, func(d *dfm.Descriptor) error {
+	_, err = mgr.Store().Author(root, func(d *dfm.Descriptor) error {
 		d.Components["pricing-v2"] = dfm.ComponentRef{
 			ICO: ICOV2LOID, CodeRef: "pricing-v2:1", Impl: registry.NativeImplType,
 			CodeSize: 550 << 10, Revision: 1,
@@ -130,9 +124,6 @@ func Install(node *legion.Node) (*Deployment, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := mgr.Store().MarkInstantiable(child); err != nil {
 		return nil, err
 	}
 

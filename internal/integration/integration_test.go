@@ -188,27 +188,19 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 		t.Fatalf("greet = %q, %v", out, err)
 	}
 
-	// An administrator (the client node) derives and activates version 1.1
-	// entirely through the remote manager interface.
+	// An administrator (the client node) authors and activates version 1.1
+	// entirely through the remote manager interface: one mgr.author call
+	// carries the edited copy of the root's descriptor.
 	admin := clientNode.Client()
 	ctx := context.Background()
-	child, err := manager.MethodDerive.Call(ctx, admin, mgrLOID, root)
+	desc, err := manager.MethodDescriptor.Call(ctx, admin, mgrLOID, root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, step := range []struct {
-		key     dfm.EntryKey
-		enabled bool
-	}{
-		{dfm.EntryKey{Function: "greet", Component: "greet-en"}, false},
-		{dfm.EntryKey{Function: "greet", Component: "greet-fr"}, true},
-	} {
-		if _, err := manager.MethodVSetEnabled.Call(ctx, admin, mgrLOID,
-			manager.SetEnabledArgs{Version: child, Key: step.key, Enabled: step.enabled}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := manager.MethodMarkInstantiable.Call(ctx, admin, mgrLOID, child); err != nil {
+	desc.Entry(dfm.EntryKey{Function: "greet", Component: "greet-en"}).Enabled = false
+	desc.Entry(dfm.EntryKey{Function: "greet", Component: "greet-fr"}).Enabled = true
+	child, err := manager.MethodAuthor.Call(ctx, admin, mgrLOID, core.ApplyArgs{Target: desc, Version: root})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := manager.MethodSetCurrent.Call(ctx, admin, mgrLOID, child); err != nil {

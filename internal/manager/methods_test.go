@@ -72,19 +72,9 @@ func declaredMethods(obj, ico, mgr, icoFR naming.LOID, desc *dfm.Descriptor) []d
 			declare(MethodSetCurrent, mgr, v(1, 1)),
 			declare(MethodDescriptor, mgr, v(1)),
 			declare(MethodInstantiableDesc, mgr, v(1)),
-			declare(MethodDerive, mgr, v(1)),
-			declare(MethodMarkInstantiable, mgr, v(1, 1)),
+			declare(MethodAuthor, mgr, core.ApplyArgs{Target: desc, Version: v(1)}),
 			declare(MethodEvolveInstance, mgr, EvolveArgs{LOID: obj, Version: v(1, 1)}),
 			declare(MethodRecords, mgr, none),
-			declare(MethodCreateRoot, mgr, desc),
-			declare(MethodVAddComponent, mgr, AddComponentArgs{Version: v(1, 1), ID: "fr",
-				Ref:     desc.Components["fr"],
-				Entries: []dfm.EntryDesc{{Function: "greet", Component: "fr", Exported: true}}}),
-			declare(MethodVRemoveComponent, mgr, ComponentArgs{Version: v(1, 1), ID: "fr"}),
-			declare(MethodVSetEnabled, mgr, SetEnabledArgs{Version: v(1, 1), Key: greetEN, Enabled: true}),
-			declare(MethodVSetFlags, mgr, SetFlagsArgs{Version: v(1, 1), Key: greetEN, Exported: true}),
-			declare(MethodVAddDep, mgr, AddDepArgs{Version: v(1, 1),
-				Dep: dfm.Dependency{Kind: dfm.DepD, FromFunc: "greet", ToFunc: "greet"}}),
 			declare(MethodRecover, mgr, none),
 			declare(MethodHealth, mgr, none),
 			declare(MethodPolicyGet, mgr, obj),
@@ -172,30 +162,36 @@ func TestDeclaredMethodContracts(t *testing.T) {
 	if err := m.SetCurrentVersion(ctx, v(1, 1)); err != nil {
 		t.Fatal(err)
 	}
+	publishes := func() int { return int(obj.DFM().Publishes()) }
 	for _, w := range []struct {
 		name string
 		call func() error
+		runs func() int   // counts the write's executions
 		want dfm.EntryKey // the greet implementation enabled afterwards
 	}{
 		{MethodEvolveInstance.Name + " to 1.1", func() error {
 			_, err := MethodEvolveInstance.Call(ctx, client, mgrLOID, EvolveArgs{LOID: obj.LOID(), Version: v(1, 1)})
 			return err
-		}, dfm.EntryKey{Function: "greet", Component: "fr"}},
+		}, publishes, dfm.EntryKey{Function: "greet", Component: "fr"}},
 		{core.MethodApplyDescriptor.Name + " back to 1", func() error {
 			_, err := core.MethodApplyDescriptor.Call(ctx, client, obj.LOID(),
 				core.ApplyArgs{Target: f.descriptorEnabling("en"), Version: v(1)})
 			return err
-		}, dfm.EntryKey{Function: "greet", Component: "en"}},
+		}, publishes, dfm.EntryKey{Function: "greet", Component: "en"}},
+		{MethodAuthor.Name + " under 1", func() error {
+			_, err := MethodAuthor.Call(ctx, client, mgrLOID, core.ApplyArgs{Target: f.descriptorEnabling("fr"), Version: v(1)})
+			return err
+		}, m.Store().Len, dfm.EntryKey{Function: "greet", Component: "en"}},
 	} {
 		faults.SetDefault(dropOne)
-		calls, publishes := faults.Stats().Calls, obj.DFM().Publishes()
+		calls, runs := faults.Stats().Calls, w.runs()
 		if err := w.call(); !errors.Is(err, rpc.ErrAmbiguousResult) {
 			t.Errorf("%s: err = %v, want ErrAmbiguousResult", w.name, err)
 		}
 		if got := faults.Stats().Calls - calls; got != 1 {
 			t.Errorf("%s: %d attempts, want 1", w.name, got)
 		}
-		if got := obj.DFM().Publishes() - publishes; got != 1 {
+		if got := w.runs() - runs; got != 1 {
 			t.Errorf("%s: executed %d times, want once", w.name, got)
 		}
 		if out, err := obj.InvokeMethod("greet", nil); err != nil || string(out) != map[string]string{"en": "hello", "fr": "bonjour"}[w.want.Component] {
@@ -280,6 +276,15 @@ func FuzzDeclaredDecoders(f *testing.F) {
 	}
 	for _, r := range rows {
 		f.Add(r.Args)
+	}
+	// mgr.author carries whole descriptors: seed the shapes its row does
+	// not, a root (no parent, empty descriptor), a dependency, and
+	// mandatory, permanent entries.
+	deps, flags := desc.Clone(), desc.Clone()
+	deps.Deps = []dfm.Dependency{{Kind: dfm.DepD, FromFunc: "greet", ToFunc: "greet"}}
+	flags.Entries[0].Mandatory, flags.Entries[0].Permanent = true, true
+	for _, a := range []core.ApplyArgs{{Target: dfm.NewDescriptor()}, {Target: deps, Version: v(1)}, {Target: flags, Version: v(1, 1)}} {
+		f.Add(MethodAuthor.Args.Encode(a))
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {

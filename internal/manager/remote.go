@@ -21,41 +21,6 @@ type EvolveArgs struct {
 	Version version.ID
 }
 
-// ComponentArgs name one component of a configurable version.
-type ComponentArgs struct {
-	Version version.ID
-	ID      string
-}
-
-// AddComponentArgs are MethodVAddComponent's arguments. The decoder sets
-// each entry's Component to ID.
-type AddComponentArgs struct {
-	Version version.ID
-	ID      string
-	Ref     dfm.ComponentRef
-	Entries []dfm.EntryDesc
-}
-
-// SetEnabledArgs are MethodVSetEnabled's arguments.
-type SetEnabledArgs struct {
-	Version version.ID
-	Key     dfm.EntryKey
-	Enabled bool
-}
-
-// SetFlagsArgs are MethodVSetFlags's arguments.
-type SetFlagsArgs struct {
-	Version                        version.ID
-	Key                            dfm.EntryKey
-	Exported, Mandatory, Permanent bool
-}
-
-// AddDepArgs are MethodVAddDep's arguments. The decoder validates Dep.
-type AddDepArgs struct {
-	Version version.ID
-	Dep     dfm.Dependency
-}
-
 // PolicyArgs are MethodPolicySet's arguments. The document travels as its
 // JSON form and is parsed and validated on decode.
 type PolicyArgs struct {
@@ -82,27 +47,14 @@ var (
 		Args: core.VersionCodec, Result: core.DescriptorCodec}
 	MethodInstantiableDesc = rpc.Method[version.ID, *dfm.Descriptor]{Name: "mgr.instantiableDescriptor", Idempotent: true,
 		Args: core.VersionCodec, Result: core.DescriptorCodec}
-	MethodDerive = rpc.Method[version.ID, version.ID]{Name: "mgr.derive",
-		Args: core.VersionCodec, Result: core.VersionCodec}
-	MethodMarkInstantiable = rpc.Method[version.ID, rpc.None]{Name: "mgr.markInstantiable",
-		Args: core.VersionCodec, Result: rpc.NoneCodec}
+	// MethodAuthor stores Target as a new instantiable child of Version
+	// (Store.Author): the root when Version is zero. It returns the new id.
+	MethodAuthor = rpc.Method[core.ApplyArgs, version.ID]{Name: "mgr.author",
+		Args: core.ApplyArgsCodec, Result: core.VersionCodec}
 	MethodEvolveInstance = rpc.Method[EvolveArgs, rpc.None]{Name: "mgr.evolveInstance",
 		Args: rpc.NewCodec(putEvolveArgs, getEvolveArgs), Result: rpc.NoneCodec}
 	MethodRecords = rpc.Method[rpc.None, []Record]{Name: "mgr.records", Idempotent: true,
 		Args: rpc.NoneCodec, Result: runCodec(putRecord, getRecord)}
-	// MethodCreateRoot's descriptor may be nil: the root starts empty.
-	MethodCreateRoot = rpc.Method[*dfm.Descriptor, version.ID]{Name: "mgr.createRoot",
-		Args: rpc.NewCodec(putRootDescriptor, getRootDescriptor), Result: core.VersionCodec}
-	MethodVAddComponent = rpc.Method[AddComponentArgs, rpc.None]{Name: "mgr.vAddComponent",
-		Args: rpc.NewCodec(putAddComponentArgs, getAddComponentArgs), Result: rpc.NoneCodec}
-	MethodVRemoveComponent = rpc.Method[ComponentArgs, rpc.None]{Name: "mgr.vRemoveComponent",
-		Args: rpc.NewCodec(putComponentArgs, getComponentArgs), Result: rpc.NoneCodec}
-	MethodVSetEnabled = rpc.Method[SetEnabledArgs, rpc.None]{Name: "mgr.vSetEnabled",
-		Args: rpc.NewCodec(putSetEnabledArgs, getSetEnabledArgs), Result: rpc.NoneCodec}
-	MethodVSetFlags = rpc.Method[SetFlagsArgs, rpc.None]{Name: "mgr.vSetFlags",
-		Args: rpc.NewCodec(putSetFlagsArgs, getSetFlagsArgs), Result: rpc.NoneCodec}
-	MethodVAddDep = rpc.Method[AddDepArgs, rpc.None]{Name: "mgr.vAddDep",
-		Args: rpc.NewCodec(putAddDepArgs, getAddDepArgs), Result: rpc.NoneCodec}
 	MethodRecover = rpc.Method[rpc.None, RecoveryReport]{Name: "mgr.recover",
 		Args: rpc.NoneCodec, Result: rpc.NewCodec(putRecoveryReport, getRecoveryReport)}
 	MethodHealth = rpc.Method[rpc.None, []InstanceHealth]{Name: "mgr.health", Idempotent: true,
@@ -162,16 +114,6 @@ func (o *Object) InvokeMethodCtx(ctx context.Context, method string, args []byte
 // methodTable serves the manager's exported interface.
 func (m *Manager) methodTable() rpc.Table {
 	none := rpc.None{}
-	// configure edits a configurable version's descriptor in place.
-	configure := func(v version.ID, fn func(*dfm.Descriptor) error) (rpc.None, error) {
-		return none, m.Store().Configure(v, fn)
-	}
-	entry := func(d *dfm.Descriptor, v version.ID, key dfm.EntryKey) (*dfm.EntryDesc, error) {
-		if e := d.Entry(key); e != nil {
-			return e, nil
-		}
-		return nil, fmt.Errorf("%w: no entry %s@%s in %s", ErrUnknownVersion, key.Function, key.Component, v)
-	}
 	return rpc.Serve(
 		MethodCurrentVersion.Handle(func(context.Context, rpc.None) (version.ID, error) {
 			return m.CurrentVersion()
@@ -185,64 +127,17 @@ func (m *Manager) methodTable() rpc.Table {
 		MethodInstantiableDesc.Handle(func(_ context.Context, v version.ID) (*dfm.Descriptor, error) {
 			return m.Store().InstantiableDescriptor(v)
 		}),
-		MethodDerive.Handle(func(_ context.Context, from version.ID) (version.ID, error) {
-			return m.Store().Derive(from)
-		}),
-		MethodMarkInstantiable.Handle(func(_ context.Context, v version.ID) (rpc.None, error) {
-			return none, m.Store().MarkInstantiable(v)
+		MethodAuthor.Handle(func(_ context.Context, a core.ApplyArgs) (version.ID, error) {
+			return m.Store().Author(a.Version, func(d *dfm.Descriptor) error {
+				*d = *a.Target
+				return nil
+			})
 		}),
 		MethodEvolveInstance.Handle(func(ctx context.Context, a EvolveArgs) (rpc.None, error) {
 			return none, m.EvolveInstance(ctx, a.LOID, a.Version)
 		}),
 		MethodRecords.Handle(func(context.Context, rpc.None) ([]Record, error) {
 			return m.Records(), nil
-		}),
-		MethodCreateRoot.Handle(func(_ context.Context, desc *dfm.Descriptor) (version.ID, error) {
-			return m.Store().CreateRoot(desc)
-		}),
-		MethodVAddComponent.Handle(func(_ context.Context, a AddComponentArgs) (rpc.None, error) {
-			return configure(a.Version, func(d *dfm.Descriptor) error {
-				d.Components[a.ID] = a.Ref
-				d.Entries = append(d.Entries, a.Entries...)
-				return nil
-			})
-		}),
-		MethodVRemoveComponent.Handle(func(_ context.Context, a ComponentArgs) (rpc.None, error) {
-			return configure(a.Version, func(d *dfm.Descriptor) error {
-				delete(d.Components, a.ID)
-				kept := d.Entries[:0]
-				for _, e := range d.Entries {
-					if e.Component != a.ID {
-						kept = append(kept, e)
-					}
-				}
-				d.Entries = kept
-				return nil
-			})
-		}),
-		MethodVSetEnabled.Handle(func(_ context.Context, a SetEnabledArgs) (rpc.None, error) {
-			return configure(a.Version, func(d *dfm.Descriptor) error {
-				e, err := entry(d, a.Version, a.Key)
-				if err == nil {
-					e.Enabled = a.Enabled
-				}
-				return err
-			})
-		}),
-		MethodVSetFlags.Handle(func(_ context.Context, a SetFlagsArgs) (rpc.None, error) {
-			return configure(a.Version, func(d *dfm.Descriptor) error {
-				e, err := entry(d, a.Version, a.Key)
-				if err == nil {
-					e.Exported, e.Mandatory, e.Permanent = a.Exported, a.Mandatory, a.Permanent
-				}
-				return err
-			})
-		}),
-		MethodVAddDep.Handle(func(_ context.Context, a AddDepArgs) (rpc.None, error) {
-			return configure(a.Version, func(d *dfm.Descriptor) error {
-				d.Deps = append(d.Deps, a.Dep)
-				return nil
-			})
 		}),
 		MethodRecover.Handle(func(ctx context.Context, _ rpc.None) (RecoveryReport, error) {
 			return m.Recover(ctx)
@@ -303,155 +198,6 @@ func getImpl(d *wire.Decoder) (registry.ImplType, error) {
 		return registry.ImplType{}, err
 	}
 	return registry.ParseImplType(s)
-}
-
-func putRootDescriptor(e *wire.Encoder, desc *dfm.Descriptor) {
-	if desc == nil {
-		e.PutBytes(nil)
-		return
-	}
-	e.PutBytes(desc.Encode())
-}
-
-func getRootDescriptor(d *wire.Decoder) (*dfm.Descriptor, error) {
-	b, err := d.Bytes()
-	if err != nil || len(b) == 0 {
-		return nil, err
-	}
-	return dfm.DecodeDescriptor(b)
-}
-
-func putAddComponentArgs(e *wire.Encoder, a AddComponentArgs) {
-	core.PutVersion(e, a.Version)
-	e.PutString(a.ID)
-	rpc.PutLOID(e, a.Ref.ICO)
-	e.PutString(a.Ref.CodeRef)
-	e.PutString(a.Ref.Impl.String())
-	e.PutVarint(a.Ref.CodeSize)
-	e.PutUvarint(a.Ref.Revision)
-	rpc.PutRun(e, a.Entries, func(e *wire.Encoder, en dfm.EntryDesc) {
-		e.PutString(en.Function)
-		e.PutBool(en.Exported)
-		e.PutBool(en.Enabled)
-		e.PutBool(en.Mandatory)
-		e.PutBool(en.Permanent)
-	})
-}
-
-func getAddComponentArgs(d *wire.Decoder) (a AddComponentArgs, err error) {
-	if a.Version, err = core.GetVersion(d); err != nil {
-		return a, err
-	}
-	if a.ID, err = d.String(); err != nil {
-		return a, err
-	}
-	if a.Ref.ICO, err = rpc.GetLOID(d); err != nil {
-		return a, err
-	}
-	if a.Ref.CodeRef, err = d.String(); err != nil {
-		return a, err
-	}
-	if a.Ref.Impl, err = getImpl(d); err != nil {
-		return a, err
-	}
-	if a.Ref.CodeSize, err = d.Varint(); err != nil {
-		return a, err
-	}
-	if a.Ref.Revision, err = d.Uvarint(); err != nil {
-		return a, err
-	}
-	a.Entries, err = rpc.GetRun(d, func(d *wire.Decoder) (en dfm.EntryDesc, err error) {
-		en.Component = a.ID
-		if en.Function, err = d.String(); err != nil {
-			return en, err
-		}
-		for _, flag := range []*bool{&en.Exported, &en.Enabled, &en.Mandatory, &en.Permanent} {
-			if *flag, err = d.Bool(); err != nil {
-				return en, err
-			}
-		}
-		return en, nil
-	})
-	return a, err
-}
-
-func putComponentArgs(e *wire.Encoder, a ComponentArgs) {
-	core.PutVersion(e, a.Version)
-	e.PutString(a.ID)
-}
-
-func getComponentArgs(d *wire.Decoder) (a ComponentArgs, err error) {
-	if a.Version, err = core.GetVersion(d); err != nil {
-		return a, err
-	}
-	a.ID, err = d.String()
-	return a, err
-}
-
-func putSetEnabledArgs(e *wire.Encoder, a SetEnabledArgs) {
-	core.PutVersion(e, a.Version)
-	core.PutEntryKey(e, a.Key)
-	e.PutBool(a.Enabled)
-}
-
-func getSetEnabledArgs(d *wire.Decoder) (a SetEnabledArgs, err error) {
-	if a.Version, err = core.GetVersion(d); err != nil {
-		return a, err
-	}
-	if a.Key, err = core.GetEntryKey(d); err != nil {
-		return a, err
-	}
-	a.Enabled, err = d.Bool()
-	return a, err
-}
-
-func putSetFlagsArgs(e *wire.Encoder, a SetFlagsArgs) {
-	core.PutVersion(e, a.Version)
-	core.PutEntryKey(e, a.Key)
-	e.PutBool(a.Exported)
-	e.PutBool(a.Mandatory)
-	e.PutBool(a.Permanent)
-}
-
-func getSetFlagsArgs(d *wire.Decoder) (a SetFlagsArgs, err error) {
-	if a.Version, err = core.GetVersion(d); err != nil {
-		return a, err
-	}
-	if a.Key, err = core.GetEntryKey(d); err != nil {
-		return a, err
-	}
-	for _, flag := range []*bool{&a.Exported, &a.Mandatory, &a.Permanent} {
-		if *flag, err = d.Bool(); err != nil {
-			return a, err
-		}
-	}
-	return a, nil
-}
-
-func putAddDepArgs(e *wire.Encoder, a AddDepArgs) {
-	core.PutVersion(e, a.Version)
-	e.PutUvarint(uint64(a.Dep.Kind))
-	e.PutString(a.Dep.FromFunc)
-	e.PutString(a.Dep.FromComp)
-	e.PutString(a.Dep.ToFunc)
-	e.PutString(a.Dep.ToComp)
-}
-
-func getAddDepArgs(d *wire.Decoder) (a AddDepArgs, err error) {
-	if a.Version, err = core.GetVersion(d); err != nil {
-		return a, err
-	}
-	kind, err := d.Uvarint()
-	if err != nil {
-		return a, err
-	}
-	a.Dep.Kind = dfm.DepKind(kind)
-	for _, field := range []*string{&a.Dep.FromFunc, &a.Dep.FromComp, &a.Dep.ToFunc, &a.Dep.ToComp} {
-		if *field, err = d.String(); err != nil {
-			return a, err
-		}
-	}
-	return a, a.Dep.Validate()
 }
 
 func putRecoveryReport(e *wire.Encoder, r RecoveryReport) {

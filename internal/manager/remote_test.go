@@ -15,7 +15,7 @@ import (
 	"godcdo/internal/rpc"
 	"godcdo/internal/transport"
 	"godcdo/internal/vclock"
-	"godcdo/internal/wire"
+	"godcdo/internal/version"
 )
 
 // remoteEnv hosts a manager object and DCDOs behind an in-process RPC
@@ -91,29 +91,36 @@ func TestRemoteCurrentVersionAndDescriptor(t *testing.T) {
 	}
 }
 
-func TestRemoteVersionLifecycle(t *testing.T) {
-	env := newRemoteEnv(t, evolution.SingleVersion)
-
-	// Derive a new version remotely.
+// authorRemotely fetches parent's descriptor with mgr.descriptor, edits it
+// through edit and authors the result under parent with one mgr.author call.
+func (e *remoteEnv) authorRemotely(t *testing.T, parent version.ID, edit func(*dfm.Descriptor)) version.ID {
+	t.Helper()
 	ctx := context.Background()
-	child, err := MethodDerive.Call(ctx, env.client, env.mgrLOI, v(1))
+	desc, err := MethodDescriptor.Call(ctx, e.client, e.mgrLOI, parent)
 	if err != nil {
 		t.Fatal(err)
 	}
+	edit(desc)
+	child, err := MethodAuthor.Call(ctx, e.client, e.mgrLOI, core.ApplyArgs{Target: desc, Version: parent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return child
+}
 
-	// Configure it: swap the enabled implementation to fr.
-	if _, err := MethodVSetEnabled.Call(ctx, env.client, env.mgrLOI,
-		SetEnabledArgs{Version: child, Key: dfm.EntryKey{Function: "greet", Component: "en"}}); err != nil {
-		t.Fatal(err)
+func TestRemoteVersionLifecycle(t *testing.T) {
+	env := newRemoteEnv(t, evolution.SingleVersion)
+
+	// Author a new version remotely: swap the enabled implementation to fr.
+	child := env.authorRemotely(t, v(1), func(d *dfm.Descriptor) {
+		d.Entry(dfm.EntryKey{Function: "greet", Component: "en"}).Enabled = false
+		d.Entry(dfm.EntryKey{Function: "greet", Component: "fr"}).Enabled = true
+	})
+	if !child.Equal(v(1, 2)) || !env.mgr.Store().IsInstantiable(child) {
+		t.Fatalf("authored %v, instantiable %v; want instantiable 1.2", child, env.mgr.Store().IsInstantiable(child))
 	}
-	if _, err := MethodVSetEnabled.Call(ctx, env.client, env.mgrLOI,
-		SetEnabledArgs{Version: child, Key: dfm.EntryKey{Function: "greet", Component: "fr"}, Enabled: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Mark instantiable and set current.
-	if _, err := MethodMarkInstantiable.Call(ctx, env.client, env.mgrLOI, child); err != nil {
-		t.Fatal(err)
-	}
+	// Set it current.
+	ctx := context.Background()
 	if _, err := MethodSetCurrent.Call(ctx, env.client, env.mgrLOI, child); err != nil {
 		t.Fatal(err)
 	}
@@ -232,40 +239,31 @@ func TestRemoteRecords(t *testing.T) {
 
 func TestRemoteAddComponentAndDep(t *testing.T) {
 	env := newRemoteEnv(t, evolution.MultiGeneral)
-	cfgV, _ := env.mgr.Store().Derive(v(1))
 
 	// Remove fr remotely, then re-add it with different entries.
-	ctx := context.Background()
-	if _, err := MethodVRemoveComponent.Call(ctx, env.client, env.mgrLOI, ComponentArgs{Version: cfgV, ID: "fr"}); err != nil {
-		t.Fatal(err)
-	}
-	desc, _ := env.mgr.Store().Descriptor(cfgV)
-	if _, ok := desc.Components["fr"]; ok {
-		t.Fatal("fr not removed")
+	without := env.authorRemotely(t, v(1), func(d *dfm.Descriptor) {
+		delete(d.Components, "fr")
+		d.Entries = d.Entries[:1]
+	})
+	desc, _ := env.mgr.Store().Descriptor(without)
+	if _, ok := desc.Components["fr"]; ok || len(desc.Entries) != 1 {
+		t.Fatalf("fr not removed: %+v", desc)
 	}
 
-	ref := dfm.ComponentRef{ICO: env.f.icoFR, CodeRef: "fr:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
-	entries := []dfm.EntryDesc{{Function: "greet", Component: "fr", Exported: true}}
-	if _, err := MethodVAddComponent.Call(ctx, env.client, env.mgrLOI,
-		AddComponentArgs{Version: cfgV, ID: "fr", Ref: ref, Entries: entries}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MethodVAddDep.Call(ctx, env.client, env.mgrLOI,
-		AddDepArgs{Version: cfgV, Dep: dfm.Dependency{Kind: dfm.DepD, FromFunc: "greet", ToFunc: "greet"}}); err != nil {
-		t.Fatal(err)
-	}
-	desc, _ = env.mgr.Store().Descriptor(cfgV)
+	// Re-add fr, add a dependency and set en's flags, all in one version.
+	greetEN := dfm.EntryKey{Function: "greet", Component: "en"}
+	readded := env.authorRemotely(t, without, func(d *dfm.Descriptor) {
+		d.Components["fr"] = dfm.ComponentRef{ICO: env.f.icoFR, CodeRef: "fr:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
+		d.Entries = append(d.Entries, dfm.EntryDesc{Function: "greet", Component: "fr", Exported: true})
+		d.Deps = append(d.Deps, dfm.Dependency{Kind: dfm.DepD, FromFunc: "greet", ToFunc: "greet"})
+		e := d.Entry(greetEN)
+		e.Exported, e.Mandatory = true, true
+	})
+	desc, _ = env.mgr.Store().Descriptor(readded)
 	if _, ok := desc.Components["fr"]; !ok || len(desc.Deps) != 1 {
-		t.Fatalf("descriptor after remote config = %+v", desc)
+		t.Fatalf("descriptor after remote authoring = %+v", desc)
 	}
-
-	// SetFlags remotely.
-	if _, err := MethodVSetFlags.Call(ctx, env.client, env.mgrLOI,
-		SetFlagsArgs{Version: cfgV, Key: dfm.EntryKey{Function: "greet", Component: "en"}, Exported: true, Mandatory: true}); err != nil {
-		t.Fatal(err)
-	}
-	desc, _ = env.mgr.Store().Descriptor(cfgV)
-	if e := desc.Entry(dfm.EntryKey{Function: "greet", Component: "en"}); e == nil || !e.Mandatory {
+	if e := desc.Entry(greetEN); e == nil || !e.Mandatory {
 		t.Fatalf("entry after remote flags = %+v", e)
 	}
 }
@@ -274,23 +272,21 @@ func TestRemoteCreateRoot(t *testing.T) {
 	f := newFixture(t)
 	m := New(evolution.SingleVersion, evolution.Explicit)
 	obj := &Object{Mgr: m}
+	author := func(desc *dfm.Descriptor) ([]byte, error) {
+		return obj.InvokeMethod(MethodAuthor.Name, MethodAuthor.Args.Encode(core.ApplyArgs{Target: desc}))
+	}
 
-	// Empty payload creates an empty root.
-	e := wire.NewEncoder(8)
-	e.PutBytes(nil)
-	out, err := obj.InvokeMethod(MethodCreateRoot.Name, e.Bytes())
+	// No parent authors the root.
+	out, err := author(dfm.NewDescriptor())
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := wire.NewDecoder(out).UintSlice()
-	if len(segs) != 1 || segs[0] != 1 {
-		t.Fatalf("root = %v", segs)
+	if root, err := MethodAuthor.Result.Decode(out); err != nil || !root.Equal(v(1)) || !m.Store().IsInstantiable(root) {
+		t.Fatalf("root = %v, %v", root, err)
 	}
 
 	// Second root refused.
-	e2 := wire.NewEncoder(8)
-	e2.PutBytes(f.descriptorEnabling("en").Encode())
-	if _, err := obj.InvokeMethod(MethodCreateRoot.Name, e2.Bytes()); !errors.Is(err, ErrRootExists) {
+	if _, err := author(f.descriptorEnabling("en")); !errors.Is(err, ErrRootExists) {
 		t.Fatalf("err = %v, want ErrRootExists", err)
 	}
 }
@@ -299,9 +295,7 @@ func TestRemoteBadArgsAndUnknownMethod(t *testing.T) {
 	m := New(evolution.SingleVersion, evolution.Explicit)
 	obj := &Object{Mgr: m}
 	for _, method := range []string{
-		MethodSetCurrent.Name, MethodDescriptor.Name, MethodDerive.Name, MethodMarkInstantiable.Name,
-		MethodEvolveInstance.Name, MethodVAddComponent.Name, MethodVRemoveComponent.Name,
-		MethodVSetEnabled.Name, MethodVSetFlags.Name, MethodVAddDep.Name,
+		MethodSetCurrent.Name, MethodDescriptor.Name, MethodAuthor.Name, MethodEvolveInstance.Name,
 	} {
 		if _, err := obj.InvokeMethod(method, nil); !errors.Is(err, rpc.ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", method, err)

@@ -168,9 +168,10 @@ func TestStandbyFenceHoldsAcrossAppend(t *testing.T) {
 // captured from the hand-written encoder its declaration replaced (a standby
 // built before it must still understand every shipment), and of
 // dcdo.applyPlan's arguments and results, which managers send to objects of
-// other builds. The rows are append-only: a changed encoding adds a row and
-// keeps the old one, whose bytes must still decode, so an older peer's form
-// never leaves the suite.
+// other builds, and of mgr.author's, the one remote way to author a version.
+// The rows are append-only: a changed encoding adds a row and keeps the old
+// one, whose bytes must still decode, so an older peer's form never leaves
+// the suite.
 func TestInfraPayloadBytes(t *testing.T) {
 	fr := dfm.ComponentRef{ICO: naming.LOID{Domain: 1, Class: 8, Instance: 2}, CodeRef: "fr:1", Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
 	plan := core.PlanArgs{From: v(1), To: v(1, 1), Change: &dfm.Change{
@@ -180,6 +181,10 @@ func TestInfraPayloadBytes(t *testing.T) {
 		Arriving: []dfm.Arrival{{ID: "fr", Ref: fr,
 			Entries: []dfm.EntryDesc{{Function: "greet", Component: "fr", Exported: true, Enabled: true}}}},
 	}}
+	authored := dfm.NewDescriptor()
+	authored.Components["fr"] = fr
+	authored.Entries = []dfm.EntryDesc{{Function: "greet", Component: "fr", Exported: true, Enabled: true, Mandatory: true}}
+	authored.Deps = []dfm.Dependency{{Kind: dfm.DepD, FromFunc: "greet", ToFunc: "greet"}}
 	for _, row := range []struct {
 		name   string
 		got    []byte
@@ -197,6 +202,12 @@ func TestInfraPayloadBytes(t *testing.T) {
 			"000100000140", func(b []byte) error { _, err := core.MethodApplyPlan.Result.Decode(b); return err }},
 		{"dcdo.applyPlan result, refused", core.MethodApplyPlan.Result.Encode(core.PlanResult{Refused: true}), "01",
 			func(b []byte) error { _, err := core.MethodApplyPlan.Result.Decode(b); return err }},
+		{"mgr.author args", MethodAuthor.Args.Encode(core.ApplyArgs{Target: authored, Version: v(1)}),
+			"43010567726565740266720101010001040567726565740005677265657400010266720a6c6f69643a312e382e320466723a310e676f2f72656769737472792f676f40010101", func(b []byte) error { _, err := MethodAuthor.Args.Decode(b); return err }},
+		{"mgr.author args, root", MethodAuthor.Args.Encode(core.ApplyArgs{Target: dfm.NewDescriptor()}),
+			"0300000000", func(b []byte) error { _, err := MethodAuthor.Args.Decode(b); return err }},
+		{"mgr.author result", MethodAuthor.Result.Encode(v(1, 2)), "020102",
+			func(b []byte) error { _, err := MethodAuthor.Result.Decode(b); return err }},
 	} {
 		if got := hex.EncodeToString(row.got); got != row.want {
 			t.Errorf("%s = %s, want %s", row.name, got, row.want)

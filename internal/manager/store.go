@@ -96,14 +96,7 @@ func (s *Store) CreateRoot(desc *dfm.Descriptor) (version.ID, error) {
 	if !s.root.IsZero() {
 		return nil, ErrRootExists
 	}
-	root := version.Root.Clone()
-	s.nodes[root.String()] = &versionNode{
-		id:    root,
-		state: StateConfigurable,
-		desc:  desc.Clone(),
-	}
-	s.root = root
-	return root, nil
+	return s.addLocked(nil, StateConfigurable, desc.Clone()), nil
 }
 
 // Root returns the root version, or nil when none exists.
@@ -122,16 +115,62 @@ func (s *Store) Derive(from version.ID) (version.ID, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownVersion, from)
 	}
-	parent.nextChild++
-	child := from.Child(parent.nextChild)
-	s.nodes[child.String()] = &versionNode{
-		id:     child,
-		state:  StateConfigurable,
-		desc:   parent.desc.Clone(),
-		parent: from.Clone(),
+	return s.addLocked(parent, StateConfigurable, parent.desc.Clone()), nil
+}
+
+// Author stores a new instantiable version in one checked step: it edits a
+// copy of parent's descriptor through fn (an empty descriptor when parent is
+// zero, which authors the root), checks the result as MarkInstantiable
+// would, and only then allocates the version's id. A refusal, fn's own
+// error included, stores nothing and uses up no child number. fn runs under
+// the store's lock, so it must not call the store.
+func (s *Store) Author(parent version.ID, fn func(*dfm.Descriptor) error) (version.ID, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var from *versionNode
+	desc := dfm.NewDescriptor()
+	if parent.IsZero() {
+		if !s.root.IsZero() {
+			return nil, ErrRootExists
+		}
+	} else {
+		var ok bool
+		if from, ok = s.nodes[parent.String()]; !ok {
+			return nil, fmt.Errorf("%w: %s", ErrUnknownVersion, parent)
+		}
+		desc = from.desc.Clone()
 	}
-	parent.children = append(parent.children, child)
-	return child, nil
+	if err := fn(desc); err != nil {
+		return nil, err
+	}
+	if err := checkInstantiable(desc, from); err != nil {
+		return nil, fmt.Errorf("author %s: %w", nextID(from), err)
+	}
+	return s.addLocked(from, StateInstantiable, desc), nil
+}
+
+// addLocked stores desc as a new version, nextID(parent). The store takes
+// desc over.
+func (s *Store) addLocked(parent *versionNode, state VersionState, desc *dfm.Descriptor) version.ID {
+	node := &versionNode{id: nextID(parent), state: state, desc: desc}
+	if parent == nil {
+		s.root = node.id
+	} else {
+		parent.nextChild++
+		node.parent = parent.id.Clone()
+		parent.children = append(parent.children, node.id)
+	}
+	s.nodes[node.id.String()] = node
+	return node.id.Clone()
+}
+
+// nextID is the id the next version stored under parent gets: the root's
+// when parent is nil.
+func nextID(parent *versionNode) version.ID {
+	if parent == nil {
+		return version.Root.Clone()
+	}
+	return parent.id.Child(parent.nextChild + 1)
 }
 
 // Configure edits a configurable version's descriptor through fn. The
@@ -173,19 +212,24 @@ func (s *Store) MarkInstantiable(v version.ID) error {
 	if node.state == StateInstantiable {
 		return nil
 	}
-	if err := node.desc.ValidateInstantiable(); err != nil {
+	if err := checkInstantiable(node.desc, s.nodes[node.parent.String()]); err != nil {
 		return fmt.Errorf("mark %s instantiable: %w", v, err)
-	}
-	if !node.parent.IsZero() {
-		parent := s.nodes[node.parent.String()]
-		if parent != nil {
-			if err := node.desc.ValidateDerivation(parent.desc); err != nil {
-				return fmt.Errorf("mark %s instantiable: %w", v, err)
-			}
-		}
 	}
 	node.state = StateInstantiable
 	return nil
+}
+
+// checkInstantiable holds desc to the rules a version must pass to become
+// instantiable: its own (§3.2), then those inherited from parent, which is
+// nil for the root.
+func checkInstantiable(desc *dfm.Descriptor, parent *versionNode) error {
+	if err := desc.ValidateInstantiable(); err != nil {
+		return err
+	}
+	if parent == nil {
+		return nil
+	}
+	return desc.ValidateDerivation(parent.desc)
 }
 
 // State returns a version's state.

@@ -1,7 +1,9 @@
 package manager
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"godcdo/internal/dfm"
@@ -248,5 +250,163 @@ func TestVersionStateString(t *testing.T) {
 	}
 	if VersionState(9).String() != "state(9)" {
 		t.Fatal("unknown state string wrong")
+	}
+}
+
+// TestAuthorStoresAllOrNothing holds Author to its contract: a refused
+// version leaves the tree as it was, child numbers included.
+func TestAuthorStoresAllOrNothing(t *testing.T) {
+	s := NewStore()
+	root, err := s.Author(nil, func(d *dfm.Descriptor) error {
+		*d = *seedDescriptor()
+		d.Entries[0].Mandatory, d.Entries[0].Permanent = true, true
+		return nil
+	})
+	if err != nil || !root.Equal(version.Root) || !s.IsInstantiable(root) {
+		t.Fatalf("root = %v, %v; instantiable %v", root, err, s.IsInstantiable(root))
+	}
+	versions, kids := s.Versions(), mustChildren(t, s, root)
+
+	sentinel := errors.New("edit failed")
+	for _, c := range []struct {
+		name   string
+		parent version.ID
+		fn     func(*dfm.Descriptor) error
+		want   error
+	}{
+		{"mandatory function left unimplemented", root, func(d *dfm.Descriptor) error {
+			d.Entries[0].Permanent, d.Entries[0].Enabled = false, false
+			return nil
+		}, dfm.ErrNotInstantiable},
+		{"permanent implementation displaced", root, func(d *dfm.Descriptor) error {
+			d.Components["c2"] = dfm.ComponentRef{ICO: naming.LOID{Domain: 1, Class: 9, Instance: 2}, CodeRef: "c2:1",
+				Impl: registry.NativeImplType, CodeSize: 64, Revision: 1}
+			d.Entries[0].Permanent, d.Entries[0].Enabled = false, false
+			d.Entries = append(d.Entries, dfm.EntryDesc{Function: "f", Component: "c2", Exported: true, Enabled: true, Mandatory: true})
+			return nil
+		}, dfm.ErrIllegalDerivation},
+		{"structurally invalid", root, func(d *dfm.Descriptor) error {
+			d.Entries = append(d.Entries, dfm.EntryDesc{Function: "g", Component: "ghost"})
+			return nil
+		}, dfm.ErrInvalidDescriptor},
+		{"edit error", root, func(*dfm.Descriptor) error { return sentinel }, sentinel},
+		{"unknown parent", version.ID{9}, func(*dfm.Descriptor) error { return nil }, ErrUnknownVersion},
+		{"second root", nil, func(*dfm.Descriptor) error { return nil }, ErrRootExists},
+	} {
+		if id, err := s.Author(c.parent, c.fn); !errors.Is(err, c.want) {
+			t.Errorf("%s: Author = %v, %v; want %v", c.name, id, err, c.want)
+		}
+		if got := s.Versions(); s.Len() != len(versions) || !reflect.DeepEqual(got, versions) {
+			t.Errorf("%s: versions = %v, want %v", c.name, got, versions)
+		}
+		if got := mustChildren(t, s, root); !reflect.DeepEqual(got, kids) {
+			t.Errorf("%s: children of the root = %v, want %v", c.name, got, kids)
+		}
+	}
+
+	// The next version gets the id it would have got with no refusal.
+	child, err := s.Author(root, func(d *dfm.Descriptor) error {
+		d.Entries[0].Exported = false
+		return nil
+	})
+	if err != nil || !child.Equal(v(1, 1)) || !s.IsInstantiable(child) {
+		t.Fatalf("child = %v, %v; want instantiable 1.1", child, err)
+	}
+	if desc, _ := s.Descriptor(root); !desc.Entries[0].Exported {
+		t.Fatal("authoring a child mutated its parent's descriptor")
+	}
+}
+
+func mustChildren(t *testing.T, s *Store, v version.ID) []version.ID {
+	t.Helper()
+	kids, err := s.Children(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kids
+}
+
+// TestAuthorMatchesFourCalls builds the testbed's version tree (a root with
+// three greetings, one child enabling each other greeting) and the demo's (a
+// root pricing component, a child adding and enabling a second one) once
+// with Author and once with CreateRoot, Derive, Configure and
+// MarkInstantiable, and expects the same ids, descriptors and states.
+func TestAuthorMatchesFourCalls(t *testing.T) {
+	ref := func(id string) dfm.ComponentRef {
+		return dfm.ComponentRef{ICO: naming.LOID{Domain: 1, Class: 8, Instance: uint64(len(id))}, CodeRef: id + ":1",
+			Impl: registry.NativeImplType, CodeSize: 32, Revision: 1}
+	}
+	greetings := []string{"en", "fr", "de"}
+	greetRoot := dfm.NewDescriptor()
+	for i, id := range greetings {
+		greetRoot.Components[id] = ref(id)
+		greetRoot.Entries = append(greetRoot.Entries, dfm.EntryDesc{Function: "greet", Component: id, Exported: true, Enabled: i == 0})
+	}
+	var greetChildren []func(*dfm.Descriptor) error
+	for i := 1; i < len(greetings); i++ {
+		greetChildren = append(greetChildren, func(d *dfm.Descriptor) error {
+			for j, id := range greetings {
+				d.Entry(dfm.EntryKey{Function: "greet", Component: id}).Enabled = j == i
+			}
+			return nil
+		})
+	}
+	priceRoot := dfm.NewDescriptor()
+	priceRoot.Components["pricing-v1"] = ref("pricing-v1")
+	priceRoot.Entries = []dfm.EntryDesc{{Function: "price", Component: "pricing-v1", Exported: true, Enabled: true}}
+	priceChild := func(d *dfm.Descriptor) error {
+		d.Components["pricing-v2"] = ref("pricing-v2")
+		d.Entry(dfm.EntryKey{Function: "price", Component: "pricing-v1"}).Enabled = false
+		d.Entries = append(d.Entries, dfm.EntryDesc{Function: "price", Component: "pricing-v2", Exported: true, Enabled: true})
+		return nil
+	}
+
+	for _, tree := range []struct {
+		name     string
+		root     *dfm.Descriptor
+		children []func(*dfm.Descriptor) error
+	}{
+		{"testbed", greetRoot, greetChildren},
+		{"demo", priceRoot, []func(*dfm.Descriptor) error{priceChild}},
+	} {
+		fourCalls, authored := NewStore(), NewStore()
+		root, err := fourCalls.CreateRoot(tree.root)
+		if err == nil {
+			err = fourCalls.MarkInstantiable(root)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tree.name, err)
+		}
+		if _, err := authored.Author(nil, func(d *dfm.Descriptor) error { *d = *tree.root.Clone(); return nil }); err != nil {
+			t.Fatalf("%s: %v", tree.name, err)
+		}
+		for _, edit := range tree.children {
+			child, err := fourCalls.Derive(root)
+			if err == nil {
+				err = fourCalls.Configure(child, edit)
+			}
+			if err == nil {
+				err = fourCalls.MarkInstantiable(child)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tree.name, err)
+			}
+			if _, err := authored.Author(root, edit); err != nil {
+				t.Fatalf("%s: %v", tree.name, err)
+			}
+		}
+		if got, want := authored.Versions(), fourCalls.Versions(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Author made %v, the four calls %v", tree.name, got, want)
+		}
+		for _, id := range fourCalls.Versions() {
+			want, _ := fourCalls.Descriptor(id)
+			got, _ := authored.Descriptor(id)
+			if !got.Equivalent(want) || !bytes.Equal(got.Encode(), want.Encode()) {
+				t.Errorf("%s %s: Author stored %+v, the four calls %+v", tree.name, id, got, want)
+			}
+			if !authored.IsInstantiable(id) || !fourCalls.IsInstantiable(id) {
+				t.Errorf("%s %s: not instantiable both ways", tree.name, id)
+			}
+		}
 	}
 }

@@ -296,31 +296,25 @@ func (tb *Testbed) store(cfg Config) error {
 	tb.Mgr.SetObs(tb.Obs)
 	tb.Mgr.SetPolicyPublisher(tb.Agent)
 	store := tb.Mgr.Store()
-	root, err := store.CreateRoot(desc)
+	root, err := store.Author(nil, func(d *dfm.Descriptor) error {
+		*d = *desc
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	if err := store.MarkInstantiable(root); err != nil {
 		return err
 	}
 	tb.Versions = []version.ID{root}
 	for i := 1; i < len(cfg.Greetings); i++ {
-		child, err := store.Derive(root)
-		if err != nil {
-			return err
-		}
-		if err := store.Configure(child, func(d *dfm.Descriptor) error {
+		child, err := store.Author(root, func(d *dfm.Descriptor) error {
 			for j, g := range cfg.Greetings {
 				d.Entry(dfm.EntryKey{Function: Greet.Name, Component: g.ID}).Enabled = j == i
 			}
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			return err
 		}
-		if err := store.MarkInstantiable(child); err != nil {
-			return err
-		}
-		tb.Versions = append(tb.Versions, child.Clone())
+		tb.Versions = append(tb.Versions, child)
 	}
 	var img bytes.Buffer
 	if err := store.Save(&img); err != nil {

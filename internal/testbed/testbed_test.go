@@ -115,9 +115,10 @@ func TestDynamicFunctionBytes(t *testing.T) {
 	for i := 1; i < 300; i++ {
 		raw(Bump.Name)
 	}
-	for name, want := range map[string]string{Bump.Name: "ac02", Total.Name: "ac02"} {
-		if got := raw(name); got != want {
-			t.Errorf("%s answered %s, want %s", name, got, want)
+	// The 300th bump runs first, so total reads the count it left.
+	for _, c := range []struct{ name, want string }{{Bump.Name, "ac02"}, {Total.Name, "ac02"}} {
+		if got := raw(c.name); got != c.want {
+			t.Errorf("%s answered %s, want %s", c.name, got, c.want)
 		}
 	}
 }

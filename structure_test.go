@@ -211,18 +211,18 @@ var maxLines = map[string]int{
 	"dcdo":                  420,
 	"examples/hotfix":       202,
 	"examples/migration":    144,
-	"examples/multiversion": 157,
-	"examples/quickstart":   138,
+	"examples/multiversion": 146,
+	"examples/quickstart":   129,
 	"examples/sortdep":      222,
 	"internal/baseline":     179,
 	"internal/component":    457,
-	"internal/core":         1419,
-	"internal/demo":         165,
+	"internal/core":         1422,
+	"internal/demo":         156,
 	"internal/dfm":          1452,
 	"internal/evolution":    325,
 	"internal/harness":      3188,
 	"internal/legion":       595,
-	"internal/manager":      4071,
+	"internal/manager":      3861,
 	"internal/metrics":      1335,
 	"internal/naming":       509,
 	"internal/objstate":     390,
@@ -234,7 +234,7 @@ var maxLines = map[string]int{
 	"internal/rpc/rpctest":  72,
 	"internal/simnet":       118,
 	"internal/supervisor":   1353,
-	"internal/testbed":      640,
+	"internal/testbed":      634,
 	"internal/transport":    1873,
 	"internal/vault":        270,
 	"internal/vclock":       182,
