@@ -24,7 +24,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -765,7 +764,7 @@ func encodeArgs(args []string) ([]byte, error) {
 // printResult renders a payload: if it is exactly one uvarint it prints the
 // number, otherwise the raw bytes as a string.
 func printResult(out []byte) {
-	if v, err := rpc.UvarintCodec.Decode(out); err == nil && bytes.Equal(rpc.UvarintCodec.Encode(v), out) {
+	if v, err := rpc.UvarintCodec.Decode(out); err == nil {
 		fmt.Println(v)
 		return
 	}

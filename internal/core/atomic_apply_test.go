@@ -11,6 +11,7 @@ import (
 	"godcdo/internal/component"
 	"godcdo/internal/dfm"
 	"godcdo/internal/naming"
+	"godcdo/internal/obs"
 	"godcdo/internal/registry"
 	"godcdo/internal/rpc"
 	"godcdo/internal/version"
@@ -423,6 +424,21 @@ func TestApplyPlanOnlyAtItsSource(t *testing.T) {
 	}
 	if got := racer.DFM().Publishes() - before; got != 1 || !racer.Version().Equal(version.ID{1}) {
 		t.Fatalf("plan refused mid-flight: %d publishes (want the disable's 1), version %s", got, racer.Version())
+	}
+}
+
+// TestSetObsKeepsThePlanStamp: wiring a configured object into obs, as a
+// node does when it hosts it, changes no entry, so the object's stamp holds
+// and a plan from its version still applies instead of being refused.
+func TestSetObsKeepsThePlanStamp(t *testing.T) {
+	st := newShapedType(t)
+	d := st.instantiate(t)
+	d.SetObs(obs.New())
+	d.SetObs(nil)
+	d.SetObs(obs.NewMetricsOnly())
+	forward := PlanArgs{From: version.ID{1}, To: version.ID{1, 1}, Change: dfm.NewChange(st.base, st.next)}
+	if _, err := d.ApplyPlan(context.Background(), forward); err != nil || !d.Snapshot().Equivalent(st.next) {
+		t.Fatalf("plan after SetObs: %v", err)
 	}
 }
 

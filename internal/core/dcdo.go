@@ -185,11 +185,11 @@ func (d *DCDO) DFM() *dfm.DFM { return d.table }
 // InvokeMethod implements rpc.Object: it services both the control plane
 // ("dcdo."-prefixed) and invocations of exported dynamic functions.
 func (d *DCDO) InvokeMethod(method string, args []byte) ([]byte, error) {
+	if st := d.obsState.Load(); st != nil {
+		return d.invokeObserved(context.Background(), st, method, args)
+	}
 	if strings.HasPrefix(method, ControlPrefix) {
 		return d.control.InvokeMethod(method, args)
-	}
-	if st := d.obsState.Load(); st != nil {
-		return d.invokeMetered(st, method, args)
 	}
 	impl, release, err := d.table.BeginExportedCall(method)
 	if err != nil {
@@ -207,21 +207,16 @@ func (d *DCDO) InvokeMethod(method string, args []byte) ([]byte, error) {
 // running is never interrupted (the DFM's thread-activity accounting depends
 // on calls completing).
 func (d *DCDO) InvokeMethodCtx(ctx context.Context, method string, args []byte) ([]byte, error) {
+	if st := d.obsState.Load(); st != nil {
+		return d.invokeObserved(ctx, st, method, args)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if strings.HasPrefix(method, ControlPrefix) {
 		return d.control.InvokeMethodCtx(ctx, method, args)
 	}
-	st := d.obsState.Load()
-	var resolveStart time.Time
-	if st != nil && st.histResolve != nil {
-		resolveStart = time.Now()
-	}
 	impl, release, err := d.table.BeginExportedCall(method)
-	if st != nil && st.histResolve != nil {
-		st.histResolve.Observe(time.Since(resolveStart))
-	}
 	if err != nil {
 		return nil, mapDFMError(err)
 	}
@@ -229,15 +224,7 @@ func (d *DCDO) InvokeMethodCtx(ctx context.Context, method string, args []byte) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var funcStart time.Time
-	if st != nil && st.histFunc != nil {
-		funcStart = time.Now()
-	}
-	result, err := impl(d, args)
-	if st != nil && st.histFunc != nil {
-		st.histFunc.Observe(time.Since(funcStart))
-	}
-	return result, err
+	return impl(d, args)
 }
 
 // CallInternal implements registry.Caller: dynamic functions call other

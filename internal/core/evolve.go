@@ -8,6 +8,7 @@ import (
 
 	"godcdo/internal/dfm"
 	"godcdo/internal/naming"
+	"godcdo/internal/obs"
 	"godcdo/internal/rpc"
 	"godcdo/internal/version"
 	"godcdo/internal/wire"
@@ -90,7 +91,16 @@ const unstamped = ^uint64(0)
 // so ApplyPlan refuses every plan until the next full apply: RestoreState's
 // target is the object's captured table, not necessarily newVersion's
 // configuration as the store describes it.
-func (d *DCDO) apply(ctx context.Context, from, newVersion version.ID, stamp bool, plan func() *dfm.Change) (ApplyReport, error) {
+func (d *DCDO) apply(ctx context.Context, from, newVersion version.ID, stamp bool, plan func() *dfm.Change) (report ApplyReport, err error) {
+	if sp := d.span(ctx, obs.StageDCDOApply); sp != nil {
+		sp.Annotate("object", d.cfg.LOID.String())
+		sp.Annotate("version", newVersion.String())
+		ctx = obs.ContextWithSpan(ctx, sp.Context()) // the fetches nest under it
+		defer func() {
+			sp.Fail(err)
+			sp.Finish()
+		}()
+	}
 	d.evolveMu.Lock()
 	defer d.evolveMu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -103,7 +113,6 @@ func (d *DCDO) apply(ctx context.Context, from, newVersion version.ID, stamp boo
 		return ApplyReport{}, ErrPlanRefused
 	}
 	c := plan()
-	var report ApplyReport
 	departing := slices.Concat(c.RemoveComponents, c.ReplaceComponents)
 	keys := d.table.ComponentKeys(departing)
 	for _, id := range departing {

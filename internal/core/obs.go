@@ -5,11 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"godcdo/internal/dfm"
 	"godcdo/internal/metrics"
 	"godcdo/internal/obs"
-	"godcdo/internal/rpc"
-	"godcdo/internal/version"
 )
 
 // dcdoObs is the object's immutable observability wiring, swapped
@@ -21,10 +18,7 @@ type dcdoObs struct {
 	histFunc    *metrics.Histogram
 }
 
-var (
-	_ obs.Configurable  = (*DCDO)(nil)
-	_ rpc.ContextObject = (*DCDO)(nil)
-)
+var _ obs.Configurable = (*DCDO)(nil)
 
 // SetObs wires the object into o: DFM resolution and user-function
 // execution gain dcdo.resolve / dcdo.func spans and histograms, every DFM
@@ -51,63 +45,47 @@ func (d *DCDO) SetObs(o *obs.Obs) {
 	d.obsState.Store(st)
 }
 
-// invokeMetered is the histogram-observing variant of the InvokeMethod user
-// path, taken only when SetObs installed observability state.
-func (d *DCDO) invokeMetered(st *dcdoObs, method string, args []byte) ([]byte, error) {
-	var resolveStart time.Time
-	if st.histResolve != nil {
-		resolveStart = time.Now()
+// span starts a span for stage under the trace position ctx carries: nil
+// unless the object is traced and ctx carries one.
+func (d *DCDO) span(ctx context.Context, stage string) *obs.Span {
+	if st := d.obsState.Load(); st != nil {
+		if parent := obs.SpanFromContext(ctx); parent.Valid() {
+			return st.tracer.StartSpan(stage, parent)
+		}
 	}
-	impl, release, err := d.table.BeginExportedCall(method)
-	if st.histResolve != nil {
-		st.histResolve.Observe(time.Since(resolveStart))
-	}
-	if err != nil {
-		return nil, mapDFMError(err)
-	}
-	defer release()
-	var funcStart time.Time
-	if st.histFunc != nil {
-		funcStart = time.Now()
-	}
-	result, err := impl(d, args)
-	if st.histFunc != nil {
-		st.histFunc.Observe(time.Since(funcStart))
-	}
-	return result, err
+	return nil
 }
 
-// InvokeMethodTraced implements rpc.ContextObject: the dispatcher hands the
-// server-side span context down so the object's internal stages — DFM
-// resolution and user-function execution (or the control-plane handler) —
-// appear as children of server.dispatch in the caller's trace. ctx is
-// checked at the same stage boundaries InvokeMethodCtx uses, so cancelled
-// calls abort between resolution and execution even when traced.
-func (d *DCDO) InvokeMethodTraced(ctx context.Context, parent obs.SpanContext, method string, args []byte) ([]byte, error) {
-	st := d.obsState.Load()
-	if st == nil || st.tracer == nil {
-		return d.InvokeMethodCtx(ctx, method, args)
-	}
+// invokeObserved is InvokeMethodCtx observed: it times DFM resolution and
+// the user function into the resolve and func histograms and, when ctx
+// carries a trace position, records them as dcdo.resolve and dcdo.func spans
+// under it (a control method as one dcdo.control span, which the handler's
+// ctx carries on, so a remote apply nests under it). Both invoke entry
+// points take it whenever SetObs installed state; a wrapper in front of the
+// object changes nothing, since the position rides in ctx.
+func (d *DCDO) invokeObserved(ctx context.Context, st *dcdoObs, method string, args []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	tracer := st.tracer
+	parent := obs.SpanFromContext(ctx)
+	if !parent.Valid() {
+		tracer = nil // spans only join a trace; they never root one
+	}
 	if strings.HasPrefix(method, ControlPrefix) {
-		sp := st.tracer.StartSpan(obs.StageDCDOControl, parent)
+		sp := tracer.StartSpan(obs.StageDCDOControl, parent)
 		sp.Annotate("method", method)
-		result, err := d.control.InvokeMethodCtx(ctx, method, args)
+		result, err := d.control.InvokeMethodCtx(obs.ContextWithSpan(ctx, sp.Context()), method, args)
 		sp.Fail(err)
 		sp.Finish()
 		return result, err
 	}
 
-	rs := st.tracer.StartSpan(obs.StageDCDOResolve, parent)
-	var resolveStart time.Time
-	if st.histResolve != nil {
-		resolveStart = time.Now()
-	}
+	rs := tracer.StartSpan(obs.StageDCDOResolve, parent)
+	start := time.Now()
 	impl, release, err := d.table.BeginExportedCall(method)
 	if st.histResolve != nil {
-		st.histResolve.Observe(time.Since(resolveStart))
+		st.histResolve.Observe(time.Since(start))
 	}
 	rs.Fail(err)
 	rs.Finish()
@@ -119,43 +97,14 @@ func (d *DCDO) InvokeMethodTraced(ctx context.Context, parent obs.SpanContext, m
 		return nil, err
 	}
 
-	fs := st.tracer.StartSpan(obs.StageDCDOFunc, parent)
+	fs := tracer.StartSpan(obs.StageDCDOFunc, parent)
 	fs.Annotate("function", method)
-	var funcStart time.Time
-	if st.histFunc != nil {
-		funcStart = time.Now()
-	}
+	start = time.Now()
 	result, err := impl(d, args)
 	if st.histFunc != nil {
-		st.histFunc.Observe(time.Since(funcStart))
+		st.histFunc.Observe(time.Since(start))
 	}
 	fs.Fail(err)
 	fs.Finish()
 	return result, err
-}
-
-// ApplyDescriptorTraced is ApplyDescriptor with the caller's span context
-// (the manager's mgr.apply span), recording the whole evolution as a
-// dcdo.apply span. With tracing off it is exactly ApplyDescriptor.
-func (d *DCDO) ApplyDescriptorTraced(ctx context.Context, parent obs.SpanContext, target *dfm.Descriptor, newVersion version.ID) (ApplyReport, error) {
-	return d.traceApply(parent, newVersion, func() (ApplyReport, error) { return d.ApplyDescriptor(ctx, target, newVersion) })
-}
-
-// ApplyPlanTraced is ApplyPlan recorded the same way.
-func (d *DCDO) ApplyPlanTraced(ctx context.Context, parent obs.SpanContext, a PlanArgs) (ApplyReport, error) {
-	return d.traceApply(parent, a.To, func() (ApplyReport, error) { return d.ApplyPlan(ctx, a) })
-}
-
-func (d *DCDO) traceApply(parent obs.SpanContext, newVersion version.ID, apply func() (ApplyReport, error)) (ApplyReport, error) {
-	st := d.obsState.Load()
-	if st == nil || st.tracer == nil {
-		return apply()
-	}
-	sp := st.tracer.StartSpan(obs.StageDCDOApply, parent)
-	sp.Annotate("object", d.cfg.LOID.String())
-	sp.Annotate("version", newVersion.String())
-	report, err := apply()
-	sp.Fail(err)
-	sp.Finish()
-	return report, err
 }

@@ -2,7 +2,10 @@ package demo
 
 import (
 	"encoding/hex"
+	"errors"
 	"testing"
+
+	"godcdo/internal/rpc"
 )
 
 // TestPriceBytes pins Price's payloads, captured from the hand-written
@@ -28,6 +31,21 @@ func TestPriceBytes(t *testing.T) {
 			out, err := PriceFunc(100, impl.discount)(nil, args)
 			if got := hex.EncodeToString(out); err != nil || got != impl.want {
 				t.Errorf("%s at %d%% off = %s, %v; want %s", row.name, impl.discount, got, err, impl.want)
+			}
+		}
+	}
+}
+
+// TestPriceRefusesMalformedArgs holds Price to its declaration: a payload
+// that is not exactly one minimal uvarint — empty, oversized (a valid
+// quantity with bytes after it) or non-minimal — is refused with
+// ErrBadRequest, whichever revision serves it.
+func TestPriceRefusesMalformedArgs(t *testing.T) {
+	for _, args := range []string{"", "14ffff", "9400"} {
+		raw, _ := hex.DecodeString(args)
+		for _, discount := range []uint64{0, 20} {
+			if out, err := PriceFunc(100, discount)(nil, raw); !errors.Is(err, rpc.ErrBadRequest) {
+				t.Errorf("price %q at %d%% off = %x, %v; want ErrBadRequest", args, discount, out, err)
 			}
 		}
 	}

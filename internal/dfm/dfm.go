@@ -128,6 +128,7 @@ func (d *DFM) UpdateAt(fn func(tx *Tx) error) (uint64, error) {
 	err := fn(&tx)
 	if tx.dirty {
 		d.publishLocked()
+		d.publishes.Add(1)
 	}
 	return d.publishes.Load(), err
 }
@@ -136,7 +137,7 @@ func (d *DFM) UpdateAt(fn func(tx *Tx) error) (uint64, error) {
 // per transaction that changed the table.
 func (d *DFM) Publishes() uint64 { return d.publishes.Load() }
 
-// publishLocked publishes a fresh lookup snapshot. Only Update calls it.
+// publishLocked publishes a fresh lookup snapshot. The caller holds d.mu.
 func (d *DFM) publishLocked() {
 	byFunc := make(map[string]*fastEntry, len(d.entries))
 	for _, e := range d.entries {
@@ -151,20 +152,19 @@ func (d *DFM) publishLocked() {
 		}
 	}
 	d.lookup.Store(&lookupTable{byFunc: byFunc})
-	d.publishes.Add(1)
 }
 
 // EnableLatency turns on per-function latency metering: histFor is invoked
 // at publish time for each enabled function and the returned histogram
 // observes the duration of every call begun through BeginCall or
 // BeginExportedCall. Passing nil turns metering back off. The change takes
-// effect immediately (the lookup snapshot is republished).
+// effect immediately (the lookup snapshot is republished), and, since it
+// changes no entry, it leaves Publishes() as it was.
 func (d *DFM) EnableLatency(histFor func(function string) *metrics.Histogram) {
-	_ = d.Update(func(tx *Tx) error {
-		d.histFor = histFor
-		tx.dirty = true
-		return nil
-	})
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.histFor = histFor
+	d.publishLocked()
 }
 
 // The per-operation mutators below are one-operation transactions.

@@ -8,6 +8,7 @@ import (
 
 	"godcdo/internal/core"
 	"godcdo/internal/dfm"
+	"godcdo/internal/obs"
 	"godcdo/internal/rpc"
 	"godcdo/internal/vclock"
 	"godcdo/internal/version"
@@ -52,6 +53,7 @@ type LazyUpdater struct {
 var (
 	_ rpc.Object             = (*LazyUpdater)(nil)
 	_ rpc.ContextAwareObject = (*LazyUpdater)(nil)
+	_ obs.Configurable       = (*LazyUpdater)(nil)
 )
 
 // NewLazyUpdater wraps dcdo.
@@ -64,6 +66,10 @@ func NewLazyUpdater(dcdo *core.DCDO, mgr ManagerView, spec LazySpec, clock vcloc
 
 // DCDO returns the wrapped object.
 func (l *LazyUpdater) DCDO() *core.DCDO { return l.dcdo }
+
+// SetObs implements obs.Configurable by wiring the wrapped DCDO into o, so
+// hosting the updater on an instrumented node instruments the object.
+func (l *LazyUpdater) SetObs(o *obs.Obs) { l.dcdo.SetObs(o) }
 
 // Stats reports how many update checks ran and how many applied an update.
 func (l *LazyUpdater) Stats() (checks, updates uint64) {

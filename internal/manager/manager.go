@@ -398,7 +398,7 @@ func (m *Manager) runMove(ctx context.Context, p *pass, mv move) (outcome, error
 			return outAt, nil
 		}
 	}
-	st, err := m.planStep(mv.loid, mv.to, p.rollback)
+	st, err := m.planStep(ctx, mv.loid, mv.to, p.rollback)
 	if st == nil {
 		return outAt, err
 	}
@@ -434,8 +434,10 @@ type step struct {
 // is not already at v, that the style admits the transition (a rollback is
 // exempt from both of those), and that v is instantiable. A nil step means
 // there is nothing to apply — the move was refused (err says why) or the
-// instance is already at the target (err is nil).
-func (m *Manager) planStep(loid naming.LOID, v version.ID, rollback bool) (*step, error) {
+// instance is already at the target (err is nil). The step's mgr.evolve
+// span parents on the trace position ctx carries, and roots a trace when
+// it carries none.
+func (m *Manager) planStep(ctx context.Context, loid naming.LOID, v version.ID, rollback bool) (*step, error) {
 	m.mu.Lock()
 	inst, ok := m.instances[loid]
 	rec := m.records[loid]
@@ -450,7 +452,7 @@ func (m *Manager) planStep(loid naming.LOID, v version.ID, rollback bool) (*step
 	}
 	st := &step{loid: loid, inst: inst, rec: rec, from: from, to: v, rollback: rollback}
 	if tr := m.tracer(); tr != nil {
-		st.sp = tr.StartSpan(obs.StageMgrEvolve, obs.SpanContext{})
+		st.sp = tr.StartSpan(obs.StageMgrEvolve, obs.SpanFromContext(ctx))
 		st.sp.Annotate("object", loid.String())
 		st.sp.Annotate("from", from.String())
 		st.sp.Annotate("to", v.String())
@@ -501,7 +503,7 @@ func (m *Manager) applyStep(ctx context.Context, st *step) error {
 	}
 	var err error
 	if g := m.ReplicaGroup(st.loid); g != nil {
-		err = m.evolveReplicated(ctx, g, st.loid, st.to)
+		err = m.evolveReplicated(obs.ContextWithSpan(ctx, st.sp.Context()), g, st.loid, st.to)
 	} else {
 		err = m.applyPlanned(st.loid, st.from, st.to, func(a *core.PlanArgs, desc *dfm.Descriptor) error {
 			return applyInstance(ctx, st.sp, st.inst, a, desc, st.to)

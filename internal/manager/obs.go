@@ -10,25 +10,6 @@ import (
 	"godcdo/internal/version"
 )
 
-// tracedInstance is optionally implemented by instances that can thread
-// trace context into their apply path (LocalInstance does, via core's
-// Apply*Traced). Remote instances fall back to the plain calls — the trace
-// context for those rides the RPC envelope instead.
-type tracedInstance interface {
-	ApplyTraced(ctx context.Context, parent obs.SpanContext, target *dfm.Descriptor, v version.ID) (core.ApplyReport, error)
-	ApplyPlanTraced(ctx context.Context, parent obs.SpanContext, a core.PlanArgs) (core.ApplyReport, error)
-}
-
-// ApplyTraced implements tracedInstance.
-func (l LocalInstance) ApplyTraced(ctx context.Context, parent obs.SpanContext, target *dfm.Descriptor, v version.ID) (core.ApplyReport, error) {
-	return l.Obj.ApplyDescriptorTraced(ctx, parent, target, v)
-}
-
-// ApplyPlanTraced implements tracedInstance.
-func (l LocalInstance) ApplyPlanTraced(ctx context.Context, parent obs.SpanContext, a core.PlanArgs) (core.ApplyReport, error) {
-	return l.Obj.ApplyPlanTraced(ctx, parent, a)
-}
-
 var (
 	_ obs.Configurable = (*Manager)(nil)
 	_ obs.Configurable = (*Object)(nil)
@@ -71,32 +52,22 @@ func (m *Manager) event(kind string, loid naming.LOID, v version.ID, detail stri
 
 // applyInstance moves inst to v under a mgr.apply span parented on sp: by
 // the planned change a when it is non-nil, else to the full descriptor desc.
-// Local instances get the span's context, so the object's dcdo.apply span
-// joins the same trace. With tracing off (sp nil) it is the plain Instance
-// call. ctx flows through either way.
+// The span rides in ctx, so the object's dcdo.apply span joins the same
+// trace whether the instance is local or remote. With tracing off (sp nil)
+// it is the plain Instance call.
 func applyInstance(ctx context.Context, sp *obs.Span, inst Instance, a *core.PlanArgs, desc *dfm.Descriptor, v version.ID) error {
-	ti, traced := inst.(tracedInstance)
-	var child *obs.Span
-	if sp != nil {
-		child = sp.Child(obs.StageMgrApply)
+	child := sp.Child(obs.StageMgrApply)
+	if child != nil {
 		child.Annotate("object", inst.LOID().String())
-	} else {
-		traced = false
+		ctx = obs.ContextWithSpan(ctx, child.Context())
 	}
 	var err error
-	switch {
-	case a != nil && traced:
-		_, err = ti.ApplyPlanTraced(ctx, child.Context(), *a)
-	case a != nil:
+	if a != nil {
 		_, err = inst.ApplyPlan(ctx, *a)
-	case traced:
-		_, err = ti.ApplyTraced(ctx, child.Context(), desc, v)
-	default:
+	} else {
 		_, err = inst.Apply(ctx, desc, v)
 	}
-	if child != nil {
-		child.Fail(err)
-		child.Finish()
-	}
+	child.Fail(err)
+	child.Finish()
 	return err
 }

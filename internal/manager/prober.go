@@ -103,7 +103,8 @@ func (p *Prober) Sweep(ctx context.Context) (SweepReport, error) {
 
 	var sp *obs.Span
 	if tr := p.Mgr.tracer(); tr != nil {
-		sp = tr.StartSpan(obs.StageMgrProbe, obs.SpanContext{})
+		sp = tr.StartSpan(obs.StageMgrProbe, obs.SpanFromContext(ctx))
+		ctx = obs.ContextWithSpan(ctx, sp.Context())
 	}
 
 	loids := p.Mgr.InstanceLOIDs()

@@ -94,7 +94,8 @@ func (m *Manager) Recover(ctx context.Context) (RecoveryReport, error) {
 
 	var sp *obs.Span
 	if tr := m.tracer(); tr != nil {
-		sp = tr.StartSpan(obs.StageMgrRecover, obs.SpanContext{})
+		sp = tr.StartSpan(obs.StageMgrRecover, obs.SpanFromContext(ctx))
+		ctx = obs.ContextWithSpan(ctx, sp.Context())
 	}
 	report, err := m.recover(ctx, j, recs)
 	if sp != nil {

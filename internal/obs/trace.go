@@ -8,6 +8,7 @@
 package obs
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -44,6 +45,27 @@ type SpanContext struct {
 
 // Valid reports whether the context belongs to a trace.
 func (c SpanContext) Valid() bool { return c.TraceID != 0 }
+
+// spanKey is the context key of the trace position a ctx carries.
+type spanKey struct{}
+
+// ContextWithSpan returns ctx carrying sc as its trace position: the one
+// route a trace takes through the call graph. Spans started for work done
+// under the returned ctx parent on sc, and an rpc call made under it joins
+// sc's trace. An invalid sc returns ctx as it is.
+func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
+	if !sc.Valid() {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, sc)
+}
+
+// SpanFromContext returns the trace position ctx carries, the zero
+// SpanContext when it carries none.
+func SpanFromContext(ctx context.Context) SpanContext {
+	sc, _ := ctx.Value(spanKey{}).(SpanContext)
+	return sc
+}
 
 // SpanRecord is the immutable, exported form of a finished (or in-flight)
 // span, as stored in the tracer's ring and serialised by /debug/obs.

@@ -248,8 +248,14 @@ func (r *Replica) Stats() Stats {
 }
 
 // SetObs implements obs.Configurable: shipment fallbacks are mirrored into
-// o's event log. A nil o turns that off.
-func (r *Replica) SetObs(o *obs.Obs) { r.events.Store(o.GetEvents()) }
+// o's event log, and the wrapped object is wired into o when it accepts it.
+// A nil o turns both off.
+func (r *Replica) SetObs(o *obs.Obs) {
+	r.events.Store(o.GetEvents())
+	if c, ok := r.inner.(obs.Configurable); ok {
+		c.SetObs(o)
+	}
+}
 
 // Role returns the replica's current role.
 func (r *Replica) CurrentRole() Role {

@@ -146,11 +146,12 @@ type Client struct {
 	// Latency, when non-nil, records the end-to-end duration of each
 	// successful call (including retries and backoffs).
 	Latency *metrics.Sample
-	// Tracer, when non-nil, roots one trace per call: a client.invoke span
-	// with child spans for each bind, attempt, backoff, and rebind, and the
+	// Tracer, when non-nil, records each call as a client.invoke span with
+	// child spans for each bind, attempt, backoff, and rebind, and the
 	// attempt's context propagated in the request envelope so server-side
-	// spans join the same trace. Nil (the default) costs one pointer compare
-	// and nothing else.
+	// spans join the same trace. The call joins the trace its ctx carries
+	// (obs.ContextWithSpan) and roots one otherwise. Nil (the default)
+	// costs one pointer compare and nothing else.
 	Tracer *obs.Tracer
 
 	// Per-stage histograms, installed by ObserveStages. Nil when stage
@@ -247,6 +248,10 @@ func (c *Client) invoke(ctx context.Context, call BatchCall, backupOK bool) ([]b
 		// Fast path: untraced calls must not pay a single allocation for the
 		// obs layer (BenchmarkInvokeTracingOff gates this).
 		c.run(ctx, one[:], nil, obs.SpanContext{})
+	} else if parent := obs.SpanFromContext(ctx); parent.Valid() {
+		// A call made under a span joins its trace, and with it the
+		// decision to keep it: only kept traces put spans in ctx.
+		c.runTraced(ctx, one[:], parent)
 	} else if tctx := c.Tracer.MintContext(); !c.Tracer.Keep(tctx.TraceID) {
 		// Head sampling: the keep/drop decision is made once, here at the
 		// trace root, and propagated on the wire so every node treats the
@@ -258,12 +263,7 @@ func (c *Client) invoke(ctx context.Context, call BatchCall, backupOK bool) ([]b
 		// Root the client.invoke span on the minted trace ID (a parent
 		// context with no span ID parents nothing but pins the trace), so the
 		// sampled trace carries the same ID the sampling decision was made on.
-		root := c.Tracer.StartSpan(obs.StageClientInvoke, obs.SpanContext{TraceID: tctx.TraceID})
-		root.Annotate("loid", call.LOID.String())
-		root.Annotate("method", call.Method)
-		c.run(ctx, one[:], root, obs.SpanContext{})
-		root.Fail(pc.Err)
-		root.Finish()
+		c.runTraced(ctx, one[:], obs.SpanContext{TraceID: tctx.TraceID})
 	}
 	if pc.Err == nil && c.Latency != nil {
 		c.Latency.Observe(time.Since(pc.start))
@@ -272,6 +272,18 @@ func (c *Client) invoke(ctx context.Context, call BatchCall, backupOK bool) ([]b
 		c.histInvoke.Observe(time.Since(pc.start))
 	}
 	return pc.Payload, pc.Err
+}
+
+// runTraced runs a single call under a client.invoke span parented on
+// parent.
+func (c *Client) runTraced(ctx context.Context, one []pending, parent obs.SpanContext) {
+	pc := &one[0]
+	root := c.Tracer.StartSpan(obs.StageClientInvoke, parent)
+	root.Annotate("loid", pc.LOID.String())
+	root.Annotate("method", pc.Method)
+	c.run(ctx, one, root, obs.SpanContext{})
+	root.Fail(pc.Err)
+	root.Finish()
 }
 
 // retainTail is the dropped-trace path's only obs work: the call ran with no

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -57,14 +58,17 @@ var RawCodec = Codec[[]byte]{
 	Decode: func(b []byte) ([]byte, error) { return b, nil },
 }
 
-// UvarintCodec carries one unsigned integer.
+// UvarintCodec carries one unsigned integer. Decode accepts exactly the
+// bytes Encode writes: one minimal uvarint (whose last byte is nonzero
+// unless it is the only one) and nothing after it.
 var UvarintCodec = Codec[uint64]{
-	Encode: func(v uint64) []byte {
-		e := wire.NewEncoder(8)
-		e.PutUvarint(v)
-		return e.Bytes()
+	Encode: func(v uint64) []byte { return binary.AppendUvarint(make([]byte, 0, 8), v) },
+	Decode: func(b []byte) (uint64, error) {
+		if v, n := binary.Uvarint(b); n > 0 && n == len(b) && (n == 1 || b[n-1] != 0) {
+			return v, nil
+		}
+		return 0, fmt.Errorf("a %d-byte payload is not one minimal uvarint", len(b))
 	},
-	Decode: func(b []byte) (uint64, error) { return wire.NewDecoder(b).Uvarint() },
 }
 
 // StringCodec carries one string.

@@ -79,3 +79,27 @@ func TestMethodCallNeverRoutesToBackup(t *testing.T) {
 		t.Fatal("InvokeIdempotent never routed a read to the backup")
 	}
 }
+
+// TestUvarintCodecIsExact holds UvarintCodec.Decode to the bytes Encode
+// writes: every encoding round-trips, and a payload with bytes after the
+// uvarint, a non-minimal encoding, an overflowing one or an empty one is
+// refused.
+func TestUvarintCodecIsExact(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 300, 1 << 63, ^uint64(0)} {
+		if got, err := UvarintCodec.Decode(UvarintCodec.Encode(v)); err != nil || got != v {
+			t.Errorf("round trip of %d = %d, %v", v, got, err)
+		}
+	}
+	for _, bad := range [][]byte{
+		nil,
+		{0x14, 0xff, 0xff},
+		{0x14, 0x00},
+		{0x80, 0x00},
+		{0x94, 0x00},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+	} {
+		if v, err := UvarintCodec.Decode(bad); err == nil {
+			t.Errorf("Decode(%x) = %d, want an error", bad, v)
+		}
+	}
+}

@@ -37,17 +37,6 @@ type ContextAwareObject interface {
 	InvokeMethodCtx(ctx context.Context, method string, args []byte) ([]byte, error)
 }
 
-// ContextObject is optionally implemented by hosted objects (core.DCDO does)
-// that can thread trace context through their internal stages. The
-// dispatcher type-asserts for it only when tracing is enabled, so plain
-// Objects and untraced traffic pay nothing.
-type ContextObject interface {
-	// InvokeMethodTraced is InvokeMethodCtx with the caller's span context,
-	// letting the object parent its internal spans (resolve, func) on the
-	// server-side dispatch span.
-	InvokeMethodTraced(ctx context.Context, parent obs.SpanContext, method string, args []byte) ([]byte, error)
-}
-
 // ObjectFunc adapts a function to the Object interface.
 type ObjectFunc func(method string, args []byte) ([]byte, error)
 
@@ -386,7 +375,6 @@ func (d *Dispatcher) dispatchOne(ctx context.Context, req *wire.Envelope) *wire.
 	if !ok {
 		return errEnvelope(req.ID, wire.CodeNoSuchObject, fmt.Sprintf("%s not hosted here", loid))
 	}
-	obj := h.obj
 	var st *methodStats
 	if d.vLat != nil {
 		st = h.stats(d, req.Method)
@@ -399,18 +387,13 @@ func (d *Dispatcher) dispatchOne(ctx context.Context, req *wire.Envelope) *wire.
 		sp = d.tracer.StartSpan(obs.StageServerDispatch, obs.SpanContext{TraceID: req.TraceID, SpanID: req.SpanID})
 		sp.Annotate("loid", req.Target)
 		sp.Annotate("method", req.Method)
+		// The object's own spans, and any call it makes, parent on this one.
+		ctx = obs.ContextWithSpan(ctx, sp.Context())
 	}
-	var result []byte
+	result, err := invokeObject(ctx, h.obj, req.Method, req.Payload)
 	if sp != nil {
-		if ctxObj, ok := obj.(ContextObject); ok {
-			result, err = ctxObj.InvokeMethodTraced(ctx, sp.Context(), req.Method, req.Payload)
-		} else {
-			result, err = invokeObject(ctx, obj, req.Method, req.Payload)
-		}
 		sp.Fail(err)
 		sp.Finish()
-	} else {
-		result, err = invokeObject(ctx, obj, req.Method, req.Payload)
 	}
 	var dur time.Duration
 	if measured {

@@ -125,9 +125,9 @@ func TestDynamicFunctionBytes(t *testing.T) {
 
 // TestDeclaredFunctionContracts holds the greet and counter types to their
 // declarations over the wire: each declared function answers its valid
-// argument, an unknown name answers ErrNoSuchFunction, and an empty or
-// truncated argument is refused with ErrBadRequest before the body runs,
-// leaving the counter as it was.
+// argument, an unknown name answers ErrNoSuchFunction, and an empty,
+// truncated or oversized argument is refused with ErrBadRequest before the
+// body runs, leaving the counter as it was.
 func TestDeclaredFunctionContracts(t *testing.T) {
 	tb, err := Build(Config{Name: "testbed-contracts", Greetings: []Greeting{{ID: "en", Text: "hello"}}, Counter: true, Fleet: 1})
 	if err != nil {
@@ -166,7 +166,8 @@ func TestDeclaredFunctionContracts(t *testing.T) {
 		if r.NoArgs {
 			continue
 		}
-		for _, bad := range [][]byte{nil, r.Args[:len(r.Args)-1]} {
+		oversized := append(append([]byte(nil), r.Args...), 0xff, 0xff)
+		for _, bad := range [][]byte{nil, r.Args[:len(r.Args)-1], oversized} {
 			if _, err := client.Invoke(ctx, loid, r.Name, bad); !errors.Is(err, rpc.ErrBadRequest) {
 				t.Errorf("%s with payload %x: err = %v, want ErrBadRequest", r.Name, bad, err)
 			}

@@ -54,6 +54,10 @@ import (
 //   - no more than maxCodecSites wire.NewEncoder / wire.NewDecoder call
 //     sites sit outside internal/wire: a payload is coded by a declared
 //     method's codec, not by hand at each call site;
+//   - no exported function, method or interface method outside
+//     internal/obs takes an obs.SpanContext parameter: a trace position
+//     rides in ctx (obs.ContextWithSpan), the one route every wrapper and
+//     remote hop already carries;
 //   - no package has more non-test lines than its row in maxLines allows.
 func TestStructure(t *testing.T) {
 	// importsOK maps a package directory to the module packages it may
@@ -162,8 +166,17 @@ func TestStructure(t *testing.T) {
 					t.Errorf("%s: calls %s.%s; stand the drill's cluster up with internal/testbed", fset.Position(n.Pos()), pkg.Name, n.Sel.Name)
 				}
 			case *ast.FuncDecl:
+				if n.Name.IsExported() && dir != "internal/obs" && takesSpan(n.Type) {
+					t.Errorf("%s: %s takes an obs.SpanContext; carry the trace position in ctx (obs.ContextWithSpan)", fset.Position(n.Pos()), n.Name.Name)
+				}
 				if n.Body != nil && selects(n.Body, "wire", "DecodeBatchRunPooled") && !selects(n.Body, "wire", "PutBatchRun") {
 					t.Errorf("%s: %s decodes a pooled batch run and never releases it with wire.PutBatchRun", fset.Position(n.Pos()), n.Name.Name)
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					if ft, ok := m.Type.(*ast.FuncType); ok && m.Names[0].IsExported() && dir != "internal/obs" && takesSpan(ft) {
+						t.Errorf("%s: interface method %s takes an obs.SpanContext; carry the trace position in ctx (obs.ContextWithSpan)", fset.Position(m.Pos()), m.Names[0].Name)
+					}
 				}
 			case *ast.SwitchStmt:
 				if tag, ok := n.Tag.(*ast.Ident); ok && tag.Name == "method" && !strings.HasPrefix(path, "internal/harness/") {
@@ -199,14 +212,14 @@ func TestStructure(t *testing.T) {
 // maxCodecSites is the codec-site ratchet: the most wire.NewEncoder /
 // wire.NewDecoder call sites non-test code outside internal/wire may hold. A
 // change may lower it freely; raising it needs a CHANGES.md line saying why.
-const maxCodecSites = 22
+const maxCodecSites = 20
 
 // maxLines is the line ratchet: the most non-test lines (newlines in the
 // package's non-test .go files) each package directory may hold. A change
 // may lower a row freely; raising one needs a CHANGES.md line saying why.
 var maxLines = map[string]int{
 	"cmd/dcdo-bench":        93,
-	"cmd/dcdo-ctl":          773,
+	"cmd/dcdo-ctl":          772,
 	"cmd/dcdo-node":         399,
 	"dcdo":                  420,
 	"examples/hotfix":       202,
@@ -216,21 +229,21 @@ var maxLines = map[string]int{
 	"examples/sortdep":      222,
 	"internal/baseline":     179,
 	"internal/component":    457,
-	"internal/core":         1422,
+	"internal/core":         1367,
 	"internal/demo":         156,
 	"internal/dfm":          1452,
-	"internal/evolution":    325,
+	"internal/evolution":    331,
 	"internal/harness":      3188,
 	"internal/legion":       595,
-	"internal/manager":      3861,
+	"internal/manager":      3836,
 	"internal/metrics":      1335,
 	"internal/naming":       509,
 	"internal/objstate":     390,
-	"internal/obs":          1060,
+	"internal/obs":          1082,
 	"internal/policy":       306,
 	"internal/registry":     195,
-	"internal/replica":      1122,
-	"internal/rpc":          2800,
+	"internal/replica":      1128,
+	"internal/rpc":          2799,
 	"internal/rpc/rpctest":  72,
 	"internal/simnet":       118,
 	"internal/supervisor":   1353,
@@ -241,6 +254,16 @@ var maxLines = map[string]int{
 	"internal/version":      165,
 	"internal/wire":         1236,
 	"internal/workload":     185,
+}
+
+// takesSpan reports whether a parameter of ft mentions obs.SpanContext.
+func takesSpan(ft *ast.FuncType) bool {
+	for _, p := range ft.Params.List {
+		if selects(p.Type, "obs", "SpanContext") {
+			return true
+		}
+	}
+	return false
 }
 
 // selects reports whether n mentions pkg.sel.
