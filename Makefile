@@ -28,7 +28,10 @@ test:
 # The second line repeats the no-intermediate-table contracts (callers
 # hammering an object through 200 alternating applies, once by full
 # descriptor and once by planned change; a DFM through 400 transactional
-# swaps), the transport's first-call race (64 callers racing
+# swaps), the DFM's reused fast-path rows (an untouched entry keeps its row
+# while callers share it through 200 swaps of another; an exported flip and
+# EnableLatency replace rows, the flip only once its transaction publishes),
+# the transport's first-call race (64 callers racing
 # the dials that publish each stripe), its pooled-request recycling (every
 # way a call ends, shutdown included, with poison checks on), batch
 # sub-calls borrowing their args from the frame (8 callers, poison checks on),
@@ -53,7 +56,7 @@ test:
 # the schedules the detector sees.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestPlannedApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure|TestCallLeavesRequestToCaller|TestBackupReadEchoKeepsItsResult|TestResponsesOutliveTheirRelease|TestBatchRunsOutliveTheirRelease|TestDroppedShipmentFrameNotReused|TestGetSurvivesLaterWrites|TestSafeFailureWaitsForTheBinding|TestWaitForBindingEndsAtMaxRebinds|TestWaitWithBudgetEndsAtMaxAttempts|TestIdempotentBatchReadsOffBackups' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/ ./internal/objstate/ ./internal/replica/
+	$(GO) test -race -count=5 -run 'TestApplyNeverExposesAnIntermediateTable|TestPlannedApplyNeverExposesAnIntermediateTable|TestCallersNeverSeeInsideATransaction|TestUntouchedEntryKeepsItsRow|TestExportedFlipPublishesWithTheTransaction|TestEnableLatencyRebuildsRows|TestTCPFirstCallsSeeFullyBuiltConn|TestTCPServerRecyclesEachRequestOnce|TestTCPServerReusesHandlers|TestTCPSlowHandlerDoesNotBlockPipelinedCalls|TestDecodeInternsNames|TestBatchSubCallsBorrowArgsOverTCP|TestRoutesAgreeOnEveryFailure|TestCallLeavesRequestToCaller|TestBackupReadEchoKeepsItsResult|TestResponsesOutliveTheirRelease|TestBatchRunsOutliveTheirRelease|TestDroppedShipmentFrameNotReused|TestGetSurvivesLaterWrites|TestSafeFailureWaitsForTheBinding|TestWaitForBindingEndsAtMaxRebinds|TestWaitWithBudgetEndsAtMaxAttempts|TestIdempotentBatchReadsOffBackups' ./internal/core/ ./internal/dfm/ ./internal/transport/ ./internal/wire/ ./internal/legion/ ./internal/rpc/ ./internal/objstate/ ./internal/replica/
 
 # One iteration of every benchmark plus the E9 overload experiment, a short
 # end-to-end rollout (E11 drives canary waves, an SLO rollback, and a

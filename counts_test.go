@@ -82,6 +82,37 @@ func TestOnePublishPerReconfiguration(t *testing.T) {
 	publishes("DFM.RemoveComponent", 1, func() error { return table.RemoveComponent(extra.Component) })
 }
 
+// TestPublishCostsWhatItTouches: a publish reuses the fast-path row of every
+// entry its transaction did not touch, so a one-entry planned apply allocates
+// the same on a 1,000-function object as on a 100-function one. The snapshot
+// map is still rebuilt per publish, but it is one allocation of any size.
+func TestPublishCostsWhatItTouches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	allocs := func(objFuncs int) float64 {
+		obj, base, next := evolvePair(t, fmt.Sprintf("pc%d", objFuncs), objFuncs, 1)
+		plans := []core.PlanArgs{
+			{From: version.ID{1}, To: version.ID{1, 1}, Change: dfm.NewChange(base, next)},
+			{From: version.ID{1, 1}, To: version.ID{1}, Change: dfm.NewChange(next, base)},
+		}
+		i := 0
+		return testing.AllocsPerRun(200, func() {
+			if _, err := obj.ApplyPlan(context.Background(), plans[i%2]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	small, large := allocs(100), allocs(1000)
+	if large > small+2 || small > large+2 {
+		t.Fatalf("a diff = 1 ApplyPlan allocates %.0f at obj = 100 and %.0f at obj = 1000, want the same within 2", small, large)
+	}
+	if large > 12 {
+		t.Fatalf("a diff = 1 ApplyPlan at obj = 1000 allocates %.0f, want at most 12", large)
+	}
+}
+
 func TestOnePublishPerIncorporatedComponent(t *testing.T) {
 	obj, _, next := evolvePair(t, "inc", 100, 10)
 	id := "incx_c0"

@@ -393,8 +393,10 @@ func (d *DCDO) stageArrival(tx *dfm.Tx, a *arrival, enable bool) error {
 }
 
 func (d *DCDO) emitIncorporated(a *arrival) {
-	d.emit(EventIncorporated, a.inc.desc.ID, "", nil,
-		fmt.Sprintf("%d functions, %d bytes", len(a.entries), a.inc.desc.CodeSize))
+	if d.listened() {
+		d.emit(EventIncorporated, a.inc.desc.ID, "", nil,
+			fmt.Sprintf("%d functions, %d bytes", len(a.entries), a.inc.desc.CodeSize))
+	}
 }
 
 // RemoveComponent disables nothing by itself: the component's functions

@@ -234,10 +234,12 @@ func (d *DCDO) apply(ctx context.Context, from, newVersion version.ID, stamp boo
 	report.ComponentsAdded = len(c.AddComponents)
 	report.ComponentsReplaced = len(c.ReplaceComponents)
 	report.ComponentsRemoved = len(c.RemoveComponents)
-	d.emit(EventEvolved, "", "", newVersion, fmt.Sprintf(
-		"+%d components, -%d, ~%d replaced, %d entries retuned, %d bytes fetched",
-		report.ComponentsAdded, report.ComponentsRemoved, report.ComponentsReplaced,
-		report.EntriesRetuned, report.BytesFetched))
+	if d.listened() {
+		d.emit(EventEvolved, "", "", newVersion, fmt.Sprintf(
+			"+%d components, -%d, ~%d replaced, %d entries retuned, %d bytes fetched",
+			report.ComponentsAdded, report.ComponentsRemoved, report.ComponentsReplaced,
+			report.EntriesRetuned, report.BytesFetched))
+	}
 	return report, nil
 }
 

@@ -41,18 +41,20 @@ var (
 	ErrNotExported = errors.New("dfm: function not exported")
 )
 
-// liveEntry is one DFM table row plus its live binding and thread counter.
+// liveEntry is one DFM table row plus its live binding, thread counter and
+// fast-path row, which publishLocked builds and reuses (under d.mu).
 type liveEntry struct {
 	desc   EntryDesc
 	impl   registry.Func
+	row    *fastEntry
 	active atomic.Int64
 	calls  atomic.Uint64
 }
 
-// fastEntry is one immutable row of the fast-path index: the implementation,
-// its exported flag frozen at publish time, the live entry whose counters
-// the call updates, and (when latency metering is enabled) the function's
-// latency histogram, also frozen at publish time.
+// fastEntry is one immutable row of the fast-path index, shared by every
+// snapshot since it was built: the implementation, its exported flag, the
+// live entry whose counters the call updates, and (when latency metering is
+// enabled) the function's latency histogram, the last two frozen when built.
 type fastEntry struct {
 	impl     registry.Func
 	exported bool
@@ -137,16 +139,20 @@ func (d *DFM) UpdateAt(fn func(tx *Tx) error) (uint64, error) {
 // per transaction that changed the table.
 func (d *DFM) Publishes() uint64 { return d.publishes.Load() }
 
-// publishLocked publishes a fresh lookup snapshot. The caller holds d.mu.
+// publishLocked publishes a fresh lookup snapshot over the entries' rows,
+// building one only where it is missing or its exported flag stale, so a
+// publish allocates rows only for what it touched. The caller holds d.mu.
 func (d *DFM) publishLocked() {
 	byFunc := make(map[string]*fastEntry, len(d.entries))
 	for _, e := range d.entries {
 		if e.desc.Enabled {
-			fe := &fastEntry{impl: e.impl, exported: e.desc.Exported, live: e}
-			if d.histFor != nil {
-				fe.hist = d.histFor(e.desc.Function)
+			if e.row == nil || e.row.exported != e.desc.Exported {
+				e.row = &fastEntry{impl: e.impl, exported: e.desc.Exported, live: e}
+				if d.histFor != nil {
+					e.row.hist = d.histFor(e.desc.Function)
+				}
 			}
-			byFunc[e.desc.Function] = fe
+			byFunc[e.desc.Function] = e.row
 		} else if _, known := byFunc[e.desc.Function]; !known {
 			byFunc[e.desc.Function] = nil
 		}
@@ -155,15 +161,18 @@ func (d *DFM) publishLocked() {
 }
 
 // EnableLatency turns on per-function latency metering: histFor is invoked
-// at publish time for each enabled function and the returned histogram
+// as each enabled function's row is built and the returned histogram
 // observes the duration of every call begun through BeginCall or
 // BeginExportedCall. Passing nil turns metering back off. The change takes
-// effect immediately (the lookup snapshot is republished), and, since it
+// effect immediately (every row is rebuilt and republished), and, since it
 // changes no entry, it leaves Publishes() as it was.
 func (d *DFM) EnableLatency(histFor func(function string) *metrics.Histogram) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.histFor = histFor
+	for _, e := range d.entries {
+		e.row = nil
+	}
 	d.publishLocked()
 }
 

@@ -97,7 +97,7 @@ func (b *Batch) Invoke(ctx context.Context) []BatchResult {
 	for i := range b.calls {
 		b.calls[i] = pending{BatchCall: b.calls[i].BatchCall, backupOK: b.calls[i].Idempotent, start: start}
 	}
-	b.c.run(ctx, b.calls, nil, obs.SpanContext{})
+	b.c.runTraced(ctx, b.calls)
 	if cap(b.results) < len(b.calls) {
 		b.results = make([]BatchResult, len(b.calls))
 	}
@@ -115,7 +115,7 @@ func (b *Batch) Invoke(ctx context.Context) []BatchResult {
 // one batch frame and settles each from its own outcome: a sub-response,
 // the sub's error envelope, or the frame's failure. It returns the index
 // after the last call it sent.
-func (c *Client) sendFrame(ctx context.Context, p *RetryPolicy, endpoint string, calls []pending, i, n int, timeout time.Duration) int {
+func (c *Client) sendFrame(ctx context.Context, p *RetryPolicy, endpoint string, calls []pending, i, n int, timeout time.Duration, root *obs.Span, tail obs.SpanContext) int {
 	c.count[statBatches].Inc()
 
 	// Build the batch run in a pooled buffer. Sub-envelope IDs are the
@@ -146,7 +146,14 @@ func (c *Client) sendFrame(ctx context.Context, p *RetryPolicy, endpoint string,
 	}
 	req := wire.GetEnvelope()
 	req.Kind, req.Payload = wire.KindBatchRequest, run
+	// The frame carries the batch's trace; the server stamps it on each
+	// sub-call, so every sub-call's dispatch span joins it.
+	attSpan := stampTrace(req, endpoint, root, tail)
 	answer, err := attempt(ctx, c.dialer, endpoint, req, nil, timeout)
+	if attSpan != nil {
+		attSpan.Fail(err)
+		attSpan.Finish()
+	}
 	// The frame holds copies of the arguments and wrappers, and the dialer
 	// is done with it once Call returns.
 	wire.PutBuf(scratch)
@@ -169,9 +176,9 @@ func (c *Client) sendFrame(ctx context.Context, p *RetryPolicy, endpoint string,
 		switch pc := &calls[k]; {
 		case pc.done:
 		case err != nil:
-			c.settle(pc, p, nil, nil, err)
+			c.settle(pc, p, root, nil, err)
 		default:
-			c.settle(pc, p, nil, subs[j].Payload, answerErr(&subs[j], wire.KindResponse))
+			c.settle(pc, p, root, subs[j].Payload, answerErr(&subs[j], wire.KindResponse))
 			j++
 		}
 	}
